@@ -1,0 +1,71 @@
+"""Golden output digests for the CLI commands that produce the reported
+numbers.
+
+Each digest is the sha256 of an output file (or of the printed lines) of one
+command.  A refactor that keeps them keeps every reported byte.  The bytes are
+reproducible per numpy version (the normal sampler and PCG64 streams are
+numpy's), so the digests are pinned for one version and skipped under others.
+"""
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from guardian_sim.cli import SEED_ENV_VAR, main
+
+PINNED_NUMPY = "2.4.6"
+
+pytestmark = pytest.mark.skipif(
+    np.__version__ != PINNED_NUMPY,
+    reason=f"golden digests are pinned for numpy {PINNED_NUMPY}, found {np.__version__}",
+)
+
+MATRIX = {
+    ("position_breach", "report.json"): "0cc11c32b24a7be8d6aaafcc16278c3f35deee64145b6322757b4d2e1a18f1a3",
+    ("position_breach", "winrates.csv"): "802060850cb082f4098c818d568ad4a8251460c4daadeecf7a682c765fe83de1",
+    ("margin_breach", "report.json"): "52961b9ac73a2b5fb76a3aefb43b4da55f5e4f6c929fcdcd59b4473469ff34d9",
+    ("margin_breach", "winrates.csv"): "2f8f8696b60bcaa815c8432bdc71cb3f6135c61f1611385ca48aef9b149d7809",
+}
+
+RUNS = {
+    ("adm", "intelligent", "trajectory.csv"): "c0109198a13e68c39f2ccc62149a28bcc8fa08a28f911c8ba2b97e3d2563cd4b",
+    ("adm", "intelligent", "summary.json"): "46e5cc98369668d8158223840a079369f9e878bc602b6b88000d9816715f92cc",
+    ("pp", "spiral", "trajectory.csv"): "f97c01f2417204466bfe26c9f5f86e395f570da6d01c2b0d3b989681d091c0ca",
+    ("pp", "spiral", "summary.json"): "46e5cc98369668d8158223840a079369f9e878bc602b6b88000d9816715f92cc",
+    ("dm", "linear", "trajectory.csv"): "ddb7bb1197d369c81e4e76694ab396380d54bb5b008e4a375d1bdd2e75e3d634",
+    ("dm", "linear", "summary.json"): "8d038721a9864125b9cf77f6dca12ed3dc76a071cc78a174a0fad66bb98b2f8b",
+}
+
+CHECK_STDOUT = "0db7c5a0fa820d9d1607eec56f01b3f195ade9e8de8b379713b90ea27a957cdb"
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("criterion", ["position_breach", "margin_breach"])
+def test_matrix_digests(tmp_path, criterion):
+    argv = ["matrix", "--trials", "200", "--seed", "0", "--failure-criterion", criterion,
+            "--out", str(tmp_path)]
+    assert main(argv) == 0
+    for name in ("report.json", "winrates.csv"):
+        assert _sha((tmp_path / name).read_bytes()) == MATRIX[(criterion, name)], name
+
+
+@pytest.mark.parametrize(
+    "defender, attacker", [("adm", "intelligent"), ("pp", "spiral"), ("dm", "linear")]
+)
+def test_run_digests(tmp_path, defender, attacker):
+    argv = ["run", "--seed", "0", "--defender", defender, "--attacker", attacker,
+            "--out", str(tmp_path)]
+    assert main(argv) in (0, 1)
+    for name in ("trajectory.csv", "summary.json"):
+        assert _sha((tmp_path / name).read_bytes()) == RUNS[(defender, attacker, name)], name
+
+
+def test_check_stdout_digest(capsys, monkeypatch):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    assert main(["check"]) == 1  # margin_step_dominance fails by design
+    assert _sha(capsys.readouterr().out.encode()) == CHECK_STDOUT
