@@ -1,92 +1,2 @@
 """Safe-zone protection game: noisy pursuit simulator and margin-based
 defender guidance."""
-
-from .geometry import (
-    CoincidentAgentsError,
-    Vec2,
-    Zones,
-    closest_safe_reachable_point,
-    defense_margin,
-    error_vector,
-    is_captured,
-)
-from .observation import NoiseParams, noise_variance, observe, reliability
-from .rng import Rng, derive_seed
-from .strategies import (
-    AttackerBehavior,
-    DefenderStrategy,
-    adm_control,
-    dm_control,
-    intelligent_attacker,
-    linear_attacker,
-    pp_control,
-    spiral_attacker,
-)
-from .engine import (
-    EpisodeResult,
-    EpisodeState,
-    FailureCriterion,
-    InvalidInitializationError,
-    Outcome,
-    StepRecord,
-    WorldConfig,
-    run_episode,
-    sample_initial_positions,
-    step,
-)
-from .analysis import (
-    ExperimentReport,
-    MarginChangeEstimate,
-    PairResult,
-    StabilityDiagnostic,
-    estimate_expected_cos,
-    estimate_mean_margin_change,
-    one_step_margin_change,
-    run_experiment_matrix,
-    stability_condition_lhs,
-    stability_diagnostic,
-)
-
-__all__ = [
-    "AttackerBehavior",
-    "CoincidentAgentsError",
-    "DefenderStrategy",
-    "EpisodeResult",
-    "EpisodeState",
-    "ExperimentReport",
-    "FailureCriterion",
-    "InvalidInitializationError",
-    "MarginChangeEstimate",
-    "NoiseParams",
-    "Outcome",
-    "PairResult",
-    "Rng",
-    "StabilityDiagnostic",
-    "StepRecord",
-    "Vec2",
-    "WorldConfig",
-    "Zones",
-    "adm_control",
-    "closest_safe_reachable_point",
-    "defense_margin",
-    "derive_seed",
-    "dm_control",
-    "error_vector",
-    "estimate_expected_cos",
-    "estimate_mean_margin_change",
-    "intelligent_attacker",
-    "is_captured",
-    "linear_attacker",
-    "noise_variance",
-    "observe",
-    "one_step_margin_change",
-    "pp_control",
-    "reliability",
-    "run_episode",
-    "run_experiment_matrix",
-    "sample_initial_positions",
-    "spiral_attacker",
-    "stability_condition_lhs",
-    "stability_diagnostic",
-    "step",
-]

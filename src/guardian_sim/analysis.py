@@ -13,7 +13,9 @@ from __future__ import annotations
 import concurrent.futures
 import logging
 import math
+import os
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -23,7 +25,6 @@ from .geometry import Vec2, closest_safe_reachable_point, defense_margin
 from .observation import NoiseParams, noise_variance, observe, reliability
 from .rng import Rng, derive_seed
 from .strategies import (
-    AttackerBehavior,
     DefenderStrategy,
     MATRIX_ATTACKERS,
     MATRIX_DEFENDERS,
@@ -191,6 +192,8 @@ def closest_point_grid_search(xa: Vec2, xd: Vec2, resolution: float = 1e-3) -> V
     separation = xa.distance_to(xd)
     if separation == 0.0:
         raise ValueError("grid oracle undefined for coincident agents")
+    if xa.norm() <= xd.norm():  # origin feasible: ||origin - xa|| <= ||origin - xd||
+        return Vec2(0.0, 0.0)
     mid = (xa + xd) * 0.5
     normal = (xa - xd) / separation
     tangent = Vec2(-normal.y, normal.x)
@@ -200,10 +203,7 @@ def closest_point_grid_search(xa: Vec2, xd: Vec2, resolution: float = 1e-3) -> V
     py = mid.y + steps * tangent.y
     norms = np.hypot(px, py)
     best = int(np.argmin(norms))
-    best_point = Vec2(float(px[best]), float(py[best]))
-    if xa.norm() <= xd.norm():  # origin feasible: ||origin - xa|| <= ||origin - xd||
-        return Vec2(0.0, 0.0)
-    return best_point
+    return Vec2(float(px[best]), float(py[best]))
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +230,8 @@ class ExperimentReport:
     config: WorldConfig
 
 
+MATRIX_PAIRS = tuple((d, a) for d in MATRIX_DEFENDERS for a in MATRIX_ATTACKERS)
+
 _INIT_STREAM = 0
 _EPISODE_STREAM = 1
 
@@ -243,22 +245,15 @@ def trial_seeds(base_seed: int, trial: int) -> tuple[int, int]:
     )
 
 
-def run_matrix_trial(
-    defender: DefenderStrategy,
-    attacker: AttackerBehavior,
-    base_seed: int,
-    trial: int,
-    cfg: WorldConfig,
-) -> Outcome:
+def run_matrix_trial(base_seed: int, trial: int, cfg: WorldConfig) -> list[Outcome]:
+    """Outcomes of one trial for every pair of `MATRIX_PAIRS`, in that order.
+
+    Every pair starts from the same initial positions and replays the same
+    episode seed (common random numbers).
+    """
     init_seed, episode_seed = trial_seeds(base_seed, trial)
     xa, xd = sample_initial_positions(Rng(init_seed), min_separation=cfg.tau)
-    return run_episode(xa, xd, defender, attacker, cfg, episode_seed).outcome
-
-
-def _matrix_task(args: tuple) -> tuple[int, int, str]:
-    pair_idx, trial, defender, attacker, base_seed, cfg = args
-    outcome = run_matrix_trial(defender, attacker, base_seed, trial, cfg)
-    return pair_idx, trial, outcome.value
+    return [run_episode(xa, xd, d, a, cfg, episode_seed).outcome for d, a in MATRIX_PAIRS]
 
 
 def run_experiment_matrix(
@@ -267,31 +262,24 @@ def run_experiment_matrix(
     """Run every defender strategy against every attacker behavior with
     common random numbers.
 
-    Results are identical for any `jobs` value: each (pair, trial) episode is
-    seeded independently of scheduling, and aggregation is order-free.
+    Results are identical for any `jobs` value: each trial is seeded
+    independently of scheduling, and aggregation is order-free.  At most
+    one worker process per CPU and per trial is started.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     if jobs < 1:
         raise ValueError(f"need at least one worker, got {jobs}")
-    pair_list = [(d, a) for d in MATRIX_DEFENDERS for a in MATRIX_ATTACKERS]
-    outcomes: list[list[Outcome | None]] = [[None] * trials for _ in pair_list]
-    tasks = [
-        (pair_idx, trial, d, a, base_seed, cfg)
-        for pair_idx, (d, a) in enumerate(pair_list)
-        for trial in range(trials)
-    ]
-    if jobs == 1:
-        for task in tasks:
-            pair_idx, trial, value = _matrix_task(task)
-            outcomes[pair_idx][trial] = Outcome(value)
+    workers = min(jobs, os.cpu_count() or 1, trials)
+    args = (repeat(base_seed), range(trials), repeat(cfg))
+    if workers == 1:
+        per_trial = list(map(run_matrix_trial, *args))
     else:
-        chunk = max(1, len(tasks) // (jobs * 16))
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            for pair_idx, trial, value in pool.map(_matrix_task, tasks, chunksize=chunk):
-                outcomes[pair_idx][trial] = Outcome(value)
+        chunk = max(1, trials // (workers * 16))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            per_trial = list(pool.map(run_matrix_trial, *args, chunksize=chunk))
     pairs = []
-    for (defender, attacker), outcome_list in zip(pair_list, outcomes):
+    for (defender, attacker), outcome_list in zip(MATRIX_PAIRS, zip(*per_trial)):
         captured = sum(1 for o in outcome_list if o is Outcome.CAPTURED)
         survived = sum(1 for o in outcome_list if o is Outcome.SURVIVED)
         breached = sum(1 for o in outcome_list if o is Outcome.BREACHED)
@@ -373,19 +361,24 @@ def _random_separated_pair(rng: Rng, min_separation: float) -> tuple[Vec2, Vec2]
             return xa, xd
 
 
+def _noiseless_static_gains(strategy: DefenderStrategy, n: int, seed: int):
+    """(xa, xd, one-step margin change) for `n` random states with a static
+    attacker, exact observations, separation > sqrt(2) and the defender
+    inside the attacker's radius."""
+    rng = Rng(seed)
+    params = NoiseParams(beta_b=0.0, beta_d=0.0, beta_v=0.0, nu=1.0)
+    still = Vec2(0.0, 0.0)
+    for _ in range(n):
+        xa, xd = _random_separated_pair(rng, _SQRT2)
+        yield xa, xd, one_step_margin_change(xa, xd, strategy, params, 0.5, rng, still)
+
+
 def check_pursuit_margin_gain(n: int = 10_000, seed: int = 0) -> CheckResult:
     """Against a static attacker with exact observations, one pursuit step
     buys exactly +1/2 of margin whenever separation > sqrt(2) and the
     defender sits inside the attacker's radius."""
-    rng = Rng(seed)
-    params = NoiseParams(beta_b=0.0, beta_d=0.0, beta_v=0.0, nu=1.0)
-    still = Vec2(0.0, 0.0)
     worst = 0.0
-    for _ in range(n):
-        xa, xd = _random_separated_pair(rng, _SQRT2)
-        delta = one_step_margin_change(
-            xa, xd, DefenderStrategy.PURE_PURSUIT, params, 0.5, rng, still
-        )
+    for _, _, delta in _noiseless_static_gains(DefenderStrategy.PURE_PURSUIT, n, seed):
         worst = max(worst, abs(delta - 0.5))
     passed = worst <= 1e-9
     detail = f"max |pp_gain - 0.5| = {worst:.3g} over {n} configs"
@@ -413,17 +406,10 @@ def check_margin_step_dominance(n: int = 10_000, seed: int = 0) -> CheckResult:
     below +1/2 and eventually negative: chasing the receding foot point
     rotates the reachability boundary, and the induced loss scales with rho.
     """
-    rng = Rng(seed)
-    params = NoiseParams(beta_b=0.0, beta_d=0.0, beta_v=0.0, nu=1.0)
-    still = Vec2(0.0, 0.0)
     worst = math.inf
     worst_config: tuple[Vec2, Vec2] | None = None
     violations = 0
-    for _ in range(n):
-        xa, xd = _random_separated_pair(rng, _SQRT2)
-        delta = one_step_margin_change(
-            xa, xd, DefenderStrategy.DEFENSE_MARGIN, params, 0.5, rng, still
-        )
+    for xa, xd, delta in _noiseless_static_gains(DefenderStrategy.DEFENSE_MARGIN, n, seed):
         if delta < 0.5 - 1e-9:
             violations += 1
         if delta < worst:

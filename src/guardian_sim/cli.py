@@ -26,7 +26,6 @@ from .analysis import (
 )
 from .engine import (
     FailureCriterion,
-    InvalidInitializationError,
     Outcome,
     WorldConfig,
     run_episode,
@@ -158,6 +157,16 @@ def _parse_point(value, label: str) -> Vec2 | None:
         raise ConfigError(f"{label} must be a pair of finite numbers: {exc}") from exc
 
 
+def _choice(enum_cls, settings: dict, key: str):
+    """The member of `enum_cls` whose value is `settings[key]`."""
+    name = str(settings[key])
+    try:
+        return enum_cls(name)
+    except ValueError:
+        valid = ", ".join(m.value for m in enum_cls)
+        raise ConfigError(f"unknown {key} {name!r} (valid: {valid})") from None
+
+
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     settings = dict(_DEFAULTS)
     if args.config is not None:
@@ -189,12 +198,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             ),
             k=float(settings["k"]),
             max_steps=int(settings["max_steps"]),
-            failure_criterion=FailureCriterion.from_name(str(settings["failure_criterion"])),
+            failure_criterion=_choice(FailureCriterion, settings, "failure_criterion"),
         )
-        defender = DefenderStrategy.from_name(str(settings["defender"]))
-        attacker = AttackerBehavior.from_name(str(settings["attacker"]))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    defender = _choice(DefenderStrategy, settings, "defender")
+    attacker = _choice(AttackerBehavior, settings, "attacker")
     trials = int(settings["trials"])
     jobs = int(settings["jobs"])
     seed = int(settings["seed"])
@@ -281,10 +290,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "matrix":
             return cmd_matrix(cfg)
         return cmd_check(cfg, args)
-    except (ConfigError, InvalidInitializationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # includes ConfigError and InvalidInitializationError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,9 +12,8 @@ import enum
 import logging
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
-from .fileio import fmt9, json_text, round9, write_text_atomic
+from .fileio import fmt9, json_text, round9
 from .geometry import Vec2, Zones, defense_margin, is_captured
 from .observation import NoiseParams, observe, reliability
 from .rng import Rng
@@ -40,14 +39,6 @@ class EpisodeTerminatedError(RuntimeError):
 class FailureCriterion(enum.Enum):
     POSITION_BREACH = "position_breach"  # attacker entered the safe zone
     MARGIN_BREACH = "margin_breach"      # defense margin fell to the safe radius
-
-    @classmethod
-    def from_name(cls, name: str) -> FailureCriterion:
-        try:
-            return cls(name)
-        except ValueError:
-            valid = ", ".join(m.value for m in cls)
-            raise ValueError(f"unknown failure criterion {name!r} (valid: {valid})") from None
 
 
 class Outcome(enum.Enum):
@@ -172,7 +163,9 @@ def step(
     return new_state, record
 
 
-def _validate_init(init_xa: Vec2, init_xd: Vec2, cfg: WorldConfig) -> None:
+def _validate_init(
+    init_xa: Vec2, init_xd: Vec2, attacker: AttackerBehavior, cfg: WorldConfig
+) -> None:
     r = cfg.zones.r_interest
     if init_xa.norm() > r or init_xd.norm() > r:
         raise InvalidInitializationError(
@@ -183,6 +176,13 @@ def _validate_init(init_xa: Vec2, init_xd: Vec2, cfg: WorldConfig) -> None:
     if init_xa.distance_to(init_xd) <= cfg.tau:
         raise InvalidInitializationError(
             f"initial separation must exceed the capture radius tau={cfg.tau}"
+        )
+    # A live attacker keeps ||xa|| >= r_safe under either failure criterion
+    # (the margin never exceeds ||xa||), so r_safe > 1 keeps the spiral
+    # attacker inside its domain (radius > 1) for the whole episode.
+    if attacker is AttackerBehavior.SPIRAL and cfg.zones.r_safe <= 1.0:
+        raise InvalidInitializationError(
+            f"the spiral attacker needs r_safe > 1, got r_safe={cfg.zones.r_safe}"
         )
 
 
@@ -207,7 +207,7 @@ def run_episode(
     Fully deterministic in (arguments, seed): the trajectory, outcome and end
     time come out bitwise identical on every run.
     """
-    _validate_init(init_xa, init_xd, cfg)
+    _validate_init(init_xa, init_xd, attacker, cfg)
     state = EpisodeState(t=0, xa=init_xa, xd=init_xd, rng=Rng(seed))
     records: list[StepRecord] = []
     outcome = episode_outcome(state.t, state.xa, state.xd, cfg)
@@ -267,11 +267,3 @@ def summary_json_text(result: EpisodeResult, cfg: WorldConfig, seed: int) -> str
         "config": cfg.to_flat_dict(),
     }
     return json_text(payload)
-
-
-def write_trajectory_csv(result: EpisodeResult, path: Path) -> None:
-    write_text_atomic(path, trajectory_csv_text(result))
-
-
-def write_summary_json(result: EpisodeResult, cfg: WorldConfig, seed: int, path: Path) -> None:
-    write_text_atomic(path, summary_json_text(result, cfg, seed))

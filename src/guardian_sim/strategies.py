@@ -25,14 +25,6 @@ class DefenderStrategy(enum.Enum):
     DEFENSE_MARGIN = "dm"
     ADJUSTED_DEFENSE_MARGIN = "adm"
 
-    @classmethod
-    def from_name(cls, name: str) -> DefenderStrategy:
-        try:
-            return cls(name)
-        except ValueError:
-            valid = ", ".join(m.value for m in cls)
-            raise ValueError(f"unknown defender strategy {name!r} (valid: {valid})") from None
-
 
 class AttackerBehavior(enum.Enum):
     LINEAR = "linear"
@@ -41,14 +33,6 @@ class AttackerBehavior(enum.Enum):
     # Motionless stub, useful for tests and single runs; not part of the
     # standard 3x3 experiment matrix.
     STATIC = "static"
-
-    @classmethod
-    def from_name(cls, name: str) -> AttackerBehavior:
-        try:
-            return cls(name)
-        except ValueError:
-            valid = ", ".join(m.value for m in cls)
-            raise ValueError(f"unknown attacker behavior {name!r} (valid: {valid})") from None
 
 
 MATRIX_ATTACKERS = (AttackerBehavior.LINEAR, AttackerBehavior.SPIRAL, AttackerBehavior.INTELLIGENT)

@@ -147,33 +147,6 @@ def closest_point_constrained(
     return best
 
 
-def closest_point_line_grid(
-    xa: tuple[float, float], xd: tuple[float, float], resolution: float = 1e-3
-) -> tuple[float, float]:
-    """argmin ||p|| over the same half-plane by dense enumeration.
-
-    The half-plane is convex, so the minimum sits at the origin when the
-    origin is feasible and on the boundary line otherwise; the boundary is
-    the perpendicular bisector of segment xa-xd, enumerated at the given
-    resolution over a span guaranteed to bracket the minimum.
-    """
-    ax, ay = xa
-    dx, dy = xd
-    if math.hypot(ax, ay) <= math.hypot(dx, dy):
-        return (0.0, 0.0)
-    sep = math.hypot(ax - dx, ay - dy)
-    if sep == 0.0:
-        raise ValueError("line-grid oracle undefined for coincident points")
-    mx, my = (ax + dx) / 2.0, (ay + dy) / 2.0
-    tx, ty = -(ay - dy) / sep, (ax - dx) / sep
-    span = math.hypot(mx, my) + 1.0
-    s = np.arange(-span, span + resolution, resolution)
-    px = mx + s * tx
-    py = my + s * ty
-    i = int(np.argmin(np.hypot(px, py)))
-    return float(px[i]), float(py[i])
-
-
 def capture_countdown_steps(initial_separation: float, tau: float) -> int:
     """Steps for a unit-speed pursuer to close on a static target from the
     given separation under exact observations: separation drops by exactly 1

@@ -10,6 +10,7 @@ import math
 import time
 
 from guardian_sim.analysis import (
+    closest_point_grid_search,
     estimate_mean_margin_change,
     run_experiment_matrix,
     stability_condition_lhs,
@@ -21,7 +22,7 @@ from guardian_sim.geometry import Vec2, defense_margin
 from guardian_sim.observation import NoiseParams, reliability
 from guardian_sim.rng import Rng, derive_seed
 from guardian_sim.strategies import DefenderStrategy, pp_control
-from oracles import closest_point_line_grid, gaussian_square_mass_quadrature
+from oracles import gaussian_square_mass_quadrature
 
 NOISELESS = NoiseParams(beta_b=0.0, beta_d=0.0, beta_v=0.0, nu=1.0)
 
@@ -91,8 +92,8 @@ def test_criterion_2_margin_matches_grid_oracle():
         xd = Vec2.from_polar(rng.uniform(0.0, xa.norm() * 0.95), rng.uniform(-math.pi, math.pi))
         if xa.distance_to(xd) <= 0.1:
             continue
-        gx, gy = closest_point_line_grid(xa.as_tuple(), xd.as_tuple(), resolution=1e-3)
-        worst = max(worst, abs(defense_margin(xa, xd) - math.hypot(gx, gy)))
+        grid = closest_point_grid_search(xa, xd, resolution=1e-3)
+        worst = max(worst, abs(defense_margin(xa, xd) - grid.norm()))
     elapsed = time.perf_counter() - t0
     ok = worst <= 2e-3 and elapsed < 30.0
     detail = f"max |margin - ||grid argmin||| = {worst:.3g}, {elapsed:.2f} s over {n} configs"

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import guardian_sim.analysis as analysis
 from guardian_sim.analysis import (
+    MATRIX_PAIRS,
     CheckResult,
     check_margin_grid_oracle,
     check_margin_step_dominance,
@@ -30,7 +31,7 @@ from guardian_sim.analysis import (
     trial_seeds,
     win_rate,
 )
-from guardian_sim.engine import Outcome, WorldConfig, sample_initial_positions
+from guardian_sim.engine import WorldConfig, run_episode, sample_initial_positions
 from guardian_sim.geometry import Vec2, closest_safe_reachable_point, defense_margin
 from guardian_sim.observation import NoiseParams
 from guardian_sim.rng import Rng, derive_seed
@@ -259,13 +260,14 @@ class TestExperimentMatrix:
         assert (xa1, xd1) == (xa2, xd2)
 
     def test_run_matrix_trial_deterministic(self):
-        from guardian_sim.strategies import AttackerBehavior
-
         cfg = WorldConfig(max_steps=300)
-        o1 = run_matrix_trial(DefenderStrategy.PURE_PURSUIT, AttackerBehavior.LINEAR, 5, 0, cfg)
-        o2 = run_matrix_trial(DefenderStrategy.PURE_PURSUIT, AttackerBehavior.LINEAR, 5, 0, cfg)
-        assert o1 is o2
-        assert isinstance(o1, Outcome)
+        outcomes = run_matrix_trial(5, 0, cfg)
+        assert outcomes == run_matrix_trial(5, 0, cfg)
+        assert len(outcomes) == len(MATRIX_PAIRS) == 9
+        init_seed, episode_seed = trial_seeds(5, 0)
+        xa, xd = sample_initial_positions(Rng(init_seed), min_separation=cfg.tau)
+        for (defender, attacker), outcome in zip(MATRIX_PAIRS, outcomes):
+            assert run_episode(xa, xd, defender, attacker, cfg, episode_seed).outcome is outcome
 
     def test_report_structure_and_conservation(self):
         cfg = WorldConfig(max_steps=300)
@@ -283,6 +285,38 @@ class TestExperimentMatrix:
         serial = run_experiment_matrix(cfg, trials=6, base_seed=2, jobs=1)
         parallel = run_experiment_matrix(cfg, trials=6, base_seed=2, jobs=3)
         assert report_json_text(serial) == report_json_text(parallel)
+
+    def test_jobs_clamped_to_cpus_and_trials(self, monkeypatch):
+        """The pool gets min(jobs, CPUs, trials) workers, and one worker
+        means no pool; a fake executor records the request and maps
+        in-process, so no process is started."""
+        requested = []
+
+        class FakeExecutor:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(analysis.concurrent.futures, "ProcessPoolExecutor", FakeExecutor)
+        monkeypatch.setattr(analysis.os, "cpu_count", lambda: 4)
+        cfg = WorldConfig(max_steps=200)
+        serial = report_json_text(run_experiment_matrix(cfg, trials=6, base_seed=4))
+        assert requested == []
+        pooled = run_experiment_matrix(cfg, trials=6, base_seed=4, jobs=10_000)
+        assert report_json_text(pooled) == serial
+        run_experiment_matrix(cfg, trials=3, base_seed=4, jobs=10_000)
+        assert requested == [4, 3]
+        monkeypatch.setattr(analysis.os, "cpu_count", lambda: None)
+        run_experiment_matrix(cfg, trials=6, base_seed=4, jobs=10_000)
+        assert requested == [4, 3]  # unknown CPU count: serial
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

@@ -6,8 +6,8 @@ import json
 import pytest
 
 from guardian_sim.cli import SEED_ENV_VAR, ConfigError, build_parser, main, resolve_config
-from guardian_sim.engine import TRAJECTORY_HEADER
-from guardian_sim.strategies import DefenderStrategy
+from guardian_sim.engine import TRAJECTORY_HEADER, FailureCriterion
+from guardian_sim.strategies import AttackerBehavior, DefenderStrategy
 
 
 def parse(argv):
@@ -81,6 +81,25 @@ class TestResolveConfig:
         path = write_config(tmp_path, payload)
         with pytest.raises(ConfigError):
             resolve_config(parse(["matrix", "--config", str(path)]))
+
+    @pytest.mark.parametrize(
+        "key, name, member, valid",
+        [
+            ("defender", "dm", DefenderStrategy.DEFENSE_MARGIN, "pp, dm, adm"),
+            ("attacker", "spiral", AttackerBehavior.SPIRAL, "linear, spiral, intelligent, static"),
+            ("failure_criterion", "margin_breach", FailureCriterion.MARGIN_BREACH,
+             "position_breach, margin_breach"),
+        ],
+        ids=["defender", "attacker", "failure_criterion"],
+    )
+    def test_enum_names_in_file(self, tmp_path, key, name, member, valid):
+        cfg = resolve_config(parse(["run", "--config", str(write_config(tmp_path, {key: name}))]))
+        resolved = {"defender": cfg.defender, "attacker": cfg.attacker,
+                    "failure_criterion": cfg.world.failure_criterion}
+        assert resolved[key] is member
+        path = write_config(tmp_path, {key: "zigzag"}, name="bad.json")
+        with pytest.raises(ConfigError, match=rf"unknown {key} 'zigzag' \(valid: {valid}\)"):
+            resolve_config(parse(["run", "--config", str(path)]))
 
 
 class TestRunCommand:
@@ -157,6 +176,17 @@ class TestRunCommand:
         )
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command",
+        [["run", "--attacker", "spiral", "--seed", "3"], ["matrix", "--trials", "5"]],
+        ids=["run", "matrix"],
+    )
+    def test_spiral_with_unit_safe_radius_exits_two(self, tmp_path, capsys, command):
+        code = main(command + ["--r-safe", "0.5", "--tau", "0.1", "--out", str(tmp_path)])
+        assert code == 2
+        assert "r_safe" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestMatrixCommand:

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import angles, outer_inner_pairs, separated_pairs, vec2s
+from guardian_sim.analysis import closest_point_grid_search
 from guardian_sim.geometry import (
     ORIGIN,
     CoincidentAgentsError,
@@ -18,7 +19,7 @@ from guardian_sim.geometry import (
     error_vector,
     is_captured,
 )
-from oracles import closest_point_constrained, closest_point_line_grid
+from oracles import closest_point_constrained
 
 
 class TestVec2:
@@ -133,8 +134,7 @@ class TestClosestSafeReachablePoint:
     def test_against_grid_and_constrained_oracles(self):
         xa, xd = Vec2(5, 3), Vec2(1, 1)
         p = closest_safe_reachable_point(xa, xd)
-        gx, gy = closest_point_line_grid(xa.as_tuple(), xd.as_tuple(), resolution=1e-3)
-        assert math.hypot(p.x - gx, p.y - gy) <= 2e-3
+        assert p.distance_to(closest_point_grid_search(xa, xd, resolution=1e-3)) <= 2e-3
         sx, sy = closest_point_constrained(xa.as_tuple(), xd.as_tuple())
         assert math.hypot(p.x - sx, p.y - sy) <= 1e-6
 
