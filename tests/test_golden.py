@@ -38,6 +38,12 @@ RUNS = {
     ("dm", "linear", "summary.json"): "8d038721a9864125b9cf77f6dca12ed3dc76a071cc78a174a0fad66bb98b2f8b",
 }
 
+# `run` from explicit start positions: the path that samples no positions.
+EXPLICIT_RUN = {
+    "trajectory.csv": "0f5bccf6e0d818e76449977c31b5060a29e74e8e24757d3a493f32f1a7ff9dd1",
+    "summary.json": "674b31efcc6237584de24dc962a09b48226b5288ccec352b16914171c0fd0f4a",
+}
+
 CHECK_STDOUT = "0db7c5a0fa820d9d1607eec56f01b3f195ade9e8de8b379713b90ea27a957cdb"
 
 
@@ -63,6 +69,14 @@ def test_run_digests(tmp_path, defender, attacker):
     assert main(argv) in (0, 1)
     for name in ("trajectory.csv", "summary.json"):
         assert _sha((tmp_path / name).read_bytes()) == RUNS[(defender, attacker, name)], name
+
+
+def test_explicit_position_run_digests(tmp_path):
+    argv = ["run", "--seed", "5", "--xa", "30", "0", "--xd", "0", "0", "--defender", "adm",
+            "--attacker", "intelligent", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    for name, digest in EXPLICIT_RUN.items():
+        assert _sha((tmp_path / name).read_bytes()) == digest, name
 
 
 def test_check_stdout_digest(capsys, monkeypatch):
