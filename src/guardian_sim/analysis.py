@@ -1,12 +1,13 @@
 """Numerical experiments and validation utilities.
 
-Four groups:
+Five sections:
  * stability diagnostics for noisy pure pursuit (closed-form condition side
    vs a Monte Carlo alignment estimate);
  * one-step defense-margin change estimators under observation noise;
  * an independent grid-search oracle for the closest safe-reachable point;
  * the 3x3 win-rate experiment matrix with common random numbers across
-   strategy pairs, deterministic for any worker count.
+   strategy pairs, deterministic for any worker count;
+ * the invariant checks behind the CLI `check` subcommand.
 """
 from __future__ import annotations
 
@@ -14,12 +15,12 @@ import concurrent.futures
 import logging
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import repeat
 
 import numpy as np
 
-from .engine import WorldConfig, run_episode, sample_initial_positions, Outcome
+from .engine import Outcome, WorldConfig, random_point, run_episode, sample_initial_positions
 from .fileio import fmt9, json_text, round9
 from .geometry import Vec2, closest_safe_reachable_point, defense_margin
 from .observation import NoiseParams, noise_variance, observe, reliability
@@ -40,6 +41,9 @@ _SQRT2 = math.sqrt(2.0)
 # radii uniform over these, angles uniform.
 MARGIN_SAMPLE_ATTACKER_RADIUS = (25.0, 40.0)
 MARGIN_SAMPLE_DEFENDER_RADIUS = (0.0, 15.0)
+# Most noise pairs the expected-cos estimator draws at once, which bounds its
+# memory whatever the sample count.
+_DRAW_BLOCK = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +91,7 @@ def estimate_expected_cos(e: Vec2, ua: Vec2, params: NoiseParams, n: int, rng: R
     accepted = 0
     rejected = 0
     while accepted < n:
-        m = n - accepted
+        m = min(n - accepted, _DRAW_BLOCK)
         w = gen.standard_normal((m, 2)) * sigma
         keep = np.hypot(w[:, 0], w[:, 1]) < e_norm
         wk = w[keep]
@@ -159,12 +163,8 @@ def estimate_mean_margin_change(
     mean = 0.0
     m2 = 0.0
     for i in range(n):
-        xa = Vec2.from_polar(
-            rng.uniform(*MARGIN_SAMPLE_ATTACKER_RADIUS), rng.uniform(-math.pi, math.pi)
-        )
-        xd = Vec2.from_polar(
-            rng.uniform(*MARGIN_SAMPLE_DEFENDER_RADIUS), rng.uniform(-math.pi, math.pi)
-        )
+        xa = random_point(rng, *MARGIN_SAMPLE_ATTACKER_RADIUS)
+        xd = random_point(rng, *MARGIN_SAMPLE_DEFENDER_RADIUS)
         delta = one_step_margin_change(xa, xd, strategy, params, k, rng, linear_attacker(xa))
         span = delta - mean
         mean += span / (i + 1)
@@ -245,15 +245,17 @@ def trial_seeds(base_seed: int, trial: int) -> tuple[int, int]:
     )
 
 
-def run_matrix_trial(base_seed: int, trial: int, cfg: WorldConfig) -> list[Outcome]:
-    """Outcomes of one trial for every pair of `MATRIX_PAIRS`, in that order.
+def run_matrix_trial(base_seed: int, trial: int, cfg: WorldConfig) -> tuple[int, list[Outcome]]:
+    """The episode seed of one trial and its outcomes for every pair of
+    `MATRIX_PAIRS`, in that order.
 
     Every pair starts from the same initial positions and replays the same
     episode seed (common random numbers).
     """
     init_seed, episode_seed = trial_seeds(base_seed, trial)
     xa, xd = sample_initial_positions(Rng(init_seed), min_separation=cfg.tau)
-    return [run_episode(xa, xd, d, a, cfg, episode_seed).outcome for d, a in MATRIX_PAIRS]
+    outcomes = [run_episode(xa, xd, d, a, cfg, episode_seed).outcome for d, a in MATRIX_PAIRS]
+    return episode_seed, outcomes
 
 
 def run_experiment_matrix(
@@ -278,43 +280,21 @@ def run_experiment_matrix(
         chunk = max(1, trials // (workers * 16))
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             per_trial = list(pool.map(run_matrix_trial, *args, chunksize=chunk))
+    seeds, outcomes = zip(*per_trial)
     pairs = []
-    for (defender, attacker), outcome_list in zip(MATRIX_PAIRS, zip(*per_trial)):
-        captured = sum(1 for o in outcome_list if o is Outcome.CAPTURED)
-        survived = sum(1 for o in outcome_list if o is Outcome.SURVIVED)
-        breached = sum(1 for o in outcome_list if o is Outcome.BREACHED)
-        wins = captured + survived  # surviving the step cap counts for the defender
-        pairs.append(
-            PairResult(
-                defender=defender.value,
-                attacker=attacker.value,
-                wins=wins,
-                losses=breached,
-                survived=survived,
-                trials=trials,
-                win_rate=wins / trials,
-            )
-        )
-    seeds = [trial_seeds(base_seed, i)[1] for i in range(trials)]
+    for (d, a), column in zip(MATRIX_PAIRS, zip(*outcomes)):
+        survived = column.count(Outcome.SURVIVED)
+        losses = column.count(Outcome.BREACHED)
+        wins = trials - losses  # captures, and surviving the step cap
+        pairs.append(PairResult(d.value, a.value, wins, losses, survived, trials, wins / trials))
     return ExperimentReport(
-        pairs=pairs, trials=trials, base_seed=base_seed, seeds=seeds, config=cfg
+        pairs=pairs, trials=trials, base_seed=base_seed, seeds=list(seeds), config=cfg
     )
 
 
 def report_json_text(report: ExperimentReport) -> str:
     payload = {
-        "pairs": [
-            {
-                "defender": p.defender,
-                "attacker": p.attacker,
-                "wins": p.wins,
-                "losses": p.losses,
-                "survived": p.survived,
-                "trials": p.trials,
-                "win_rate": round9(p.win_rate),
-            }
-            for p in report.pairs
-        ],
+        "pairs": [{**asdict(p), "win_rate": round9(p.win_rate)} for p in report.pairs],
         "trials": report.trials,
         "base_seed": report.base_seed,
         "seeds": report.seeds,
@@ -334,13 +314,6 @@ def report_csv_text(report: ExperimentReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def win_rate(report: ExperimentReport, defender: str, attacker: str) -> float:
-    for p in report.pairs:
-        if p.defender == defender and p.attacker == attacker:
-            return p.win_rate
-    raise KeyError(f"no pair ({defender}, {attacker}) in report")
-
-
 # ---------------------------------------------------------------------------
 # Invariant checks (used by the CLI `check` subcommand and the tests)
 
@@ -355,8 +328,8 @@ class CheckResult:
 def _random_separated_pair(rng: Rng, min_separation: float) -> tuple[Vec2, Vec2]:
     """Random (xa, xd) with ||xa|| > ||xd|| and separation > min_separation."""
     while True:
-        xa = Vec2.from_polar(rng.uniform(2.0, 50.0), rng.uniform(-math.pi, math.pi))
-        xd = Vec2.from_polar(rng.uniform(0.0, xa.norm() * 0.999), rng.uniform(-math.pi, math.pi))
+        xa = random_point(rng, 2.0, 50.0)
+        xd = random_point(rng, 0.0, xa.norm() * 0.999)
         if xa.distance_to(xd) > min_separation:
             return xa, xd
 
@@ -460,31 +433,22 @@ def check_reliability_monotonicity() -> CheckResult:
     y, xd = Vec2(1.0, 0.0), Vec2(0.0, 0.0)
     ks = [round(0.1 * i, 10) for i in range(1, 21)]
     sigmas = [round(0.1 * i, 10) for i in range(1, 51)]
-    ok = True
+    table = [
+        [reliability(y, xd, NoiseParams(beta_b=s * s, beta_d=0.0), k) for s in sigmas]
+        for k in ks
+    ]
+    # (sigma, earlier, later, rises): each row falls as sigma grows, each
+    # column rises as k grows.
+    walks = [(s, a, b, False) for row in table for s, a, b in zip(sigmas[1:], row, row[1:])]
+    walks += [(s, a, b, True) for s, col in zip(sigmas, zip(*table)) for a, b in zip(col, col[1:])]
+    ok = all(0.0 <= p <= 1.0 for row in table for p in row)
     saturated = 0
-    for k in ks:
-        prev = None
-        for s in sigmas:
-            p = reliability(y, xd, NoiseParams(beta_b=s * s, beta_d=0.0), k)
-            ok &= 0.0 <= p <= 1.0
-            if prev is not None:
-                if prev == 1.0 and p == 1.0:
-                    saturated += 1
-                    ok &= s <= 0.2
-                else:
-                    ok &= p < prev
-            prev = p
-    for s in sigmas:
-        prev = None
-        for k in ks:
-            p = reliability(y, xd, NoiseParams(beta_b=s * s, beta_d=0.0), k)
-            if prev is not None:
-                if prev == 1.0 and p == 1.0:
-                    saturated += 1
-                    ok &= s <= 0.2
-                else:
-                    ok &= p > prev
-            prev = p
+    for s, prev, p, rises in walks:
+        if prev == 1.0 and p == 1.0:
+            saturated += 1
+            ok &= s <= 0.2
+        else:
+            ok &= p > prev if rises else p < prev
     exact_one = reliability(y, xd, NoiseParams(beta_b=0.0, beta_d=0.0), 0.5) == 1.0
     ok &= exact_one
     detail = (

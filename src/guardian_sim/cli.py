@@ -11,6 +11,7 @@ The config file is a flat JSON object using the same names as the flags.
 from __future__ import annotations
 
 import argparse
+import enum
 import json
 import os
 import sys
@@ -23,6 +24,7 @@ from .analysis import (
     run_default_checks,
     run_experiment_matrix,
     stability_diagnostic,
+    trial_seeds,
 )
 from .engine import (
     FailureCriterion,
@@ -68,6 +70,12 @@ class ConfigError(ValueError):
     pass
 
 
+class OutputFormat(enum.Enum):
+    CSV = "csv"
+    JSON = "json"
+    BOTH = "both"
+
+
 @dataclass(slots=True)
 class RunConfig:
     world: WorldConfig
@@ -77,7 +85,7 @@ class RunConfig:
     seed: int
     jobs: int
     output_dir: Path
-    output_format: str
+    output_format: OutputFormat
     xa: Vec2 | None
     xd: Vec2 | None
 
@@ -98,7 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="what counts as a defender loss",
     )
     common.add_argument("--out", type=Path, help="output directory")
-    common.add_argument("--format", choices=["csv", "json", "both"], help="which files to write")
+    common.add_argument(
+        "--format", choices=[f.value for f in OutputFormat], help="which files to write"
+    )
 
     parser = argparse.ArgumentParser(
         prog="guardian-sim",
@@ -167,6 +177,22 @@ def _choice(enum_cls, settings: dict, key: str):
         raise ConfigError(f"unknown {key} {name!r} (valid: {valid})") from None
 
 
+def _integer(value, label: str, minimum: int) -> int:
+    """`value` as a whole number of at least `minimum`.  Config-file values
+    skip argparse's type checks, so floats and strings arrive here too."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    try:
+        if isinstance(value, bool) or not isinstance(value, (int, str)):
+            raise ValueError
+        number = int(value)
+    except ValueError:
+        raise ConfigError(f"{label} must be an integer, got {value!r}") from None
+    if number < minimum:
+        raise ConfigError(f"{label} must be >= {minimum}, got {number}")
+    return number
+
+
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     settings = dict(_DEFAULTS)
     if args.config is not None:
@@ -177,13 +203,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             settings[key] = flag
     if settings["seed"] is None:
         env = os.environ.get(SEED_ENV_VAR)
-        if env is not None:
-            try:
-                settings["seed"] = int(env)
-            except ValueError as exc:
-                raise ConfigError(f"${SEED_ENV_VAR} must be an integer, got {env!r}") from exc
-        else:
-            settings["seed"] = 0
+        settings["seed"] = 0 if env is None else _integer(env, f"${SEED_ENV_VAR}", 0)
     try:
         world = WorldConfig(
             zones=Zones(
@@ -197,50 +217,36 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
                 nu=float(settings["nu"]),
             ),
             k=float(settings["k"]),
-            max_steps=int(settings["max_steps"]),
+            max_steps=_integer(settings["max_steps"], "max_steps", 1),
             failure_criterion=_choice(FailureCriterion, settings, "failure_criterion"),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    defender = _choice(DefenderStrategy, settings, "defender")
-    attacker = _choice(AttackerBehavior, settings, "attacker")
-    trials = int(settings["trials"])
-    jobs = int(settings["jobs"])
-    seed = int(settings["seed"])
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
     return RunConfig(
         world=world,
-        defender=defender,
-        attacker=attacker,
-        trials=trials,
-        seed=seed,
-        jobs=jobs,
+        defender=_choice(DefenderStrategy, settings, "defender"),
+        attacker=_choice(AttackerBehavior, settings, "attacker"),
+        trials=_integer(settings["trials"], "trials", 1),
+        seed=_integer(settings["seed"], "seed", 0),
+        jobs=_integer(settings["jobs"], "jobs", 1),
         output_dir=Path(settings["out"]),
-        output_format=str(settings["format"]),
+        output_format=_choice(OutputFormat, settings, "format"),
         xa=_parse_point(settings["xa"], "xa"),
         xd=_parse_point(settings["xd"], "xd"),
     )
 
 
 def cmd_run(cfg: RunConfig) -> int:
+    init_seed, episode_seed = trial_seeds(cfg.seed, 0)
     xa, xd = cfg.xa, cfg.xd
     if xa is None or xd is None:
-        sampled_xa, sampled_xd = sample_initial_positions(
-            Rng(derive_seed(cfg.seed, 0, 0)), min_separation=cfg.world.tau
-        )
-        xa = xa if xa is not None else sampled_xa
-        xd = xd if xd is not None else sampled_xd
-    result = run_episode(
-        xa, xd, cfg.defender, cfg.attacker, cfg.world, derive_seed(cfg.seed, 0, 1)
-    )
-    if cfg.output_format in ("csv", "both"):
+        sampled = sample_initial_positions(Rng(init_seed), min_separation=cfg.world.tau)
+        xa = xa if xa is not None else sampled[0]
+        xd = xd if xd is not None else sampled[1]
+    result = run_episode(xa, xd, cfg.defender, cfg.attacker, cfg.world, episode_seed)
+    if cfg.output_format is not OutputFormat.JSON:
         write_text_atomic(cfg.output_dir / "trajectory.csv", trajectory_csv_text(result))
-    if cfg.output_format in ("json", "both"):
+    if cfg.output_format is not OutputFormat.CSV:
         write_text_atomic(
             cfg.output_dir / "summary.json", summary_json_text(result, cfg.world, cfg.seed)
         )
@@ -251,9 +257,9 @@ def cmd_run(cfg: RunConfig) -> int:
 def cmd_matrix(cfg: RunConfig) -> int:
     report = run_experiment_matrix(cfg.world, cfg.trials, cfg.seed, jobs=cfg.jobs)
     csv_text = report_csv_text(report)
-    if cfg.output_format in ("csv", "both"):
+    if cfg.output_format is not OutputFormat.JSON:
         write_text_atomic(cfg.output_dir / "winrates.csv", csv_text)
-    if cfg.output_format in ("json", "both"):
+    if cfg.output_format is not OutputFormat.CSV:
         write_text_atomic(cfg.output_dir / "report.json", report_json_text(report))
     print(csv_text, end="")
     return 0

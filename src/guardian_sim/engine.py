@@ -32,10 +32,6 @@ class InvalidInitializationError(ValueError):
     """Initial positions violate the episode preconditions."""
 
 
-class EpisodeTerminatedError(RuntimeError):
-    """step() was called on an already-terminated episode."""
-
-
 class FailureCriterion(enum.Enum):
     POSITION_BREACH = "position_breach"  # attacker entered the safe zone
     MARGIN_BREACH = "margin_breach"      # defense margin fell to the safe radius
@@ -109,7 +105,6 @@ class EpisodeResult:
     outcome: Outcome
     end_time: int
     trajectory: list[StepRecord]
-    seed: int
 
 
 def episode_outcome(t: int, xa: Vec2, xd: Vec2, cfg: WorldConfig) -> Outcome | None:
@@ -139,14 +134,12 @@ def step(
     attacker: AttackerBehavior,
     cfg: WorldConfig,
 ) -> tuple[EpisodeState, StepRecord]:
-    """Advance one simultaneous move; returns the new state and the record
-    for the pre-move time.
+    """Advance one simultaneous move of a live episode; returns the new state
+    and the record for the pre-move time.
 
     RNG order is fixed: the defender's observation draws first, then any
     attacker-side noise.
     """
-    if episode_outcome(state.t, state.xa, state.xd, cfg) is not None:
-        raise EpisodeTerminatedError(f"episode already terminated at t={state.t}")
     xa, xd, rng = state.xa, state.xd, state.rng
     y = observe(xa, xd, cfg.noise, rng)
     ud = defender_control(defender, y, xd, cfg.noise, cfg.k)
@@ -216,7 +209,13 @@ def run_episode(
         records.append(record)
         outcome = episode_outcome(state.t, state.xa, state.xd, cfg)
     records.append(_terminal_record(state))
-    return EpisodeResult(outcome=outcome, end_time=state.t, trajectory=records, seed=seed)
+    return EpisodeResult(outcome=outcome, end_time=state.t, trajectory=records)
+
+
+def random_point(rng: Rng, low: float, high: float) -> Vec2:
+    """Point at a radius uniform over [low, high) and an angle uniform over
+    [-pi, pi), drawn in that order."""
+    return Vec2.from_polar(rng.uniform(low, high), rng.uniform(-math.pi, math.pi))
 
 
 def sample_initial_positions(rng: Rng, min_separation: float = 0.0) -> tuple[Vec2, Vec2]:
@@ -227,12 +226,8 @@ def sample_initial_positions(rng: Rng, min_separation: float = 0.0) -> tuple[Vec
     are rejected and redrawn.
     """
     for attempt in range(_MAX_INIT_REDRAWS):
-        xd = Vec2.from_polar(
-            rng.uniform(*DEFENDER_RADIUS_RANGE), rng.uniform(-math.pi, math.pi)
-        )
-        xa = Vec2.from_polar(
-            rng.uniform(*ATTACKER_RADIUS_RANGE), rng.uniform(-math.pi, math.pi)
-        )
+        xd = random_point(rng, *DEFENDER_RADIUS_RANGE)
+        xa = random_point(rng, *ATTACKER_RADIUS_RANGE)
         if xa.distance_to(xd) > min_separation:
             if attempt:
                 log.debug("initial positions redrawn %d time(s)", attempt)

@@ -60,16 +60,9 @@ class Vec2:
     def angle(self) -> float:
         return math.atan2(self.y, self.x)
 
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.x, self.y)
-
     @staticmethod
     def from_polar(radius: float, angle: float) -> Vec2:
         return Vec2(radius * math.cos(angle), radius * math.sin(angle))
-
-    @staticmethod
-    def zero() -> Vec2:
-        return Vec2(0.0, 0.0)
 
 
 ORIGIN = Vec2(0.0, 0.0)
@@ -88,11 +81,6 @@ class Zones:
             raise ValueError(
                 f"need 0 < r_safe < r_interest, got {self.r_safe}, {self.r_interest}"
             )
-
-
-def error_vector(xa: Vec2, xd: Vec2) -> Vec2:
-    """Relative position of the attacker seen from the defender."""
-    return xa - xd
 
 
 def is_captured(xa: Vec2, xd: Vec2, tau: float) -> bool:

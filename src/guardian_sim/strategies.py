@@ -12,9 +12,6 @@ from .geometry import Vec2, closest_safe_reachable_point
 from .observation import NoiseParams, observe, reliability
 from .rng import Rng
 
-# Control input: a displacement of norm <= 1 applied for one step.
-ControlInput = Vec2
-
 _ZERO = Vec2(0.0, 0.0)
 _EPS_DIRECTION = 1e-12
 _EPS_BLEND = 1e-9
@@ -50,19 +47,19 @@ def _unit(v: Vec2, eps: float) -> Vec2:
     return v / n
 
 
-def pp_control(y: Vec2, xd: Vec2) -> ControlInput:
+def pp_control(y: Vec2, xd: Vec2) -> Vec2:
     """Pure pursuit: head straight at the observed attacker position."""
     return _unit(y - xd, _EPS_DIRECTION)
 
 
-def dm_control(y: Vec2, xd: Vec2) -> ControlInput:
+def dm_control(y: Vec2, xd: Vec2) -> Vec2:
     """Defense-margin guidance: head for the point of the attacker's safe
     reachable set that is closest to the origin (computed from y)."""
     target = closest_safe_reachable_point(y, xd)
     return _unit(target - xd, _EPS_DIRECTION)
 
 
-def adm_control(y: Vec2, xd: Vec2, params: NoiseParams, k: float) -> ControlInput:
+def adm_control(y: Vec2, xd: Vec2, params: NoiseParams, k: float) -> Vec2:
     """Adjusted defense margin: reliability-weighted blend of pure pursuit
     and defense-margin guidance.
 
@@ -79,7 +76,7 @@ def adm_control(y: Vec2, xd: Vec2, params: NoiseParams, k: float) -> ControlInpu
     return blend / blend.norm()
 
 
-def linear_attacker(xa: Vec2) -> ControlInput:
+def linear_attacker(xa: Vec2) -> Vec2:
     """Straight line toward the origin."""
     n = xa.norm()
     if n < _EPS_DIRECTION:
@@ -87,7 +84,7 @@ def linear_attacker(xa: Vec2) -> ControlInput:
     return -xa / n
 
 
-def spiral_attacker(xa: Vec2) -> ControlInput:
+def spiral_attacker(xa: Vec2) -> Vec2:
     """Clockwise inward spiral: unit step toward the point one unit closer in
     radius and 1/r earlier in angle."""
     r = xa.norm()
@@ -98,7 +95,7 @@ def spiral_attacker(xa: Vec2) -> ControlInput:
     return _unit(target - xa, _EPS_DIRECTION)
 
 
-def intelligent_attacker(xa: Vec2, xd: Vec2, params: NoiseParams, rng: Rng) -> ControlInput:
+def intelligent_attacker(xa: Vec2, xd: Vec2, params: NoiseParams, rng: Rng) -> Vec2:
     """Evade-while-attacking: blend of fleeing the (noisily) observed defender,
     weighted by inverse observed separation, and heading for the origin.
 
@@ -119,7 +116,7 @@ def intelligent_attacker(xa: Vec2, xd: Vec2, params: NoiseParams, rng: Rng) -> C
 
 def defender_control(
     strategy: DefenderStrategy, y: Vec2, xd: Vec2, params: NoiseParams, k: float
-) -> ControlInput:
+) -> Vec2:
     if strategy is DefenderStrategy.PURE_PURSUIT:
         return pp_control(y, xd)
     if strategy is DefenderStrategy.DEFENSE_MARGIN:
@@ -129,7 +126,7 @@ def defender_control(
 
 def attacker_control(
     behavior: AttackerBehavior, xa: Vec2, xd: Vec2, params: NoiseParams, rng: Rng
-) -> ControlInput:
+) -> Vec2:
     if behavior is AttackerBehavior.LINEAR:
         return linear_attacker(xa)
     if behavior is AttackerBehavior.SPIRAL:

@@ -14,7 +14,6 @@ from guardian_sim.analysis import (
     estimate_mean_margin_change,
     run_experiment_matrix,
     stability_condition_lhs,
-    win_rate,
 )
 from guardian_sim.cli import main
 from guardian_sim.engine import WorldConfig
@@ -163,11 +162,7 @@ def test_criterion_4_win_rate_matrix():
     t0 = time.perf_counter()
     report = run_experiment_matrix(WorldConfig(), trials=1000, base_seed=0, jobs=4)
     elapsed = time.perf_counter() - t0
-    rate = {
-        (d, a): win_rate(report, d, a)
-        for d in ("pp", "dm", "adm")
-        for a in ("linear", "spiral", "intelligent")
-    }
+    rate = {(p.defender, p.attacker): p.win_rate for p in report.pairs}
     best_gap = max(
         rate[("adm", a)] - rate[("pp", a)] for a in ("linear", "spiral", "intelligent")
     )

@@ -29,7 +29,6 @@ from guardian_sim.analysis import (
     stability_condition_lhs,
     stability_diagnostic,
     trial_seeds,
-    win_rate,
 )
 from guardian_sim.engine import WorldConfig, run_episode, sample_initial_positions
 from guardian_sim.geometry import Vec2, closest_safe_reachable_point, defense_margin
@@ -84,7 +83,7 @@ class TestEstimateExpectedCos:
         params = NoiseParams()  # sigma^2 = 5 at this separation
         n = 200_000
         mc = estimate_expected_cos(e, ua, params, n, Rng(7))
-        mean, std = expected_cos_quadrature(e.as_tuple(), ua.as_tuple(), math.sqrt(5.0))
+        mean, std = expected_cos_quadrature((e.x, e.y), (ua.x, ua.y), math.sqrt(5.0))
         assert abs(mc - mean) <= 4.0 * std / math.sqrt(n)
 
     def test_heavy_rejection_regime_stays_bounded(self):
@@ -96,6 +95,39 @@ class TestEstimateExpectedCos:
     def test_deterministic(self):
         args = (Vec2(10, 0), Vec2(0, 1), NoiseParams(), 5000)
         assert estimate_expected_cos(*args, Rng(5)) == estimate_expected_cos(*args, Rng(5))
+
+    def test_draws_in_bounded_blocks(self, monkeypatch):
+        """At most `_DRAW_BLOCK` noise pairs are drawn at once, and a sample
+        count within one block gives the same estimate bit for bit."""
+
+        class RecordingRng:
+            """Stands in for an Rng and records each requested draw size."""
+
+            def __init__(self, seed):
+                self._gen = Rng(seed).generator
+                self.generator = self
+                self.sizes = []
+
+            def standard_normal(self, shape):
+                self.sizes.append(shape[0])
+                return self._gen.standard_normal(shape)
+
+        e, ua, n = Vec2(3, 0), Vec2(0, 1), 100
+        params = NoiseParams(beta_b=4.0, beta_d=0.0)  # about a third of the draws rejected
+        whole = estimate_expected_cos(e, ua, params, n, Rng(5))
+        monkeypatch.setattr(analysis, "_DRAW_BLOCK", n)
+        rec = RecordingRng(5)
+        assert estimate_expected_cos(e, ua, params, n, rec) == whole
+        assert rec.sizes[0] == n
+        monkeypatch.setattr(analysis, "_DRAW_BLOCK", 8)
+        rec = RecordingRng(5)
+        assert -1.0 <= estimate_expected_cos(e, ua, params, n, rec) <= 1.0
+        assert max(rec.sizes) == 8 and len(rec.sizes) >= n // 8
+        rec = RecordingRng(5)
+        blocked = estimate_expected_cos(e, ua, NOISELESS, n, rec)
+        assert rec.sizes == [8] * 12 + [4]
+        whole = estimate_expected_cos(e, ua, NOISELESS, n, Rng(5))
+        assert blocked == pytest.approx(whole, abs=1e-12)
 
 
 class TestStabilityDiagnostic:
@@ -261,10 +293,11 @@ class TestExperimentMatrix:
 
     def test_run_matrix_trial_deterministic(self):
         cfg = WorldConfig(max_steps=300)
-        outcomes = run_matrix_trial(5, 0, cfg)
-        assert outcomes == run_matrix_trial(5, 0, cfg)
+        seed, outcomes = run_matrix_trial(5, 0, cfg)
+        assert (seed, outcomes) == run_matrix_trial(5, 0, cfg)
         assert len(outcomes) == len(MATRIX_PAIRS) == 9
         init_seed, episode_seed = trial_seeds(5, 0)
+        assert seed == episode_seed
         xa, xd = sample_initial_positions(Rng(init_seed), min_separation=cfg.tau)
         for (defender, attacker), outcome in zip(MATRIX_PAIRS, outcomes):
             assert run_episode(xa, xd, defender, attacker, cfg, episode_seed).outcome is outcome
@@ -339,12 +372,9 @@ class TestExperimentMatrix:
         assert payload["trials"] == 2
         assert payload["base_seed"] == 3
         assert payload["config"]["max_steps"] == 200
-
-    def test_win_rate_lookup(self):
-        report = run_experiment_matrix(WorldConfig(max_steps=200), trials=2, base_seed=3)
-        assert 0.0 <= win_rate(report, "pp", "linear") <= 1.0
-        with pytest.raises(KeyError):
-            win_rate(report, "pp", "static")
+        assert list(payload["pairs"][0]) == [
+            "defender", "attacker", "wins", "losses", "survived", "trials", "win_rate"
+        ]
 
 
 class TestChecks:

@@ -5,7 +5,14 @@ import json
 
 import pytest
 
-from guardian_sim.cli import SEED_ENV_VAR, ConfigError, build_parser, main, resolve_config
+from guardian_sim.cli import (
+    SEED_ENV_VAR,
+    ConfigError,
+    OutputFormat,
+    build_parser,
+    main,
+    resolve_config,
+)
 from guardian_sim.engine import TRAJECTORY_HEADER, FailureCriterion
 from guardian_sim.strategies import AttackerBehavior, DefenderStrategy
 
@@ -74,13 +81,22 @@ class TestResolveConfig:
             resolve_config(parse(["run", "--config", str(path)]))
 
     @pytest.mark.parametrize(
-        "payload", [{"trials": 0}, {"jobs": 0}, {"seed": -1}, {"xa": [1.0]}, {"tau": -2.0}]
+        "payload",
+        [{"trials": 0}, {"jobs": 0}, {"seed": -1}, {"xa": [1.0]}, {"tau": -2.0},
+         {"trials": 2.7}, {"jobs": 1.5}, {"seed": 0.5}, {"max_steps": 99.9}, {"trials": "2.7"},
+         {"trials": True}, {"jobs": None}, {"seed": [1]}],
     )
     def test_invalid_values_rejected(self, tmp_path, payload, monkeypatch):
         monkeypatch.delenv(SEED_ENV_VAR, raising=False)
         path = write_config(tmp_path, payload)
         with pytest.raises(ConfigError):
             resolve_config(parse(["matrix", "--config", str(path)]))
+
+    def test_whole_number_counts_accepted(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        path = write_config(tmp_path, {"trials": 3.0, "jobs": "2", "seed": 7, "max_steps": 50.0})
+        cfg = resolve_config(parse(["matrix", "--config", str(path)]))
+        assert (cfg.trials, cfg.jobs, cfg.seed, cfg.world.max_steps) == (3, 2, 7, 50)
 
     @pytest.mark.parametrize(
         "key, name, member, valid",
@@ -89,13 +105,15 @@ class TestResolveConfig:
             ("attacker", "spiral", AttackerBehavior.SPIRAL, "linear, spiral, intelligent, static"),
             ("failure_criterion", "margin_breach", FailureCriterion.MARGIN_BREACH,
              "position_breach, margin_breach"),
+            ("format", "json", OutputFormat.JSON, "csv, json, both"),
         ],
-        ids=["defender", "attacker", "failure_criterion"],
+        ids=["defender", "attacker", "failure_criterion", "format"],
     )
     def test_enum_names_in_file(self, tmp_path, key, name, member, valid):
         cfg = resolve_config(parse(["run", "--config", str(write_config(tmp_path, {key: name}))]))
         resolved = {"defender": cfg.defender, "attacker": cfg.attacker,
-                    "failure_criterion": cfg.world.failure_criterion}
+                    "failure_criterion": cfg.world.failure_criterion,
+                    "format": cfg.output_format}
         assert resolved[key] is member
         path = write_config(tmp_path, {key: "zigzag"}, name="bad.json")
         with pytest.raises(ConfigError, match=rf"unknown {key} 'zigzag' \(valid: {valid}\)"):
