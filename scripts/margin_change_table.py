@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 
 from guardian_sim.analysis import estimate_mean_margin_change
+from guardian_sim.engine import WorldConfig
 from guardian_sim.observation import NoiseParams
 from guardian_sim.rng import Rng, derive_seed
 from guardian_sim.strategies import DefenderStrategy
@@ -18,8 +19,8 @@ from guardian_sim.strategies import DefenderStrategy
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n", type=int, default=100_000)
-    ap.add_argument("--beta", type=float, default=0.05)
-    ap.add_argument("--k", type=float, default=0.5)
+    ap.add_argument("--beta", type=float, default=NoiseParams().beta_d)
+    ap.add_argument("--k", type=float, default=WorldConfig().k)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 

@@ -36,7 +36,7 @@ from .engine import (
     trajectory_csv_text,
 )
 from .fileio import fmt9, write_text_atomic
-from .geometry import Vec2, Zones
+from .geometry import Vec2
 from .observation import NoiseParams
 from .rng import Rng, derive_seed
 from .strategies import AttackerBehavior, DefenderStrategy
@@ -51,18 +51,9 @@ _DEFAULTS: dict = {
     "jobs": 1,
     "out": ".",
     "format": "both",
-    "beta": 0.05,
-    "beta_b": 0.0,
-    "beta_v": 0.0,
-    "nu": 1.0,
-    "k": 0.5,
-    "tau": 2.0,
-    "r_safe": 10.0,
-    "r_interest": 50.0,
-    "max_steps": 10_000,
-    "failure_criterion": "position_breach",
     "xa": None,
     "xd": None,
+    **WorldConfig().to_flat_dict(),
 }
 
 
@@ -204,36 +195,36 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if settings["seed"] is None:
         env = os.environ.get(SEED_ENV_VAR)
         settings["seed"] = 0 if env is None else _integer(env, f"${SEED_ENV_VAR}", 0)
+    # Config-file values skip argparse's type checks: a null, list or object
+    # where a number or path belongs raises TypeError.
     try:
-        world = WorldConfig(
-            zones=Zones(
-                r_interest=float(settings["r_interest"]), r_safe=float(settings["r_safe"])
+        return RunConfig(
+            world=WorldConfig(
+                r_interest=float(settings["r_interest"]),
+                r_safe=float(settings["r_safe"]),
+                tau=float(settings["tau"]),
+                noise=NoiseParams(
+                    beta_b=float(settings["beta_b"]),
+                    beta_d=float(settings["beta"]),
+                    beta_v=float(settings["beta_v"]),
+                    nu=float(settings["nu"]),
+                ),
+                k=float(settings["k"]),
+                max_steps=_integer(settings["max_steps"], "max_steps", 1),
+                failure_criterion=_choice(FailureCriterion, settings, "failure_criterion"),
             ),
-            tau=float(settings["tau"]),
-            noise=NoiseParams(
-                beta_b=float(settings["beta_b"]),
-                beta_d=float(settings["beta"]),
-                beta_v=float(settings["beta_v"]),
-                nu=float(settings["nu"]),
-            ),
-            k=float(settings["k"]),
-            max_steps=_integer(settings["max_steps"], "max_steps", 1),
-            failure_criterion=_choice(FailureCriterion, settings, "failure_criterion"),
+            defender=_choice(DefenderStrategy, settings, "defender"),
+            attacker=_choice(AttackerBehavior, settings, "attacker"),
+            trials=_integer(settings["trials"], "trials", 1),
+            seed=_integer(settings["seed"], "seed", 0),
+            jobs=_integer(settings["jobs"], "jobs", 1),
+            output_dir=Path(settings["out"]),
+            output_format=_choice(OutputFormat, settings, "format"),
+            xa=_parse_point(settings["xa"], "xa"),
+            xd=_parse_point(settings["xd"], "xd"),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    return RunConfig(
-        world=world,
-        defender=_choice(DefenderStrategy, settings, "defender"),
-        attacker=_choice(AttackerBehavior, settings, "attacker"),
-        trials=_integer(settings["trials"], "trials", 1),
-        seed=_integer(settings["seed"], "seed", 0),
-        jobs=_integer(settings["jobs"], "jobs", 1),
-        output_dir=Path(settings["out"]),
-        output_format=_choice(OutputFormat, settings, "format"),
-        xa=_parse_point(settings["xa"], "xa"),
-        xd=_parse_point(settings["xd"], "xd"),
-    )
 
 
 def cmd_run(cfg: RunConfig) -> int:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from .fileio import fmt9, json_text, round9
-from .geometry import Vec2, Zones, defense_margin, is_captured
+from .geometry import Vec2, defense_margin, is_captured
 from .observation import NoiseParams, observe, reliability
 from .rng import Rng
 from .strategies import AttackerBehavior, DefenderStrategy, attacker_control, defender_control
@@ -45,7 +45,8 @@ class Outcome(enum.Enum):
 
 @dataclass(frozen=True, slots=True)
 class WorldConfig:
-    zones: Zones = field(default_factory=Zones)
+    r_interest: float = 50.0  # play stays inside this origin-centered disk
+    r_safe: float = 10.0  # the origin-centered disk the defender protects
     tau: float = 2.0
     noise: NoiseParams = field(default_factory=NoiseParams)
     k: float = 0.5
@@ -53,17 +54,22 @@ class WorldConfig:
     failure_criterion: FailureCriterion = FailureCriterion.POSITION_BREACH
 
     def __post_init__(self) -> None:
-        if self.tau <= 0.0:
+        # Written so that NaN fails every check.
+        if not 0.0 < self.r_safe < self.r_interest:
+            raise ValueError(
+                f"need 0 < r_safe < r_interest, got {self.r_safe}, {self.r_interest}"
+            )
+        if not self.tau > 0.0:
             raise ValueError(f"capture radius tau must be positive, got {self.tau}")
-        if self.k <= 0.0:
+        if not self.k > 0.0:
             raise ValueError(f"reliability half-width k must be positive, got {self.k}")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
 
     def to_flat_dict(self) -> dict:
         return {
-            "r_interest": round9(self.zones.r_interest),
-            "r_safe": round9(self.zones.r_safe),
+            "r_interest": round9(self.r_interest),
+            "r_safe": round9(self.r_safe),
             "tau": round9(self.tau),
             "beta": round9(self.noise.beta_d),
             "beta_b": round9(self.noise.beta_b),
@@ -118,10 +124,10 @@ def episode_outcome(t: int, xa: Vec2, xd: Vec2, cfg: WorldConfig) -> Outcome | N
     if is_captured(xa, xd, cfg.tau):
         return Outcome.CAPTURED
     if cfg.failure_criterion is FailureCriterion.POSITION_BREACH:
-        if xa.norm() < cfg.zones.r_safe:
+        if xa.norm() < cfg.r_safe:
             return Outcome.BREACHED
     else:
-        if defense_margin(xa, xd) <= cfg.zones.r_safe:
+        if defense_margin(xa, xd) <= cfg.r_safe:
             return Outcome.BREACHED
     if t >= cfg.max_steps:
         return Outcome.SURVIVED
@@ -159,12 +165,12 @@ def step(
 def _validate_init(
     init_xa: Vec2, init_xd: Vec2, attacker: AttackerBehavior, cfg: WorldConfig
 ) -> None:
-    r = cfg.zones.r_interest
+    r = cfg.r_interest
     if init_xa.norm() > r or init_xd.norm() > r:
         raise InvalidInitializationError(
             f"initial positions must lie inside the zone of interest (radius {r})"
         )
-    if init_xa.norm() < cfg.zones.r_safe:
+    if init_xa.norm() < cfg.r_safe:
         raise InvalidInitializationError("attacker may not start inside the safe zone")
     if init_xa.distance_to(init_xd) <= cfg.tau:
         raise InvalidInitializationError(
@@ -173,9 +179,9 @@ def _validate_init(
     # A live attacker keeps ||xa|| >= r_safe under either failure criterion
     # (the margin never exceeds ||xa||), so r_safe > 1 keeps the spiral
     # attacker inside its domain (radius > 1) for the whole episode.
-    if attacker is AttackerBehavior.SPIRAL and cfg.zones.r_safe <= 1.0:
+    if attacker is AttackerBehavior.SPIRAL and cfg.r_safe <= 1.0:
         raise InvalidInitializationError(
-            f"the spiral attacker needs r_safe > 1, got r_safe={cfg.zones.r_safe}"
+            f"the spiral attacker needs r_safe > 1, got r_safe={cfg.r_safe}"
         )
 
 

@@ -68,21 +68,6 @@ class Vec2:
 ORIGIN = Vec2(0.0, 0.0)
 
 
-@dataclass(frozen=True, slots=True)
-class Zones:
-    """Origin-centered arena disks: the zone of interest bounds play, the
-    safe zone is what the defender protects."""
-
-    r_interest: float = 50.0
-    r_safe: float = 10.0
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.r_safe < self.r_interest):
-            raise ValueError(
-                f"need 0 < r_safe < r_interest, got {self.r_safe}, {self.r_interest}"
-            )
-
-
 def is_captured(xa: Vec2, xd: Vec2, tau: float) -> bool:
     """Capture fires when the agents are within tau of each other (inclusive)."""
     return xa.distance_to(xd) <= tau

@@ -31,8 +31,8 @@ class NoiseParams:
     nu: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.beta_b < 0.0 or self.beta_d < 0.0 or self.beta_v < 0.0:
-            raise ValueError("noise coefficients must be non-negative")
+        if not all(0.0 <= b < math.inf for b in (self.beta_b, self.beta_d, self.beta_v)):
+            raise ValueError("noise coefficients must be finite and non-negative")
         if not 0.0 <= self.nu <= 1.0:
             raise ValueError(f"visibility nu must lie in [0, 1], got {self.nu}")
 

@@ -10,14 +10,15 @@ import math
 import time
 
 from guardian_sim.analysis import (
-    closest_point_grid_search,
+    check_margin_grid_oracle,
+    check_reliability_monotonicity,
     estimate_mean_margin_change,
     run_experiment_matrix,
     stability_condition_lhs,
 )
 from guardian_sim.cli import main
 from guardian_sim.engine import WorldConfig
-from guardian_sim.geometry import Vec2, defense_margin
+from guardian_sim.geometry import Vec2
 from guardian_sim.observation import NoiseParams, reliability
 from guardian_sim.rng import Rng, derive_seed
 from guardian_sim.strategies import DefenderStrategy, pp_control
@@ -79,23 +80,14 @@ def test_criterion_1_noiseless_margin_gain_exactness():
 
 
 def test_criterion_2_margin_matches_grid_oracle():
-    """10^3 random configurations: the closed-form margin equals the distance
-    to the brute-force grid argmin within 2e-3 (grid resolution 1e-3).
+    """10^3 random configurations: the closed-form margin and closest point
+    equal the brute-force grid argmin within 2e-3 (grid resolution 1e-3).
     Budget: 30 s."""
-    rng = Rng(1)
-    n = 1000
-    worst = 0.0
     t0 = time.perf_counter()
-    for _ in range(n):
-        xa = Vec2.from_polar(rng.uniform(2.0, 50.0), rng.uniform(-math.pi, math.pi))
-        xd = Vec2.from_polar(rng.uniform(0.0, xa.norm() * 0.95), rng.uniform(-math.pi, math.pi))
-        if xa.distance_to(xd) <= 0.1:
-            continue
-        grid = closest_point_grid_search(xa, xd, resolution=1e-3)
-        worst = max(worst, abs(defense_margin(xa, xd) - grid.norm()))
+    result = check_margin_grid_oracle(n=1000, seed=1)
     elapsed = time.perf_counter() - t0
-    ok = worst <= 2e-3 and elapsed < 30.0
-    detail = f"max |margin - ||grid argmin||| = {worst:.3g}, {elapsed:.2f} s over {n} configs"
+    ok = result.passed and elapsed < 30.0
+    detail = f"{result.detail}, {elapsed:.2f} s"
     _report(2, ok, detail)
     assert ok, detail
 
@@ -103,41 +95,26 @@ def test_criterion_2_margin_matches_grid_oracle():
 def test_criterion_3_reliability_against_quadrature():
     """Closed-form reliability vs 2-D quadrature of the Gaussian over the
     square, on a (half-width, noise-scale) grid; exact 1 at zero noise;
-    strictly decreasing in the noise scale.  Budget: 10 s.
-
-    Strict decrease is witnessed wherever float64 can represent it.  For
-    k >= 1.7 the true values at sigma = 0.1 and 0.2 differ by ~1e-22, far
-    below the 1.1e-16 float spacing at 1.0, so both round to exactly 1.0; a
-    tie is tolerated only in that saturated corner (both values exactly 1.0,
-    sigma <= 0.2) — no implementation returning correctly rounded float64
-    could distinguish them.
+    strictly monotone in the noise scale and the half-width, with ties only
+    where float64 saturates at 1.0 (see check_reliability_monotonicity).
+    Budget: 10 s.
     """
     y, xd = Vec2(1.0, 0.0), Vec2(0.0, 0.0)
     ks = [round(0.1 * i, 10) for i in range(1, 21)]       # 0.1 .. 2.0
     sigmas = [round(0.1 * i, 10) for i in range(1, 51)]   # 0.1 .. 5.0
     worst = 0.0
-    monotone = True
-    saturated = 0
     t0 = time.perf_counter()
     for k in ks:
-        prev = None
         for sigma in sigmas:
             closed = reliability(y, xd, NoiseParams(beta_b=sigma * sigma, beta_d=0.0), k)
             quad = gaussian_square_mass_quadrature(k, sigma)
             worst = max(worst, abs(closed - quad))
-            if prev is not None and closed >= prev:
-                if prev == 1.0 and closed == 1.0 and sigma <= 0.2:
-                    saturated += 1
-                else:
-                    monotone = False
-            prev = closed
-    exact_one = reliability(y, xd, NOISELESS, 0.5) == 1.0
+    monotone = check_reliability_monotonicity()
     elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-4 and exact_one and monotone and elapsed < 10.0
+    ok = worst <= 1e-4 and monotone.passed and elapsed < 10.0
     detail = (
         f"max |closed - quadrature| = {worst:.3g} over {len(ks)}x{len(sigmas)} grid, "
-        f"zero-noise value exactly 1: {exact_one}, strictly decreasing: {monotone} "
-        f"({saturated} float-saturated ties at 1.0), {elapsed:.2f} s"
+        f"monotonicity check: {monotone.detail}, {elapsed:.2f} s"
     )
     _report(3, ok, detail)
     assert ok, detail

@@ -1,11 +1,14 @@
 """Command-line front end: precedence, exit codes, artifacts, determinism."""
 from __future__ import annotations
 
+import argparse
 import json
+from dataclasses import fields
 
 import pytest
 
 from guardian_sim.cli import (
+    _DEFAULTS,
     SEED_ENV_VAR,
     ConfigError,
     OutputFormat,
@@ -13,7 +16,8 @@ from guardian_sim.cli import (
     main,
     resolve_config,
 )
-from guardian_sim.engine import TRAJECTORY_HEADER, FailureCriterion
+from guardian_sim.engine import TRAJECTORY_HEADER, FailureCriterion, WorldConfig
+from guardian_sim.observation import NoiseParams
 from guardian_sim.strategies import AttackerBehavior, DefenderStrategy
 
 
@@ -37,6 +41,32 @@ class TestResolveConfig:
         assert cfg.seed == 0
         assert cfg.world.noise.beta_d == 0.05
         assert cfg.world.tau == 2.0
+        assert cfg.world == WorldConfig()
+
+    def test_flat_dict_config_reproduces_world(self, tmp_path):
+        """A summary.json or report.json `config` block is a valid config
+        file, and resolving it gives back the world it was written from."""
+        world = WorldConfig(
+            r_interest=60.0, r_safe=12.5, tau=1.5,
+            noise=NoiseParams(beta_b=0.01, beta_d=0.02, beta_v=0.03, nu=0.25),
+            k=0.75, max_steps=321, failure_criterion=FailureCriterion.MARGIN_BREACH,
+        )
+        default = WorldConfig()
+        for new, old in ((world, default), (world.noise, default.noise)):
+            assert all(getattr(new, f.name) != getattr(old, f.name) for f in fields(new))
+        path = write_config(tmp_path, world.to_flat_dict())
+        assert resolve_config(parse(["run", "--config", str(path)])).world == world
+
+    def test_every_flag_is_a_config_key(self):
+        """Flags and config keys share one name set; the check-only options
+        are the exceptions."""
+        check_only = {"config", "stability", "e", "ua", "samples"}
+        subparsers = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        for name in ("run", "matrix", "check"):
+            dests = {a.dest for a in subparsers.choices[name]._actions if a.option_strings}
+            assert dests - {"help"} - check_only <= set(_DEFAULTS), name
 
     def test_flag_beats_file(self, tmp_path, monkeypatch):
         monkeypatch.delenv(SEED_ENV_VAR, raising=False)
@@ -84,7 +114,8 @@ class TestResolveConfig:
         "payload",
         [{"trials": 0}, {"jobs": 0}, {"seed": -1}, {"xa": [1.0]}, {"tau": -2.0},
          {"trials": 2.7}, {"jobs": 1.5}, {"seed": 0.5}, {"max_steps": 99.9}, {"trials": "2.7"},
-         {"trials": True}, {"jobs": None}, {"seed": [1]}],
+         {"trials": True}, {"jobs": None}, {"seed": [1]}, {"tau": None}, {"beta": [0.1]},
+         {"nu": {}}, {"out": 5}],
     )
     def test_invalid_values_rejected(self, tmp_path, payload, monkeypatch):
         monkeypatch.delenv(SEED_ENV_VAR, raising=False)
@@ -204,6 +235,20 @@ class TestRunCommand:
         code = main(command + ["--r-safe", "0.5", "--tau", "0.1", "--out", str(tmp_path)])
         assert code == 2
         assert "r_safe" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--tau", "nan"], "tau must be positive"),
+         (["--k", "nan", "--defender", "adm"], "k must be positive"),
+         (["--beta", "inf"], "noise coefficients must be finite")],
+        ids=["tau-nan", "k-nan", "beta-inf"],
+    )
+    def test_non_finite_world_setting_exits_two(self, tmp_path, capsys, flags, message):
+        """Rejected before the episode starts, not mid-episode."""
+        code = main(["run", "--xa", "30", "0", "--xd", "0", "0", "--out", str(tmp_path)] + flags)
+        assert code == 2
+        assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
 

@@ -27,7 +27,7 @@ from guardian_sim.engine import (
     trajectory_csv_text,
 )
 from guardian_sim.fileio import write_text_atomic
-from guardian_sim.geometry import Vec2, Zones, defense_margin
+from guardian_sim.geometry import Vec2, defense_margin
 from guardian_sim.observation import NoiseParams
 from guardian_sim.rng import Rng
 from guardian_sim.strategies import AttackerBehavior, DefenderStrategy
@@ -47,12 +47,24 @@ class TestWorldConfig:
         assert cfg.k == 0.5
         assert cfg.max_steps == 10_000
         assert cfg.failure_criterion is FailureCriterion.POSITION_BREACH
-        assert cfg.zones == Zones()
+        assert (cfg.r_interest, cfg.r_safe) == (50.0, 10.0)
 
-    @pytest.mark.parametrize("kwargs", [{"tau": 0.0}, {"tau": -1.0}, {"k": 0.0}, {"max_steps": 0}])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"tau": 0.0}, {"tau": -1.0}, {"k": 0.0}, {"max_steps": 0}, {"tau": math.nan},
+         {"k": math.nan}],
+    )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             WorldConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "r_interest,r_safe",
+        [(10.0, 10.0), (5.0, 10.0), (10.0, 0.0), (10.0, -1.0), (50.0, math.nan), (math.nan, 10.0)],
+    )
+    def test_rejects_bad_radii(self, r_interest, r_safe):
+        with pytest.raises(ValueError, match="r_safe < r_interest"):
+            WorldConfig(r_interest=r_interest, r_safe=r_safe)
 
     def test_flat_dict_round_trips_through_json(self):
         flat = WorldConfig().to_flat_dict()
@@ -97,8 +109,8 @@ class TestEpisodeOutcome:
         cfg = WorldConfig(failure_criterion=FailureCriterion.MARGIN_BREACH)
         # Attacker outside the safe zone but the margin has already collapsed.
         xa, xd = Vec2(12, 0), Vec2(0.5, 0)
-        assert xa.norm() > cfg.zones.r_safe
-        assert defense_margin(xa, xd) <= cfg.zones.r_safe
+        assert xa.norm() > cfg.r_safe
+        assert defense_margin(xa, xd) <= cfg.r_safe
         assert episode_outcome(1, xa, xd, cfg) is Outcome.BREACHED
         assert episode_outcome(1, xa, xd, WorldConfig()) is None  # position rule says live
 
@@ -137,12 +149,12 @@ class TestRunEpisode:
             run_episode(Vec2(20, 0), Vec2(19, 0), pp, lin, cfg, 0)  # within capture range
         spiral = AttackerBehavior.SPIRAL
         with pytest.raises(InvalidInitializationError, match="r_safe"):
-            run_episode(Vec2(20, 0), Vec2(0, 0), pp, spiral, WorldConfig(zones=Zones(r_safe=1.0)), 0)
+            run_episode(Vec2(20, 0), Vec2(0, 0), pp, spiral, WorldConfig(r_safe=1.0), 0)
 
     @pytest.mark.parametrize("criterion", list(FailureCriterion))
     def test_spiral_stays_in_domain_just_above_unit_safe_radius(self, criterion):
         """With r_safe > 1 a live spiral attacker never reaches radius <= 1."""
-        cfg = WorldConfig(zones=Zones(r_safe=1.01), tau=0.1, failure_criterion=criterion)
+        cfg = WorldConfig(r_safe=1.01, tau=0.1, failure_criterion=criterion)
         for seed in range(5):
             xa, xd = sample_initial_positions(Rng(seed), min_separation=cfg.tau)
             result = run_episode(
@@ -185,7 +197,7 @@ class TestRunEpisode:
             if result.outcome is Outcome.CAPTURED:
                 assert final.xa.distance_to(final.xd) <= cfg.tau
             elif result.outcome is Outcome.BREACHED:
-                assert final.xa.norm() <= cfg.zones.r_safe
+                assert final.xa.norm() <= cfg.r_safe
             else:
                 assert result.end_time == cfg.max_steps
             # No earlier termination: every non-terminal state is live.

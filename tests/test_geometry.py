@@ -13,7 +13,6 @@ from guardian_sim.geometry import (
     ORIGIN,
     CoincidentAgentsError,
     Vec2,
-    Zones,
     closest_safe_reachable_point,
     defense_margin,
     is_captured,
@@ -52,17 +51,6 @@ class TestVec2:
 
     def test_rotation_quarter_turn(self):
         assert Vec2(1.0, 0.0).rotated(math.pi / 2).y == pytest.approx(1.0, abs=1e-12)
-
-
-class TestZones:
-    def test_defaults(self):
-        z = Zones()
-        assert (z.r_interest, z.r_safe) == (50.0, 10.0)
-
-    @pytest.mark.parametrize("r_interest,r_safe", [(10.0, 10.0), (5.0, 10.0), (10.0, 0.0), (10.0, -1.0)])
-    def test_rejects_bad_radii(self, r_interest, r_safe):
-        with pytest.raises(ValueError):
-            Zones(r_interest=r_interest, r_safe=r_safe)
 
 
 class TestIsCaptured:

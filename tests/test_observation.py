@@ -29,6 +29,11 @@ class TestNoiseParams:
             {"beta_v": -2.0},
             {"nu": -0.01},
             {"nu": 1.01},
+            {"beta_b": math.nan},
+            {"beta_d": math.nan},
+            {"beta_d": math.inf},
+            {"beta_v": math.inf},
+            {"nu": math.nan},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
