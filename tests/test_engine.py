@@ -47,6 +47,9 @@ class TestWorldConfig:
         assert cfg.k == 0.5
         assert cfg.max_steps == 10_000
         assert cfg.failure_criterion is FailureCriterion.POSITION_BREACH
+
+    def test_zone_radius_defaults(self):
+        cfg = WorldConfig()
         assert (cfg.r_interest, cfg.r_safe) == (50.0, 10.0)
 
     @pytest.mark.parametrize(
