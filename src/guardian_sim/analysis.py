@@ -254,7 +254,10 @@ def run_matrix_trial(base_seed: int, trial: int, cfg: WorldConfig) -> tuple[int,
     """
     init_seed, episode_seed = trial_seeds(base_seed, trial)
     xa, xd = sample_initial_positions(Rng(init_seed), min_separation=cfg.tau)
-    outcomes = [run_episode(xa, xd, d, a, cfg, episode_seed).outcome for d, a in MATRIX_PAIRS]
+    outcomes = [
+        run_episode(xa, xd, d, a, cfg, episode_seed, capture=False).outcome
+        for d, a in MATRIX_PAIRS
+    ]
     return episode_seed, outcomes
 
 

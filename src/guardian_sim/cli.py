@@ -184,6 +184,23 @@ def _integer(value, label: str, minimum: int) -> int:
     return number
 
 
+def _number(value, key: str) -> float:
+    """`value` as a float.  Like `_integer`, refuses what a config file can
+    hold but a number setting cannot: null, lists, objects and booleans."""
+    try:
+        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+            raise ValueError
+        return float(value)
+    except (ValueError, OverflowError):
+        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+
+
+def _path(value, key: str) -> Path:
+    if not isinstance(value, (str, os.PathLike)):
+        raise ConfigError(f"{key} must be a path string, got {value!r}")
+    return Path(value)
+
+
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     settings = dict(_DEFAULTS)
     if args.config is not None:
@@ -195,21 +212,21 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if settings["seed"] is None:
         env = os.environ.get(SEED_ENV_VAR)
         settings["seed"] = 0 if env is None else _integer(env, f"${SEED_ENV_VAR}", 0)
-    # Config-file values skip argparse's type checks: a null, list or object
-    # where a number or path belongs raises TypeError.
+    # Range checks that span several settings live in WorldConfig and
+    # NoiseParams; their ValueError becomes a ConfigError here.
     try:
         return RunConfig(
             world=WorldConfig(
-                r_interest=float(settings["r_interest"]),
-                r_safe=float(settings["r_safe"]),
-                tau=float(settings["tau"]),
+                r_interest=_number(settings["r_interest"], "r_interest"),
+                r_safe=_number(settings["r_safe"], "r_safe"),
+                tau=_number(settings["tau"], "tau"),
                 noise=NoiseParams(
-                    beta_b=float(settings["beta_b"]),
-                    beta_d=float(settings["beta"]),
-                    beta_v=float(settings["beta_v"]),
-                    nu=float(settings["nu"]),
+                    beta_b=_number(settings["beta_b"], "beta_b"),
+                    beta_d=_number(settings["beta"], "beta"),
+                    beta_v=_number(settings["beta_v"], "beta_v"),
+                    nu=_number(settings["nu"], "nu"),
                 ),
-                k=float(settings["k"]),
+                k=_number(settings["k"], "k"),
                 max_steps=_integer(settings["max_steps"], "max_steps", 1),
                 failure_criterion=_choice(FailureCriterion, settings, "failure_criterion"),
             ),
@@ -218,12 +235,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             trials=_integer(settings["trials"], "trials", 1),
             seed=_integer(settings["seed"], "seed", 0),
             jobs=_integer(settings["jobs"], "jobs", 1),
-            output_dir=Path(settings["out"]),
+            output_dir=_path(settings["out"], "out"),
             output_format=_choice(OutputFormat, settings, "format"),
             xa=_parse_point(settings["xa"], "xa"),
             xd=_parse_point(settings["xd"], "xd"),
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 

@@ -11,11 +11,12 @@ from __future__ import annotations
 import enum
 import logging
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .fileio import fmt9, json_text, round9
 from .geometry import Vec2, defense_margin, is_captured
-from .observation import NoiseParams, observe, reliability
+from .observation import NoiseParams, noise_variance, observe, reliability
 from .rng import Rng
 from .strategies import AttackerBehavior, DefenderStrategy, attacker_control, defender_control
 
@@ -26,6 +27,15 @@ log = logging.getLogger(__name__)
 DEFENDER_RADIUS_RANGE = (0.0, 20.0)
 ATTACKER_RADIUS_RANGE = (45.0, 50.0)
 _MAX_INIT_REDRAWS = 1000
+# numpy's ziggurat normal sampler returns no draw beyond about 13.7 in
+# magnitude: its tail draw is bounded by the smallest nonzero uniform.
+_MAX_NORMAL_DRAW = 14.0
+# Largest observed coordinate a world may produce: the sum of two squares
+# (`Vec2.norm_sq`) then stays finite with a factor of 2 to spare.
+_MAX_COORDINATE = math.sqrt(sys.float_info.max / 4.0)
+# No episode runs this many steps (at a microsecond a step, 30 years), so a
+# larger step cap moves no agent further; capping it keeps the reach finite.
+_STEP_HORIZON = 10**15
 
 
 class InvalidInitializationError(ValueError):
@@ -45,6 +55,20 @@ class Outcome(enum.Enum):
 
 @dataclass(frozen=True, slots=True)
 class WorldConfig:
+    """The world settings of an episode, checked on construction.
+
+    Besides the range checks, the noise is bounded so that no observation
+    can overflow.  Both agents start inside the zone of interest and move at
+    most one unit per step, so every true coordinate stays within
+    reach = r_interest + max_steps (a cap above 10**15 steps, which no run
+    reaches, counts as 10**15) and the separation within 2 * reach.  An
+    observed coordinate is a true one plus sigma times a normal draw, and no
+    draw exceeds 14 in magnitude.  The settings are refused unless
+    reach + 14 * sigma(2 * reach) < sqrt(float max / 4), about 6.7e153; then
+    the squared norm of any observation is finite.  With the other defaults
+    this caps beta near 5.7e296.
+    """
+
     r_interest: float = 50.0  # play stays inside this origin-centered disk
     r_safe: float = 10.0  # the origin-centered disk the defender protects
     tau: float = 2.0
@@ -65,6 +89,14 @@ class WorldConfig:
             raise ValueError(f"reliability half-width k must be positive, got {self.k}")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
+        reach = self.r_interest + min(self.max_steps, _STEP_HORIZON)
+        sigma = math.sqrt(noise_variance(2.0 * reach, self.noise))
+        if not reach + _MAX_NORMAL_DRAW * sigma < _MAX_COORDINATE:
+            raise ValueError(
+                f"noise too large: beta={self.noise.beta_d!r} gives sigma={sigma:.3g} at "
+                f"separation 2 * (r_interest + max_steps) = {2.0 * reach:.6g}, so an "
+                f"observed coordinate could overflow when squared"
+            )
 
     def to_flat_dict(self) -> dict:
         return {
@@ -139,27 +171,37 @@ def step(
     defender: DefenderStrategy,
     attacker: AttackerBehavior,
     cfg: WorldConfig,
-) -> tuple[EpisodeState, StepRecord]:
-    """Advance one simultaneous move of a live episode; returns the new state
-    and the record for the pre-move time.
+    capture: bool = True,
+) -> tuple[EpisodeState, StepRecord | None]:
+    """Advance one simultaneous move of a live episode.
+
+    `state` is updated in place and returned, with the record for the
+    pre-move time.  With `capture` off no record is built (None is
+    returned in its place) and neither the margin nor, except for `adm`, the
+    reliability is computed; the moves and draws are the same either way.
+    `adm` gets the one reliability the step computes, so it is never
+    computed twice.
 
     RNG order is fixed: the defender's observation draws first, then any
     attacker-side noise.
     """
-    xa, xd, rng = state.xa, state.xd, state.rng
-    y = observe(xa, xd, cfg.noise, rng)
-    ud = defender_control(defender, y, xd, cfg.noise, cfg.k)
-    ua = attacker_control(attacker, xa, xd, cfg.noise, rng)
-    record = StepRecord(
-        t=state.t,
-        xa=xa,
-        xd=xd,
-        y=y,
-        margin=defense_margin(xa, xd),
-        reliability=reliability(y, xd, cfg.noise, cfg.k),
-    )
-    new_state = EpisodeState(t=state.t + 1, xa=xa + ua, xd=xd + ud, rng=rng)
-    return new_state, record
+    xa, xd, rng, noise, k = state.xa, state.xd, state.rng, cfg.noise, cfg.k
+    y = observe(xa, xd, noise, rng)
+    if capture or defender is DefenderStrategy.ADJUSTED_DEFENSE_MARGIN:
+        p = reliability(y, xd, noise, k)
+    else:
+        p = None
+    ud = defender_control(defender, y, xd, noise, k, p)
+    ua = attacker_control(attacker, xa, xd, noise, rng)
+    record = None
+    if capture:
+        record = StepRecord(
+            t=state.t, xa=xa, xd=xd, y=y, margin=defense_margin(xa, xd), reliability=p
+        )
+    state.t += 1
+    state.xa = xa + ua
+    state.xd = xd + ud
+    return state, record
 
 
 def _validate_init(
@@ -200,21 +242,26 @@ def run_episode(
     attacker: AttackerBehavior,
     cfg: WorldConfig,
     seed: int,
+    capture: bool = True,
 ) -> EpisodeResult:
     """Play one episode to termination from fixed initial positions.
 
     Fully deterministic in (arguments, seed): the trajectory, outcome and end
-    time come out bitwise identical on every run.
+    time come out bitwise identical on every run.  With `capture` off the
+    trajectory is left empty; the outcome and end time are the same, since
+    every step runs the same body (see `step`).
     """
     _validate_init(init_xa, init_xd, attacker, cfg)
     state = EpisodeState(t=0, xa=init_xa, xd=init_xd, rng=Rng(seed))
     records: list[StepRecord] = []
     outcome = episode_outcome(state.t, state.xa, state.xd, cfg)
     while outcome is None:
-        state, record = step(state, defender, attacker, cfg)
-        records.append(record)
+        _, record = step(state, defender, attacker, cfg, capture)
+        if capture:
+            records.append(record)
         outcome = episode_outcome(state.t, state.xa, state.xd, cfg)
-    records.append(_terminal_record(state))
+    if capture:
+        records.append(_terminal_record(state))
     return EpisodeResult(outcome=outcome, end_time=state.t, trajectory=records)
 
 

@@ -8,21 +8,43 @@ same unit speed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 
 class CoincidentAgentsError(ValueError):
     """Raised when a computation requires two distinct agent positions."""
 
 
-@dataclass(frozen=True, slots=True)
 class Vec2:
-    x: float
-    y: float
+    """2-vector of finite floats; treat it as immutable.
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"non-finite component in Vec2({self.x!r}, {self.y!r})")
+    A plain slots class, not a frozen dataclass: the step loop builds about
+    a dozen per step, and the dataclass's ``object.__setattr__`` path plus a
+    ``__post_init__`` calling ``math.isfinite`` twice was the largest single
+    cost of an episode.  Equality, hashing and repr are the dataclass's.
+
+    The finiteness check is ``x - x or y - y``: the difference is 0.0
+    (falsy) for a finite component and NaN (truthy) for a NaN or infinite
+    one, so one subtraction per component does the work of ``isfinite``.
+    """
+
+    __slots__ = ("x", "y")
+
+    def __init__(self, x: float, y: float) -> None:
+        if x - x or y - y:
+            raise ValueError(f"non-finite component in Vec2({x!r}, {y!r})")
+        self.x = x
+        self.y = y
+
+    def __repr__(self) -> str:
+        return f"Vec2(x={self.x!r}, y={self.y!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.x, self.y) == (other.x, other.y)
+
+    def __hash__(self) -> int:
+        return hash((self.x, self.y))
 
     def __add__(self, other: Vec2) -> Vec2:
         return Vec2(self.x + other.x, self.y + other.y)

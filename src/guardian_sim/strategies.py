@@ -59,21 +59,27 @@ def dm_control(y: Vec2, xd: Vec2) -> Vec2:
     return _unit(target - xd, _EPS_DIRECTION)
 
 
-def adm_control(y: Vec2, xd: Vec2, params: NoiseParams, k: float) -> Vec2:
+def adm_control(
+    y: Vec2, xd: Vec2, params: NoiseParams, k: float, p: float | None = None
+) -> Vec2:
     """Adjusted defense margin: reliability-weighted blend of pure pursuit
     and defense-margin guidance.
 
     With p = reliability(y, xd), steer along p * pp + (1 - p) * dm,
     renormalized.  Trusted observations (small estimated noise) make this
-    pure pursuit; poor ones fall back to margin keeping.
+    pure pursuit; poor ones fall back to margin keeping.  A caller that has
+    already computed p for this (y, xd) passes it in, so each step computes
+    the reliability once.
     """
-    p = reliability(y, xd, params, k)
+    if p is None:
+        p = reliability(y, xd, params, k)
     pp_dir = pp_control(y, xd)
     dm_dir = dm_control(y, xd)
     blend = pp_dir * p + dm_dir * (1.0 - p)
-    if blend.norm() < _EPS_BLEND:
+    n = blend.norm()
+    if n < _EPS_BLEND:
         return dm_dir
-    return blend / blend.norm()
+    return blend / n
 
 
 def linear_attacker(xa: Vec2) -> Vec2:
@@ -81,7 +87,7 @@ def linear_attacker(xa: Vec2) -> Vec2:
     n = xa.norm()
     if n < _EPS_DIRECTION:
         raise ValueError("linear attacker undefined at the origin")
-    return -xa / n
+    return Vec2(-xa.x / n, -xa.y / n)
 
 
 def spiral_attacker(xa: Vec2) -> Vec2:
@@ -109,19 +115,26 @@ def intelligent_attacker(xa: Vec2, xd: Vec2, params: NoiseParams, rng: Rng) -> V
     if dist < _EPS_DIRECTION:
         return to_origin
     blend = away * (1.0 / (dist * dist)) + to_origin  # (1/dist) * unit(away) + 1 * unit(to_origin)
-    if blend.norm() < _EPS_BLEND:
+    n = blend.norm()
+    if n < _EPS_BLEND:
         return to_origin
-    return blend / blend.norm()
+    return blend / n
 
 
 def defender_control(
-    strategy: DefenderStrategy, y: Vec2, xd: Vec2, params: NoiseParams, k: float
+    strategy: DefenderStrategy,
+    y: Vec2,
+    xd: Vec2,
+    params: NoiseParams,
+    k: float,
+    p: float | None = None,
 ) -> Vec2:
+    """The strategy's control; `p`, if given, is reliability(y, xd) for `adm`."""
     if strategy is DefenderStrategy.PURE_PURSUIT:
         return pp_control(y, xd)
     if strategy is DefenderStrategy.DEFENSE_MARGIN:
         return dm_control(y, xd)
-    return adm_control(y, xd, params, k)
+    return adm_control(y, xd, params, k, p)
 
 
 def attacker_control(

@@ -115,13 +115,18 @@ class TestResolveConfig:
         [{"trials": 0}, {"jobs": 0}, {"seed": -1}, {"xa": [1.0]}, {"tau": -2.0},
          {"trials": 2.7}, {"jobs": 1.5}, {"seed": 0.5}, {"max_steps": 99.9}, {"trials": "2.7"},
          {"trials": True}, {"jobs": None}, {"seed": [1]}, {"tau": None}, {"beta": [0.1]},
-         {"nu": {}}, {"out": 5}],
+         {"nu": {}}, {"out": 5}, {"tau": True}, {"beta": False}, {"k": "wide"},
+         {"r_safe": [10.0]}, {"r_interest": None}, {"beta_b": {}}, {"beta_v": True},
+         {"out": None}, {"out": ["a"]}],
     )
     def test_invalid_values_rejected(self, tmp_path, payload, monkeypatch):
+        """Each bad value is refused with its key named in the message."""
         monkeypatch.delenv(SEED_ENV_VAR, raising=False)
         path = write_config(tmp_path, payload)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as exc:
             resolve_config(parse(["matrix", "--config", str(path)]))
+        (key,) = payload
+        assert key in str(exc.value)
 
     def test_whole_number_counts_accepted(self, tmp_path, monkeypatch):
         monkeypatch.delenv(SEED_ENV_VAR, raising=False)
@@ -250,6 +255,41 @@ class TestRunCommand:
         assert code == 2
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+    def test_huge_noise_exits_two_before_the_episode(self, tmp_path, capsys):
+        """Passes the per-coefficient checks, but its observations would
+        overflow when squared: refused before any step or file write."""
+        code = main(["run", "--beta", "1.5e304", "--seed", "0", "--defender", "dm",
+                     "--attacker", "linear", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: noise too large: beta=")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_largest_accepted_noise_runs_every_pair(self, tmp_path, capsys):
+        """The largest beta the world accepts plays out: all nine matrix pairs
+        over a few trials, and a static attacker that the defender has to
+        chase for many steps."""
+        lo, hi = 0.0, 1e308  # accepted, refused
+        while True:
+            mid = lo + (hi - lo) / 2
+            if mid in (lo, hi):
+                break
+            try:
+                WorldConfig(noise=NoiseParams(beta_d=mid))
+                lo = mid
+            except ValueError:
+                hi = mid
+        beta = repr(lo)
+        assert main(["matrix", "--trials", "4", "--seed", "0", "--beta", beta,
+                     "--out", str(tmp_path / "matrix")]) == 0
+        assert len(json.loads((tmp_path / "matrix" / "report.json").read_text())["pairs"]) == 9
+        for defender in ("pp", "dm", "adm"):
+            code = main(["run", "--beta", beta, "--defender", defender, "--attacker", "static",
+                         "--xa", "30", "0", "--xd", "0", "0", "--out", str(tmp_path / defender)])
+            assert code == 0
+        assert "error" not in capsys.readouterr().err
 
 
 class TestMatrixCommand:

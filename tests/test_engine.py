@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from guardian_sim import engine, strategies
 from guardian_sim.engine import (
     ATTACKER_RADIUS_RANGE,
     DEFENDER_RADIUS_RANGE,
@@ -28,9 +29,14 @@ from guardian_sim.engine import (
 )
 from guardian_sim.fileio import write_text_atomic
 from guardian_sim.geometry import Vec2, defense_margin
-from guardian_sim.observation import NoiseParams
+from guardian_sim.observation import NoiseParams, reliability
 from guardian_sim.rng import Rng
-from guardian_sim.strategies import AttackerBehavior, DefenderStrategy
+from guardian_sim.strategies import (
+    MATRIX_ATTACKERS,
+    MATRIX_DEFENDERS,
+    AttackerBehavior,
+    DefenderStrategy,
+)
 from oracles import capture_countdown_steps
 
 NOISELESS = NoiseParams(beta_b=0.0, beta_d=0.0, beta_v=0.0, nu=1.0)
@@ -55,7 +61,9 @@ class TestWorldConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [{"tau": 0.0}, {"tau": -1.0}, {"k": 0.0}, {"max_steps": 0}, {"tau": math.nan},
-         {"k": math.nan}],
+         {"k": math.nan}, {"noise": NoiseParams(beta_d=1.5e304)},
+         {"noise": NoiseParams(beta_d=1e300)}, {"noise": NoiseParams(beta_b=1e307)},
+         {"noise": NoiseParams(beta_v=1e307, nu=0.0)}],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -68,6 +76,13 @@ class TestWorldConfig:
     def test_rejects_bad_radii(self, r_interest, r_safe):
         with pytest.raises(ValueError, match="r_safe < r_interest"):
             WorldConfig(r_interest=r_interest, r_safe=r_safe)
+
+    def test_noise_bound_scales_with_the_step_cap(self):
+        """The bound holds at the largest separation the step cap allows, so
+        a shorter cap admits more noise; a cap beyond any run is accepted."""
+        noise = NoiseParams(beta_d=1e300)
+        assert WorldConfig(noise=noise, max_steps=100).noise is noise
+        assert WorldConfig(max_steps=10**400).max_steps == 10**400
 
     def test_flat_dict_round_trips_through_json(self):
         flat = WorldConfig().to_flat_dict()
@@ -94,6 +109,20 @@ class TestStep:
         state = EpisodeState(t=0, xa=Vec2(10, 0), xd=Vec2(0, 0), rng=Rng(0))
         new, _ = step(state, DefenderStrategy.PURE_PURSUIT, AttackerBehavior.STATIC, cfg)
         assert new.xa.distance_to(new.xd) == pytest.approx(9.0, abs=1e-12)
+
+    @pytest.mark.parametrize("defender", list(DefenderStrategy))
+    def test_capture_off_moves_the_same_and_records_nothing(self, defender):
+        cfg = WorldConfig()
+        on = EpisodeState(t=3, xa=Vec2(30, 4), xd=Vec2(2, -1), rng=Rng(5))
+        off = EpisodeState(t=3, xa=Vec2(30, 4), xd=Vec2(2, -1), rng=Rng(5))
+        new_on, record = step(on, defender, AttackerBehavior.INTELLIGENT, cfg)
+        new_off, nothing = step(off, defender, AttackerBehavior.INTELLIGENT, cfg, capture=False)
+        assert new_on is on and new_off is off  # updated in place
+        assert on.t == 4
+        assert (off.t, off.xa, off.xd) == (on.t, on.xa, on.xd)
+        assert off.rng.standard_normal() == on.rng.standard_normal()
+        assert record.t == 3 and record.xa == Vec2(30, 4)
+        assert nothing is None
 
 
 class TestEpisodeOutcome:
@@ -217,6 +246,57 @@ class TestRunEpisode:
             # Observation recorded for every live step, absent at the end.
             assert all(rec.y is not None and rec.reliability is not None for rec in traj[:-1])
             assert final.y is None and final.reliability is None
+
+
+class TestCaptureSwitch:
+    """`run_episode(..., capture=False)`, the matrix's path, plays the same
+    episode as the captured `run` path without keeping records."""
+
+    @pytest.mark.parametrize("criterion", list(FailureCriterion))
+    def test_same_outcome_and_end_time(self, criterion):
+        cfg = WorldConfig(failure_criterion=criterion)
+        for trial in range(6):
+            xa, xd = sample_initial_positions(Rng(300 + trial), min_separation=cfg.tau)
+            for defender in MATRIX_DEFENDERS:
+                for attacker in MATRIX_ATTACKERS:
+                    args = (xa, xd, defender, attacker, cfg, 400 + trial)
+                    captured = run_episode(*args)
+                    bare = run_episode(*args, capture=False)
+                    assert (bare.outcome, bare.end_time) == (captured.outcome, captured.end_time)
+                    assert len(captured.trajectory) == captured.end_time + 1
+                    assert bare.trajectory == []
+
+    def test_recorded_reliability_is_that_of_the_observation(self):
+        cfg = WorldConfig()
+        result = run_episode(
+            Vec2(45, 10), Vec2(3, -4), DefenderStrategy.ADJUSTED_DEFENSE_MARGIN,
+            AttackerBehavior.INTELLIGENT, cfg, 17,
+        )
+        assert result.end_time > 5
+        for rec in result.trajectory[:-1]:
+            assert rec.reliability == reliability(rec.y, rec.xd, cfg.noise, cfg.k)
+
+    @pytest.mark.parametrize("capture", [True, False], ids=["capture-on", "capture-off"])
+    def test_one_reliability_per_adm_step(self, monkeypatch, capture):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return reliability(*args)
+
+        monkeypatch.setattr(engine, "reliability", counted)
+        monkeypatch.setattr(strategies, "reliability", counted)
+        cfg = WorldConfig()
+        for trial in range(3):
+            xa, xd = sample_initial_positions(Rng(trial), min_separation=cfg.tau)
+            for attacker in MATRIX_ATTACKERS:
+                calls.clear()
+                result = run_episode(
+                    xa, xd, DefenderStrategy.ADJUSTED_DEFENSE_MARGIN, attacker, cfg, trial,
+                    capture=capture,
+                )
+                assert result.end_time > 0
+                assert len(calls) == result.end_time
 
 
 class TestSampleInitialPositions:

@@ -1,7 +1,9 @@
-"""The benchmark's tracer finds every library name it wraps.
+"""The benchmark's tracer finds every library name it wraps and sees every
+step of the matrix.
 
 A name the tracer cannot find is skipped and its per-layer metrics read 0, so
-a rename in the library would silently blind the traced benchmark run.
+a rename in the library would silently blind the traced benchmark run.  So
+would a matrix that stopped going through `engine.step`.
 """
 from __future__ import annotations
 
@@ -9,14 +11,36 @@ from pathlib import Path
 
 import pytest
 
+from guardian_sim.analysis import run_experiment_matrix
+from guardian_sim.engine import WorldConfig
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-@pytest.mark.parametrize("counting", [False, True], ids=["spans", "counting"])
-def test_tracer_hooks_every_name(monkeypatch, counting):
+@pytest.fixture
+def tracer_cls(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from tracer import Tracer
 
-    with Tracer(counting=counting) as tracer:
+    return Tracer
+
+
+@pytest.mark.parametrize("counting", [False, True], ids=["spans", "counting"])
+def test_tracer_hooks_every_name(tracer_cls, counting):
+    with tracer_cls(counting=counting) as tracer:
         pass
     assert tracer.missing == []
+
+
+def test_traced_matrix_sees_every_step(tracer_cls):
+    """Every matrix step runs through `engine.step`, with one reliability per
+    `adm` step and, under the position rule, no defense margin."""
+    with tracer_cls(counting=True) as tracer:
+        run_experiment_matrix(WorldConfig(), trials=3, base_seed=0)
+    steps = tracer.counts["engine.steps"]
+    scoped = tracer.step_counts
+    assert steps > 0
+    assert scoped["steps"] == steps
+    assert scoped["adm_steps"] > 0
+    assert scoped["adm_reliability"] == scoped["adm_steps"]
+    assert scoped["geometry.defense_margin"] == 0
