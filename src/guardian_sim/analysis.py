@@ -20,6 +20,7 @@ from itertools import repeat
 
 import numpy as np
 
+from . import lanes
 from .engine import Outcome, WorldConfig, random_point, run_episode, sample_initial_positions
 from .fileio import fmt9, json_text, round9
 from .geometry import Vec2, closest_safe_reachable_point, defense_margin
@@ -30,7 +31,6 @@ from .strategies import (
     MATRIX_ATTACKERS,
     MATRIX_DEFENDERS,
     defender_control,
-    linear_attacker,
 )
 
 log = logging.getLogger(__name__)
@@ -44,6 +44,8 @@ MARGIN_SAMPLE_DEFENDER_RADIUS = (0.0, 15.0)
 # Most noise pairs the expected-cos estimator draws at once, which bounds its
 # memory whatever the sample count.
 _DRAW_BLOCK = 1 << 20
+# Most samples the margin-change estimator draws and steps at once.
+MARGIN_BLOCK = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -154,21 +156,40 @@ def estimate_mean_margin_change(
     """Mean one-step margin change over random engagements with a
     straight-to-origin attacker.
 
-    Attacker radius ~ U[25, 40], defender radius ~ U[0, 15], angles uniform;
-    draw order fixed (attacker radius, attacker angle, defender radius,
-    defender angle, then the observation noise).  Welford accumulation.
+    Attacker radius ~ U[25, 40], defender radius ~ U[0, 15], angles uniform.
+    Samples are drawn in blocks of at most `MARGIN_BLOCK` (1,024), each in a
+    fixed order: the block's attacker radii, attacker angles, defender radii
+    and defender angles (one `Generator.uniform` call each), then an (m, 2)
+    array of standard normals, row i being sample i's observation noise.
+    The `lanes` kernels step each sample to the bits `one_step_margin_change`
+    gives on the same draws, and raise what it raises (so a non-finite
+    observation is refused, never averaged).  Block means and sums of
+    squared deviations merge by Chan et al.'s pairwise update.  The block
+    size bounds memory: at 1,024 a 10^4-sample run peaks within about 1 MB
+    of the RSS of a one-sample-at-a-time loop; one 10^4-sample block added
+    about 4 MB.
     """
     if n < 2:
         raise ValueError(f"need at least two samples for a standard error, got {n}")
-    mean = 0.0
-    m2 = 0.0
-    for i in range(n):
-        xa = random_point(rng, *MARGIN_SAMPLE_ATTACKER_RADIUS)
-        xd = random_point(rng, *MARGIN_SAMPLE_DEFENDER_RADIUS)
-        delta = one_step_margin_change(xa, xd, strategy, params, k, rng, linear_attacker(xa))
-        span = delta - mean
-        mean += span / (i + 1)
-        m2 += span * (delta - mean)
+    gen = rng.generator
+    count, mean, m2 = 0, 0.0, 0.0
+    while count < n:
+        m = min(n - count, MARGIN_BLOCK)
+        xa = lanes.from_polar(
+            gen.uniform(*MARGIN_SAMPLE_ATTACKER_RADIUS, m), gen.uniform(-math.pi, math.pi, m)
+        )
+        xd = lanes.from_polar(
+            gen.uniform(*MARGIN_SAMPLE_DEFENDER_RADIUS, m), gen.uniform(-math.pi, math.pi, m)
+        )
+        normals = gen.standard_normal((m, 2))
+        delta = lanes.one_step_margin_change(
+            xa, xd, strategy, params, k, normals, lanes.linear_attacker(xa)
+        )
+        block_mean = float(delta.mean())
+        gap, total = block_mean - mean, count + m
+        mean += gap * m / total
+        m2 += float(((delta - block_mean) ** 2).sum()) + gap * gap * count * m / total
+        count = total
     stderr = math.sqrt(m2 / (n - 1) / n)
     return MarginChangeEstimate(
         strategy=strategy.value, mean_change=mean, stderr=stderr, n_samples=n

@@ -3,7 +3,7 @@
 Subcommands:
   run     one episode -> trajectory CSV + summary JSON
   matrix  3x3 strategy/behavior win-rate experiment -> CSV table + JSON report
-  check   invariant suites and stability diagnostics -> PASS/FAIL lines
+  check   invariant suites, stability diagnostics and the margin-change table
 
 Settings resolve flag > config file > environment (seed only) > defaults.
 The config file is a flat JSON object using the same names as the flags.
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .analysis import (
+    estimate_mean_margin_change,
     report_csv_text,
     report_json_text,
     run_default_checks,
@@ -120,10 +121,13 @@ def build_parser() -> argparse.ArgumentParser:
     matrix_p.add_argument("--jobs", type=int, help="worker processes")
 
     check_p = sub.add_parser(
-        "check", parents=[common], help="run invariant checks / stability diagnostics"
+        "check", parents=[common], help="run invariant checks, or print one of two reports"
     )
     check_p.add_argument(
         "--stability", action="store_true", help="print a stability diagnostic instead"
+    )
+    check_p.add_argument(
+        "--margin-table", action="store_true", help="print the margin-change table instead"
     )
     check_p.add_argument("--e", nargs=2, type=float, metavar=("X", "Y"), help="error vector")
     check_p.add_argument("--ua", nargs=2, type=float, metavar=("X", "Y"), help="attacker control")
@@ -274,6 +278,19 @@ def cmd_matrix(cfg: RunConfig) -> int:
 
 
 def cmd_check(cfg: RunConfig, args: argparse.Namespace) -> int:
+    if args.margin_table:
+        if args.stability:
+            raise ConfigError("--margin-table and --stability are separate reports; pick one")
+        # Strategy i draws from stream derive_seed(seed, 40 + i).
+        estimates = [
+            estimate_mean_margin_change(strategy, cfg.world.noise, cfg.world.k, args.samples,
+                                        Rng(derive_seed(cfg.seed, 40 + i)))
+            for i, strategy in enumerate(DefenderStrategy)
+        ]
+        print(f"{'strategy':>8}  {'mean':>10}  {'stderr':>9}  n={args.samples}")
+        for est in estimates:
+            print(f"{est.strategy:>8}  {est.mean_change:>10.6f}  {est.stderr:>9.6f}")
+        return 0
     if args.stability:
         e = _parse_point(args.e, "e")
         ua = _parse_point(args.ua, "ua")

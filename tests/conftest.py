@@ -1,4 +1,5 @@
-"""Shared test configuration: hypothesis profile and common strategies."""
+"""Shared test configuration: hypothesis profile, common strategies and a
+stub noise stream."""
 from __future__ import annotations
 
 import math
@@ -7,6 +8,18 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from guardian_sim.geometry import Vec2
+
+
+class Normals:
+    """Stands in for an `Rng`: `normal_pair` scales two given standard
+    normals, as `observe` would draw them."""
+
+    def __init__(self, w0: float, w1: float) -> None:
+        self.w = (float(w0), float(w1))
+
+    def normal_pair(self, sigma: float) -> tuple[float, float]:
+        return sigma * self.w[0], sigma * self.w[1]
+
 
 settings.register_profile(
     "default",

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import Normals
 import guardian_sim.analysis as analysis
 from guardian_sim.analysis import (
     MATRIX_PAIRS,
@@ -243,24 +244,45 @@ class TestEstimateMeanMarginChange:
         assert est.stderr > 0.0
 
     def test_welford_matches_direct_formula(self):
-        """Same samples accumulated two ways must agree."""
-        n = 400
-        rng = Rng(11)
-        deltas = []
-        from guardian_sim.analysis import MARGIN_SAMPLE_ATTACKER_RADIUS, MARGIN_SAMPLE_DEFENDER_RADIUS
+        """The block estimator's mean and stderr are the direct formulas over
+        the scalar one-step changes on its draws.
+
+        Replays the block draw order (attacker radii, attacker angles,
+        defender radii, defender angles, then an (m, 2) normal block) and
+        steps each sample with the scalar `Vec2` code, handing it its two
+        normals through a stub stream.  n spans two full blocks and ends
+        with a partial one, so this also checks the block merge and that the
+        array kernels step like the scalar code."""
+        from guardian_sim.analysis import (
+            MARGIN_BLOCK,
+            MARGIN_SAMPLE_ATTACKER_RADIUS,
+            MARGIN_SAMPLE_DEFENDER_RADIUS,
+        )
         from guardian_sim.strategies import linear_attacker
 
-        for _ in range(n):
-            xa = Vec2.from_polar(rng.uniform(*MARGIN_SAMPLE_ATTACKER_RADIUS), rng.uniform(-math.pi, math.pi))
-            xd = Vec2.from_polar(rng.uniform(*MARGIN_SAMPLE_DEFENDER_RADIUS), rng.uniform(-math.pi, math.pi))
-            deltas.append(
-                one_step_margin_change(xa, xd, DefenderStrategy.PURE_PURSUIT, NoiseParams(), 0.5, rng, linear_attacker(xa))
-            )
-        est = estimate_mean_margin_change(DefenderStrategy.PURE_PURSUIT, NoiseParams(), 0.5, n, Rng(11))
-        mean = sum(deltas) / n
-        var = sum((d - mean) ** 2 for d in deltas) / (n - 1)
-        assert est.mean_change == pytest.approx(mean, abs=1e-12)
-        assert est.stderr == pytest.approx(math.sqrt(var / n), abs=1e-12)
+        n = 2_500
+        assert n > 2 * MARGIN_BLOCK and n % MARGIN_BLOCK
+        for strategy in DefenderStrategy:
+            gen = Rng(11).generator
+            deltas = []
+            while len(deltas) < n:
+                m = min(n - len(deltas), MARGIN_BLOCK)
+                ra = gen.uniform(*MARGIN_SAMPLE_ATTACKER_RADIUS, m)
+                aa = gen.uniform(-math.pi, math.pi, m)
+                rd = gen.uniform(*MARGIN_SAMPLE_DEFENDER_RADIUS, m)
+                ad = gen.uniform(-math.pi, math.pi, m)
+                w = gen.standard_normal((m, 2))
+                for i in range(m):
+                    xa = Vec2.from_polar(float(ra[i]), float(aa[i]))
+                    xd = Vec2.from_polar(float(rd[i]), float(ad[i]))
+                    deltas.append(one_step_margin_change(
+                        xa, xd, strategy, NoiseParams(), 0.5, Normals(*w[i]), linear_attacker(xa)
+                    ))
+            est = estimate_mean_margin_change(strategy, NoiseParams(), 0.5, n, Rng(11))
+            mean = sum(deltas) / n
+            var = sum((d - mean) ** 2 for d in deltas) / (n - 1)
+            assert est.mean_change == pytest.approx(mean, abs=1e-12)
+            assert est.stderr == pytest.approx(math.sqrt(var / n), abs=1e-12)
 
 
 class TestClosestPointGridSearch:

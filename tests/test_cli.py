@@ -7,6 +7,7 @@ from dataclasses import fields
 
 import pytest
 
+from guardian_sim.analysis import estimate_mean_margin_change
 from guardian_sim.cli import (
     _DEFAULTS,
     SEED_ENV_VAR,
@@ -18,6 +19,7 @@ from guardian_sim.cli import (
 )
 from guardian_sim.engine import TRAJECTORY_HEADER, FailureCriterion, WorldConfig
 from guardian_sim.observation import NoiseParams
+from guardian_sim.rng import Rng, derive_seed
 from guardian_sim.strategies import AttackerBehavior, DefenderStrategy
 
 
@@ -60,7 +62,7 @@ class TestResolveConfig:
     def test_every_flag_is_a_config_key(self):
         """Flags and config keys share one name set; the check-only options
         are the exceptions."""
-        check_only = {"config", "stability", "e", "ua", "samples"}
+        check_only = {"config", "stability", "margin_table", "e", "ua", "samples"}
         subparsers = next(
             a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
         )
@@ -342,3 +344,30 @@ class TestCheckCommand:
         monkeypatch.delenv(SEED_ENV_VAR, raising=False)
         assert main(["check", "--stability"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_margin_table_prints_the_estimates(self, capsys):
+        """One header and one row per strategy, each row the estimator's
+        numbers on stream derive_seed(seed, 40 + i) at the world's noise
+        and k."""
+        argv = ["check", "--margin-table", "--samples", "3000", "--seed", "7", "--beta", "0.1"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["strategy", "mean", "stderr", "n=3000"]
+        assert len(lines) == 1 + len(DefenderStrategy)
+        for i, (strategy, line) in enumerate(zip(DefenderStrategy, lines[1:])):
+            est = estimate_mean_margin_change(
+                strategy, NoiseParams(beta_d=0.1), WorldConfig().k, 3000,
+                Rng(derive_seed(7, 40 + i)),
+            )
+            assert line.split() == [strategy.value, f"{est.mean_change:.6f}", f"{est.stderr:.6f}"]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--samples", "1"], ["--stability", "--e", "3", "0", "--ua", "-1", "0"]],
+        ids=["one-sample", "with-stability"],
+    )
+    def test_margin_table_refusals_exit_two(self, capsys, flags):
+        assert main(["check", "--margin-table"] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")

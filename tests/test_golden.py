@@ -46,6 +46,9 @@ EXPLICIT_RUN = {
 
 CHECK_STDOUT = "0db7c5a0fa820d9d1607eec56f01b3f195ade9e8de8b379713b90ea27a957cdb"
 
+# `check --margin-table --samples 10000 --seed 0`: the block estimator's bytes.
+MARGIN_TABLE_STDOUT = "8edb982c5c8562e5887f95c14ce1571d23503f036461db235adc25c35d807810"
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -83,3 +86,8 @@ def test_check_stdout_digest(capsys, monkeypatch):
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     assert main(["check"]) == 1  # margin_step_dominance fails by design
     assert _sha(capsys.readouterr().out.encode()) == CHECK_STDOUT
+
+
+def test_margin_table_stdout_digest(capsys):
+    assert main(["check", "--margin-table", "--samples", "10000", "--seed", "0"]) == 0
+    assert _sha(capsys.readouterr().out.encode()) == MARGIN_TABLE_STDOUT
