@@ -44,6 +44,9 @@ MARGIN_SAMPLE_DEFENDER_RADIUS = (0.0, 15.0)
 # Most noise pairs the expected-cos estimator draws at once, which bounds its
 # memory whatever the sample count.
 _DRAW_BLOCK = 1 << 20
+# Least acceptance probability the expected-cos estimator runs at: it draws
+# at most 1,000 noise pairs per accepted sample on average.
+_MIN_ACCEPTANCE = 1e-3
 # Most samples the margin-change estimator draws and steps at once.
 MARGIN_BLOCK = 1024
 
@@ -78,7 +81,9 @@ def estimate_expected_cos(e: Vec2, ua: Vec2, params: NoiseParams, n: int, rng: R
 
     Noise draws with ||w|| >= ||e|| fall outside the regime the condition
     covers and are rejected and redrawn (count logged at debug level).
-    Requires ||e|| > sqrt(2).
+    Requires ||e|| > sqrt(2), and a draw accepted with probability
+    P(||w|| < ||e||) = 1 - exp(-(||e|| / sigma)^2 / 2) of at least
+    `_MIN_ACCEPTANCE`, so that the expected number of draws is bounded.
     """
     e_norm = e.norm()
     if e_norm <= _SQRT2:
@@ -86,6 +91,14 @@ def estimate_expected_cos(e: Vec2, ua: Vec2, params: NoiseParams, n: int, rng: R
     if n < 1:
         raise ValueError(f"need at least one sample, got {n}")
     sigma = math.sqrt(noise_variance(e_norm, params))
+    ratio = e_norm / sigma if sigma > 0.0 else math.inf
+    accept = -math.expm1(-0.5 * ratio * ratio)
+    if not accept >= _MIN_ACCEPTANCE:
+        raise ValueError(
+            f"noise too large for the error vector: beta={params.beta_d!r} and "
+            f"e=({e.x!r}, {e.y!r}) give sigma={sigma:.3g}, so a noise draw is accepted "
+            f"with probability {accept:.3g} < {_MIN_ACCEPTANCE}"
+        )
     f = e + ua
     f_norm = f.norm()
     gen = rng.generator
@@ -296,6 +309,7 @@ def run_experiment_matrix(
         raise ValueError(f"need at least one trial, got {trials}")
     if jobs < 1:
         raise ValueError(f"need at least one worker, got {jobs}")
+    cfg.check_sampled_starts()
     workers = min(jobs, os.cpu_count() or 1, trials)
     args = (repeat(base_seed), range(trials), repeat(cfg))
     if workers == 1:

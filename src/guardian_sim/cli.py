@@ -131,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check_p.add_argument("--e", nargs=2, type=float, metavar=("X", "Y"), help="error vector")
     check_p.add_argument("--ua", nargs=2, type=float, metavar=("X", "Y"), help="attacker control")
-    check_p.add_argument("--samples", type=int, default=100_000, help="Monte Carlo sample count")
+    check_p.add_argument("--samples", type=int, help="Monte Carlo sample count (default 100000)")
     return parser
 
 
@@ -252,6 +252,7 @@ def cmd_run(cfg: RunConfig) -> int:
     init_seed, episode_seed = trial_seeds(cfg.seed, 0)
     xa, xd = cfg.xa, cfg.xd
     if xa is None or xd is None:
+        cfg.world.check_sampled_starts()
         sampled = sample_initial_positions(Rng(init_seed), min_separation=cfg.world.tau)
         xa = xa if xa is not None else sampled[0]
         xd = xd if xd is not None else sampled[1]
@@ -278,16 +279,21 @@ def cmd_matrix(cfg: RunConfig) -> int:
 
 
 def cmd_check(cfg: RunConfig, args: argparse.Namespace) -> int:
+    if args.margin_table and args.stability:
+        raise ConfigError("--margin-table and --stability are separate reports; pick one")
+    if not args.stability and (args.e is not None or args.ua is not None):
+        raise ConfigError("--e and --ua are read only by --stability")
+    if not (args.stability or args.margin_table) and args.samples is not None:
+        raise ConfigError("--samples is read only by --stability and --margin-table")
+    samples = 100_000 if args.samples is None else args.samples
     if args.margin_table:
-        if args.stability:
-            raise ConfigError("--margin-table and --stability are separate reports; pick one")
         # Strategy i draws from stream derive_seed(seed, 40 + i).
         estimates = [
-            estimate_mean_margin_change(strategy, cfg.world.noise, cfg.world.k, args.samples,
+            estimate_mean_margin_change(strategy, cfg.world.noise, cfg.world.k, samples,
                                         Rng(derive_seed(cfg.seed, 40 + i)))
             for i, strategy in enumerate(DefenderStrategy)
         ]
-        print(f"{'strategy':>8}  {'mean':>10}  {'stderr':>9}  n={args.samples}")
+        print(f"{'strategy':>8}  {'mean':>10}  {'stderr':>9}  n={samples}")
         for est in estimates:
             print(f"{est.strategy:>8}  {est.mean_change:>10.6f}  {est.stderr:>9.6f}")
         return 0
@@ -297,7 +303,7 @@ def cmd_check(cfg: RunConfig, args: argparse.Namespace) -> int:
         if e is None or ua is None:
             raise ConfigError("--stability requires --e X Y and --ua X Y")
         diag = stability_diagnostic(
-            e, ua, cfg.world.noise, args.samples, Rng(derive_seed(cfg.seed, 3))
+            e, ua, cfg.world.noise, samples, Rng(derive_seed(cfg.seed, 3))
         )
         holds = "true" if diag.condition_holds else "false"
         print(

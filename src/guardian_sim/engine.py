@@ -98,6 +98,20 @@ class WorldConfig:
                 f"observed coordinate could overflow when squared"
             )
 
+    def check_sampled_starts(self) -> None:
+        """Refuse a world that `sample_initial_positions` can draw an invalid
+        start for, so that whether it runs never depends on the seed."""
+        low, high = ATTACKER_RADIUS_RANGE
+        if self.r_safe > low:
+            raise InvalidInitializationError(
+                f"r_safe={self.r_safe} exceeds {low}, the least sampled attacker radius"
+            )
+        if self.r_interest < high:
+            raise InvalidInitializationError(
+                f"r_interest={self.r_interest} is below {high}, "
+                f"the top of the sampled attacker radii"
+            )
+
     def to_flat_dict(self) -> dict:
         return {
             "r_interest": round9(self.r_interest),

@@ -5,10 +5,9 @@ them) and returns, lane by lane, the bits of its scalar namesake.  If any
 lane hits a case the scalar code refuses, it raises the same error.  It uses
 only operations that round like the scalar ones: ``+ - * /``, ``sqrt``,
 numpy's ``cos``/``sin`` (equal to libm's on every sampled angle the tests
-try) and `math.erf` per lane.  ``np.hypot`` calls the C library's ``hypot``,
-which differs from `math.hypot` in the last bit on about 0.6 % of pairs, so
-`hypot` transcribes CPython 3.11's algorithm.  `observation.noise_variance`
-needs no twin: over arrays it already computes each lane's expression.
+try), and `math.hypot` and `math.erf` called per lane (``np.hypot`` misses
+`math.hypot` by one bit on about 0.6 % of pairs).  `noise_variance` needs
+no twin: over arrays it already computes each lane's expression.
 """
 from __future__ import annotations
 
@@ -21,55 +20,16 @@ from .observation import NoiseParams, noise_variance
 from .strategies import _EPS_BLEND, _EPS_DIRECTION, DefenderStrategy
 
 _SQRT2 = math.sqrt(2.0)
-_VELTKAMP = 134217729.0  # 2**27 + 1: splits a double into two 26-bit halves
-_erf = np.frompyfunc(math.erf, 1, 1)
 
 
-def _square(x):
-    """(hi, lo) with hi + lo == x * x exactly, as CPython's ``dl_mul(x, x)``."""
-    t = x * _VELTKAMP
-    hi = t - (t - x)
-    lo = x - hi
-    p = hi * hi
-    q = 2.0 * (hi * lo)  # hi*lo + lo*hi: both exact, so the same bits
-    z = p + q
-    return z, p - z + q + lo * lo
+def _per_lane(fn, *args):
+    """The scalar `fn` called on each lane, so each lane gets its bits."""
+    return np.fromiter(map(fn, *(a.tolist() for a in args)), float, len(args[0]))
 
 
 def hypot(x, y):
-    """`math.hypot(x, y)` lane by lane: CPython 3.11's ``vector_norm`` of two
-    coordinates.  Scale the larger magnitude into [0.5, 1), add the exact
-    squares to 1.0 by fast two-sums, take the root, correct it once.  Below
-    2**-1024 the scale overflows, and CPython divides by the larger magnitude
-    instead, with plain squares and no correction."""
-    x, y = np.abs(x), np.abs(y)
-    big = np.maximum(x, y)
-    with np.errstate(all="ignore"):
-        e = np.frexp(big)[1]
-        scale = np.ldexp(1.0, -e)
-        csum, frac1, frac2 = 1.0, 0.0, 0.0
-        for v in (x * scale, y * scale):
-            hi, lo = _square(v)
-            total = csum + hi
-            frac1, frac2, csum = frac1 + lo, frac2 + ((csum - total) + hi), total
-        h = np.sqrt(csum - 1.0 + (frac1 + frac2))
-        hi, lo = _square(h)  # CPython's dl_mul(-h, h), negated
-        total = csum - hi
-        frac1, frac2 = frac1 - lo, frac2 + ((csum - total) - hi)
-        out = (h + (total - 1.0 + (frac1 + frac2)) / (2.0 * h)) / scale
-        if np.isfinite(out).all():  # tiny, zero, infinite and NaN lanes are not
-            return out
-        tiny = e < -1023
-        m = big[tiny]
-        csum, frac = 1.0, 0.0
-        for v in (x[tiny] / m, y[tiny] / m):
-            total = csum + v * v
-            frac, csum = frac + ((csum - total) + v * v), total
-        out[tiny] = m * np.sqrt(csum - 1.0 + frac)
-        out[big == 0.0] = 0.0
-        out[np.isnan(x) | np.isnan(y)] = np.nan
-        out[np.isinf(x) | np.isinf(y)] = np.inf
-    return out
+    """`math.hypot(x, y)` lane by lane."""
+    return _per_lane(math.hypot, x, y)
 
 
 def _vec(x, y):
@@ -108,8 +68,11 @@ def closest_safe_reachable_point(xa, xd):
 def observe(xa, xd, params: NoiseParams, normals):
     """`observation.observe`, with row i of the (N, 2) `normals` as the two
     standard normals lane i's stream would give."""
-    sigma = np.sqrt(noise_variance(hypot(xa[0] - xd[0], xa[1] - xd[1]), params))
-    return _vec(xa[0] + sigma * normals[:, 0], xa[1] + sigma * normals[:, 1])
+    distance = hypot(xa[0] - xd[0], xa[1] - xd[1])
+    with np.errstate(over="ignore", invalid="ignore"):  # `_vec` refuses what overflows
+        sigma = np.sqrt(noise_variance(distance, params))
+        x, y = xa[0] + sigma * normals[:, 0], xa[1] + sigma * normals[:, 1]
+    return _vec(x, y)
 
 
 def reliability(y, xd, params: NoiseParams, k: float):
@@ -117,7 +80,7 @@ def reliability(y, xd, params: NoiseParams, k: float):
         raise ValueError(f"reliability half-width k must be positive, got {k}")
     variance = noise_variance(hypot(y[0] - xd[0], y[1] - xd[1]), params)
     exact = variance == 0.0
-    one_axis = _erf(k / (np.sqrt(np.where(exact, 1.0, variance)) * _SQRT2)).astype(float)
+    one_axis = _per_lane(math.erf, k / (np.sqrt(np.where(exact, 1.0, variance)) * _SQRT2))
     return np.where(exact, 1.0, one_axis * one_axis)
 
 

@@ -245,6 +245,24 @@ class TestRunCommand:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
+        "command",
+        [["matrix", "--trials", "3", "--r-safe", "45.5"],
+         ["matrix", "--trials", "3", "--r-interest", "49.5"],
+         ["run", "--r-safe", "45.5"],
+         ["run", "--xa", "30", "0", "--r-interest", "49.5"]],
+        ids=["matrix-r_safe", "matrix-r_interest", "run-r_safe", "run-r_interest"],
+    )
+    @pytest.mark.parametrize("seed", ["0", "1"])
+    def test_world_the_sampled_starts_can_violate_exits_two(self, tmp_path, capsys, command,
+                                                             seed):
+        """Refused on every seed, before any trial, with the setting named."""
+        code = main(command + ["--seed", seed, "--out", str(tmp_path)])
+        assert code == 2
+        setting = command[-2].lstrip("-").replace("-", "_")
+        assert f"error: {setting}=" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
         "flags, message",
         [(["--tau", "nan"], "tau must be positive"),
          (["--k", "nan", "--defender", "adm"], "k must be positive"),
@@ -340,6 +358,28 @@ class TestCheckCommand:
         assert out.startswith("lhs=-1 ")
         assert "condition_holds=true" in out
 
+    @pytest.mark.parametrize(
+        "flags, setting",
+        [(["--e", "3", "0", "--ua", "0", "0", "--beta", "1e10"], "beta=10000000000.0"),
+         (["--e", "1e200", "0", "--ua", "0", "0"], "e=(1e+200, 0.0)")],
+        ids=["beta-1e10", "sigma-overflows"],
+    )
+    def test_stability_with_almost_no_accepted_draw_exits_two(self, capsys, flags, setting):
+        assert main(["check", "--stability"] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert setting in captured.err
+
+    @pytest.mark.parametrize(
+        "flags", [["--samples", "10"], ["--e", "3", "0"], ["--ua", "-1", "0"]],
+        ids=["samples", "e", "ua"],
+    )
+    def test_default_suite_refuses_flags_it_never_reads(self, capsys, flags):
+        assert main(["check"] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
     def test_stability_requires_vectors(self, capsys, monkeypatch):
         monkeypatch.delenv(SEED_ENV_VAR, raising=False)
         assert main(["check", "--stability"]) == 2
@@ -363,8 +403,9 @@ class TestCheckCommand:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--samples", "1"], ["--stability", "--e", "3", "0", "--ua", "-1", "0"]],
-        ids=["one-sample", "with-stability"],
+        [["--samples", "1"], ["--stability", "--e", "3", "0", "--ua", "-1", "0"],
+         ["--e", "3", "0"], ["--ua", "-1", "0"]],
+        ids=["one-sample", "with-stability", "with-e", "with-ua"],
     )
     def test_margin_table_refusals_exit_two(self, capsys, flags):
         assert main(["check", "--margin-table"] + flags) == 2

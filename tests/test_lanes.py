@@ -2,13 +2,12 @@
 namesakes, and refuse what the scalar code refuses.
 
 Bit equality is asserted on IEEE bit patterns, so 0.0 and -0.0 differ; all
-NaNs count as one value.  `lanes.hypot` transcribes CPython 3.11's
-`math.hypot`, so the bitwise tests run under CPython 3.11 only.
+NaNs count as one value.  `lanes.hypot` and `lanes.reliability` call
+`math.hypot` and `math.erf` per lane, so the tests hold on any CPython.
 """
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -23,11 +22,6 @@ from guardian_sim.rng import Rng
 from guardian_sim.strategies import DefenderStrategy
 
 NOISELESS = NoiseParams(beta_b=0.0, beta_d=0.0, beta_v=0.0, nu=1.0)
-
-bitwise = pytest.mark.skipif(
-    sys.version_info[:2] != (3, 11),
-    reason="lanes.hypot transcribes the math.hypot of CPython 3.11",
-)
 
 
 def bits(values) -> list[int]:
@@ -103,7 +97,6 @@ SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 2.0**-1024, 2.0**-1023, 1e-30
            1.7e308, math.inf, -math.inf, math.nan]
 
 
-@bitwise
 class TestHypot:
     @given(st.lists(st.tuples(st.one_of(st.floats(), st.sampled_from(SPECIAL)),
                               st.one_of(st.floats(), st.sampled_from(SPECIAL))),
@@ -112,17 +105,7 @@ class TestHypot:
     def test_matches_math_hypot(self, rows):
         assert_twin(lanes.hypot, math.hypot, rows)
 
-    @pytest.mark.parametrize("scale", [2.0**-1022, 1e-300, 1.0, 1e150, 1e307])
-    def test_bulk_pairs_at_each_scale(self, scale):
-        """Subnormal pairs take CPython's divide-by-the-larger branch."""
-        gen = np.random.default_rng(0)
-        x = gen.uniform(-1.0, 1.0, 20_000) * scale
-        y = gen.uniform(-1.0, 1.0, 20_000) * x
-        expected = [math.hypot(a, b) for a, b in zip(x.tolist(), y.tolist())]
-        assert bits(lanes.hypot(x, y)) == bits(expected)
 
-
-@bitwise
 class TestGeometryTwins:
     @given(st.lists(st.tuples(st.floats(0.0, 100.0), st.floats(-math.pi, math.pi)),
                     min_size=1, max_size=8))
@@ -144,7 +127,6 @@ class TestGeometryTwins:
         assert_twin(lanes.dm_control, strategies.dm_control, rows)
 
 
-@bitwise
 class TestObservationTwins:
     @given(st.lists(st.floats(0.0, 1e3), min_size=1, max_size=8), noise)
     def test_noise_variance_over_lanes(self, distances, params):
@@ -172,7 +154,6 @@ class TestObservationTwins:
         assert lanes.reliability(y, xd, NOISELESS, 0.5).tolist() == [1.0, 1.0]
 
 
-@bitwise
 class TestStrategyTwins:
     @given(lane_pairs, strategy_members, noise, half_widths)
     def test_defender_control(self, rows, strategy, params, k):
@@ -204,7 +185,6 @@ class TestStrategyTwins:
         assert_twin(lanes.linear_attacker, strategies.linear_attacker, [(p,) for p in column])
 
 
-@bitwise
 @given(st.lists(st.tuples(points, points, normals, normals, points), min_size=1, max_size=6),
        strategy_members, noise, half_widths)
 def test_one_step_margin_change(rows, strategy, params, k):
