@@ -1,12 +1,15 @@
 """Command-line interface.
 
 Subcommands:
-  run     one episode -> trajectory CSV + summary JSON
-  matrix  3x3 strategy/behavior win-rate experiment -> CSV table + JSON report
-  check   invariant suites, stability diagnostics and the margin-change table
+  run           one episode -> trajectory CSV + summary JSON
+  matrix        3x3 strategy/behavior win-rate experiment -> CSV table + JSON report
+  check         invariant suites
+  stability     stability diagnostic for one error vector and attacker control
+  margin-table  one-step margin-change table of the three defender strategies
 
-Settings resolve flag > config file > environment (seed only) > defaults.
-The config file is a flat JSON object using the same names as the flags.
+Each command accepts only the flags it reads.  Settings resolve flag > config
+file > environment (seed only) > defaults.  The config file is a flat JSON
+object using the same names as the flags; every command takes the same keys.
 """
 from __future__ import annotations
 
@@ -83,24 +86,32 @@ class RunConfig:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", type=Path, help="flat JSON config file")
-    common.add_argument("--seed", type=int, help=f"base seed (fallback: ${SEED_ENV_VAR}, then 0)")
-    common.add_argument("--beta", type=float, help="distance-squared noise coefficient")
-    common.add_argument("--k", type=float, help="reliability box half-width")
-    common.add_argument("--tau", type=float, help="capture radius")
-    common.add_argument("--r-safe", type=float, help="safe zone radius")
-    common.add_argument("--r-interest", type=float, help="zone of interest radius")
-    common.add_argument("--max-steps", type=int, help="step cap per episode")
-    common.add_argument(
+    # Each parent adds flags to the one before it; a command takes the
+    # smallest parent that holds every flag it reads.
+    base = argparse.ArgumentParser(add_help=False)
+    base.add_argument("--config", type=Path, help="flat JSON config file")
+    base.add_argument("--seed", type=int, help=f"base seed (fallback: ${SEED_ENV_VAR}, then 0)")
+    noise = argparse.ArgumentParser(add_help=False, parents=[base])
+    noise.add_argument("--beta", type=float, help="distance-squared noise coefficient")
+    noise_k = argparse.ArgumentParser(add_help=False, parents=[noise])
+    noise_k.add_argument("--k", type=float, help="reliability box half-width")
+    world = argparse.ArgumentParser(add_help=False, parents=[noise_k])
+    world.add_argument("--tau", type=float, help="capture radius")
+    world.add_argument("--r-safe", type=float, help="safe zone radius")
+    world.add_argument("--r-interest", type=float, help="zone of interest radius")
+    world.add_argument("--max-steps", type=int, help="step cap per episode")
+    world.add_argument(
         "--failure-criterion",
         choices=[c.value for c in FailureCriterion],
         help="what counts as a defender loss",
     )
-    common.add_argument("--out", type=Path, help="output directory")
-    common.add_argument(
+    world.add_argument("--out", type=Path, help="output directory")
+    world.add_argument(
         "--format", choices=[f.value for f in OutputFormat], help="which files to write"
     )
+    samples = argparse.ArgumentParser(add_help=False)
+    samples.add_argument("--samples", type=int, default=100_000,
+                         help="Monte Carlo sample count (default %(default)s)")
 
     parser = argparse.ArgumentParser(
         prog="guardian-sim",
@@ -108,30 +119,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", parents=[common], help="run a single episode")
+    def command(name, func, parents, summary):
+        cmd = sub.add_parser(name, parents=parents, help=summary)
+        cmd.set_defaults(func=func)
+        return cmd
+
+    run_p = command("run", cmd_run, [world], "run a single episode")
     run_p.add_argument("--defender", choices=[s.value for s in DefenderStrategy])
     run_p.add_argument("--attacker", choices=[b.value for b in AttackerBehavior])
     run_p.add_argument("--xa", nargs=2, type=float, metavar=("X", "Y"), help="attacker start")
     run_p.add_argument("--xd", nargs=2, type=float, metavar=("X", "Y"), help="defender start")
-
-    matrix_p = sub.add_parser(
-        "matrix", parents=[common], help="run the 3x3 win-rate experiment"
-    )
+    matrix_p = command("matrix", cmd_matrix, [world], "run the 3x3 win-rate experiment")
     matrix_p.add_argument("--trials", type=int, help="episodes per strategy pair")
     matrix_p.add_argument("--jobs", type=int, help="worker processes")
-
-    check_p = sub.add_parser(
-        "check", parents=[common], help="run invariant checks, or print one of two reports"
-    )
-    check_p.add_argument(
-        "--stability", action="store_true", help="print a stability diagnostic instead"
-    )
-    check_p.add_argument(
-        "--margin-table", action="store_true", help="print the margin-change table instead"
-    )
-    check_p.add_argument("--e", nargs=2, type=float, metavar=("X", "Y"), help="error vector")
-    check_p.add_argument("--ua", nargs=2, type=float, metavar=("X", "Y"), help="attacker control")
-    check_p.add_argument("--samples", type=int, help="Monte Carlo sample count (default 100000)")
+    command("check", cmd_check, [base], "run the invariant checks")
+    stability_p = command("stability", cmd_stability, [noise, samples],
+                          "print a stability diagnostic")
+    for flag, what in (("--e", "error vector"), ("--ua", "attacker control")):
+        stability_p.add_argument(flag, nargs=2, type=float, metavar=("X", "Y"), required=True,
+                                 help=what)
+    command("margin-table", cmd_margin_table, [noise_k, samples], "print the margin-change table")
     return parser
 
 
@@ -248,14 +255,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def cmd_run(cfg: RunConfig) -> int:
+def cmd_run(cfg: RunConfig, args: argparse.Namespace) -> int:
     init_seed, episode_seed = trial_seeds(cfg.seed, 0)
     xa, xd = cfg.xa, cfg.xd
     if xa is None or xd is None:
         cfg.world.check_sampled_starts()
-        sampled = sample_initial_positions(Rng(init_seed), min_separation=cfg.world.tau)
-        xa = xa if xa is not None else sampled[0]
-        xd = xd if xd is not None else sampled[1]
+        xa, xd = sample_initial_positions(Rng(init_seed), cfg.world.tau, xa, xd)
     result = run_episode(xa, xd, cfg.defender, cfg.attacker, cfg.world, episode_seed)
     if cfg.output_format is not OutputFormat.JSON:
         write_text_atomic(cfg.output_dir / "trajectory.csv", trajectory_csv_text(result))
@@ -267,7 +272,7 @@ def cmd_run(cfg: RunConfig) -> int:
     return 0 if result.outcome in (Outcome.CAPTURED, Outcome.SURVIVED) else 1
 
 
-def cmd_matrix(cfg: RunConfig) -> int:
+def cmd_matrix(cfg: RunConfig, args: argparse.Namespace) -> int:
     report = run_experiment_matrix(cfg.world, cfg.trials, cfg.seed, jobs=cfg.jobs)
     csv_text = report_csv_text(report)
     if cfg.output_format is not OutputFormat.JSON:
@@ -279,55 +284,41 @@ def cmd_matrix(cfg: RunConfig) -> int:
 
 
 def cmd_check(cfg: RunConfig, args: argparse.Namespace) -> int:
-    if args.margin_table and args.stability:
-        raise ConfigError("--margin-table and --stability are separate reports; pick one")
-    if not args.stability and (args.e is not None or args.ua is not None):
-        raise ConfigError("--e and --ua are read only by --stability")
-    if not (args.stability or args.margin_table) and args.samples is not None:
-        raise ConfigError("--samples is read only by --stability and --margin-table")
-    samples = 100_000 if args.samples is None else args.samples
-    if args.margin_table:
-        # Strategy i draws from stream derive_seed(seed, 40 + i).
-        estimates = [
-            estimate_mean_margin_change(strategy, cfg.world.noise, cfg.world.k, samples,
-                                        Rng(derive_seed(cfg.seed, 40 + i)))
-            for i, strategy in enumerate(DefenderStrategy)
-        ]
-        print(f"{'strategy':>8}  {'mean':>10}  {'stderr':>9}  n={samples}")
-        for est in estimates:
-            print(f"{est.strategy:>8}  {est.mean_change:>10.6f}  {est.stderr:>9.6f}")
-        return 0
-    if args.stability:
-        e = _parse_point(args.e, "e")
-        ua = _parse_point(args.ua, "ua")
-        if e is None or ua is None:
-            raise ConfigError("--stability requires --e X Y and --ua X Y")
-        diag = stability_diagnostic(
-            e, ua, cfg.world.noise, samples, Rng(derive_seed(cfg.seed, 3))
-        )
-        holds = "true" if diag.condition_holds else "false"
-        print(
-            f"lhs={fmt9(diag.lhs)} expected_cos={fmt9(diag.expected_cos)} "
-            f"n={diag.n_samples} condition_holds={holds}"
-        )
-        return 0
     results = run_default_checks(seed=cfg.seed)
     for res in results:
         print(f"{'PASS' if res.passed else 'FAIL'} {res.name}: {res.detail}")
     return 0 if all(res.passed for res in results) else 1
 
 
+def cmd_stability(cfg: RunConfig, args: argparse.Namespace) -> int:
+    diag = stability_diagnostic(Vec2(*args.e), Vec2(*args.ua), cfg.world.noise, args.samples,
+                                Rng(derive_seed(cfg.seed, 3)))
+    holds = "true" if diag.condition_holds else "false"
+    print(
+        f"lhs={fmt9(diag.lhs)} expected_cos={fmt9(diag.expected_cos)} "
+        f"n={diag.n_samples} condition_holds={holds}"
+    )
+    return 0
+
+
+def cmd_margin_table(cfg: RunConfig, args: argparse.Namespace) -> int:
+    # Strategy i draws from stream derive_seed(seed, 40 + i).
+    estimates = [
+        estimate_mean_margin_change(strategy, cfg.world.noise, cfg.world.k, args.samples,
+                                    Rng(derive_seed(cfg.seed, 40 + i)))
+        for i, strategy in enumerate(DefenderStrategy)
+    ]
+    print(f"{'strategy':>8}  {'mean':>10}  {'stderr':>9}  n={args.samples}")
+    for est in estimates:
+        print(f"{est.strategy:>8}  {est.mean_change:>10.6f}  {est.stderr:>9.6f}")
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = resolve_config(args)
-        if args.command == "run":
-            return cmd_run(cfg)
-        if args.command == "matrix":
-            return cmd_matrix(cfg)
-        return cmd_check(cfg, args)
-    except ValueError as exc:  # includes ConfigError and InvalidInitializationError
+        return args.func(resolve_config(args), args)
+    except (ValueError, OSError) as exc:  # includes ConfigError and unwritable outputs
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

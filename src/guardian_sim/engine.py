@@ -285,20 +285,24 @@ def random_point(rng: Rng, low: float, high: float) -> Vec2:
     return Vec2.from_polar(rng.uniform(low, high), rng.uniform(-math.pi, math.pi))
 
 
-def sample_initial_positions(rng: Rng, min_separation: float = 0.0) -> tuple[Vec2, Vec2]:
-    """Random initial (attacker, defender) positions.
+def sample_initial_positions(
+    rng: Rng, min_separation: float = 0.0, xa: Vec2 | None = None, xd: Vec2 | None = None
+) -> tuple[Vec2, Vec2]:
+    """Random initial (attacker, defender) positions; a given `xa` or `xd`
+    takes the place of its draw.
 
     Draw order is fixed for reproducibility: defender radius, defender angle,
-    attacker radius, attacker angle.  Draws with separation <= min_separation
-    are rejected and redrawn.
+    attacker radius, attacker angle, both points on every attempt.  A pair
+    whose separation is <= min_separation is rejected and redrawn.
     """
     for attempt in range(_MAX_INIT_REDRAWS):
-        xd = random_point(rng, *DEFENDER_RADIUS_RANGE)
-        xa = random_point(rng, *ATTACKER_RADIUS_RANGE)
-        if xa.distance_to(xd) > min_separation:
+        d = random_point(rng, *DEFENDER_RADIUS_RANGE)
+        a = random_point(rng, *ATTACKER_RADIUS_RANGE)
+        a, d = (a if xa is None else xa), (d if xd is None else xd)
+        if a.distance_to(d) > min_separation:
             if attempt:
                 log.debug("initial positions redrawn %d time(s)", attempt)
-            return xa, xd
+            return a, d
     raise InvalidInitializationError(
         f"could not draw initial positions separated by more than {min_separation}"
     )

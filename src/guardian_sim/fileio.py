@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Any
 
@@ -24,10 +23,12 @@ def json_text(payload: Any) -> str:
 
 def write_text_atomic(path: Path, text: str) -> None:
     """Write via a sibling temp file + rename, so failures never leave a
-    partial file at the destination."""
+    partial file at the destination.  The file gets the mode `open(path, "w")`
+    would give it: the temp file is created 0o666 and the umask applies."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    tmp_name = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)

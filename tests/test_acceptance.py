@@ -247,7 +247,7 @@ def test_criterion_7_bitwise_determinism(tmp_path, capsys, monkeypatch):
         and (m4 / "report.json").read_bytes() == (m4b / "report.json").read_bytes()
     )
 
-    stability_args = ["check", "--stability", "--e", "10", "0", "--ua", "0", "1", "--seed", "9"]
+    stability_args = ["stability", "--e", "10", "0", "--ua", "0", "1", "--seed", "9"]
     capsys.readouterr()  # drain the matrix tables printed above
     assert main(stability_args) == 0
     line1 = capsys.readouterr().out

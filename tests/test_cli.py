@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 from dataclasses import fields
 
 import pytest
@@ -25,6 +26,17 @@ from guardian_sim.strategies import AttackerBehavior, DefenderStrategy
 
 def parse(argv):
     return build_parser().parse_args(argv)
+
+
+def refused_by_argparse(argv, capsys) -> str:
+    """Run `main(argv)`, check that argparse exits 2 before any output, and
+    return what it printed to stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -60,15 +72,16 @@ class TestResolveConfig:
         assert resolve_config(parse(["run", "--config", str(path)])).world == world
 
     def test_every_flag_is_a_config_key(self):
-        """Flags and config keys share one name set; the check-only options
-        are the exceptions."""
-        check_only = {"config", "stability", "margin_table", "e", "ua", "samples"}
+        """Flags and config keys share one name set; `--config` and the
+        report inputs of `stability` and `margin-table` are the exceptions."""
+        not_keys = {"config", "e", "ua", "samples"}
         subparsers = next(
             a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
         )
-        for name in ("run", "matrix", "check"):
-            dests = {a.dest for a in subparsers.choices[name]._actions if a.option_strings}
-            assert dests - {"help"} - check_only <= set(_DEFAULTS), name
+        assert set(subparsers.choices) == {"run", "matrix", "check", "stability", "margin-table"}
+        for name, command in subparsers.choices.items():
+            dests = {a.dest for a in command._actions if a.option_strings}
+            assert dests - {"help"} - not_keys <= set(_DEFAULTS), name
 
     def test_flag_beats_file(self, tmp_path, monkeypatch):
         monkeypatch.delenv(SEED_ENV_VAR, raising=False)
@@ -277,6 +290,33 @@ class TestRunCommand:
         assert list(tmp_path.iterdir()) == []
 
 
+    @pytest.mark.parametrize("seed", ["193", "215"])
+    def test_one_given_start_is_never_refused_for_the_sampled_one(self, tmp_path, seed):
+        """On these seeds the first sampled defender start lies within tau of
+        the given attacker start; it is redrawn, so the episode plays."""
+        code = main(["run", "--xa", "15", "0", "--seed", seed, "--out", str(tmp_path)])
+        assert code in (0, 1)
+        first = (tmp_path / "trajectory.csv").read_text().splitlines()[1].split(",")
+        xa_x, xa_y, xd_x, xd_y = map(float, first[1:5])
+        assert (xa_x, xa_y) == (15.0, 0.0)
+        assert math.hypot(xd_x - xa_x, xd_y - xa_y) > WorldConfig().tau
+
+    @pytest.mark.parametrize(
+        "command",
+        [["run", "--xa", "30", "0", "--xd", "0", "0"], ["matrix", "--trials", "2"]],
+        ids=["run", "matrix"],
+    )
+    def test_unwritable_out_exits_two(self, tmp_path, capsys, command):
+        """Exit 2 with the path named, not a traceback with exit 1 (which
+        `run` uses for a breach)."""
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "out"
+        assert main(command + ["--seed", "0", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert str(out) in err
+
     def test_huge_noise_exits_two_before_the_episode(self, tmp_path, capsys):
         """Passes the per-coefficient checks, but its observations would
         overflow when squared: refused before any step or file write."""
@@ -337,6 +377,16 @@ class TestMatrixCommand:
         assert (out_a / "report.json").read_bytes() == (out_b / "report.json").read_bytes()
 
 
+# Flags each report command never reads, after the flags it requires.
+NEVER_READ = {
+    "check": ["--beta 5", "--k 3", "--tau 7", "--out x", "--samples 10", "--e 3 0"],
+    "stability --e 3 0 --ua -1 0": ["--k 3", "--tau 7", "--max-steps 5", "--out x",
+                                    "--format csv"],
+    "margin-table": ["--tau 7", "--r-safe 5", "--max-steps 5",
+                     "--failure-criterion margin_breach", "--out x", "--format csv", "--e 3 0"],
+}
+
+
 class TestCheckCommand:
     def test_default_suite_reports_known_dominance_failure(self, capsys, monkeypatch):
         """Exit 1 by design: the margin-step dominance sweep documents real
@@ -352,7 +402,7 @@ class TestCheckCommand:
 
     def test_stability_diagnostic_line(self, capsys, monkeypatch):
         monkeypatch.delenv(SEED_ENV_VAR, raising=False)
-        code = main(["check", "--stability", "--e", "3", "0", "--ua", "-1", "0", "--beta", "0"])
+        code = main(["stability", "--e", "3", "0", "--ua", "-1", "0", "--beta", "0"])
         assert code == 0
         out = capsys.readouterr().out.strip()
         assert out.startswith("lhs=-1 ")
@@ -365,7 +415,7 @@ class TestCheckCommand:
         ids=["beta-1e10", "sigma-overflows"],
     )
     def test_stability_with_almost_no_accepted_draw_exits_two(self, capsys, flags, setting):
-        assert main(["check", "--stability"] + flags) == 2
+        assert main(["stability"] + flags) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert setting in captured.err
@@ -375,21 +425,30 @@ class TestCheckCommand:
         ids=["samples", "e", "ua"],
     )
     def test_default_suite_refuses_flags_it_never_reads(self, capsys, flags):
-        assert main(["check"] + flags) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error:")
+        err = refused_by_argparse(["check"] + flags, capsys)
+        assert f"unrecognized arguments: {flags[0]}" in err
 
     def test_stability_requires_vectors(self, capsys, monkeypatch):
         monkeypatch.delenv(SEED_ENV_VAR, raising=False)
-        assert main(["check", "--stability"]) == 2
-        assert "error:" in capsys.readouterr().err
+        err = refused_by_argparse(["stability"], capsys)
+        assert "the following arguments are required: --e, --ua" in err
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [pytest.param(command, flag, id=f"{command.split()[0]}-{flag.split()[0][2:]}")
+         for command, flags in NEVER_READ.items() for flag in flags],
+    )
+    def test_flags_the_command_never_reads_exit_two(self, capsys, command, flag):
+        """Each of these flags was once accepted by `check` and ignored by
+        the report it printed; now the command that prints it refuses it."""
+        err = refused_by_argparse(f"{command} {flag}".split(), capsys)
+        assert f"unrecognized arguments: {flag}" in err
 
     def test_margin_table_prints_the_estimates(self, capsys):
         """One header and one row per strategy, each row the estimator's
         numbers on stream derive_seed(seed, 40 + i) at the world's noise
         and k."""
-        argv = ["check", "--margin-table", "--samples", "3000", "--seed", "7", "--beta", "0.1"]
+        argv = ["margin-table", "--samples", "3000", "--seed", "7", "--beta", "0.1"]
         assert main(argv) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].split() == ["strategy", "mean", "stderr", "n=3000"]
@@ -408,7 +467,13 @@ class TestCheckCommand:
         ids=["one-sample", "with-stability", "with-e", "with-ua"],
     )
     def test_margin_table_refusals_exit_two(self, capsys, flags):
-        assert main(["check", "--margin-table"] + flags) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error:")
+        """The estimator refuses one sample; argparse refuses the flags that
+        belong to `stability`."""
+        if flags == ["--samples", "1"]:
+            assert main(["margin-table"] + flags) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error:")
+        else:
+            err = refused_by_argparse(["margin-table"] + flags, capsys)
+            assert f"unrecognized arguments: {flags[0]}" in err

@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -332,6 +333,24 @@ class TestSampleInitialPositions:
             xa, xd = sample_initial_positions(Rng(seed), min_separation=30.0)
             assert xa.distance_to(xd) > 30.0
 
+    @pytest.mark.parametrize(
+        "given, start", [("xa", Vec2(15.0, 0.0)), ("xd", Vec2(46.0, 0.0))], ids=["xa", "xd"]
+    )
+    def test_given_start_takes_the_place_of_its_draw(self, given, start):
+        """Both points are drawn on every attempt, in the usual order; the
+        given start replaces its draw, and the pair that plays is the one
+        whose separation is tested.  A wide separation makes redraws common."""
+        for seed in range(250):
+            rng = Rng(seed)
+            while True:
+                drawn = {"xd": random_point(rng, *DEFENDER_RADIUS_RANGE),
+                         "xa": random_point(rng, *ATTACKER_RADIUS_RANGE)}
+                drawn[given] = start
+                if drawn["xa"].distance_to(drawn["xd"]) > 10.0:
+                    break
+            pair = sample_initial_positions(Rng(seed), 10.0, **{given: start})
+            assert pair == (drawn["xa"], drawn["xd"]), seed
+
     def test_impossible_separation_raises(self):
         # Maximum possible separation is 50 + 20 = 70.
         with pytest.raises(InvalidInitializationError):
@@ -392,6 +411,19 @@ class TestAtomicWrites:
         monkeypatch.undo()
         assert not target.exists()
         assert list(tmp_path.iterdir()) == []  # temp file cleaned up
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=["022", "077", "002"])
+    def test_mode_is_that_of_a_plain_open(self, tmp_path, umask):
+        """0o666 less the umask, as `open(path, "w")` gives, not mkstemp's 0o600."""
+        old = os.umask(umask)
+        try:
+            write_text_atomic(tmp_path / "atomic.txt", "x")
+            with open(tmp_path / "plain.txt", "w"):
+                pass
+        finally:
+            os.umask(old)
+        mode = stat.S_IMODE((tmp_path / "atomic.txt").stat().st_mode)
+        assert mode == 0o666 & ~umask == stat.S_IMODE((tmp_path / "plain.txt").stat().st_mode)
 
     def test_creates_parent_directories(self, tmp_path):
         target = tmp_path / "a" / "b" / "out.txt"

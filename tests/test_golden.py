@@ -46,10 +46,10 @@ EXPLICIT_RUN = {
 
 CHECK_STDOUT = "0db7c5a0fa820d9d1607eec56f01b3f195ade9e8de8b379713b90ea27a957cdb"
 
-# `check --stability --e 10 0 --ua 0 1 --seed 9`: the stability diagnostic line.
+# `stability --e 10 0 --ua 0 1 --seed 9`: the stability diagnostic line.
 STABILITY_STDOUT = "a89bf4a40eb38be821d2849678460d718795f272526537be7e31299886e7f86c"
 
-# `check --margin-table --samples 10000 --seed 0`: the block estimator's bytes.
+# `margin-table --samples 10000 --seed 0`: the block estimator's bytes.
 MARGIN_TABLE_STDOUT = "8edb982c5c8562e5887f95c14ce1571d23503f036461db235adc25c35d807810"
 
 
@@ -92,11 +92,11 @@ def test_check_stdout_digest(capsys, monkeypatch):
 
 
 def test_stability_stdout_digest(capsys):
-    argv = ["check", "--stability", "--e", "10", "0", "--ua", "0", "1", "--seed", "9"]
+    argv = ["stability", "--e", "10", "0", "--ua", "0", "1", "--seed", "9"]
     assert main(argv) == 0
     assert _sha(capsys.readouterr().out.encode()) == STABILITY_STDOUT
 
 
 def test_margin_table_stdout_digest(capsys):
-    assert main(["check", "--margin-table", "--samples", "10000", "--seed", "0"]) == 0
+    assert main(["margin-table", "--samples", "10000", "--seed", "0"]) == 0
     assert _sha(capsys.readouterr().out.encode()) == MARGIN_TABLE_STDOUT
