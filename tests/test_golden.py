@@ -29,6 +29,13 @@ MATRIX = {
     ("margin_breach", "winrates.csv"): "2f8f8696b60bcaa815c8432bdc71cb3f6135c61f1611385ca48aef9b149d7809",
 }
 
+# `matrix --trials 1000 --seed 0 --jobs 2`: the headline run, over several
+# trial blocks and, given two CPUs, the process pool.
+HEADLINE = {
+    "report.json": "18a416ea5997bdaf1a49e180522199a499bfeee9b90e0a4f32e9d64c3ff6e7a8",
+    "winrates.csv": "f78e63e5d87e80ed4be13c7f2751d46c8ce9e2a0397a26495cdbc5c9c15a6b89",
+}
+
 RUNS = {
     ("adm", "intelligent", "trajectory.csv"): "c0109198a13e68c39f2ccc62149a28bcc8fa08a28f911c8ba2b97e3d2563cd4b",
     ("adm", "intelligent", "summary.json"): "46e5cc98369668d8158223840a079369f9e878bc602b6b88000d9816715f92cc",
@@ -64,6 +71,13 @@ def test_matrix_digests(tmp_path, criterion):
     assert main(argv) == 0
     for name in ("report.json", "winrates.csv"):
         assert _sha((tmp_path / name).read_bytes()) == MATRIX[(criterion, name)], name
+
+
+def test_headline_matrix_digests(tmp_path):
+    argv = ["matrix", "--trials", "1000", "--seed", "0", "--jobs", "2", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    for name, digest in HEADLINE.items():
+        assert _sha((tmp_path / name).read_bytes()) == digest, name
 
 
 @pytest.mark.parametrize(
