@@ -9,7 +9,8 @@ Subcommands:
 
 Each command accepts only the flags it reads.  Settings resolve flag > config
 file > environment (seed only) > defaults.  The config file is a flat JSON
-object using the same names as the flags; every command takes the same keys.
+object using the same names as the flags; every command takes the same keys,
+and `check`, `stability` and `margin-table` check only the values they read.
 """
 from __future__ import annotations
 
@@ -212,7 +213,9 @@ def _path(value, key: str) -> Path:
     return Path(value)
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
+def resolve_settings(args: argparse.Namespace) -> dict:
+    """Every setting by name, unchecked, with the seed's environment
+    fallback applied."""
     settings = dict(_DEFAULTS)
     if args.config is not None:
         settings.update(_load_config_file(args.config))
@@ -223,6 +226,25 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if settings["seed"] is None:
         env = os.environ.get(SEED_ENV_VAR)
         settings["seed"] = 0 if env is None else _integer(env, f"${SEED_ENV_VAR}", 0)
+    return settings
+
+
+def _seed(settings: dict) -> int:
+    return _integer(settings["seed"], "seed", 0)
+
+
+def _noise(settings: dict) -> NoiseParams:
+    return NoiseParams(
+        beta_b=_number(settings["beta_b"], "beta_b"),
+        beta_d=_number(settings["beta"], "beta"),
+        beta_v=_number(settings["beta_v"], "beta_v"),
+        nu=_number(settings["nu"], "nu"),
+    )
+
+
+def resolve_config(args: argparse.Namespace) -> RunConfig:
+    """The settings of `run` and `matrix`, all checked."""
+    settings = resolve_settings(args)
     # Range checks that span several settings live in WorldConfig and
     # NoiseParams; their ValueError becomes a ConfigError here.
     try:
@@ -231,12 +253,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
                 r_interest=_number(settings["r_interest"], "r_interest"),
                 r_safe=_number(settings["r_safe"], "r_safe"),
                 tau=_number(settings["tau"], "tau"),
-                noise=NoiseParams(
-                    beta_b=_number(settings["beta_b"], "beta_b"),
-                    beta_d=_number(settings["beta"], "beta"),
-                    beta_v=_number(settings["beta_v"], "beta_v"),
-                    nu=_number(settings["nu"], "nu"),
-                ),
+                noise=_noise(settings),
                 k=_number(settings["k"], "k"),
                 max_steps=_integer(settings["max_steps"], "max_steps", 1),
                 failure_criterion=_choice(FailureCriterion, settings, "failure_criterion"),
@@ -244,7 +261,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             defender=_choice(DefenderStrategy, settings, "defender"),
             attacker=_choice(AttackerBehavior, settings, "attacker"),
             trials=_integer(settings["trials"], "trials", 1),
-            seed=_integer(settings["seed"], "seed", 0),
+            seed=_seed(settings),
             jobs=_integer(settings["jobs"], "jobs", 1),
             output_dir=_path(settings["out"], "out"),
             output_format=_choice(OutputFormat, settings, "format"),
@@ -255,7 +272,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def cmd_run(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_run(args: argparse.Namespace) -> int:
+    cfg = resolve_config(args)
     init_seed, episode_seed = trial_seeds(cfg.seed, 0)
     xa, xd = cfg.xa, cfg.xd
     if xa is None or xd is None:
@@ -272,7 +290,8 @@ def cmd_run(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0 if result.outcome in (Outcome.CAPTURED, Outcome.SURVIVED) else 1
 
 
-def cmd_matrix(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_matrix(args: argparse.Namespace) -> int:
+    cfg = resolve_config(args)
     report = run_experiment_matrix(cfg.world, cfg.trials, cfg.seed, jobs=cfg.jobs)
     csv_text = report_csv_text(report)
     if cfg.output_format is not OutputFormat.JSON:
@@ -283,16 +302,17 @@ def cmd_matrix(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_check(cfg: RunConfig, args: argparse.Namespace) -> int:
-    results = run_default_checks(seed=cfg.seed)
+def cmd_check(args: argparse.Namespace) -> int:
+    results = run_default_checks(seed=_seed(resolve_settings(args)))
     for res in results:
         print(f"{'PASS' if res.passed else 'FAIL'} {res.name}: {res.detail}")
     return 0 if all(res.passed for res in results) else 1
 
 
-def cmd_stability(cfg: RunConfig, args: argparse.Namespace) -> int:
-    diag = stability_diagnostic(Vec2(*args.e), Vec2(*args.ua), cfg.world.noise, args.samples,
-                                Rng(derive_seed(cfg.seed, 3)))
+def cmd_stability(args: argparse.Namespace) -> int:
+    settings = resolve_settings(args)
+    diag = stability_diagnostic(Vec2(*args.e), Vec2(*args.ua), _noise(settings), args.samples,
+                                Rng(derive_seed(_seed(settings), 3)))
     holds = "true" if diag.condition_holds else "false"
     print(
         f"lhs={fmt9(diag.lhs)} expected_cos={fmt9(diag.expected_cos)} "
@@ -301,11 +321,13 @@ def cmd_stability(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_margin_table(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_margin_table(args: argparse.Namespace) -> int:
+    settings = resolve_settings(args)
+    noise, k, seed = _noise(settings), _number(settings["k"], "k"), _seed(settings)
     # Strategy i draws from stream derive_seed(seed, 40 + i).
     estimates = [
-        estimate_mean_margin_change(strategy, cfg.world.noise, cfg.world.k, args.samples,
-                                    Rng(derive_seed(cfg.seed, 40 + i)))
+        estimate_mean_margin_change(strategy, noise, k, args.samples,
+                                    Rng(derive_seed(seed, 40 + i)))
         for i, strategy in enumerate(DefenderStrategy)
     ]
     print(f"{'strategy':>8}  {'mean':>10}  {'stderr':>9}  n={args.samples}")
@@ -317,7 +339,7 @@ def cmd_margin_table(cfg: RunConfig, args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(resolve_config(args), args)
+        return args.func(args)
     except (ValueError, OSError) as exc:  # includes ConfigError and unwritable outputs
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -185,33 +185,22 @@ def step(
     defender: DefenderStrategy,
     attacker: AttackerBehavior,
     cfg: WorldConfig,
-    capture: bool = True,
-) -> tuple[EpisodeState, StepRecord | None]:
+) -> tuple[EpisodeState, StepRecord]:
     """Advance one simultaneous move of a live episode.
 
     `state` is updated in place and returned, with the record for the
-    pre-move time.  With `capture` off no record is built (None is
-    returned in its place) and neither the margin nor, except for `adm`, the
-    reliability is computed; the moves and draws are the same either way.
-    `adm` gets the one reliability the step computes, so it is never
-    computed twice.
+    pre-move time.  `adm` gets the one reliability the step computes, so it
+    is never computed twice.
 
     RNG order is fixed: the defender's observation draws first, then any
     attacker-side noise.
     """
     xa, xd, rng, noise, k = state.xa, state.xd, state.rng, cfg.noise, cfg.k
     y = observe(xa, xd, noise, rng)
-    if capture or defender is DefenderStrategy.ADJUSTED_DEFENSE_MARGIN:
-        p = reliability(y, xd, noise, k)
-    else:
-        p = None
+    p = reliability(y, xd, noise, k)
     ud = defender_control(defender, y, xd, noise, k, p)
     ua = attacker_control(attacker, xa, xd, noise, rng)
-    record = None
-    if capture:
-        record = StepRecord(
-            t=state.t, xa=xa, xd=xd, y=y, margin=defense_margin(xa, xd), reliability=p
-        )
+    record = StepRecord(t=state.t, xa=xa, xd=xd, y=y, margin=defense_margin(xa, xd), reliability=p)
     state.t += 1
     state.xa = xa + ua
     state.xd = xd + ud
@@ -256,26 +245,20 @@ def run_episode(
     attacker: AttackerBehavior,
     cfg: WorldConfig,
     seed: int,
-    capture: bool = True,
 ) -> EpisodeResult:
     """Play one episode to termination from fixed initial positions.
 
     Fully deterministic in (arguments, seed): the trajectory, outcome and end
-    time come out bitwise identical on every run.  With `capture` off the
-    trajectory is left empty; the outcome and end time are the same, since
-    every step runs the same body (see `step`).
+    time come out bitwise identical on every run.
     """
     _validate_init(init_xa, init_xd, attacker, cfg)
     state = EpisodeState(t=0, xa=init_xa, xd=init_xd, rng=Rng(seed))
     records: list[StepRecord] = []
     outcome = episode_outcome(state.t, state.xa, state.xd, cfg)
     while outcome is None:
-        _, record = step(state, defender, attacker, cfg, capture)
-        if capture:
-            records.append(record)
+        records.append(step(state, defender, attacker, cfg)[1])
         outcome = episode_outcome(state.t, state.xa, state.xd, cfg)
-    if capture:
-        records.append(_terminal_record(state))
+    records.append(_terminal_record(state))
     return EpisodeResult(outcome=outcome, end_time=state.t, trajectory=records)
 
 

@@ -4,10 +4,18 @@ Each function takes ``(N,)`` float64 lanes (a vector is a pair ``(x, y)`` of
 them) and returns, lane by lane, the bits of its scalar namesake.  If any
 lane hits a case the scalar code refuses, it raises the same error.  It uses
 only operations that round like the scalar ones: ``+ - * /``, ``sqrt``,
-numpy's ``cos``/``sin`` (equal to libm's on every sampled angle the tests
-try), and `math.hypot` and `math.erf` called per lane (``np.hypot`` misses
-`math.hypot` by one bit on about 0.6 % of pairs).  `noise_variance` needs
-no twin: over arrays it already computes each lane's expression.
+numpy's ``cos``/``sin`` in `from_polar` (equal to libm's on every sampled
+angle the tests try), and `math.hypot`, `math.erf`, `math.atan2`,
+`math.cos` and `math.sin` called per lane (``np.hypot`` misses `math.hypot`
+by one bit on about 0.6 % of pairs).  `noise_variance` needs no twin: over
+arrays it already computes each lane's expression.
+
+A norm the caller already holds can be passed in: ``distance``, the
+separation of the two points a function takes, or ``n``, the attacker's
+radius.  It must be the bits `hypot` would give.  `adm_control` computes
+the separation once for its three parts, and the matrix kernel
+(`analysis.run_matrix_block`) carries the separation and the attacker's
+radius of its termination tests into the next step.
 """
 from __future__ import annotations
 
@@ -34,9 +42,8 @@ def hypot(x, y):
 
 def _vec(x, y):
     """The lanes (x, y), refused as `Vec2` refuses a non-finite component."""
-    bad = ~(np.isfinite(x) & np.isfinite(y))
-    if bad.any():
-        i = int(np.argmax(bad))
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        i = int(np.argmin(np.isfinite(x) & np.isfinite(y)))
         raise ValueError(f"non-finite component in Vec2({float(x[i])!r}, {float(y[i])!r})")
     return x, y
 
@@ -45,9 +52,10 @@ def from_polar(radius, angle):
     return _vec(radius * np.cos(angle), radius * np.sin(angle))
 
 
-def _margin(xa, xd, what: str):
+def _margin(xa, xd, what: str, separation=None):
     """The scalar margin formula and the separation it divides by."""
-    separation = hypot(xa[0] - xd[0], xa[1] - xd[1])
+    if separation is None:
+        separation = hypot(xa[0] - xd[0], xa[1] - xd[1])
     if (separation == 0.0).any():
         raise CoincidentAgentsError(f"{what} undefined for coincident agents")
     sq_a, sq_d = xa[0] * xa[0] + xa[1] * xa[1], xd[0] * xd[0] + xd[1] * xd[1]
@@ -58,52 +66,60 @@ def defense_margin(xa, xd):
     return _margin(xa, xd, "defense margin")[0]
 
 
-def closest_safe_reachable_point(xa, xd):
-    rho, separation = _margin(xa, xd, "safe reachable set")
+def closest_safe_reachable_point(xa, xd, distance=None):
+    rho, separation = _margin(xa, xd, "safe reachable set", distance)
     (dx, dy), origin = _vec(xa[0] - xd[0], xa[1] - xd[1]), rho <= 0.0
     return _vec(np.where(origin, 0.0, dx / separation * rho),
                 np.where(origin, 0.0, dy / separation * rho))
 
 
-def observe(xa, xd, params: NoiseParams, normals):
+def observe(xa, xd, params: NoiseParams, normals, distance=None):
     """`observation.observe`, with row i of the (N, 2) `normals` as the two
     standard normals lane i's stream would give."""
-    distance = hypot(xa[0] - xd[0], xa[1] - xd[1])
+    if distance is None:
+        distance = hypot(xa[0] - xd[0], xa[1] - xd[1])
     with np.errstate(over="ignore", invalid="ignore"):  # `_vec` refuses what overflows
         sigma = np.sqrt(noise_variance(distance, params))
         x, y = xa[0] + sigma * normals[:, 0], xa[1] + sigma * normals[:, 1]
     return _vec(x, y)
 
 
-def reliability(y, xd, params: NoiseParams, k: float):
-    if k <= 0.0:
+def reliability(y, xd, params: NoiseParams, k: float, distance=None):
+    if not k > 0.0:  # NaN too
         raise ValueError(f"reliability half-width k must be positive, got {k}")
-    variance = noise_variance(hypot(y[0] - xd[0], y[1] - xd[1]), params)
+    if distance is None:
+        distance = hypot(y[0] - xd[0], y[1] - xd[1])
+    with np.errstate(over="ignore"):  # an infinite variance gives erf(0), as in the scalar code
+        variance = noise_variance(distance, params)
     exact = variance == 0.0
     one_axis = _per_lane(math.erf, k / (np.sqrt(np.where(exact, 1.0, variance)) * _SQRT2))
     return np.where(exact, 1.0, one_axis * one_axis)
 
 
-def _unit(v, eps: float, fallback=(0.0, 0.0)):
+def _unit(v, eps: float, fallback=(0.0, 0.0), n=None):
     """v / ||v||, or `fallback` on lanes where ||v|| < eps."""
-    n = hypot(*v)
+    n = hypot(*v) if n is None else n
     small = n < eps
+    if not small.any():
+        return v[0] / n, v[1] / n
     n = np.where(small, 1.0, n)
     return np.where(small, fallback[0], v[0] / n), np.where(small, fallback[1], v[1] / n)
 
 
-def pp_control(y, xd):
-    return _unit(_vec(y[0] - xd[0], y[1] - xd[1]), _EPS_DIRECTION)
+def pp_control(y, xd, distance=None):
+    return _unit(_vec(y[0] - xd[0], y[1] - xd[1]), _EPS_DIRECTION, n=distance)
 
 
-def dm_control(y, xd):
-    tx, ty = closest_safe_reachable_point(y, xd)
+def dm_control(y, xd, distance=None):
+    tx, ty = closest_safe_reachable_point(y, xd, distance)
     return _unit(_vec(tx - xd[0], ty - xd[1]), _EPS_DIRECTION)
 
 
 def adm_control(y, xd, params: NoiseParams, k: float):
-    p = reliability(y, xd, params, k)
-    pp_dir, dm_dir = pp_control(y, xd), dm_control(y, xd)
+    # The reliability, pursuit and margin-keeping parts share ||y - xd||.
+    distance = hypot(y[0] - xd[0], y[1] - xd[1])
+    p = reliability(y, xd, params, k, distance)
+    pp_dir, dm_dir = pp_control(y, xd, distance), dm_control(y, xd, distance)
     q = 1.0 - p
     blend = (pp_dir[0] * p + dm_dir[0] * q, pp_dir[1] * p + dm_dir[1] * q)
     return _unit(blend, _EPS_BLEND, dm_dir)
@@ -115,11 +131,35 @@ def defender_control(strategy: DefenderStrategy, y, xd, params: NoiseParams, k: 
     return (pp_control if strategy is DefenderStrategy.PURE_PURSUIT else dm_control)(y, xd)
 
 
-def linear_attacker(xa):
-    n = hypot(*xa)
+def linear_attacker(xa, n=None):
+    n = hypot(*xa) if n is None else n
     if (n < _EPS_DIRECTION).any():
         raise ValueError("linear attacker undefined at the origin")
     return -xa[0] / n, -xa[1] / n
+
+
+def spiral_attacker(xa, n=None):
+    r = hypot(*xa) if n is None else n
+    inside = r <= 1.0
+    if inside.any():
+        raise ValueError(f"spiral attacker needs radius > 1, got {float(r[np.argmax(inside)])}")
+    angle = _per_lane(math.atan2, xa[1], xa[0]) - 1.0 / r
+    tx, ty = _vec((r - 1.0) * _per_lane(math.cos, angle), (r - 1.0) * _per_lane(math.sin, angle))
+    return _unit(_vec(tx - xa[0], ty - xa[1]), _EPS_DIRECTION)
+
+
+def intelligent_attacker(xa, xd, params: NoiseParams, normals, distance=None, n=None):
+    """`strategies.intelligent_attacker`, with the attacker's two normals
+    given as in `observe`."""
+    to_origin = linear_attacker(xa, n)
+    ox, oy = observe(xd, xa, params, normals, distance)
+    away = _vec(xa[0] - ox, xa[1] - oy)
+    dist = hypot(*away)
+    near = dist < _EPS_DIRECTION
+    scale = 1.0 / np.where(near, 1.0, dist * dist)
+    blend = _vec(away[0] * scale + to_origin[0], away[1] * scale + to_origin[1])
+    ux, uy = _unit(blend, _EPS_BLEND, to_origin)
+    return np.where(near, to_origin[0], ux), np.where(near, to_origin[1], uy)
 
 
 def one_step_margin_change(

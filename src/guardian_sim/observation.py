@@ -60,7 +60,7 @@ def reliability(y: Vec2, xd: Vec2, params: NoiseParams, k: float) -> float:
     Equals erf(k / (sigma_hat * sqrt(2)))^2; defined as 1 when sigma_hat = 0.
     Monotone: increasing in k, strictly decreasing in sigma_hat.
     """
-    if k <= 0.0:
+    if not k > 0.0:  # NaN too
         raise ValueError(f"reliability half-width k must be positive, got {k}")
     variance = noise_variance(y.distance_to(xd), params)
     if variance == 0.0:

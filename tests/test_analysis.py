@@ -5,12 +5,14 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import Normals
 import guardian_sim.analysis as analysis
+from guardian_sim import lanes
 from guardian_sim.analysis import (
     MATRIX_PAIRS,
     CheckResult,
@@ -26,12 +28,21 @@ from guardian_sim.analysis import (
     report_json_text,
     run_default_checks,
     run_experiment_matrix,
+    run_matrix_block,
     run_matrix_trial,
     stability_condition_lhs,
     stability_diagnostic,
     trial_seeds,
 )
-from guardian_sim.engine import WorldConfig, run_episode, sample_initial_positions
+from guardian_sim.engine import (
+    FailureCriterion,
+    InvalidInitializationError,
+    Outcome,
+    WorldConfig,
+    episode_outcome,
+    run_episode,
+    sample_initial_positions,
+)
 from guardian_sim.geometry import Vec2, closest_safe_reachable_point, defense_margin
 from guardian_sim.observation import NoiseParams
 from guardian_sim.rng import Rng, derive_seed
@@ -342,7 +353,7 @@ class TestExperimentMatrix:
         assert report_json_text(serial) == report_json_text(parallel)
 
     def test_jobs_clamped_to_cpus_and_trials(self, monkeypatch):
-        """The pool gets min(jobs, CPUs, trials) workers, and one worker
+        """The pool gets min(jobs, CPUs, blocks) workers, and one worker
         means no pool; a fake executor records the request and maps
         in-process, so no process is started."""
         requested = []
@@ -364,14 +375,18 @@ class TestExperimentMatrix:
         monkeypatch.setattr(analysis.os, "cpu_count", lambda: 4)
         cfg = WorldConfig(max_steps=200)
         serial = report_json_text(run_experiment_matrix(cfg, trials=6, base_seed=4))
-        assert requested == []
+        run_experiment_matrix(cfg, trials=6, base_seed=4, jobs=10_000)
+        assert requested == []  # one block of 6 trials
+        monkeypatch.setattr(analysis, "MATRIX_BLOCK", 1)
         pooled = run_experiment_matrix(cfg, trials=6, base_seed=4, jobs=10_000)
         assert report_json_text(pooled) == serial
         run_experiment_matrix(cfg, trials=3, base_seed=4, jobs=10_000)
-        assert requested == [4, 3]
+        monkeypatch.setattr(analysis, "MATRIX_BLOCK", 2)
+        run_experiment_matrix(cfg, trials=6, base_seed=4, jobs=2)
+        assert requested == [4, 3, 2]
         monkeypatch.setattr(analysis.os, "cpu_count", lambda: None)
         run_experiment_matrix(cfg, trials=6, base_seed=4, jobs=10_000)
-        assert requested == [4, 3]  # unknown CPU count: serial
+        assert requested == [4, 3, 2]  # unknown CPU count: serial
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -397,6 +412,60 @@ class TestExperimentMatrix:
         assert list(payload["pairs"][0]) == [
             "defender", "attacker", "wins", "losses", "survived", "trials", "win_rate"
         ]
+
+
+class TestMatrixKernel:
+    """`run_matrix_block` gives, trial by trial, the scalar reference
+    `run_matrix_trial`: the same episode seed and the same outcome for
+    every pair."""
+
+    @pytest.mark.parametrize("max_steps", [10_000, 30], ids=["uncapped", "capped"])
+    @pytest.mark.parametrize("criterion", list(FailureCriterion))
+    def test_outcomes_equal_run_episode(self, criterion, max_steps):
+        cfg = WorldConfig(failure_criterion=criterion, max_steps=max_steps)
+        seen = set()
+        for base_seed in (0, 3, 11):
+            block = run_matrix_block(base_seed, 5, 12, cfg)
+            assert block == [run_matrix_trial(base_seed, trial, cfg) for trial in range(5, 17)]
+            seen.update(outcome for _, outcomes in block for outcome in outcomes)
+        assert Outcome.CAPTURED in seen
+        assert (Outcome.SURVIVED if max_steps == 30 else Outcome.BREACHED) in seen
+
+    @pytest.mark.parametrize(
+        "noise",
+        [NoiseParams(beta_b=0.3, beta_d=0.2, beta_v=1.0, nu=0.5), NoiseParams(beta_d=1e150)],
+        ids=["every-term", "variance-overflows"],
+    )
+    def test_noise_and_world_settings_off_their_defaults(self, noise):
+        """Includes noise so large that the reliability's variance estimate
+        overflows to infinity."""
+        cfg = WorldConfig(r_safe=4.0, tau=1.5, noise=noise, k=0.2,
+                          failure_criterion=FailureCriterion.MARGIN_BREACH)
+        assert run_matrix_block(7, 0, 10, cfg) == [run_matrix_trial(7, i, cfg) for i in range(10)]
+
+    @pytest.mark.parametrize("criterion", list(FailureCriterion))
+    def test_end_tests_are_episode_outcome_on_the_boundaries(self, criterion):
+        """Capture exactly at tau, an attacker on the safe circle, a margin
+        of exactly r_safe, coincident agents, and the step cap."""
+        cfg = WorldConfig(failure_criterion=criterion, max_steps=7)
+        rows = [(Vec2(12.0, 0.0), Vec2(10.0, 0.0)), (Vec2(10.0, 0.0), Vec2(-30.0, 0.0)),
+                (Vec2(0.0, 30.0), Vec2(0.0, -10.0)), (Vec2(20.0, 5.0), Vec2(20.0, 5.0)),
+                (Vec2(9.999999999999998, 0.0), Vec2(40.0, 0.0)), (Vec2(40.0, 0.0), Vec2(0.0, 0.0))]
+        xa = (np.array([a.x for a, _ in rows]), np.array([a.y for a, _ in rows]))
+        xd = (np.array([d.x for _, d in rows]), np.array([d.y for _, d in rows]))
+        separation = lanes.hypot(xa[0] - xd[0], xa[1] - xd[1])
+        for t in (6, 7):
+            codes = analysis._end_codes(t, xa, xd, separation, lanes.hypot(*xa), cfg)
+            assert [analysis._CODES[c] for c in codes] == [
+                episode_outcome(t, a, d, cfg) for a, d in rows]
+
+    def test_spiral_refusal_is_that_of_the_scalar_engine(self):
+        cfg = WorldConfig(r_safe=1.0)
+        with pytest.raises(InvalidInitializationError, match="r_safe > 1") as scalar:
+            run_matrix_trial(0, 0, cfg)
+        with pytest.raises(InvalidInitializationError) as kernel:
+            run_matrix_block(0, 0, 3, cfg)
+        assert str(kernel.value) == str(scalar.value)
 
 
 class TestChecks:

@@ -386,8 +386,40 @@ NEVER_READ = {
                      "--failure-criterion margin_breach", "--out x", "--format csv", "--e 3 0"],
 }
 
+# Config-file values the report commands never read, each refused by `run`
+# and `matrix`; the commands that read `beta` or `k` are given valid ones.
+UNREAD = {"r_interest": "wide", "r_safe": 99.0, "tau": -1.0, "max_steps": 0,
+          "failure_criterion": "zigzag", "trials": 0, "jobs": None, "defender": "zigzag",
+          "attacker": 7, "xa": [1.0], "out": 5, "format": "xml"}
+REPORTS = {
+    "check": ([], {**UNREAD, "beta": -1.0, "beta_b": None, "beta_v": True, "nu": 2.0,
+                   "k": -1.0}, ({"seed": -1}, "seed must be >= 0")),
+    "stability": (["--e", "10", "0", "--ua", "0", "1", "--samples", "2000"],
+                  {**UNREAD, "k": -1.0}, ({"nu": 2.0}, "nu must lie in [0, 1]")),
+    "margin-table": (["--samples", "2000"], UNREAD, ({"k": "nan"}, "k must be positive")),
+}
+
 
 class TestCheckCommand:
+    @pytest.mark.parametrize("command", list(REPORTS))
+    def test_config_settings_the_command_never_reads_are_not_checked(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        """A config file whose only bad values are settings the command
+        never reads prints what the command prints without it; a bad value
+        it does read still exits 2 with the key named."""
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        flags, unread, (bad, message) = REPORTS[command]
+        code = main([command, *flags])
+        plain = capsys.readouterr().out
+        path = write_config(tmp_path, {**unread, "seed": 0})
+        assert main([command, *flags, "--config", str(path)]) == code
+        assert capsys.readouterr().out == plain
+        assert main([command, *flags, "--config", str(write_config(tmp_path, bad))]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
     def test_default_suite_reports_known_dominance_failure(self, capsys, monkeypatch):
         """Exit 1 by design: the margin-step dominance sweep documents real
         counterexamples (see check_margin_step_dominance); everything else

@@ -34,7 +34,6 @@ from guardian_sim.observation import NoiseParams, reliability
 from guardian_sim.rng import Rng
 from guardian_sim.strategies import (
     MATRIX_ATTACKERS,
-    MATRIX_DEFENDERS,
     AttackerBehavior,
     DefenderStrategy,
 )
@@ -110,20 +109,6 @@ class TestStep:
         state = EpisodeState(t=0, xa=Vec2(10, 0), xd=Vec2(0, 0), rng=Rng(0))
         new, _ = step(state, DefenderStrategy.PURE_PURSUIT, AttackerBehavior.STATIC, cfg)
         assert new.xa.distance_to(new.xd) == pytest.approx(9.0, abs=1e-12)
-
-    @pytest.mark.parametrize("defender", list(DefenderStrategy))
-    def test_capture_off_moves_the_same_and_records_nothing(self, defender):
-        cfg = WorldConfig()
-        on = EpisodeState(t=3, xa=Vec2(30, 4), xd=Vec2(2, -1), rng=Rng(5))
-        off = EpisodeState(t=3, xa=Vec2(30, 4), xd=Vec2(2, -1), rng=Rng(5))
-        new_on, record = step(on, defender, AttackerBehavior.INTELLIGENT, cfg)
-        new_off, nothing = step(off, defender, AttackerBehavior.INTELLIGENT, cfg, capture=False)
-        assert new_on is on and new_off is off  # updated in place
-        assert on.t == 4
-        assert (off.t, off.xa, off.xd) == (on.t, on.xa, on.xd)
-        assert off.rng.standard_normal() == on.rng.standard_normal()
-        assert record.t == 3 and record.xa == Vec2(30, 4)
-        assert nothing is None
 
 
 class TestEpisodeOutcome:
@@ -249,23 +234,9 @@ class TestRunEpisode:
             assert final.y is None and final.reliability is None
 
 
-class TestCaptureSwitch:
-    """`run_episode(..., capture=False)`, the matrix's path, plays the same
-    episode as the captured `run` path without keeping records."""
-
-    @pytest.mark.parametrize("criterion", list(FailureCriterion))
-    def test_same_outcome_and_end_time(self, criterion):
-        cfg = WorldConfig(failure_criterion=criterion)
-        for trial in range(6):
-            xa, xd = sample_initial_positions(Rng(300 + trial), min_separation=cfg.tau)
-            for defender in MATRIX_DEFENDERS:
-                for attacker in MATRIX_ATTACKERS:
-                    args = (xa, xd, defender, attacker, cfg, 400 + trial)
-                    captured = run_episode(*args)
-                    bare = run_episode(*args, capture=False)
-                    assert (bare.outcome, bare.end_time) == (captured.outcome, captured.end_time)
-                    assert len(captured.trajectory) == captured.end_time + 1
-                    assert bare.trajectory == []
+class TestRecords:
+    """The trajectory `run` writes: one record per step, each holding the
+    reliability the step computed."""
 
     def test_recorded_reliability_is_that_of_the_observation(self):
         cfg = WorldConfig()
@@ -277,8 +248,7 @@ class TestCaptureSwitch:
         for rec in result.trajectory[:-1]:
             assert rec.reliability == reliability(rec.y, rec.xd, cfg.noise, cfg.k)
 
-    @pytest.mark.parametrize("capture", [True, False], ids=["capture-on", "capture-off"])
-    def test_one_reliability_per_adm_step(self, monkeypatch, capture):
+    def test_one_reliability_per_adm_step(self, monkeypatch):
         calls = []
 
         def counted(*args):
@@ -293,11 +263,11 @@ class TestCaptureSwitch:
             for attacker in MATRIX_ATTACKERS:
                 calls.clear()
                 result = run_episode(
-                    xa, xd, DefenderStrategy.ADJUSTED_DEFENSE_MARGIN, attacker, cfg, trial,
-                    capture=capture,
+                    xa, xd, DefenderStrategy.ADJUSTED_DEFENSE_MARGIN, attacker, cfg, trial
                 )
                 assert result.end_time > 0
                 assert len(calls) == result.end_time
+                assert len(result.trajectory) == result.end_time + 1
 
 
 class TestSampleInitialPositions:

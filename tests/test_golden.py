@@ -13,6 +13,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from guardian_sim import analysis
 from guardian_sim.cli import SEED_ENV_VAR, main
 
 PINNED_NUMPY = "2.4.6"
@@ -64,13 +65,29 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("criterion", ["position_breach", "margin_breach"])
-def test_matrix_digests(tmp_path, criterion):
+def _check_matrix(tmp_path, criterion) -> None:
     argv = ["matrix", "--trials", "200", "--seed", "0", "--failure-criterion", criterion,
             "--out", str(tmp_path)]
     assert main(argv) == 0
     for name in ("report.json", "winrates.csv"):
         assert _sha((tmp_path / name).read_bytes()) == MATRIX[(criterion, name)], name
+
+
+@pytest.mark.parametrize("criterion", ["position_breach", "margin_breach"])
+def test_matrix_digests(tmp_path, criterion):
+    _check_matrix(tmp_path, criterion)
+
+
+@pytest.mark.parametrize(
+    "window, block, criterion", [(1, 1, "position_breach"), (3, 7, "margin_breach")],
+    ids=["window-1-block-1", "window-3-block-7"],
+)
+def test_matrix_digests_at_other_kernel_sizes(tmp_path, monkeypatch, window, block, criterion):
+    """The bytes depend on neither the steps of normals drawn at once nor
+    the trials stepped together."""
+    monkeypatch.setattr(analysis, "MATRIX_WINDOW", window)
+    monkeypatch.setattr(analysis, "MATRIX_BLOCK", block)
+    _check_matrix(tmp_path, criterion)
 
 
 def test_headline_matrix_digests(tmp_path):

@@ -146,6 +146,15 @@ class TestObservationTwins:
         assert_twin(lambda y, xd: lanes.reliability(y, xd, params, k),
                     lambda y, xd: observation.reliability(y, xd, params, k), rows)
 
+    def test_infinite_variance_is_exactly_zero(self):
+        """beta * distance^2 overflows: the scalar code gets erf(0) = 0, and
+        so does the twin, without a warning."""
+        rows = [(Vec2(1e160, 0.0), Vec2(0.0, 0.0)), (Vec2(3.0, 4.0), Vec2(0.0, 0.0))]
+        params = NoiseParams(beta_d=1.0)
+        assert_twin(lambda y, xd: lanes.reliability(y, xd, params, 0.5),
+                    lambda y, xd: observation.reliability(y, xd, params, 0.5), rows)
+        assert observation.reliability(*rows[0], params, 0.5) == 0.0
+
     def test_zero_variance_is_exactly_one(self):
         rows = [(Vec2(3.0, 4.0), Vec2(0.0, 0.0)), (Vec2(1.0, 1.0), Vec2(1.0, 1.0))]
         assert_twin(lambda y, xd: lanes.reliability(y, xd, NOISELESS, 0.5),
@@ -183,6 +192,67 @@ class TestStrategyTwins:
     @given(st.lists(points, min_size=1, max_size=8))
     def test_linear_attacker(self, column):
         assert_twin(lanes.linear_attacker, strategies.linear_attacker, [(p,) for p in column])
+
+    @given(st.lists(points, min_size=1, max_size=8))
+    @example([Vec2(0.6, 0.8)])  # radius exactly 1: refused
+    @example([Vec2(1.0 + 2.0**-52, 0.0), Vec2(-30.0, -0.0), Vec2(0.0, -45.5)])
+    def test_spiral_attacker(self, column):
+        assert_twin(lanes.spiral_attacker, strategies.spiral_attacker, [(p,) for p in column])
+
+    @given(st.lists(st.tuples(points, points, normals, normals), min_size=1, max_size=6), noise)
+    def test_intelligent_attacker(self, rows, params):
+        assert_twin(
+            lambda xa, xd, w0, w1: lanes.intelligent_attacker(
+                xa, xd, params, np.column_stack((w0, w1))),
+            lambda xa, xd, w0, w1: strategies.intelligent_attacker(xa, xd, params, Normals(w0, w1)),
+            rows,
+        )
+
+    def test_intelligent_fallbacks(self):
+        """An observed defender within 1e-12 of the attacker, and a blend
+        below 1e-9, both leave the straight line to the origin."""
+        rows = [(Vec2(30.0, 0.0), Vec2(30.0, 1e-13), 0.0, 0.0),   # away shorter than 1e-12
+                (Vec2(30.0, 0.0), Vec2(29.0, 0.0), 0.0, 0.0)]     # blend exactly zero
+        for row in rows:
+            assert strategies.intelligent_attacker(
+                row[0], row[1], NOISELESS, Normals(0.0, 0.0)) == Vec2(-1.0, -0.0)
+        assert_twin(
+            lambda xa, xd, w0, w1: lanes.intelligent_attacker(
+                xa, xd, NOISELESS, np.column_stack((w0, w1))),
+            lambda xa, xd, w0, w1: strategies.intelligent_attacker(
+                xa, xd, NOISELESS, Normals(w0, w1)),
+            rows,
+        )
+
+    @given(st.lists(st.tuples(points, points, normals, normals), min_size=1, max_size=6),
+           noise, half_widths)
+    def test_carried_norms_give_the_same_bits(self, rows, params, k):
+        """A caller that passes in the separation or the attacker radius,
+        as the matrix kernel does, gets the bits of the twin computing it."""
+        xa, xd = as_lanes([r[0] for r in rows]), as_lanes([r[1] for r in rows])
+        w = np.column_stack(([r[2] for r in rows], [r[3] for r in rows]))
+        separation = lanes.hypot(xa[0] - xd[0], xa[1] - xd[1])
+        radius = lanes.hypot(*xa)
+        calls = [
+            (lanes.observe, (xa, xd, params, w), {"distance": separation}),
+            (lanes.pp_control, (xa, xd), {"distance": separation}),
+            (lanes.dm_control, (xa, xd), {"distance": separation}),
+            (lanes.reliability, (xa, xd, params, k), {"distance": separation}),
+            (lanes.linear_attacker, (xa,), {"n": radius}),
+            (lanes.spiral_attacker, (xa,), {"n": radius}),
+            (lanes.intelligent_attacker, (xa, xd, params, w),
+             {"distance": separation, "n": radius}),
+        ]
+        for fn, args, carried in calls:
+            outcomes = []
+            for kwargs in ({}, carried):
+                try:
+                    out = fn(*args, **kwargs)
+                except ValueError as exc:
+                    outcomes.append(type(exc))
+                else:
+                    outcomes.append([bits(c) for c in (out if isinstance(out, tuple) else (out,))])
+            assert outcomes[0] == outcomes[1], fn.__name__
 
 
 @given(st.lists(st.tuples(points, points, normals, normals, points), min_size=1, max_size=6),
@@ -240,5 +310,8 @@ class TestRefusals:
         xa = (np.array([3.0, 0.0]), np.array([4.0, 0.0]))
         with pytest.raises(ValueError, match="origin"):
             lanes.linear_attacker(xa)
-        with pytest.raises(ValueError, match="half-width"):
-            lanes.reliability(xa, xa, NOISELESS, 0.0)
+        for k in (0.0, math.nan):
+            with pytest.raises(ValueError, match="half-width"):
+                lanes.reliability(xa, xa, NOISELESS, k)
+            with pytest.raises(ValueError, match="half-width"):
+                observation.reliability(Vec2(3.0, 4.0), Vec2(3.0, 4.0), NOISELESS, k)
