@@ -37,6 +37,24 @@ HEADLINE = {
     "winrates.csv": "f78e63e5d87e80ed4be13c7f2751d46c8ce9e2a0397a26495cdbc5c9c15a6b89",
 }
 
+# `matrix --trials 200` at other seeds and worlds: a base seed of two
+# 32-bit words, a base seed of 2**128 (five words), and a capture radius at
+# which 26 of the 200 trials redraw their first start pair.
+OTHER_MATRIX = {
+    ("--seed", "4294967296"): {
+        "report.json": "ea595c6eb60119c68f24de9f8a1378e5ff2ebda33183fcc316124b6e587b4104",
+        "winrates.csv": "c217bebe80e5fd7109081f834b53f55c7dc862e6fd7d3b1806fbb81cdd15cdea",
+    },
+    ("--seed", str(2**128)): {
+        "report.json": "3d0bc7360f3893373d700828bf5e717d5fc7242f5b1682895bcede425826f6f9",
+        "winrates.csv": "99a9de1f857e5ccf3138e4bb2c47593767c88a80c2d39e3625e075bd57f4ad44",
+    },
+    ("--seed", "0", "--tau", "40"): {
+        "report.json": "e26f8966a9efc1dd3ba44f4781fa0615b8c96fe615c967f64640665895455188",
+        "winrates.csv": "dce7861c950ba8ae4b570efa8b56224265b43e1c55cd126e9764c79c065ba820",
+    },
+}
+
 RUNS = {
     ("adm", "intelligent", "trajectory.csv"): "c0109198a13e68c39f2ccc62149a28bcc8fa08a28f911c8ba2b97e3d2563cd4b",
     ("adm", "intelligent", "summary.json"): "46e5cc98369668d8158223840a079369f9e878bc602b6b88000d9816715f92cc",
@@ -94,6 +112,13 @@ def test_headline_matrix_digests(tmp_path):
     argv = ["matrix", "--trials", "1000", "--seed", "0", "--jobs", "2", "--out", str(tmp_path)]
     assert main(argv) == 0
     for name, digest in HEADLINE.items():
+        assert _sha((tmp_path / name).read_bytes()) == digest, name
+
+
+@pytest.mark.parametrize("flags", list(OTHER_MATRIX), ids=["seed-2^32", "seed-2^128", "tau-40"])
+def test_matrix_digests_at_other_seeds_and_worlds(tmp_path, flags):
+    assert main(["matrix", "--trials", "200", *flags, "--out", str(tmp_path)]) == 0
+    for name, digest in OTHER_MATRIX[flags].items():
         assert _sha((tmp_path / name).read_bytes()) == digest, name
 
 
