@@ -27,6 +27,7 @@ from .engine import (
     Outcome,
     WorldConfig,
     _validate_init,
+    first_attempt,
     random_point,
     run_episode,
     sample_initial_positions,
@@ -34,7 +35,7 @@ from .engine import (
 from .fileio import fmt9, json_text, round9
 from .geometry import Vec2, closest_safe_reachable_point, defense_margin
 from .observation import NoiseParams, noise_variance, observe, reliability
-from .rng import Rng, derive_seed
+from .rng import Rng, derive_seed, derive_seeds, seed_words, uniforms, word_generator
 from .strategies import (
     AttackerBehavior,
     DefenderStrategy,
@@ -309,6 +310,36 @@ def run_matrix_trial(base_seed: int, trial: int, cfg: WorldConfig) -> tuple[int,
     return episode_seed, outcomes
 
 
+def _block_starts(base_seed: int, first: int, count: int, cfg: WorldConfig):
+    """Episode seeds, starts (xa, xd) and the episode seeds' `seed_words`
+    of trials `first`, ..., `first + count - 1`, as `run_matrix_trial` gets
+    the seed and the start.
+
+    The `rng` twins seed the trials below 2**32, whose index is one
+    entropy word, at once and draw each one's first start pair.  A trial
+    whose first pair is too close, and every later trial, takes the scalar
+    path.
+    """
+    arrayed = max(0, min(count, 2**32 - first))
+    keys = np.arange(first, first + arrayed)[:, None], np.array([_INIT_STREAM, _EPISODE_STREAM])
+    both = derive_seeds(base_seed, *keys)
+    words = seed_words(both)
+    draws = uniforms(words[:, 0], 4).tolist()
+    seeds = both[:, 1].tolist() + [None] * (count - arrayed)
+    words = list(words[:, 1]) + [None] * (count - arrayed)
+    starts = []
+    for i, trial in enumerate(range(first, first + count)):
+        if i < arrayed:
+            xa, xd = first_attempt(draws[i])
+        if i >= arrayed or xa.distance_to(xd) <= cfg.tau:
+            init_seed, seeds[i] = trial_seeds(base_seed, trial)
+            xa, xd = sample_initial_positions(Rng(init_seed), min_separation=cfg.tau)
+            words[i] = seed_words(seeds[i])
+        _validate_init(xa, xd, AttackerBehavior.SPIRAL, cfg)  # its checks include every pair's
+        starts.append((xa.x, xa.y, xd.x, xd.y))
+    return seeds, starts, words
+
+
 # Outcome codes of the matrix kernel; 0 is a live lane.
 _CODES = (None, Outcome.CAPTURED, Outcome.BREACHED, Outcome.SURVIVED)
 _SPIRAL_PAIR = np.array([a is AttackerBehavior.SPIRAL for _, a in MATRIX_PAIRS])
@@ -337,29 +368,25 @@ def run_matrix_block(
     lock-step lane kernel: every pair of every trial is a lane, all lanes
     take step t together, and a lane is dropped when its episode ends.
 
-    Each step follows `engine.step` on the `lanes` twins: observe, every
-    defender's control, every attacker's control, both moves; then the
-    tests of `engine.episode_outcome` in its order.  A step of a pair draws
-    c standard normals (4 against the intelligent attacker, the second two
-    being the attacker's, else 2), so at step t a lane reads normals
-    [c t, c t + c) of its trial's episode stream.  Each trial has one
-    generator per c, seeded as the scalar episode's `Rng` is, which draws
-    `MATRIX_WINDOW` steps of normals at a time while a lane of that c lives;
-    memory is set by the block and window sizes, not by the step cap.  The
-    separation and attacker radius of the termination tests are the
-    `math.hypot` bits the next step's observation and attacker need, so
-    they are carried over.
+    The block's seeds and starts come from `_block_starts`, which makes
+    most of them with array arithmetic for the whole block and checks every
+    start as the scalar engine does.  Each step follows `engine.step` on the
+    `lanes` twins: observe, every defender's control, every attacker's
+    control, both moves; then the tests of `engine.episode_outcome` in its
+    order.  A step of a pair draws c standard normals (4 against the
+    intelligent attacker, the second two being the attacker's, else 2), so
+    at step t a lane reads normals [c t, c t + c) of its trial's episode
+    stream.  Each trial has one generator per c, built from its episode
+    seed's `seed_words` and so seeded as the scalar episode's `Rng` is,
+    which draws `MATRIX_WINDOW` steps of normals at a time while a lane of
+    that c lives; memory is set by the block and window sizes, not by the
+    step cap.  The separation and attacker radius of the termination tests
+    are the `math.hypot` bits the next step's observation and attacker
+    need, so they are carried over.
     """
     window = min(MATRIX_WINDOW, cfg.max_steps)  # no lane steps at t >= max_steps
-    seeds, starts = [], []
-    for trial in range(first, first + count):
-        init_seed, episode_seed = trial_seeds(base_seed, trial)
-        xa, xd = sample_initial_positions(Rng(init_seed), min_separation=cfg.tau)
-        _validate_init(xa, xd, AttackerBehavior.SPIRAL, cfg)  # its checks include every pair's
-        seeds.append(episode_seed)
-        starts.append((xa.x, xa.y, xd.x, xd.y))
-    streams = [np.random.SeedSequence(seed) for seed in seeds]
-    generators = {c: [np.random.Generator(np.random.PCG64(ss)) for ss in streams] for c in (2, 4)}
+    seeds, starts, words = _block_starts(base_seed, first, count, cfg)
+    generators = {c: [word_generator(w) for w in words] for c in (2, 4)}
     windows = {c: np.zeros((count, window, c)) for c in (2, 4)}
 
     # Lanes are pair-major, an order that dropping lanes keeps, so each

@@ -26,6 +26,7 @@ log = logging.getLogger(__name__)
 # uniform over [-pi, pi).
 DEFENDER_RADIUS_RANGE = (0.0, 20.0)
 ATTACKER_RADIUS_RANGE = (45.0, 50.0)
+ANGLE_RANGE = (-math.pi, math.pi)
 _MAX_INIT_REDRAWS = 1000
 # numpy's ziggurat normal sampler returns no draw beyond about 13.7 in
 # magnitude: its tail draw is bounded by the smallest nonzero uniform.
@@ -265,7 +266,16 @@ def run_episode(
 def random_point(rng: Rng, low: float, high: float) -> Vec2:
     """Point at a radius uniform over [low, high) and an angle uniform over
     [-pi, pi), drawn in that order."""
-    return Vec2.from_polar(rng.uniform(low, high), rng.uniform(-math.pi, math.pi))
+    return Vec2.from_polar(rng.uniform(low, high), rng.uniform(*ANGLE_RANGE))
+
+
+def first_attempt(draws) -> tuple[Vec2, Vec2]:
+    """The (attacker, defender) pair of the first attempt of
+    `sample_initial_positions`, from its stream's first four
+    `Generator.random()` draws: `uniform(low, high)` is low + (high - low) u."""
+    ranges = (DEFENDER_RADIUS_RANGE, ANGLE_RANGE, ATTACKER_RADIUS_RANGE, ANGLE_RANGE)
+    dr, da, ar, aa = (low + (high - low) * u for (low, high), u in zip(ranges, draws))
+    return Vec2.from_polar(ar, aa), Vec2.from_polar(dr, da)
 
 
 def sample_initial_positions(

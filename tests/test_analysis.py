@@ -459,6 +459,57 @@ class TestMatrixKernel:
             assert [analysis._CODES[c] for c in codes] == [
                 episode_outcome(t, a, d, cfg) for a, d in rows]
 
+    @pytest.mark.parametrize(
+        "base_seed, first, count, cfg, scalar_trials",
+        [(2**128, 0, 6, WorldConfig(), 0), (0, 2**32 - 2, 4, WorldConfig(), 2),
+         (0, 0, 30, WorldConfig(tau=40.0), 4)],
+        ids=["base-2^128", "trials-across-2^32", "tau-40-redraws"],
+    )
+    def test_block_seeding_on_both_sides_of_its_fallbacks(
+        self, monkeypatch, base_seed, first, count, cfg, scalar_trials
+    ):
+        """A five-word base seed is seeded in the block; a trial of 2**32
+        or more, or one whose first start pair is too close, takes the
+        scalar path."""
+        scalar = []
+
+        def sampled(*args, **kwargs):
+            scalar.append(args)
+            return sample_initial_positions(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "sample_initial_positions", sampled)
+        block = run_matrix_block(base_seed, first, count, cfg)
+        assert len(scalar) == scalar_trials
+        trials = range(first, first + count)
+        assert block == [run_matrix_trial(base_seed, trial, cfg) for trial in trials]
+
+    def test_default_block_builds_no_seed_sequence_or_rng(self, monkeypatch):
+        """A silent fall back to the scalar path would build both."""
+        calls = []
+
+        def counted(cls):
+            def build(*args, **kwargs):
+                calls.append(cls.__name__)
+                return cls(*args, **kwargs)
+            return build
+
+        monkeypatch.setattr(np.random, "SeedSequence", counted(np.random.SeedSequence))
+        monkeypatch.setattr(analysis, "Rng", counted(analysis.Rng))
+        assert len(run_matrix_block(0, 0, 100, WorldConfig())) == 100
+        assert calls == []
+        run_matrix_block(0, 2**32, 1, WorldConfig())  # the counters see the scalar path
+        assert calls == ["SeedSequence", "SeedSequence", "Rng"]
+
+    def test_unreachable_separation_refusal_is_that_of_the_scalar_engine(self):
+        """No sampled pair is more than 70 apart, so every first pair is
+        rejected and the scalar path gives up as `run_matrix_trial` does."""
+        cfg = WorldConfig(tau=75.0)
+        with pytest.raises(InvalidInitializationError, match="could not draw") as scalar:
+            run_matrix_trial(0, 0, cfg)
+        with pytest.raises(InvalidInitializationError) as kernel:
+            run_matrix_block(0, 0, 3, cfg)
+        assert str(kernel.value) == str(scalar.value)
+
     def test_spiral_refusal_is_that_of_the_scalar_engine(self):
         cfg = WorldConfig(r_safe=1.0)
         with pytest.raises(InvalidInitializationError, match="r_safe > 1") as scalar:

@@ -21,6 +21,7 @@ from guardian_sim.engine import (
     Outcome,
     WorldConfig,
     episode_outcome,
+    first_attempt,
     random_point,
     run_episode,
     sample_initial_positions,
@@ -320,6 +321,13 @@ class TestSampleInitialPositions:
                     break
             pair = sample_initial_positions(Rng(seed), 10.0, **{given: start})
             assert pair == (drawn["xa"], drawn["xd"]), seed
+
+    def test_first_attempt_is_the_first_pair_drawn(self):
+        """From a stream's first four `random()` draws, the pair the first
+        attempt makes: the one returned when it is far enough apart."""
+        for seed in range(200):
+            draws = Rng(seed).generator.random(4).tolist()
+            assert first_attempt(draws) == sample_initial_positions(Rng(seed)), seed
 
     def test_impossible_separation_raises(self):
         # Maximum possible separation is 50 + 20 = 70.

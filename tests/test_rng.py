@@ -1,9 +1,20 @@
-"""Seeded stream determinism and child-seed derivation."""
+"""Seeded stream determinism, child-seed derivation, and the array twins
+of numpy's seeding and PCG64 draws, checked against numpy itself."""
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from guardian_sim.rng import Rng, derive_seed
+from guardian_sim.rng import (
+    Rng,
+    derive_seed,
+    derive_seeds,
+    seed_words,
+    uniforms,
+    word_generator,
+)
 
 
 def test_same_seed_same_sequence():
@@ -50,3 +61,59 @@ def test_derive_seed_in_uint64_range():
         s = derive_seed(0, trial)
         assert 0 <= s < 2**64
         Rng(s)  # must be directly usable as a seed
+
+
+# Each side of the boundaries where numpy's entropy changes length: a base
+# seed of one, two, three and five 32-bit words, and child seeds of one and
+# two words.
+BASE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**128 - 1, 2**128]
+CHILD_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+# Child seeds as the matrix makes them, for longer stretches of draws.
+TRIAL_SEEDS = CHILD_SEEDS + [derive_seed(0, trial, stream) for trial in range(40)
+                             for stream in (0, 1)]
+
+
+@pytest.mark.parametrize("base_seed", BASE_SEEDS)
+def test_derive_seeds_is_derive_seed(base_seed):
+    trials = np.array([0, 1, 2**32 - 1])
+    seeds = derive_seeds(base_seed, trials[:, None], np.array([0, 1]))
+    assert seeds.dtype == np.uint64
+    assert seeds.tolist() == [[derive_seed(base_seed, trial, stream) for stream in (0, 1)]
+                              for trial in trials.tolist()]
+
+
+@given(st.integers(min_value=0, max_value=2**200), st.integers(0, 2**32 - 1),
+       st.integers(0, 2**32 - 1))
+def test_derive_seeds_is_derive_seed_for_any_base_and_key(base_seed, a, b):
+    assert derive_seeds(base_seed, a, np.array([b])).tolist() == [derive_seed(base_seed, a, b)]
+
+
+def test_derive_seeds_refuses_what_derive_seed_gives_other_entropy():
+    with pytest.raises(ValueError, match="key words"):
+        derive_seeds(0, np.array([0, 2**32]), 0)
+    with pytest.raises(ValueError, match="non-negative"):
+        derive_seeds(-1, 0)
+
+
+def test_seed_words_are_seed_sequence_state():
+    words = seed_words(np.array(TRIAL_SEEDS, dtype=np.uint64))
+    assert words.dtype == np.uint64 and words.flags.c_contiguous
+    assert words.tolist() == [
+        np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()
+        for seed in TRIAL_SEEDS]
+    assert seed_words(2**32).tolist() == words[3].tolist()
+
+
+def test_uniforms_are_generator_random():
+    draws = uniforms(seed_words(TRIAL_SEEDS), 9)
+    assert draws.shape == (len(TRIAL_SEEDS), 9)
+    for seed, row in zip(TRIAL_SEEDS, draws.tolist()):
+        assert row == np.random.Generator(np.random.PCG64(seed)).random(9).tolist()
+    assert uniforms(seed_words(5), 2).tolist() == Rng(5).generator.random(2).tolist()
+
+
+def test_word_generator_normals_are_generator_normals():
+    for seed in TRIAL_SEEDS:
+        expected = np.random.Generator(np.random.PCG64(seed)).standard_normal(64)
+        got = word_generator(seed_words(seed)).standard_normal(64)
+        assert got.tolist() == expected.tolist()
