@@ -55,13 +55,42 @@ OTHER_MATRIX = {
     },
 }
 
+# `run --seed 0` for every matrix pair.
 RUNS = {
-    ("adm", "intelligent", "trajectory.csv"): "c0109198a13e68c39f2ccc62149a28bcc8fa08a28f911c8ba2b97e3d2563cd4b",
-    ("adm", "intelligent", "summary.json"): "46e5cc98369668d8158223840a079369f9e878bc602b6b88000d9816715f92cc",
+    ("pp", "linear", "trajectory.csv"): "9a3903cd63360f90cc883d2bddeef8cf2877d751051aef1dafcfb53870523f5f",
+    ("pp", "linear", "summary.json"): "98cf55c8bf13ed00e921a26ff86d4bb6ab724841c277c616ef55151a2a75f6a6",
     ("pp", "spiral", "trajectory.csv"): "f97c01f2417204466bfe26c9f5f86e395f570da6d01c2b0d3b989681d091c0ca",
     ("pp", "spiral", "summary.json"): "46e5cc98369668d8158223840a079369f9e878bc602b6b88000d9816715f92cc",
+    ("pp", "intelligent", "trajectory.csv"): "94f66138d49d64f0ae46fa84007529399ea2638e07d44c3036e1440a16042b7d",
+    ("pp", "intelligent", "summary.json"): "8d038721a9864125b9cf77f6dca12ed3dc76a071cc78a174a0fad66bb98b2f8b",
     ("dm", "linear", "trajectory.csv"): "ddb7bb1197d369c81e4e76694ab396380d54bb5b008e4a375d1bdd2e75e3d634",
     ("dm", "linear", "summary.json"): "8d038721a9864125b9cf77f6dca12ed3dc76a071cc78a174a0fad66bb98b2f8b",
+    ("dm", "spiral", "trajectory.csv"): "66dedfd00b88252a59f76cbda4922fb9fe83b4767bae91d1d8a4a78da6d8f75e",
+    ("dm", "spiral", "summary.json"): "c2eced515ea47560b7c17e786c6ccc5ce6c52268f108a9d7525c29a196987d04",
+    ("dm", "intelligent", "trajectory.csv"): "7733716e396e15795400cd4895f24ff945bfb0c5b160d85845e893466dee24f0",
+    ("dm", "intelligent", "summary.json"): "46e5cc98369668d8158223840a079369f9e878bc602b6b88000d9816715f92cc",
+    ("adm", "linear", "trajectory.csv"): "1b56eb1a25fef7369c07809d60c1f27de3aaf158820a6a856242796d9ad63043",
+    ("adm", "linear", "summary.json"): "8d038721a9864125b9cf77f6dca12ed3dc76a071cc78a174a0fad66bb98b2f8b",
+    ("adm", "spiral", "trajectory.csv"): "9ad43ce4f72ac4644ca482b707edeeecc87a5fb387e9e50590414789e3f6ab7a",
+    ("adm", "spiral", "summary.json"): "3742c383f59373b6ac8fc8e6f7f7e6251449cda611677a2e412bf74c072b56b5",
+    ("adm", "intelligent", "trajectory.csv"): "c0109198a13e68c39f2ccc62149a28bcc8fa08a28f911c8ba2b97e3d2563cd4b",
+    ("adm", "intelligent", "summary.json"): "46e5cc98369668d8158223840a079369f9e878bc602b6b88000d9816715f92cc",
+}
+
+# `run` under the margin rule, whose termination test reads the margin every
+# step, and `run` with zero noise (reliability 1) against a static attacker,
+# ending in a coincident capture whose terminal row has no margin.
+OTHER_RUNS = {
+    ("--failure-criterion", "margin_breach", "--defender", "dm", "--attacker", "spiral",
+     "--seed", "3"): {
+        "trajectory.csv": "bdb71320bc36342446fbeca07571de1eda77bcc15e6d79281df9b4cdfe0dbcd0",
+        "summary.json": "e67ced5896bec3de0f8beb7311018a3904ea4f4d7eaf5a2ebb1a4fb2f143208f",
+    },
+    ("--beta", "0", "--defender", "pp", "--attacker", "static", "--xa", "10", "0",
+     "--xd", "8", "0", "--tau", "0.5"): {
+        "trajectory.csv": "e76c826fc1f311241a209590ff6950ef5dcd39800f008c4691bf760bd0412768",
+        "summary.json": "09c1a6bebf8583804c03a8bfab29c26f71b368d43649fdd00342a2769bae8caa",
+    },
 }
 
 # `run` from explicit start positions: the path that samples no positions.
@@ -122,15 +151,20 @@ def test_matrix_digests_at_other_seeds_and_worlds(tmp_path, flags):
         assert _sha((tmp_path / name).read_bytes()) == digest, name
 
 
-@pytest.mark.parametrize(
-    "defender, attacker", [("adm", "intelligent"), ("pp", "spiral"), ("dm", "linear")]
-)
+@pytest.mark.parametrize("defender, attacker", sorted({key[:2] for key in RUNS}))
 def test_run_digests(tmp_path, defender, attacker):
     argv = ["run", "--seed", "0", "--defender", defender, "--attacker", attacker,
             "--out", str(tmp_path)]
     assert main(argv) in (0, 1)
     for name in ("trajectory.csv", "summary.json"):
         assert _sha((tmp_path / name).read_bytes()) == RUNS[(defender, attacker, name)], name
+
+
+@pytest.mark.parametrize("flags", list(OTHER_RUNS), ids=["margin-rule", "zero-noise-coincident"])
+def test_other_run_digests(tmp_path, flags):
+    assert main(["run", *flags, "--out", str(tmp_path)]) == 0
+    for name, digest in OTHER_RUNS[flags].items():
+        assert _sha((tmp_path / name).read_bytes()) == digest, name
 
 
 def test_explicit_position_run_digests(tmp_path):
