@@ -456,8 +456,8 @@ def run_experiment_matrix(
     Trials run in blocks of at most `MATRIX_BLOCK` on `run_matrix_block`.
     Results are identical for any `jobs` value and block size: each trial
     is seeded independently of scheduling, and aggregation is order-free.
-    Blocks are spread over min(jobs, CPUs, blocks) worker processes; with
-    one, no pool is started.
+    Blocks are spread over min(jobs, CPUs, blocks) worker processes, counting
+    only the CPUs this process may run on; with one, no pool is started.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -466,7 +466,9 @@ def run_experiment_matrix(
     cfg.check_sampled_starts()
     firsts = range(0, trials, MATRIX_BLOCK)
     counts = [min(MATRIX_BLOCK, trials - first) for first in firsts]
-    workers = min(jobs, os.cpu_count() or 1, len(counts))
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    workers = min(jobs, cpus, len(counts))
     args = (repeat(base_seed), firsts, counts, repeat(cfg))
     if workers == 1:
         blocks = list(map(run_matrix_block, *args))

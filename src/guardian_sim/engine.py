@@ -13,9 +13,10 @@ import logging
 import math
 import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .fileio import fmt9, json_text, round9
-from .geometry import Vec2, defense_margin, is_captured
+from .geometry import Vec2, defense_margin
 from .observation import NoiseParams, noise_variance, observe, reliability
 from .rng import Rng
 from .strategies import AttackerBehavior, DefenderStrategy, attacker_control, defender_control
@@ -136,13 +137,12 @@ class EpisodeState:
     rng: Rng
 
 
-@dataclass(frozen=True, slots=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """State at time t plus the observation drawn at time t.
 
     The terminal row of a trajectory has no observation (none is drawn after
     termination), and no margin in the corner case where capture lands the
-    agents exactly on top of each other.
+    agents exactly on top of each other.  A named tuple: one is built per step.
     """
 
     t: int
@@ -160,21 +160,27 @@ class EpisodeResult:
     trajectory: list[StepRecord]
 
 
-def episode_outcome(t: int, xa: Vec2, xd: Vec2, cfg: WorldConfig) -> Outcome | None:
+def episode_outcome(
+    t: int, xa: Vec2, xd: Vec2, cfg: WorldConfig, separation: float | None = None,
+    radius: float | None = None,
+) -> Outcome | None:
     """Termination state at time t, or None if the episode is still live.
 
+    Capture fires when the agents are within tau of each other, inclusively.
     Position breach means strictly inside the safe zone: an attacker sitting
     exactly on the boundary circle has not entered it (a static attacker
     placed there must still be run down and captured).  The margin criterion
     fires as soon as the margin falls *to* the safe radius, inclusively.
+    `separation` and `radius`, if given, are ||xa - xd|| and ||xa||.
     """
-    if is_captured(xa, xd, cfg.tau):
+    separation = xa.distance_to(xd) if separation is None else separation
+    if separation <= cfg.tau:
         return Outcome.CAPTURED
     if cfg.failure_criterion is FailureCriterion.POSITION_BREACH:
-        if xa.norm() < cfg.r_safe:
+        if (xa.norm() if radius is None else radius) < cfg.r_safe:
             return Outcome.BREACHED
     else:
-        if defense_margin(xa, xd) <= cfg.r_safe:
+        if defense_margin(xa, xd, separation) <= cfg.r_safe:
             return Outcome.BREACHED
     if t >= cfg.max_steps:
         return Outcome.SURVIVED
@@ -186,22 +192,28 @@ def step(
     defender: DefenderStrategy,
     attacker: AttackerBehavior,
     cfg: WorldConfig,
+    separation: float | None = None,
+    radius: float | None = None,
 ) -> tuple[EpisodeState, StepRecord]:
     """Advance one simultaneous move of a live episode.
 
     `state` is updated in place and returned, with the record for the
-    pre-move time.  `adm` gets the one reliability the step computes, so it
-    is never computed twice.
+    pre-move time.  `separation` and `radius`, if given, are the state's
+    ||xa - xd|| and ||xa||, as the termination test computed them.  The
+    step computes ||y - xd|| once for the reliability and the defender, and
+    `adm` gets the one reliability the step computes.
 
     RNG order is fixed: the defender's observation draws first, then any
     attacker-side noise.
     """
     xa, xd, rng, noise, k = state.xa, state.xd, state.rng, cfg.noise, cfg.k
-    y = observe(xa, xd, noise, rng)
-    p = reliability(y, xd, noise, k)
-    ud = defender_control(defender, y, xd, noise, k, p)
-    ua = attacker_control(attacker, xa, xd, noise, rng)
-    record = StepRecord(t=state.t, xa=xa, xd=xd, y=y, margin=defense_margin(xa, xd), reliability=p)
+    separation = xa.distance_to(xd) if separation is None else separation
+    y = observe(xa, xd, noise, rng, separation)
+    distance = y.distance_to(xd)
+    p = reliability(y, xd, noise, k, distance)
+    ud = defender_control(defender, y, xd, noise, k, p, distance)
+    ua = attacker_control(attacker, xa, xd, noise, rng, separation, radius)
+    record = StepRecord(state.t, xa, xd, y, defense_margin(xa, xd, separation), p)
     state.t += 1
     state.xa = xa + ua
     state.xd = xd + ud
@@ -231,14 +243,6 @@ def _validate_init(
         )
 
 
-def _terminal_record(state: EpisodeState) -> StepRecord:
-    if state.xa.distance_to(state.xd) == 0.0:
-        margin: float | None = None  # coincident capture: margin undefined
-    else:
-        margin = defense_margin(state.xa, state.xd)
-    return StepRecord(t=state.t, xa=state.xa, xd=state.xd, y=None, margin=margin, reliability=None)
-
-
 def run_episode(
     init_xa: Vec2,
     init_xd: Vec2,
@@ -250,16 +254,24 @@ def run_episode(
     """Play one episode to termination from fixed initial positions.
 
     Fully deterministic in (arguments, seed): the trajectory, outcome and end
-    time come out bitwise identical on every run.
+    time come out bitwise identical on every run.  The separation and the
+    attacker's radius are computed once per state, for its termination test
+    and for the step from it.
     """
     _validate_init(init_xa, init_xd, attacker, cfg)
     state = EpisodeState(t=0, xa=init_xa, xd=init_xd, rng=Rng(seed))
     records: list[StepRecord] = []
-    outcome = episode_outcome(state.t, state.xa, state.xd, cfg)
+    xa, xd = init_xa, init_xd
+    separation, radius = xa.distance_to(xd), xa.norm()
+    outcome = episode_outcome(state.t, xa, xd, cfg, separation, radius)
     while outcome is None:
-        records.append(step(state, defender, attacker, cfg)[1])
-        outcome = episode_outcome(state.t, state.xa, state.xd, cfg)
-    records.append(_terminal_record(state))
+        records.append(step(state, defender, attacker, cfg, separation, radius)[1])
+        xa, xd = state.xa, state.xd
+        separation, radius = xa.distance_to(xd), xa.norm()
+        outcome = episode_outcome(state.t, xa, xd, cfg, separation, radius)
+    # A coincident capture leaves the terminal margin undefined.
+    margin = defense_margin(xa, xd, separation) if separation != 0.0 else None
+    records.append(StepRecord(state.t, xa, xd, None, margin, None))
     return EpisodeResult(outcome=outcome, end_time=state.t, trajectory=records)
 
 
@@ -302,19 +314,18 @@ def sample_initial_positions(
 
 
 TRAJECTORY_HEADER = "t,xa_x,xa_y,xd_x,xd_y,y_x,y_y,margin,reliability"
+# A live row: every cell filled, each float as `fmt9` renders it.
+_LIVE_ROW = "%d" + ",%.9g" * 8
 
 
 def trajectory_csv_text(result: EpisodeResult) -> str:
     lines = [TRAJECTORY_HEADER]
-    for rec in result.trajectory:
-        y_x = fmt9(rec.y.x) if rec.y is not None else ""
-        y_y = fmt9(rec.y.y) if rec.y is not None else ""
-        margin = fmt9(rec.margin) if rec.margin is not None else ""
-        rel = fmt9(rec.reliability) if rec.reliability is not None else ""
-        lines.append(
-            f"{rec.t},{fmt9(rec.xa.x)},{fmt9(rec.xa.y)},{fmt9(rec.xd.x)},{fmt9(rec.xd.y)},"
-            f"{y_x},{y_y},{margin},{rel}"
-        )
+    for t, xa, xd, y, margin, rel in result.trajectory:
+        if y is not None:
+            lines.append(_LIVE_ROW % (t, xa.x, xa.y, xd.x, xd.y, y.x, y.y, margin, rel))
+            continue
+        margin_cell = fmt9(margin) if margin is not None else ""
+        lines.append(f"{t},{fmt9(xa.x)},{fmt9(xa.y)},{fmt9(xd.x)},{fmt9(xd.y)},,,{margin_cell},")
     return "\n".join(lines) + "\n"
 
 

@@ -3,7 +3,8 @@
 Everything lives in R^2. The safe zone and the zone of interest are
 origin-centered disks; the defense margin measures how far from the origin
 the attacker could still be intercepted, assuming both agents move at the
-same unit speed.
+same unit speed.  A caller that holds the separation of the two agents
+passes it as ``distance``.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ class Vec2:
     """2-vector of finite floats; treat it as immutable.
 
     A plain slots class, not a frozen dataclass: the step loop builds about
-    a dozen per step, and the dataclass's ``object.__setattr__`` path plus a
+    seven per step, and the dataclass's ``object.__setattr__`` path plus a
     ``__post_init__`` calling ``math.isfinite`` twice was the largest single
     cost of an episode.  Equality, hashing and repr are the dataclass's.
 
@@ -90,12 +91,7 @@ class Vec2:
 ORIGIN = Vec2(0.0, 0.0)
 
 
-def is_captured(xa: Vec2, xd: Vec2, tau: float) -> bool:
-    """Capture fires when the agents are within tau of each other (inclusive)."""
-    return xa.distance_to(xd) <= tau
-
-
-def defense_margin(xa: Vec2, xd: Vec2) -> float:
+def defense_margin(xa: Vec2, xd: Vec2, distance: float | None = None) -> float:
     """Signed distance from the origin to the set of points the attacker can
     reach before the defender.
 
@@ -109,7 +105,7 @@ def defense_margin(xa: Vec2, xd: Vec2) -> float:
     return (xa.norm_sq() - xd.norm_sq()) / (2.0 * separation)
 
 
-def closest_safe_reachable_point(xa: Vec2, xd: Vec2) -> Vec2:
+def closest_safe_reachable_point(xa: Vec2, xd: Vec2, distance: float | None = None) -> Vec2:
     """Closest point to the origin that the attacker can reach no later than
     the defender (both at unit speed).
 
@@ -118,7 +114,7 @@ def closest_safe_reachable_point(xa: Vec2, xd: Vec2) -> Vec2:
     in the half-plane (||xa|| <= ||xd||) the answer is the origin; otherwise
     it is the foot of the perpendicular from the origin onto the bisector.
     """
-    separation = xa.distance_to(xd)
+    separation = xa.distance_to(xd) if distance is None else distance
     if separation == 0.0:
         raise CoincidentAgentsError(
             "safe reachable set undefined for coincident agents"
@@ -126,5 +122,4 @@ def closest_safe_reachable_point(xa: Vec2, xd: Vec2) -> Vec2:
     rho = (xa.norm_sq() - xd.norm_sq()) / (2.0 * separation)
     if rho <= 0.0:
         return ORIGIN
-    direction = (xa - xd) / separation
-    return direction * rho
+    return Vec2((xa.x - xd.x) / separation * rho, (xa.y - xd.y) / separation * rho)

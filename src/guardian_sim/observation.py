@@ -3,7 +3,8 @@
 The defender never sees the attacker exactly: it receives y = xa + w with
 w ~ N(0, sigma^2 I2), where sigma^2 grows with the squared separation of the
 agents.  `reliability` scores how trustworthy an observation is, from the
-estimated (not true) separation.
+estimated (not true) separation.  A caller that holds the separation of
+the two points passes it as ``distance``.
 """
 from __future__ import annotations
 
@@ -42,18 +43,23 @@ def noise_variance(distance: float, params: NoiseParams) -> float:
     return params.beta_b + params.beta_d * distance * distance + params.beta_v * (1.0 - params.nu)
 
 
-def observe(xa: Vec2, xd: Vec2, params: NoiseParams, rng: Rng) -> Vec2:
+def observe(
+    xa: Vec2, xd: Vec2, params: NoiseParams, rng: Rng, distance: float | None = None
+) -> Vec2:
     """Noisy attacker position as seen by the defender at xd.
 
     Symmetric in the separation, so swapping the arguments gives the
     attacker's noisy view of the defender.
     """
-    sigma = math.sqrt(noise_variance(xa.distance_to(xd), params))
+    distance = xa.distance_to(xd) if distance is None else distance
+    sigma = math.sqrt(noise_variance(distance, params))
     wx, wy = rng.normal_pair(sigma)
     return Vec2(xa.x + wx, xa.y + wy)
 
 
-def reliability(y: Vec2, xd: Vec2, params: NoiseParams, k: float) -> float:
+def reliability(
+    y: Vec2, xd: Vec2, params: NoiseParams, k: float, distance: float | None = None
+) -> float:
     """Probability-squared that a fresh observation error stays within a box
     of half-width k per axis, with the error scale estimated from ||y - xd||.
 
@@ -62,7 +68,8 @@ def reliability(y: Vec2, xd: Vec2, params: NoiseParams, k: float) -> float:
     """
     if not k > 0.0:  # NaN too
         raise ValueError(f"reliability half-width k must be positive, got {k}")
-    variance = noise_variance(y.distance_to(xd), params)
+    distance = y.distance_to(xd) if distance is None else distance
+    variance = noise_variance(distance, params)
     if variance == 0.0:
         return 1.0
     one_axis = math.erf(k / (math.sqrt(variance) * _SQRT2))

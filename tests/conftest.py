@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from guardian_sim.geometry import Vec2
+from guardian_sim.observation import NoiseParams
 
 
 class Normals:
@@ -64,3 +65,37 @@ def outer_inner_pairs(draw, min_gap: float = 1e-6) -> tuple[Vec2, Vec2]:
 
 
 angles = st.floats(min_value=-math.pi, max_value=math.pi)
+
+
+# Coordinates of the game's scale, with signed zeros and values so small that
+# a difference falls below the 1e-12 direction threshold.
+coords = st.one_of(
+    st.floats(-60.0, 60.0), st.sampled_from([0.0, -0.0, 1e-13, -3e-13, 5e-324])
+)
+points = st.builds(Vec2, coords, coords)
+
+
+@st.composite
+def pairs(draw):
+    """(a, b): independent, a hair apart (closer than 1e-12), or coincident."""
+    a = draw(points)
+    kind = draw(st.sampled_from(["free", "free", "free", "near", "same"]))
+    if kind == "free":
+        return a, draw(points)
+    if kind == "near":
+        off = st.floats(-4e-13, 4e-13)
+        return a, Vec2(a.x + draw(off), a.y + draw(off))
+    return a, a
+
+
+# Noise settings: none at all, or every term switched on.
+noise = st.one_of(
+    st.just(NoiseParams(beta_b=0.0, beta_d=0.0, beta_v=0.0, nu=1.0)),
+    st.builds(
+        NoiseParams,
+        beta_b=st.floats(0.0, 1.0),
+        beta_d=st.floats(0.0, 1.0),
+        beta_v=st.floats(0.0, 1.0),
+        nu=st.floats(0.0, 1.0),
+    ),
+)

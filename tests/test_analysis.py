@@ -353,8 +353,9 @@ class TestExperimentMatrix:
         assert report_json_text(serial) == report_json_text(parallel)
 
     def test_jobs_clamped_to_cpus_and_trials(self, monkeypatch):
-        """The pool gets min(jobs, CPUs, blocks) workers, and one worker
-        means no pool; a fake executor records the request and maps
+        """The pool gets min(jobs, CPUs, blocks) workers, counting the CPUs
+        of the process's affinity set where the platform has one, and one
+        worker means no pool; a fake executor records the request and maps
         in-process, so no process is started."""
         requested = []
 
@@ -372,7 +373,9 @@ class TestExperimentMatrix:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(analysis.concurrent.futures, "ProcessPoolExecutor", FakeExecutor)
-        monkeypatch.setattr(analysis.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(analysis.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(analysis.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                            raising=False)
         cfg = WorldConfig(max_steps=200)
         serial = report_json_text(run_experiment_matrix(cfg, trials=6, base_seed=4))
         run_experiment_matrix(cfg, trials=6, base_seed=4, jobs=10_000)
@@ -384,9 +387,16 @@ class TestExperimentMatrix:
         monkeypatch.setattr(analysis, "MATRIX_BLOCK", 2)
         run_experiment_matrix(cfg, trials=6, base_seed=4, jobs=2)
         assert requested == [4, 3, 2]
+        monkeypatch.setattr(analysis.os, "sched_getaffinity", lambda pid: {0})
+        run_experiment_matrix(cfg, trials=6, base_seed=4, jobs=8)
+        assert requested == [4, 3, 2]  # pinned to one of 8 CPUs: serial
+        monkeypatch.delattr(analysis.os, "sched_getaffinity")
+        monkeypatch.setattr(analysis.os, "cpu_count", lambda: 3)
+        run_experiment_matrix(cfg, trials=6, base_seed=4, jobs=10_000)
+        assert requested == [4, 3, 2, 3]  # no affinity call: the CPU count
         monkeypatch.setattr(analysis.os, "cpu_count", lambda: None)
         run_experiment_matrix(cfg, trials=6, base_seed=4, jobs=10_000)
-        assert requested == [4, 3, 2]  # unknown CPU count: serial
+        assert requested == [4, 3, 2, 3]  # unknown CPU count: serial
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from guardian_sim.engine import (
     ATTACKER_RADIUS_RANGE,
     DEFENDER_RADIUS_RANGE,
     TRAJECTORY_HEADER,
+    EpisodeResult,
     EpisodeState,
     FailureCriterion,
     InvalidInitializationError,
@@ -24,12 +25,13 @@ from guardian_sim.engine import (
     first_attempt,
     random_point,
     run_episode,
+    StepRecord,
     sample_initial_positions,
     step,
     summary_json_text,
     trajectory_csv_text,
 )
-from guardian_sim.fileio import write_text_atomic
+from guardian_sim.fileio import fmt9, write_text_atomic
 from guardian_sim.geometry import Vec2, defense_margin
 from guardian_sim.observation import NoiseParams, reliability
 from guardian_sim.rng import Rng
@@ -361,6 +363,22 @@ class TestExports:
         )
         cell = trajectory_csv_text(result).splitlines()[2].split(",")[1]
         assert cell == f"{result.trajectory[1].xa.x:.9g}"
+
+    def test_rows_render_each_cell_as_fmt9(self):
+        """A live row's one format gives the bytes of `fmt9` cell by cell:
+        signed zeros, subnormals, 1e16, values that round up across a power
+        of ten, and step numbers of a million and more."""
+        values = [-0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e16, -1e16,
+                  9.99999999951, -99999999.97, 999999999.7, 0.999999999951, 1e-5, 1.5e300,
+                  123456789.5, -0.1]
+        rows = [(t, values[i:i + 8]) for t, i in zip((0, 9, 10**6, 2**40), (0, 3, 5, 7))]
+        records = [StepRecord(t, Vec2(*v[0:2]), Vec2(*v[2:4]), Vec2(*v[4:6]), v[6], v[7])
+                   for t, v in rows]
+        end = StepRecord(2**40 + 1, Vec2(-0.0, 1e16), Vec2(5e-324, 9.99999999951), None, None, None)
+        result = EpisodeResult(Outcome.CAPTURED, end.t, [*records, end])
+        expected = [",".join([str(t), *map(fmt9, v)]) for t, v in rows]
+        expected.append(f"{end.t},-0,1e+16,4.94065646e-324,10,,,,")
+        assert trajectory_csv_text(result).splitlines()[1:] == expected
 
     def test_summary_json(self, result):
         payload = json.loads(summary_json_text(result, noiseless_config(), seed=5))

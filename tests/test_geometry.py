@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 from conftest import angles, outer_inner_pairs, separated_pairs, vec2s
 from guardian_sim.analysis import closest_point_grid_search
+from guardian_sim.engine import Outcome, WorldConfig, episode_outcome
 from guardian_sim.geometry import (
     ORIGIN,
     CoincidentAgentsError,
     Vec2,
     closest_safe_reachable_point,
     defense_margin,
-    is_captured,
 )
 from oracles import closest_point_constrained
 
@@ -54,14 +54,20 @@ class TestVec2:
 
 
 class TestIsCaptured:
+    """The capture predicate of `episode_outcome`: separation <= tau."""
+
+    @staticmethod
+    def captured(xa: Vec2, xd: Vec2) -> bool:
+        return episode_outcome(0, xa, xd, WorldConfig(tau=2.0)) is Outcome.CAPTURED
+
     def test_boundary_inclusive(self):
-        assert is_captured(Vec2(2, 0), Vec2(0, 0), tau=2.0)
+        assert self.captured(Vec2(22, 0), Vec2(20, 0))
 
     def test_strict_exceedance(self):
-        assert not is_captured(Vec2(2.001, 0), Vec2(0, 0), tau=2.0)
+        assert not self.captured(Vec2(22.001, 0), Vec2(20, 0))
 
     def test_inside(self):
-        assert is_captured(Vec2(1, 1), Vec2(0, 0), tau=2.0)
+        assert self.captured(Vec2(21, 21), Vec2(20, 20))
 
 
 class TestDefenseMargin:

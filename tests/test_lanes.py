@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import Normals
+from conftest import Normals, noise, pairs, points
 from guardian_sim import analysis, geometry, lanes, observation, strategies
 from guardian_sim.geometry import CoincidentAgentsError, Vec2
 from guardian_sim.observation import NoiseParams
@@ -58,38 +58,7 @@ def assert_twin(twin, scalar, rows) -> None:
     assert [bits(c) for c in got] == [bits(c) for c in zip(*expected)]
 
 
-# Coordinates of the game's scale, with signed zeros and values so small that
-# a difference falls below the 1e-12 direction threshold.
-coords = st.one_of(
-    st.floats(-60.0, 60.0), st.sampled_from([0.0, -0.0, 1e-13, -3e-13, 5e-324])
-)
-points = st.builds(Vec2, coords, coords)
-
-
-@st.composite
-def pairs(draw):
-    """(a, b): independent, a hair apart (closer than 1e-12), or coincident."""
-    a = draw(points)
-    kind = draw(st.sampled_from(["free", "free", "free", "near", "same"]))
-    if kind == "free":
-        return a, draw(points)
-    if kind == "near":
-        off = st.floats(-4e-13, 4e-13)
-        return a, Vec2(a.x + draw(off), a.y + draw(off))
-    return a, a
-
-
 lane_pairs = st.lists(pairs(), min_size=1, max_size=6)
-noise = st.one_of(
-    st.just(NOISELESS),
-    st.builds(
-        NoiseParams,
-        beta_b=st.floats(0.0, 1.0),
-        beta_d=st.floats(0.0, 1.0),
-        beta_v=st.floats(0.0, 1.0),
-        nu=st.floats(0.0, 1.0),
-    ),
-)
 half_widths = st.floats(1e-3, 5.0)
 normals = st.floats(-5.0, 5.0)
 strategy_members = st.sampled_from(list(DefenderStrategy))

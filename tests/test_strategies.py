@@ -2,15 +2,16 @@
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import angles
+from conftest import Normals, angles, noise, pairs, points
 from guardian_sim.analysis import closest_point_grid_search
-from guardian_sim.geometry import Vec2
-from guardian_sim.observation import NoiseParams, reliability
+from guardian_sim.geometry import Vec2, closest_safe_reachable_point, defense_margin
+from guardian_sim.observation import NoiseParams, observe, reliability
 from guardian_sim.rng import Rng
 from guardian_sim.strategies import (
     MATRIX_ATTACKERS,
@@ -235,3 +236,82 @@ class TestDispatchAndNorms:
     def test_static_stub_is_motionless(self):
         u = attacker_control(AttackerBehavior.STATIC, Vec2(9, 9), Vec2(0, 0), NoiseParams(), Rng(0))
         assert u == Vec2(0, 0)
+
+
+def _result(fn, *args):
+    """The bits `fn` returns, or the error it raises."""
+    try:
+        out = fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return tuple(v.hex() for v in ((out.x, out.y) if isinstance(out, Vec2) else (out,)))
+
+
+def assert_held_norms_change_nothing(xa, xd, y, params, k, p, w) -> None:
+    """Every scalar function given the norm its caller holds (the engine's
+    orientation: ||xa - xd||, ||y - xd|| and ||xa||) returns the bits, or
+    raises the error, that it gives when it computes the norm itself."""
+    separation, distance, n = xa.distance_to(xd), y.distance_to(xd), xa.norm()
+    calls = [
+        (partial(observe, xa, xd, params, Normals(*w)), separation),
+        (partial(reliability, y, xd, params, k), distance),
+        (partial(defense_margin, xa, xd), separation),
+        (partial(closest_safe_reachable_point, y, xd), distance),
+        (partial(pp_control, y, xd), distance),
+        (partial(dm_control, y, xd), distance),
+        (partial(linear_attacker, xa), n),
+        (partial(spiral_attacker, xa), n),
+    ]
+    for given_p in (None, p):
+        calls.append((partial(adm_control, y, xd, params, k, given_p), distance))
+        calls += [(partial(defender_control, s, y, xd, params, k, given_p), distance)
+                  for s in DefenderStrategy]
+    for fn, held in calls:
+        assert _result(fn, held) == _result(fn), fn
+    for held in ((separation, None), (None, n), (separation, n)):
+        assert _result(intelligent_attacker, xa, xd, params, Normals(*w), *held) == _result(
+            intelligent_attacker, xa, xd, params, Normals(*w))
+        for b in AttackerBehavior:
+            assert _result(attacker_control, b, xa, xd, params, Normals(*w), *held) == _result(
+                attacker_control, b, xa, xd, params, Normals(*w)), b
+
+
+class TestHeldNorms:
+    @given(pairs(), st.sampled_from(["same", "near", "free"]), points, noise,
+           st.floats(1e-3, 5.0), st.floats(0.0, 1.0), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
+    def test_same_bits_and_errors(self, pair, y_kind, free_y, params, k, p, w0, w1):
+        """y == xd (pursuit's zero fallback, margin keeping's refusal), y a
+        hair from xd (the 1e-12 direction fallback) or y anywhere."""
+        xa, xd = pair
+        y = {"same": xd, "near": Vec2(xd.x + 3e-13, xd.y - 2e-13), "free": free_y}[y_kind]
+        assert_held_norms_change_nothing(xa, xd, y, params, k, p, (w0, w1))
+
+    @pytest.mark.parametrize(
+        "xa, xd, y",
+        [
+            # `adm`: both parts fall back to zero, so the blend does too.
+            (Vec2(30.0, 0.0), Vec2(0.0, 0.0), Vec2(1e-13, 0.0)),
+            # The intelligent attacker sees the defender exactly where it is
+            # one unit inward, so its blend cancels ...
+            (Vec2(10.0, 0.0), Vec2(9.0, 0.0), Vec2(9.0, 0.0)),
+            # ... or on top of itself, so it has nothing to flee.
+            (Vec2(10.0, 0.0), Vec2(10.0, 0.0), Vec2(10.0, 0.0)),
+            # Refusals: the linear attacker at the origin, the spiral at r <= 1.
+            (Vec2(0.0, 0.0), Vec2(3.0, 4.0), Vec2(0.0, 0.0)),
+            (Vec2(0.6, -0.8), Vec2(3.0, 4.0), Vec2(1.0, 1.0)),
+        ],
+        ids=["adm-blend", "intelligent-blend", "intelligent-coincident", "origin", "unit-radius"],
+    )
+    def test_fallbacks(self, xa, xd, y):
+        assert_held_norms_change_nothing(xa, xd, y, NOISELESS, 0.5, 0.5, (0.0, 0.0))
+
+    def test_the_fallback_cases_reach_their_fallbacks(self):
+        zero = Vec2(0.0, 0.0)
+        assert adm_control(Vec2(1e-13, 0.0), zero, NOISELESS, 0.5) == zero
+        for xd in (Vec2(9.0, 0.0), Vec2(10.0, 0.0)):
+            u = intelligent_attacker(Vec2(10.0, 0.0), xd, NOISELESS, Normals(0.0, 0.0))
+            assert u == Vec2(-1.0, 0.0)
+        with pytest.raises(ValueError, match="origin"):
+            linear_attacker(zero)
+        with pytest.raises(ValueError, match="radius > 1"):
+            spiral_attacker(Vec2(0.6, -0.8))
