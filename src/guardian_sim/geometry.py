@@ -99,7 +99,7 @@ def defense_margin(xa: Vec2, xd: Vec2, distance: float | None = None) -> float:
     (then it equals the distance to the perpendicular bisector of the
     attacker-defender segment); negative or zero otherwise.
     """
-    separation = xa.distance_to(xd)
+    separation = xa.distance_to(xd) if distance is None else distance
     if separation == 0.0:
         raise CoincidentAgentsError("defense margin undefined for coincident agents")
     return (xa.norm_sq() - xd.norm_sq()) / (2.0 * separation)

@@ -5,10 +5,12 @@ them) and returns, lane by lane, the bits of its scalar namesake.  If any
 lane hits a case the scalar code refuses, it raises the same error.  It uses
 only operations that round like the scalar ones: ``+ - * /``, ``sqrt``,
 numpy's ``cos``/``sin`` in `from_polar` (equal to libm's on every sampled
-angle the tests try), and `math.hypot`, `math.erf`, `math.atan2`,
-`math.cos` and `math.sin` called per lane (``np.hypot`` misses `math.hypot`
-by one bit on about 0.6 % of pairs).  `noise_variance` needs no twin: over
-arrays it already computes each lane's expression.
+angle the tests try), and `math.erf`, `math.atan2`, `math.cos` and
+`math.sin` called per lane.  `hypot` gives `math.hypot`'s bits: on a wide
+call it keeps ``np.hypot`` only on lanes an exact residual certifies (on
+simulator-scale pairs ``np.hypot`` alone misses by one bit on about 0.6 %
+of lanes) and calls `math.hypot` on the rest.  `noise_variance` needs no
+twin: over arrays it already computes each lane's expression.
 
 A norm the caller already holds can be passed in: ``distance``, the
 separation of the two points a function takes, or ``n``, the attacker's
@@ -29,6 +31,15 @@ from .strategies import _EPS_BLEND, _EPS_DIRECTION, DefenderStrategy
 
 _SQRT2 = math.sqrt(2.0)
 
+# `hypot` certifies `np.hypot` from this many lanes on; below it, calling
+# `math.hypot` per lane is faster.
+_CERTIFY_FROM = 512
+_DELTA = 0.005  # the margin, in ulp, a certified lane keeps from a rounding midpoint
+_ACCEPT = (1.0 - 2.0 * _DELTA) * 2.0**-52  # times h * 2**floor(log2(h)): the bound on |r|
+_HIGH_HALF = np.int64(-(1 << 27))  # masks off the low 27 mantissa bits
+_EXPONENT = np.int64(0x7FF << 52)
+_LOW_BITS, _SPAN_BITS = np.int64((1023 - 400) << 52), np.uint64(800 << 52)  # 2**-400 <= h < 2**400
+
 
 def _per_lane(fn, *args):
     """The scalar `fn` called on each lane, so each lane gets its bits."""
@@ -36,8 +47,51 @@ def _per_lane(fn, *args):
 
 
 def hypot(x, y):
-    """`math.hypot(x, y)` lane by lane."""
-    return _per_lane(math.hypot, x, y)
+    """`math.hypot(x, y)` lane by lane.
+
+    Below `_CERTIFY_FROM` lanes, each lane calls `math.hypot`.  From there
+    on, `np.hypot` gives a candidate h.  A lane keeps it only if the
+    residual r = x^2 + y^2 - h^2, computed from exact splits, puts the true
+    value within 1/2 - delta ulp of h: |r| / (h * ulp(h)) <= 1 - 2 delta.
+    Every other lane calls `math.hypot`: zero, subnormal, huge, NaN and
+    infinite lanes, lanes where h is a power of two (its ulp differs on the
+    two sides), and lanes whose true value lies near a rounding midpoint.
+
+    One assumption: `math.hypot` errs by less than 1/2 + delta ulp.  Then
+    h, the only float that close to a certified lane's true value, is also
+    what `math.hypot` returns there.
+    """
+    if len(x) < _CERTIFY_FROM:
+        return _per_lane(math.hypot, x, y)
+    with np.errstate(all="ignore"):
+        h = np.hypot(x, y)
+        # Split each of x, y and h into a high half of 26 bits and a low
+        # half of 27: a^2 = hi^2 + (2 hi + lo) lo, with hi^2 exact.
+        a = np.stack((x, y, h))
+        hi = (a.view(np.int64) & _HIGH_HALF).view(np.float64)
+        lo = a - hi
+        (sx, sy, sh), (cx, cy, ch) = hi * hi, (2.0 * hi + lo) * lo
+        s = sx + sy
+        b = s - sx
+        t = (sx - (s - b)) + (sy - b)  # two-sum: sx + sy == s + t exactly
+        # s - sh is exact (Sterbenz).  The terms (2 hi + lo) lo are below
+        # 2**-23 h^2, so all the other operations round away less than
+        # 2**-70 h^2 in total, against a delta margin of at least 2**-60 h^2.
+        r = (s - sh) + (((cx + cy) - ch) + t)
+        # Range: both components are at most h, so h < 2**400 keeps every
+        # product finite.  h >= 2**-400 puts h * ulp(h) above 2**-860, and
+        # a product that underflows (the smaller component's square, say)
+        # loses less than 2**-1074: no lane crosses the delta margin that
+        # way, so h alone bounds what either component can do.
+        bits = h.view(np.int64)
+        power = (bits & _EXPONENT).view(np.float64)  # 2**floor(log2(h)), ulp(h) * 2**52
+        ok = np.abs(r) <= power * h * _ACCEPT
+        ok &= (bits - _LOW_BITS).view(np.uint64) < _SPAN_BITS
+        ok &= h != power
+    fall = np.flatnonzero(~ok)
+    if fall.size:
+        h[fall] = _per_lane(math.hypot, x[fall], y[fall])
+    return h
 
 
 def _vec(x, y):
@@ -166,8 +220,8 @@ def one_step_margin_change(
     xa, xd, strategy: DefenderStrategy, params: NoiseParams, k: float, normals, motion
 ):
     """`analysis.one_step_margin_change`, with the noise given as in `observe`."""
-    before = defense_margin(xa, xd)
-    y = observe(xa, xd, params, normals)
+    before, separation = _margin(xa, xd, "defense margin")
+    y = observe(xa, xd, params, normals, separation)
     ux, uy = defender_control(strategy, y, xd, params, k)
     moved_a = _vec(xa[0] + motion[0], xa[1] + motion[1])
     return defense_margin(moved_a, _vec(xd[0] + ux, xd[1] + uy)) - before

@@ -296,6 +296,41 @@ class TestEstimateMeanMarginChange:
             assert est.stderr == pytest.approx(math.sqrt(var / n), abs=1e-12)
 
 
+    @pytest.mark.parametrize(
+        "params", [NoiseParams(), NoiseParams(beta_b=0.05, beta_d=0.02, beta_v=0.1, nu=0.5)],
+        ids=["default", "every-term"])
+    @pytest.mark.parametrize("strategy", list(DefenderStrategy), ids=lambda s: s.value)
+    def test_block_step_matches_the_scalar_step_per_sample(self, strategy, params):
+        """Each change of a full block, wide enough for `lanes.hypot` to
+        certify `np.hypot`, is bit for bit the scalar step's change on the
+        same draws: every sample, not only the mean and standard error."""
+        from guardian_sim.analysis import (
+            MARGIN_BLOCK,
+            MARGIN_SAMPLE_ATTACKER_RADIUS,
+            MARGIN_SAMPLE_DEFENDER_RADIUS,
+        )
+        from guardian_sim.strategies import linear_attacker
+
+        m = MARGIN_BLOCK
+        assert m >= lanes._CERTIFY_FROM
+        gen = Rng(12).generator
+        ra = gen.uniform(*MARGIN_SAMPLE_ATTACKER_RADIUS, m)
+        aa = gen.uniform(-math.pi, math.pi, m)
+        rd = gen.uniform(*MARGIN_SAMPLE_DEFENDER_RADIUS, m)
+        ad = gen.uniform(-math.pi, math.pi, m)
+        w = gen.standard_normal((m, 2))
+        xa = lanes.from_polar(ra, aa)
+        got = lanes.one_step_margin_change(
+            xa, lanes.from_polar(rd, ad), strategy, params, 0.5, w, lanes.linear_attacker(xa))
+        want = []
+        for i in range(m):
+            a = Vec2.from_polar(float(ra[i]), float(aa[i]))
+            d = Vec2.from_polar(float(rd[i]), float(ad[i]))
+            want.append(one_step_margin_change(
+                a, d, strategy, params, 0.5, Normals(*w[i]), linear_attacker(a)))
+        assert got.view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+
+
 class TestClosestPointGridSearch:
     def test_matches_closed_form(self):
         rng = Rng(2)

@@ -2,12 +2,14 @@
 namesakes, and refuse what the scalar code refuses.
 
 Bit equality is asserted on IEEE bit patterns, so 0.0 and -0.0 differ; all
-NaNs count as one value.  `lanes.hypot` and `lanes.reliability` call
-`math.hypot` and `math.erf` per lane, so the tests hold on any CPython.
+NaNs count as one value.  `lanes.reliability` calls `math.erf` per lane, and
+`lanes.hypot` calls `math.hypot` on every lane it does not certify, so the
+tests hold on any CPython.
 """
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -66,13 +68,127 @@ SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 2.0**-1024, 2.0**-1023, 1e-30
            1.7e308, math.inf, -math.inf, math.nan]
 
 
+hypot_rows = st.lists(st.tuples(st.one_of(st.floats(), st.sampled_from(SPECIAL)),
+                                st.one_of(st.floats(), st.sampled_from(SPECIAL))),
+                      min_size=1, max_size=8)
+
+
+def simulator_lanes(gen, m: int):
+    """m (x, y) lanes at the simulator's scales: differences of two points
+    within 60 of the origin, about 1 % of them a hair apart (below the
+    1e-12 direction threshold) and about 0.5 % with a zero component."""
+    r, phi = gen.uniform(0.0, 60.0, (2, m)), gen.uniform(-math.pi, math.pi, (2, m))
+    x = r[0] * np.cos(phi[0]) - r[1] * np.cos(phi[1])
+    y = r[0] * np.sin(phi[0]) - r[1] * np.sin(phi[1])
+    near = gen.random(m) < 0.01
+    x[near], y[near] = x[near] * 1e-14, y[near] * 1e-14
+    x[gen.random(m) < 0.0025] = 0.0
+    y[gen.random(m) < 0.0025] = 0.0
+    return x, y
+
+
+def math_hypot(x, y) -> list[int]:
+    return bits(list(map(math.hypot, x.tolist(), y.tolist())))
+
+
+def near_midpoint(x: float, y: float, within: float) -> bool:
+    """Whether the exact hypot of (x, y) lies within `within` of the gap
+    between two floats from a rounding midpoint (exact arithmetic)."""
+    h = math.hypot(x, y)
+    below, above = h - math.nextafter(h, 0.0), math.nextafter(h, math.inf) - h
+    square = Fraction(x) ** 2 + Fraction(y) ** 2
+    for mid, gap in ((Fraction(h) - Fraction(below) / 2, below),
+                     (Fraction(h) + Fraction(above) / 2, above)):
+        slack = Fraction(within) * Fraction(gap)
+        if (mid - slack) ** 2 <= square <= (mid + slack) ** 2:
+            return True
+    return False
+
+
+def midpoint_pairs(gen) -> list[tuple[float, float]]:
+    """Pairs whose exact hypot lies within delta / 2 ulp of a rounding
+    midpoint.  With y tiny, hypot(x, y) is x + y^2 / (2x) to far below an
+    ulp, so y^2 = (2j + 1) x ulp(x) puts it on the j-th midpoint above x.
+    That includes the midpoint below a power of two, where the gaps on the
+    two sides differ.  The rest are found by search among simulator-scale
+    pairs."""
+    half = lanes._DELTA / 2
+    found = [(x, math.sqrt(x * math.ulp(x) * (2 * j + 1)))
+             for x in gen.uniform(1.0, 60.0, 12).tolist() for j in range(3)]
+    for e in range(-3, 7):
+        x = math.nextafter(2.0**e, 0.0)
+        found += [(x, math.sqrt(x * math.ulp(x) * (1.0 + s))) for s in (-1e-6, 0.0, 1e-6)]
+    x, y = simulator_lanes(gen, 20_000)
+    found += [row for row in zip(x.tolist(), y.tolist()) if near_midpoint(*row, half)]
+    assert all(near_midpoint(*row, half) for row in found)
+    assert len(found) > 66 + 20
+    return found
+
+
 class TestHypot:
-    @given(st.lists(st.tuples(st.one_of(st.floats(), st.sampled_from(SPECIAL)),
-                              st.one_of(st.floats(), st.sampled_from(SPECIAL))),
-                    min_size=1, max_size=8))
+    @given(hypot_rows)
     @example([(5e-324, 0.0), (0.0, -0.0), (-0.0, -0.0), (math.nan, math.inf)])
     def test_matches_math_hypot(self, rows):
         assert_twin(lanes.hypot, math.hypot, rows)
+
+    @given(hypot_rows, st.sampled_from([1, 4]), st.integers(0, 2**32 - 1))
+    @example([(5e-324, 0.0), (0.0, -0.0), (math.nan, math.inf), (2.0**-1022, 3.0)], 1, 0)
+    def test_certified_path_matches_math_hypot(self, rows, widths, seed):
+        """The rows, and every special value paired with a simulator-scale
+        component, at random places in a block of `_CERTIFY_FROM` or four
+        times as many lanes, so `np.hypot` is certified lane by lane."""
+        gen = np.random.default_rng(seed)
+        m = widths * lanes._CERTIFY_FROM
+        x, y = simulator_lanes(gen, m)
+        at = gen.permutation(m)
+        for i, (a, b) in zip(at, rows):
+            x[i], y[i] = a, b
+        for i, j, s in zip(at[len(rows)::2], at[len(rows) + 1::2], SPECIAL):
+            x[i], y[j] = s, s
+        assert bits(lanes.hypot(x, y)) == math_hypot(x, y)
+
+    def test_a_million_simulator_pairs(self):
+        """Including the pairs where `np.hypot` misses `math.hypot`."""
+        gen, missed = np.random.default_rng(13), 0
+        for _ in range(250):
+            x, y = simulator_lanes(gen, 4_000)
+            expected = math_hypot(x, y)
+            missed += int((bits(np.hypot(x, y)) != np.array(expected)).sum())
+            assert bits(lanes.hypot(x, y)) == expected
+        assert missed > 1_000
+
+    @pytest.mark.parametrize("scale", [2.0**-1060, 2.0**-700, 2.0**-450, 2.0**450, 2.0**700])
+    def test_far_from_the_simulator_scale(self, scale):
+        """Outside 2**-400 <= h <= 2**400 squares underflow or overflow, and
+        every lane goes to `math.hypot`."""
+        x, y = simulator_lanes(np.random.default_rng(19), 4_000)
+        x, y = x * scale, y * scale
+        assert bits(lanes.hypot(x, y)) == math_hypot(x, y)
+
+    def test_lanes_near_a_midpoint_fall_back(self, monkeypatch):
+        """Lanes whose true value lies within delta / 2 ulp of a rounding
+        midpoint are not certified: they go to `math.hypot` per lane, and
+        the result is still its bits.  Certifying every lane fails here."""
+        gen = np.random.default_rng(17)
+        rows = midpoint_pairs(gen)
+        fell, per_lane = set(), lanes._per_lane
+
+        def spy(fn, *args):
+            if fn is math.hypot:
+                fell.update(zip(*(a.tolist() for a in args)))
+            return per_lane(fn, *args)
+
+        monkeypatch.setattr(lanes, "_per_lane", spy)
+        for widths in (1, 4):
+            m = widths * lanes._CERTIFY_FROM
+            for start in range(0, len(rows), m // 4):
+                chunk = rows[start:start + m // 4]
+                x, y = simulator_lanes(gen, m)
+                at = gen.choice(m, len(chunk), replace=False)
+                x[at], y[at] = np.array(chunk).T
+                fell.clear()
+                assert bits(lanes.hypot(x, y)) == math_hypot(x, y)
+                assert set(chunk) <= fell
 
 
 class TestGeometryTwins:
@@ -222,6 +338,35 @@ class TestStrategyTwins:
                 else:
                     outcomes.append([bits(c) for c in (out if isinstance(out, tuple) else (out,))])
             assert outcomes[0] == outcomes[1], fn.__name__
+
+
+    @given(st.lists(st.tuples(points, points, normals, normals, st.floats(0.5, 2.0)),
+                    min_size=1, max_size=6), noise, half_widths)
+    def test_a_held_norm_is_used_as_given(self, rows, params, k):
+        """Handed f times the norm it would compute, each twin returns the
+        scalar function's bits at that same norm."""
+        calls = {
+            "observe": lambda fn, a, b, w, sep, n: fn(a, b, params, w, sep),
+            "reliability": lambda fn, a, b, w, sep, n: fn(a, b, params, k, sep),
+            "closest_safe_reachable_point": lambda fn, a, b, w, sep, n: fn(a, b, sep),
+            "pp_control": lambda fn, a, b, w, sep, n: fn(a, b, sep),
+            "dm_control": lambda fn, a, b, w, sep, n: fn(a, b, sep),
+            "linear_attacker": lambda fn, a, b, w, sep, n: fn(a, n),
+            "spiral_attacker": lambda fn, a, b, w, sep, n: fn(a, n),
+            "intelligent_attacker": lambda fn, a, b, w, sep, n: fn(a, b, params, w, sep, n),
+        }
+        homes = {"observe": observation, "reliability": observation,
+                 "closest_safe_reachable_point": geometry}
+        for name, call in calls.items():
+            twin, scalar = getattr(lanes, name), getattr(homes.get(name, strategies), name)
+            assert_twin(
+                lambda a, b, w0, w1, f: call(
+                    twin, a, b, np.column_stack((w0, w1)),
+                    f * lanes.hypot(a[0] - b[0], a[1] - b[1]), f * lanes.hypot(*a)),
+                lambda a, b, w0, w1, f: call(
+                    scalar, a, b, Normals(w0, w1), f * a.distance_to(b), f * a.norm()),
+                rows,
+            )
 
 
 @given(st.lists(st.tuples(points, points, normals, normals, points), min_size=1, max_size=6),

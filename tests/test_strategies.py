@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import Normals, angles, noise, pairs, points
 from guardian_sim.analysis import closest_point_grid_search
 from guardian_sim.geometry import Vec2, closest_safe_reachable_point, defense_margin
-from guardian_sim.observation import NoiseParams, observe, reliability
+from guardian_sim.observation import NoiseParams, noise_variance, observe, reliability
 from guardian_sim.rng import Rng
 from guardian_sim.strategies import (
     MATRIX_ATTACKERS,
@@ -304,6 +304,55 @@ class TestHeldNorms:
     )
     def test_fallbacks(self, xa, xd, y):
         assert_held_norms_change_nothing(xa, xd, y, NOISELESS, 0.5, 0.5, (0.0, 0.0))
+
+    def test_each_function_uses_the_norm_it_is_given(self):
+        """Handed a deliberately wrong norm, each function returns its
+        formula at that norm, not at the norm it would compute: a held norm
+        is used, never recomputed (the identity tests above cannot tell)."""
+        xa, xd, y, w, k = Vec2(30.0, 4.0), Vec2(2.0, -3.0), Vec2(29.0, 6.5), (0.3, -1.1), 0.5
+        params = NoiseParams(beta_b=0.01, beta_d=0.02, beta_v=0.1, nu=0.5)
+        s, d, n = 1.5 * xa.distance_to(xd), 1.5 * y.distance_to(xd), 1.5 * xa.norm()
+
+        def unit(vx: float, vy: float) -> Vec2:
+            h = math.hypot(vx, vy)
+            return Vec2(vx / h, vy / h)
+
+        def seen(a: Vec2, sep: float) -> Vec2:
+            sigma = math.sqrt(noise_variance(sep, params))
+            return Vec2(a.x + sigma * w[0], a.y + sigma * w[1])
+
+        one_axis = math.erf(k / (math.sqrt(noise_variance(d, params)) * math.sqrt(2.0)))
+        p = one_axis * one_axis
+        rho = (y.norm_sq() - xd.norm_sq()) / (2.0 * d)
+        target = Vec2((y.x - xd.x) / d * rho, (y.y - xd.y) / d * rho)
+        pp, dm = Vec2((y.x - xd.x) / d, (y.y - xd.y) / d), unit(target.x - xd.x, target.y - xd.y)
+        adm = unit(pp.x * p + dm.x * (1.0 - p), pp.y * p + dm.y * (1.0 - p))
+        to_origin, angle = Vec2(-xa.x / n, -xa.y / n), xa.angle() - 1.0 / n
+        spiral = unit((n - 1.0) * math.cos(angle) - xa.x, (n - 1.0) * math.sin(angle) - xa.y)
+        away = xa - seen(xd, s)
+        scale = 1.0 / (away.norm() * away.norm())
+        intelligent = unit(away.x * scale + to_origin.x, away.y * scale + to_origin.y)
+        cases = [
+            (partial(defense_margin, xa, xd), s, (xa.norm_sq() - xd.norm_sq()) / (2.0 * s)),
+            (partial(closest_safe_reachable_point, y, xd), d, target),
+            (partial(observe, xa, xd, params, Normals(*w)), s, seen(xa, s)),
+            (partial(reliability, y, xd, params, k), d, p),
+            (partial(pp_control, y, xd), d, pp),
+            (partial(dm_control, y, xd), d, dm),
+            (partial(adm_control, y, xd, params, k, None), d, adm),
+            (partial(linear_attacker, xa), n, to_origin),
+            (partial(spiral_attacker, xa), n, spiral),
+            (partial(intelligent_attacker, xa, xd, params, Normals(*w), s), n, intelligent),
+        ]
+        cases += [(partial(defender_control, strategy, y, xd, params, k, None), d, want)
+                  for strategy, want in zip(DefenderStrategy, (pp, dm, adm))]
+        cases += [(partial(attacker_control, behavior, xa, xd, params, Normals(*w), s), n, want)
+                  for behavior, want in zip(MATRIX_ATTACKERS, (to_origin, spiral, intelligent))]
+        assert rho > 0.0
+        for fn, held, want in cases:
+            assert fn(held) == want, fn
+            assert fn() != want, fn
+        assert intelligent_attacker(xa, xd, params, Normals(*w), None, n) != intelligent
 
     def test_the_fallback_cases_reach_their_fallbacks(self):
         zero = Vec2(0.0, 0.0)
