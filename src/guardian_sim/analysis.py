@@ -62,8 +62,8 @@ _MIN_ACCEPTANCE = 1e-3
 MARGIN_BLOCK = 1024
 # Most trials the matrix kernel advances together (9 episodes each), and the
 # steps of standard normals it draws from a trial's generator at once.  A
-# 1,000-trial matrix ran about 15 % faster in blocks of 512 than of 256; a
-# block holds 9 x 512 lanes and 512 x 32 x 6 normals (0.8 MB).
+# 1,000-trial matrix ran 17 % faster in blocks of 512 than of 256 (260 against
+# 312 ms); a block holds 9 x 512 lanes and 512 x 32 x 6 normals (0.8 MB).
 MATRIX_BLOCK = 512
 MATRIX_WINDOW = 32
 
@@ -174,8 +174,9 @@ def one_step_margin_change(
     The defender steers from a fresh noisy observation; the attacker applies
     the given displacement (zero for a static attacker).
     """
-    before = defense_margin(xa, xd)
-    y = observe(xa, xd, params, rng)
+    separation = xa.distance_to(xd)
+    before = defense_margin(xa, xd, separation)
+    y = observe(xa, xd, params, rng, separation)
     ud = defender_control(strategy, y, xd, params, k)
     return defense_margin(xa + attacker_motion, xd + ud) - before
 
@@ -344,8 +345,12 @@ def _block_starts(base_seed: int, first: int, count: int, cfg: WorldConfig):
 _CODES = (None, Outcome.CAPTURED, Outcome.BREACHED, Outcome.SURVIVED)
 _SPIRAL_PAIR = np.array([a is AttackerBehavior.SPIRAL for _, a in MATRIX_PAIRS])
 _INTELLIGENT_PAIR = np.array([a is AttackerBehavior.INTELLIGENT for _, a in MATRIX_PAIRS])
-# First pair of each defender, and the end: `MATRIX_PAIRS` is defender-major.
-_DEFENDER_PAIRS = np.arange(0, len(MATRIX_PAIRS) + 1, len(MATRIX_ATTACKERS))
+# First dm pair and first adm pair: `MATRIX_PAIRS` is defender-major, pp first.
+_DM_ADM_PAIRS = np.array([1, 2]) * len(MATRIX_ATTACKERS)
+
+
+def _at(v, i):  # lanes i of the vector v
+    return v[0][i], v[1][i]
 
 
 def _end_codes(t: int, xa, xd, separation, attacker_norm, cfg: WorldConfig):
@@ -371,18 +376,19 @@ def run_matrix_block(
     The block's seeds and starts come from `_block_starts`, which makes
     most of them with array arithmetic for the whole block and checks every
     start as the scalar engine does.  Each step follows `engine.step` on the
-    `lanes` twins: observe, every defender's control, every attacker's
-    control, both moves; then the tests of `engine.episode_outcome` in its
-    order.  A step of a pair draws c standard normals (4 against the
-    intelligent attacker, the second two being the attacker's, else 2), so
-    at step t a lane reads normals [c t, c t + c) of its trial's episode
+    pieces of the `lanes` twins, with one `lanes.hypot` call per round:
+    ||y - xd|| and the intelligent attacker's ||away||; the dm and adm
+    headings (one run of lanes: pairs are defender-major), the spiral's and
+    the intelligent one; adm's blend; after both moves, the separation and
+    attacker radius, which the tests of `engine.episode_outcome` and the
+    next step share.  A step of a pair draws c standard normals (4 against
+    the intelligent attacker, the second two being the attacker's, else 2),
+    so at step t a lane reads normals [c t, c t + c) of its trial's episode
     stream.  Each trial has one generator per c, built from its episode
     seed's `seed_words` and so seeded as the scalar episode's `Rng` is,
     which draws `MATRIX_WINDOW` steps of normals at a time while a lane of
     that c lives; memory is set by the block and window sizes, not by the
-    step cap.  The separation and attacker radius of the termination tests
-    are the `math.hypot` bits the next step's observation and attacker
-    need, so they are carried over.
+    step cap.
     """
     window = min(MATRIX_WINDOW, cfg.max_steps)  # no lane steps at t >= max_steps
     seeds, starts, words = _block_starts(base_seed, first, count, cfg)
@@ -398,10 +404,9 @@ def run_matrix_block(
     codes = np.zeros((n_pairs, count), dtype=np.int8)
     noise, k = cfg.noise, cfg.k
     t = 0
-    separation = lanes.hypot(ax - dx, ay - dy)
-    radius = lanes.hypot(ax, ay)
-    ended = _end_codes(t, (ax, ay), (dx, dy), separation, radius, cfg)
     while True:
+        separation, radius = lanes.hypots((ax - dx, ay - dy), (ax, ay))
+        ended = _end_codes(t, (ax, ay), (dx, dy), separation, radius, cfg)
         done = ended != 0
         if done.any():
             codes[pair[done], trial[done]] = ended[done]
@@ -410,8 +415,9 @@ def run_matrix_block(
                 a[live] for a in (trial, pair, ax, ay, dx, dy, separation, radius))
             if not len(pair):
                 break
-        runs = np.searchsorted(pair, _DEFENDER_PAIRS).tolist()
-        spiral, intelligent = _SPIRAL_PAIR[pair], _INTELLIGENT_PAIR[pair]
+        n, (dm, adm) = len(pair), np.searchsorted(pair, _DM_ADM_PAIRS).tolist()
+        intelligent = _INTELLIGENT_PAIR[pair]
+        spiral, on = np.flatnonzero(_SPIRAL_PAIR[pair]), np.flatnonzero(intelligent)
         row = t % window
         if row == 0:
             for c, of_c in ((2, ~intelligent), (4, intelligent)):
@@ -419,31 +425,35 @@ def run_matrix_block(
                     generators[c][i].standard_normal(out=windows[c][i])
         fours = windows[4][trial, row]  # the defender's two normals, then the attacker's
         defender_normals = np.where(intelligent[:, None], fours[:, :2], windows[2][trial, row])
-        y = lanes.observe((ax, ay), (dx, dy), noise, defender_normals, separation)
-        parts = [
-            lanes.defender_control(defender, (y[0][run], y[1][run]), (dx[run], dy[run]), noise, k)
-            for defender, run in zip(MATRIX_DEFENDERS, map(slice, runs, runs[1:]))
-            if run.start < run.stop
-        ]
-        ux, uy = (np.concatenate(axis) for axis in zip(*parts))
-        # The linear control on every lane, then the spiral and intelligent
-        # ones in place of it: with r_safe > 1, which the spiral needs, a
-        # live attacker is never near enough the origin for it to refuse.
-        vx, vy = lanes.linear_attacker((ax, ay), radius)
-        if spiral.any():
-            vx[spiral], vy[spiral] = lanes.spiral_attacker((ax[spiral], ay[spiral]), radius[spiral])
-        if intelligent.any():
-            on = intelligent
-            vx[on], vy[on] = lanes.intelligent_attacker(
-                (ax[on], ay[on]), (dx[on], dy[on]), noise, fours[on, 2:], separation[on],
-                radius[on])
+        xa, xd = (ax, ay), (dx, dy)
+        y = lanes.observe(xa, xd, noise, defender_normals, separation)
+        # Rounds 1 and 2; a group with no lanes skips its pieces.  The linear
+        # control, which every attacker's starts as, refuses no live attacker:
+        # the spiral needs r_safe > 1.
+        sight, none = lanes.difference(y, xd), (np.empty(0), np.empty(0))
+        away = none if not len(on) else lanes.intelligent_away(
+            _at(xa, on), _at(xd, on), noise, fours[on, 2:], separation[on])
+        distance, away_norm = lanes.hypots(sight, away)
+        vx, vy = to_origin = lanes.linear_attacker(xa, radius)
+        origin_on, margin = _at(to_origin, on), slice(dm, None)
+        headings = (
+            lanes.dm_heading(_at(y, margin), _at(xd, margin), distance[margin]) if dm < n else none,
+            lanes.spiral_heading(_at(xa, spiral), radius[spiral]) if len(spiral) else none,
+            lanes.intelligent_heading(away, origin_on, away_norm) if len(on) else none)
+        norms = lanes.hypots(*headings)
+        pp_dir, dm_dir = lanes._unit(sight, n=distance), lanes._unit(headings[0], n=norms[0])
+        ux, uy = (np.concatenate((pp[:dm], m)) for pp, m in zip(pp_dir, dm_dir))
+        vx[spiral], vy[spiral] = lanes._unit(headings[1], n=norms[1])
+        vx[on], vy[on] = lanes._unit(headings[2], lanes._EPS_BLEND, origin_on, norms[2])
+        if adm < n:  # round 3, on the last run of lanes
+            tail, adm_dm = slice(adm, None), _at(dm_dir, slice(adm - dm, None))
+            p = lanes.reliability(_at(y, tail), _at(xd, tail), noise, k, distance[tail])
+            blend = lanes.adm_heading(_at(pp_dir, tail), adm_dm, p)
+            ux[tail], uy[tail] = lanes._unit(blend, lanes._EPS_BLEND, adm_dm, lanes.hypot(*blend))
         # Positions stay within r_interest + max_steps of the origin, so the
         # moves need no finiteness check.
         ax, ay, dx, dy = ax + vx, ay + vy, dx + ux, dy + uy
         t += 1
-        separation = lanes.hypot(ax - dx, ay - dy)
-        radius = lanes.hypot(ax, ay)
-        ended = _end_codes(t, (ax, ay), (dx, dy), separation, radius, cfg)
     return [(seed, [_CODES[c] for c in column]) for seed, column in zip(seeds, codes.T.tolist())]
 
 

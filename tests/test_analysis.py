@@ -476,6 +476,59 @@ class TestMatrixKernel:
         assert Outcome.CAPTURED in seen
         assert (Outcome.SURVIVED if max_steps == 30 else Outcome.BREACHED) in seen
 
+    @pytest.mark.parametrize("criterion", list(FailureCriterion))
+    def test_certified_sliced_and_per_lane_rounds(self, monkeypatch, criterion):
+        """With `lanes.hypot` certifying from 16 lanes on, in slices of at
+        most 64, a 12-trial block's rounds take calls of every kind, and
+        each trial's outcomes are still those of the scalar reference."""
+        monkeypatch.setattr(lanes, "_CERTIFY_FROM", 16)
+        monkeypatch.setattr(lanes, "_CERTIFY_SLICE", 64)
+        widths, whole = [], lanes.hypot
+
+        def spy(x, y):
+            widths.append(len(x))
+            return whole(x, y)
+
+        monkeypatch.setattr(lanes, "hypot", spy)
+        cfg = WorldConfig(failure_criterion=criterion)
+        assert run_matrix_block(3, 0, 12, cfg) == [run_matrix_trial(3, i, cfg) for i in range(12)]
+        assert min(widths) < 16 and max(widths) > 64 and any(16 <= w <= 64 for w in widths)
+
+    def test_a_step_takes_its_norms_in_four_rounds(self, monkeypatch):
+        """The default 100-trial matrix makes at most four `hypot` calls per
+        step (and one before the first), and at most a quarter of their lanes
+        go to `math.hypot` one by one: calls for each defender and attacker
+        apart sent 66 % of them, being too narrow to certify."""
+        counts = {"calls": 0, "lanes": 0, "per_lane": 0, "end_tests": 0}
+        whole, per_lane, end_codes = lanes.hypot, lanes._per_lane, analysis._end_codes
+        depth = [0]
+
+        def hypot(x, y):  # counts a call cut into slices once
+            counts["calls"] += depth[0] == 0
+            counts["lanes"] += len(x) if depth[0] == 0 else 0
+            depth[0] += 1
+            try:
+                return whole(x, y)
+            finally:
+                depth[0] -= 1
+
+        def one_by_one(fn, *args):
+            counts["per_lane"] += len(args[0]) if fn is math.hypot else 0
+            return per_lane(fn, *args)
+
+        def end_tests(*args):
+            counts["end_tests"] += 1
+            return end_codes(*args)
+
+        monkeypatch.setattr(lanes, "hypot", hypot)
+        monkeypatch.setattr(lanes, "_per_lane", one_by_one)
+        monkeypatch.setattr(analysis, "_end_codes", end_tests)
+        run_experiment_matrix(WorldConfig(), 100, 0, 1)  # one block: end tests at t = 0, ..., T
+        steps = counts["end_tests"] - 1
+        assert steps > 50
+        assert counts["calls"] <= 4 * steps + 1
+        assert counts["per_lane"] <= 0.25 * counts["lanes"]
+
     @pytest.mark.parametrize(
         "noise",
         [NoiseParams(beta_b=0.3, beta_d=0.2, beta_v=1.0, nu=0.5), NoiseParams(beta_d=1e150)],

@@ -168,27 +168,39 @@ class TestHypot:
     def test_lanes_near_a_midpoint_fall_back(self, monkeypatch):
         """Lanes whose true value lies within delta / 2 ulp of a rounding
         midpoint are not certified: they go to `math.hypot` per lane, and
-        the result is still its bits.  Certifying every lane fails here."""
+        the result is still its bits.  Certifying every lane fails here.
+        Around `_CERTIFY_SLICE` too: a wider call is certified in as few
+        slices as fit within it, of nearly equal width."""
         gen = np.random.default_rng(17)
         rows = midpoint_pairs(gen)
-        fell, per_lane = set(), lanes._per_lane
+        fell, per_lane, whole = set(), lanes._per_lane, lanes.hypot
+        widths = []
 
         def spy(fn, *args):
             if fn is math.hypot:
                 fell.update(zip(*(a.tolist() for a in args)))
             return per_lane(fn, *args)
 
+        def sliced(x, y):
+            widths.append(len(x))
+            return whole(x, y)
+
         monkeypatch.setattr(lanes, "_per_lane", spy)
-        for widths in (1, 4):
-            m = widths * lanes._CERTIFY_FROM
+        monkeypatch.setattr(lanes, "hypot", sliced)
+        cap = lanes._CERTIFY_SLICE
+        for m in (lanes._CERTIFY_FROM, 4 * lanes._CERTIFY_FROM, cap - 1, cap, cap + 1, 2 * cap + 1):
             for start in range(0, len(rows), m // 4):
                 chunk = rows[start:start + m // 4]
                 x, y = simulator_lanes(gen, m)
                 at = gen.choice(m, len(chunk), replace=False)
                 x[at], y[at] = np.array(chunk).T
                 fell.clear()
+                widths.clear()
                 assert bits(lanes.hypot(x, y)) == math_hypot(x, y)
                 assert set(chunk) <= fell
+                slices = widths[1:] or widths
+                assert widths[0] == m and sum(slices) == m and len(slices) == -(-m // cap)
+                assert max(slices) - min(slices) <= len(slices)
 
 
 class TestGeometryTwins:
@@ -343,8 +355,10 @@ class TestStrategyTwins:
     @given(st.lists(st.tuples(points, points, normals, normals, st.floats(0.5, 2.0)),
                     min_size=1, max_size=6), noise, half_widths)
     def test_a_held_norm_is_used_as_given(self, rows, params, k):
-        """Handed f times the norm it would compute, each twin returns the
-        scalar function's bits at that same norm."""
+        """Handed f times the norm it would compute, each twin, and each
+        piece the matrix kernel composes, returns the scalar function's (or
+        formula's) bits at that same norm: ``sep`` is f ||a - b||, ``n`` is
+        f ||a||."""
         calls = {
             "observe": lambda fn, a, b, w, sep, n: fn(a, b, params, w, sep),
             "reliability": lambda fn, a, b, w, sep, n: fn(a, b, params, k, sep),
@@ -357,16 +371,47 @@ class TestStrategyTwins:
         }
         homes = {"observe": observation, "reliability": observation,
                  "closest_safe_reachable_point": geometry}
-        for name, call in calls.items():
-            twin, scalar = getattr(lanes, name), getattr(homes.get(name, strategies), name)
+
+        def check(twin, scalar):
             assert_twin(
-                lambda a, b, w0, w1, f: call(
-                    twin, a, b, np.column_stack((w0, w1)),
+                lambda a, b, w0, w1, f: twin(
+                    a, b, np.column_stack((w0, w1)),
                     f * lanes.hypot(a[0] - b[0], a[1] - b[1]), f * lanes.hypot(*a)),
-                lambda a, b, w0, w1, f: call(
-                    scalar, a, b, Normals(w0, w1), f * a.distance_to(b), f * a.norm()),
+                lambda a, b, w0, w1, f: scalar(
+                    a, b, Normals(w0, w1), f * a.distance_to(b), f * a.norm()),
                 rows,
             )
+
+        for name, call in calls.items():
+            twin, scalar = getattr(lanes, name), getattr(homes.get(name, strategies), name)
+            check(lambda *args: call(twin, *args), lambda *args: call(scalar, *args))
+
+        def spiral_heading(a, r):
+            if r <= 1.0:
+                raise ValueError("spiral attacker needs radius > 1")
+            angle, inner = a.angle() - 1.0 / r, r - 1.0
+            return Vec2(inner * math.cos(angle) - a.x, inner * math.sin(angle) - a.y)
+
+        def intelligent_heading(away, to_origin, dist):
+            if dist < strategies._EPS_DIRECTION:
+                return Vec2(0.0, 0.0)
+            scale = 1.0 / (dist * dist)
+            return Vec2(away.x * scale + to_origin.x, away.y * scale + to_origin.y)
+
+        pieces = [
+            (lambda a, b, w, sep, n: lanes._unit(a, n=n),
+             lambda a, b, w, sep, n: strategies._unit(a.x, a.y, strategies._EPS_DIRECTION, n)),
+            (lambda a, b, w, sep, n: lanes.dm_heading(a, b, sep),
+             lambda a, b, w, sep, n: geometry.closest_safe_reachable_point(a, b, sep) - b),
+            (lambda a, b, w, sep, n: lanes.spiral_heading(a, n),
+             lambda a, b, w, sep, n: spiral_heading(a, n)),
+            (lambda a, b, w, sep, n: lanes.intelligent_away(a, b, params, w, sep),
+             lambda a, b, w, sep, n: a - observation.observe(b, a, params, w, sep)),
+            (lambda a, b, w, sep, n: lanes.intelligent_heading(a, b, n),
+             lambda a, b, w, sep, n: intelligent_heading(a, b, n)),
+        ]
+        for twin, scalar in pieces:
+            check(twin, scalar)
 
 
 @given(st.lists(st.tuples(points, points, normals, normals, points), min_size=1, max_size=6),
