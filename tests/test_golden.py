@@ -78,8 +78,9 @@ RUNS = {
 }
 
 # `run` under the margin rule, whose termination test reads the margin every
-# step, and `run` with zero noise (reliability 1) against a static attacker,
-# ending in a coincident capture whose terminal row has no margin.
+# step; `run` with zero noise (reliability 1) against a static attacker,
+# ending in a coincident capture whose terminal row has no margin; and a
+# 300-step survival, whose 600 observation normals span many draw windows.
 OTHER_RUNS = {
     ("--failure-criterion", "margin_breach", "--defender", "dm", "--attacker", "spiral",
      "--seed", "3"): {
@@ -90,6 +91,11 @@ OTHER_RUNS = {
      "--xd", "8", "0", "--tau", "0.5"): {
         "trajectory.csv": "e76c826fc1f311241a209590ff6950ef5dcd39800f008c4691bf760bd0412768",
         "summary.json": "09c1a6bebf8583804c03a8bfab29c26f71b368d43649fdd00342a2769bae8caa",
+    },
+    ("--attacker", "static", "--defender", "adm", "--beta", "1", "--tau", "0.5", "--xa", "30",
+     "0", "--xd", "0", "0", "--max-steps", "300", "--seed", "1"): {
+        "trajectory.csv": "d7d473fb785c707291928d0a34a457f61767a36d89c4f140edd64207d694388a",
+        "summary.json": "a7ded074ac3a999cb1f83307d8c4816c9c5e09441044e5858fb346208fc66755",
     },
 }
 
@@ -160,7 +166,7 @@ def test_run_digests(tmp_path, defender, attacker):
         assert _sha((tmp_path / name).read_bytes()) == RUNS[(defender, attacker, name)], name
 
 
-@pytest.mark.parametrize("flags", list(OTHER_RUNS), ids=["margin-rule", "zero-noise-coincident"])
+@pytest.mark.parametrize("flags", list(OTHER_RUNS), ids=["margin-rule", "zero-noise-coincident", "long-survival"])
 def test_other_run_digests(tmp_path, flags):
     assert main(["run", *flags, "--out", str(tmp_path)]) == 0
     for name, digest in OTHER_RUNS[flags].items():
