@@ -277,7 +277,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     init_seed, episode_seed = trial_seeds(cfg.seed, 0)
     xa, xd = cfg.xa, cfg.xd
     if xa is None or xd is None:
-        cfg.world.check_sampled_starts()
+        cfg.world.check_sampled_starts(attacker=xa is None, defender=xd is None)
         xa, xd = sample_initial_positions(Rng(init_seed), cfg.world.tau, xa, xd)
     result = run_episode(xa, xd, cfg.defender, cfg.attacker, cfg.world, episode_seed)
     if cfg.output_format is not OutputFormat.JSON:

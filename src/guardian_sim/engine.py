@@ -18,7 +18,7 @@ from typing import NamedTuple
 from .fileio import fmt9, json_text, round9
 from .geometry import Vec2, defense_margin
 from .observation import NoiseParams, noise_variance, observe, reliability
-from .rng import Rng
+from .rng import NormalStream, NormalWindow, Rng
 from .strategies import AttackerBehavior, DefenderStrategy, attacker_control, defender_control
 
 log = logging.getLogger(__name__)
@@ -100,18 +100,26 @@ class WorldConfig:
                 f"observed coordinate could overflow when squared"
             )
 
-    def check_sampled_starts(self) -> None:
+    def check_sampled_starts(self, attacker: bool = True, defender: bool = True) -> None:
         """Refuse a world that `sample_initial_positions` can draw an invalid
-        start for, so that whether it runs never depends on the seed."""
+        start for, so that whether it runs never depends on the seed.  Only
+        the starts it keeps are checked: `attacker` and `defender` say which
+        are sampled rather than given."""
         low, high = ATTACKER_RADIUS_RANGE
-        if self.r_safe > low:
+        if attacker and self.r_safe > low:
             raise InvalidInitializationError(
                 f"r_safe={self.r_safe} exceeds {low}, the least sampled attacker radius"
             )
-        if self.r_interest < high:
+        if attacker and self.r_interest < high:
             raise InvalidInitializationError(
                 f"r_interest={self.r_interest} is below {high}, "
                 f"the top of the sampled attacker radii"
+            )
+        top = DEFENDER_RADIUS_RANGE[1]
+        if defender and self.r_interest < top:
+            raise InvalidInitializationError(
+                f"r_interest={self.r_interest} is below {top}, "
+                f"the top of the sampled defender radii"
             )
 
     def to_flat_dict(self) -> dict:
@@ -131,10 +139,14 @@ class WorldConfig:
 
 @dataclass(slots=True)
 class EpisodeState:
+    """The state at time t and the episode's noise stream: anything with
+    `normal_pair`, such as an `Rng`, or the `NormalWindow` through which
+    `run_episode` reads one."""
+
     t: int
     xa: Vec2
     xd: Vec2
-    rng: Rng
+    rng: NormalStream
 
 
 class StepRecord(NamedTuple):
@@ -204,7 +216,8 @@ def step(
     `adm` gets the one reliability the step computes.
 
     RNG order is fixed: the defender's observation draws first, then any
-    attacker-side noise.
+    attacker-side noise.  `state.rng` is anything with `normal_pair`; both
+    draws come from it.
     """
     xa, xd, rng, noise, k = state.xa, state.xd, state.rng, cfg.noise, cfg.k
     separation = xa.distance_to(xd) if separation is None else separation
@@ -256,10 +269,11 @@ def run_episode(
     Fully deterministic in (arguments, seed): the trajectory, outcome and end
     time come out bitwise identical on every run.  The separation and the
     attacker's radius are computed once per state, for its termination test
-    and for the step from it.
+    and for the step from it.  The normals come from `Rng(seed)` a window at
+    a time, in the order per-draw calls would give them.
     """
     _validate_init(init_xa, init_xd, attacker, cfg)
-    state = EpisodeState(t=0, xa=init_xa, xd=init_xd, rng=Rng(seed))
+    state = EpisodeState(t=0, xa=init_xa, xd=init_xd, rng=NormalWindow(Rng(seed)))
     records: list[StepRecord] = []
     xa, xd = init_xa, init_xd
     separation, radius = xa.distance_to(xd), xa.norm()

@@ -76,10 +76,6 @@ class Vec2:
     def distance_to(self, other: Vec2) -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
 
-    def rotated(self, angle: float) -> Vec2:
-        c, s = math.cos(angle), math.sin(angle)
-        return Vec2(c * self.x - s * self.y, s * self.x + c * self.y)
-
     def angle(self) -> float:
         return math.atan2(self.y, self.x)
 

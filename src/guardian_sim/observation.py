@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .geometry import Vec2
-from .rng import Rng
+from .rng import NormalStream
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -44,12 +44,14 @@ def noise_variance(distance: float, params: NoiseParams) -> float:
 
 
 def observe(
-    xa: Vec2, xd: Vec2, params: NoiseParams, rng: Rng, distance: float | None = None
+    xa: Vec2, xd: Vec2, params: NoiseParams, rng: NormalStream,
+    distance: float | None = None,
 ) -> Vec2:
     """Noisy attacker position as seen by the defender at xd.
 
     Symmetric in the separation, so swapping the arguments gives the
-    attacker's noisy view of the defender.
+    attacker's noisy view of the defender.  `rng` is anything with
+    `normal_pair`, such as an `Rng` or a `NormalWindow`; one pair is drawn.
     """
     distance = xa.distance_to(xd) if distance is None else distance
     sigma = math.sqrt(noise_variance(distance, params))

@@ -16,12 +16,29 @@ seeding state `SeedSequence(seed)` hands PCG64, `uniforms` is PCG64's
 `Generator.random()` from those words, and `word_generator` builds the
 `Generator` itself from them.  Its normals still come from numpy's ziggurat,
 whose tables numpy does not expose.
+
+An episode reads its normals through a `NormalWindow`, which draws
+`NORMAL_WINDOW` of them per numpy call: numpy fills `standard_normal(n)` draw
+by draw, as n scalar calls would, so the window hands out the same bits in
+the same stream order.
 """
 from __future__ import annotations
 
 import functools
+import itertools
+from typing import Protocol
 
 import numpy as np
+
+# Standard normals a `NormalWindow` draws per numpy call.
+NORMAL_WINDOW = 64
+
+
+class NormalStream(Protocol):
+    """Anything that hands out scaled pairs of standard normals in stream
+    order, as `Rng.normal_pair` does."""
+
+    def normal_pair(self, sigma: float) -> tuple[float, float]: ...
 
 
 class Rng:
@@ -51,6 +68,28 @@ class Rng:
     def generator(self) -> np.random.Generator:
         """Underlying numpy generator, for vectorized bulk draws."""
         return self._gen
+
+
+class NormalWindow:
+    """`Rng.normal_pair` of one stream, read from a window of its standard
+    normals.
+
+    It draws `NORMAL_WINDOW` normals when the last window runs out, never
+    sooner, so it holds at most one window whatever the episode's length.
+    The `Rng` must not be drawn from elsewhere while a reader holds it.
+    """
+
+    __slots__ = ("_next",)
+
+    def __init__(self, rng: Rng) -> None:
+        gen = rng.generator
+        windows = iter(lambda: gen.standard_normal(NORMAL_WINDOW).tolist(), None)
+        self._next = itertools.chain.from_iterable(windows).__next__
+
+    def normal_pair(self, sigma: float) -> tuple[float, float]:
+        """Two independent N(0, sigma^2) draws, two normals even at sigma == 0."""
+        draw = self._next
+        return sigma * draw(), sigma * draw()
 
 
 def derive_seed(base_seed: int, *key: int) -> int:

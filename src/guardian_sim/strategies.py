@@ -13,7 +13,7 @@ import math
 
 from .geometry import Vec2, closest_safe_reachable_point
 from .observation import NoiseParams, observe, reliability
-from .rng import Rng
+from .rng import NormalStream
 
 _ZERO = Vec2(0.0, 0.0)
 _EPS_DIRECTION = 1e-12
@@ -108,8 +108,8 @@ def spiral_attacker(xa: Vec2, n: float | None = None) -> Vec2:
 
 
 def intelligent_attacker(
-    xa: Vec2, xd: Vec2, params: NoiseParams, rng: Rng, distance: float | None = None,
-    n: float | None = None,
+    xa: Vec2, xd: Vec2, params: NoiseParams, rng: NormalStream,
+    distance: float | None = None, n: float | None = None,
 ) -> Vec2:
     """Evade-while-attacking: blend of fleeing the (noisily) observed defender,
     weighted by inverse observed separation, and heading for the origin.
@@ -144,7 +144,7 @@ def defender_control(
 
 
 def attacker_control(
-    behavior: AttackerBehavior, xa: Vec2, xd: Vec2, params: NoiseParams, rng: Rng,
+    behavior: AttackerBehavior, xa: Vec2, xd: Vec2, params: NoiseParams, rng: NormalStream,
     distance: float | None = None, n: float | None = None,
 ) -> Vec2:
     if behavior is AttackerBehavior.LINEAR:

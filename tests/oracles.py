@@ -12,7 +12,15 @@ import math
 import numpy as np
 from scipy import optimize
 
+from guardian_sim.geometry import Vec2
+
 TWO_PI = 2.0 * math.pi
+
+
+def rotated(v: Vec2, angle: float) -> Vec2:
+    """`v` turned by `angle` about the origin, for the rotation checks."""
+    c, s = math.cos(angle), math.sin(angle)
+    return Vec2(c * v.x - s * v.y, s * v.x + c * v.y)
 
 
 def gaussian_square_mass_quadrature(k: float, sigma: float, nodes: int = 48) -> float:

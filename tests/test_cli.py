@@ -258,22 +258,37 @@ class TestRunCommand:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
-        "command",
-        [["matrix", "--trials", "3", "--r-safe", "45.5"],
-         ["matrix", "--trials", "3", "--r-interest", "49.5"],
-         ["run", "--r-safe", "45.5"],
-         ["run", "--xa", "30", "0", "--r-interest", "49.5"]],
-        ids=["matrix-r_safe", "matrix-r_interest", "run-r_safe", "run-r_interest"],
+        "command, message",
+        [(["matrix", "--trials", "3", "--r-safe", "45.5"], "r_safe=45.5 exceeds 45.0"),
+         (["matrix", "--trials", "3", "--r-interest", "49.5"], "r_interest=49.5 is below 50.0"),
+         (["run", "--r-safe", "45.5"], "r_safe=45.5 exceeds 45.0"),
+         (["run", "--xd", "0", "0", "--r-interest", "49.5"], "r_interest=49.5"),
+         (["run", "--xd", "0", "0", "--r-interest", "49", "--r-safe", "5"],
+          "r_interest=49.0 is below 50.0, the top of the sampled attacker radii"),
+         (["run", "--xa", "15", "0", "--r-interest", "19.5", "--r-safe", "5"],
+          "r_interest=19.5 is below 20.0, the top of the sampled defender radii")],
+        ids=["matrix-r_safe", "matrix-r_interest", "run-r_safe", "run-r_interest",
+             "run-given-defender", "run-given-attacker"],
     )
     @pytest.mark.parametrize("seed", ["0", "1"])
     def test_world_the_sampled_starts_can_violate_exits_two(self, tmp_path, capsys, command,
-                                                             seed):
+                                                             message, seed):
         """Refused on every seed, before any trial, with the setting named."""
         code = main(command + ["--seed", seed, "--out", str(tmp_path)])
         assert code == 2
-        setting = command[-2].lstrip("-").replace("-", "_")
-        assert f"error: {setting}=" in capsys.readouterr().err
+        assert f"error: {message}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--xa", "47", "0", "--r-safe", "45.5"], ["--xa", "30", "0", "--r-interest", "49.5"]],
+        ids=["r_safe", "r_interest"],
+    )
+    def test_world_only_the_given_attacker_start_could_violate_runs(self, tmp_path, flags):
+        """The range of a start that is given, not sampled, is not checked:
+        the given start takes the place of the draw."""
+        assert main(["run", *flags, "--seed", "0", "--out", str(tmp_path)]) in (0, 1)
+        assert (tmp_path / "trajectory.csv").exists()
 
     @pytest.mark.parametrize(
         "flags, message",

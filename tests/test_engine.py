@@ -11,6 +11,7 @@ import pytest
 from scipy import stats
 
 from guardian_sim import engine, strategies
+from guardian_sim.analysis import MATRIX_PAIRS
 from guardian_sim.engine import (
     ATTACKER_RADIUS_RANGE,
     DEFENDER_RADIUS_RANGE,
@@ -34,7 +35,7 @@ from guardian_sim.engine import (
 from guardian_sim.fileio import fmt9, write_text_atomic
 from guardian_sim.geometry import Vec2, defense_margin
 from guardian_sim.observation import NoiseParams, reliability
-from guardian_sim.rng import Rng
+from guardian_sim.rng import NORMAL_WINDOW, Rng
 from guardian_sim.strategies import (
     MATRIX_ATTACKERS,
     AttackerBehavior,
@@ -202,6 +203,33 @@ class TestRunEpisode:
         assert a.outcome is b.outcome and a.end_time == b.end_time
         c = run_episode(*args, 124)
         assert trajectory_csv_text(a) != trajectory_csv_text(c)
+
+    @pytest.mark.parametrize("window", [NORMAL_WINDOW, 7])
+    @pytest.mark.parametrize("defender, attacker", MATRIX_PAIRS, ids=lambda e: e.value)
+    def test_windowed_normals_are_the_per_call_stream(self, monkeypatch, defender, attacker,
+                                                      window):
+        """`run_episode` reads its normals a window at a time; a loop of
+        `step` on a plain `Rng`, one numpy call per draw, gives the same
+        records and outcome.  At the odd window every episode crosses
+        several window edges, some of them inside a pair."""
+        monkeypatch.setattr("guardian_sim.rng.NORMAL_WINDOW", window)
+        cfg = WorldConfig()
+        draws_per_step = 4 if attacker is AttackerBehavior.INTELLIGENT else 2
+        longest = 0
+        for seed in range(4):
+            xa, xd = sample_initial_positions(Rng(seed), min_separation=cfg.tau)
+            result = run_episode(xa, xd, defender, attacker, cfg, seed)
+            state = EpisodeState(t=0, xa=xa, xd=xd, rng=Rng(seed))
+            records = []
+            outcome = episode_outcome(0, xa, xd, cfg)
+            while outcome is None:
+                records.append(step(state, defender, attacker, cfg)[1])
+                outcome = episode_outcome(state.t, state.xa, state.xd, cfg)
+            assert (result.outcome, result.end_time) == (outcome, state.t)
+            assert result.trajectory[:-1] == records
+            assert result.trajectory[-1][1:3] == (state.xa, state.xd)
+            longest = max(longest, draws_per_step * state.t)
+        assert longest > 7
 
     @pytest.mark.parametrize("defender", list(DefenderStrategy))
     @pytest.mark.parametrize("attacker", [AttackerBehavior.LINEAR, AttackerBehavior.SPIRAL, AttackerBehavior.INTELLIGENT])

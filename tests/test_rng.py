@@ -8,6 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from guardian_sim.rng import (
+    NORMAL_WINDOW,
+    NormalWindow,
     Rng,
     derive_seed,
     derive_seeds,
@@ -47,6 +49,53 @@ def test_normal_pair_consumes_stream_even_at_zero_sigma():
     r = Rng(99)
     assert r.normal_pair(0.0) == (0.0, 0.0)
     assert r.standard_normal() == ref_draws[2]
+
+
+# Noise scales for successive pairs, zero among them: a zero-noise pair
+# still consumes its two normals.
+SIGMAS = [0.0, 1.0, 2.5, 0.0, 1e-3, 7.0, 0.5]
+
+
+def _pairs(stream, n: int) -> list[tuple[str, str]]:
+    """The bits of `n` successive `normal_pair` draws."""
+    return [tuple(w.hex() for w in stream.normal_pair(SIGMAS[i % len(SIGMAS)]))
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("seed", [0, 99, 2**64 - 1])
+def test_normal_window_is_the_per_call_stream(seed):
+    n = 2 * NORMAL_WINDOW  # four windows of normals
+    assert _pairs(NormalWindow(Rng(seed)), n) == _pairs(Rng(seed), n)
+
+
+def test_normal_window_pair_straddling_a_window_edge(monkeypatch):
+    """With an odd window, every other window ends between the two draws of
+    a pair."""
+    monkeypatch.setattr("guardian_sim.rng.NORMAL_WINDOW", 5)
+    assert _pairs(NormalWindow(Rng(7)), 12) == _pairs(Rng(7), 12)
+
+
+def test_normal_window_draws_at_most_one_window_ahead():
+    """Memory stays one window whatever the episode length."""
+    drawn = []
+
+    class SpyGenerator:
+        def __init__(self, gen):
+            self.gen = gen
+
+        def standard_normal(self, size):
+            drawn.append(size)
+            return self.gen.standard_normal(size)
+
+    class SpyRng:
+        generator = SpyGenerator(Rng(3).generator)
+
+    reader = NormalWindow(SpyRng())
+    assert drawn == []
+    for used in range(2, 2001, 2):
+        reader.normal_pair(1.0)
+        assert used <= sum(drawn) < used + NORMAL_WINDOW
+    assert set(drawn) == {NORMAL_WINDOW}
 
 
 def test_derive_seed_deterministic_and_distinct():

@@ -27,7 +27,7 @@ from guardian_sim.strategies import (
     pp_control,
     spiral_attacker,
 )
-from oracles import gaussian_square_mass_quadrature
+from oracles import gaussian_square_mass_quadrature, rotated
 
 NOISELESS = NoiseParams(beta_b=0.0, beta_d=0.0, beta_v=0.0, nu=1.0)
 
@@ -155,8 +155,8 @@ class TestSpiralAttacker:
         xa = Vec2.from_polar(r, phi)
         theta = 0.7
         u = spiral_attacker(xa)
-        u_rot = spiral_attacker(xa.rotated(theta))
-        assert u_rot.distance_to(u.rotated(theta)) <= 1e-9
+        u_rot = spiral_attacker(rotated(xa, theta))
+        assert u_rot.distance_to(rotated(u, theta)) <= 1e-9
 
 
 class TestIntelligentAttacker:
@@ -203,8 +203,8 @@ class TestIntelligentAttacker:
         assume((away / away.norm_sq() - xa / xa.norm()).norm() > 1e-6)
         theta = -1.1
         u = intelligent_attacker(xa, xd, NOISELESS, Rng(0))
-        u_rot = intelligent_attacker(xa.rotated(theta), xd.rotated(theta), NOISELESS, Rng(0))
-        assert u_rot.distance_to(u.rotated(theta)) <= 1e-9
+        u_rot = intelligent_attacker(rotated(xa, theta), rotated(xd, theta), NOISELESS, Rng(0))
+        assert u_rot.distance_to(rotated(u, theta)) <= 1e-9
 
 
 class TestDispatchAndNorms:
