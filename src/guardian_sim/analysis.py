@@ -423,8 +423,9 @@ def run_matrix_block(
             for c, of_c in ((2, ~intelligent), (4, intelligent)):
                 for i in np.flatnonzero(np.bincount(trial[of_c], minlength=count)).tolist():
                     generators[c][i].standard_normal(out=windows[c][i])
-        fours = windows[4][trial, row]  # the defender's two normals, then the attacker's
-        defender_normals = np.where(intelligent[:, None], fours[:, :2], windows[2][trial, row])
+        fours = windows[4][trial[on], row]  # the defender's two normals, then the attacker's
+        defender_normals = windows[2][trial, row]  # a copy, so the fours can overwrite it
+        defender_normals[on] = fours[:, :2]
         xa, xd = (ax, ay), (dx, dy)
         y = lanes.observe(xa, xd, noise, defender_normals, separation)
         # Rounds 1 and 2; a group with no lanes skips its pieces.  The linear
@@ -432,7 +433,7 @@ def run_matrix_block(
         # the spiral needs r_safe > 1.
         sight, none = lanes.difference(y, xd), (np.empty(0), np.empty(0))
         away = none if not len(on) else lanes.intelligent_away(
-            _at(xa, on), _at(xd, on), noise, fours[on, 2:], separation[on])
+            _at(xa, on), _at(xd, on), noise, fours[:, 2:], separation[on])
         distance, away_norm = lanes.hypots(sight, away)
         vx, vy = to_origin = lanes.linear_attacker(xa, radius)
         origin_on, margin = _at(to_origin, on), slice(dm, None)

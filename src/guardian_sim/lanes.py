@@ -3,10 +3,11 @@
 Each function takes ``(N,)`` float64 lanes (a vector is a pair ``(x, y)`` of
 them) and returns, lane by lane, the bits of its scalar namesake.  If any
 lane hits a case the scalar code refuses, it raises the same error.  It uses
-only operations that round like the scalar ones: ``+ - * /``, ``sqrt``,
-numpy's ``cos``/``sin`` in `from_polar` (equal to libm's on every sampled
-angle the tests try), and `math.erf`, `math.atan2`, `math.cos` and
-`math.sin` called per lane.  `hypot` gives `math.hypot`'s bits: on a wide
+only operations that round like the scalar ones: ``+ - * /``; numpy's
+``sqrt``, ``cos`` and ``sin``, assumed (and tested, on the angles the default
+outputs reach and a wide sweep) to give libm's bits; and `math.atan2` and
+`math.erf` per lane, since ``np.arctan2`` misses `math.atan2` on about 1 % of
+lanes and numpy has no ``erf``.  `hypot` gives `math.hypot`'s bits: on a wide
 call it keeps ``np.hypot`` only on lanes an exact residual certifies (on
 simulator-scale pairs ``np.hypot`` alone misses by one bit on about 0.6 %
 of lanes) and calls `math.hypot` on the rest.  `noise_variance` needs no
@@ -219,11 +220,7 @@ def spiral_heading(xa, n=None):
     if inside.any():
         raise ValueError(f"spiral attacker needs radius > 1, got {float(r[np.argmax(inside)])}")
     angle, inner = _per_lane(math.atan2, xa[1], xa[0]) - 1.0 / r, r - 1.0
-    return difference((inner * _per_lane(math.cos, angle), inner * _per_lane(math.sin, angle)), xa)
-
-
-def spiral_attacker(xa, n=None):
-    return _unit(spiral_heading(xa, n))
+    return difference((inner * np.cos(angle), inner * np.sin(angle)), xa)
 
 
 def intelligent_away(xa, xd, params: NoiseParams, normals, distance=None):
@@ -237,13 +234,6 @@ def intelligent_heading(away, to_origin, dist):
     scale = 1.0 / np.where(near, 1.0, dist * dist)
     bx, by = _vec(away[0] * scale + to_origin[0], away[1] * scale + to_origin[1])
     return np.where(near, 0.0, bx), np.where(near, 0.0, by)
-
-
-def intelligent_attacker(xa, xd, params: NoiseParams, normals, distance=None, n=None):
-    """`strategies.intelligent_attacker`, with the attacker's normals as in `observe`."""
-    to_origin = linear_attacker(xa, n)
-    away = intelligent_away(xa, xd, params, normals, distance)
-    return _unit(intelligent_heading(away, to_origin, hypot(*away)), _EPS_BLEND, to_origin)
 
 
 def one_step_margin_change(

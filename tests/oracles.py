@@ -4,6 +4,9 @@ Everything here is deliberately written against the raw math, not the
 package's closed forms: Gauss-Legendre quadrature for Gaussian masses and
 expectations, constrained optimization and dense line grids for the
 safe-reachable-point geometry.  Tests compare package output against these.
+The lane attackers are the exception: they compose the `lanes` pieces into
+whole controls, as the matrix kernel does, for the twin tests to check
+against the scalar attackers.
 """
 from __future__ import annotations
 
@@ -12,6 +15,7 @@ import math
 import numpy as np
 from scipy import optimize
 
+from guardian_sim import lanes
 from guardian_sim.geometry import Vec2
 
 TWO_PI = 2.0 * math.pi
@@ -205,3 +209,19 @@ def dm_margin_gain_closed_form(r: float, rho0: float, psi: float) -> float:
     b = (r - cp) / (2.0 * cp * d)
     c = (r - cp) / d - 1.0
     return b + rho0 * c
+
+
+def lane_spiral_attacker(xa, n=None):
+    """`strategies.spiral_attacker` over lanes, composed of the `lanes`
+    pieces as `analysis.run_matrix_block` composes them."""
+    return lanes._unit(lanes.spiral_heading(xa, n))
+
+
+def lane_intelligent_attacker(xa, xd, params, normals, distance=None, n=None):
+    """`strategies.intelligent_attacker` over lanes, with the attacker's
+    normals as in `lanes.observe`, composed as `analysis.run_matrix_block`
+    composes it."""
+    to_origin = lanes.linear_attacker(xa, n)
+    away = lanes.intelligent_away(xa, xd, params, normals, distance)
+    heading = lanes.intelligent_heading(away, to_origin, lanes.hypot(*away))
+    return lanes._unit(heading, lanes._EPS_BLEND, to_origin)

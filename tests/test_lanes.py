@@ -3,8 +3,10 @@ namesakes, and refuse what the scalar code refuses.
 
 Bit equality is asserted on IEEE bit patterns, so 0.0 and -0.0 differ; all
 NaNs count as one value.  `lanes.reliability` calls `math.erf` per lane, and
-`lanes.hypot` calls `math.hypot` on every lane it does not certify, so the
-tests hold on any CPython.
+`lanes.hypot` calls `math.hypot` on every lane it does not certify.
+`lanes.from_polar` and `lanes.spiral_heading` take numpy's ``cos`` and
+``sin``, so their tests hold on a numpy build whose ``cos`` and ``sin`` give
+libm's bits, which `TestNumpyGivesLibmBits` checks.
 """
 from __future__ import annotations
 
@@ -18,10 +20,13 @@ from hypothesis import strategies as st
 
 from conftest import Normals, noise, pairs, points
 from guardian_sim import analysis, geometry, lanes, observation, strategies
+from guardian_sim.cli import main
+from guardian_sim.engine import WorldConfig
 from guardian_sim.geometry import CoincidentAgentsError, Vec2
 from guardian_sim.observation import NoiseParams
 from guardian_sim.rng import Rng
 from guardian_sim.strategies import DefenderStrategy
+from oracles import lane_intelligent_attacker, lane_spiral_attacker
 
 NOISELESS = NoiseParams(beta_b=0.0, beta_d=0.0, beta_v=0.0, nu=1.0)
 
@@ -203,6 +208,71 @@ class TestHypot:
                 assert max(slices) - min(slices) <= len(slices)
 
 
+class TestNumpyGivesLibmBits:
+    """numpy's ``cos`` and ``sin`` give `math.cos`'s and `math.sin`'s bits,
+    as the `lanes` docstring assumes, on every angle the default outputs
+    reach and on a wide sweep.  This is a property of the numpy build in
+    use, not of numpy: on a build whose ``cos`` or ``sin`` differs from
+    libm's these tests fail, and so would the twins."""
+
+    @staticmethod
+    def assert_libm_bits(angles):
+        for ufunc, fn in ((np.cos, math.cos), (np.sin, math.sin)):
+            libm = lanes._per_lane(fn, angles)
+            assert np.array_equal(ufunc(angles).view(np.int64), libm.view(np.int64)), fn.__name__
+
+    def test_spiral_angles_of_the_headline_matrix(self, monkeypatch):
+        """Every angle atan2(y, x) - 1/r that `spiral_heading` takes in the
+        1000-trial seed-0 matrix, recomputed from its arguments."""
+        angles, heading = [], lanes.spiral_heading
+
+        def spy(xa, n=None):
+            r = lanes.hypot(*xa) if n is None else n
+            angles.append(lanes._per_lane(math.atan2, xa[1], xa[0]) - 1.0 / r)
+            return heading(xa, n)
+
+        monkeypatch.setattr(lanes, "spiral_heading", spy)
+        analysis.run_experiment_matrix(WorldConfig(), 1000, 0)
+        angles = np.concatenate(angles)
+        assert len(angles) > 100_000
+        self.assert_libm_bits(angles)
+
+    def test_margin_table_angles(self, monkeypatch, capsys):
+        """Every angle the default `margin-table` samples: two per sample,
+        10^5 samples for each of the three strategies."""
+        angles, polar = [], lanes.from_polar
+
+        def spy(radius, angle):
+            angles.append(angle)
+            return polar(radius, angle)
+
+        monkeypatch.setattr(lanes, "from_polar", spy)
+        assert main(["margin-table"]) == 0
+        assert "n=100000" in capsys.readouterr().out
+        angles = np.concatenate(angles)
+        assert len(angles) == 600_000
+        self.assert_libm_bits(angles)
+
+    def test_a_wide_sweep(self):
+        self.assert_libm_bits(np.random.default_rng(29).uniform(-1e6, 1e6, 10**6))
+
+
+def test_only_atan2_erf_and_hypot_go_lane_by_lane(monkeypatch):
+    """The default 100-trial matrix calls a scalar function per lane only
+    for `math.atan2`, `math.erf` and `math.hypot`: the spiral takes numpy's
+    ``cos`` and ``sin`` (see `TestNumpyGivesLibmBits`)."""
+    called, per_lane = set(), lanes._per_lane
+
+    def spy(fn, *args):
+        called.add(fn)
+        return per_lane(fn, *args)
+
+    monkeypatch.setattr(lanes, "_per_lane", spy)
+    analysis.run_experiment_matrix(WorldConfig(), 100, 0)
+    assert math.atan2 in called
+    assert called <= {math.atan2, math.erf, math.hypot}
+
+
 class TestGeometryTwins:
     @given(st.lists(st.tuples(st.floats(0.0, 100.0), st.floats(-math.pi, math.pi)),
                     min_size=1, max_size=8))
@@ -294,12 +364,12 @@ class TestStrategyTwins:
     @example([Vec2(0.6, 0.8)])  # radius exactly 1: refused
     @example([Vec2(1.0 + 2.0**-52, 0.0), Vec2(-30.0, -0.0), Vec2(0.0, -45.5)])
     def test_spiral_attacker(self, column):
-        assert_twin(lanes.spiral_attacker, strategies.spiral_attacker, [(p,) for p in column])
+        assert_twin(lane_spiral_attacker, strategies.spiral_attacker, [(p,) for p in column])
 
     @given(st.lists(st.tuples(points, points, normals, normals), min_size=1, max_size=6), noise)
     def test_intelligent_attacker(self, rows, params):
         assert_twin(
-            lambda xa, xd, w0, w1: lanes.intelligent_attacker(
+            lambda xa, xd, w0, w1: lane_intelligent_attacker(
                 xa, xd, params, np.column_stack((w0, w1))),
             lambda xa, xd, w0, w1: strategies.intelligent_attacker(xa, xd, params, Normals(w0, w1)),
             rows,
@@ -314,7 +384,7 @@ class TestStrategyTwins:
             assert strategies.intelligent_attacker(
                 row[0], row[1], NOISELESS, Normals(0.0, 0.0)) == Vec2(-1.0, -0.0)
         assert_twin(
-            lambda xa, xd, w0, w1: lanes.intelligent_attacker(
+            lambda xa, xd, w0, w1: lane_intelligent_attacker(
                 xa, xd, NOISELESS, np.column_stack((w0, w1))),
             lambda xa, xd, w0, w1: strategies.intelligent_attacker(
                 xa, xd, NOISELESS, Normals(w0, w1)),
@@ -336,8 +406,8 @@ class TestStrategyTwins:
             (lanes.dm_control, (xa, xd), {"distance": separation}),
             (lanes.reliability, (xa, xd, params, k), {"distance": separation}),
             (lanes.linear_attacker, (xa,), {"n": radius}),
-            (lanes.spiral_attacker, (xa,), {"n": radius}),
-            (lanes.intelligent_attacker, (xa, xd, params, w),
+            (lane_spiral_attacker, (xa,), {"n": radius}),
+            (lane_intelligent_attacker, (xa, xd, params, w),
              {"distance": separation, "n": radius}),
         ]
         for fn, args, carried in calls:
@@ -371,6 +441,8 @@ class TestStrategyTwins:
         }
         homes = {"observe": observation, "reliability": observation,
                  "closest_safe_reachable_point": geometry}
+        composed = {"spiral_attacker": lane_spiral_attacker,
+                    "intelligent_attacker": lane_intelligent_attacker}
 
         def check(twin, scalar):
             assert_twin(
@@ -383,7 +455,8 @@ class TestStrategyTwins:
             )
 
         for name, call in calls.items():
-            twin, scalar = getattr(lanes, name), getattr(homes.get(name, strategies), name)
+            twin = composed.get(name) or getattr(lanes, name)
+            scalar = getattr(homes.get(name, strategies), name)
             check(lambda *args: call(twin, *args), lambda *args: call(scalar, *args))
 
         def spiral_heading(a, r):
