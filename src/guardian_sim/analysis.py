@@ -35,7 +35,7 @@ from .engine import (
 from .fileio import fmt9, json_text, round9
 from .geometry import Vec2, closest_safe_reachable_point, defense_margin
 from .observation import NoiseParams, noise_variance, observe, reliability
-from .rng import Rng, derive_seed, derive_seeds, seed_words, uniforms, word_generator
+from .rng import Rng, derive_seed, derive_seeds, seed_words, word_generator
 from .strategies import (
     AttackerBehavior,
     DefenderStrategy,
@@ -316,29 +316,24 @@ def _block_starts(base_seed: int, first: int, count: int, cfg: WorldConfig):
     of trials `first`, ..., `first + count - 1`, as `run_matrix_trial` gets
     the seed and the start.
 
-    The `rng` twins seed the trials below 2**32, whose index is one
-    entropy word, at once and draw each one's first start pair.  A trial
-    whose first pair is too close, and every later trial, takes the scalar
-    path.
+    `derive_seeds` gives the seeds of the trials below 2**32, whose index is
+    one entropy word, at once, and `trial_seeds` those of the rest.  Each
+    trial's first start pair comes from the first four draws of its init
+    stream; only a pair within `tau` is redrawn by `sample_initial_positions`.
     """
     arrayed = max(0, min(count, 2**32 - first))
     keys = np.arange(first, first + arrayed)[:, None], np.array([_INIT_STREAM, _EPISODE_STREAM])
-    both = derive_seeds(base_seed, *keys)
-    words = seed_words(both)
-    draws = uniforms(words[:, 0], 4).tolist()
-    seeds = both[:, 1].tolist() + [None] * (count - arrayed)
-    words = list(words[:, 1]) + [None] * (count - arrayed)
+    seeds = derive_seeds(base_seed, *keys).tolist() + [
+        trial_seeds(base_seed, trial) for trial in range(first + arrayed, first + count)]
+    words = seed_words(seeds)
     starts = []
-    for i, trial in enumerate(range(first, first + count)):
-        if i < arrayed:
-            xa, xd = first_attempt(draws[i])
-        if i >= arrayed or xa.distance_to(xd) <= cfg.tau:
-            init_seed, seeds[i] = trial_seeds(base_seed, trial)
+    for (init_seed, _), init_words in zip(seeds, words[:, 0]):
+        xa, xd = first_attempt(word_generator(init_words).random(4).tolist())
+        if xa.distance_to(xd) <= cfg.tau:
             xa, xd = sample_initial_positions(Rng(init_seed), min_separation=cfg.tau)
-            words[i] = seed_words(seeds[i])
         _validate_init(xa, xd, AttackerBehavior.SPIRAL, cfg)  # its checks include every pair's
         starts.append((xa.x, xa.y, xd.x, xd.y))
-    return seeds, starts, words
+    return [episode_seed for _, episode_seed in seeds], starts, words[:, 1]
 
 
 # Outcome codes of the matrix kernel; 0 is a live lane.
@@ -373,22 +368,22 @@ def run_matrix_block(
     lock-step lane kernel: every pair of every trial is a lane, all lanes
     take step t together, and a lane is dropped when its episode ends.
 
-    The block's seeds and starts come from `_block_starts`, which makes
-    most of them with array arithmetic for the whole block and checks every
-    start as the scalar engine does.  Each step follows `engine.step` on the
-    pieces of the `lanes` twins, with one `lanes.hypot` call per round:
-    ||y - xd|| and the intelligent attacker's ||away||; the dm and adm
+    The block's seeds and starts come from `_block_starts`, which checks
+    every start as the scalar engine does.  Each step follows `engine.step`
+    on the pieces of the `lanes` twins, with one `lanes.hypot` call per
+    round: ||y - xd|| and the intelligent attacker's ||away||; the dm and adm
     headings (one run of lanes: pairs are defender-major), the spiral's and
     the intelligent one; adm's blend; after both moves, the separation and
     attacker radius, which the tests of `engine.episode_outcome` and the
     next step share.  A step of a pair draws c standard normals (4 against
     the intelligent attacker, the second two being the attacker's, else 2),
     so at step t a lane reads normals [c t, c t + c) of its trial's episode
-    stream.  Each trial has one generator per c, built from its episode
-    seed's `seed_words` and so seeded as the scalar episode's `Rng` is,
-    which draws `MATRIX_WINDOW` steps of normals at a time while a lane of
-    that c lives; memory is set by the block and window sizes, not by the
-    step cap.
+    stream.  Each trial has one generator per c, seeded from its episode
+    seed's `seed_words` as the scalar episode's `Rng` is, which draws
+    `MATRIX_WINDOW` steps of normals at a time while a lane of that c lives.
+    One generator could not serve both c: it would have to hold every normal
+    between 2t and 4t, a gap that grows with t.  So memory is set by the
+    block and window sizes, not by the step cap.
     """
     window = min(MATRIX_WINDOW, cfg.max_steps)  # no lane steps at t >= max_steps
     seeds, starts, words = _block_starts(base_seed, first, count, cfg)

@@ -19,7 +19,8 @@ from .fileio import fmt9, json_text, round9
 from .geometry import Vec2, defense_margin
 from .observation import NoiseParams, noise_variance, observe, reliability
 from .rng import NormalStream, NormalWindow, Rng
-from .strategies import AttackerBehavior, DefenderStrategy, attacker_control, defender_control
+from .strategies import (
+    _EPS_DIRECTION, AttackerBehavior, DefenderStrategy, attacker_control, defender_control)
 
 log = logging.getLogger(__name__)
 
@@ -249,10 +250,17 @@ def _validate_init(
         )
     # A live attacker keeps ||xa|| >= r_safe under either failure criterion
     # (the margin never exceeds ||xa||), so r_safe > 1 keeps the spiral
-    # attacker inside its domain (radius > 1) for the whole episode.
+    # attacker inside its domain (radius > 1) for the whole episode, and
+    # r_safe >= 1e-12 keeps the linear control, which the intelligent
+    # attacker calls first, inside its domain (radius >= 1e-12).
     if attacker is AttackerBehavior.SPIRAL and cfg.r_safe <= 1.0:
         raise InvalidInitializationError(
             f"the spiral attacker needs r_safe > 1, got r_safe={cfg.r_safe}"
+        )
+    homing = attacker in (AttackerBehavior.LINEAR, AttackerBehavior.INTELLIGENT)
+    if homing and cfg.r_safe < _EPS_DIRECTION:
+        raise InvalidInitializationError(
+            f"the {attacker.value} attacker needs r_safe >= {_EPS_DIRECTION}, got {cfg.r_safe}"
         )
 
 

@@ -8,14 +8,12 @@ fixed numpy version.  Per-trial streams are derived from a base seed with
 `derive_seed`, which is stable regardless of execution order or worker count.
 
 The matrix kernel seeds a whole block of trials at once with the array twins
-below, which give `SeedSequence`'s and PCG64's bits lane by lane: both are
-pure 32- and 64-bit integer arithmetic (O'Neill 2014, "PCG", HMC-CS-2014-0905),
-and numpy's array integer arithmetic wraps as theirs does.
+below, which give `SeedSequence`'s bits lane by lane: it is pure 32-bit
+integer arithmetic, and numpy's array integer arithmetic wraps as its does.
 `derive_seeds` is `derive_seed` over arrays of key words, `seed_words` is the
-seeding state `SeedSequence(seed)` hands PCG64, `uniforms` is PCG64's
-`Generator.random()` from those words, and `word_generator` builds the
-`Generator` itself from them.  Its normals still come from numpy's ziggurat,
-whose tables numpy does not expose.
+seeding state `SeedSequence(seed)` hands PCG64, and `word_generator` builds
+`Generator(PCG64(seed))` from those words without a `SeedSequence`; its draws
+are numpy's own.
 
 An episode reads its normals through a `NormalWindow`, which draws
 `NORMAL_WINDOW` of them per numpy call: numpy fills `standard_normal(n)` draw
@@ -103,14 +101,13 @@ def derive_seed(base_seed: int, *key: int) -> int:
 
 
 # `SeedSequence`'s hash constants, pool size and shift (numpy's
-# bit_generator.pyx), and PCG64's 128-bit multiplier as (high, low) words.
+# bit_generator.pyx).
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
 _XSHIFT = 16
 _MASK32 = 0xFFFFFFFF
-_PCG_MULT = (0x2360ED051FC65DA4, 0x4385DF649FCCF645)
 
 
 def _pool(entropy: list[np.ndarray]) -> list[np.ndarray]:
@@ -187,54 +184,6 @@ def seed_words(seeds) -> np.ndarray:
     flat = seeds.reshape(-1)
     low, high = (flat & _MASK32).astype(np.uint32), (flat >> 32).astype(np.uint32)
     return np.ascontiguousarray(_state64(_pool([low, high]), 4).T).reshape(seeds.shape + (4,))
-
-
-def _mul64(a, b: int):
-    """The 128-bit product of uint64 lanes `a` and the constant `b`, as
-    (high, low) uint64 words, from 32-bit limbs."""
-    a0, a1 = a & _MASK32, a >> 32
-    b0, b1 = b & _MASK32, b >> 32
-    t = a0 * b0
-    w0 = t & _MASK32
-    t = a1 * b0 + (t >> 32)
-    w1, k = t >> 32, t & _MASK32
-    t = a0 * b1 + k
-    return a1 * b1 + w1 + (t >> 32), (t << 32) | w0
-
-
-def _add128(a, b):
-    low = a[1] + b[1]
-    return a[0] + b[0] + (low < a[1]), low
-
-
-def _pcg_step(state, inc):
-    """One step of PCG64's LCG, state * multiplier + inc mod 2**128."""
-    high, low = _mul64(state[1], _PCG_MULT[1])
-    high = high + state[1] * _PCG_MULT[0] + state[0] * _PCG_MULT[1]
-    return _add128((high, low), inc)
-
-
-def uniforms(words, n: int) -> np.ndarray:
-    """The first `n` `Generator(PCG64(seed)).random()` draws of each seed,
-    from its `seed_words`, as a (..., n) array.
-
-    PCG64 takes the state from the first two words and the stream from the
-    last two; it steps once, adds the state, and steps again.  Each draw
-    steps, takes the XSL-RR output of the new state, and keeps its top 53
-    bits.
-    """
-    words = np.asarray(words, dtype=np.uint64)
-    shape, (high, low, seq_high, seq_low) = words.shape[:-1], words.reshape(-1, 4).T
-    inc = ((seq_high << 1) | (seq_low >> 63), (seq_low << 1) | 1)
-    state = _pcg_step(_add128(inc, (high, low)), inc)
-    draws = []
-    for _ in range(n):
-        state = _pcg_step(state, inc)
-        x = state[0] ^ state[1]
-        rot = state[0] >> 58
-        raw = (x >> rot) | (x << ((64 - rot) & 63))
-        draws.append((raw >> 11) * (1.0 / 9007199254740992.0))
-    return np.stack(draws, axis=-1).reshape(shape + (n,))
 
 
 @functools.cache

@@ -559,16 +559,18 @@ class TestMatrixKernel:
 
     @pytest.mark.parametrize(
         "base_seed, first, count, cfg, scalar_trials",
-        [(2**128, 0, 6, WorldConfig(), 0), (0, 2**32 - 2, 4, WorldConfig(), 2),
-         (0, 0, 30, WorldConfig(tau=40.0), 4)],
-        ids=["base-2^128", "trials-across-2^32", "tau-40-redraws"],
+        [(2**128, 0, 6, WorldConfig(), 0), (0, 2**32 - 2, 4, WorldConfig(), 0),
+         (0, 0, 30, WorldConfig(tau=40.0), 4), (0, 2**32 - 2, 10, WorldConfig(tau=50.0), 4)],
+        ids=["base-2^128", "trials-across-2^32", "tau-40-redraws", "tau-50-across-2^32"],
     )
     def test_block_seeding_on_both_sides_of_its_fallbacks(
         self, monkeypatch, base_seed, first, count, cfg, scalar_trials
     ):
-        """A five-word base seed is seeded in the block; a trial of 2**32
-        or more, or one whose first start pair is too close, takes the
-        scalar path."""
+        """A five-word base seed is seeded in the block, and a trial of
+        2**32 or more, whose seeds come from `trial_seeds`, starts as any
+        other; only a first start pair that is too close is redrawn by the
+        scalar sampler (in the last case on trials 2**32 - 2, 2**32 - 1,
+        2**32 + 6 and 2**32 + 7)."""
         scalar = []
 
         def sampled(*args, **kwargs):
@@ -582,7 +584,9 @@ class TestMatrixKernel:
         assert block == [run_matrix_trial(base_seed, trial, cfg) for trial in trials]
 
     def test_default_block_builds_no_seed_sequence_or_rng(self, monkeypatch):
-        """A silent fall back to the scalar path would build both."""
+        """A silent fall back to the scalar path would build both; a trial
+        of 2**32 or more derives its seeds with `SeedSequence` but starts
+        without an `Rng`."""
         calls = []
 
         def counted(cls):
@@ -595,8 +599,8 @@ class TestMatrixKernel:
         monkeypatch.setattr(analysis, "Rng", counted(analysis.Rng))
         assert len(run_matrix_block(0, 0, 100, WorldConfig())) == 100
         assert calls == []
-        run_matrix_block(0, 2**32, 1, WorldConfig())  # the counters see the scalar path
-        assert calls == ["SeedSequence", "SeedSequence", "Rng"]
+        run_matrix_block(0, 2**32, 1, WorldConfig())  # the counters see `trial_seeds`
+        assert calls == ["SeedSequence", "SeedSequence"]
 
     def test_unreachable_separation_refusal_is_that_of_the_scalar_engine(self):
         """No sampled pair is more than 70 apart, so every first pair is

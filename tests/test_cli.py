@@ -8,6 +8,7 @@ from dataclasses import fields
 
 import pytest
 
+from guardian_sim import engine
 from guardian_sim.analysis import estimate_mean_margin_change
 from guardian_sim.cli import (
     _DEFAULTS,
@@ -256,6 +257,21 @@ class TestRunCommand:
         assert code == 2
         assert "r_safe" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("attacker", ["linear", "intelligent"])
+    @pytest.mark.parametrize("defender", ["pp", "adm"])
+    def test_safe_radius_below_the_linear_control_exits_two(self, tmp_path, capsys,
+                                                            monkeypatch, attacker, defender):
+        """The attacker would reach radius 5e-13, where the linear control is
+        undefined, without entering r_safe: refused before the first step."""
+        steps = []
+        monkeypatch.setattr(engine, "step", lambda *args: steps.append(args))
+        code = main(["run", "--xa", "45.0000000000005", "0", "--xd", "49", "0",
+                     "--r-safe", "1e-14", "--attacker", attacker, "--defender", defender,
+                     "--beta", "0", "--out", str(tmp_path)])
+        assert code == 2
+        assert f"error: the {attacker} attacker needs r_safe" in capsys.readouterr().err
+        assert steps == [] and list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "command, message",

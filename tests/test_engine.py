@@ -185,6 +185,18 @@ class TestRunEpisode:
             # every state but the terminal one was live and moved the attacker
             assert all(rec.xa.norm() > 1.0 for rec in result.trajectory[:-1])
 
+    @pytest.mark.parametrize("attacker", [AttackerBehavior.LINEAR, AttackerBehavior.INTELLIGENT])
+    def test_homing_attacker_needs_a_safe_radius_its_control_is_defined_on(self, attacker):
+        """Straight at the origin, 4 ahead of its pursuer, the attacker is at
+        radius about 5e-13 after 45 steps: below where the linear control is
+        defined, but not inside r_safe = 1e-14.  That world is refused before
+        the first step; r_safe = 1e-12 ends the episode in a breach there."""
+        xa, xd, pp = Vec2(45.0000000000005, 0.0), Vec2(49.0, 0.0), DefenderStrategy.PURE_PURSUIT
+        with pytest.raises(InvalidInitializationError, match="r_safe"):
+            run_episode(xa, xd, pp, attacker, noiseless_config(r_safe=1e-14), 0)
+        result = run_episode(xa, xd, pp, attacker, noiseless_config(r_safe=1e-12), 0)
+        assert result.outcome is Outcome.BREACHED and result.end_time == 45
+
     def test_immediate_margin_breach(self):
         cfg = WorldConfig(failure_criterion=FailureCriterion.MARGIN_BREACH)
         result = run_episode(

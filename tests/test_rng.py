@@ -1,5 +1,5 @@
 """Seeded stream determinism, child-seed derivation, and the array twins
-of numpy's seeding and PCG64 draws, checked against numpy itself."""
+of numpy's seeding, checked against numpy itself."""
 from __future__ import annotations
 
 import numpy as np
@@ -14,7 +14,6 @@ from guardian_sim.rng import (
     derive_seed,
     derive_seeds,
     seed_words,
-    uniforms,
     word_generator,
 )
 
@@ -153,16 +152,12 @@ def test_seed_words_are_seed_sequence_state():
     assert seed_words(2**32).tolist() == words[3].tolist()
 
 
-def test_uniforms_are_generator_random():
-    draws = uniforms(seed_words(TRIAL_SEEDS), 9)
-    assert draws.shape == (len(TRIAL_SEEDS), 9)
-    for seed, row in zip(TRIAL_SEEDS, draws.tolist()):
-        assert row == np.random.Generator(np.random.PCG64(seed)).random(9).tolist()
-    assert uniforms(seed_words(5), 2).tolist() == Rng(5).generator.random(2).tolist()
-
-
 def test_word_generator_normals_are_generator_normals():
-    for seed in TRIAL_SEEDS:
+    """Its normals are the episode's, and its first `random()` draws the
+    ones a block builds each trial's first start pair from."""
+    for seed in TRIAL_SEEDS + [5]:
+        words = seed_words(seed)
+        expected = np.random.Generator(np.random.PCG64(seed)).random(9)
+        assert word_generator(words).random(9).tolist() == expected.tolist(), seed
         expected = np.random.Generator(np.random.PCG64(seed)).standard_normal(64)
-        got = word_generator(seed_words(seed)).standard_normal(64)
-        assert got.tolist() == expected.tolist()
+        assert word_generator(words).standard_normal(64).tolist() == expected.tolist(), seed
