@@ -79,8 +79,10 @@ RUNS = {
 
 # `run` under the margin rule, whose termination test reads the margin every
 # step; `run` with zero noise (reliability 1) against a static attacker,
-# ending in a coincident capture whose terminal row has no margin; and a
-# 300-step survival, whose 600 observation normals span many draw windows.
+# ending in a coincident capture whose terminal row has no margin; a 300-step
+# survival, whose 600 observation normals span many draw windows; and two
+# sampled starts that are redrawn: both points on the fourth attempt, and the
+# attacker's beside a given defender start on the third.
 OTHER_RUNS = {
     ("--failure-criterion", "margin_breach", "--defender", "dm", "--attacker", "spiral",
      "--seed", "3"): {
@@ -97,6 +99,15 @@ OTHER_RUNS = {
         "trajectory.csv": "d7d473fb785c707291928d0a34a457f61767a36d89c4f140edd64207d694388a",
         "summary.json": "a7ded074ac3a999cb1f83307d8c4816c9c5e09441044e5858fb346208fc66755",
     },
+    ("--seed", "16", "--tau", "40", "--defender", "dm", "--attacker", "spiral"): {
+        "trajectory.csv": "ec1b40dddf094e8ce32a54be747feb03fece81af00de7bc6d520a367b04b7bd7",
+        "summary.json": "7b14beb5fcbc6e6d72ac44a8335cf5dae17dcc58279ef884002bcf187a22dc72",
+    },
+    ("--seed", "52", "--xd", "15", "0", "--tau", "33", "--defender", "adm", "--attacker",
+     "linear"): {
+        "trajectory.csv": "590777e39155d4be1bbba47833f5d691edb94cb7680b359a51e09b32de23437e",
+        "summary.json": "0feecdfd9286242f4ad24de6f1c15a8bc882d987323592c83008377348fa830c",
+    },
 }
 
 # `run` from explicit start positions: the path that samples no positions.
@@ -105,7 +116,11 @@ EXPLICIT_RUN = {
     "summary.json": "674b31efcc6237584de24dc962a09b48226b5288ccec352b16914171c0fd0f4a",
 }
 
-CHECK_STDOUT = "0db7c5a0fa820d9d1607eec56f01b3f195ade9e8de8b379713b90ea27a957cdb"
+# `check` at the default seed and at `--seed 3`.
+CHECK_STDOUT = {
+    (): "0db7c5a0fa820d9d1607eec56f01b3f195ade9e8de8b379713b90ea27a957cdb",
+    ("--seed", "3"): "9404d75b42cd78c13091f8be9d351e8fa1cf159dcd9829f533dd7875fde3adc8",
+}
 
 # `stability --e 10 0 --ua 0 1 --seed 9`: the stability diagnostic line.
 STABILITY_STDOUT = "a89bf4a40eb38be821d2849678460d718795f272526537be7e31299886e7f86c"
@@ -166,7 +181,8 @@ def test_run_digests(tmp_path, defender, attacker):
         assert _sha((tmp_path / name).read_bytes()) == RUNS[(defender, attacker, name)], name
 
 
-@pytest.mark.parametrize("flags", list(OTHER_RUNS), ids=["margin-rule", "zero-noise-coincident", "long-survival"])
+@pytest.mark.parametrize("flags", list(OTHER_RUNS), ids=["margin-rule", "zero-noise-coincident", "long-survival",
+                                                "start-redrawn", "given-defender-redrawn"])
 def test_other_run_digests(tmp_path, flags):
     assert main(["run", *flags, "--out", str(tmp_path)]) == 0
     for name, digest in OTHER_RUNS[flags].items():
@@ -181,10 +197,11 @@ def test_explicit_position_run_digests(tmp_path):
         assert _sha((tmp_path / name).read_bytes()) == digest, name
 
 
-def test_check_stdout_digest(capsys, monkeypatch):
+@pytest.mark.parametrize("flags", list(CHECK_STDOUT), ids=["default-seed", "seed-3"])
+def test_check_stdout_digest(capsys, monkeypatch, flags):
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
-    assert main(["check"]) == 1  # margin_step_dominance fails by design
-    assert _sha(capsys.readouterr().out.encode()) == CHECK_STDOUT
+    assert main(["check", *flags]) == 1  # margin_step_dominance fails by design
+    assert _sha(capsys.readouterr().out.encode()) == CHECK_STDOUT[flags]
 
 
 def test_stability_stdout_digest(capsys):
