@@ -27,8 +27,7 @@ from .engine import (
     Outcome,
     WorldConfig,
     _validate_init,
-    first_attempt,
-    random_point,
+    polar_point,
     run_episode,
     sample_initial_positions,
 )
@@ -83,9 +82,12 @@ class StabilityDiagnostic:
 def stability_condition_lhs(e: Vec2, ua: Vec2) -> float:
     """Left side of the pursuit-stability condition, (e . ua + 1) / ||e + ua||.
 
-    Callers should supply ||ua|| <= 1.  Equals -1 for a head-on attacker,
-    +1 for a fleeing one.
+    It is stated for ||ua|| <= 1, so a longer control is refused, up to a few
+    ulp: a vector divided by its norm can read 1 + 2**-52.  Equals -1 for a
+    head-on attacker, +1 for a fleeing one.
     """
+    if not ua.norm() <= 1.0 + 4.0 * math.ulp(1.0):
+        raise ValueError(f"attacker control ua=({ua.x!r}, {ua.y!r}) is longer than one unit")
     denom = (e + ua).norm()
     if denom <= 1e-12:
         raise ValueError("degenerate configuration: e + ua vanishes")
@@ -318,8 +320,8 @@ def _block_starts(base_seed: int, first: int, count: int, cfg: WorldConfig):
 
     `derive_seeds` gives the seeds of the trials below 2**32, whose index is
     one entropy word, at once, and `trial_seeds` those of the rest.  Each
-    trial's first start pair comes from the first four draws of its init
-    stream; only a pair within `tau` is redrawn by `sample_initial_positions`.
+    trial's start is `sample_initial_positions` on its init stream, built
+    from the init seed's words.
     """
     arrayed = max(0, min(count, 2**32 - first))
     keys = np.arange(first, first + arrayed)[:, None], np.array([_INIT_STREAM, _EPISODE_STREAM])
@@ -327,10 +329,8 @@ def _block_starts(base_seed: int, first: int, count: int, cfg: WorldConfig):
         trial_seeds(base_seed, trial) for trial in range(first + arrayed, first + count)]
     words = seed_words(seeds)
     starts = []
-    for (init_seed, _), init_words in zip(seeds, words[:, 0]):
-        xa, xd = first_attempt(word_generator(init_words).random(4).tolist())
-        if xa.distance_to(xd) <= cfg.tau:
-            xa, xd = sample_initial_positions(Rng(init_seed), min_separation=cfg.tau)
+    for init_words in words[:, 0]:
+        xa, xd = sample_initial_positions(word_generator(init_words), min_separation=cfg.tau)
         _validate_init(xa, xd, AttackerBehavior.SPIRAL, cfg)  # its checks include every pair's
         starts.append((xa.x, xa.y, xd.x, xd.y))
     return [episode_seed for _, episode_seed in seeds], starts, words[:, 1]
@@ -527,33 +527,41 @@ class CheckResult:
 
 
 def _random_separated_pair(rng: Rng, min_separation: float) -> tuple[Vec2, Vec2]:
-    """Random (xa, xd) with ||xa|| > ||xd|| and separation > min_separation."""
+    """Random (xa, xd) with ||xa|| > ||xd|| and separation > min_separation,
+    from one `random(4)` per attempt: xa over radii [2, 50), xd over [0, 0.999 ||xa||)."""
     while True:
-        xa = random_point(rng, 2.0, 50.0)
-        xd = random_point(rng, 0.0, xa.norm() * 0.999)
+        ar, aa, dr, da = rng.random(4).tolist()
+        xa = polar_point(ar, aa, 2.0, 50.0)
+        xd = polar_point(dr, da, 0.0, xa.norm() * 0.999)
         if xa.distance_to(xd) > min_separation:
             return xa, xd
 
 
 def _noiseless_static_gains(strategy: DefenderStrategy, n: int, seed: int):
-    """(xa, xd, one-step margin change) for `n` random states with a static
-    attacker, exact observations, separation > sqrt(2) and the defender
-    inside the attacker's radius."""
-    rng = Rng(seed)
-    params = NoiseParams(beta_b=0.0, beta_d=0.0, beta_v=0.0, nu=1.0)
-    still = Vec2(0.0, 0.0)
+    """Lanes xa, xd and the one-step margin change of `n` random states with
+    a static attacker, exact observations, separation > sqrt(2) and the
+    defender inside the attacker's radius.  Each state's pair and then its
+    observation's two normals are drawn in the stream order of a loop over
+    `one_step_margin_change`; `lanes.one_step_margin_change` steps them all.
+    """
+    rng, rows = Rng(seed), []
     for _ in range(n):
         xa, xd = _random_separated_pair(rng, _SQRT2)
-        yield xa, xd, one_step_margin_change(xa, xd, strategy, params, 0.5, rng, still)
+        rows.append((xa.x, xa.y, xd.x, xd.y, *rng.normal_pair(1.0)))
+    ax, ay, dx, dy, *normals = np.array(rows).reshape(n, 6).T
+    params = NoiseParams(beta_b=0.0, beta_d=0.0, beta_v=0.0, nu=1.0)
+    still = np.zeros(n), np.zeros(n)
+    gains = lanes.one_step_margin_change(
+        (ax, ay), (dx, dy), strategy, params, 0.5, np.transpose(normals), still)
+    return (ax, ay), (dx, dy), gains
 
 
 def check_pursuit_margin_gain(n: int = 10_000, seed: int = 0) -> CheckResult:
     """Against a static attacker with exact observations, one pursuit step
     buys exactly +1/2 of margin whenever separation > sqrt(2) and the
     defender sits inside the attacker's radius."""
-    worst = 0.0
-    for _, _, delta in _noiseless_static_gains(DefenderStrategy.PURE_PURSUIT, n, seed):
-        worst = max(worst, abs(delta - 0.5))
+    gains = _noiseless_static_gains(DefenderStrategy.PURE_PURSUIT, n, seed)[2]
+    worst = float(np.abs(gains - 0.5).max(initial=0.0))
     passed = worst <= 1e-9
     detail = f"max |pp_gain - 0.5| = {worst:.3g} over {n} configs"
     return CheckResult("pursuit_margin_gain", passed, detail)
@@ -580,21 +588,14 @@ def check_margin_step_dominance(n: int = 10_000, seed: int = 0) -> CheckResult:
     below +1/2 and eventually negative: chasing the receding foot point
     rotates the reachability boundary, and the induced loss scales with rho.
     """
-    worst = math.inf
-    worst_config: tuple[Vec2, Vec2] | None = None
-    violations = 0
-    for xa, xd, delta in _noiseless_static_gains(DefenderStrategy.DEFENSE_MARGIN, n, seed):
-        if delta < 0.5 - 1e-9:
-            violations += 1
-        if delta < worst:
-            worst = delta
-            worst_config = (xa, xd)
+    xa, xd, gains = _noiseless_static_gains(DefenderStrategy.DEFENSE_MARGIN, n, seed)
+    violations = int((gains < 0.5 - 1e-9).sum())
+    i = int(np.argmin(gains))  # the first state of least gain
+    ax, ay, dx, dy = (float(c[i]) for c in (*xa, *xd))
     passed = violations == 0
-    assert worst_config is not None
-    xa, xd = worst_config
     detail = (
-        f"{violations}/{n} configs gain < 0.5, min dm_gain = {worst:.6g} at "
-        f"xa=({xa.x:.6g}, {xa.y:.6g}) xd=({xd.x:.6g}, {xd.y:.6g})"
+        f"{violations}/{n} configs gain < 0.5, min dm_gain = {float(gains[i]):.6g} at "
+        f"xa=({ax:.6g}, {ay:.6g}) xd=({dx:.6g}, {dy:.6g})"
     )
     return CheckResult("margin_step_dominance", passed, detail)
 

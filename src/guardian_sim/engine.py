@@ -15,6 +15,8 @@ import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+import numpy as np
+
 from .fileio import fmt9, json_text, round9
 from .geometry import Vec2, defense_margin
 from .observation import NoiseParams, noise_variance, observe, reliability
@@ -28,7 +30,6 @@ log = logging.getLogger(__name__)
 # uniform over [-pi, pi).
 DEFENDER_RADIUS_RANGE = (0.0, 20.0)
 ATTACKER_RADIUS_RANGE = (45.0, 50.0)
-ANGLE_RANGE = (-math.pi, math.pi)
 _MAX_INIT_REDRAWS = 1000
 # numpy's ziggurat normal sampler returns no draw beyond about 13.7 in
 # magnitude: its tail draw is bounded by the smallest nonzero uniform.
@@ -297,35 +298,28 @@ def run_episode(
     return EpisodeResult(outcome=outcome, end_time=state.t, trajectory=records)
 
 
-def random_point(rng: Rng, low: float, high: float) -> Vec2:
-    """Point at a radius uniform over [low, high) and an angle uniform over
-    [-pi, pi), drawn in that order."""
-    return Vec2.from_polar(rng.uniform(low, high), rng.uniform(*ANGLE_RANGE))
-
-
-def first_attempt(draws) -> tuple[Vec2, Vec2]:
-    """The (attacker, defender) pair of the first attempt of
-    `sample_initial_positions`, from its stream's first four
-    `Generator.random()` draws: `uniform(low, high)` is low + (high - low) u."""
-    ranges = (DEFENDER_RADIUS_RANGE, ANGLE_RANGE, ATTACKER_RADIUS_RANGE, ANGLE_RANGE)
-    dr, da, ar, aa = (low + (high - low) * u for (low, high), u in zip(ranges, draws))
-    return Vec2.from_polar(ar, aa), Vec2.from_polar(dr, da)
+def polar_point(u: float, v: float, low: float, high: float) -> Vec2:
+    """The point at a radius uniform over [low, high) and an angle uniform
+    over [-pi, pi), from two `random()` draws u and v, mapped as
+    `Generator.uniform(low, high)` maps a draw: low + (high - low) u."""
+    return Vec2.from_polar(low + (high - low) * u, -math.pi + 2.0 * math.pi * v)
 
 
 def sample_initial_positions(
-    rng: Rng, min_separation: float = 0.0, xa: Vec2 | None = None, xd: Vec2 | None = None
+    rng: Rng | np.random.Generator, min_separation: float = 0.0, xa: Vec2 | None = None,
+    xd: Vec2 | None = None,
 ) -> tuple[Vec2, Vec2]:
     """Random initial (attacker, defender) positions; a given `xa` or `xd`
     takes the place of its draw.
 
-    Draw order is fixed for reproducibility: defender radius, defender angle,
-    attacker radius, attacker angle, both points on every attempt.  A pair
-    whose separation is <= min_separation is rejected and redrawn.
+    Each attempt maps one `rng.random(4)`, in a fixed order: defender radius,
+    defender angle, attacker radius, attacker angle, both points every time.
+    A pair whose separation is <= min_separation is rejected and redrawn.
     """
     for attempt in range(_MAX_INIT_REDRAWS):
-        d = random_point(rng, *DEFENDER_RADIUS_RANGE)
-        a = random_point(rng, *ATTACKER_RADIUS_RANGE)
-        a, d = (a if xa is None else xa), (d if xd is None else xd)
+        dr, da, ar, aa = rng.random(4).tolist()
+        d = polar_point(dr, da, *DEFENDER_RADIUS_RANGE) if xd is None else xd
+        a = polar_point(ar, aa, *ATTACKER_RADIUS_RANGE) if xa is None else xa
         if a.distance_to(d) > min_separation:
             if attempt:
                 log.debug("initial positions redrawn %d time(s)", attempt)

@@ -62,6 +62,9 @@ class Rng:
     def uniform(self, low: float, high: float) -> float:
         return float(self._gen.uniform(low, high))
 
+    def random(self, n: int) -> np.ndarray:
+        return self._gen.random(n)
+
     @property
     def generator(self) -> np.random.Generator:
         """Underlying numpy generator, for vectorized bulk draws."""

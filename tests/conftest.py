@@ -1,5 +1,5 @@
-"""Shared test configuration: hypothesis profile, common strategies and a
-stub noise stream."""
+"""Shared test configuration: hypothesis profile, common strategies, a stub
+noise stream, and a summary line that names the unexpected outcomes."""
 from __future__ import annotations
 
 import math
@@ -20,6 +20,26 @@ class Normals:
 
     def normal_pair(self, sigma: float) -> tuple[float, float]:
         return sigma * self.w[0], sigma * self.w[1]
+
+
+# The documented negative results: each asserts a claim that is false of the
+# pinned model, so both are expected to fail.
+_RED_GATES = frozenset({
+    "tests/test_acceptance.py::test_criterion_1_noiseless_margin_gain_exactness",
+    "tests/test_acceptance.py::test_criterion_4_win_rate_matrix",
+})
+
+
+def pytest_terminal_summary(terminalreporter, exitstatus, config):
+    """One line naming every failed test other than the red gates, and any
+    red gate that passed; the outcomes and exit status are untouched."""
+    stats = terminalreporter.stats
+    failed = {r.nodeid for key in ("failed", "error") for r in stats.get(key, [])}
+    passed = {r.nodeid for r in stats.get("passed", []) if r.when == "call"}
+    unexpected = ", ".join(sorted(failed - _RED_GATES)) or "none"
+    gates_passed = ", ".join(sorted(passed & _RED_GATES)) or "none"
+    terminalreporter.write_line(
+        f"unexpected failures: {unexpected}; red gates that passed: {gates_passed}")
 
 
 settings.register_profile(

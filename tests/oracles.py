@@ -6,7 +6,9 @@ expectations, constrained optimization and dense line grids for the
 safe-reachable-point geometry.  Tests compare package output against these.
 The lane attackers are the exception: they compose the `lanes` pieces into
 whole controls, as the matrix kernel does, for the twin tests to check
-against the scalar attackers.
+against the scalar attackers.  So are the two draw loops at the end, the
+start sampler and the `check` sweep as they were written before each took
+its uniforms four at a time and the sweep moved onto the lanes.
 """
 from __future__ import annotations
 
@@ -16,7 +18,12 @@ import numpy as np
 from scipy import optimize
 
 from guardian_sim import lanes
+from guardian_sim.analysis import one_step_margin_change
+from guardian_sim.engine import (
+    ATTACKER_RADIUS_RANGE, DEFENDER_RADIUS_RANGE, InvalidInitializationError)
 from guardian_sim.geometry import Vec2
+from guardian_sim.observation import NoiseParams
+from guardian_sim.rng import Rng
 
 TWO_PI = 2.0 * math.pi
 
@@ -225,3 +232,44 @@ def lane_intelligent_attacker(xa, xd, params, normals, distance=None, n=None):
     away = lanes.intelligent_away(xa, xd, params, normals, distance)
     heading = lanes.intelligent_heading(away, to_origin, lanes.hypot(*away))
     return lanes._unit(heading, lanes._EPS_BLEND, to_origin)
+
+
+def _uniform_point(rng: Rng, low: float, high: float) -> Vec2:
+    """A radius from `rng.uniform(low, high)`, then an angle from
+    `rng.uniform(-pi, pi)`."""
+    return Vec2.from_polar(rng.uniform(low, high), rng.uniform(-math.pi, math.pi))
+
+
+def uniform_call_starts(
+    rng: Rng, min_separation: float = 0.0, xa: Vec2 | None = None, xd: Vec2 | None = None
+) -> tuple[Vec2, Vec2]:
+    """`engine.sample_initial_positions` with four `Rng.uniform` calls per
+    attempt: the defender's point, then the attacker's, a given start taking
+    the place of its draw."""
+    for _ in range(1000):
+        d = _uniform_point(rng, *DEFENDER_RADIUS_RANGE)
+        a = _uniform_point(rng, *ATTACKER_RADIUS_RANGE)
+        a, d = (a if xa is None else xa), (d if xd is None else xd)
+        if a.distance_to(d) > min_separation:
+            return a, d
+    raise InvalidInitializationError(
+        f"could not draw initial positions separated by more than {min_separation}"
+    )
+
+
+def scalar_noiseless_static_gains(strategy, n: int, seed: int) -> list[tuple[Vec2, Vec2, float]]:
+    """`analysis._noiseless_static_gains` as a loop of scalar
+    `one_step_margin_change` calls, each state's pair drawn by four
+    `Rng.uniform` calls per attempt."""
+    rng = Rng(seed)
+    params = NoiseParams(beta_b=0.0, beta_d=0.0, beta_v=0.0, nu=1.0)
+    states = []
+    for _ in range(n):
+        while True:
+            xa = _uniform_point(rng, 2.0, 50.0)
+            xd = _uniform_point(rng, 0.0, xa.norm() * 0.999)
+            if xa.distance_to(xd) > math.sqrt(2.0):
+                break
+        gain = one_step_margin_change(xa, xd, strategy, params, 0.5, rng, Vec2(0.0, 0.0))
+        states.append((xa, xd, gain))
+    return states

@@ -51,6 +51,7 @@ from oracles import (
     dm_margin_gain_closed_form,
     expected_cos_quadrature,
     margin_config_from_frame,
+    scalar_noiseless_static_gains,
 )
 
 NOISELESS = NoiseParams(beta_b=0.0, beta_d=0.0, beta_v=0.0, nu=1.0)
@@ -558,28 +559,37 @@ class TestMatrixKernel:
                 episode_outcome(t, a, d, cfg) for a, d in rows]
 
     @pytest.mark.parametrize(
-        "base_seed, first, count, cfg, scalar_trials",
-        [(2**128, 0, 6, WorldConfig(), 0), (0, 2**32 - 2, 4, WorldConfig(), 0),
-         (0, 0, 30, WorldConfig(tau=40.0), 4), (0, 2**32 - 2, 10, WorldConfig(tau=50.0), 4)],
+        "base_seed, first, count, cfg, redrawn",
+        [(2**128, 0, 6, WorldConfig(), []), (0, 2**32 - 2, 4, WorldConfig(), []),
+         (0, 0, 30, WorldConfig(tau=40.0), [6, 8, 20, 24]),
+         (0, 2**32 - 2, 10, WorldConfig(tau=50.0), [2**32 - 2, 2**32 - 1, 2**32 + 6, 2**32 + 7])],
         ids=["base-2^128", "trials-across-2^32", "tau-40-redraws", "tau-50-across-2^32"],
     )
     def test_block_seeding_on_both_sides_of_its_fallbacks(
-        self, monkeypatch, base_seed, first, count, cfg, scalar_trials
+        self, monkeypatch, base_seed, first, count, cfg, redrawn
     ):
         """A five-word base seed is seeded in the block, and a trial of
         2**32 or more, whose seeds come from `trial_seeds`, starts as any
-        other; only a first start pair that is too close is redrawn by the
-        scalar sampler (in the last case on trials 2**32 - 2, 2**32 - 1,
-        2**32 + 6 and 2**32 + 7)."""
-        scalar = []
+        other: each trial samples its start once, and only the trials whose
+        first pair is too close draw again."""
+        attempts = []
 
-        def sampled(*args, **kwargs):
-            scalar.append(args)
-            return sample_initial_positions(*args, **kwargs)
+        def sampled(gen, *args, **kwargs):
+            calls = []
+
+            class Counted:
+                def random(self, n):
+                    calls.append(n)
+                    return gen.random(n)
+
+            start = sample_initial_positions(Counted(), *args, **kwargs)
+            attempts.append(len(calls))
+            return start
 
         monkeypatch.setattr(analysis, "sample_initial_positions", sampled)
         block = run_matrix_block(base_seed, first, count, cfg)
-        assert len(scalar) == scalar_trials
+        assert len(attempts) == count
+        assert [first + i for i, n in enumerate(attempts) if n > 1] == redrawn
         trials = range(first, first + count)
         assert block == [run_matrix_trial(base_seed, trial, cfg) for trial in trials]
 
@@ -647,6 +657,19 @@ class TestChecks:
         step = dm_control(xa, xd)
         after = defense_margin(xa, Vec2(xd.x + step.x, xd.y + step.y))
         assert after - before == pytest.approx(min_gain, abs=1e-5)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize(
+        "strategy", [DefenderStrategy.PURE_PURSUIT, DefenderStrategy.DEFENSE_MARGIN],
+        ids=["pp", "dm"])
+    def test_sweep_states_and_gains_are_the_scalar_loop_bits(self, strategy, seed):
+        """The lanes sweep draws the scalar loop's states from the stream in
+        its order and steps them to its gains, bit for bit."""
+        (ax, ay), (dx, dy), gains = analysis._noiseless_static_gains(strategy, 2000, seed)
+        want = scalar_noiseless_static_gains(strategy, 2000, seed)
+        got = np.array([ax, ay, dx, dy, gains]).T
+        expect = np.array([(a.x, a.y, d.x, d.y, gain) for a, d, gain in want])
+        assert got.view(np.int64).tolist() == expect.view(np.int64).tolist()
 
     def test_margin_grid_oracle_passes(self):
         res = check_margin_grid_oracle(n=40, seed=1)

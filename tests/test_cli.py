@@ -484,6 +484,31 @@ class TestCheckCommand:
         assert setting in captured.err
 
     @pytest.mark.parametrize(
+        "flags",
+        [["--ua", "1e308", "1e308", "--samples", "3"],
+         ["--ua", "5", "0", "--beta", "0", "--samples", "100"]],
+        ids=["overflowing", "five-units"],
+    )
+    def test_stability_refuses_a_control_longer_than_one_unit(self, capsys, flags):
+        """The condition is stated for ||ua|| <= 1; these printed lhs=inf
+        with numpy warnings, and lhs=2, outside [-1, 1], and exited 0."""
+        assert main(["stability", "--e", "3", "0"] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "attacker control ua=" in captured.err
+
+    @pytest.mark.parametrize(
+        "ua", [(0.0, 1.0), (0.6, 0.8), (-0.5821869711867674, 0.8130549370001872)],
+        ids=["unit", "three-four-five", "norm-one-ulp-over"],
+    )
+    def test_stability_accepts_a_unit_control_up_to_rounding(self, capsys, ua):
+        if ua[0] < 0.0:
+            assert math.hypot(*ua) == 1.0 + 2.0**-52
+        argv = ["stability", "--e", "3", "0", "--ua", *map(repr, ua), "--samples", "10"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("lhs=")
+
+    @pytest.mark.parametrize(
         "flags", [["--samples", "10"], ["--e", "3", "0"], ["--ua", "-1", "0"]],
         ids=["samples", "e", "ua"],
     )

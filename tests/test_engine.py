@@ -11,7 +11,7 @@ import pytest
 from scipy import stats
 
 from guardian_sim import engine, strategies
-from guardian_sim.analysis import MATRIX_PAIRS
+from guardian_sim.analysis import MATRIX_PAIRS, trial_seeds
 from guardian_sim.engine import (
     ATTACKER_RADIUS_RANGE,
     DEFENDER_RADIUS_RANGE,
@@ -23,8 +23,7 @@ from guardian_sim.engine import (
     Outcome,
     WorldConfig,
     episode_outcome,
-    first_attempt,
-    random_point,
+    polar_point,
     run_episode,
     StepRecord,
     sample_initial_positions,
@@ -35,13 +34,13 @@ from guardian_sim.engine import (
 from guardian_sim.fileio import fmt9, write_text_atomic
 from guardian_sim.geometry import Vec2, defense_margin
 from guardian_sim.observation import NoiseParams, reliability
-from guardian_sim.rng import NORMAL_WINDOW, Rng
+from guardian_sim.rng import NORMAL_WINDOW, Rng, seed_words, word_generator
 from guardian_sim.strategies import (
     MATRIX_ATTACKERS,
     AttackerBehavior,
     DefenderStrategy,
 )
-from oracles import capture_countdown_steps
+from oracles import capture_countdown_steps, uniform_call_starts
 
 NOISELESS = NoiseParams(beta_b=0.0, beta_d=0.0, beta_v=0.0, nu=1.0)
 
@@ -317,10 +316,14 @@ class TestSampleInitialPositions:
     def test_deterministic(self):
         assert sample_initial_positions(Rng(9)) == sample_initial_positions(Rng(9))
 
-    def test_random_point_draws_radius_then_angle(self):
-        rng = Rng(4)
-        radius, angle = rng.uniform(3.0, 7.0), rng.uniform(-math.pi, math.pi)
-        assert random_point(Rng(4), 3.0, 7.0) == Vec2.from_polar(radius, angle)
+    def test_polar_point_maps_draws_as_uniform_does(self):
+        """Radius, then angle, from two `random()` draws, bit for bit as
+        `Generator.uniform` maps the same draws."""
+        for seed in range(200):
+            rng = Rng(seed)
+            radius, angle = rng.uniform(3.0, 7.0), rng.uniform(-math.pi, math.pi)
+            assert polar_point(*Rng(seed).random(2).tolist(), 3.0, 7.0) == Vec2.from_polar(
+                radius, angle), seed
 
     def test_ranges_and_angle_uniformity(self):
         rng = Rng(31)
@@ -346,30 +349,30 @@ class TestSampleInitialPositions:
             xa, xd = sample_initial_positions(Rng(seed), min_separation=30.0)
             assert xa.distance_to(xd) > 30.0
 
+    @pytest.mark.parametrize("tau", [2.0, 30.0])
     @pytest.mark.parametrize(
-        "given, start", [("xa", Vec2(15.0, 0.0)), ("xd", Vec2(46.0, 0.0))], ids=["xa", "xd"]
+        "given", [{}, {"xa": Vec2(15.0, 0.0)}, {"xd": Vec2(46.0, 0.0)}], ids=["none", "xa", "xd"]
     )
-    def test_given_start_takes_the_place_of_its_draw(self, given, start):
-        """Both points are drawn on every attempt, in the usual order; the
-        given start replaces its draw, and the pair that plays is the one
-        whose separation is tested.  A wide separation makes redraws common."""
+    def test_is_four_uniform_calls_per_attempt(self, given, tau):
+        """One `random(4)` per attempt gives the starts of four `Rng.uniform`
+        calls: both points drawn on every attempt, in the usual order, a
+        given start taking the place of its draw and the pair that plays
+        being the one whose separation is tested.  At tau 30, 4, 232 and 45
+        of the 250 seeds redraw (no start, `xa`, `xd` given)."""
         for seed in range(250):
-            rng = Rng(seed)
-            while True:
-                drawn = {"xd": random_point(rng, *DEFENDER_RADIUS_RANGE),
-                         "xa": random_point(rng, *ATTACKER_RADIUS_RANGE)}
-                drawn[given] = start
-                if drawn["xa"].distance_to(drawn["xd"]) > 10.0:
-                    break
-            pair = sample_initial_positions(Rng(seed), 10.0, **{given: start})
-            assert pair == (drawn["xa"], drawn["xd"]), seed
+            want = uniform_call_starts(Rng(seed), tau, **given)
+            assert sample_initial_positions(Rng(seed), tau, **given) == want, seed
 
-    def test_first_attempt_is_the_first_pair_drawn(self):
-        """From a stream's first four `random()` draws, the pair the first
-        attempt makes: the one returned when it is far enough apart."""
-        for seed in range(200):
-            draws = Rng(seed).generator.random(4).tolist()
-            assert first_attempt(draws) == sample_initial_positions(Rng(seed)), seed
+    @pytest.mark.parametrize("tau", [2.0, 40.0])
+    def test_a_trial_word_generator_gives_the_rng_starts(self, tau):
+        """The matrix samples from the generator `word_generator` builds from
+        a trial's init seed words; `run` from that seed's `Rng`.  At tau 40,
+        38 of the 250 trials redraw."""
+        for trial in range(250):
+            init_seed = trial_seeds(0, trial)[0]
+            gen = word_generator(seed_words(init_seed))
+            assert sample_initial_positions(gen, tau) == sample_initial_positions(
+                Rng(init_seed), tau), trial
 
     def test_impossible_separation_raises(self):
         # Maximum possible separation is 50 + 20 = 70.

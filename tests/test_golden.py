@@ -181,8 +181,9 @@ def test_run_digests(tmp_path, defender, attacker):
         assert _sha((tmp_path / name).read_bytes()) == RUNS[(defender, attacker, name)], name
 
 
-@pytest.mark.parametrize("flags", list(OTHER_RUNS), ids=["margin-rule", "zero-noise-coincident", "long-survival",
-                                                "start-redrawn", "given-defender-redrawn"])
+@pytest.mark.parametrize("flags", list(OTHER_RUNS), ids=[
+    "margin-rule", "zero-noise-coincident", "long-survival", "start-redrawn",
+    "given-defender-redrawn"])
 def test_other_run_digests(tmp_path, flags):
     assert main(["run", *flags, "--out", str(tmp_path)]) == 0
     for name, digest in OTHER_RUNS[flags].items():
