@@ -125,6 +125,15 @@ CHECK_STDOUT = {
 # `stability --e 10 0 --ua 0 1 --seed 9`: the stability diagnostic line.
 STABILITY_STDOUT = "a89bf4a40eb38be821d2849678460d718795f272526537be7e31299886e7f86c"
 
+# `stability` at long but valid error vectors, below the length it refuses:
+# with default noise, and noiseless just under sqrt(float max / 4).
+LONG_ERROR_STABILITY_STDOUT = {
+    ("--e", "1e150", "0", "--ua", "0", "1", "--seed", "9"):
+        "d8eb2a872655952c7c223da19f17daf0b6fd234463f371894c55f93fe2df6d7d",
+    ("--e", "6e153", "0", "--ua", "0", "1", "--beta", "0", "--seed", "9"):
+        "9fa61f9e773f5ee865a42bd3e65ccb258f2e8336d3bb22ddf2c799b0132611f2",
+}
+
 # `margin-table --samples 10000 --seed 0`: the block estimator's bytes.
 MARGIN_TABLE_STDOUT = "8edb982c5c8562e5887f95c14ce1571d23503f036461db235adc25c35d807810"
 
@@ -209,6 +218,13 @@ def test_stability_stdout_digest(capsys):
     argv = ["stability", "--e", "10", "0", "--ua", "0", "1", "--seed", "9"]
     assert main(argv) == 0
     assert _sha(capsys.readouterr().out.encode()) == STABILITY_STDOUT
+
+
+@pytest.mark.parametrize("flags", list(LONG_ERROR_STABILITY_STDOUT),
+                         ids=["e-1e150", "e-6e153-noiseless"])
+def test_stability_stdout_digest_at_long_error_vectors(capsys, flags):
+    assert main(["stability", *flags]) == 0
+    assert _sha(capsys.readouterr().out.encode()) == LONG_ERROR_STABILITY_STDOUT[flags]
 
 
 def test_margin_table_stdout_digest(capsys):
