@@ -23,12 +23,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .analysis import (
+    estimate_expected_cos,
     estimate_mean_margin_change,
     report_csv_text,
     report_json_text,
     run_default_checks,
     run_experiment_matrix,
-    stability_diagnostic,
+    stability_condition_lhs,
     trial_seeds,
 )
 from .engine import (
@@ -311,12 +312,13 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_stability(args: argparse.Namespace) -> int:
     settings = resolve_settings(args)
-    diag = stability_diagnostic(Vec2(*args.e), Vec2(*args.ua), _noise(settings), args.samples,
-                                Rng(derive_seed(_seed(settings), 3)))
-    holds = "true" if diag.condition_holds else "false"
+    e, ua, noise = Vec2(*args.e), Vec2(*args.ua), _noise(settings)
+    rng = Rng(derive_seed(_seed(settings), 3))
+    lhs = stability_condition_lhs(e, ua)
+    expected_cos = estimate_expected_cos(e, ua, noise, args.samples, rng)
     print(
-        f"lhs={fmt9(diag.lhs)} expected_cos={fmt9(diag.expected_cos)} "
-        f"n={diag.n_samples} condition_holds={holds}"
+        f"lhs={fmt9(lhs)} expected_cos={fmt9(expected_cos)} n={args.samples} "
+        f"condition_holds={'true' if lhs <= expected_cos else 'false'}"
     )
     return 0
 
@@ -331,8 +333,8 @@ def cmd_margin_table(args: argparse.Namespace) -> int:
         for i, strategy in enumerate(DefenderStrategy)
     ]
     print(f"{'strategy':>8}  {'mean':>10}  {'stderr':>9}  n={args.samples}")
-    for est in estimates:
-        print(f"{est.strategy:>8}  {est.mean_change:>10.6f}  {est.stderr:>9.6f}")
+    for strategy, est in zip(DefenderStrategy, estimates):
+        print(f"{strategy.value:>8}  {est.mean_change:>10.6f}  {est.stderr:>9.6f}")
     return 0
 
 

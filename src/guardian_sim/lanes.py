@@ -122,8 +122,8 @@ def _margin(xa, xd, what: str, separation=None):
     return (sq_a - sq_d) / (2.0 * separation), separation
 
 
-def defense_margin(xa, xd):
-    return _margin(xa, xd, "defense margin")[0]
+def defense_margin(xa, xd, distance=None):
+    return _margin(xa, xd, "defense margin", distance)[0]
 
 
 def closest_safe_reachable_point(xa, xd, distance=None):

@@ -258,8 +258,8 @@ def uniform_call_starts(
 
 
 def scalar_noiseless_static_gains(strategy, n: int, seed: int) -> list[tuple[Vec2, Vec2, float]]:
-    """`analysis._noiseless_static_gains` as a loop of scalar
-    `one_step_margin_change` calls, each state's pair drawn by four
+    """The states and gains of `analysis.check_one_step_gains` as a loop of
+    scalar `one_step_margin_change` calls, each state's pair drawn by four
     `Rng.uniform` calls per attempt."""
     rng = Rng(seed)
     params = NoiseParams(beta_b=0.0, beta_d=0.0, beta_v=0.0, nu=1.0)

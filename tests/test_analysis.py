@@ -1,9 +1,11 @@
 """Stability diagnostics, margin-change estimators, experiment matrix, checks."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -17,8 +19,7 @@ from guardian_sim.analysis import (
     MATRIX_PAIRS,
     CheckResult,
     check_margin_grid_oracle,
-    check_margin_step_dominance,
-    check_pursuit_margin_gain,
+    check_one_step_gains,
     check_reliability_monotonicity,
     closest_point_grid_search,
     estimate_expected_cos,
@@ -31,7 +32,6 @@ from guardian_sim.analysis import (
     run_matrix_block,
     run_matrix_trial,
     stability_condition_lhs,
-    stability_diagnostic,
     trial_seeds,
 )
 from guardian_sim.engine import (
@@ -144,22 +144,37 @@ class TestEstimateExpectedCos:
 
 
 class TestStabilityDiagnostic:
+    """The two sides of the condition that `stability` compares."""
+
     def test_head_on_condition_holds(self):
-        diag = stability_diagnostic(Vec2(10, 0), Vec2(-1, 0), NOISELESS, 100, Rng(0))
-        assert diag.lhs == -1.0
-        assert diag.expected_cos == 1.0
-        assert diag.condition_holds
+        lhs = stability_condition_lhs(Vec2(10, 0), Vec2(-1, 0))
+        expected_cos = estimate_expected_cos(Vec2(10, 0), Vec2(-1, 0), NOISELESS, 100, Rng(0))
+        assert lhs == -1.0
+        assert expected_cos == 1.0
 
     def test_fleeing_boundary_case(self):
-        diag = stability_diagnostic(Vec2(10, 0), Vec2(1, 0), NOISELESS, 100, Rng(0))
-        assert diag.lhs == 1.0
-        assert diag.condition_holds  # equality: lhs = expected_cos = 1
+        lhs = stability_condition_lhs(Vec2(10, 0), Vec2(1, 0))
+        expected_cos = estimate_expected_cos(Vec2(10, 0), Vec2(1, 0), NOISELESS, 100, Rng(0))
+        assert lhs == expected_cos == 1.0  # the condition holds with equality
 
-    def test_fields(self):
-        diag = stability_diagnostic(Vec2(10, 0), Vec2(0, 1), NoiseParams(), 500, Rng(1))
-        assert diag.n_samples == 500
-        assert -1.0 <= diag.expected_cos <= 1.0
-        assert diag.condition_holds == (diag.lhs <= diag.expected_cos)
+    def test_noisy_expected_cos_is_a_cosine(self):
+        expected_cos = estimate_expected_cos(Vec2(10, 0), Vec2(0, 1), NoiseParams(), 500, Rng(1))
+        assert -1.0 <= expected_cos <= 1.0
+
+    @pytest.mark.parametrize(
+        "e", [Vec2(math.sqrt(sys.float_info.max / 4.0), 0.0), Vec2(1e154, 0.0),
+              Vec2(0.0, -1e160)],
+        ids=["at-the-bound", "1e154", "1e160"])
+    def test_an_error_vector_too_long_for_the_estimator_is_refused(self, e):
+        """||e + w|| ||e + ua|| would overflow to inf (NaN at 1.34e154 and
+        above); the bound is sqrt(float max / 4), as in `engine`."""
+        with pytest.raises(ValueError, match=re.escape(f"error vector e=({e.x!r}, {e.y!r})")):
+            estimate_expected_cos(e, Vec2(0.0, 1.0), NOISELESS, 5, Rng(0))
+
+    def test_the_longest_error_vector_it_accepts_gives_a_finite_cosine(self):
+        e = Vec2(math.nextafter(math.sqrt(sys.float_info.max / 4.0), 0.0), 0.0)
+        for params in (NOISELESS, NoiseParams()):
+            assert -1.0 <= estimate_expected_cos(e, Vec2(0.0, 1.0), params, 1000, Rng(2)) <= 1.0
 
 
 class TestOneStepMarginChange:
@@ -251,8 +266,7 @@ class TestEstimateMeanMarginChange:
 
     def test_fields_and_positive_stderr(self):
         est = estimate_mean_margin_change(DefenderStrategy.DEFENSE_MARGIN, NoiseParams(), 0.5, 2000, Rng(4))
-        assert est.strategy == "dm"
-        assert est.n_samples == 2000
+        assert [f.name for f in dataclasses.fields(est)] == ["mean_change", "stderr"]
         assert est.stderr > 0.0
 
     def test_welford_matches_direct_formula(self):
@@ -633,7 +647,8 @@ class TestMatrixKernel:
 
 class TestChecks:
     def test_pursuit_margin_gain_passes(self):
-        res = check_pursuit_margin_gain(n=2000, seed=0)
+        res = check_one_step_gains(n=2000, seed=0)[0]
+        assert res.name == "pursuit_margin_gain"
         assert res.passed, res.detail
 
     def test_margin_step_dominance_reports_violations(self):
@@ -643,7 +658,8 @@ class TestChecks:
         counterexample's gain from raw geometry so the FAIL line is known to
         describe a real state, not an artifact of the sweep itself.
         """
-        res = check_margin_step_dominance(n=2000, seed=0)
+        res = check_one_step_gains(n=2000, seed=0)[1]
+        assert res.name == "margin_step_dominance"
         assert not res.passed
         assert "gain < 0.5" in res.detail
         # detail reads "V/N configs gain < 0.5, min dm_gain = G at xa=(..) xd=(..)"
@@ -658,18 +674,49 @@ class TestChecks:
         after = defense_margin(xa, Vec2(xd.x + step.x, xd.y + step.y))
         assert after - before == pytest.approx(min_gain, abs=1e-5)
 
+    @pytest.mark.parametrize("seed, results", [
+        (0, (CheckResult("pursuit_margin_gain", True,
+                         "max |pp_gain - 0.5| = 5.91e-14 over 2000 configs"),
+             CheckResult("margin_step_dominance", False,
+                         "23/2000 configs gain < 0.5, min dm_gain = 0.0395678 at "
+                         "xa=(-1.21854, 3.6915) xd=(-1.12636, 2.03515)"))),
+        (3, (CheckResult("pursuit_margin_gain", True,
+                         "max |pp_gain - 0.5| = 3.2e-14 over 2000 configs"),
+             CheckResult("margin_step_dominance", False,
+                         "27/2000 configs gain < 0.5, min dm_gain = 0.0218844 at "
+                         "xa=(1.01858, 4.69022) xd=(0.890603, 2.8614)"))),
+    ], ids=["seed-0", "seed-3"])
+    def test_one_step_gains_results(self, seed, results):
+        """The results at n = 2000, as literals: the one shared draw gives
+        what a separate draw per sweep gave."""
+        assert check_one_step_gains(2000, seed) == results
+
     @pytest.mark.parametrize("seed", [0, 3])
-    @pytest.mark.parametrize(
-        "strategy", [DefenderStrategy.PURE_PURSUIT, DefenderStrategy.DEFENSE_MARGIN],
-        ids=["pp", "dm"])
-    def test_sweep_states_and_gains_are_the_scalar_loop_bits(self, strategy, seed):
+    def test_sweep_states_and_gains_are_the_scalar_loop_bits(self, monkeypatch, seed):
         """The lanes sweep draws the scalar loop's states from the stream in
-        its order and steps them to its gains, bit for bit."""
-        (ax, ay), (dx, dy), gains = analysis._noiseless_static_gains(strategy, 2000, seed)
-        want = scalar_noiseless_static_gains(strategy, 2000, seed)
-        got = np.array([ax, ay, dx, dy, gains]).T
-        expect = np.array([(a.x, a.y, d.x, d.y, gain) for a, d, gain in want])
-        assert got.view(np.int64).tolist() == expect.view(np.int64).tolist()
+        its order and steps them to its gains, bit for bit, for both
+        strategies."""
+        stepped, step = {}, lanes.one_step_margin_change
+
+        def spy(xa, xd, strategy, *rest):
+            stepped[strategy] = (*xa, *xd, step(xa, xd, strategy, *rest))
+            return stepped[strategy][-1]
+
+        monkeypatch.setattr(lanes, "one_step_margin_change", spy)
+        check_one_step_gains(2000, seed)
+        assert list(stepped) == [DefenderStrategy.PURE_PURSUIT, DefenderStrategy.DEFENSE_MARGIN]
+        for strategy, lanes_of_state in stepped.items():
+            want = scalar_noiseless_static_gains(strategy, 2000, seed)
+            got = np.array(lanes_of_state).T
+            expect = np.array([(a.x, a.y, d.x, d.y, gain) for a, d, gain in want])
+            assert got.view(np.int64).tolist() == expect.view(np.int64).tolist()
+
+    def test_one_step_gains_draw_each_state_once(self, monkeypatch):
+        calls, draw = [], analysis._random_separated_pair
+        monkeypatch.setattr(analysis, "_random_separated_pair",
+                            lambda *args: calls.append(args) or draw(*args))
+        check_one_step_gains(300, 0)
+        assert len(calls) == 300
 
     def test_margin_grid_oracle_passes(self):
         res = check_margin_grid_oracle(n=40, seed=1)

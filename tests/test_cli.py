@@ -453,7 +453,7 @@ class TestCheckCommand:
 
     def test_default_suite_reports_known_dominance_failure(self, capsys, monkeypatch):
         """Exit 1 by design: the margin-step dominance sweep documents real
-        counterexamples (see check_margin_step_dominance); everything else
+        counterexamples (see check_one_step_gains); everything else
         passes."""
         monkeypatch.delenv(SEED_ENV_VAR, raising=False)
         assert main(["check"]) == 1
@@ -463,13 +463,21 @@ class TestCheckCommand:
         assert "FAIL margin_step_dominance:" in out
         assert "gain < 0.5" in out
 
-    def test_stability_diagnostic_line(self, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "flags, lhs, holds",
+        [(["--ua", "-1", "0", "--beta", "0"], "-1", "true"),
+         (["--ua", "1", "0", "--samples", "100"], "1", "false")],
+        ids=["head-on", "fleeing-with-noise"],
+    )
+    def test_stability_diagnostic_line(self, capsys, monkeypatch, flags, lhs, holds):
+        """Fleeing along e gives lhs = 1, and noise pulls the expected cosine
+        below it, so the condition fails."""
         monkeypatch.delenv(SEED_ENV_VAR, raising=False)
-        code = main(["stability", "--e", "3", "0", "--ua", "-1", "0", "--beta", "0"])
+        code = main(["stability", "--e", "3", "0", *flags])
         assert code == 0
         out = capsys.readouterr().out.strip()
-        assert out.startswith("lhs=-1 ")
-        assert "condition_holds=true" in out
+        assert out.startswith(f"lhs={lhs} ")
+        assert out.endswith(f"condition_holds={holds}")
 
     @pytest.mark.parametrize(
         "flags, setting",
@@ -482,6 +490,20 @@ class TestCheckCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert setting in captured.err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--e", "2e154", "0", "--ua", "0", "1", "--samples", "5"],
+         ["--e", "1e160", "0", "--ua", "0", "1", "--beta", "0"]],
+        ids=["default-noise", "noiseless"],
+    )
+    def test_stability_refuses_an_error_vector_too_long_for_the_estimator(self, capsys, flags):
+        """Both printed numpy overflow warnings and expected_cos=nan, and
+        exited 0; now they exit 2 before drawing, with e named."""
+        assert main(["stability"] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error vector e=({float(flags[1])!r}, 0.0) is too long" in captured.err
 
     @pytest.mark.parametrize(
         "flags",

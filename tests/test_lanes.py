@@ -432,6 +432,7 @@ class TestStrategyTwins:
         calls = {
             "observe": lambda fn, a, b, w, sep, n: fn(a, b, params, w, sep),
             "reliability": lambda fn, a, b, w, sep, n: fn(a, b, params, k, sep),
+            "defense_margin": lambda fn, a, b, w, sep, n: fn(a, b, sep),
             "closest_safe_reachable_point": lambda fn, a, b, w, sep, n: fn(a, b, sep),
             "pp_control": lambda fn, a, b, w, sep, n: fn(a, b, sep),
             "dm_control": lambda fn, a, b, w, sep, n: fn(a, b, sep),
@@ -440,7 +441,7 @@ class TestStrategyTwins:
             "intelligent_attacker": lambda fn, a, b, w, sep, n: fn(a, b, params, w, sep, n),
         }
         homes = {"observe": observation, "reliability": observation,
-                 "closest_safe_reachable_point": geometry}
+                 "defense_margin": geometry, "closest_safe_reachable_point": geometry}
         composed = {"spiral_attacker": lane_spiral_attacker,
                     "intelligent_attacker": lane_intelligent_attacker}
 
