@@ -574,18 +574,19 @@ def check_one_step_gains(n: int = 10_000, seed: int = 0) -> tuple[CheckResult, C
 
 def check_margin_grid_oracle(n: int = 200, seed: int = 1) -> CheckResult:
     """Closed-form margin and closest point vs the brute-force grid search,
-    each within twice its 1e-3 spacing."""
+    each within twice the grid's spacing."""
     rng = Rng(seed)
+    spacing = 1e-3
     worst_value = 0.0
     worst_point = 0.0
     for _ in range(n):
         xa, xd = _random_separated_pair(rng, 0.1)
-        oracle = closest_point_grid_search(xa, xd)
+        oracle = closest_point_grid_search(xa, xd, spacing)
         worst_value = max(worst_value, abs(defense_margin(xa, xd) - oracle.norm()))
         worst_point = max(
             worst_point, closest_safe_reachable_point(xa, xd).distance_to(oracle)
         )
-    passed = worst_value <= 2e-3 and worst_point <= 2e-3
+    passed = worst_value <= 2 * spacing and worst_point <= 2 * spacing
     detail = (
         f"max |margin - ||grid point||| = {worst_value:.3g}, "
         f"max point gap = {worst_point:.3g} over {n} configs"

@@ -466,12 +466,14 @@ class TestCheckCommand:
     @pytest.mark.parametrize(
         "flags, lhs, holds",
         [(["--ua", "-1", "0", "--beta", "0"], "-1", "true"),
+         (["--ua", "1", "0", "--beta", "0"], "1", "true"),
          (["--ua", "1", "0", "--samples", "100"], "1", "false")],
-        ids=["head-on", "fleeing-with-noise"],
+        ids=["head-on", "fleeing-noiseless", "fleeing-with-noise"],
     )
     def test_stability_diagnostic_line(self, capsys, monkeypatch, flags, lhs, holds):
-        """Fleeing along e gives lhs = 1, and noise pulls the expected cosine
-        below it, so the condition fails."""
+        """Fleeing along e gives lhs = 1.  Without noise the expected cosine
+        is 1 too, and the condition holds at equality; noise pulls it below
+        1, so the condition fails."""
         monkeypatch.delenv(SEED_ENV_VAR, raising=False)
         code = main(["stability", "--e", "3", "0", *flags])
         assert code == 0
