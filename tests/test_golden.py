@@ -137,6 +137,16 @@ LONG_ERROR_STABILITY_STDOUT = {
 # `margin-table --samples 10000 --seed 0`: the block estimator's bytes.
 MARGIN_TABLE_STDOUT = "8edb982c5c8562e5887f95c14ce1571d23503f036461db235adc25c35d807810"
 
+# `margin-table` at sample counts that end in a short block: one block and
+# one sample, two blocks and one sample, and a third block of 952 samples.
+RAGGED_MARGIN_TABLE_STDOUT = {
+    ("--samples", "1025"): "4227cd84af36bd584aa42806fee2decf8f2d3f244ba0fcda343a7e0d8b54bddf",
+    ("--samples", "2049", "--seed", "5"):
+        "49def67d0449a1ef85eefe82cfc99b6c76a79cd24f46a3e256e1626cc723c0de",
+    ("--samples", "3000", "--seed", "7", "--beta", "0.1"):
+        "3d4816f16973556704becb0a7f1509589b4d5cc55e6e12aeedf8f8dd744507d4",
+}
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -230,3 +240,10 @@ def test_stability_stdout_digest_at_long_error_vectors(capsys, flags):
 def test_margin_table_stdout_digest(capsys):
     assert main(["margin-table", "--samples", "10000", "--seed", "0"]) == 0
     assert _sha(capsys.readouterr().out.encode()) == MARGIN_TABLE_STDOUT
+
+
+@pytest.mark.parametrize("flags", list(RAGGED_MARGIN_TABLE_STDOUT),
+                         ids=["n-1025", "n-2049-seed-5", "n-3000-seed-7-beta-0.1"])
+def test_margin_table_stdout_digest_at_ragged_sample_counts(capsys, flags):
+    assert main(["margin-table", *flags]) == 0
+    assert _sha(capsys.readouterr().out.encode()) == RAGGED_MARGIN_TABLE_STDOUT[flags]
