@@ -556,6 +556,38 @@ class TestMatrixKernel:
                           failure_criterion=FailureCriterion.MARGIN_BREACH)
         assert run_matrix_block(7, 0, 10, cfg) == [run_matrix_trial(7, i, cfg) for i in range(10)]
 
+    def test_random_worlds(self):
+        """On 60 random worlds: noise, k and tau log-uniform, r_safe in
+        (1, 25], r_interest up to 10**4, either failure criterion and step
+        caps of 1-300.  Worlds the settings checks refuse up front are
+        skipped and counted."""
+        gen = np.random.default_rng(2024)
+
+        def log_uniform(low, high):
+            return float(np.exp(gen.uniform(np.log(low), np.log(high))))
+
+        ran, refused, seen = 0, 0, set()
+        while ran < 60:
+            try:
+                noise = NoiseParams(beta_b=log_uniform(1e-6, 1e2), beta_d=log_uniform(1e-6, 10.0),
+                                    beta_v=log_uniform(1e-6, 1e2), nu=float(gen.uniform()))
+                cfg = WorldConfig(
+                    r_interest=log_uniform(10.0, 1e4), r_safe=25.0 - float(gen.uniform(0.0, 24.0)),
+                    tau=log_uniform(1e-2, 50.0), noise=noise, k=log_uniform(1e-3, 1e2),
+                    max_steps=int(gen.integers(1, 301)),
+                    failure_criterion=list(FailureCriterion)[int(gen.integers(2))])
+                cfg.check_sampled_starts()
+            except ValueError:
+                refused += 1
+                continue
+            ran += 1
+            first = int(gen.integers(0, 1000))
+            block = run_matrix_block(ran, first, 3, cfg)
+            assert block == [run_matrix_trial(ran, trial, cfg) for trial in range(first, first + 3)]
+            seen.update(outcome for _, outcomes in block for outcome in outcomes)
+        assert refused > 0
+        assert seen == set(Outcome)
+
     @pytest.mark.parametrize("criterion", list(FailureCriterion))
     def test_end_tests_are_episode_outcome_on_the_boundaries(self, criterion):
         """Capture exactly at tau, an attacker on the safe circle, a margin
