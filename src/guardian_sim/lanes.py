@@ -72,18 +72,26 @@ def hypot(x, y):
     with np.errstate(all="ignore"):
         h = np.hypot(x, y)
         # Split each of x, y and h into a high half of 26 bits and a low
-        # half of 27: a^2 = hi^2 + (2 hi + lo) lo, with hi^2 exact.
+        # half of 27: a^2 = hi^2 + (2 hi + lo) lo, with hi^2 exact (a + hi
+        # rounds the same exact sum as 2 hi + lo).
         a = np.concatenate((x, y, h)).reshape(3, -1)
         hi = (a.view(np.int64) & _HIGH_HALF).view(np.float64)
         lo = a - hi
-        (sx, sy, sh), (cx, cy, ch) = hi * hi, (2.0 * hi + lo) * lo
+        a += hi
+        (sx, sy, sh), (cx, cy, ch) = np.square(hi, out=hi), np.multiply(a, lo, out=a)
         s = sx + sy
         b = s - sx
-        t = (sx - (s - b)) + (sy - b)  # two-sum: sx + sy == s + t exactly
+        sy -= b
+        sx -= np.subtract(s, b, out=b)
+        sx += sy  # two-sum: the t with sx + sy == s + t exactly
         # s - sh is exact (Sterbenz).  The terms (2 hi + lo) lo are below
         # 2**-23 h^2, so all the other operations round away less than
         # 2**-70 h^2 in total, against a delta margin of at least 2**-60 h^2.
-        r = (s - sh) + (((cx + cy) - ch) + t)
+        cx += cy
+        cx -= ch
+        cx += sx
+        s -= sh
+        s += cx  # the residual r = (s - sh) + (((cx + cy) - ch) + t)
         # Range: both components are at most h, so h < 2**400 keeps every
         # product finite.  h >= 2**-400 puts h * ulp(h) above 2**-860, and
         # a product that underflows (the smaller component's square, say)
@@ -91,10 +99,10 @@ def hypot(x, y):
         # way, so h alone bounds what either component can do.
         bits = h.view(np.int64)
         power = (bits & _EXPONENT).view(np.float64)  # 2**floor(log2(h)), ulp(h) * 2**52
-        ok = np.abs(r) <= power * h * _ACCEPT
-        ok &= (bits - _LOW_BITS).view(np.uint64) < _SPAN_BITS
-        ok &= h != power
-    fall = np.flatnonzero(~ok)
+        fail = h == power
+        fail |= np.abs(s, out=s) > power * h * _ACCEPT  # r is finite where h is in range
+        fail |= (bits - _LOW_BITS).view(np.uint64) >= _SPAN_BITS
+    fall = np.flatnonzero(fail)
     if fall.size:
         h[fall] = _per_lane(math.hypot, x[fall], y[fall])
     return h

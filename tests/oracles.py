@@ -6,9 +6,11 @@ expectations, constrained optimization and dense line grids for the
 safe-reachable-point geometry.  Tests compare package output against these.
 The lane attackers are the exception: they compose the `lanes` pieces into
 whole controls, as the matrix kernel does, for the twin tests to check
-against the scalar attackers.  So are the two draw loops at the end, the
+against the scalar attackers.  So are the three loops at the end: the
 start sampler and the `check` sweep as they were written before each took
-its uniforms four at a time and the sweep moved onto the lanes.
+its uniforms four at a time and the sweep moved onto the lanes, and the
+margin-change estimator as it was written before it stepped two blocks at
+a time.
 """
 from __future__ import annotations
 
@@ -18,7 +20,9 @@ import numpy as np
 from scipy import optimize
 
 from guardian_sim import lanes
-from guardian_sim.analysis import one_step_margin_change
+from guardian_sim.analysis import (
+    MARGIN_BLOCK, MARGIN_SAMPLE_ATTACKER_RADIUS, MARGIN_SAMPLE_DEFENDER_RADIUS,
+    one_step_margin_change)
 from guardian_sim.engine import (
     ATTACKER_RADIUS_RANGE, DEFENDER_RADIUS_RANGE, InvalidInitializationError)
 from guardian_sim.geometry import Vec2
@@ -273,3 +277,28 @@ def scalar_noiseless_static_gains(strategy, n: int, seed: int) -> list[tuple[Vec
         gain = one_step_margin_change(xa, xd, strategy, params, 0.5, rng, Vec2(0.0, 0.0))
         states.append((xa, xd, gain))
     return states
+
+
+def one_block_margin_change(strategy, params: NoiseParams, k: float, n: int, rng: Rng):
+    """(mean_change, stderr) of `analysis.estimate_mean_margin_change`, one
+    block of draws stepped and merged at a time."""
+    gen = rng.generator
+    count, mean, m2 = 0, 0.0, 0.0
+    while count < n:
+        m = min(n - count, MARGIN_BLOCK)
+        xa = lanes.from_polar(
+            gen.uniform(*MARGIN_SAMPLE_ATTACKER_RADIUS, m), gen.uniform(-math.pi, math.pi, m)
+        )
+        xd = lanes.from_polar(
+            gen.uniform(*MARGIN_SAMPLE_DEFENDER_RADIUS, m), gen.uniform(-math.pi, math.pi, m)
+        )
+        normals = gen.standard_normal((m, 2))
+        delta = lanes.one_step_margin_change(
+            xa, xd, strategy, params, k, normals, lanes.linear_attacker(xa)
+        )
+        block_mean = float(delta.mean())
+        gap, total = block_mean - mean, count + m
+        mean += gap * m / total
+        m2 += float(((delta - block_mean) ** 2).sum()) + gap * gap * count * m / total
+        count = total
+    return mean, math.sqrt(m2 / (n - 1) / n)

@@ -51,6 +51,7 @@ from oracles import (
     dm_margin_gain_closed_form,
     expected_cos_quadrature,
     margin_config_from_frame,
+    one_block_margin_change,
     scalar_noiseless_static_gains,
 )
 
@@ -346,6 +347,38 @@ class TestEstimateMeanMarginChange:
         assert got.view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
 
 
+    @pytest.mark.parametrize("n", [2, 1023, 1024, 1025, 2048, 2049, 4097])
+    @pytest.mark.parametrize("strategy", list(DefenderStrategy), ids=lambda s: s.value)
+    def test_two_block_steps_are_the_one_block_loop(self, strategy, n):
+        """Stepping two blocks at once gives, bit for bit, the mean and
+        standard error of stepping and merging one block at a time."""
+        params = NoiseParams(beta_b=0.05, beta_d=0.02, beta_v=0.1, nu=0.5)
+        est = estimate_mean_margin_change(strategy, params, 0.5, n, Rng(n))
+        want = one_block_margin_change(strategy, params, 0.5, n, Rng(n))
+        assert (est.mean_change, est.stderr) == want
+
+    @pytest.mark.parametrize("strategy, calls", [
+        (DefenderStrategy.PURE_PURSUIT, 4), (DefenderStrategy.DEFENSE_MARGIN, 5),
+        (DefenderStrategy.ADJUSTED_DEFENSE_MARGIN, 6)], ids=["pp", "dm", "adm"])
+    def test_a_two_block_step_takes_each_norm_in_one_uncut_call(
+        self, monkeypatch, strategy, calls
+    ):
+        """Each norm of a step is one `lanes.hypot` call over both blocks,
+        narrow enough that it is not cut into slices (a slice would show as
+        a call of its own)."""
+        widths, whole = [], lanes.hypot
+
+        def hypot(x, y):
+            widths.append(len(x))
+            return whole(x, y)
+
+        monkeypatch.setattr(lanes, "hypot", hypot)
+        m = analysis.MARGIN_BLOCK
+        assert 2 * m <= lanes._CERTIFY_SLICE
+        estimate_mean_margin_change(strategy, NoiseParams(), 0.5, 2 * m, Rng(0))
+        assert widths == [2 * m] * calls
+
+
 class TestClosestPointGridSearch:
     def test_matches_closed_form(self):
         rng = Rng(2)
@@ -583,7 +616,8 @@ class TestMatrixKernel:
             ran += 1
             first = int(gen.integers(0, 1000))
             block = run_matrix_block(ran, first, 3, cfg)
-            assert block == [run_matrix_trial(ran, trial, cfg) for trial in range(first, first + 3)]
+            trials = range(first, first + 3)
+            assert block == [run_matrix_trial(ran, trial, cfg) for trial in trials]
             seen.update(outcome for _, outcomes in block for outcome in outcomes)
         assert refused > 0
         assert seen == set(Outcome)

@@ -4,10 +4,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+import guardian_sim
 from guardian_sim import engine
 from guardian_sim.analysis import estimate_mean_margin_change
 from guardian_sim.cli import (
@@ -571,6 +576,16 @@ class TestCheckCommand:
                 Rng(derive_seed(7, 40 + i)),
             )
             assert line.split() == [strategy.value, f"{est.mean_change:.6f}", f"{est.stderr:.6f}"]
+
+    def test_python_dash_m_runs_the_command_line(self):
+        """`python -m guardian_sim` runs `main` from a checkout with only
+        the source directory on the path, no installed script."""
+        env = {**os.environ, "PYTHONPATH": str(Path(guardian_sim.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "guardian_sim", "margin-table", "--samples", "2"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[0].split() == ["strategy", "mean", "stderr", "n=2"]
 
     @pytest.mark.parametrize(
         "flags",
