@@ -198,10 +198,10 @@ def estimate_mean_margin_change(
     count, mean, m2 = 0, 0.0, 0.0
     while count < n:
         sizes = [min(m, MARGIN_BLOCK) for m in (n - count, n - count - MARGIN_BLOCK) if m > 0]
-        ra, aa, rd, ad, normals = map(np.concatenate, zip(*[
-            (gen.uniform(*MARGIN_SAMPLE_ATTACKER_RADIUS, m), gen.uniform(-math.pi, math.pi, m),
-             gen.uniform(*MARGIN_SAMPLE_DEFENDER_RADIUS, m), gen.uniform(-math.pi, math.pi, m),
-             gen.standard_normal((m, 2))) for m in sizes]))
+        draws = [(gen.uniform(*MARGIN_SAMPLE_ATTACKER_RADIUS, m), gen.uniform(-math.pi, math.pi, m),
+                  gen.uniform(*MARGIN_SAMPLE_DEFENDER_RADIUS, m), gen.uniform(-math.pi, math.pi, m),
+                  gen.standard_normal((m, 2))) for m in sizes]
+        ra, aa, rd, ad, normals = map(np.concatenate, zip(*draws))
         xa, xd = lanes.from_polar(ra, aa), lanes.from_polar(rd, ad)
         changes = lanes.one_step_margin_change(
             xa, xd, strategy, params, k, normals, lanes.linear_attacker(xa))

@@ -577,16 +577,6 @@ class TestCheckCommand:
             )
             assert line.split() == [strategy.value, f"{est.mean_change:.6f}", f"{est.stderr:.6f}"]
 
-    def test_python_dash_m_runs_the_command_line(self):
-        """`python -m guardian_sim` runs `main` from a checkout with only
-        the source directory on the path, no installed script."""
-        env = {**os.environ, "PYTHONPATH": str(Path(guardian_sim.__file__).parents[1])}
-        done = subprocess.run(
-            [sys.executable, "-m", "guardian_sim", "margin-table", "--samples", "2"],
-            capture_output=True, text=True, env=env, timeout=60)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[0].split() == ["strategy", "mean", "stderr", "n=2"]
-
     @pytest.mark.parametrize(
         "flags",
         [["--samples", "1"], ["--stability", "--e", "3", "0", "--ua", "-1", "0"],
@@ -604,3 +594,14 @@ class TestCheckCommand:
         else:
             err = refused_by_argparse(["margin-table"] + flags, capsys)
             assert f"unrecognized arguments: {flags[0]}" in err
+
+
+def test_python_dash_m_runs_the_command_line():
+    """`python -m guardian_sim` runs `main` from a checkout with only
+    the source directory on the path, no installed script."""
+    env = {**os.environ, "PYTHONPATH": str(Path(guardian_sim.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "guardian_sim", "margin-table", "--samples", "2"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0].split() == ["strategy", "mean", "stderr", "n=2"]
