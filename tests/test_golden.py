@@ -82,7 +82,9 @@ RUNS = {
 # ending in a coincident capture whose terminal row has no margin; a 300-step
 # survival, whose 600 observation normals span many draw windows; and two
 # sampled starts that are redrawn: both points on the fourth attempt, and the
-# attacker's beside a given defender start on the third.
+# attacker's beside a given defender start on the third; and the zero-noise
+# run again with its noise term written -0, whose world equals the first but
+# whose summary reads `"beta": -0.0`.
 OTHER_RUNS = {
     ("--failure-criterion", "margin_breach", "--defender", "dm", "--attacker", "spiral",
      "--seed", "3"): {
@@ -108,6 +110,19 @@ OTHER_RUNS = {
         "trajectory.csv": "590777e39155d4be1bbba47833f5d691edb94cb7680b359a51e09b32de23437e",
         "summary.json": "0feecdfd9286242f4ad24de6f1c15a8bc882d987323592c83008377348fa830c",
     },
+    ("--beta", "-0", "--defender", "pp", "--attacker", "static", "--xa", "10", "0",
+     "--xd", "8", "0", "--tau", "0.5"): {
+        "trajectory.csv": "e76c826fc1f311241a209590ff6950ef5dcd39800f008c4691bf760bd0412768",
+        "summary.json": "9173ed8113e2fe023b7ff672d4d9abd609b5fcc6509e363dd9b8bdb53d6b21ef",
+    },
+}
+
+# A 20,000-step survival (about 2 MB of CSV), written under each `--format`.
+LONG_RUN_FLAGS = ("--attacker", "static", "--defender", "adm", "--beta", "1", "--tau", "0.5",
+                  "--seed", "1", "--max-steps", "20000")
+LONG_RUN = {
+    "trajectory.csv": "8166193589a1acdfc974ed0bf550a42df2fedbf8de43c18350e222808fb3253a",
+    "summary.json": "4c4f86109100354fe9343eb3d48193716febda2a7f7bd4ecb033432c26d53b34",
 }
 
 # `run` from explicit start positions: the path that samples no positions.
@@ -202,11 +217,21 @@ def test_run_digests(tmp_path, defender, attacker):
 
 @pytest.mark.parametrize("flags", list(OTHER_RUNS), ids=[
     "margin-rule", "zero-noise-coincident", "long-survival", "start-redrawn",
-    "given-defender-redrawn"])
+    "given-defender-redrawn", "negative-zero-noise"])
 def test_other_run_digests(tmp_path, flags):
     assert main(["run", *flags, "--out", str(tmp_path)]) == 0
     for name, digest in OTHER_RUNS[flags].items():
         assert _sha((tmp_path / name).read_bytes()) == digest, name
+
+
+@pytest.mark.parametrize("fmt, names", [
+    ("both", ("trajectory.csv", "summary.json")), ("csv", ("trajectory.csv",)),
+    ("json", ("summary.json",))])
+def test_long_run_digests(tmp_path, fmt, names):
+    assert main(["run", *LONG_RUN_FLAGS, "--format", fmt, "--out", str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+    for name in names:
+        assert _sha((tmp_path / name).read_bytes()) == LONG_RUN[name], name
 
 
 def test_explicit_position_run_digests(tmp_path):
