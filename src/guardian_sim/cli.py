@@ -33,15 +33,16 @@ from .analysis import (
     trial_seeds,
 )
 from .engine import (
+    TRAJECTORY_HEADER,
     FailureCriterion,
     Outcome,
     WorldConfig,
     run_episode,
     sample_initial_positions,
     summary_json_text,
-    trajectory_csv_text,
+    trajectory_row,
 )
-from .fileio import fmt9, write_text_atomic
+from .fileio import fmt9, open_atomic, write_text_atomic
 from .geometry import Vec2
 from .observation import NoiseParams
 from .rng import Rng, derive_seed
@@ -280,9 +281,15 @@ def cmd_run(args: argparse.Namespace) -> int:
     if xa is None or xd is None:
         cfg.world.check_sampled_starts(attacker=xa is None, defender=xd is None)
         xa, xd = sample_initial_positions(Rng(init_seed), cfg.world.tau, xa, xd)
-    result = run_episode(xa, xd, cfg.defender, cfg.attacker, cfg.world, episode_seed)
-    if cfg.output_format is not OutputFormat.JSON:
-        write_text_atomic(cfg.output_dir / "trajectory.csv", trajectory_csv_text(result))
+    episode = (xa, xd, cfg.defender, cfg.attacker, cfg.world, episode_seed)
+    # The rows stream to the CSV as the steps make them, and none is kept.
+    if cfg.output_format is OutputFormat.JSON:
+        result = run_episode(*episode, sink=lambda record: None)
+    else:
+        with open_atomic(cfg.output_dir / "trajectory.csv") as fh:
+            fh.write(TRAJECTORY_HEADER + "\n")
+            result = run_episode(
+                *episode, sink=lambda record: fh.write(trajectory_row(record) + "\n"))
     if cfg.output_format is not OutputFormat.CSV:
         write_text_atomic(
             cfg.output_dir / "summary.json", summary_json_text(result, cfg.world, cfg.seed)

@@ -13,7 +13,7 @@ import logging
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -71,6 +71,12 @@ class WorldConfig:
     reach + 14 * sigma(2 * reach) < sqrt(float max / 4), about 6.7e153; then
     the squared norm of any observation is finite.  With the other defaults
     this caps beta near 5.7e296.
+
+    Each object also holds the `config` block of `summary_json_text`, rendered
+    once on construction from this object's own settings.  Equal worlds can
+    render differently (a noise term of -0.0 against 0.0, a step cap of
+    1000.0 against 1000), so the rendering is kept per object, outside
+    equality and the hash.
     """
 
     r_interest: float = 50.0  # play stays inside this origin-centered disk
@@ -80,6 +86,7 @@ class WorldConfig:
     k: float = 0.5
     max_steps: int = 10_000
     failure_criterion: FailureCriterion = FailureCriterion.POSITION_BREACH
+    _summary_config: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # Written so that NaN fails every check.
@@ -101,6 +108,10 @@ class WorldConfig:
                 f"separation 2 * (r_interest + max_steps) = {2.0 * reach:.6g}, so an "
                 f"observed coordinate could overflow when squared"
             )
+        # `json_text` of the flat dict, one indent level deeper, as it sits
+        # inside the summary.
+        block = json_text(self.to_flat_dict())[:-1].replace("\n", "\n  ")
+        object.__setattr__(self, "_summary_config", block)
 
     def check_sampled_starts(self, attacker: bool = True, defender: bool = True) -> None:
         """Refuse a world that `sample_initial_positions` can draw an invalid
@@ -272,6 +283,8 @@ def run_episode(
     attacker: AttackerBehavior,
     cfg: WorldConfig,
     seed: int,
+    *,
+    sink: Callable[[StepRecord], object] | None = None,
 ) -> EpisodeResult:
     """Play one episode to termination from fixed initial positions.
 
@@ -280,21 +293,27 @@ def run_episode(
     attacker's radius are computed once per state, for its termination test
     and for the step from it.  The normals come from `Rng(seed)` a window at
     a time, in the order per-draw calls would give them.
+
+    Without a `sink`, the result holds the trajectory: one record per step,
+    then the terminal record.  With one, each record goes to `sink` as it is
+    made, the terminal one included, and none is kept: the result's
+    trajectory is empty, so memory does not grow with the episode's length.
     """
     _validate_init(init_xa, init_xd, attacker, cfg)
     state = EpisodeState(t=0, xa=init_xa, xd=init_xd, rng=NormalWindow(Rng(seed)))
     records: list[StepRecord] = []
+    emit = records.append if sink is None else sink
     xa, xd = init_xa, init_xd
     separation, radius = xa.distance_to(xd), xa.norm()
     outcome = episode_outcome(state.t, xa, xd, cfg, separation, radius)
     while outcome is None:
-        records.append(step(state, defender, attacker, cfg, separation, radius)[1])
+        emit(step(state, defender, attacker, cfg, separation, radius)[1])
         xa, xd = state.xa, state.xd
         separation, radius = xa.distance_to(xd), xa.norm()
         outcome = episode_outcome(state.t, xa, xd, cfg, separation, radius)
     # A coincident capture leaves the terminal margin undefined.
     margin = defense_margin(xa, xd, separation) if separation != 0.0 else None
-    records.append(StepRecord(state.t, xa, xd, None, margin, None))
+    emit(StepRecord(state.t, xa, xd, None, margin, None))
     return EpisodeResult(outcome=outcome, end_time=state.t, trajectory=records)
 
 
@@ -334,22 +353,38 @@ TRAJECTORY_HEADER = "t,xa_x,xa_y,xd_x,xd_y,y_x,y_y,margin,reliability"
 _LIVE_ROW = "%d" + ",%.9g" * 8
 
 
+def _terminal_row(t: int, xa: Vec2, xd: Vec2, margin: float | None) -> str:
+    margin_cell = fmt9(margin) if margin is not None else ""
+    return f"{t},{fmt9(xa.x)},{fmt9(xa.y)},{fmt9(xd.x)},{fmt9(xd.y)},,,{margin_cell},"
+
+
+def trajectory_row(record: StepRecord) -> str:
+    """One CSV row of `trajectory_csv_text`, without its newline."""
+    t, xa, xd, y, margin, rel = record
+    if y is None:
+        return _terminal_row(t, xa, xd, margin)
+    return _LIVE_ROW % (t, xa.x, xa.y, xd.x, xd.y, y.x, y.y, margin, rel)
+
+
 def trajectory_csv_text(result: EpisodeResult) -> str:
+    """The trajectory as CSV: the header, then one `trajectory_row` a record."""
     lines = [TRAJECTORY_HEADER]
-    for t, xa, xd, y, margin, rel in result.trajectory:
-        if y is not None:
-            lines.append(_LIVE_ROW % (t, xa.x, xa.y, xd.x, xd.y, y.x, y.y, margin, rel))
-            continue
-        margin_cell = fmt9(margin) if margin is not None else ""
-        lines.append(f"{t},{fmt9(xa.x)},{fmt9(xa.y)},{fmt9(xd.x)},{fmt9(xd.y)},,,{margin_cell},")
-    return "\n".join(lines) + "\n"
+    lines += [
+        _LIVE_ROW % (t, xa.x, xa.y, xd.x, xd.y, y.x, y.y, margin, rel) if y is not None
+        else _terminal_row(t, xa, xd, margin)
+        for t, xa, xd, y, margin, rel in result.trajectory
+    ]
+    lines.append("")
+    return "\n".join(lines)
+
+
+# `json_text` of the summary payload, with the world's rendered block as its
+# `config`.
+_SUMMARY = '{\n  "outcome": "%s",\n  "end_time": %s,\n  "seed": %s,\n  "config": %s\n}\n'
 
 
 def summary_json_text(result: EpisodeResult, cfg: WorldConfig, seed: int) -> str:
-    payload = {
-        "outcome": result.outcome.value,
-        "end_time": result.end_time,
-        "seed": seed,
-        "config": cfg.to_flat_dict(),
-    }
-    return json_text(payload)
+    """`json_text` of {outcome, end_time, seed, config: cfg.to_flat_dict()},
+    byte for byte.  The config block is the one `cfg` rendered when it was
+    built, so a call formats only the outcome, the end time and the seed."""
+    return _SUMMARY % (result.outcome.value, result.end_time, seed, cfg._summary_config)

@@ -3,8 +3,9 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator, TextIO
 
 
 def fmt9(value: float) -> str:
@@ -21,17 +22,22 @@ def json_text(payload: Any) -> str:
     return json.dumps(payload, indent=2, sort_keys=False) + "\n"
 
 
-def write_text_atomic(path: Path, text: str) -> None:
-    """Write via a sibling temp file + rename, so failures never leave a
-    partial file at the destination.  The file gets the mode `open(path, "w")`
-    would give it: the temp file is created 0o666 and the umask applies."""
+@contextmanager
+def open_atomic(path: Path) -> Iterator[TextIO]:
+    """A text file that appears at `path` whole or not at all.
+
+    Yields a sibling temp file, and renames it to `path` when the block ends
+    normally; if the block raises, the temp file is removed, so a failure
+    never leaves a partial file at the destination.  The parent directory is
+    created if missing, and the file gets the mode `open(path, "w")` would
+    give it: the temp file is created 0o666 and the umask applies."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp_name = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
     fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -39,3 +45,9 @@ def write_text_atomic(path: Path, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def write_text_atomic(path: Path, text: str) -> None:
+    """Write `text` to `path` through `open_atomic`."""
+    with open_atomic(path) as fh:
+        fh.write(text)

@@ -10,7 +10,8 @@ against the scalar attackers.  So are the three loops at the end: the
 start sampler and the `check` sweep as they were written before each took
 its uniforms four at a time and the sweep moved onto the lanes, and the
 margin-change estimator as it was written before it stepped two blocks at
-a time.
+a time.  So are `run`'s two renderers, as they were written before the
+config block was rendered once per world and the CSV rows were streamed.
 """
 from __future__ import annotations
 
@@ -24,7 +25,8 @@ from guardian_sim.analysis import (
     MARGIN_BLOCK, MARGIN_SAMPLE_ATTACKER_RADIUS, MARGIN_SAMPLE_DEFENDER_RADIUS,
     one_step_margin_change)
 from guardian_sim.engine import (
-    ATTACKER_RADIUS_RANGE, DEFENDER_RADIUS_RANGE, InvalidInitializationError)
+    ATTACKER_RADIUS_RANGE, DEFENDER_RADIUS_RANGE, TRAJECTORY_HEADER, InvalidInitializationError)
+from guardian_sim.fileio import fmt9, json_text
 from guardian_sim.geometry import Vec2
 from guardian_sim.observation import NoiseParams
 from guardian_sim.rng import Rng
@@ -302,3 +304,30 @@ def one_block_margin_change(strategy, params: NoiseParams, k: float, n: int, rng
         m2 += float(((delta - block_mean) ** 2).sum()) + gap * gap * count * m / total
         count = total
     return mean, math.sqrt(m2 / (n - 1) / n)
+
+
+_LIVE_ROW = "%d" + ",%.9g" * 8
+
+
+def trajectory_csv_text(result) -> str:
+    """`engine.trajectory_csv_text`, one appended line per record."""
+    lines = [TRAJECTORY_HEADER]
+    for t, xa, xd, y, margin, rel in result.trajectory:
+        if y is not None:
+            lines.append(_LIVE_ROW % (t, xa.x, xa.y, xd.x, xd.y, y.x, y.y, margin, rel))
+            continue
+        margin_cell = fmt9(margin) if margin is not None else ""
+        lines.append(f"{t},{fmt9(xa.x)},{fmt9(xa.y)},{fmt9(xd.x)},{fmt9(xd.y)},,,{margin_cell},")
+    return "\n".join(lines) + "\n"
+
+
+def summary_json_text(result, cfg, seed: int) -> str:
+    """`engine.summary_json_text`, the whole payload built and encoded on
+    every call."""
+    payload = {
+        "outcome": result.outcome.value,
+        "end_time": result.end_time,
+        "seed": seed,
+        "config": cfg.to_flat_dict(),
+    }
+    return json_text(payload)

@@ -7,13 +7,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import guardian_sim
-from guardian_sim import engine
+from guardian_sim import cli, engine
 from guardian_sim.analysis import estimate_mean_margin_change
 from guardian_sim.cli import (
     _DEFAULTS,
@@ -386,6 +387,71 @@ class TestRunCommand:
                          "--xa", "30", "0", "--xd", "0", "0", "--out", str(tmp_path / defender)])
             assert code == 0
         assert "error" not in capsys.readouterr().err
+
+
+class TestRunStreaming:
+    """`run` writes each trajectory row as the step makes it and keeps none,
+    so its memory does not grow with the episode's length."""
+
+    SURVIVOR = ["run", "--attacker", "static", "--defender", "adm", "--beta", "1", "--tau", "0.5",
+                "--seed", "1"]
+
+    def test_peak_memory_does_not_grow_with_the_step_cap(self, tmp_path):
+        def peak(steps: int) -> int:
+            tracemalloc.start()
+            try:
+                argv = [*self.SURVIVOR, "--max-steps", str(steps), "--out", str(tmp_path / "out")]
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(10)  # loads what every later run reuses
+        assert peak(20_000) - peak(2_000) < 256 * 1024
+
+    @pytest.mark.parametrize("fmt", [f.value for f in OutputFormat])
+    @pytest.mark.parametrize("error", [ValueError, RuntimeError])
+    def test_a_failed_step_leaves_no_file(self, tmp_path, capsys, monkeypatch, fmt, error):
+        """A step that raises midway ends the run as it did when the rows were
+        written after the episode: a ValueError exits 2, anything else
+        propagates, and neither leaves a file, temp or final."""
+        real_step, steps = engine.step, []
+
+        def failing_step(*args, **kwargs):
+            steps.append(None)
+            if len(steps) == 5:
+                raise error("simulated step failure")
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "step", failing_step)
+        argv = [*self.SURVIVOR, "--format", fmt, "--out", str(tmp_path)]
+        if error is ValueError:
+            assert main(argv) == 2
+            assert capsys.readouterr().err == "error: simulated step failure\n"
+        else:
+            with pytest.raises(error, match="simulated step failure"):
+                main(argv)
+        assert len(steps) == 5
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("fmt", [f.value for f in OutputFormat])
+    def test_no_format_keeps_the_rows(self, tmp_path, monkeypatch, fmt):
+        """Every format hands the episode a sink and gets back no rows; only
+        the formats that write the CSV write it."""
+        results = []
+
+        def recording_run_episode(*args, **kwargs):
+            assert kwargs["sink"] is not None
+            results.append(engine.run_episode(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "run_episode", recording_run_episode)
+        argv = [*self.SURVIVOR, "--max-steps", "300", "--format", fmt, "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert [(r.end_time, r.trajectory) for r in results] == [(300, [])]
+        names = {"csv": ["trajectory.csv"], "json": ["summary.json"],
+                 "both": ["summary.json", "trajectory.csv"]}[fmt]
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
 
 
 class TestMatrixCommand:

@@ -31,7 +31,7 @@ from guardian_sim.engine import (
     summary_json_text,
     trajectory_csv_text,
 )
-from guardian_sim.fileio import fmt9, write_text_atomic
+from guardian_sim.fileio import fmt9, open_atomic, write_text_atomic
 from guardian_sim.geometry import Vec2, defense_margin
 from guardian_sim.observation import NoiseParams, reliability
 from guardian_sim.rng import NORMAL_WINDOW, Rng, seed_words, word_generator
@@ -214,6 +214,22 @@ class TestRunEpisode:
         assert a.outcome is b.outcome and a.end_time == b.end_time
         c = run_episode(*args, 124)
         assert trajectory_csv_text(a) != trajectory_csv_text(c)
+
+    @pytest.mark.parametrize("defender, attacker", MATRIX_PAIRS, ids=lambda e: e.value)
+    def test_a_sink_gets_every_record_and_none_is_kept(self, defender, attacker):
+        """Without a sink the result holds every record, the terminal one
+        last; with one, the sink gets the same records in order and the
+        result holds none."""
+        cfg = WorldConfig()
+        xa, xd = sample_initial_positions(Rng(5), min_separation=cfg.tau)
+        kept = run_episode(xa, xd, defender, attacker, cfg, 5)
+        assert [rec.t for rec in kept.trajectory] == list(range(kept.end_time + 1))
+        assert kept.trajectory[-1].y is None
+        streamed = []
+        result = run_episode(xa, xd, defender, attacker, cfg, 5, sink=streamed.append)
+        assert streamed == kept.trajectory
+        assert (result.outcome, result.end_time) == (kept.outcome, kept.end_time)
+        assert result.trajectory == []
 
     @pytest.mark.parametrize("window", [NORMAL_WINDOW, 7])
     @pytest.mark.parametrize("defender, attacker", MATRIX_PAIRS, ids=lambda e: e.value)
@@ -463,6 +479,29 @@ class TestAtomicWrites:
             os.umask(old)
         mode = stat.S_IMODE((tmp_path / "atomic.txt").stat().st_mode)
         assert mode == 0o666 & ~umask == stat.S_IMODE((tmp_path / "plain.txt").stat().st_mode)
+
+    def test_open_atomic_publishes_only_when_the_block_ends(self, tmp_path):
+        target = tmp_path / "out.txt"
+        with open_atomic(target) as fh:
+            fh.write("part")
+            fh.flush()
+            (tmp,) = tmp_path.iterdir()
+            assert tmp.name.startswith("out.txt.") and tmp.suffix == ".tmp"
+            assert tmp.read_text() == "part"
+            fh.write(", whole")
+        assert list(tmp_path.iterdir()) == [target]
+        assert target.read_text() == "part, whole"
+
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    def test_open_atomic_removes_its_temp_file_when_the_block_raises(self, tmp_path, error):
+        target = tmp_path / "out.txt"
+        target.write_text("old")
+        with pytest.raises(error):
+            with open_atomic(target) as fh:
+                fh.write("new")
+                raise error
+        assert list(tmp_path.iterdir()) == [target]
+        assert target.read_text() == "old"
 
     def test_creates_parent_directories(self, tmp_path):
         target = tmp_path / "a" / "b" / "out.txt"
