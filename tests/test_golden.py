@@ -226,7 +226,7 @@ def test_other_run_digests(tmp_path, flags):
 
 @pytest.mark.parametrize("fmt, names", [
     ("both", ("trajectory.csv", "summary.json")), ("csv", ("trajectory.csv",)),
-    ("json", ("summary.json",))])
+    ("json", ("summary.json",))], ids=["both", "csv", "json"])
 def test_long_run_digests(tmp_path, fmt, names):
     assert main(["run", *LONG_RUN_FLAGS, "--format", fmt, "--out", str(tmp_path)]) == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
