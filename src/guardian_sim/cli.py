@@ -37,6 +37,7 @@ from .engine import (
     FailureCriterion,
     Outcome,
     WorldConfig,
+    _validate_init,
     run_episode,
     sample_initial_positions,
     summary_json_text,
@@ -281,6 +282,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     if xa is None or xd is None:
         cfg.world.check_sampled_starts(attacker=xa is None, defender=xd is None)
         xa, xd = sample_initial_positions(Rng(init_seed), cfg.world.tau, xa, xd)
+    # Refused starts leave no trace, not even the output directory that
+    # `open_atomic` would make.
+    _validate_init(xa, xd, cfg.attacker, cfg.world)
     episode = (xa, xd, cfg.defender, cfg.attacker, cfg.world, episode_seed)
     # The rows stream to the CSV as the steps make them, and none is kept.
     if cfg.output_format is OutputFormat.JSON:
@@ -289,7 +293,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         with open_atomic(cfg.output_dir / "trajectory.csv") as fh:
             fh.write(TRAJECTORY_HEADER + "\n")
             result = run_episode(
-                *episode, sink=lambda record: fh.write(trajectory_row(record) + "\n"))
+                *episode, sink=lambda record: fh.write(trajectory_row(record)))
     if cfg.output_format is not OutputFormat.CSV:
         write_text_atomic(
             cfg.output_dir / "summary.json", summary_json_text(result, cfg.world, cfg.seed)

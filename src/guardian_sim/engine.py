@@ -350,32 +350,23 @@ def sample_initial_positions(
 
 TRAJECTORY_HEADER = "t,xa_x,xa_y,xd_x,xd_y,y_x,y_y,margin,reliability"
 # A live row: every cell filled, each float as `fmt9` renders it.
-_LIVE_ROW = "%d" + ",%.9g" * 8
-
-
-def _terminal_row(t: int, xa: Vec2, xd: Vec2, margin: float | None) -> str:
-    margin_cell = fmt9(margin) if margin is not None else ""
-    return f"{t},{fmt9(xa.x)},{fmt9(xa.y)},{fmt9(xd.x)},{fmt9(xd.y)},,,{margin_cell},"
+_LIVE_ROW = "%d" + ",%.9g" * 8 + "\n"
 
 
 def trajectory_row(record: StepRecord) -> str:
-    """One CSV row of `trajectory_csv_text`, without its newline."""
+    """One line of `trajectory_csv_text`, its newline included.  The
+    terminal record leaves the observation and reliability cells empty, and
+    the margin cell too after a coincident capture."""
     t, xa, xd, y, margin, rel = record
-    if y is None:
-        return _terminal_row(t, xa, xd, margin)
-    return _LIVE_ROW % (t, xa.x, xa.y, xd.x, xd.y, y.x, y.y, margin, rel)
+    if y is not None:
+        return _LIVE_ROW % (t, xa.x, xa.y, xd.x, xd.y, y.x, y.y, margin, rel)
+    margin_cell = fmt9(margin) if margin is not None else ""
+    return f"{t},{fmt9(xa.x)},{fmt9(xa.y)},{fmt9(xd.x)},{fmt9(xd.y)},,,{margin_cell},\n"
 
 
 def trajectory_csv_text(result: EpisodeResult) -> str:
     """The trajectory as CSV: the header, then one `trajectory_row` a record."""
-    lines = [TRAJECTORY_HEADER]
-    lines += [
-        _LIVE_ROW % (t, xa.x, xa.y, xd.x, xd.y, y.x, y.y, margin, rel) if y is not None
-        else _terminal_row(t, xa, xd, margin)
-        for t, xa, xd, y, margin, rel in result.trajectory
-    ]
-    lines.append("")
-    return "\n".join(lines)
+    return TRAJECTORY_HEADER + "\n" + "".join([trajectory_row(r) for r in result.trajectory])
 
 
 # `json_text` of the summary payload, with the world's rendered block as its

@@ -435,6 +435,18 @@ class TestRunStreaming:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("fmt", [f.value for f in OutputFormat])
+    @pytest.mark.parametrize("flags", [["--xa", "5", "0", "--xd", "20", "0"],
+                                       ["--xa", "10", "0", "--xd", "10.25", "0", "--tau", "0.5"]],
+                             ids=["inside-safe-zone", "within-capture-radius"])
+    def test_a_refused_start_leaves_no_output_directory(self, tmp_path, capsys, fmt, flags):
+        """The starts are checked before the CSV is opened, so a refused one
+        does not make a missing `--out` directory."""
+        out = tmp_path / "out"
+        assert main(["run", *flags, "--format", fmt, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", [f.value for f in OutputFormat])
     def test_no_format_keeps_the_rows(self, tmp_path, monkeypatch, fmt):
         """Every format hands the episode a sink and gets back no rows; only
         the formats that write the CSV write it."""
