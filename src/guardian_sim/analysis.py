@@ -35,7 +35,7 @@ from .engine import (
 )
 from .fileio import fmt9, json_text, round9
 from .geometry import Vec2, closest_safe_reachable_point, defense_margin
-from .observation import NoiseParams, noise_variance, observe, reliability
+from .observation import NoiseParams, check_positive_finite, noise_variance, observe, reliability
 from .rng import Rng, derive_seed, derive_seeds, seed_words, word_generator
 from .strategies import (
     AttackerBehavior,
@@ -194,6 +194,7 @@ def estimate_mean_margin_change(
     """
     if n < 2:
         raise ValueError(f"need at least two samples for a standard error, got {n}")
+    check_positive_finite(k, "reliability half-width k")
     gen = rng.generator
     count, mean, m2 = 0, 0.0, 0.0
     while count < n:

@@ -9,8 +9,8 @@ Subcommands:
 
 Each command accepts only the flags it reads.  Settings resolve flag > config
 file > environment (seed only) > defaults.  The config file is a flat JSON
-object using the same names as the flags; every command takes the same keys,
-and `check`, `stability` and `margin-table` check only the values they read.
+object using the same names as the flags; every command takes the same keys
+and checks only the values it reads.
 """
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ import enum
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .analysis import (
@@ -73,20 +72,6 @@ class OutputFormat(enum.Enum):
     CSV = "csv"
     JSON = "json"
     BOTH = "both"
-
-
-@dataclass(slots=True)
-class RunConfig:
-    world: WorldConfig
-    defender: DefenderStrategy
-    attacker: AttackerBehavior
-    trials: int
-    seed: int
-    jobs: int
-    output_dir: Path
-    output_format: OutputFormat
-    xa: Vec2 | None
-    xd: Vec2 | None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -245,71 +230,67 @@ def _noise(settings: dict) -> NoiseParams:
     )
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """The settings of `run` and `matrix`, all checked."""
-    settings = resolve_settings(args)
+def _world(settings: dict) -> WorldConfig:
+    """The world of `run` and `matrix`, from its ten keys."""
     # Range checks that span several settings live in WorldConfig and
     # NoiseParams; their ValueError becomes a ConfigError here.
     try:
-        return RunConfig(
-            world=WorldConfig(
-                r_interest=_number(settings["r_interest"], "r_interest"),
-                r_safe=_number(settings["r_safe"], "r_safe"),
-                tau=_number(settings["tau"], "tau"),
-                noise=_noise(settings),
-                k=_number(settings["k"], "k"),
-                max_steps=_integer(settings["max_steps"], "max_steps", 1),
-                failure_criterion=_choice(FailureCriterion, settings, "failure_criterion"),
-            ),
-            defender=_choice(DefenderStrategy, settings, "defender"),
-            attacker=_choice(AttackerBehavior, settings, "attacker"),
-            trials=_integer(settings["trials"], "trials", 1),
-            seed=_seed(settings),
-            jobs=_integer(settings["jobs"], "jobs", 1),
-            output_dir=_path(settings["out"], "out"),
-            output_format=_choice(OutputFormat, settings, "format"),
-            xa=_parse_point(settings["xa"], "xa"),
-            xd=_parse_point(settings["xd"], "xd"),
+        return WorldConfig(
+            r_interest=_number(settings["r_interest"], "r_interest"),
+            r_safe=_number(settings["r_safe"], "r_safe"),
+            tau=_number(settings["tau"], "tau"),
+            noise=_noise(settings),
+            k=_number(settings["k"], "k"),
+            max_steps=_integer(settings["max_steps"], "max_steps", 1),
+            failure_criterion=_choice(FailureCriterion, settings, "failure_criterion"),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
+def _output(settings: dict) -> tuple[Path, OutputFormat]:
+    return _path(settings["out"], "out"), _choice(OutputFormat, settings, "format")
+
+
 def cmd_run(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
-    init_seed, episode_seed = trial_seeds(cfg.seed, 0)
-    xa, xd = cfg.xa, cfg.xd
+    settings = resolve_settings(args)
+    world = _world(settings)
+    defender = _choice(DefenderStrategy, settings, "defender")
+    attacker = _choice(AttackerBehavior, settings, "attacker")
+    seed, (out, fmt) = _seed(settings), _output(settings)
+    xa, xd = _parse_point(settings["xa"], "xa"), _parse_point(settings["xd"], "xd")
+    init_seed, episode_seed = trial_seeds(seed, 0)
     if xa is None or xd is None:
-        cfg.world.check_sampled_starts(attacker=xa is None, defender=xd is None)
-        xa, xd = sample_initial_positions(Rng(init_seed), cfg.world.tau, xa, xd)
+        world.check_sampled_starts(attacker=xa is None, defender=xd is None)
+        xa, xd = sample_initial_positions(Rng(init_seed), world.tau, xa, xd)
     # Refused starts leave no trace, not even the output directory that
     # `open_atomic` would make.
-    _validate_init(xa, xd, cfg.attacker, cfg.world)
-    episode = (xa, xd, cfg.defender, cfg.attacker, cfg.world, episode_seed)
+    _validate_init(xa, xd, attacker, world)
+    episode = (xa, xd, defender, attacker, world, episode_seed)
     # The rows stream to the CSV as the steps make them, and none is kept.
-    if cfg.output_format is OutputFormat.JSON:
+    if fmt is OutputFormat.JSON:
         result = run_episode(*episode, sink=lambda record: None)
     else:
-        with open_atomic(cfg.output_dir / "trajectory.csv") as fh:
+        with open_atomic(out / "trajectory.csv") as fh:
             fh.write(TRAJECTORY_HEADER + "\n")
-            result = run_episode(
-                *episode, sink=lambda record: fh.write(trajectory_row(record)))
-    if cfg.output_format is not OutputFormat.CSV:
-        write_text_atomic(
-            cfg.output_dir / "summary.json", summary_json_text(result, cfg.world, cfg.seed)
-        )
+            result = run_episode(*episode, sink=lambda record: fh.write(trajectory_row(record)))
+    if fmt is not OutputFormat.CSV:
+        write_text_atomic(out / "summary.json", summary_json_text(result, world, seed))
     print(f"outcome={result.outcome.value} t={result.end_time}")
     return 0 if result.outcome in (Outcome.CAPTURED, Outcome.SURVIVED) else 1
 
 
 def cmd_matrix(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
-    report = run_experiment_matrix(cfg.world, cfg.trials, cfg.seed, jobs=cfg.jobs)
+    settings = resolve_settings(args)
+    world, trials = _world(settings), _integer(settings["trials"], "trials", 1)
+    seed, jobs = _seed(settings), _integer(settings["jobs"], "jobs", 1)
+    out, fmt = _output(settings)
+    report = run_experiment_matrix(world, trials, seed, jobs=jobs)
     csv_text = report_csv_text(report)
-    if cfg.output_format is not OutputFormat.JSON:
-        write_text_atomic(cfg.output_dir / "winrates.csv", csv_text)
-    if cfg.output_format is not OutputFormat.CSV:
-        write_text_atomic(cfg.output_dir / "report.json", report_json_text(report))
+    if fmt is not OutputFormat.JSON:
+        write_text_atomic(out / "winrates.csv", csv_text)
+    if fmt is not OutputFormat.CSV:
+        write_text_atomic(out / "report.json", report_json_text(report))
     print(csv_text, end="")
     return 0
 

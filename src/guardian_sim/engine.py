@@ -19,7 +19,7 @@ import numpy as np
 
 from .fileio import fmt9, json_text, round9
 from .geometry import Vec2, defense_margin
-from .observation import NoiseParams, noise_variance, observe, reliability
+from .observation import NoiseParams, check_positive_finite, noise_variance, observe, reliability
 from .rng import NormalStream, NormalWindow, Rng
 from .strategies import (
     _EPS_DIRECTION, AttackerBehavior, DefenderStrategy, attacker_control, defender_control)
@@ -61,16 +61,17 @@ class Outcome(enum.Enum):
 class WorldConfig:
     """The world settings of an episode, checked on construction.
 
-    Besides the range checks, the noise is bounded so that no observation
-    can overflow.  Both agents start inside the zone of interest and move at
-    most one unit per step, so every true coordinate stays within
-    reach = r_interest + max_steps (a cap above 10**15 steps, which no run
-    reaches, counts as 10**15) and the separation within 2 * reach.  An
-    observed coordinate is a true one plus sigma times a normal draw, and no
-    draw exceeds 14 in magnitude.  The settings are refused unless
-    reach + 14 * sigma(2 * reach) < sqrt(float max / 4), about 6.7e153; then
-    the squared norm of any observation is finite.  With the other defaults
-    this caps beta near 5.7e296.
+    `tau` and `k` must be positive and finite.  Besides the range checks, the
+    noise is bounded so that no observation can overflow.  Both agents start
+    inside the zone of interest and move at most one unit per step, so every
+    true coordinate stays within reach = r_interest + max_steps (a cap above
+    10**15 steps, which no run reaches, counts as 10**15) and the separation
+    within 2 * reach.  An observed coordinate is a true one plus sigma times a
+    normal draw, and no draw exceeds 14 in magnitude.  The settings are
+    refused unless reach + 14 * sigma(2 * reach) < sqrt(float max / 4), about
+    6.7e153; then the squared norm of any observation is finite.  With the
+    other defaults this caps beta near 5.7e296.  A reach that breaks the bound
+    on its own, noise or none, is refused with r_interest named.
 
     Each object also holds the `config` block of `summary_json_text`, rendered
     once on construction from this object's own settings.  Equal worlds can
@@ -94,13 +95,16 @@ class WorldConfig:
             raise ValueError(
                 f"need 0 < r_safe < r_interest, got {self.r_safe}, {self.r_interest}"
             )
-        if not self.tau > 0.0:
-            raise ValueError(f"capture radius tau must be positive, got {self.tau}")
-        if not self.k > 0.0:
-            raise ValueError(f"reliability half-width k must be positive, got {self.k}")
-        if self.max_steps < 1:
+        check_positive_finite(self.tau, "capture radius tau")
+        check_positive_finite(self.k, "reliability half-width k")
+        if not self.max_steps >= 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
         reach = self.r_interest + min(self.max_steps, _STEP_HORIZON)
+        if not reach < _MAX_COORDINATE:  # infinite r_interest too
+            raise ValueError(
+                f"r_interest={self.r_interest!r} too large: a coordinate within r_interest + "
+                f"max_steps = {reach:.6g} could overflow when squared"
+            )
         sigma = math.sqrt(noise_variance(2.0 * reach, self.noise))
         if not reach + _MAX_NORMAL_DRAW * sigma < _MAX_COORDINATE:
             raise ValueError(

@@ -38,6 +38,14 @@ class NoiseParams:
             raise ValueError(f"visibility nu must lie in [0, 1], got {self.nu}")
 
 
+def check_positive_finite(value: float, name: str) -> None:
+    """Refuse a setting that is not positive (NaN included) or not finite."""
+    if not value > 0.0:
+        raise ValueError(f"{name} must be positive, got {value}")
+    if value == math.inf:
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
 def noise_variance(distance: float, params: NoiseParams) -> float:
     """Observation variance per axis at the given agent separation."""
     return params.beta_b + params.beta_d * distance * distance + params.beta_v * (1.0 - params.nu)

@@ -265,6 +265,17 @@ class TestEstimateMeanMarginChange:
         with pytest.raises(ValueError):
             estimate_mean_margin_change(DefenderStrategy.PURE_PURSUIT, NoiseParams(), 0.5, 1, Rng(0))
 
+    @pytest.mark.parametrize("strategy", list(DefenderStrategy), ids=lambda s: s.value)
+    @pytest.mark.parametrize("k", [math.inf, math.nan, 0.0], ids=["inf", "nan", "zero"])
+    def test_refuses_a_bad_half_width_before_drawing(self, strategy, k):
+        """Every strategy, `adm` or not, refuses k before its first draw; an
+        infinite k printed a table."""
+        rng = Rng(0)
+        state = rng.generator.bit_generator.state
+        with pytest.raises(ValueError, match=r"^reliability half-width k must be"):
+            estimate_mean_margin_change(strategy, NoiseParams(), k, 100, rng)
+        assert rng.generator.bit_generator.state == state
+
     def test_fields_and_positive_stderr(self):
         est = estimate_mean_margin_change(DefenderStrategy.DEFENSE_MARGIN, NoiseParams(), 0.5, 2000, Rng(4))
         assert [f.name for f in dataclasses.fields(est)] == ["mean_change", "stderr"]

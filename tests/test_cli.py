@@ -15,7 +15,7 @@ import pytest
 
 import guardian_sim
 from guardian_sim import cli, engine
-from guardian_sim.analysis import estimate_mean_margin_change
+from guardian_sim.analysis import estimate_mean_margin_change, trial_seeds
 from guardian_sim.cli import (
     _DEFAULTS,
     SEED_ENV_VAR,
@@ -23,7 +23,6 @@ from guardian_sim.cli import (
     OutputFormat,
     build_parser,
     main,
-    resolve_config,
 )
 from guardian_sim.engine import TRAJECTORY_HEADER, FailureCriterion, WorldConfig
 from guardian_sim.observation import NoiseParams
@@ -52,21 +51,108 @@ def write_config(tmp_path, payload, name="cfg.json"):
     return path
 
 
-class TestResolveConfig:
-    def test_defaults(self, monkeypatch):
-        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
-        cfg = resolve_config(parse(["run"]))
-        assert cfg.defender is DefenderStrategy.PURE_PURSUIT
-        assert cfg.attacker.value == "linear"
-        assert cfg.trials == 1000
-        assert cfg.seed == 0
-        assert cfg.world.noise.beta_d == 0.05
-        assert cfg.world.tau == 2.0
-        assert cfg.world == WorldConfig()
+class Resolved(Exception):
+    """Raised by a stubbed library call, with the arguments a command gave it."""
 
-    def test_flat_dict_config_reproduces_world(self, tmp_path):
+
+def handed(monkeypatch, argv, name):
+    """The (args, kwargs) that `main(argv)` hands `cli.<name>`, stubbed out
+    so that the command stops there."""
+
+    def stub(*args, **kwargs):
+        raise Resolved(args, kwargs)
+
+    monkeypatch.setattr(cli, name, stub)
+    with pytest.raises(Resolved) as exc:
+        main(argv)
+    return exc.value.args
+
+
+def run_settings(monkeypatch, *argv):
+    """The defender, attacker, world and episode seed `run` resolves."""
+    (_, _, defender, attacker, world, episode_seed), _ = handed(
+        monkeypatch, ["run", *argv], "run_episode")
+    return defender, attacker, world, episode_seed
+
+
+def matrix_settings(monkeypatch, *argv):
+    """The world, trials, seed and jobs `matrix` resolves."""
+    (world, trials, seed), kwargs = handed(monkeypatch, ["matrix", *argv], "run_experiment_matrix")
+    return world, trials, seed, kwargs["jobs"]
+
+
+def check_seed(monkeypatch, *argv) -> int:
+    return handed(monkeypatch, ["check", *argv], "run_default_checks")[1]["seed"]
+
+
+# The flags each command requires, and the keys of a config file it reads.
+REQUIRED = {"run": [], "matrix": [], "check": [],
+            "stability": ["--e", "10", "0", "--ua", "0", "1"], "margin-table": []}
+WORLD_KEYS = set(WorldConfig().to_flat_dict())
+NOISE_KEYS = {"beta", "beta_b", "beta_v", "nu"}
+READS = {
+    "run": WORLD_KEYS | {"defender", "attacker", "seed", "out", "format", "xa", "xd"},
+    "matrix": WORLD_KEYS | {"trials", "seed", "jobs", "out", "format"},
+    "check": {"seed"},
+    "stability": NOISE_KEYS | {"seed"},
+    "margin-table": NOISE_KEYS | {"seed", "k"},
+}
+# One bad config value per key, of the wrong JSON type or out of range, and
+# the message that refuses it.
+BAD = {
+    "defender": ("zigzag", "unknown defender 'zigzag' (valid: pp, dm, adm)"),
+    "attacker": (7, "unknown attacker '7' (valid: linear, spiral, intelligent, static)"),
+    "trials": (0, "trials must be >= 1, got 0"),
+    "seed": (-1, "seed must be >= 0, got -1"),
+    "jobs": (None, "jobs must be an integer, got None"),
+    "out": (5, "out must be a path string, got 5"),
+    "format": ("xml", "unknown format 'xml' (valid: csv, json, both)"),
+    "xa": ([1.0], "xa must be a pair of numbers"),
+    "xd": ("wide", "xd must be a pair of numbers"),
+    "r_interest": ("wide", "r_interest must be a number, got 'wide'"),
+    "r_safe": (99.0, "need 0 < r_safe < r_interest, got 99.0, 50.0"),
+    "tau": (-1.0, "capture radius tau must be positive, got -1.0"),
+    "beta": (True, "beta must be a number, got True"),
+    "beta_b": (None, "beta_b must be a number, got None"),
+    "beta_v": ([0.1], "beta_v must be a number, got [0.1]"),
+    "nu": (2.0, "visibility nu must lie in [0, 1], got 2.0"),
+    "k": (-1.0, "reliability half-width k must be positive, got -1.0"),
+    "max_steps": (0, "max_steps must be >= 1, got 0"),
+    "failure_criterion": ("zigzag",
+                          "unknown failure_criterion 'zigzag' (valid: position_breach, margin_breach)"),
+}
+# Flags that keep each command to well under a second; none sets a key the
+# command leaves unread.
+QUICK = {"run": ["--xa", "10", "0", "--xd", "0", "0", "--attacker", "static", "--beta", "0"],
+         "matrix": ["--trials", "2", "--max-steps", "50"],
+         "check": [],
+         "stability": [*REQUIRED["stability"], "--samples", "2000"],
+         "margin-table": ["--samples", "2000"]}
+
+
+class TestResolveConfig:
+    """Settings resolve flag > file > environment (seed only) > default,
+    pinned through the commands that read them."""
+
+    def test_defaults(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        monkeypatch.chdir(tmp_path)
+        defender, attacker, world, episode_seed = run_settings(monkeypatch)
+        assert defender is DefenderStrategy.PURE_PURSUIT
+        assert attacker.value == "linear"
+        assert episode_seed == trial_seeds(0, 0)[1]
+        assert world == WorldConfig()
+        world, trials, seed, jobs = matrix_settings(monkeypatch)
+        assert (trials, seed, jobs) == (1000, 0, 1)
+        assert world.noise.beta_d == 0.05
+        assert world.tau == 2.0
+        assert world == WorldConfig()
+        assert check_seed(monkeypatch) == 0
+
+    def test_flat_dict_config_reproduces_world(self, tmp_path, monkeypatch):
         """A summary.json or report.json `config` block is a valid config
         file, and resolving it gives back the world it was written from."""
+        monkeypatch.chdir(tmp_path)
         world = WorldConfig(
             r_interest=60.0, r_safe=12.5, tau=1.5,
             noise=NoiseParams(beta_b=0.01, beta_d=0.02, beta_v=0.03, nu=0.25),
@@ -75,8 +161,9 @@ class TestResolveConfig:
         default = WorldConfig()
         for new, old in ((world, default), (world.noise, default.noise)):
             assert all(getattr(new, f.name) != getattr(old, f.name) for f in fields(new))
-        path = write_config(tmp_path, world.to_flat_dict())
-        assert resolve_config(parse(["run", "--config", str(path)])).world == world
+        config = ["--config", str(write_config(tmp_path, world.to_flat_dict()))]
+        assert run_settings(monkeypatch, *config)[2] == world
+        assert matrix_settings(monkeypatch, *config)[0] == world
 
     def test_every_flag_is_a_config_key(self):
         """Flags and config keys share one name set; `--config` and the
@@ -92,45 +179,54 @@ class TestResolveConfig:
 
     def test_flag_beats_file(self, tmp_path, monkeypatch):
         monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        monkeypatch.chdir(tmp_path)
         path = write_config(tmp_path, {"defender": "dm", "seed": 5, "beta": 0.1})
-        cfg = resolve_config(parse(["run", "--config", str(path), "--defender", "pp"]))
-        assert cfg.defender is DefenderStrategy.PURE_PURSUIT  # flag wins
-        assert cfg.seed == 5  # file survives where no flag given
-        assert cfg.world.noise.beta_d == 0.1
+        defender, _, world, episode_seed = run_settings(
+            monkeypatch, "--config", str(path), "--defender", "pp")
+        assert defender is DefenderStrategy.PURE_PURSUIT  # flag wins
+        assert episode_seed == trial_seeds(5, 0)[1]  # file survives where no flag given
+        assert world.noise.beta_d == 0.1
 
     def test_file_beats_env_for_seed(self, tmp_path, monkeypatch):
         monkeypatch.setenv(SEED_ENV_VAR, "99")
         path = write_config(tmp_path, {"seed": 5})
-        assert resolve_config(parse(["run", "--config", str(path)])).seed == 5
+        assert check_seed(monkeypatch, "--config", str(path)) == 5
 
     def test_env_fallback_for_seed(self, monkeypatch):
         monkeypatch.setenv(SEED_ENV_VAR, "99")
-        assert resolve_config(parse(["run"])).seed == 99
+        assert check_seed(monkeypatch) == 99
 
     def test_flag_beats_env_for_seed(self, monkeypatch):
         monkeypatch.setenv(SEED_ENV_VAR, "99")
-        assert resolve_config(parse(["run", "--seed", "7"])).seed == 7
+        assert check_seed(monkeypatch, "--seed", "7") == 7
 
-    def test_bad_env_seed_rejected(self, monkeypatch):
+    @pytest.mark.parametrize("command", list(READS))
+    def test_bad_env_seed_rejected(self, tmp_path, capsys, monkeypatch, command):
         monkeypatch.setenv(SEED_ENV_VAR, "not-a-number")
-        with pytest.raises(ConfigError):
-            resolve_config(parse(["run"]))
+        monkeypatch.chdir(tmp_path)
+        assert main([command, *REQUIRED[command]]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: ${SEED_ENV_VAR} must be an integer, got 'not-a-number'\n")
 
-    def test_unknown_config_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize("command", list(READS))
+    def test_unknown_config_key_rejected(self, tmp_path, capsys, command):
         path = write_config(tmp_path, {"defnder": "dm"})
-        with pytest.raises(ConfigError, match="defnder"):
-            resolve_config(parse(["run", "--config", str(path)]))
+        assert main([command, *REQUIRED[command], "--config", str(path)]) == 2
+        assert capsys.readouterr() == ("", "error: unknown config key(s): defnder\n")
 
-    def test_malformed_json_rejected(self, tmp_path):
+    @pytest.mark.parametrize("command", list(READS))
+    def test_malformed_json_rejected(self, tmp_path, capsys, command):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
-        with pytest.raises(ConfigError):
-            resolve_config(parse(["run", "--config", str(path)]))
+        assert main([command, *REQUIRED[command], "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: malformed JSON in config file {path}: ")
 
-    def test_bad_strategy_name_in_file(self, tmp_path):
+    def test_bad_strategy_name_in_file(self, tmp_path, capsys):
         path = write_config(tmp_path, {"defender": "ppx"})
-        with pytest.raises(ConfigError, match="pp, dm, adm"):
-            resolve_config(parse(["run", "--config", str(path)]))
+        assert main(["run", "--config", str(path)]) == 2
+        assert "pp, dm, adm" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "payload",
@@ -141,20 +237,24 @@ class TestResolveConfig:
          {"r_safe": [10.0]}, {"r_interest": None}, {"beta_b": {}}, {"beta_v": True},
          {"out": None}, {"out": ["a"]}],
     )
-    def test_invalid_values_rejected(self, tmp_path, payload, monkeypatch):
-        """Each bad value is refused with its key named in the message."""
+    def test_invalid_values_rejected(self, tmp_path, capsys, payload, monkeypatch):
+        """Each bad value is refused with its key named in the message, by
+        `matrix`, or by `run` for the start that only `run` reads."""
         monkeypatch.delenv(SEED_ENV_VAR, raising=False)
-        path = write_config(tmp_path, payload)
-        with pytest.raises(ConfigError) as exc:
-            resolve_config(parse(["matrix", "--config", str(path)]))
+        monkeypatch.chdir(tmp_path)
         (key,) = payload
-        assert key in str(exc.value)
+        command = "matrix" if key in READS["matrix"] else "run"
+        assert main([command, "--config", str(write_config(tmp_path, payload))]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert key in captured.err
 
     def test_whole_number_counts_accepted(self, tmp_path, monkeypatch):
         monkeypatch.delenv(SEED_ENV_VAR, raising=False)
         path = write_config(tmp_path, {"trials": 3.0, "jobs": "2", "seed": 7, "max_steps": 50.0})
-        cfg = resolve_config(parse(["matrix", "--config", str(path)]))
-        assert (cfg.trials, cfg.jobs, cfg.seed, cfg.world.max_steps) == (3, 2, 7, 50)
+        world, trials, seed, jobs = matrix_settings(monkeypatch, "--config", str(path))
+        assert (trials, jobs, seed, world.max_steps) == (3, 2, 7, 50)
 
     @pytest.mark.parametrize(
         "key, name, member, valid",
@@ -167,15 +267,70 @@ class TestResolveConfig:
         ],
         ids=["defender", "attacker", "failure_criterion", "format"],
     )
-    def test_enum_names_in_file(self, tmp_path, key, name, member, valid):
-        cfg = resolve_config(parse(["run", "--config", str(write_config(tmp_path, {key: name}))]))
-        resolved = {"defender": cfg.defender, "attacker": cfg.attacker,
-                    "failure_criterion": cfg.world.failure_criterion,
-                    "format": cfg.output_format}
-        assert resolved[key] is member
+    def test_enum_names_in_file(self, tmp_path, capsys, monkeypatch, key, name, member, valid):
+        monkeypatch.chdir(tmp_path)
+        config = ["--config", str(write_config(tmp_path, {key: name}))]
+        if key == "format":  # seen in the files a short run writes
+            out = tmp_path / "out"
+            assert main(["run", *config, *QUICK["run"], "--out", str(out)]) == 0
+            assert [p.name for p in out.iterdir()] == ["summary.json"]
+        else:
+            defender, attacker, world, _ = run_settings(monkeypatch, *config)
+            resolved = {"defender": defender, "attacker": attacker,
+                        "failure_criterion": world.failure_criterion}
+            assert resolved[key] is member
+        capsys.readouterr()
         path = write_config(tmp_path, {key: "zigzag"}, name="bad.json")
-        with pytest.raises(ConfigError, match=rf"unknown {key} 'zigzag' \(valid: {valid}\)"):
-            resolve_config(parse(["run", "--config", str(path)]))
+        assert main(["run", "--config", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: unknown {key} 'zigzag' (valid: {valid})\n")
+
+
+class TestEachCommandChecksWhatItReads:
+    """The one rule for config files: every command refuses a bad value for
+    a key it reads, with the key named, and ignores the keys it never reads."""
+
+    def test_every_key_has_a_bad_value_that_names_it(self):
+        assert set(BAD) == set(_DEFAULTS) == set().union(*READS.values())
+        for key, (_, message) in BAD.items():
+            assert key in message
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [pytest.param(command, key, id=f"{command}-{key}")
+         for command, keys in READS.items() for key in sorted(keys)],
+    )
+    def test_a_bad_value_for_a_key_the_command_reads_exits_two(
+        self, tmp_path, capsys, monkeypatch, command, key
+    ):
+        """Refused before any work: nothing printed, no file written."""
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        monkeypatch.chdir(tmp_path)
+        value, message = BAD[key]
+        path = write_config(tmp_path, {key: value})
+        assert main([command, *REQUIRED[command], "--config", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("command", list(READS))
+    def test_bad_values_for_keys_the_command_never_reads_change_nothing(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        """One file holding a bad value for every key the command never
+        reads: the same exit code, stdout, stderr and files as without it."""
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        unread = set(_DEFAULTS) - READS[command]
+        path = write_config(tmp_path, {key: BAD[key][0] for key in unread})
+        runs = []
+        for name, config in (("plain", []), ("with-config", ["--config", str(path)])):
+            work = tmp_path / name
+            work.mkdir()
+            monkeypatch.chdir(work)
+            code = main([command, *QUICK[command], *config])
+            files = {p.name: p.read_bytes() for p in work.iterdir()}
+            runs.append((code, capsys.readouterr(), files))
+        assert runs[0] == runs[1]
+        assert runs[0][1].out
+        assert bool(runs[0][2]) == (command in ("run", "matrix"))
 
 
 class TestRunCommand:
@@ -326,6 +481,32 @@ class TestRunCommand:
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [(["run"], ["--k", "inf"], "reliability half-width k must be finite, got inf"),
+         (["matrix", "--trials", "3"], ["--k", "inf"],
+          "reliability half-width k must be finite, got inf"),
+         (["margin-table", "--samples", "100"], ["--k", "inf"],
+          "reliability half-width k must be finite, got inf"),
+         (["run"], ["--tau", "inf"], "capture radius tau must be finite, got inf"),
+         (["matrix"], ["--tau", "inf"], "capture radius tau must be finite, got inf"),
+         (["run"], ["--r-interest", "inf", "--beta", "0"], "r_interest=inf too large: "),
+         (["run"], ["--r-interest", "1e200", "--beta", "0"], "r_interest=1e+200 too large: "),
+         (["matrix"], ["--r-interest", "inf"], "r_interest=inf too large: ")],
+        ids=["run-k", "matrix-k", "margin-table-k", "run-tau", "matrix-tau",
+             "run-r_interest-noiseless", "run-r_interest-1e200", "matrix-r_interest"],
+    )
+    def test_infinite_world_setting_exits_two_with_the_setting_named(
+        self, tmp_path, capsys, monkeypatch, command, flags, message
+    ):
+        """These ran and wrote `Infinity` into their JSON (k), redrew the
+        starts a thousand times (tau), or blamed the noise (r_interest)."""
+        monkeypatch.chdir(tmp_path)
+        assert main([*command, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("seed", ["193", "215"])
     def test_one_given_start_is_never_refused_for_the_sampled_one(self, tmp_path, seed):
@@ -500,40 +681,7 @@ NEVER_READ = {
                      "--failure-criterion margin_breach", "--out x", "--format csv", "--e 3 0"],
 }
 
-# Config-file values the report commands never read, each refused by `run`
-# and `matrix`; the commands that read `beta` or `k` are given valid ones.
-UNREAD = {"r_interest": "wide", "r_safe": 99.0, "tau": -1.0, "max_steps": 0,
-          "failure_criterion": "zigzag", "trials": 0, "jobs": None, "defender": "zigzag",
-          "attacker": 7, "xa": [1.0], "out": 5, "format": "xml"}
-REPORTS = {
-    "check": ([], {**UNREAD, "beta": -1.0, "beta_b": None, "beta_v": True, "nu": 2.0,
-                   "k": -1.0}, ({"seed": -1}, "seed must be >= 0")),
-    "stability": (["--e", "10", "0", "--ua", "0", "1", "--samples", "2000"],
-                  {**UNREAD, "k": -1.0}, ({"nu": 2.0}, "nu must lie in [0, 1]")),
-    "margin-table": (["--samples", "2000"], UNREAD, ({"k": "nan"}, "k must be positive")),
-}
-
-
 class TestCheckCommand:
-    @pytest.mark.parametrize("command", list(REPORTS))
-    def test_config_settings_the_command_never_reads_are_not_checked(
-        self, tmp_path, capsys, monkeypatch, command
-    ):
-        """A config file whose only bad values are settings the command
-        never reads prints what the command prints without it; a bad value
-        it does read still exits 2 with the key named."""
-        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
-        flags, unread, (bad, message) = REPORTS[command]
-        code = main([command, *flags])
-        plain = capsys.readouterr().out
-        path = write_config(tmp_path, {**unread, "seed": 0})
-        assert main([command, *flags, "--config", str(path)]) == code
-        assert capsys.readouterr().out == plain
-        assert main([command, *flags, "--config", str(write_config(tmp_path, bad))]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert message in captured.err
-
     def test_default_suite_reports_known_dominance_failure(self, capsys, monkeypatch):
         """Exit 1 by design: the margin-step dominance sweep documents real
         counterexamples (see check_one_step_gains); everything else

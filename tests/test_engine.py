@@ -80,6 +80,29 @@ class TestWorldConfig:
         with pytest.raises(ValueError, match="r_safe < r_interest"):
             WorldConfig(r_interest=r_interest, r_safe=r_safe)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"k": math.inf}, "reliability half-width k must be finite, got inf"),
+         ({"tau": math.inf}, "capture radius tau must be finite, got inf"),
+         ({"max_steps": math.nan}, "max_steps must be >= 1, got nan"),
+         ({"r_interest": math.inf}, "r_interest=inf too large: "),
+         ({"r_interest": math.inf, "noise": NOISELESS}, "r_interest=inf too large: "),
+         ({"r_interest": 1e200, "noise": NOISELESS}, "r_interest=1e+200 too large: "),
+         ({"r_interest": 1e153}, "noise too large: beta=0.05 gives sigma="),
+         ({"noise": NoiseParams(beta_d=1e300)}, "noise too large: beta=1e+300 gives sigma=")],
+        ids=["k-inf", "tau-inf", "max_steps-nan", "r_interest-inf", "r_interest-inf-noiseless",
+             "r_interest-1e200-noiseless", "r_interest-1e153", "beta-1e300"],
+    )
+    def test_refuses_a_setting_by_name(self, kwargs, message):
+        """A non-finite setting, or an r_interest that breaks the coordinate
+        bound on its own, is named; the noise is named where it is the cause."""
+        with pytest.raises(ValueError) as exc:
+            WorldConfig(**kwargs)
+        assert str(exc.value).startswith(message)
+
+    def test_accepts_a_noiseless_reach_just_inside_the_bound(self):
+        assert WorldConfig(r_interest=6e153, noise=NOISELESS).r_interest == 6e153
+
     def test_noise_bound_scales_with_the_step_cap(self):
         """The bound holds at the largest separation the step cap allows, so
         a shorter cap admits more noise; a cap beyond any run is accepted."""
