@@ -19,7 +19,6 @@ from guardian_sim.analysis import estimate_mean_margin_change, trial_seeds
 from guardian_sim.cli import (
     _DEFAULTS,
     SEED_ENV_VAR,
-    ConfigError,
     OutputFormat,
     build_parser,
     main,
@@ -116,10 +115,10 @@ BAD = {
     "beta_b": (None, "beta_b must be a number, got None"),
     "beta_v": ([0.1], "beta_v must be a number, got [0.1]"),
     "nu": (2.0, "visibility nu must lie in [0, 1], got 2.0"),
-    "k": (-1.0, "reliability half-width k must be positive, got -1.0"),
+    "k": ("nan", "reliability half-width k must be positive, got nan"),
     "max_steps": (0, "max_steps must be >= 1, got 0"),
-    "failure_criterion": ("zigzag",
-                          "unknown failure_criterion 'zigzag' (valid: position_breach, margin_breach)"),
+    "failure_criterion": (
+        "zigzag", "unknown failure_criterion 'zigzag' (valid: position_breach, margin_breach)"),
 }
 # Flags that keep each command to well under a second; none sets a key the
 # command leaves unread.
