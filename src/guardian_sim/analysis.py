@@ -29,6 +29,7 @@ from .engine import (
     Outcome,
     WorldConfig,
     _validate_init,
+    check_noise_bound,
     polar_point,
     run_episode,
     sample_initial_positions,
@@ -64,7 +65,8 @@ MARGIN_BLOCK = 1024
 # Most trials the matrix kernel advances together (9 episodes each), and the
 # steps of standard normals it draws from a trial's generator at once.  A
 # 1,000-trial matrix ran 17 % faster in blocks of 512 than of 256 (260 against
-# 312 ms); a block holds 9 x 512 lanes and 512 x 32 x 6 normals (0.8 MB).
+# 312 ms); a block holds 9 x 512 lanes and 512 x 32 x 6 normals (0.8 MB, and
+# 1.0 MB more as a step gathers them).
 MATRIX_BLOCK = 512
 MATRIX_WINDOW = 32
 
@@ -186,7 +188,9 @@ def estimate_mean_margin_change(
     array of standard normals, row i being sample i's observation noise.
     The `lanes` kernels step two blocks at a time to the bits
     `one_step_margin_change` gives on the same draws, and raise what it
-    raises (so a non-finite observation is refused, never averaged).  Block
+    raises (so a non-finite observation is refused, never averaged).  Noise
+    that could overflow one is refused before any draw, by `WorldConfig`'s
+    bound over these radii (coordinates within 40, separations to 55).  Block
     means and sums of squared deviations merge, block by block, by Chan et
     al.'s pairwise update.  The block size bounds memory: a 10^4-sample run
     of each strategy peaks about 1.0 MB above the RSS it starts from (0.1 MB
@@ -195,14 +199,16 @@ def estimate_mean_margin_change(
     if n < 2:
         raise ValueError(f"need at least two samples for a standard error, got {n}")
     check_positive_finite(k, "reliability half-width k")
+    top_a, top_d = MARGIN_SAMPLE_ATTACKER_RADIUS[1], MARGIN_SAMPLE_DEFENDER_RADIUS[1]
+    check_noise_bound(params, top_a, top_a + top_d, f"{top_a:g} + {top_d:g}")
     gen = rng.generator
     count, mean, m2 = 0, 0.0, 0.0
     while count < n:
         sizes = [min(m, MARGIN_BLOCK) for m in (n - count, n - count - MARGIN_BLOCK) if m > 0]
         draws = [(gen.uniform(*MARGIN_SAMPLE_ATTACKER_RADIUS, m), gen.uniform(-math.pi, math.pi, m),
                   gen.uniform(*MARGIN_SAMPLE_DEFENDER_RADIUS, m), gen.uniform(-math.pi, math.pi, m),
-                  gen.standard_normal((m, 2))) for m in sizes]
-        ra, aa, rd, ad, normals = map(np.concatenate, zip(*draws))
+                  gen.standard_normal((m, 2)).T) for m in sizes]
+        ra, aa, rd, ad, normals = map(np.hstack, zip(*draws))  # the normals as (2, n)
         xa, xd = lanes.from_polar(ra, aa), lanes.from_polar(rd, ad)
         changes = lanes.one_step_margin_change(
             xa, xd, strategy, params, k, normals, lanes.linear_attacker(xa))
@@ -331,10 +337,6 @@ _INTELLIGENT_PAIR = np.array([a is AttackerBehavior.INTELLIGENT for _, a in MATR
 _DM_ADM_PAIRS = np.array([1, 2]) * len(MATRIX_ATTACKERS)
 
 
-def _at(v, i):  # lanes i of the vector v
-    return v[0][i], v[1][i]
-
-
 def _end_codes(t: int, xa, xd, separation, attacker_norm, cfg: WorldConfig):
     """`engine.episode_outcome` lane by lane, as indices into `_CODES`."""
     captured = separation <= cfg.tau
@@ -374,66 +376,71 @@ def run_matrix_block(
     seeds, starts, words = _block_starts(base_seed, first, count, cfg)
     generators = {c: [word_generator(w) for w in words] for c in (2, 4)}
     windows = {c: np.zeros((count, window, c)) for c in (2, 4)}
+    # The windows again, so that a step gathers each lane's normals as one
+    # contiguous (4, N) array: rows the defender's two, then the attacker's;
+    # columns by c, trial and step.
+    normals = np.zeros((4, 2, count, window))
 
     # Lanes are pair-major, an order that dropping lanes keeps, so each
     # defender's lanes are a contiguous run.
     n_pairs = len(MATRIX_PAIRS)
     trial = np.tile(np.arange(count), n_pairs)
     pair = np.repeat(np.arange(n_pairs), count)
-    ax, ay, dx, dy = (np.tile(column, n_pairs) for column in np.array(starts).T)
+    offset = (trial + count * _INTELLIGENT_PAIR[pair]) * window  # a lane's window in `normals`
+    xa, xd = np.tile(np.array(starts).T, n_pairs).reshape(2, 2, -1)
     codes = np.zeros((n_pairs, count), dtype=np.int8)
     noise, k = cfg.noise, cfg.k
     t = 0
     while True:
-        separation, radius = lanes.hypots((ax - dx, ay - dy), (ax, ay))
-        ended = _end_codes(t, (ax, ay), (dx, dy), separation, radius, cfg)
+        separation, radius = lanes.hypots(xa - xd, xa)
+        ended = _end_codes(t, xa, xd, separation, radius, cfg)
         done = ended != 0
-        if done.any():
+        if np.count_nonzero(done):
             codes[pair[done], trial[done]] = ended[done]
-            live = ~done
-            trial, pair, ax, ay, dx, dy, separation, radius = (
-                a[live] for a in (trial, pair, ax, ay, dx, dy, separation, radius))
-            if not len(pair):
+            live = (~done).nonzero()[0]
+            if not len(live):
                 break
+            trial, pair, offset, separation, radius = (
+                a.take(live) for a in (trial, pair, offset, separation, radius))
+            xa, xd = xa.take(live, axis=1), xd.take(live, axis=1)
         n, (dm, adm) = len(pair), np.searchsorted(pair, _DM_ADM_PAIRS).tolist()
         intelligent = _INTELLIGENT_PAIR[pair]
-        spiral, on = np.flatnonzero(_SPIRAL_PAIR[pair]), np.flatnonzero(intelligent)
+        spiral, on = _SPIRAL_PAIR[pair].nonzero()[0], intelligent.nonzero()[0]
         row = t % window
         if row == 0:
             for c, of_c in ((2, ~intelligent), (4, intelligent)):
                 for i in np.flatnonzero(np.bincount(trial[of_c], minlength=count)).tolist():
                     generators[c][i].standard_normal(out=windows[c][i])
-        fours = windows[4][trial[on], row]  # the defender's two normals, then the attacker's
-        defender_normals = windows[2][trial, row]  # a copy, so the fours can overwrite it
-        defender_normals[on] = fours[:, :2]
-        xa, xd = (ax, ay), (dx, dy)
-        y = lanes.observe(xa, xd, noise, defender_normals, separation)
+            normals[:2, 0], normals[:, 1] = (windows[c].transpose(2, 0, 1) for c in (2, 4))
+        drawn = normals.reshape(4, -1).take(offset + row, axis=1)
+        y = lanes.observe(xa, xd, noise, drawn[:2], separation)
         # Rounds 1 and 2; a group with no lanes skips its pieces.  The linear
         # control, which every attacker's starts as, refuses no live attacker:
         # the spiral needs r_safe > 1.
-        sight, none = lanes.difference(y, xd), (np.empty(0), np.empty(0))
+        sight, none = lanes.difference(y, xd), np.empty((2, 0))
         away = none if not len(on) else lanes.intelligent_away(
-            _at(xa, on), _at(xd, on), noise, fours[:, 2:], separation[on])
+            xa.take(on, 1), xd.take(on, 1), noise, drawn[2:].take(on, 1), separation[on])
         distance, away_norm = lanes.hypots(sight, away)
-        vx, vy = to_origin = lanes.linear_attacker(xa, radius)
-        origin_on, margin = _at(to_origin, on), slice(dm, None)
+        ua = lanes.linear_attacker(xa, radius)
+        origin_on = ua.take(on, axis=1)
         headings = (
-            lanes.dm_heading(_at(y, margin), _at(xd, margin), distance[margin]) if dm < n else none,
-            lanes.spiral_heading(_at(xa, spiral), radius[spiral]) if len(spiral) else none,
+            lanes.dm_heading(y[:, dm:], xd[:, dm:], distance[dm:]) if dm < n else none,
+            lanes.spiral_heading(xa.take(spiral, axis=1), radius[spiral]) if len(spiral) else none,
             lanes.intelligent_heading(away, origin_on, away_norm) if len(on) else none)
         norms = lanes.hypots(*headings)
         pp_dir, dm_dir = lanes._unit(sight, n=distance), lanes._unit(headings[0], n=norms[0])
-        ux, uy = (np.concatenate((pp[:dm], m)) for pp, m in zip(pp_dir, dm_dir))
-        vx[spiral], vy[spiral] = lanes._unit(headings[1], n=norms[1])
-        vx[on], vy[on] = lanes._unit(headings[2], lanes._EPS_BLEND, origin_on, norms[2])
+        ud = np.concatenate((pp_dir[:, :dm], dm_dir), axis=1)
+        # Row by row: a row's scatter is numpy's fast path, a (2, N) one is not.
+        ua[0][spiral], ua[1][spiral] = lanes._unit(headings[1], n=norms[1])
+        ua[0][on], ua[1][on] = lanes._unit(headings[2], lanes._EPS_BLEND, origin_on, norms[2])
         if adm < n:  # round 3, on the last run of lanes
-            tail, adm_dm = slice(adm, None), _at(dm_dir, slice(adm - dm, None))
-            p = lanes.reliability(_at(y, tail), _at(xd, tail), noise, k, distance[tail])
-            blend = lanes.adm_heading(_at(pp_dir, tail), adm_dm, p)
-            ux[tail], uy[tail] = lanes._unit(blend, lanes._EPS_BLEND, adm_dm, lanes.hypot(*blend))
+            adm_dm = dm_dir[:, adm - dm:]
+            p = lanes.reliability(y[:, adm:], xd[:, adm:], noise, k, distance[adm:])
+            blend = lanes.adm_heading(pp_dir[:, adm:], adm_dm, p)
+            ud[:, adm:] = lanes._unit(blend, lanes._EPS_BLEND, adm_dm, lanes.hypot(*blend))
         # Positions stay within r_interest + max_steps of the origin, so the
         # moves need no finiteness check.
-        ax, ay, dx, dy = ax + vx, ay + vy, dx + ux, dy + uy
+        xa, xd = xa + ua, xd + ud
         t += 1
     return [(seed, [_CODES[c] for c in column]) for seed, column in zip(seeds, codes.T.tolist())]
 
@@ -552,11 +559,10 @@ def check_one_step_gains(n: int = 10_000, seed: int = 0) -> tuple[CheckResult, C
     for _ in range(n):
         xa, xd = _random_separated_pair(rng, _SQRT2)
         rows.append((xa.x, xa.y, xd.x, xd.y, *rng.normal_pair(1.0)))
-    ax, ay, dx, dy, *normals = np.array(rows).reshape(n, 6).T
+    xa, xd, normals = np.array(rows).reshape(n, 3, 2).transpose(1, 2, 0)
     exact = NoiseParams(beta_b=0.0, beta_d=0.0, beta_v=0.0, nu=1.0)
     pp, dm = (
-        lanes.one_step_margin_change((ax, ay), (dx, dy), strategy, exact, 0.5,
-                                     np.transpose(normals), (np.zeros(n), np.zeros(n)))
+        lanes.one_step_margin_change(xa, xd, strategy, exact, 0.5, normals, np.zeros((2, n)))
         for strategy in (DefenderStrategy.PURE_PURSUIT, DefenderStrategy.DEFENSE_MARGIN))
     worst = float(np.abs(pp - 0.5).max(initial=0.0))
     violations = int((dm < 0.5 - 1e-9).sum())
@@ -567,31 +573,24 @@ def check_one_step_gains(n: int = 10_000, seed: int = 0) -> tuple[CheckResult, C
         CheckResult(
             "margin_step_dominance", violations == 0,
             f"{violations}/{n} configs gain < 0.5, min dm_gain = {float(dm[i]):.6g} at "
-            f"xa=({float(ax[i]):.6g}, {float(ay[i]):.6g}) "
-            f"xd=({float(dx[i]):.6g}, {float(dy[i]):.6g})"),
+            f"xa=({float(xa[0, i]):.6g}, {float(xa[1, i]):.6g}) "
+            f"xd=({float(xd[0, i]):.6g}, {float(xd[1, i]):.6g})"),
     )
 
 
 def check_margin_grid_oracle(n: int = 200, seed: int = 1) -> CheckResult:
     """Closed-form margin and closest point vs the brute-force grid search,
     each within twice the grid's spacing."""
-    rng = Rng(seed)
-    spacing = 1e-3
-    worst_value = 0.0
-    worst_point = 0.0
+    rng, spacing, worst_value, worst_point = Rng(seed), 1e-3, 0.0, 0.0
     for _ in range(n):
         xa, xd = _random_separated_pair(rng, 0.1)
         oracle = closest_point_grid_search(xa, xd, spacing)
         worst_value = max(worst_value, abs(defense_margin(xa, xd) - oracle.norm()))
-        worst_point = max(
-            worst_point, closest_safe_reachable_point(xa, xd).distance_to(oracle)
-        )
+        worst_point = max(worst_point, closest_safe_reachable_point(xa, xd).distance_to(oracle))
     passed = worst_value <= 2 * spacing and worst_point <= 2 * spacing
-    detail = (
-        f"max |margin - ||grid point||| = {worst_value:.3g}, "
-        f"max point gap = {worst_point:.3g} over {n} configs"
-    )
-    return CheckResult("margin_grid_oracle", passed, detail)
+    return CheckResult("margin_grid_oracle", passed,
+                       f"max |margin - ||grid point||| = {worst_value:.3g}, "
+                       f"max point gap = {worst_point:.3g} over {n} configs")
 
 
 def check_reliability_monotonicity() -> CheckResult:
@@ -607,10 +606,8 @@ def check_reliability_monotonicity() -> CheckResult:
     y, xd = Vec2(1.0, 0.0), Vec2(0.0, 0.0)
     ks = [round(0.1 * i, 10) for i in range(1, 21)]
     sigmas = [round(0.1 * i, 10) for i in range(1, 51)]
-    table = [
-        [reliability(y, xd, NoiseParams(beta_b=s * s, beta_d=0.0), k) for s in sigmas]
-        for k in ks
-    ]
+    table = [[reliability(y, xd, NoiseParams(beta_b=s * s, beta_d=0.0), k) for s in sigmas]
+             for k in ks]
     # (sigma, earlier, later, rises): each row falls as sigma grows, each
     # column rises as k grows.
     walks = [(s, a, b, False) for row in table for s, a, b in zip(sigmas[1:], row, row[1:])]
@@ -624,12 +621,9 @@ def check_reliability_monotonicity() -> CheckResult:
         else:
             ok &= p > prev if rises else p < prev
     exact_one = reliability(y, xd, NoiseParams(beta_b=0.0, beta_d=0.0), 0.5) == 1.0
-    ok &= exact_one
-    detail = (
-        f"{len(ks)}x{len(sigmas)} grid, {saturated} saturated ties at 1.0, "
-        f"zero-noise reliability == 1: {exact_one}"
-    )
-    return CheckResult("reliability_monotonicity", bool(ok), detail)
+    return CheckResult("reliability_monotonicity", bool(ok and exact_one),
+                       f"{len(ks)}x{len(sigmas)} grid, {saturated} saturated ties at 1.0, "
+                       f"zero-noise reliability == 1: {exact_one}")
 
 
 def run_default_checks(seed: int = 0) -> list[CheckResult]:

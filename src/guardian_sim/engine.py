@@ -31,6 +31,9 @@ log = logging.getLogger(__name__)
 DEFENDER_RADIUS_RANGE = (0.0, 20.0)
 ATTACKER_RADIUS_RANGE = (45.0, 50.0)
 _MAX_INIT_REDRAWS = 1000
+# Largest tau run with both starts sampled: all 1,000 attempts fail to clear
+# it with chance 1.7e-13 (8.4e-9 at 65, 0.73 at 69; by quadrature).
+_MAX_SAMPLED_TAU = 64.0
 # numpy's ziggurat normal sampler returns no draw beyond about 13.7 in
 # magnitude: its tail draw is bounded by the smallest nonzero uniform.
 _MAX_NORMAL_DRAW = 14.0
@@ -55,6 +58,17 @@ class Outcome(enum.Enum):
     CAPTURED = "Captured"
     BREACHED = "Breached"
     SURVIVED = "Survived"
+
+
+def check_noise_bound(noise: NoiseParams, reach: float, separation: float, span: str) -> None:
+    """Refuse noise that could overflow a squared observed coordinate, for true
+    coordinates within `reach` and agents at most `separation` (`span`) apart:
+    the bound reach + 14 sigma(separation) < sqrt(float max / 4) of `WorldConfig`."""
+    sigma = math.sqrt(noise_variance(separation, noise))
+    if not reach + _MAX_NORMAL_DRAW * sigma < _MAX_COORDINATE:
+        raise ValueError(
+            f"noise too large: beta={noise.beta_d!r} gives sigma={sigma:.3g} at separation "
+            f"{span} = {separation:.6g}, so an observed coordinate could overflow when squared")
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,13 +119,7 @@ class WorldConfig:
                 f"r_interest={self.r_interest!r} too large: a coordinate within r_interest + "
                 f"max_steps = {reach:.6g} could overflow when squared"
             )
-        sigma = math.sqrt(noise_variance(2.0 * reach, self.noise))
-        if not reach + _MAX_NORMAL_DRAW * sigma < _MAX_COORDINATE:
-            raise ValueError(
-                f"noise too large: beta={self.noise.beta_d!r} gives sigma={sigma:.3g} at "
-                f"separation 2 * (r_interest + max_steps) = {2.0 * reach:.6g}, so an "
-                f"observed coordinate could overflow when squared"
-            )
+        check_noise_bound(self.noise, reach, 2.0 * reach, "2 * (r_interest + max_steps)")
         # `json_text` of the flat dict, one indent level deeper, as it sits
         # inside the summary.
         block = json_text(self.to_flat_dict())[:-1].replace("\n", "\n  ")
@@ -128,16 +136,16 @@ class WorldConfig:
                 f"r_safe={self.r_safe} exceeds {low}, the least sampled attacker radius"
             )
         if attacker and self.r_interest < high:
-            raise InvalidInitializationError(
-                f"r_interest={self.r_interest} is below {high}, "
-                f"the top of the sampled attacker radii"
-            )
+            raise InvalidInitializationError(f"r_interest={self.r_interest} is below {high}, "
+                                             f"the top of the sampled attacker radii")
         top = DEFENDER_RADIUS_RANGE[1]
         if defender and self.r_interest < top:
+            raise InvalidInitializationError(f"r_interest={self.r_interest} is below {top}, "
+                                             f"the top of the sampled defender radii")
+        if attacker and defender and self.tau > _MAX_SAMPLED_TAU:
             raise InvalidInitializationError(
-                f"r_interest={self.r_interest} is below {top}, "
-                f"the top of the sampled defender radii"
-            )
+                f"tau={self.tau} exceeds {_MAX_SAMPLED_TAU:g}: sampled starts, at most "
+                f"{top + high:g} apart, clear a larger tau too rarely to start at every seed")
 
     def to_flat_dict(self) -> dict:
         return {

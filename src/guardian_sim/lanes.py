@@ -1,7 +1,8 @@
 """Array twins of the one-step kernels.
 
-Each function takes ``(N,)`` float64 lanes (a vector is a pair ``(x, y)`` of
-them) and returns, lane by lane, the bits of its scalar namesake.  If any
+Each function takes float64 lanes, a number per lane as an ``(N,)`` array and
+a vector as one ``(2, N)`` array (or view) with rows x and y, and returns,
+lane by lane, the bits of its scalar namesake.  If any
 lane hits a case the scalar code refuses, it raises the same error.  It uses
 only operations that round like the scalar ones: ``+ - * /``; numpy's
 ``sqrt``, ``cos`` and ``sin``, assumed (and tested, on the angles the default
@@ -11,7 +12,8 @@ lanes and numpy has no ``erf``.  `hypot` gives `math.hypot`'s bits: on a wide
 call it keeps ``np.hypot`` only on lanes an exact residual certifies (on
 simulator-scale pairs ``np.hypot`` alone misses by one bit on about 0.6 %
 of lanes) and calls `math.hypot` on the rest.  `noise_variance` needs no
-twin: over arrays it already computes each lane's expression.
+twin: over arrays it already computes each lane's expression.  A mask is
+tested with `np.count_nonzero`, about 1 us a call cheaper than ``.any()``.
 
 A norm the caller holds can be passed in, as the bits `hypot` would give:
 ``distance`` (the separation of the two points), ``n`` (the norm of the one
@@ -26,10 +28,8 @@ from itertools import accumulate
 import numpy as np
 
 from .geometry import CoincidentAgentsError
-from .observation import NoiseParams, noise_variance
+from .observation import _SQRT2, NoiseParams, noise_variance
 from .strategies import _EPS_BLEND, _EPS_DIRECTION, DefenderStrategy
-
-_SQRT2 = math.sqrt(2.0)
 
 # `hypot` certifies `np.hypot` from this many lanes on; below it, calling
 # `math.hypot` per lane is faster.
@@ -81,19 +81,18 @@ def hypot(x, y):
         lo = a - hi
         a += hi
         (sx, sy, sh), (cx, cy, ch) = np.square(hi, out=hi), np.multiply(a, lo, out=a)
-        s = sx + sy
-        b = s - sx
-        sy -= b
-        sx -= np.subtract(s, b, out=b)
-        sx += sy  # two-sum: the t with sx + sy == s + t exactly
-        # s - sh is exact (Sterbenz).  The terms (2 hi + lo) lo are below
-        # 2**-23 h^2, so all the other operations round away less than
-        # 2**-70 h^2 in total, against a delta margin of at least 2**-60 h^2.
+        # big - sh is exact, big being the larger of sx and sy: squares of 26-bit
+        # halves have 52-bit significands, and big (1 - 2**-23) < sh < 2 big
+        # (1 + 2**-23) makes big - sh a multiple of ulp(big) below 2**53 ulp(big)
+        # or of 2 ulp(big) below 2**54 ulp(big).  Adding small leaves r minus the
+        # c terms (each below 2**-23 h^2), so it and the later sums round away
+        # less than 2**-70 h^2, against a delta margin of at least 2**-60 h^2.
+        s = np.maximum(sx, sy)
+        s -= sh
+        s += np.minimum(sx, sy, out=sx)
         cx += cy
         cx -= ch
-        cx += sx
-        s -= sh
-        s += cx  # the residual r = (s - sh) + (((cx + cy) - ch) + t)
+        s += cx  # the residual r = ((big - sh) + small) + ((cx + cy) - ch)
         # Range: both components are at most h, so h < 2**400 keeps every
         # product finite.  h >= 2**-400 puts h * ulp(h) above 2**-860, and
         # a product that underflows (the smaller component's square, say)
@@ -110,26 +109,27 @@ def hypot(x, y):
     return h
 
 
-def _vec(x, y):
-    """The lanes (x, y), refused as `Vec2` refuses a non-finite component."""
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        i = int(np.argmin(np.isfinite(x) & np.isfinite(y)))
-        raise ValueError(f"non-finite component in Vec2({float(x[i])!r}, {float(y[i])!r})")
-    return x, y
+def _vec(v):
+    """The lanes v, refused as `Vec2` refuses a non-finite component."""
+    finite = np.isfinite(v)
+    if np.count_nonzero(finite) < finite.size:
+        i = int(np.argmin(finite.all(axis=0)))
+        raise ValueError(f"non-finite component in Vec2({float(v[0, i])!r}, {float(v[1, i])!r})")
+    return v
 
 
 def from_polar(radius, angle):
-    return _vec(radius * np.cos(angle), radius * np.sin(angle))
+    return _vec(radius * np.array((np.cos(angle), np.sin(angle))))
 
 
 def _margin(xa, xd, what: str, separation=None):
     """The scalar margin formula and the separation it divides by."""
     if separation is None:
-        separation = hypot(xa[0] - xd[0], xa[1] - xd[1])
-    if (separation == 0.0).any():
+        separation = hypot(*(xa - xd))
+    if np.count_nonzero(separation == 0.0):
         raise CoincidentAgentsError(f"{what} undefined for coincident agents")
-    sq_a, sq_d = xa[0] * xa[0] + xa[1] * xa[1], xd[0] * xd[0] + xd[1] * xd[1]
-    return (sq_a - sq_d) / (2.0 * separation), separation
+    sq_a, sq_d = xa * xa, xd * xd
+    return ((sq_a[0] + sq_a[1]) - (sq_d[0] + sq_d[1])) / (2.0 * separation), separation
 
 
 def defense_margin(xa, xd, distance=None):
@@ -138,27 +138,23 @@ def defense_margin(xa, xd, distance=None):
 
 def closest_safe_reachable_point(xa, xd, distance=None):
     rho, separation = _margin(xa, xd, "safe reachable set", distance)
-    (dx, dy), origin = _vec(xa[0] - xd[0], xa[1] - xd[1]), rho <= 0.0
-    return _vec(np.where(origin, 0.0, dx / separation * rho),
-                np.where(origin, 0.0, dy / separation * rho))
+    return _vec(np.where(rho <= 0.0, 0.0, difference(xa, xd) / separation * rho))
 
 
 def observe(xa, xd, params: NoiseParams, normals, distance=None):
-    """`observation.observe`, with row i of the (N, 2) `normals` as the two
+    """`observation.observe`, with lane i of the (2, N) `normals` as the two
     standard normals lane i's stream would give."""
     if distance is None:
-        distance = hypot(xa[0] - xd[0], xa[1] - xd[1])
+        distance = hypot(*(xa - xd))
     with np.errstate(over="ignore", invalid="ignore"):  # `_vec` refuses what overflows
-        sigma = np.sqrt(noise_variance(distance, params))
-        x, y = xa[0] + sigma * normals[:, 0], xa[1] + sigma * normals[:, 1]
-    return _vec(x, y)
+        return _vec(xa + np.sqrt(noise_variance(distance, params)) * normals)
 
 
 def reliability(y, xd, params: NoiseParams, k: float, distance=None):
     if not k > 0.0:  # NaN too
         raise ValueError(f"reliability half-width k must be positive, got {k}")
     if distance is None:
-        distance = hypot(y[0] - xd[0], y[1] - xd[1])
+        distance = hypot(*(y - xd))
     with np.errstate(over="ignore"):  # an infinite variance gives erf(0), as in the scalar code
         variance = noise_variance(distance, params)
     exact = variance == 0.0
@@ -168,23 +164,22 @@ def reliability(y, xd, params: NoiseParams, k: float, distance=None):
 
 def hypots(*vectors):
     """`hypot` over the lanes of several vectors in one call: their norms, in order."""
-    norms = hypot(*map(np.concatenate, zip(*vectors)))
-    ends = [0, *accumulate(len(v[0]) for v in vectors)]
+    norms = hypot(*np.concatenate(vectors, axis=1))
+    ends = [0, *accumulate(v.shape[1] for v in vectors)]
     return [norms[i:j] for i, j in zip(ends, ends[1:])]
 
 
 def difference(a, b):
-    return _vec(a[0] - b[0], a[1] - b[1])
+    return _vec(a - b)
 
 
-def _unit(v, eps: float = _EPS_DIRECTION, fallback=(0.0, 0.0), n=None):
+def _unit(v, eps: float = _EPS_DIRECTION, fallback=0.0, n=None):
     """v / ||v||, or `fallback` on lanes where ||v|| < eps."""
     n = hypot(*v) if n is None else n
     small = n < eps
-    if not small.any():
-        return v[0] / n, v[1] / n
-    n = np.where(small, 1.0, n)
-    return np.where(small, fallback[0], v[0] / n), np.where(small, fallback[1], v[1] / n)
+    if not np.count_nonzero(small):
+        return v / n
+    return np.where(small, fallback, v / np.where(small, 1.0, n))
 
 
 def pp_control(y, xd, distance=None):
@@ -200,12 +195,12 @@ def dm_control(y, xd, distance=None):
 
 
 def adm_heading(pp_dir, dm_dir, p):
-    return pp_dir[0] * p + dm_dir[0] * (1.0 - p), pp_dir[1] * p + dm_dir[1] * (1.0 - p)
+    return pp_dir * p + dm_dir * (1.0 - p)
 
 
 def adm_control(y, xd, params: NoiseParams, k: float):
     # The reliability, pursuit and margin-keeping parts share ||y - xd||.
-    distance = hypot(y[0] - xd[0], y[1] - xd[1])
+    distance = hypot(*(y - xd))
     p = reliability(y, xd, params, k, distance)
     pp_dir, dm_dir = pp_control(y, xd, distance), dm_control(y, xd, distance)
     return _unit(adm_heading(pp_dir, dm_dir, p), _EPS_BLEND, dm_dir)
@@ -219,18 +214,18 @@ def defender_control(strategy: DefenderStrategy, y, xd, params: NoiseParams, k: 
 
 def linear_attacker(xa, n=None):
     n = hypot(*xa) if n is None else n
-    if (n < _EPS_DIRECTION).any():
+    if np.count_nonzero(n < _EPS_DIRECTION):
         raise ValueError("linear attacker undefined at the origin")
-    return -xa[0] / n, -xa[1] / n
+    return -xa / n
 
 
 def spiral_heading(xa, n=None):
     r = hypot(*xa) if n is None else n
     inside = r <= 1.0
-    if inside.any():
+    if np.count_nonzero(inside):
         raise ValueError(f"spiral attacker needs radius > 1, got {float(r[np.argmax(inside)])}")
-    angle, inner = _per_lane(math.atan2, xa[1], xa[0]) - 1.0 / r, r - 1.0
-    return difference((inner * np.cos(angle), inner * np.sin(angle)), xa)
+    angle = _per_lane(math.atan2, xa[1], xa[0]) - 1.0 / r
+    return difference((r - 1.0) * np.array((np.cos(angle), np.sin(angle))), xa)
 
 
 def intelligent_away(xa, xd, params: NoiseParams, normals, distance=None):
@@ -242,8 +237,7 @@ def intelligent_heading(away, to_origin, dist):
     """The blend of `away` and `to_origin`, zero where dist < 1e-12 so `_unit` falls back."""
     near = dist < _EPS_DIRECTION
     scale = 1.0 / np.where(near, 1.0, dist * dist)
-    bx, by = _vec(away[0] * scale + to_origin[0], away[1] * scale + to_origin[1])
-    return np.where(near, 0.0, bx), np.where(near, 0.0, by)
+    return np.where(near, 0.0, _vec(away * scale + to_origin))
 
 
 def one_step_margin_change(
@@ -252,6 +246,5 @@ def one_step_margin_change(
     """`analysis.one_step_margin_change`, with the noise given as in `observe`."""
     before, separation = _margin(xa, xd, "defense margin")
     y = observe(xa, xd, params, normals, separation)
-    ux, uy = defender_control(strategy, y, xd, params, k)
-    moved_a = _vec(xa[0] + motion[0], xa[1] + motion[1])
-    return defense_margin(moved_a, _vec(xd[0] + ux, xd[1] + uy)) - before
+    ud = defender_control(strategy, y, xd, params, k)
+    return defense_margin(_vec(xa + motion), _vec(xd + ud)) - before

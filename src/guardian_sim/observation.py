@@ -32,8 +32,10 @@ class NoiseParams:
     nu: float = 1.0
 
     def __post_init__(self) -> None:
-        if not all(0.0 <= b < math.inf for b in (self.beta_b, self.beta_d, self.beta_v)):
-            raise ValueError("noise coefficients must be finite and non-negative")
+        for key, value in (("beta_b", self.beta_b), ("beta", self.beta_d), ("beta_v", self.beta_v)):
+            if not 0.0 <= value < math.inf:  # NaN too
+                raise ValueError(
+                    f"noise coefficients must be finite and non-negative, got {key}={value!r}")
         if not 0.0 <= self.nu <= 1.0:
             raise ValueError(f"visibility nu must lie in [0, 1], got {self.nu}")
 

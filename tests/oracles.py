@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import optimize
+from scipy import integrate, optimize
 
 from guardian_sim import lanes
 from guardian_sim.analysis import (
@@ -224,6 +224,37 @@ def dm_margin_gain_closed_form(r: float, rho0: float, psi: float) -> float:
     return b + rho0 * c
 
 
+def sampled_start_clearing_chance(tau: float) -> float:
+    """P(||xa - xd|| > tau) for one attempt of the start sampler: defender
+    radius uniform over `DEFENDER_RADIUS_RANGE`, attacker radius over
+    `ATTACKER_RADIUS_RANGE`, and the angle between them uniform.
+
+    Given the radii a and d, the separation exceeds tau where the cosine of
+    that angle is below c = (a^2 + d^2 - tau^2) / (2 a d), which a uniform
+    angle over [0, pi] is with chance 1 - arccos(c) / pi.  That chance is 1
+    for d < a - tau and 0 for d < tau - a, so each integral is cut at those
+    kinks (scipy's adaptive `quad`)."""
+    (d_lo, d_hi), (a_lo, a_hi) = DEFENDER_RADIUS_RANGE, ATTACKER_RADIUS_RANGE
+
+    def clears(d: float, a: float) -> float:
+        if d == 0.0:
+            return float(a > tau)
+        c = (a * a + d * d - tau * tau) / (2.0 * a * d)
+        return 1.0 - math.acos(min(1.0, max(-1.0, c))) / math.pi
+
+    def kinks(lo: float, hi: float, points) -> list[float] | None:
+        return [x for x in points if lo < x < hi] or None
+
+    def over_d(a: float) -> float:
+        return integrate.quad(clears, d_lo, d_hi, args=(a,), epsabs=1e-14, epsrel=1e-12,
+                              points=kinks(d_lo, d_hi, (a - tau, tau - a)))[0]
+
+    mass = integrate.quad(over_d, a_lo, a_hi, epsabs=1e-14, epsrel=1e-12,
+                          points=kinks(a_lo, a_hi, (tau - d_hi, tau - d_lo, tau + d_lo,
+                                                    tau + d_hi)))[0]
+    return mass / ((a_hi - a_lo) * (d_hi - d_lo))
+
+
 def lane_spiral_attacker(xa, n=None):
     """`strategies.spiral_attacker` over lanes, composed of the `lanes`
     pieces as `analysis.run_matrix_block` composes them."""
@@ -294,7 +325,7 @@ def one_block_margin_change(strategy, params: NoiseParams, k: float, n: int, rng
         xd = lanes.from_polar(
             gen.uniform(*MARGIN_SAMPLE_DEFENDER_RADIUS, m), gen.uniform(-math.pi, math.pi, m)
         )
-        normals = gen.standard_normal((m, 2))
+        normals = gen.standard_normal((m, 2)).T
         delta = lanes.one_step_margin_change(
             xa, xd, strategy, params, k, normals, lanes.linear_attacker(xa)
         )

@@ -6,6 +6,7 @@ import json
 import math
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -348,7 +349,7 @@ class TestEstimateMeanMarginChange:
         w = gen.standard_normal((m, 2))
         xa = lanes.from_polar(ra, aa)
         got = lanes.one_step_margin_change(
-            xa, lanes.from_polar(rd, ad), strategy, params, 0.5, w, lanes.linear_attacker(xa))
+            xa, lanes.from_polar(rd, ad), strategy, params, 0.5, w.T, lanes.linear_attacker(xa))
         want = []
         for i in range(m):
             a = Vec2.from_polar(float(ra[i]), float(aa[i]))
@@ -357,6 +358,27 @@ class TestEstimateMeanMarginChange:
                 a, d, strategy, params, 0.5, Normals(*w[i]), linear_attacker(a)))
         assert got.view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
 
+
+    def test_largest_accepted_noise_steps_without_a_warning(self):
+        """The estimator's noise bound is `WorldConfig`'s over its radii:
+        coordinates within 40, agents at most 55 apart.  At the largest
+        beta it accepts, every strategy steps with no numpy warning to a
+        finite estimate; the next float up is refused before any draw."""
+        lo, hi = 0.0, 1e308  # accepted, refused
+        while math.nextafter(lo, math.inf) < hi:
+            mid = max(lo + (hi - lo) / 2, math.nextafter(lo, math.inf))
+            try:
+                analysis.check_noise_bound(NoiseParams(beta_d=mid), 40.0, 55.0, "")
+                lo = mid
+            except ValueError:
+                hi = mid
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for strategy in DefenderStrategy:
+                est = estimate_mean_margin_change(strategy, NoiseParams(beta_d=lo), 0.5, 300, Rng(5))
+                assert math.isfinite(est.mean_change) and math.isfinite(est.stderr)
+                with pytest.raises(ValueError, match="at separation 40 \\+ 15 = 55"):
+                    estimate_mean_margin_change(strategy, NoiseParams(beta_d=hi), 0.5, 300, Rng(5))
 
     @pytest.mark.parametrize("n", [2, 1023, 1024, 1025, 2048, 2049, 4097])
     @pytest.mark.parametrize("strategy", list(DefenderStrategy), ids=lambda s: s.value)
@@ -641,8 +663,8 @@ class TestMatrixKernel:
         rows = [(Vec2(12.0, 0.0), Vec2(10.0, 0.0)), (Vec2(10.0, 0.0), Vec2(-30.0, 0.0)),
                 (Vec2(0.0, 30.0), Vec2(0.0, -10.0)), (Vec2(20.0, 5.0), Vec2(20.0, 5.0)),
                 (Vec2(9.999999999999998, 0.0), Vec2(40.0, 0.0)), (Vec2(40.0, 0.0), Vec2(0.0, 0.0))]
-        xa = (np.array([a.x for a, _ in rows]), np.array([a.y for a, _ in rows]))
-        xd = (np.array([d.x for _, d in rows]), np.array([d.y for _, d in rows]))
+        xa = np.array([[a.x for a, _ in rows], [a.y for a, _ in rows]])
+        xd = np.array([[d.x for _, d in rows], [d.y for _, d in rows]])
         separation = lanes.hypot(xa[0] - xd[0], xa[1] - xd[1])
         for t in (6, 7):
             codes = analysis._end_codes(t, xa, xd, separation, lanes.hypot(*xa), cfg)

@@ -8,13 +8,14 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import guardian_sim
-from guardian_sim import cli, engine
+from guardian_sim import cli, engine, lanes
 from guardian_sim.analysis import estimate_mean_margin_change, trial_seeds
 from guardian_sim.cli import (
     _DEFAULTS,
@@ -442,9 +443,11 @@ class TestRunCommand:
          (["run", "--xd", "0", "0", "--r-interest", "49", "--r-safe", "5"],
           "r_interest=49.0 is below 50.0, the top of the sampled attacker radii"),
          (["run", "--xa", "15", "0", "--r-interest", "19.5", "--r-safe", "5"],
-          "r_interest=19.5 is below 20.0, the top of the sampled defender radii")],
+          "r_interest=19.5 is below 20.0, the top of the sampled defender radii"),
+         (["matrix", "--trials", "3", "--tau", "64.5"], "tau=64.5 exceeds 64: sampled starts"),
+         (["run", "--tau", "69"], "tau=69.0 exceeds 64: sampled starts")],
         ids=["matrix-r_safe", "matrix-r_interest", "run-r_safe", "run-r_interest",
-             "run-given-defender", "run-given-attacker"],
+             "run-given-defender", "run-given-attacker", "matrix-tau", "run-tau"],
     )
     @pytest.mark.parametrize("seed", ["0", "1"])
     def test_world_the_sampled_starts_can_violate_exits_two(self, tmp_path, capsys, command,
@@ -543,6 +546,32 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: noise too large: beta=")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("seed", ["0", "1", "2", "3"])
+    def test_sampled_starts_at_the_largest_capture_radius_play(self, tmp_path, seed):
+        """`run --tau 69` ran at seeds 0 and 1 and could not draw its starts
+        at 2 and 3; at the bound, 64, every seed starts.  Given starts lift
+        the bound."""
+        assert main(["run", "--tau", "64", "--seed", seed, "--out", str(tmp_path / "a")]) in (0, 1)
+        assert main(["run", "--tau", "69", "--xa", "50", "0", "--xd", "-20", "0", "--seed", seed,
+                     "--out", str(tmp_path / "b")]) in (0, 1)
+
+    def test_margin_table_refuses_noise_that_could_overflow_before_drawing(
+        self, monkeypatch, capsys
+    ):
+        """It printed numpy's overflow `RuntimeWarning` and exited 2 with
+        "non-finite component in Vec2(inf, inf)"; now the estimator refuses
+        the noise by `WorldConfig`'s bound over the table's radii, with beta
+        named, before any sample is drawn.  Any warning would raise here."""
+        monkeypatch.setattr(lanes, "from_polar", lambda *args: pytest.fail("drew a sample"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["margin-table", "--beta", "1.5e304", "--samples", "100"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: noise too large: beta=1.5e+304 gives sigma=6.74e+153 at separation "
+            "40 + 15 = 55, so an observed coordinate could overflow when squared\n")
 
     def test_largest_accepted_noise_runs_every_pair(self, tmp_path, capsys):
         """The largest beta the world accepts plays out: all nine matrix pairs

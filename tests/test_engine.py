@@ -40,7 +40,7 @@ from guardian_sim.strategies import (
     AttackerBehavior,
     DefenderStrategy,
 )
-from oracles import capture_countdown_steps, uniform_call_starts
+from oracles import capture_countdown_steps, sampled_start_clearing_chance, uniform_call_starts
 
 NOISELESS = NoiseParams(beta_b=0.0, beta_d=0.0, beta_v=0.0, nu=1.0)
 
@@ -412,6 +412,36 @@ class TestSampleInitialPositions:
             gen = word_generator(seed_words(init_seed))
             assert sample_initial_positions(gen, tau) == sample_initial_positions(
                 Rng(init_seed), tau), trial
+
+    def test_capture_radius_bound_of_sampled_starts(self):
+        """With both starts sampled, tau is refused above the largest whole
+        radius at which all 1,000 attempts fail with chance below 1e-12,
+        that chance computed by quadrature; a given start lifts the bound."""
+        bound, attempts = engine._MAX_SAMPLED_TAU, engine._MAX_INIT_REDRAWS
+
+        def all_fail(tau):
+            return (1.0 - sampled_start_clearing_chance(tau)) ** attempts
+
+        assert bound.is_integer() and all_fail(bound) < 1e-12 < all_fail(bound + 1.0)
+        WorldConfig(tau=bound).check_sampled_starts()
+        with pytest.raises(InvalidInitializationError, match="tau=64.00000000000001 exceeds 64"):
+            WorldConfig(tau=math.nextafter(bound, math.inf)).check_sampled_starts()
+        for given in ({"attacker": False}, {"defender": False}):
+            WorldConfig(tau=69.0).check_sampled_starts(**given)
+
+    @pytest.mark.parametrize("tau", [30.0, 60.0, 64.0])
+    def test_clearing_chance_is_that_of_the_sampler(self, tau):
+        """The quadrature against 400,000 attempts mapped as
+        `sample_initial_positions` maps its `random(4)`, within 4.5
+        standard errors."""
+        n = 400_000
+        dr, da, ar, aa = np.random.default_rng(int(tau)).random((4, n))
+        (d_lo, d_hi), (a_lo, a_hi) = DEFENDER_RADIUS_RANGE, ATTACKER_RADIUS_RANGE
+        d, a = d_lo + (d_hi - d_lo) * dr, a_lo + (a_hi - a_lo) * ar
+        phi, psi = -math.pi + 2.0 * math.pi * da, -math.pi + 2.0 * math.pi * aa
+        separation = np.hypot(a * np.cos(psi) - d * np.cos(phi), a * np.sin(psi) - d * np.sin(phi))
+        p = sampled_start_clearing_chance(tau)
+        assert abs(float((separation > tau).mean()) - p) <= 4.5 * math.sqrt(p * (1.0 - p) / n)
 
     def test_impossible_separation_raises(self):
         # Maximum possible separation is 50 + 20 = 70.

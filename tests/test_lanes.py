@@ -37,10 +37,16 @@ def bits(values) -> list[int]:
 
 
 def as_lanes(column):
-    """A column of Vec2s as (x, y) lanes; a column of floats as one lane."""
+    """A column of Vec2s as a (2, N) vector of lanes; a column of floats as
+    one (N,) lane."""
     if isinstance(column[0], Vec2):
-        return np.array([v.x for v in column]), np.array([v.y for v in column])
+        return np.array([[v.x for v in column], [v.y for v in column]])
     return np.array(column, dtype=float)
+
+
+def rows_of(out):
+    """A twin's result as a list of (N,) rows: a vector's x and y, or the one lane."""
+    return list(out) if np.ndim(out) == 2 else [out]
 
 
 def assert_twin(twin, scalar, rows) -> None:
@@ -60,9 +66,7 @@ def assert_twin(twin, scalar, rows) -> None:
             twin(*columns)
         assert type(info.value) in raised
         return
-    got = twin(*columns)
-    got = got if isinstance(got, tuple) else (got,)
-    assert [bits(c) for c in got] == [bits(c) for c in zip(*expected)]
+    assert [bits(c) for c in rows_of(twin(*columns))] == [bits(c) for c in zip(*expected)]
 
 
 lane_pairs = st.lists(pairs(), min_size=1, max_size=6)
@@ -303,7 +307,7 @@ class TestObservationTwins:
     @given(st.lists(st.tuples(points, points, normals, normals), min_size=1, max_size=6), noise)
     def test_observe(self, rows, params):
         assert_twin(
-            lambda xa, xd, w0, w1: lanes.observe(xa, xd, params, np.column_stack((w0, w1))),
+            lambda xa, xd, w0, w1: lanes.observe(xa, xd, params, np.array((w0, w1))),
             lambda xa, xd, w0, w1: observation.observe(xa, xd, params, Normals(w0, w1)),
             rows,
         )
@@ -370,7 +374,7 @@ class TestStrategyTwins:
     def test_intelligent_attacker(self, rows, params):
         assert_twin(
             lambda xa, xd, w0, w1: lane_intelligent_attacker(
-                xa, xd, params, np.column_stack((w0, w1))),
+                xa, xd, params, np.array((w0, w1))),
             lambda xa, xd, w0, w1: strategies.intelligent_attacker(xa, xd, params, Normals(w0, w1)),
             rows,
         )
@@ -385,7 +389,7 @@ class TestStrategyTwins:
                 row[0], row[1], NOISELESS, Normals(0.0, 0.0)) == Vec2(-1.0, -0.0)
         assert_twin(
             lambda xa, xd, w0, w1: lane_intelligent_attacker(
-                xa, xd, NOISELESS, np.column_stack((w0, w1))),
+                xa, xd, NOISELESS, np.array((w0, w1))),
             lambda xa, xd, w0, w1: strategies.intelligent_attacker(
                 xa, xd, NOISELESS, Normals(w0, w1)),
             rows,
@@ -397,7 +401,7 @@ class TestStrategyTwins:
         """A caller that passes in the separation or the attacker radius,
         as the matrix kernel does, gets the bits of the twin computing it."""
         xa, xd = as_lanes([r[0] for r in rows]), as_lanes([r[1] for r in rows])
-        w = np.column_stack(([r[2] for r in rows], [r[3] for r in rows]))
+        w = np.array(([r[2] for r in rows], [r[3] for r in rows]))
         separation = lanes.hypot(xa[0] - xd[0], xa[1] - xd[1])
         radius = lanes.hypot(*xa)
         calls = [
@@ -418,7 +422,7 @@ class TestStrategyTwins:
                 except ValueError as exc:
                     outcomes.append(type(exc))
                 else:
-                    outcomes.append([bits(c) for c in (out if isinstance(out, tuple) else (out,))])
+                    outcomes.append([bits(c) for c in rows_of(out)])
             assert outcomes[0] == outcomes[1], fn.__name__
 
 
@@ -448,7 +452,7 @@ class TestStrategyTwins:
         def check(twin, scalar):
             assert_twin(
                 lambda a, b, w0, w1, f: twin(
-                    a, b, np.column_stack((w0, w1)),
+                    a, b, np.array((w0, w1)),
                     f * lanes.hypot(a[0] - b[0], a[1] - b[1]), f * lanes.hypot(*a)),
                 lambda a, b, w0, w1, f: scalar(
                     a, b, Normals(w0, w1), f * a.distance_to(b), f * a.norm()),
@@ -493,11 +497,65 @@ class TestStrategyTwins:
 def test_one_step_margin_change(rows, strategy, params, k):
     assert_twin(
         lambda xa, xd, w0, w1, motion: lanes.one_step_margin_change(
-            xa, xd, strategy, params, k, np.column_stack((w0, w1)), motion),
+            xa, xd, strategy, params, k, np.array((w0, w1)), motion),
         lambda xa, xd, w0, w1, motion: analysis.one_step_margin_change(
             xa, xd, strategy, params, k, Normals(w0, w1), motion),
         rows,
     )
+
+
+def transposed(v):
+    """The (2, N) vector v as the transpose of a C-ordered (N, 2) array, the
+    layout of a block of normals drawn sample by sample."""
+    return np.array(v.T).T
+
+
+def spaced(v):
+    """The (2, N) vector v as every other column of a (2, 2N) array."""
+    wide = np.full((v.shape[0], 2 * v.shape[1]), np.nan)
+    wide[:, ::2] = v
+    return wide[:, ::2]
+
+
+@given(st.lists(st.tuples(points, points, normals, normals, points), min_size=1, max_size=6),
+       strategy_members, noise, half_widths)
+def test_strided_views_give_the_bits_of_contiguous_copies(rows, strategy, params, k):
+    """The kernel and the estimators pass views, such as ``normals.T``: each
+    twin and each piece the kernel composes gives on strided (2, N) views
+    the bits it gives on contiguous copies, or raises the same error."""
+    xa, xd, motion = (as_lanes([r[i] for r in rows]) for i in (0, 1, 4))
+    w = np.array(([r[2] for r in rows], [r[3] for r in rows]))
+    assert not spaced(xa).flags.c_contiguous
+    f = np.array([1.0 + 0.25 * (i % 3) for i in range(len(rows))])
+    calls = [
+        (lanes.difference, (xa, xd)),
+        (lambda a, b: lanes.hypots(a, b, a - b), (xa, xd)),
+        (lanes.defense_margin, (xa, xd)),
+        (lanes.closest_safe_reachable_point, (xa, xd)),
+        (lambda a, b, w: lanes.observe(a, b, params, w), (xa, xd, w)),
+        (lambda a, b: lanes.reliability(a, b, params, k), (xa, xd)),
+        (lambda a, b: lanes.defender_control(strategy, a, b, params, k), (xa, xd)),
+        (lanes.dm_heading, (xa, xd)),
+        (lambda a, b: lanes.adm_heading(a, b, f / 2.0), (xa, xd)),
+        (lambda a, b: lanes._unit(a, lanes._EPS_BLEND, b), (xa - xa, xd)),
+        (lanes.linear_attacker, (xa,)),
+        (lanes.spiral_heading, (xa,)),
+        (lambda a, b, w: lanes.intelligent_away(a, b, params, w), (xa, xd, w)),
+        (lambda a, b: lanes.intelligent_heading(a, b, f), (xa, xd)),
+        (lambda a, b, w, m: lanes.one_step_margin_change(a, b, strategy, params, k, w, m),
+         (xa, xd, w, motion)),
+    ]
+    for fn, args in calls:
+        outcomes = []
+        for layout in (np.ascontiguousarray, transposed, spaced):
+            try:
+                out = fn(*map(layout, args))
+            except ValueError as exc:
+                outcomes.append(type(exc))
+            else:
+                out = out if isinstance(out, list) else rows_of(out)
+                outcomes.append([bits(c) for c in out])
+        assert outcomes[0] == outcomes[1] == outcomes[2], fn
 
 
 class TestRefusals:
@@ -505,8 +563,8 @@ class TestRefusals:
     same error, so no NaN or infinity reaches an estimate."""
 
     def test_coincident_lane(self):
-        xa = (np.array([30.0, 20.0]), np.array([0.0, 5.0]))
-        xd = (np.array([1.0, 20.0]), np.array([2.0, 5.0]))
+        xa = np.array([[30.0, 20.0], [0.0, 5.0]])
+        xd = np.array([[1.0, 20.0], [2.0, 5.0]])
         with pytest.raises(CoincidentAgentsError):
             geometry.defense_margin(Vec2(20.0, 5.0), Vec2(20.0, 5.0))
         with pytest.raises(CoincidentAgentsError):
@@ -518,9 +576,9 @@ class TestRefusals:
                                          np.zeros((2, 2)), lanes.linear_attacker(xa))
 
     def test_non_finite_observation_lane(self):
-        xa = (np.array([30.0, 1e308]), np.array([0.0, 0.0]))
-        xd = (np.array([0.0, 0.0]), np.array([0.0, 0.0]))
-        w = np.array([[0.5, 0.5], [2.0, 0.0]])
+        xa = np.array([[30.0, 1e308], [0.0, 0.0]])
+        xd = np.zeros((2, 2))
+        w = np.array([[0.5, 2.0], [0.5, 0.0]])
         params = NoiseParams(beta_d=1.0)
         with pytest.raises(ValueError, match="non-finite"):
             observation.observe(Vec2(1e308, 0.0), Vec2(0.0, 0.0), params, Normals(2.0, 0.0))
@@ -528,19 +586,20 @@ class TestRefusals:
             lanes.observe(xa, xd, params, w)
 
     def test_huge_noise_refused_by_the_estimator(self):
-        """With beta = 1e308 every observation overflows: the scalar step and
-        the block estimator both raise instead of averaging infinities."""
+        """With beta = 1e308 every observation overflows: the scalar step
+        raises, and the block estimator refuses the noise before its first
+        draw, instead of averaging infinities."""
         params = NoiseParams(beta_d=1e308)
         xa = Vec2(30.0, 0.0)
         with pytest.raises(ValueError, match="non-finite"):
             analysis.one_step_margin_change(xa, Vec2(0.0, 0.0), DefenderStrategy.PURE_PURSUIT,
                                             params, 0.5, Rng(0), strategies.linear_attacker(xa))
         for strategy in DefenderStrategy:
-            with pytest.raises(ValueError, match="non-finite"):
+            with pytest.raises(ValueError, match=r"noise too large: beta=1e\+308"):
                 analysis.estimate_mean_margin_change(strategy, params, 0.5, 100, Rng(0))
 
     def test_origin_attacker_and_bad_half_width(self):
-        xa = (np.array([3.0, 0.0]), np.array([4.0, 0.0]))
+        xa = np.array([[3.0, 0.0], [4.0, 0.0]])
         with pytest.raises(ValueError, match="origin"):
             lanes.linear_attacker(xa)
         for k in (0.0, math.nan):

@@ -40,6 +40,15 @@ class TestNoiseParams:
         with pytest.raises(ValueError):
             NoiseParams(**kwargs)
 
+    @pytest.mark.parametrize("value", [math.inf, -1.0, math.nan], ids=["inf", "negative", "nan"])
+    @pytest.mark.parametrize("field, key", [("beta_b", "beta_b"), ("beta_d", "beta"),
+                                            ("beta_v", "beta_v")])
+    def test_a_bad_term_is_named_as_the_config_key_reads(self, field, key, value):
+        with pytest.raises(ValueError) as info:
+            NoiseParams(**{field: value})
+        assert str(info.value) == (
+            f"noise coefficients must be finite and non-negative, got {key}={value!r}")
+
 
 class TestNoiseVariance:
     def test_distance_term_only(self):
