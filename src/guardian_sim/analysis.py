@@ -359,18 +359,20 @@ def run_matrix_block(
     every start as the scalar engine does.  Each step follows `engine.step`
     on the pieces of the `lanes` twins, with one `lanes.hypot` call per
     round: ||y - xd|| and the intelligent attacker's ||away||; the dm and adm
-    headings (one run of lanes: pairs are defender-major), the spiral's and
-    the intelligent one; adm's blend; after both moves, the separation and
-    attacker radius, which the tests of `engine.episode_outcome` and the
-    next step share.  A step of a pair draws c standard normals (4 against
-    the intelligent attacker, the second two being the attacker's, else 2),
-    so at step t a lane reads normals [c t, c t + c) of its trial's episode
-    stream.  Each trial has one generator per c, seeded from its episode
-    seed's `seed_words` as the scalar episode's `Rng` is, which draws
-    `MATRIX_WINDOW` steps of normals at a time while a lane of that c lives.
-    One generator could not serve both c: it would have to hold every normal
-    between 2t and 4t, a gap that grows with t.  So memory is set by the
-    block and window sizes, not by the step cap.
+    headings (one run of lanes: pairs are defender-major), the spiral's, on
+    one lead lane per trial, and the intelligent one; adm's blend; after both
+    moves, the separation and attacker radius, which the tests of
+    `engine.episode_outcome` and the next step share.  The spiral attacker
+    moves alike against every defender, so its lead's move is gathered to
+    the trial's other live spiral lanes.  A step of a pair draws c standard
+    normals (4 against the intelligent attacker, the second two being the
+    attacker's, else 2), so at step t a lane reads normals [c t, c t + c) of
+    its trial's episode stream.  Each trial has one generator per c, seeded
+    from its episode seed's `seed_words` as the scalar episode's `Rng` is,
+    which draws `MATRIX_WINDOW` steps of normals at a time while a lane of
+    that c lives.  One generator could not serve both c: it would have to
+    hold every normal between 2t and 4t, a gap that grows with t.  So memory
+    is set by the block and window sizes, not by the step cap.
     """
     window = min(MATRIX_WINDOW, cfg.max_steps)  # no lane steps at t >= max_steps
     seeds, starts, words = _block_starts(base_seed, first, count, cfg)
@@ -395,7 +397,8 @@ def run_matrix_block(
         separation, radius = lanes.hypots(xa - xd, xa)
         ended = _end_codes(t, xa, xd, separation, radius, cfg)
         done = ended != 0
-        if np.count_nonzero(done):
+        dropped = np.count_nonzero(done)
+        if dropped:
             codes[pair[done], trial[done]] = ended[done]
             live = (~done).nonzero()[0]
             if not len(live):
@@ -403,9 +406,17 @@ def run_matrix_block(
             trial, pair, offset, separation, radius = (
                 a.take(live) for a in (trial, pair, offset, separation, radius))
             xa, xd = xa.take(live, axis=1), xd.take(live, axis=1)
-        n, (dm, adm) = len(pair), np.searchsorted(pair, _DM_ADM_PAIRS).tolist()
-        intelligent = _INTELLIGENT_PAIR[pair]
-        spiral, on = _SPIRAL_PAIR[pair].nonzero()[0], intelligent.nonzero()[0]
+        if dropped or not t:  # the groups change only when lanes drop
+            n, (dm, adm) = len(pair), np.searchsorted(pair, _DM_ADM_PAIRS).tolist()
+            intelligent = _INTELLIGENT_PAIR[pair]
+            spiral, on = _SPIRAL_PAIR[pair].nonzero()[0], intelligent.nonzero()[0]
+            # A trial's spiral lanes start alike and move by a law of the
+            # attacker's position only, so they stay alike: one of them, any,
+            # leads the trial, and its move is gathered to all of them.
+            of_spiral, lead = trial[spiral], np.empty(count, dtype=np.intp)
+            lead[of_spiral] = spiral
+            led = np.flatnonzero(np.bincount(of_spiral, minlength=count))
+            leads, gather = lead[led], np.searchsorted(led, of_spiral)
         row = t % window
         if row == 0:
             for c, of_c in ((2, ~intelligent), (4, intelligent)):
@@ -425,13 +436,13 @@ def run_matrix_block(
         origin_on = ua.take(on, axis=1)
         headings = (
             lanes.dm_heading(y[:, dm:], xd[:, dm:], distance[dm:]) if dm < n else none,
-            lanes.spiral_heading(xa.take(spiral, axis=1), radius[spiral]) if len(spiral) else none,
+            lanes.spiral_heading(xa.take(leads, axis=1), radius[leads]) if len(leads) else none,
             lanes.intelligent_heading(away, origin_on, away_norm) if len(on) else none)
         norms = lanes.hypots(*headings)
         pp_dir, dm_dir = lanes._unit(sight, n=distance), lanes._unit(headings[0], n=norms[0])
         ud = np.concatenate((pp_dir[:, :dm], dm_dir), axis=1)
         # Row by row: a row's scatter is numpy's fast path, a (2, N) one is not.
-        ua[0][spiral], ua[1][spiral] = lanes._unit(headings[1], n=norms[1])
+        ua[0][spiral], ua[1][spiral] = lanes._unit(headings[1], n=norms[1]).take(gather, axis=1)
         ua[0][on], ua[1][on] = lanes._unit(headings[2], lanes._EPS_BLEND, origin_on, norms[2])
         if adm < n:  # round 3, on the last run of lanes
             adm_dm = dm_dir[:, adm - dm:]

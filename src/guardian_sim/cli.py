@@ -261,7 +261,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     xa, xd = _parse_point(settings["xa"], "xa"), _parse_point(settings["xd"], "xd")
     init_seed, episode_seed = trial_seeds(seed, 0)
     if xa is None or xd is None:
-        world.check_sampled_starts(attacker=xa is None, defender=xd is None)
+        world.check_sampled_starts(xa, xd)
         xa, xd = sample_initial_positions(Rng(init_seed), world.tau, xa, xd)
     # Refused starts leave no trace, not even the output directory that
     # `open_atomic` would make.

@@ -71,6 +71,26 @@ def check_noise_bound(noise: NoiseParams, reach: float, separation: float, span:
             f"{span} = {separation:.6g}, so an observed coordinate could overflow when squared")
 
 
+def clearing_chance(given: float, tau: float, low: float, high: float) -> float:
+    """P(||a - b|| > tau) for a point b at radius `given` and a point a at a
+    radius r uniform over [low, high) and a uniform angle.
+
+    Given r, the separation exceeds tau where the cosine of the angle
+    between the points is below c = (given^2 + r^2 - tau^2) / (2 given r),
+    which a uniform angle is with chance 1 - arccos(c) / pi, c clipped to
+    [-1, 1]; where `given` is 0 the separation is r.  The mean over r is
+    taken by the midpoint rule on 10,000 points, within 5e-5 of the
+    quadrature at the sampled radius ranges.  c is formed so that it
+    overflows only to an infinity of its own sign while given and tau are
+    below 9e307."""
+    r = low + (high - low) * (np.arange(10_000) + 0.5) / 10_000
+    if given == 0.0:
+        return float(np.mean(r > tau))
+    with np.errstate(all="ignore"):
+        c = ((given - tau) * (given + tau) + r * r) / given / (2.0 * r)
+    return float(np.mean(1.0 - np.arccos(np.clip(c, -1.0, 1.0)) / math.pi))
+
+
 @dataclass(frozen=True, slots=True)
 class WorldConfig:
     """The world settings of an episode, checked on construction.
@@ -125,11 +145,14 @@ class WorldConfig:
         block = json_text(self.to_flat_dict())[:-1].replace("\n", "\n  ")
         object.__setattr__(self, "_summary_config", block)
 
-    def check_sampled_starts(self, attacker: bool = True, defender: bool = True) -> None:
+    def check_sampled_starts(self, xa: Vec2 | None = None, xd: Vec2 | None = None) -> None:
         """Refuse a world that `sample_initial_positions` can draw an invalid
-        start for, so that whether it runs never depends on the seed.  Only
-        the starts it keeps are checked: `attacker` and `defender` say which
-        are sampled rather than given."""
+        start for, so that whether it runs never depends on the seed.  A
+        given `xa` or `xd` takes the place of its draw, as it does there, so
+        only the sampled starts are checked.  With one start given, tau is
+        refused where all 1,000 attempts fail to clear it with chance 1e-12
+        or more, the standard of `_MAX_SAMPLED_TAU`."""
+        attacker, defender = xa is None, xd is None
         low, high = ATTACKER_RADIUS_RANGE
         if attacker and self.r_safe > low:
             raise InvalidInitializationError(
@@ -146,6 +169,15 @@ class WorldConfig:
             raise InvalidInitializationError(
                 f"tau={self.tau} exceeds {_MAX_SAMPLED_TAU:g}: sampled starts, at most "
                 f"{top + high:g} apart, clear a larger tau too rarely to start at every seed")
+        if attacker != defender:
+            given, sampled, radii = ((xd, "attacker", ATTACKER_RADIUS_RANGE) if attacker
+                                     else (xa, "defender", DEFENDER_RADIUS_RANGE))
+            p = clearing_chance(given.norm(), self.tau, *radii)
+            if not (1.0 - p) ** _MAX_INIT_REDRAWS < 1e-12:  # NaN too
+                raise InvalidInitializationError(
+                    f"tau={self.tau} with the start given at radius {given.norm():g}: a "
+                    f"sampled {sampled} start clears it with chance {p:.3g}, too rarely to "
+                    f"start at every seed")
 
     def to_flat_dict(self) -> dict:
         return {

@@ -224,35 +224,40 @@ def dm_margin_gain_closed_form(r: float, rho0: float, psi: float) -> float:
     return b + rho0 * c
 
 
+def given_start_clearing_chance(given: float, tau: float, low: float, high: float) -> float:
+    """P(||a - b|| > tau) for a point b at radius `given` and a point a at a
+    radius r uniform over [low, high) and a uniform angle.
+
+    Given r, the separation exceeds tau where the cosine of the angle
+    between the points is below c = (given^2 + r^2 - tau^2) / (2 given r),
+    which a uniform angle over [0, pi] is with chance 1 - arccos(c) / pi.
+    That chance is 1 for r < given - tau or r > given + tau, and 0 for
+    r < tau - given, so the integral is cut at those kinks (scipy's adaptive
+    `quad`)."""
+
+    def clears(r: float) -> float:
+        if given * r == 0.0:
+            return float(given + r > tau)
+        c = (given * given + r * r - tau * tau) / (2.0 * given * r)
+        return 1.0 - math.acos(min(1.0, max(-1.0, c))) / math.pi
+
+    kinks = [x for x in (given - tau, tau - given, given + tau) if low < x < high] or None
+    mass = integrate.quad(clears, low, high, epsabs=1e-14, epsrel=1e-12, points=kinks)[0]
+    return mass / (high - low)
+
+
 def sampled_start_clearing_chance(tau: float) -> float:
     """P(||xa - xd|| > tau) for one attempt of the start sampler: defender
     radius uniform over `DEFENDER_RADIUS_RANGE`, attacker radius over
-    `ATTACKER_RADIUS_RANGE`, and the angle between them uniform.
-
-    Given the radii a and d, the separation exceeds tau where the cosine of
-    that angle is below c = (a^2 + d^2 - tau^2) / (2 a d), which a uniform
-    angle over [0, pi] is with chance 1 - arccos(c) / pi.  That chance is 1
-    for d < a - tau and 0 for d < tau - a, so each integral is cut at those
-    kinks (scipy's adaptive `quad`)."""
+    `ATTACKER_RADIUS_RANGE`, and the angle between them uniform.  The
+    attacker radius a is integrated over the chance for a given attacker,
+    cut where that chance has kinks (a - tau or tau - a at a defender
+    radius bound)."""
     (d_lo, d_hi), (a_lo, a_hi) = DEFENDER_RADIUS_RANGE, ATTACKER_RADIUS_RANGE
-
-    def clears(d: float, a: float) -> float:
-        if d == 0.0:
-            return float(a > tau)
-        c = (a * a + d * d - tau * tau) / (2.0 * a * d)
-        return 1.0 - math.acos(min(1.0, max(-1.0, c))) / math.pi
-
-    def kinks(lo: float, hi: float, points) -> list[float] | None:
-        return [x for x in points if lo < x < hi] or None
-
-    def over_d(a: float) -> float:
-        return integrate.quad(clears, d_lo, d_hi, args=(a,), epsabs=1e-14, epsrel=1e-12,
-                              points=kinks(d_lo, d_hi, (a - tau, tau - a)))[0]
-
-    mass = integrate.quad(over_d, a_lo, a_hi, epsabs=1e-14, epsrel=1e-12,
-                          points=kinks(a_lo, a_hi, (tau - d_hi, tau - d_lo, tau + d_lo,
-                                                    tau + d_hi)))[0]
-    return mass / ((a_hi - a_lo) * (d_hi - d_lo))
+    kinks = [x for x in (tau - d_hi, tau - d_lo, tau + d_lo, tau + d_hi) if a_lo < x < a_hi]
+    mass = integrate.quad(given_start_clearing_chance, a_lo, a_hi, args=(tau, d_lo, d_hi),
+                          epsabs=1e-14, epsrel=1e-12, points=kinks or None)[0]
+    return mass / (a_hi - a_lo)
 
 
 def lane_spiral_attacker(xa, n=None):

@@ -47,7 +47,7 @@ from guardian_sim.engine import (
 from guardian_sim.geometry import Vec2, closest_safe_reachable_point, defense_margin
 from guardian_sim.observation import NoiseParams
 from guardian_sim.rng import Rng, derive_seed
-from guardian_sim.strategies import DefenderStrategy, dm_control
+from guardian_sim.strategies import AttackerBehavior, DefenderStrategy, dm_control
 from oracles import (
     dm_margin_gain_closed_form,
     expected_cos_quadrature,
@@ -609,6 +609,31 @@ class TestMatrixKernel:
         assert steps > 50
         assert counts["calls"] <= 4 * steps + 1
         assert counts["per_lane"] <= 0.25 * counts["lanes"]
+
+    @pytest.mark.parametrize("criterion", list(FailureCriterion))
+    def test_the_spiral_steps_once_per_trial(self, monkeypatch, criterion):
+        """At each step `lanes.spiral_heading` takes one lane for each trial
+        with a live spiral lane, however many of its three pairs live: the
+        spiral moves alike against every defender.  A trial's spiral lane
+        lives on the steps before its scalar episode's end time."""
+        cfg, count = WorldConfig(failure_criterion=criterion), 40
+        widths, heading = [], lanes.spiral_heading
+
+        def spy(xa, n=None):
+            widths.append(xa.shape[1])
+            return heading(xa, n)
+
+        monkeypatch.setattr(lanes, "spiral_heading", spy)
+        assert run_matrix_block(5, 0, count, cfg) == [
+            run_matrix_trial(5, trial, cfg) for trial in range(count)]
+        ends = []
+        for trial in range(count):
+            init_seed, episode_seed = trial_seeds(5, trial)
+            xa, xd = sample_initial_positions(Rng(init_seed), min_separation=cfg.tau)
+            ends.append(max(run_episode(xa, xd, d, a, cfg, episode_seed).end_time
+                            for d, a in MATRIX_PAIRS if a is AttackerBehavior.SPIRAL))
+        assert widths == [sum(end > t for end in ends) for t in range(max(ends))]
+        assert widths[0] == count
 
     @pytest.mark.parametrize(
         "noise",

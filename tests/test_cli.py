@@ -556,6 +556,23 @@ class TestRunCommand:
         assert main(["run", "--tau", "69", "--xa", "50", "0", "--xd", "-20", "0", "--seed", seed,
                      "--out", str(tmp_path / "b")]) in (0, 1)
 
+    def test_one_given_start_plays_or_is_refused_at_every_seed(self, tmp_path, capsys):
+        """`run --xa 50 0 --tau 69.6` played at seeds 0, 2, 3 and 5 and
+        could not draw a defender start at 1 and 4: a sampled one clears
+        69.6 with chance 0.001 per attempt.  It is refused at every seed with
+        one message; 66.4, just below the bound of 66.465, plays at every seed."""
+        errors = set()
+        for seed in range(6):
+            assert main(["run", "--xa", "50", "0", "--tau", "69.6", "--seed", str(seed),
+                         "--out", str(tmp_path / "refused")]) == 2
+            errors.add(capsys.readouterr().err)
+            assert main(["run", "--xa", "50", "0", "--tau", "66.4", "--seed", str(seed),
+                         "--out", str(tmp_path / str(seed))]) in (0, 1)
+        assert errors == {"error: tau=69.6 with the start given at radius 50: a sampled defender "
+                          "start clears it with chance 0.00101, too rarely to start at every "
+                          "seed\n"}
+        assert not (tmp_path / "refused").exists()
+
     def test_margin_table_refuses_noise_that_could_overflow_before_drawing(
         self, monkeypatch, capsys
     ):

@@ -40,7 +40,9 @@ from guardian_sim.strategies import (
     AttackerBehavior,
     DefenderStrategy,
 )
-from oracles import capture_countdown_steps, sampled_start_clearing_chance, uniform_call_starts
+from oracles import (
+    capture_countdown_steps, given_start_clearing_chance, sampled_start_clearing_chance,
+    uniform_call_starts)
 
 NOISELESS = NoiseParams(beta_b=0.0, beta_d=0.0, beta_v=0.0, nu=1.0)
 
@@ -416,7 +418,8 @@ class TestSampleInitialPositions:
     def test_capture_radius_bound_of_sampled_starts(self):
         """With both starts sampled, tau is refused above the largest whole
         radius at which all 1,000 attempts fail with chance below 1e-12,
-        that chance computed by quadrature; a given start lifts the bound."""
+        that chance computed by quadrature; a given start can lift the
+        bound (an attacker at radius 50 to 66.46, a defender at 20 to 68.57)."""
         bound, attempts = engine._MAX_SAMPLED_TAU, engine._MAX_INIT_REDRAWS
 
         def all_fail(tau):
@@ -426,8 +429,47 @@ class TestSampleInitialPositions:
         WorldConfig(tau=bound).check_sampled_starts()
         with pytest.raises(InvalidInitializationError, match="tau=64.00000000000001 exceeds 64"):
             WorldConfig(tau=math.nextafter(bound, math.inf)).check_sampled_starts()
-        for given in ({"attacker": False}, {"defender": False}):
-            WorldConfig(tau=69.0).check_sampled_starts(**given)
+        for given in ({"xa": Vec2(50.0, 0.0)}, {"xd": Vec2(-20.0, 0.0)}):
+            WorldConfig(tau=66.0).check_sampled_starts(**given)
+
+    @pytest.mark.parametrize(
+        "given, radii",
+        [(50.0, DEFENDER_RADIUS_RANGE), (30.0, DEFENDER_RADIUS_RANGE), (0.0, DEFENDER_RADIUS_RANGE),
+         (20.0, ATTACKER_RADIUS_RANGE), (3.5, ATTACKER_RADIUS_RANGE), (0.0, ATTACKER_RADIUS_RANGE),
+         (5e-324, ATTACKER_RADIUS_RANGE)],
+        ids=["xa-50", "xa-30", "xa-origin", "xd-20", "xd-3.5", "xd-origin", "xd-subnormal"])
+    def test_clearing_chance_of_a_given_start_is_the_quadrature(self, given, radii):
+        """The midpoint rule against the quadrature, at capture radii on
+        both sides of every kink, within 5e-5."""
+        for tau in np.linspace(0.25, 72.0, 288).tolist():
+            p = engine.clearing_chance(given, tau, *radii)
+            assert abs(p - given_start_clearing_chance(given, tau, *radii)) <= 5e-5, tau
+
+    def test_clearing_chance_of_extreme_given_starts(self):
+        """Without an overflow warning: a start at a subnormal radius clears
+        tau as one at the origin does, and one far outside the zone always,
+        so that `run` refuses the far start for its place, not for tau."""
+        radii = DEFENDER_RADIUS_RANGE
+        assert engine.clearing_chance(5e-324, 2.0, *radii) == engine.clearing_chance(
+            0.0, 2.0, *radii) == 0.9
+        assert engine.clearing_chance(1e307, 2.0, *radii) == 1.0
+        WorldConfig().check_sampled_starts(xa=Vec2(1e307, 0.0))
+
+    @pytest.mark.parametrize("given", [{"xa": Vec2(0.0, 50.0)}, {"xd": Vec2(-20.0, 0.0)}])
+    def test_capture_radius_bound_of_a_given_start(self, given):
+        """With one start given, tau is refused where all 1,000 attempts
+        fail with chance 1e-12 or more: a tau 1e-3 below the bound that the
+        quadrature puts it at is accepted, and one 1e-3 above it refused."""
+        (point,), attempts = given.values(), engine._MAX_INIT_REDRAWS
+        radii = DEFENDER_RADIUS_RANGE if "xa" in given else ATTACKER_RADIUS_RANGE
+        low, high = 50.0, 80.0  # all fail rarely at low, surely at high
+        while high - low > 1e-4:
+            tau = 0.5 * (low + high)
+            p = given_start_clearing_chance(point.norm(), tau, *radii)
+            low, high = (tau, high) if (1.0 - p) ** attempts < 1e-12 else (low, tau)
+        WorldConfig(tau=low - 1e-3).check_sampled_starts(**given)
+        with pytest.raises(InvalidInitializationError, match="too rarely to start at every seed"):
+            WorldConfig(tau=high + 1e-3).check_sampled_starts(**given)
 
     @pytest.mark.parametrize("tau", [30.0, 60.0, 64.0])
     def test_clearing_chance_is_that_of_the_sampler(self, tau):
