@@ -187,10 +187,10 @@ def estimate_mean_margin_change(
     and defender angles (one `Generator.uniform` call each), then an (m, 2)
     array of standard normals, row i being sample i's observation noise.
     The `lanes` kernels step two blocks at a time to the bits
-    `one_step_margin_change` gives on the same draws, and raise what it
-    raises (so a non-finite observation is refused, never averaged).  Noise
-    that could overflow one is refused before any draw, by `WorldConfig`'s
-    bound over these radii (coordinates within 40, separations to 55).  Block
+    `one_step_margin_change` gives on the same draws.  Noise that could
+    overflow an observation is refused before any draw, by `WorldConfig`'s
+    bound over these radii (coordinates within 40, separations to 55), so no
+    infinity is ever averaged.  Block
     means and sums of squared deviations merge, block by block, by Chan et
     al.'s pairwise update.  The block size bounds memory: a 10^4-sample run
     of each strategy peaks about 1.0 MB above the RSS it starts from (0.1 MB
@@ -425,10 +425,8 @@ def run_matrix_block(
             normals[:2, 0], normals[:, 1] = (windows[c].transpose(2, 0, 1) for c in (2, 4))
         drawn = normals.reshape(4, -1).take(offset + row, axis=1)
         y = lanes.observe(xa, xd, noise, drawn[:2], separation)
-        # Rounds 1 and 2; a group with no lanes skips its pieces.  The linear
-        # control, which every attacker's starts as, refuses no live attacker:
-        # the spiral needs r_safe > 1.
-        sight, none = lanes.difference(y, xd), np.empty((2, 0))
+        # Rounds 1 and 2; a group with no lanes skips its pieces.
+        sight, none = y - xd, np.empty((2, 0))
         away = none if not len(on) else lanes.intelligent_away(
             xa.take(on, 1), xd.take(on, 1), noise, drawn[2:].take(on, 1), separation[on])
         distance, away_norm = lanes.hypots(sight, away)

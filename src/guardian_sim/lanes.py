@@ -1,19 +1,29 @@
 """Array twins of the one-step kernels.
 
 Each function takes float64 lanes, a number per lane as an ``(N,)`` array and
-a vector as one ``(2, N)`` array (or view) with rows x and y, and returns,
-lane by lane, the bits of its scalar namesake.  If any
-lane hits a case the scalar code refuses, it raises the same error.  It uses
-only operations that round like the scalar ones: ``+ - * /``; numpy's
-``sqrt``, ``cos`` and ``sin``, assumed (and tested, on the angles the default
-outputs reach and a wide sweep) to give libm's bits; and `math.atan2` and
-`math.erf` per lane, since ``np.arctan2`` misses `math.atan2` on about 1 % of
-lanes and numpy has no ``erf``.  `hypot` gives `math.hypot`'s bits: on a wide
-call it keeps ``np.hypot`` only on lanes an exact residual certifies (on
-simulator-scale pairs ``np.hypot`` alone misses by one bit on about 0.6 %
-of lanes) and calls `math.hypot` on the rest.  `noise_variance` needs no
-twin: over arrays it already computes each lane's expression.  A mask is
-tested with `np.count_nonzero`, about 1 us a call cheaper than ``.any()``.
+a vector as one ``(2, N)`` array (or view) with rows x and y.  On inputs within
+the bounds its callers enforce before the first draw, it returns, lane by lane,
+the bits of its scalar namesake.  The bounds: every observation is finite
+(`WorldConfig`'s reach and noise bounds; the margin estimator's
+`check_noise_bound`); `k` is positive and finite (`WorldConfig`, the estimator;
+`check` passes 0.5); the attacker radius is >= 1e-12 for the linear and
+intelligent controls and > 1 for the spiral.  A live attacker keeps ||xa|| >=
+r_safe under either failure criterion, and `_validate_init` asks r_safe >=
+1e-12 of the homing attackers and > 1 of the spiral, so the linear control,
+which every attacker's starts as, holds on each live lane; the estimator's
+attacker radii are >= 25.  Coincident agents still raise
+`CoincidentAgentsError`.  Outside those bounds a twin is undefined; only
+`hypot` is defined on every input.  The twins use only operations that round
+like the scalar ones: ``+ - * /``; numpy's ``sqrt``, ``cos`` and ``sin``,
+assumed (and tested, on the angles the default outputs reach and a wide sweep)
+to give libm's bits; and `math.atan2` and `math.erf` per lane, since
+``np.arctan2`` misses `math.atan2` on about 1 % of lanes and numpy has no
+``erf``.  `hypot` gives `math.hypot`'s bits: on a wide call it keeps
+``np.hypot`` only on lanes an exact residual certifies (on simulator-scale
+pairs ``np.hypot`` alone misses by one bit on about 0.6 % of lanes) and calls
+`math.hypot` on the rest.  `noise_variance` needs no twin: over arrays it
+already computes each lane's expression.  A mask is tested with
+`np.count_nonzero`, about 1 us a call cheaper than ``.any()``.
 
 A norm the caller holds can be passed in, as the bits `hypot` would give:
 ``distance`` (the separation of the two points), ``n`` (the norm of the one
@@ -37,7 +47,7 @@ _CERTIFY_FROM = 512
 # and on at most this many at once, cutting wider calls into near-equal slices: a
 # call cost 28-32 ns a lane at 2,048-3,328 lanes, 47-54 ns from 3,584 on (2-vCPU Xeon),
 # because glibc malloc returns temporaries that large to the OS and each call faults
-# them in again (a 1000-trial matrix: 23,734 minor page faults uncapped, 213 capped).
+# them in again (README, "How `matrix` runs", gives the page faults with and without).
 _CERTIFY_SLICE = 2560
 _DELTA = 0.005  # the margin, in ulp, a certified lane keeps from a rounding midpoint
 _ACCEPT = (1.0 - 2.0 * _DELTA) * 2.0**-52  # times h * 2**floor(log2(h)): the bound on |r|
@@ -109,17 +119,8 @@ def hypot(x, y):
     return h
 
 
-def _vec(v):
-    """The lanes v, refused as `Vec2` refuses a non-finite component."""
-    finite = np.isfinite(v)
-    if np.count_nonzero(finite) < finite.size:
-        i = int(np.argmin(finite.all(axis=0)))
-        raise ValueError(f"non-finite component in Vec2({float(v[0, i])!r}, {float(v[1, i])!r})")
-    return v
-
-
 def from_polar(radius, angle):
-    return _vec(radius * np.array((np.cos(angle), np.sin(angle))))
+    return radius * np.array((np.cos(angle), np.sin(angle)))
 
 
 def _margin(xa, xd, what: str, separation=None):
@@ -138,7 +139,7 @@ def defense_margin(xa, xd, distance=None):
 
 def closest_safe_reachable_point(xa, xd, distance=None):
     rho, separation = _margin(xa, xd, "safe reachable set", distance)
-    return _vec(np.where(rho <= 0.0, 0.0, difference(xa, xd) / separation * rho))
+    return np.where(rho <= 0.0, 0.0, (xa - xd) / separation * rho)
 
 
 def observe(xa, xd, params: NoiseParams, normals, distance=None):
@@ -146,13 +147,10 @@ def observe(xa, xd, params: NoiseParams, normals, distance=None):
     standard normals lane i's stream would give."""
     if distance is None:
         distance = hypot(*(xa - xd))
-    with np.errstate(over="ignore", invalid="ignore"):  # `_vec` refuses what overflows
-        return _vec(xa + np.sqrt(noise_variance(distance, params)) * normals)
+    return xa + np.sqrt(noise_variance(distance, params)) * normals
 
 
 def reliability(y, xd, params: NoiseParams, k: float, distance=None):
-    if not k > 0.0:  # NaN too
-        raise ValueError(f"reliability half-width k must be positive, got {k}")
     if distance is None:
         distance = hypot(*(y - xd))
     with np.errstate(over="ignore"):  # an infinite variance gives erf(0), as in the scalar code
@@ -169,10 +167,6 @@ def hypots(*vectors):
     return [norms[i:j] for i, j in zip(ends, ends[1:])]
 
 
-def difference(a, b):
-    return _vec(a - b)
-
-
 def _unit(v, eps: float = _EPS_DIRECTION, fallback=0.0, n=None):
     """v / ||v||, or `fallback` on lanes where ||v|| < eps."""
     n = hypot(*v) if n is None else n
@@ -183,11 +177,11 @@ def _unit(v, eps: float = _EPS_DIRECTION, fallback=0.0, n=None):
 
 
 def pp_control(y, xd, distance=None):
-    return _unit(difference(y, xd), n=distance)
+    return _unit(y - xd, n=distance)
 
 
 def dm_heading(y, xd, distance=None):
-    return difference(closest_safe_reachable_point(y, xd, distance), xd)
+    return closest_safe_reachable_point(y, xd, distance) - xd
 
 
 def dm_control(y, xd, distance=None):
@@ -213,31 +207,25 @@ def defender_control(strategy: DefenderStrategy, y, xd, params: NoiseParams, k: 
 
 
 def linear_attacker(xa, n=None):
-    n = hypot(*xa) if n is None else n
-    if np.count_nonzero(n < _EPS_DIRECTION):
-        raise ValueError("linear attacker undefined at the origin")
-    return -xa / n
+    return -xa / (hypot(*xa) if n is None else n)
 
 
 def spiral_heading(xa, n=None):
     r = hypot(*xa) if n is None else n
-    inside = r <= 1.0
-    if np.count_nonzero(inside):
-        raise ValueError(f"spiral attacker needs radius > 1, got {float(r[np.argmax(inside)])}")
     angle = _per_lane(math.atan2, xa[1], xa[0]) - 1.0 / r
-    return difference((r - 1.0) * np.array((np.cos(angle), np.sin(angle))), xa)
+    return (r - 1.0) * np.array((np.cos(angle), np.sin(angle))) - xa
 
 
 def intelligent_away(xa, xd, params: NoiseParams, normals, distance=None):
     """xa minus the defender as the attacker observes it (normals as in `observe`)."""
-    return difference(xa, observe(xd, xa, params, normals, distance))
+    return xa - observe(xd, xa, params, normals, distance)
 
 
 def intelligent_heading(away, to_origin, dist):
     """The blend of `away` and `to_origin`, zero where dist < 1e-12 so `_unit` falls back."""
     near = dist < _EPS_DIRECTION
     scale = 1.0 / np.where(near, 1.0, dist * dist)
-    return np.where(near, 0.0, _vec(away * scale + to_origin))
+    return np.where(near, 0.0, away * scale + to_origin)
 
 
 def one_step_margin_change(
@@ -247,4 +235,4 @@ def one_step_margin_change(
     before, separation = _margin(xa, xd, "defense margin")
     y = observe(xa, xd, params, normals, separation)
     ud = defender_control(strategy, y, xd, params, k)
-    return defense_margin(_vec(xa + motion), _vec(xd + ud)) - before
+    return defense_margin(xa + motion, xd + ud) - before

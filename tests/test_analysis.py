@@ -768,6 +768,49 @@ class TestMatrixKernel:
             run_matrix_block(0, 0, 3, cfg)
         assert str(kernel.value) == str(scalar.value)
 
+    @pytest.mark.parametrize("edge", ["smallest-spiral-r_safe", "largest-beta"])
+    @pytest.mark.parametrize("criterion", list(FailureCriterion))
+    def test_the_twins_get_only_inputs_within_their_bounds(self, monkeypatch, criterion, edge):
+        """The `lanes` twins refuse only coincident agents: the kernel hands
+        them live attackers at radius >= 1e-12 (linear) and > 1 (spiral),
+        and finite observations, as the checked starts and `WorldConfig`'s
+        bounds promise.  At the smallest r_safe the spiral accepts and at the
+        largest beta the world accepts, under either failure criterion."""
+        if edge == "largest-beta":
+            lo, hi = 0.0, 1e308  # accepted, refused
+            while math.nextafter(lo, math.inf) < hi:
+                mid = max(lo + (hi - lo) / 2, math.nextafter(lo, math.inf))
+                try:
+                    WorldConfig(noise=NoiseParams(beta_d=mid))
+                    lo = mid
+                except ValueError:
+                    hi = mid
+            cfg = WorldConfig(noise=NoiseParams(beta_d=lo), failure_criterion=criterion)
+        else:
+            cfg = WorldConfig(r_safe=math.nextafter(1.0, 2.0), failure_criterion=criterion)
+        radii, observed, observe = {"linear_attacker": [], "spiral_heading": []}, [], lanes.observe
+
+        def radius_spy(name):
+            twin = getattr(lanes, name)
+
+            def spy(xa, n=None):
+                radii[name].append(lanes.hypot(*xa) if n is None else n)
+                return twin(xa, n)
+            return spy
+
+        def observe_spy(*args):
+            observed.append(observe(*args))
+            return observed[-1]
+
+        for name in radii:
+            monkeypatch.setattr(lanes, name, radius_spy(name))
+        monkeypatch.setattr(lanes, "observe", observe_spy)
+        block = run_matrix_block(0, 0, 20, cfg)
+        assert np.concatenate(radii["linear_attacker"]).min() >= 1e-12
+        assert np.concatenate(radii["spiral_heading"]).min() > 1.0
+        assert all(np.isfinite(y).all() for y in observed)
+        assert block == [run_matrix_trial(0, trial, cfg) for trial in range(20)]
+
 
 class TestChecks:
     def test_pursuit_margin_gain_passes(self):

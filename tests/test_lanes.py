@@ -1,5 +1,6 @@
 """The array twins in `lanes` give, lane by lane, the bits of their scalar
-namesakes, and refuse what the scalar code refuses.
+namesakes on inputs within the bounds their callers enforce, and refuse
+coincident agents as the scalar code does.
 
 Bit equality is asserted on IEEE bit patterns, so 0.0 and -0.0 differ; all
 NaNs count as one value.  `lanes.reliability` calls `math.erf` per lane, and
@@ -73,6 +74,11 @@ lane_pairs = st.lists(pairs(), min_size=1, max_size=6)
 half_widths = st.floats(1e-3, 5.0)
 normals = st.floats(-5.0, 5.0)
 strategy_members = st.sampled_from(list(DefenderStrategy))
+# Attacker points within the twins' domain, as `engine._validate_init`'s bounds
+# on r_safe keep every live attacker: a radius of at least 1e-12 for the linear
+# and intelligent controls, above 1 for the spiral.
+homing_points = points.filter(lambda p: p.norm() >= strategies._EPS_DIRECTION)
+spiral_points = points.filter(lambda p: p.norm() > 1.0)
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 2.0**-1024, 2.0**-1023, 1e-300, 1e307,
            1.7e308, math.inf, -math.inf, math.nan]
 
@@ -362,17 +368,19 @@ class TestStrategyTwins:
         assert control[0][0] == -1.0
         assert [bits(c) for c in control] == [bits(c) for c in lanes.dm_control(y, xd)]
 
-    @given(st.lists(points, min_size=1, max_size=8))
+    @given(st.lists(homing_points, min_size=1, max_size=8))
+    @example([Vec2(1e-12, 0.0), Vec2(-0.0, -1e-12), Vec2(5e-324, 1e-12)])
     def test_linear_attacker(self, column):
         assert_twin(lanes.linear_attacker, strategies.linear_attacker, [(p,) for p in column])
 
-    @given(st.lists(points, min_size=1, max_size=8))
-    @example([Vec2(0.6, 0.8)])  # radius exactly 1: refused
+    @given(st.lists(spiral_points, min_size=1, max_size=8))
     @example([Vec2(1.0 + 2.0**-52, 0.0), Vec2(-30.0, -0.0), Vec2(0.0, -45.5)])
     def test_spiral_attacker(self, column):
         assert_twin(lane_spiral_attacker, strategies.spiral_attacker, [(p,) for p in column])
 
-    @given(st.lists(st.tuples(points, points, normals, normals), min_size=1, max_size=6), noise)
+    @given(st.lists(st.tuples(homing_points, points, normals, normals), min_size=1, max_size=6),
+           noise)
+    @example([(Vec2(1e-12, 0.0), Vec2(0.0, 0.0), 0.5, -0.5)], NOISELESS)
     def test_intelligent_attacker(self, rows, params):
         assert_twin(
             lambda xa, xd, w0, w1: lane_intelligent_attacker(
@@ -397,7 +405,7 @@ class TestStrategyTwins:
             rows,
         )
 
-    @given(st.lists(st.tuples(points, points, normals, normals), min_size=1, max_size=6),
+    @given(st.lists(st.tuples(spiral_points, points, normals, normals), min_size=1, max_size=6),
            noise, half_widths)
     def test_carried_norms_give_the_same_bits(self, rows, params, k):
         """A caller that passes in the separation or the attacker radius,
@@ -428,13 +436,14 @@ class TestStrategyTwins:
             assert outcomes[0] == outcomes[1], fn.__name__
 
 
-    @given(st.lists(st.tuples(points, points, normals, normals, st.floats(0.5, 2.0)),
-                    min_size=1, max_size=6), noise, half_widths)
+    @given(st.lists(st.tuples(points, points, normals, normals, st.floats(0.5, 2.0)).filter(
+        lambda row: row[4] * row[0].norm() > 1.0), min_size=1, max_size=6), noise, half_widths)
+    @example([(Vec2(2.0 + 2.0**-51, 0.0), Vec2(0.0, 1.0), 0.5, -0.5, 0.5)], NOISELESS, 0.5)
     def test_a_held_norm_is_used_as_given(self, rows, params, k):
         """Handed f times the norm it would compute, each twin, and each
         piece the matrix kernel composes, returns the scalar function's (or
         formula's) bits at that same norm: ``sep`` is f ||a - b||, ``n`` is
-        f ||a||."""
+        f ||a||, above 1 as the spiral needs."""
         calls = {
             "observe": lambda fn, a, b, w, sep, n: fn(a, b, params, w, sep),
             "reliability": lambda fn, a, b, w, sep, n: fn(a, b, params, k, sep),
@@ -467,8 +476,6 @@ class TestStrategyTwins:
             check(lambda *args: call(twin, *args), lambda *args: call(scalar, *args))
 
         def spiral_heading(a, r):
-            if r <= 1.0:
-                raise ValueError("spiral attacker needs radius > 1")
             angle, inner = a.angle() - 1.0 / r, r - 1.0
             return Vec2(inner * math.cos(angle) - a.x, inner * math.sin(angle) - a.y)
 
@@ -519,8 +526,8 @@ def spaced(v):
     return wide[:, ::2]
 
 
-@given(st.lists(st.tuples(points, points, normals, normals, points), min_size=1, max_size=6),
-       strategy_members, noise, half_widths)
+@given(st.lists(st.tuples(spiral_points, points, normals, normals, points),
+                min_size=1, max_size=6), strategy_members, noise, half_widths)
 def test_strided_views_give_the_bits_of_contiguous_copies(rows, strategy, params, k):
     """The kernel and the estimators pass views, such as ``normals.T``: each
     twin and each piece the kernel composes gives on strided (2, N) views
@@ -530,7 +537,6 @@ def test_strided_views_give_the_bits_of_contiguous_copies(rows, strategy, params
     assert not spaced(xa).flags.c_contiguous
     f = np.array([1.0 + 0.25 * (i % 3) for i in range(len(rows))])
     calls = [
-        (lanes.difference, (xa, xd)),
         (lambda a, b: lanes.hypots(a, b, a - b), (xa, xd)),
         (lanes.defense_margin, (xa, xd)),
         (lanes.closest_safe_reachable_point, (xa, xd)),
@@ -561,8 +567,10 @@ def test_strided_views_give_the_bits_of_contiguous_copies(rows, strategy, params
 
 
 class TestRefusals:
-    """A lane the scalar code refuses makes the whole array call raise the
-    same error, so no NaN or infinity reaches an estimate."""
+    """A coincident lane makes the whole array call raise, as the scalar
+    code does.  Every other input the scalar code refuses is refused before
+    any twin runs, by the bounds in the `lanes` docstring; each test below
+    keeps the scalar refusal and names the test of the up-front one."""
 
     def test_coincident_lane(self):
         xa = np.array([[30.0, 20.0], [0.0, 5.0]])
@@ -577,15 +585,14 @@ class TestRefusals:
             lanes.one_step_margin_change(xa, xd, DefenderStrategy.PURE_PURSUIT, NOISELESS, 0.5,
                                          np.zeros((2, 2)), lanes.linear_attacker(xa))
 
-    def test_non_finite_observation_lane(self):
-        xa = np.array([[30.0, 1e308], [0.0, 0.0]])
-        xd = np.zeros((2, 2))
-        w = np.array([[0.5, 2.0], [0.5, 0.0]])
+    def test_non_finite_observation(self):
+        """Up front: `WorldConfig`'s noise bound
+        (`test_cli.py::TestRunCommand::test_huge_noise_exits_two_before_the_episode`)
+        and the estimator's
+        (`test_margin_table_refuses_noise_that_could_overflow_before_drawing`)."""
         params = NoiseParams(beta_d=1.0)
         with pytest.raises(ValueError, match="non-finite"):
             observation.observe(Vec2(1e308, 0.0), Vec2(0.0, 0.0), params, Normals(2.0, 0.0))
-        with pytest.raises(ValueError, match="non-finite"):
-            lanes.observe(xa, xd, params, w)
 
     def test_huge_noise_refused_by_the_estimator(self):
         """With beta = 1e308 every observation overflows: the scalar step
@@ -601,11 +608,17 @@ class TestRefusals:
                 analysis.estimate_mean_margin_change(strategy, params, 0.5, 100, Rng(0))
 
     def test_origin_attacker_and_bad_half_width(self):
-        xa = np.array([[3.0, 0.0], [4.0, 0.0]])
+        """Up front: r_safe >= 1e-12 for the homing attackers
+        (`test_cli.py::TestRunCommand::test_safe_radius_below_the_linear_control_exits_two`),
+        r_safe > 1 for the spiral
+        (`test_analysis.py::TestMatrixKernel::test_spiral_refusal_is_that_of_the_scalar_engine`),
+        and k by `WorldConfig` (`test_cli.py::TestRunCommand::test_non_finite_world_setting_exits_two`,
+        `test_infinite_world_setting_exits_two_with_the_setting_named`) and the estimator
+        (`test_analysis.py::TestEstimateMeanMarginChange::test_refuses_a_bad_half_width_before_drawing`)."""
         with pytest.raises(ValueError, match="origin"):
-            lanes.linear_attacker(xa)
+            strategies.linear_attacker(Vec2(0.0, 0.0))
+        with pytest.raises(ValueError, match="radius > 1"):
+            strategies.spiral_attacker(Vec2(0.6, 0.8))
         for k in (0.0, math.nan):
-            with pytest.raises(ValueError, match="half-width"):
-                lanes.reliability(xa, xa, NOISELESS, k)
             with pytest.raises(ValueError, match="half-width"):
                 observation.reliability(Vec2(3.0, 4.0), Vec2(3.0, 4.0), NOISELESS, k)
