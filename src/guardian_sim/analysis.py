@@ -615,20 +615,18 @@ def check_reliability_monotonicity() -> CheckResult:
     y, xd = Vec2(1.0, 0.0), Vec2(0.0, 0.0)
     ks = [round(0.1 * i, 10) for i in range(1, 21)]
     sigmas = [round(0.1 * i, 10) for i in range(1, 51)]
-    table = [[reliability(y, xd, NoiseParams(beta_b=s * s, beta_d=0.0), k) for s in sigmas]
-             for k in ks]
-    # (sigma, earlier, later, rises): each row falls as sigma grows, each
-    # column rises as k grows.
-    walks = [(s, a, b, False) for row in table for s, a, b in zip(sigmas[1:], row, row[1:])]
-    walks += [(s, a, b, True) for s, col in zip(sigmas, zip(*table)) for a, b in zip(col, col[1:])]
-    ok = all(0.0 <= p <= 1.0 for row in table for p in row)
+    table = np.array([[reliability(y, xd, NoiseParams(beta_b=s * s, beta_d=0.0), k)
+                       for s in sigmas] for k in ks])
+    sigma = np.broadcast_to(sigmas, table.shape)
+    ok = bool(((table >= 0.0) & (table <= 1.0)).all())
     saturated = 0
-    for s, prev, p, rises in walks:
-        if prev == 1.0 and p == 1.0:
-            saturated += 1
-            ok &= s <= 0.2
-        else:
-            ok &= p > prev if rises else p < prev
+    # (lower, higher, sigma of the step): each row falls as sigma grows, each
+    # column rises as k grows.
+    for lo, hi, at in ((table[:, 1:], table[:, :-1], sigma[:, 1:]),
+                       (table[:-1], table[1:], sigma[1:])):
+        tie = (lo == 1.0) & (hi == 1.0)
+        saturated += int(np.count_nonzero(tie))
+        ok &= bool(np.where(tie, at <= 0.2, hi > lo).all())
     exact_one = reliability(y, xd, NoiseParams(beta_b=0.0, beta_d=0.0), 0.5) == 1.0
     return CheckResult("reliability_monotonicity", bool(ok and exact_one),
                        f"{len(ks)}x{len(sigmas)} grid, {saturated} saturated ties at 1.0, "

@@ -25,10 +25,11 @@ pairs ``np.hypot`` alone misses by one bit on about 0.6 % of lanes) and calls
 already computes each lane's expression.  A mask is tested with
 `np.count_nonzero`, about 1 us a call cheaper than ``.any()``.
 
-A norm the caller holds can be passed in, as the bits `hypot` would give:
-``distance`` (the separation of the two points), ``n`` (the norm of the one
-vector) or ``dist`` (that of ``away``).  Each control is `_unit` of a heading,
-a piece `analysis.run_matrix_block` also composes, taking a round's norms at once.
+A twin that reads a norm is handed it as `hypot`'s bits, and keeps its scalar
+namesake's arguments: ``distance`` (the separation of the two points), ``n``
+(the norm of the one vector) or ``dist`` (that of ``away``).  Only the margin
+estimator's `defense_margin`, `linear_attacker` and `_unit` may omit it.  Each
+control is `_unit` of a heading, a piece `analysis.run_matrix_block` composes too.
 """
 from __future__ import annotations
 
@@ -137,26 +138,24 @@ def defense_margin(xa, xd, distance=None):
     return _margin(xa, xd, "defense margin", distance)[0]
 
 
-def closest_safe_reachable_point(xa, xd, distance=None):
+def closest_safe_reachable_point(xa, xd, distance):
     rho, separation = _margin(xa, xd, "safe reachable set", distance)
     return np.where(rho <= 0.0, 0.0, (xa - xd) / separation * rho)
 
 
-def observe(xa, xd, params: NoiseParams, normals, distance=None):
+def observe(xa, xd, params: NoiseParams, normals, distance):
     """`observation.observe`, with lane i of the (2, N) `normals` as the two
     standard normals lane i's stream would give."""
-    if distance is None:
-        distance = hypot(*(xa - xd))
     return xa + np.sqrt(noise_variance(distance, params)) * normals
 
 
-def reliability(y, xd, params: NoiseParams, k: float, distance=None):
-    if distance is None:
-        distance = hypot(*(y - xd))
-    with np.errstate(over="ignore"):  # an infinite variance gives erf(0), as in the scalar code
+def reliability(y, xd, params: NoiseParams, k: float, distance):
+    # An infinite variance gives erf(0), and k over a tiny one erf(inf), as in the scalar code.
+    with np.errstate(over="ignore"):
         variance = noise_variance(distance, params)
-    exact = variance == 0.0
-    one_axis = _per_lane(math.erf, k / (np.sqrt(np.where(exact, 1.0, variance)) * _SQRT2))
+        exact = variance == 0.0
+        z = k / (np.sqrt(np.where(exact, 1.0, variance)) * _SQRT2)
+    one_axis = _per_lane(math.erf, z)
     return np.where(exact, 1.0, one_axis * one_axis)
 
 
@@ -176,47 +175,36 @@ def _unit(v, eps: float = _EPS_DIRECTION, fallback=0.0, n=None):
     return np.where(small, fallback, v / np.where(small, 1.0, n))
 
 
-def pp_control(y, xd, distance=None):
-    return _unit(y - xd, n=distance)
-
-
-def dm_heading(y, xd, distance=None):
+def dm_heading(y, xd, distance):
     return closest_safe_reachable_point(y, xd, distance) - xd
-
-
-def dm_control(y, xd, distance=None):
-    return _unit(dm_heading(y, xd, distance))
 
 
 def adm_heading(pp_dir, dm_dir, p):
     return pp_dir * p + dm_dir * (1.0 - p)
 
 
-def adm_control(y, xd, params: NoiseParams, k: float):
-    # The reliability, pursuit and margin-keeping parts share ||y - xd||.
-    distance = hypot(*(y - xd))
-    p = reliability(y, xd, params, k, distance)
-    pp_dir, dm_dir = pp_control(y, xd, distance), dm_control(y, xd, distance)
-    return _unit(adm_heading(pp_dir, dm_dir, p), _EPS_BLEND, dm_dir)
-
-
 def defender_control(strategy: DefenderStrategy, y, xd, params: NoiseParams, k: float):
-    if strategy is DefenderStrategy.ADJUSTED_DEFENSE_MARGIN:
-        return adm_control(y, xd, params, k)
-    return (pp_control if strategy is DefenderStrategy.PURE_PURSUIT else dm_control)(y, xd)
+    # The pursuit, margin-keeping and reliability parts share ||y - xd||.
+    sight = y - xd
+    distance = hypot(*sight)
+    if strategy is DefenderStrategy.PURE_PURSUIT:
+        return _unit(sight, n=distance)
+    dm_dir = _unit(dm_heading(y, xd, distance))
+    if strategy is DefenderStrategy.DEFENSE_MARGIN:
+        return dm_dir
+    p = reliability(y, xd, params, k, distance)
+    return _unit(adm_heading(_unit(sight, n=distance), dm_dir, p), _EPS_BLEND, dm_dir)
 
 
 def linear_attacker(xa, n=None):
     return -xa / (hypot(*xa) if n is None else n)
 
 
-def spiral_heading(xa, n=None):
-    r = hypot(*xa) if n is None else n
-    angle = _per_lane(math.atan2, xa[1], xa[0]) - 1.0 / r
-    return (r - 1.0) * np.array((np.cos(angle), np.sin(angle))) - xa
+def spiral_heading(xa, n):
+    return from_polar(n - 1.0, _per_lane(math.atan2, xa[1], xa[0]) - 1.0 / n) - xa
 
 
-def intelligent_away(xa, xd, params: NoiseParams, normals, distance=None):
+def intelligent_away(xa, xd, params: NoiseParams, normals, distance):
     """xa minus the defender as the attacker observes it (normals as in `observe`)."""
     return xa - observe(xd, xa, params, normals, distance)
 

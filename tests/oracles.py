@@ -260,16 +260,16 @@ def sampled_start_clearing_chance(tau: float) -> float:
     return mass / (a_hi - a_lo)
 
 
-def lane_spiral_attacker(xa, n=None):
-    """`strategies.spiral_attacker` over lanes, composed of the `lanes`
-    pieces as `analysis.run_matrix_block` composes them."""
+def lane_spiral_attacker(xa, n):
+    """`strategies.spiral_attacker` over lanes at the radius `n`, composed of
+    the `lanes` pieces as `analysis.run_matrix_block` composes them."""
     return lanes._unit(lanes.spiral_heading(xa, n))
 
 
-def lane_intelligent_attacker(xa, xd, params, normals, distance=None, n=None):
-    """`strategies.intelligent_attacker` over lanes, with the attacker's
-    normals as in `lanes.observe`, composed as `analysis.run_matrix_block`
-    composes it."""
+def lane_intelligent_attacker(xa, xd, params, normals, distance, n):
+    """`strategies.intelligent_attacker` over lanes at the separation
+    `distance` and radius `n`, with the attacker's normals as in
+    `lanes.observe`, composed as `analysis.run_matrix_block` composes it."""
     to_origin = lanes.linear_attacker(xa, n)
     away = lanes.intelligent_away(xa, xd, params, normals, distance)
     heading = lanes.intelligent_heading(away, to_origin, lanes.hypot(*away))

@@ -7,8 +7,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 
+from guardian_sim import analysis
 from guardian_sim.analysis import (
     check_margin_grid_oracle,
     check_reliability_monotonicity,
@@ -225,8 +227,18 @@ def test_criterion_6_stability_anchors_and_fleeing_distance():
 
 def test_criterion_7_bitwise_determinism(tmp_path, capsys, monkeypatch):
     """Identical commands produce byte-identical artifacts, for repeated runs
-    and for any worker count."""
+    and for any worker count.  The matrix runs in blocks of 16 trials, so its
+    60 trials are 4 blocks and `--jobs 4` starts a pool of min(4, CPUs)
+    workers wherever the process may run on two CPUs or more."""
     monkeypatch.delenv("GUARDIAN_SIM_SEED", raising=False)
+    monkeypatch.setattr(analysis, "MATRIX_BLOCK", 16)
+    pools, executor = [], analysis.concurrent.futures.ProcessPoolExecutor
+
+    def pool(max_workers):
+        pools.append(max_workers)
+        return executor(max_workers=max_workers)
+
+    monkeypatch.setattr(analysis.concurrent.futures, "ProcessPoolExecutor", pool)
 
     run_args = ["run", "--defender", "adm", "--attacker", "intelligent", "--seed", "11"]
     a, b = tmp_path / "run_a", tmp_path / "run_b"
@@ -256,10 +268,13 @@ def test_criterion_7_bitwise_determinism(tmp_path, capsys, monkeypatch):
     check_same = line1 == line2
 
     sanity = json.loads((m1 / "report.json").read_text())["trials"] == 60
-    ok = run_same and matrix_same and check_same and sanity
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    pooled = pools == ([min(4, cpus)] * 2 if cpus >= 2 else [])
+    ok = run_same and matrix_same and check_same and sanity and pooled
     detail = (
         f"single-run bytes identical: {run_same}; matrix bytes identical across "
-        f"jobs 1/4/4: {matrix_same}; stability line identical: {check_same}"
+        f"jobs 1/4/4: {matrix_same}; stability line identical: {check_same}; "
+        f"pools started for jobs 4/4: {pools} on {cpus} CPUs"
     )
     _report(7, ok, detail)
     assert ok, detail

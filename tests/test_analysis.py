@@ -557,6 +557,13 @@ class TestMatrixKernel:
         assert Outcome.CAPTURED in seen
         assert (Outcome.SURVIVED if max_steps == 30 else Outcome.BREACHED) in seen
 
+    def test_a_half_width_that_overflows_the_reliability_argument(self):
+        """At k = 1e308, k / (sigma sqrt 2) overflows to inf wherever sigma
+        sqrt 2 < 1: the adm lanes get erf(inf) = 1, as the scalar code does,
+        with no warning."""
+        cfg = WorldConfig(k=1e308)
+        assert run_matrix_block(0, 0, 12, cfg) == [run_matrix_trial(0, i, cfg) for i in range(12)]
+
     @pytest.mark.parametrize("criterion", list(FailureCriterion))
     def test_certified_sliced_and_per_lane_rounds(self, monkeypatch, criterion):
         """With `lanes.hypot` certifying from 16 lanes on, in slices of at

@@ -30,6 +30,7 @@ from guardian_sim.strategies import DefenderStrategy
 from oracles import lane_intelligent_attacker, lane_spiral_attacker
 
 NOISELESS = NoiseParams(beta_b=0.0, beta_d=0.0, beta_v=0.0, nu=1.0)
+PP, DM, ADM = DefenderStrategy
 
 
 def bits(values) -> list[int]:
@@ -43,6 +44,11 @@ def as_lanes(column):
     if isinstance(column[0], Vec2):
         return np.array([[v.x for v in column], [v.y for v in column]])
     return np.array(column, dtype=float)
+
+
+def apart(a, b):
+    """||a - b|| over (2, N) lanes: the norm a twin's callers hand it."""
+    return lanes.hypot(*(a - b))
 
 
 def rows_of(out):
@@ -297,13 +303,16 @@ class TestGeometryTwins:
 
     @given(lane_pairs)
     def test_closest_safe_reachable_point(self, rows):
-        assert_twin(lanes.closest_safe_reachable_point, geometry.closest_safe_reachable_point, rows)
+        assert_twin(lambda xa, xd: lanes.closest_safe_reachable_point(xa, xd, apart(xa, xd)),
+                    geometry.closest_safe_reachable_point, rows)
 
     def test_target_is_the_origin_when_rho_is_not_positive(self):
         rows = [(Vec2(1.0, 2.0), Vec2(3.0, -4.0)), (Vec2(5.0, 0.0), Vec2(0.0, 5.0))]
         assert all(geometry.defense_margin(y, xd) <= 0.0 for y, xd in rows)
-        assert_twin(lanes.closest_safe_reachable_point, geometry.closest_safe_reachable_point, rows)
-        assert_twin(lanes.dm_control, strategies.dm_control, rows)
+        assert_twin(lambda y, xd: lanes.closest_safe_reachable_point(y, xd, apart(y, xd)),
+                    geometry.closest_safe_reachable_point, rows)
+        assert_twin(lambda y, xd: lanes.defender_control(DM, y, xd, NOISELESS, 0.5),
+                    strategies.dm_control, rows)
 
 
 class TestObservationTwins:
@@ -315,14 +324,15 @@ class TestObservationTwins:
     @given(st.lists(st.tuples(points, points, normals, normals), min_size=1, max_size=6), noise)
     def test_observe(self, rows, params):
         assert_twin(
-            lambda xa, xd, w0, w1: lanes.observe(xa, xd, params, np.array((w0, w1))),
+            lambda xa, xd, w0, w1: lanes.observe(
+                xa, xd, params, np.array((w0, w1)), apart(xa, xd)),
             lambda xa, xd, w0, w1: observation.observe(xa, xd, params, Normals(w0, w1)),
             rows,
         )
 
     @given(lane_pairs, noise, half_widths)
     def test_reliability(self, rows, params, k):
-        assert_twin(lambda y, xd: lanes.reliability(y, xd, params, k),
+        assert_twin(lambda y, xd: lanes.reliability(y, xd, params, k, apart(y, xd)),
                     lambda y, xd: observation.reliability(y, xd, params, k), rows)
 
     def test_infinite_variance_is_exactly_zero(self):
@@ -330,16 +340,16 @@ class TestObservationTwins:
         so does the twin, without a warning."""
         rows = [(Vec2(1e160, 0.0), Vec2(0.0, 0.0)), (Vec2(3.0, 4.0), Vec2(0.0, 0.0))]
         params = NoiseParams(beta_d=1.0)
-        assert_twin(lambda y, xd: lanes.reliability(y, xd, params, 0.5),
+        assert_twin(lambda y, xd: lanes.reliability(y, xd, params, 0.5, apart(y, xd)),
                     lambda y, xd: observation.reliability(y, xd, params, 0.5), rows)
         assert observation.reliability(*rows[0], params, 0.5) == 0.0
 
     def test_zero_variance_is_exactly_one(self):
         rows = [(Vec2(3.0, 4.0), Vec2(0.0, 0.0)), (Vec2(1.0, 1.0), Vec2(1.0, 1.0))]
-        assert_twin(lambda y, xd: lanes.reliability(y, xd, NOISELESS, 0.5),
+        assert_twin(lambda y, xd: lanes.reliability(y, xd, NOISELESS, 0.5, apart(y, xd)),
                     lambda y, xd: observation.reliability(y, xd, NOISELESS, 0.5), rows)
         y, xd = as_lanes([r[0] for r in rows]), as_lanes([r[1] for r in rows])
-        assert lanes.reliability(y, xd, NOISELESS, 0.5).tolist() == [1.0, 1.0]
+        assert lanes.reliability(y, xd, NOISELESS, 0.5, apart(y, xd)).tolist() == [1.0, 1.0]
 
 
 class TestStrategyTwins:
@@ -350,23 +360,24 @@ class TestStrategyTwins:
 
     def test_direction_below_threshold_is_zero(self):
         rows = [(Vec2(1e-13, 0.0), Vec2(0.0, 0.0)), (Vec2(7.0, 3.0), Vec2(7.0, 3.0 + 5e-13))]
-        for name in ("pp_control", "dm_control"):
-            assert_twin(getattr(lanes, name), getattr(strategies, name), rows[:1])
-        assert_twin(lanes.pp_control, strategies.pp_control, rows)
+        for strategy in (PP, DM):
+            assert_twin(lambda y, xd: lanes.defender_control(strategy, y, xd, NOISELESS, 0.5),
+                        lambda y, xd: strategies.defender_control(strategy, y, xd, NOISELESS, 0.5),
+                        rows if strategy is PP else rows[:1])
         y, xd = as_lanes([r[0] for r in rows]), as_lanes([r[1] for r in rows])
-        assert bits(lanes.pp_control(y, xd)[0]) == bits([0.0, 0.0])
+        assert bits(lanes.defender_control(PP, y, xd, NOISELESS, 0.5)[0]) == bits([0.0, 0.0])
 
     def test_blend_below_threshold_falls_back_to_margin_keeping(self):
         """Exact observations give reliability 1, so the blend is the pursuit
         direction, which is zero a hair from the defender; the control is
         then the (non-zero) margin-keeping direction."""
         rows = [(Vec2(10.0, 0.0), Vec2(10.0, 5e-13))]
-        assert_twin(lambda y, xd: lanes.adm_control(y, xd, NOISELESS, 0.5),
+        assert_twin(lambda y, xd: lanes.defender_control(ADM, y, xd, NOISELESS, 0.5),
                     lambda y, xd: strategies.adm_control(y, xd, NOISELESS, 0.5), rows)
         y, xd = as_lanes([rows[0][0]]), as_lanes([rows[0][1]])
-        control = lanes.adm_control(y, xd, NOISELESS, 0.5)
+        control, dm = (lanes.defender_control(s, y, xd, NOISELESS, 0.5) for s in (ADM, DM))
         assert control[0][0] == -1.0
-        assert [bits(c) for c in control] == [bits(c) for c in lanes.dm_control(y, xd)]
+        assert [bits(c) for c in control] == [bits(c) for c in dm]
 
     @given(st.lists(homing_points, min_size=1, max_size=8))
     @example([Vec2(1e-12, 0.0), Vec2(-0.0, -1e-12), Vec2(5e-324, 1e-12)])
@@ -376,7 +387,8 @@ class TestStrategyTwins:
     @given(st.lists(spiral_points, min_size=1, max_size=8))
     @example([Vec2(1.0 + 2.0**-52, 0.0), Vec2(-30.0, -0.0), Vec2(0.0, -45.5)])
     def test_spiral_attacker(self, column):
-        assert_twin(lane_spiral_attacker, strategies.spiral_attacker, [(p,) for p in column])
+        assert_twin(lambda xa: lane_spiral_attacker(xa, lanes.hypot(*xa)),
+                    strategies.spiral_attacker, [(p,) for p in column])
 
     @given(st.lists(st.tuples(homing_points, points, normals, normals), min_size=1, max_size=6),
            noise)
@@ -384,7 +396,7 @@ class TestStrategyTwins:
     def test_intelligent_attacker(self, rows, params):
         assert_twin(
             lambda xa, xd, w0, w1: lane_intelligent_attacker(
-                xa, xd, params, np.array((w0, w1))),
+                xa, xd, params, np.array((w0, w1)), apart(xa, xd), lanes.hypot(*xa)),
             lambda xa, xd, w0, w1: strategies.intelligent_attacker(xa, xd, params, Normals(w0, w1)),
             rows,
         )
@@ -399,30 +411,24 @@ class TestStrategyTwins:
                 row[0], row[1], NOISELESS, Normals(0.0, 0.0)) == Vec2(-1.0, -0.0)
         assert_twin(
             lambda xa, xd, w0, w1: lane_intelligent_attacker(
-                xa, xd, NOISELESS, np.array((w0, w1))),
+                xa, xd, NOISELESS, np.array((w0, w1)), apart(xa, xd), lanes.hypot(*xa)),
             lambda xa, xd, w0, w1: strategies.intelligent_attacker(
                 xa, xd, NOISELESS, Normals(w0, w1)),
             rows,
         )
 
-    @given(st.lists(st.tuples(spiral_points, points, normals, normals), min_size=1, max_size=6),
-           noise, half_widths)
-    def test_carried_norms_give_the_same_bits(self, rows, params, k):
+    @given(st.lists(st.tuples(homing_points, points), min_size=1, max_size=6))
+    def test_carried_norms_give_the_same_bits(self, rows):
         """A caller that passes in the separation or the attacker radius,
-        as the matrix kernel does, gets the bits of the twin computing it."""
+        as the matrix kernel does, gets the bits of the twin computing it:
+        the twins whose norm is optional, for the margin estimator."""
         xa, xd = as_lanes([r[0] for r in rows]), as_lanes([r[1] for r in rows])
-        w = np.array(([r[2] for r in rows], [r[3] for r in rows]))
         separation = lanes.hypot(xa[0] - xd[0], xa[1] - xd[1])
         radius = lanes.hypot(*xa)
         calls = [
-            (lanes.observe, (xa, xd, params, w), {"distance": separation}),
-            (lanes.pp_control, (xa, xd), {"distance": separation}),
-            (lanes.dm_control, (xa, xd), {"distance": separation}),
-            (lanes.reliability, (xa, xd, params, k), {"distance": separation}),
+            (lanes.defense_margin, (xa, xd), {"distance": separation}),
             (lanes.linear_attacker, (xa,), {"n": radius}),
-            (lane_spiral_attacker, (xa,), {"n": radius}),
-            (lane_intelligent_attacker, (xa, xd, params, w),
-             {"distance": separation, "n": radius}),
+            (lanes._unit, (xa,), {"n": radius}),
         ]
         for fn, args, carried in calls:
             outcomes = []
@@ -457,7 +463,10 @@ class TestStrategyTwins:
         }
         homes = {"observe": observation, "reliability": observation,
                  "defense_margin": geometry, "closest_safe_reachable_point": geometry}
-        composed = {"spiral_attacker": lane_spiral_attacker,
+        composed = {"pp_control": lambda y, xd, distance: lanes._unit(y - xd, n=distance),
+                    "dm_control": lambda y, xd, distance: lanes._unit(
+                        lanes.dm_heading(y, xd, distance)),
+                    "spiral_attacker": lane_spiral_attacker,
                     "intelligent_attacker": lane_intelligent_attacker}
 
         def check(twin, scalar):
@@ -539,16 +548,16 @@ def test_strided_views_give_the_bits_of_contiguous_copies(rows, strategy, params
     calls = [
         (lambda a, b: lanes.hypots(a, b, a - b), (xa, xd)),
         (lanes.defense_margin, (xa, xd)),
-        (lanes.closest_safe_reachable_point, (xa, xd)),
-        (lambda a, b, w: lanes.observe(a, b, params, w), (xa, xd, w)),
-        (lambda a, b: lanes.reliability(a, b, params, k), (xa, xd)),
+        (lambda a, b: lanes.closest_safe_reachable_point(a, b, apart(a, b)), (xa, xd)),
+        (lambda a, b, w: lanes.observe(a, b, params, w, apart(a, b)), (xa, xd, w)),
+        (lambda a, b: lanes.reliability(a, b, params, k, apart(a, b)), (xa, xd)),
         (lambda a, b: lanes.defender_control(strategy, a, b, params, k), (xa, xd)),
-        (lanes.dm_heading, (xa, xd)),
+        (lambda a, b: lanes.dm_heading(a, b, apart(a, b)), (xa, xd)),
         (lambda a, b: lanes.adm_heading(a, b, f / 2.0), (xa, xd)),
         (lambda a, b: lanes._unit(a, lanes._EPS_BLEND, b), (xa - xa, xd)),
         (lanes.linear_attacker, (xa,)),
-        (lanes.spiral_heading, (xa,)),
-        (lambda a, b, w: lanes.intelligent_away(a, b, params, w), (xa, xd, w)),
+        (lambda a: lanes.spiral_heading(a, lanes.hypot(*a)), (xa,)),
+        (lambda a, b, w: lanes.intelligent_away(a, b, params, w, apart(a, b)), (xa, xd, w)),
         (lambda a, b: lanes.intelligent_heading(a, b, f), (xa, xd)),
         (lambda a, b, w, m: lanes.one_step_margin_change(a, b, strategy, params, k, w, m),
          (xa, xd, w, motion)),
@@ -580,7 +589,7 @@ class TestRefusals:
         with pytest.raises(CoincidentAgentsError):
             lanes.defense_margin(xa, xd)
         with pytest.raises(CoincidentAgentsError):
-            lanes.dm_control(xa, xd)
+            lanes.defender_control(DM, xa, xd, NOISELESS, 0.5)
         with pytest.raises(CoincidentAgentsError):
             lanes.one_step_margin_change(xa, xd, DefenderStrategy.PURE_PURSUIT, NOISELESS, 0.5,
                                          np.zeros((2, 2)), lanes.linear_attacker(xa))
