@@ -13,12 +13,10 @@ Five sections:
 """
 from __future__ import annotations
 
-import concurrent.futures
-import logging
 import math
 import os
-from dataclasses import asdict, dataclass
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,8 +43,6 @@ from .strategies import (
     MATRIX_DEFENDERS,
     defender_control,
 )
-
-log = logging.getLogger(__name__)
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -95,7 +91,7 @@ def estimate_expected_cos(e: Vec2, ua: Vec2, params: NoiseParams, n: int, rng: R
     (e + w) and the attacker-shifted error (e + ua).
 
     Noise draws with ||w|| >= ||e|| fall outside the regime the condition
-    covers and are rejected and redrawn (count logged at debug level).
+    covers and are rejected and redrawn.
     Requires ||e|| > sqrt(2), and a draw accepted with probability
     P(||w|| < ||e||) = 1 - exp(-(||e|| / sigma)^2 / 2) of at least
     `_MIN_ACCEPTANCE`, so that the expected number of draws is bounded.
@@ -127,20 +123,16 @@ def estimate_expected_cos(e: Vec2, ua: Vec2, params: NoiseParams, n: int, rng: R
     gen = rng.generator
     total = 0.0
     accepted = 0
-    rejected = 0
     while accepted < n:
         m = min(n - accepted, _DRAW_BLOCK)
         w = gen.standard_normal((m, 2)) * sigma
         keep = np.hypot(w[:, 0], w[:, 1]) < e_norm
         wk = w[keep]
-        rejected += m - wk.shape[0]
         gx = e.x + wk[:, 0]
         gy = e.y + wk[:, 1]
         g_norm = np.hypot(gx, gy)
         total += float(((gx * f.x + gy * f.y) / (g_norm * f_norm)).sum())
         accepted += wk.shape[0]
-    if rejected:
-        log.debug("expected-cos estimator rejected %d draw(s)", rejected)
     return total / n
 
 
@@ -148,8 +140,7 @@ def estimate_expected_cos(e: Vec2, ua: Vec2, params: NoiseParams, n: int, rng: R
 # One-step defense-margin change
 
 
-@dataclass(frozen=True, slots=True)
-class MarginChangeEstimate:
+class MarginChangeEstimate(NamedTuple):
     mean_change: float
     stderr: float
 
@@ -257,8 +248,7 @@ def closest_point_grid_search(xa: Vec2, xd: Vec2, resolution: float = 1e-3) -> V
 # Win-rate experiment matrix
 
 
-@dataclass(frozen=True, slots=True)
-class PairResult:
+class PairResult(NamedTuple):
     defender: str
     attacker: str
     wins: int
@@ -268,8 +258,7 @@ class PairResult:
     win_rate: float
 
 
-@dataclass(slots=True)
-class ExperimentReport:
+class ExperimentReport(NamedTuple):
     pairs: list[PairResult]
     trials: int
     base_seed: int
@@ -424,7 +413,7 @@ def run_matrix_block(
                     generators[c][i].standard_normal(out=windows[c][i])
             normals[:2, 0], normals[:, 1] = (windows[c].transpose(2, 0, 1) for c in (2, 4))
         drawn = normals.reshape(4, -1).take(offset + row, axis=1)
-        y = lanes.observe(xa, xd, noise, drawn[:2], separation)
+        y = lanes.observe(xa, noise, drawn[:2], separation)
         # Rounds 1 and 2; a group with no lanes skips its pieces.
         sight, none = y - xd, np.empty((2, 0))
         away = none if not len(on) else lanes.intelligent_away(
@@ -444,7 +433,7 @@ def run_matrix_block(
         ua[0][on], ua[1][on] = lanes._unit(headings[2], lanes._EPS_BLEND, origin_on, norms[2])
         if adm < n:  # round 3, on the last run of lanes
             adm_dm = dm_dir[:, adm - dm:]
-            p = lanes.reliability(y[:, adm:], xd[:, adm:], noise, k, distance[adm:])
+            p = lanes.reliability(noise, k, distance[adm:])
             blend = lanes.adm_heading(pp_dir[:, adm:], adm_dm, p)
             ud[:, adm:] = lanes._unit(blend, lanes._EPS_BLEND, adm_dm, lanes.hypot(*blend))
         # Positions stay within r_interest + max_steps of the origin, so the
@@ -480,7 +469,8 @@ def run_experiment_matrix(
     if workers == 1:
         blocks = list(map(run_matrix_block, *args))
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool starts
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(run_matrix_block, *args))
     seeds, outcomes = zip(*(per_trial for block in blocks for per_trial in block))
     pairs = []
@@ -496,7 +486,7 @@ def run_experiment_matrix(
 
 def report_json_text(report: ExperimentReport) -> str:
     payload = {
-        "pairs": [{**asdict(p), "win_rate": round9(p.win_rate)} for p in report.pairs],
+        "pairs": [{**p._asdict(), "win_rate": round9(p.win_rate)} for p in report.pairs],
         "trials": report.trials,
         "base_seed": report.base_seed,
         "seeds": report.seeds,
@@ -520,8 +510,7 @@ def report_csv_text(report: ExperimentReport) -> str:
 # Invariant checks (used by the CLI `check` subcommand and the tests)
 
 
-@dataclass(frozen=True, slots=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str

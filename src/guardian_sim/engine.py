@@ -9,7 +9,6 @@ the defender), then the configured failure criterion, then the step cap
 from __future__ import annotations
 
 import enum
-import logging
 import math
 import sys
 from dataclasses import dataclass, field
@@ -23,8 +22,6 @@ from .observation import NoiseParams, check_positive_finite, noise_variance, obs
 from .rng import NormalStream, NormalWindow, Rng
 from .strategies import (
     _EPS_DIRECTION, AttackerBehavior, DefenderStrategy, attacker_control, defender_control)
-
-log = logging.getLogger(__name__)
 
 # Initial-condition distributions: radii uniform over these ranges, angles
 # uniform over [-pi, pi).
@@ -222,8 +219,7 @@ class StepRecord(NamedTuple):
     reliability: float | None
 
 
-@dataclass(slots=True)
-class EpisodeResult:
+class EpisodeResult(NamedTuple):
     outcome: Outcome
     end_time: int
     trajectory: list[StepRecord]
@@ -379,13 +375,11 @@ def sample_initial_positions(
     defender angle, attacker radius, attacker angle, both points every time.
     A pair whose separation is <= min_separation is rejected and redrawn.
     """
-    for attempt in range(_MAX_INIT_REDRAWS):
+    for _ in range(_MAX_INIT_REDRAWS):
         dr, da, ar, aa = rng.random(4).tolist()
         d = polar_point(dr, da, *DEFENDER_RADIUS_RANGE) if xd is None else xd
         a = polar_point(ar, aa, *ATTACKER_RADIUS_RANGE) if xa is None else xa
         if a.distance_to(d) > min_separation:
-            if attempt:
-                log.debug("initial positions redrawn %d time(s)", attempt)
             return a, d
     raise InvalidInitializationError(
         f"could not draw initial positions separated by more than {min_separation}"

@@ -25,9 +25,9 @@ pairs ``np.hypot`` alone misses by one bit on about 0.6 % of lanes) and calls
 already computes each lane's expression.  A mask is tested with
 `np.count_nonzero`, about 1 us a call cheaper than ``.any()``.
 
-A twin that reads a norm is handed it as `hypot`'s bits, and keeps its scalar
-namesake's arguments: ``distance`` (the separation of the two points), ``n``
-(the norm of the one vector) or ``dist`` (that of ``away``).  Only the margin
+A twin takes only what it reads, and one that reads a norm is handed it as
+`hypot`'s bits: ``distance`` (the separation of the two points), ``n`` (the
+norm of the one vector) or ``dist`` (that of ``away``).  Only the margin
 estimator's `defense_margin`, `linear_attacker` and `_unit` may omit it.  Each
 control is `_unit` of a heading, a piece `analysis.run_matrix_block` composes too.
 """
@@ -143,13 +143,14 @@ def closest_safe_reachable_point(xa, xd, distance):
     return np.where(rho <= 0.0, 0.0, (xa - xd) / separation * rho)
 
 
-def observe(xa, xd, params: NoiseParams, normals, distance):
+def observe(xa, params: NoiseParams, normals, distance):
     """`observation.observe`, with lane i of the (2, N) `normals` as the two
-    standard normals lane i's stream would give."""
+    standard normals lane i's stream would give; the defender enters only
+    through `distance`."""
     return xa + np.sqrt(noise_variance(distance, params)) * normals
 
 
-def reliability(y, xd, params: NoiseParams, k: float, distance):
+def reliability(params: NoiseParams, k: float, distance):
     # An infinite variance gives erf(0), and k over a tiny one erf(inf), as in the scalar code.
     with np.errstate(over="ignore"):
         variance = noise_variance(distance, params)
@@ -192,7 +193,7 @@ def defender_control(strategy: DefenderStrategy, y, xd, params: NoiseParams, k: 
     dm_dir = _unit(dm_heading(y, xd, distance))
     if strategy is DefenderStrategy.DEFENSE_MARGIN:
         return dm_dir
-    p = reliability(y, xd, params, k, distance)
+    p = reliability(params, k, distance)
     return _unit(adm_heading(_unit(sight, n=distance), dm_dir, p), _EPS_BLEND, dm_dir)
 
 
@@ -206,7 +207,7 @@ def spiral_heading(xa, n):
 
 def intelligent_away(xa, xd, params: NoiseParams, normals, distance):
     """xa minus the defender as the attacker observes it (normals as in `observe`)."""
-    return xa - observe(xd, xa, params, normals, distance)
+    return xa - observe(xd, params, normals, distance)
 
 
 def intelligent_heading(away, to_origin, dist):
@@ -221,6 +222,6 @@ def one_step_margin_change(
 ):
     """`analysis.one_step_margin_change`, with the noise given as in `observe`."""
     before, separation = _margin(xa, xd, "defense margin")
-    y = observe(xa, xd, params, normals, separation)
+    y = observe(xa, params, normals, separation)
     ud = defender_control(strategy, y, xd, params, k)
     return defense_margin(xa + motion, xd + ud) - before

@@ -5,6 +5,7 @@ numbers and asserts at its stated tolerance and runtime budget.
 """
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import math
 import os
@@ -232,13 +233,13 @@ def test_criterion_7_bitwise_determinism(tmp_path, capsys, monkeypatch):
     workers wherever the process may run on two CPUs or more."""
     monkeypatch.delenv("GUARDIAN_SIM_SEED", raising=False)
     monkeypatch.setattr(analysis, "MATRIX_BLOCK", 16)
-    pools, executor = [], analysis.concurrent.futures.ProcessPoolExecutor
+    pools, executor = [], concurrent.futures.ProcessPoolExecutor
 
     def pool(max_workers):
         pools.append(max_workers)
         return executor(max_workers=max_workers)
 
-    monkeypatch.setattr(analysis.concurrent.futures, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
 
     run_args = ["run", "--defender", "adm", "--attacker", "intelligent", "--seed", "11"]
     a, b = tmp_path / "run_a", tmp_path / "run_b"

@@ -1,7 +1,7 @@
 """Stability diagnostics, margin-change estimators, experiment matrix, checks."""
 from __future__ import annotations
 
-import dataclasses
+import concurrent.futures
 import json
 import math
 import re
@@ -279,7 +279,7 @@ class TestEstimateMeanMarginChange:
 
     def test_fields_and_positive_stderr(self):
         est = estimate_mean_margin_change(DefenderStrategy.DEFENSE_MARGIN, NoiseParams(), 0.5, 2000, Rng(4))
-        assert [f.name for f in dataclasses.fields(est)] == ["mean_change", "stderr"]
+        assert est._fields == ("mean_change", "stderr")
         assert est.stderr > 0.0
 
     def test_welford_matches_direct_formula(self):
@@ -488,7 +488,7 @@ class TestExperimentMatrix:
             def map(self, fn, *iterables, chunksize=1):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(analysis.concurrent.futures, "ProcessPoolExecutor", FakeExecutor)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakeExecutor)
         monkeypatch.setattr(analysis.os, "cpu_count", lambda: 8)
         monkeypatch.setattr(analysis.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
                             raising=False)

@@ -716,6 +716,19 @@ class TestMatrixCommand:
         assert (out_a / "winrates.csv").read_bytes() == (out_b / "winrates.csv").read_bytes()
         assert (out_a / "report.json").read_bytes() == (out_b / "report.json").read_bytes()
 
+    def test_a_serial_run_loads_no_logger_and_no_pool(self, tmp_path):
+        """A fresh interpreter that imports the command line and runs a
+        serial matrix never loads `logging`, nor the modules a pool needs."""
+        env = {**os.environ, "PYTHONPATH": str(Path(guardian_sim.__file__).parents[1])}
+        argv = ["matrix", "--trials", "3", "--jobs", "1", "--out", str(tmp_path)]
+        script = (f"import sys; import guardian_sim.cli; code = guardian_sim.cli.main({argv!r}); "
+                  "print(code, [m for m in ('logging', 'concurrent.futures', 'multiprocessing') "
+                  "if m in sys.modules])")
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "0 []"
+
 
 # Flags each report command never reads, after the flags it requires.
 NEVER_READ = {

@@ -324,15 +324,14 @@ class TestObservationTwins:
     @given(st.lists(st.tuples(points, points, normals, normals), min_size=1, max_size=6), noise)
     def test_observe(self, rows, params):
         assert_twin(
-            lambda xa, xd, w0, w1: lanes.observe(
-                xa, xd, params, np.array((w0, w1)), apart(xa, xd)),
+            lambda xa, xd, w0, w1: lanes.observe(xa, params, np.array((w0, w1)), apart(xa, xd)),
             lambda xa, xd, w0, w1: observation.observe(xa, xd, params, Normals(w0, w1)),
             rows,
         )
 
     @given(lane_pairs, noise, half_widths)
     def test_reliability(self, rows, params, k):
-        assert_twin(lambda y, xd: lanes.reliability(y, xd, params, k, apart(y, xd)),
+        assert_twin(lambda y, xd: lanes.reliability(params, k, apart(y, xd)),
                     lambda y, xd: observation.reliability(y, xd, params, k), rows)
 
     def test_infinite_variance_is_exactly_zero(self):
@@ -340,16 +339,16 @@ class TestObservationTwins:
         so does the twin, without a warning."""
         rows = [(Vec2(1e160, 0.0), Vec2(0.0, 0.0)), (Vec2(3.0, 4.0), Vec2(0.0, 0.0))]
         params = NoiseParams(beta_d=1.0)
-        assert_twin(lambda y, xd: lanes.reliability(y, xd, params, 0.5, apart(y, xd)),
+        assert_twin(lambda y, xd: lanes.reliability(params, 0.5, apart(y, xd)),
                     lambda y, xd: observation.reliability(y, xd, params, 0.5), rows)
         assert observation.reliability(*rows[0], params, 0.5) == 0.0
 
     def test_zero_variance_is_exactly_one(self):
         rows = [(Vec2(3.0, 4.0), Vec2(0.0, 0.0)), (Vec2(1.0, 1.0), Vec2(1.0, 1.0))]
-        assert_twin(lambda y, xd: lanes.reliability(y, xd, NOISELESS, 0.5, apart(y, xd)),
+        assert_twin(lambda y, xd: lanes.reliability(NOISELESS, 0.5, apart(y, xd)),
                     lambda y, xd: observation.reliability(y, xd, NOISELESS, 0.5), rows)
         y, xd = as_lanes([r[0] for r in rows]), as_lanes([r[1] for r in rows])
-        assert lanes.reliability(y, xd, NOISELESS, 0.5, apart(y, xd)).tolist() == [1.0, 1.0]
+        assert lanes.reliability(NOISELESS, 0.5, apart(y, xd)).tolist() == [1.0, 1.0]
 
 
 class TestStrategyTwins:
@@ -463,7 +462,9 @@ class TestStrategyTwins:
         }
         homes = {"observe": observation, "reliability": observation,
                  "defense_margin": geometry, "closest_safe_reachable_point": geometry}
-        composed = {"pp_control": lambda y, xd, distance: lanes._unit(y - xd, n=distance),
+        composed = {"observe": lambda a, b, *rest: lanes.observe(a, *rest),
+                    "reliability": lambda a, b, *rest: lanes.reliability(*rest),
+                    "pp_control": lambda y, xd, distance: lanes._unit(y - xd, n=distance),
                     "dm_control": lambda y, xd, distance: lanes._unit(
                         lanes.dm_heading(y, xd, distance)),
                     "spiral_attacker": lane_spiral_attacker,
@@ -549,8 +550,8 @@ def test_strided_views_give_the_bits_of_contiguous_copies(rows, strategy, params
         (lambda a, b: lanes.hypots(a, b, a - b), (xa, xd)),
         (lanes.defense_margin, (xa, xd)),
         (lambda a, b: lanes.closest_safe_reachable_point(a, b, apart(a, b)), (xa, xd)),
-        (lambda a, b, w: lanes.observe(a, b, params, w, apart(a, b)), (xa, xd, w)),
-        (lambda a, b: lanes.reliability(a, b, params, k, apart(a, b)), (xa, xd)),
+        (lambda a, b, w: lanes.observe(a, params, w, apart(a, b)), (xa, xd, w)),
+        (lambda a, b: lanes.reliability(params, k, apart(a, b)), (xa, xd)),
         (lambda a, b: lanes.defender_control(strategy, a, b, params, k), (xa, xd)),
         (lambda a, b: lanes.dm_heading(a, b, apart(a, b)), (xa, xd)),
         (lambda a, b: lanes.adm_heading(a, b, f / 2.0), (xa, xd)),
