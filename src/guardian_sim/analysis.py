@@ -34,7 +34,8 @@ from .engine import (
 )
 from .fileio import fmt9, json_text, round9
 from .geometry import Vec2, closest_safe_reachable_point, defense_margin
-from .observation import NoiseParams, check_positive_finite, noise_variance, observe, reliability
+from .observation import (
+    _SQRT2, NoiseParams, check_positive_finite, noise_variance, observe, reliability)
 from .rng import Rng, derive_seed, derive_seeds, seed_words, word_generator
 from .strategies import (
     AttackerBehavior,
@@ -43,8 +44,6 @@ from .strategies import (
     MATRIX_DEFENDERS,
     defender_control,
 )
-
-_SQRT2 = math.sqrt(2.0)
 
 # Sampling ranges for the margin-change estimator: attacker and defender
 # radii uniform over these, angles uniform.

@@ -87,6 +87,14 @@ class Vec2:
 ORIGIN = Vec2(0.0, 0.0)
 
 
+def _margin(xa: Vec2, xd: Vec2, what: str, distance: float | None) -> tuple[float, float]:
+    """The margin formula and the separation it divides by."""
+    separation = xa.distance_to(xd) if distance is None else distance
+    if separation == 0.0:
+        raise CoincidentAgentsError(f"{what} undefined for coincident agents")
+    return (xa.norm_sq() - xd.norm_sq()) / (2.0 * separation), separation
+
+
 def defense_margin(xa: Vec2, xd: Vec2, distance: float | None = None) -> float:
     """Signed distance from the origin to the set of points the attacker can
     reach before the defender.
@@ -95,10 +103,7 @@ def defense_margin(xa: Vec2, xd: Vec2, distance: float | None = None) -> float:
     (then it equals the distance to the perpendicular bisector of the
     attacker-defender segment); negative or zero otherwise.
     """
-    separation = xa.distance_to(xd) if distance is None else distance
-    if separation == 0.0:
-        raise CoincidentAgentsError("defense margin undefined for coincident agents")
-    return (xa.norm_sq() - xd.norm_sq()) / (2.0 * separation)
+    return _margin(xa, xd, "defense margin", distance)[0]
 
 
 def closest_safe_reachable_point(xa: Vec2, xd: Vec2, distance: float | None = None) -> Vec2:
@@ -110,12 +115,7 @@ def closest_safe_reachable_point(xa: Vec2, xd: Vec2, distance: float | None = No
     in the half-plane (||xa|| <= ||xd||) the answer is the origin; otherwise
     it is the foot of the perpendicular from the origin onto the bisector.
     """
-    separation = xa.distance_to(xd) if distance is None else distance
-    if separation == 0.0:
-        raise CoincidentAgentsError(
-            "safe reachable set undefined for coincident agents"
-        )
-    rho = (xa.norm_sq() - xd.norm_sq()) / (2.0 * separation)
+    rho, separation = _margin(xa, xd, "safe reachable set", distance)
     if rho <= 0.0:
         return ORIGIN
     return Vec2((xa.x - xd.x) / separation * rho, (xa.y - xd.y) / separation * rho)

@@ -3,7 +3,8 @@
 Each function takes float64 lanes, a number per lane as an ``(N,)`` array and
 a vector as one ``(2, N)`` array (or view) with rows x and y.  On inputs within
 the bounds its callers enforce before the first draw, it returns, lane by lane,
-the bits of its scalar namesake.  The bounds: every observation is finite
+the bits of its scalar namesake (for `linear_attacker`, the linear law of
+`strategies.attacker_control`).  The bounds: every observation is finite
 (`WorldConfig`'s reach and noise bounds; the margin estimator's
 `check_noise_bound`); `k` is positive and finite (`WorldConfig`, the estimator;
 `check` passes 0.5); the attacker radius is >= 1e-12 for the linear and

@@ -261,15 +261,17 @@ def sampled_start_clearing_chance(tau: float) -> float:
 
 
 def lane_spiral_attacker(xa, n):
-    """`strategies.spiral_attacker` over lanes at the radius `n`, composed of
-    the `lanes` pieces as `analysis.run_matrix_block` composes them."""
+    """The scalar spiral attacker (`strategies.attacker_control`) over lanes at
+    the radius `n`, composed of the `lanes` pieces as `analysis.run_matrix_block`
+    composes them."""
     return lanes._unit(lanes.spiral_heading(xa, n))
 
 
 def lane_intelligent_attacker(xa, xd, params, normals, distance, n):
-    """`strategies.intelligent_attacker` over lanes at the separation
-    `distance` and radius `n`, with the attacker's normals as in
-    `lanes.observe`, composed as `analysis.run_matrix_block` composes it."""
+    """The scalar intelligent attacker (`strategies.attacker_control`) over
+    lanes at the separation `distance` and radius `n`, with the attacker's
+    normals as in `lanes.observe`, composed as `analysis.run_matrix_block`
+    composes it."""
     to_origin = lanes.linear_attacker(xa, n)
     away = lanes.intelligent_away(xa, xd, params, normals, distance)
     heading = lanes.intelligent_heading(away, to_origin, lanes.hypot(*away))

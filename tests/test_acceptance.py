@@ -24,7 +24,7 @@ from guardian_sim.engine import WorldConfig
 from guardian_sim.geometry import Vec2
 from guardian_sim.observation import NoiseParams, reliability
 from guardian_sim.rng import Rng, derive_seed
-from guardian_sim.strategies import DefenderStrategy, pp_control
+from guardian_sim.strategies import DefenderStrategy, defender_control
 from oracles import gaussian_square_mass_quadrature
 
 NOISELESS = NoiseParams(beta_b=0.0, beta_d=0.0, beta_v=0.0, nu=1.0)
@@ -214,7 +214,8 @@ def test_criterion_6_stability_anchors_and_fleeing_distance():
     for _ in range(100):
         e = xa - xd
         ua = e / e.norm()          # attacker flees straight away from the defender
-        ud = pp_control(xa, xd)    # exact observation: y = xa
+        # Exact observation: y = xa.  Pure pursuit reads neither params nor k.
+        ud = defender_control(DefenderStrategy.PURE_PURSUIT, xa, xd, None, None)
         xa, xd = xa + ua, xd + ud
         worst_drift = max(worst_drift, abs(xa.distance_to(xd) - sep0))
     ok = anchors_exact and worst_drift <= 1e-9

@@ -7,6 +7,7 @@ import math
 import re
 import sys
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -47,7 +48,8 @@ from guardian_sim.engine import (
 from guardian_sim.geometry import Vec2, closest_safe_reachable_point, defense_margin
 from guardian_sim.observation import NoiseParams
 from guardian_sim.rng import Rng, derive_seed
-from guardian_sim.strategies import AttackerBehavior, DefenderStrategy, dm_control
+from guardian_sim.strategies import (
+    AttackerBehavior, DefenderStrategy, attacker_control, defender_control)
 from oracles import (
     dm_margin_gain_closed_form,
     expected_cos_quadrature,
@@ -58,6 +60,9 @@ from oracles import (
 
 NOISELESS = NoiseParams(beta_b=0.0, beta_d=0.0, beta_v=0.0, nu=1.0)
 STILL = Vec2(0.0, 0.0)
+# Scalar laws that read none of the arguments bound to None.
+dm_control = partial(defender_control, DefenderStrategy.DEFENSE_MARGIN, params=None, k=None)
+linear_attacker = partial(attacker_control, AttackerBehavior.LINEAR, xd=None, params=None, rng=None)
 
 
 class TestStabilityConditionLhs:
@@ -297,7 +302,6 @@ class TestEstimateMeanMarginChange:
             MARGIN_SAMPLE_ATTACKER_RADIUS,
             MARGIN_SAMPLE_DEFENDER_RADIUS,
         )
-        from guardian_sim.strategies import linear_attacker
 
         n = 2_500
         assert n > 2 * MARGIN_BLOCK and n % MARGIN_BLOCK
@@ -337,7 +341,6 @@ class TestEstimateMeanMarginChange:
             MARGIN_SAMPLE_ATTACKER_RADIUS,
             MARGIN_SAMPLE_DEFENDER_RADIUS,
         )
-        from guardian_sim.strategies import linear_attacker
 
         m = MARGIN_BLOCK
         assert m >= lanes._CERTIFY_FROM

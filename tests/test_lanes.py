@@ -1,6 +1,7 @@
 """The array twins in `lanes` give, lane by lane, the bits of their scalar
-namesakes on inputs within the bounds their callers enforce, and refuse
-coincident agents as the scalar code does.
+namesakes (the dispatchers' laws, for the controls) on inputs within the
+bounds their callers enforce, and refuse coincident agents as the scalar
+code does.
 
 Bit equality is asserted on IEEE bit patterns, so 0.0 and -0.0 differ; all
 NaNs count as one value.  `lanes.reliability` calls `math.erf` per lane, and
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -31,6 +33,10 @@ from oracles import lane_intelligent_attacker, lane_spiral_attacker
 
 NOISELESS = NoiseParams(beta_b=0.0, beta_d=0.0, beta_v=0.0, nu=1.0)
 PP, DM, ADM = DefenderStrategy
+LINEAR, SPIRAL, INTELLIGENT = strategies.MATRIX_ATTACKERS
+# The scalar linear and spiral attackers read none of the arguments bound to None.
+linear_attacker = partial(strategies.attacker_control, LINEAR, xd=None, params=None, rng=None)
+spiral_attacker = partial(strategies.attacker_control, SPIRAL, xd=None, params=None, rng=None)
 
 
 def bits(values) -> list[int]:
@@ -312,7 +318,7 @@ class TestGeometryTwins:
         assert_twin(lambda y, xd: lanes.closest_safe_reachable_point(y, xd, apart(y, xd)),
                     geometry.closest_safe_reachable_point, rows)
         assert_twin(lambda y, xd: lanes.defender_control(DM, y, xd, NOISELESS, 0.5),
-                    strategies.dm_control, rows)
+                    lambda y, xd: strategies.defender_control(DM, y, xd, NOISELESS, 0.5), rows)
 
 
 class TestObservationTwins:
@@ -372,7 +378,7 @@ class TestStrategyTwins:
         then the (non-zero) margin-keeping direction."""
         rows = [(Vec2(10.0, 0.0), Vec2(10.0, 5e-13))]
         assert_twin(lambda y, xd: lanes.defender_control(ADM, y, xd, NOISELESS, 0.5),
-                    lambda y, xd: strategies.adm_control(y, xd, NOISELESS, 0.5), rows)
+                    lambda y, xd: strategies.defender_control(ADM, y, xd, NOISELESS, 0.5), rows)
         y, xd = as_lanes([rows[0][0]]), as_lanes([rows[0][1]])
         control, dm = (lanes.defender_control(s, y, xd, NOISELESS, 0.5) for s in (ADM, DM))
         assert control[0][0] == -1.0
@@ -381,13 +387,13 @@ class TestStrategyTwins:
     @given(st.lists(homing_points, min_size=1, max_size=8))
     @example([Vec2(1e-12, 0.0), Vec2(-0.0, -1e-12), Vec2(5e-324, 1e-12)])
     def test_linear_attacker(self, column):
-        assert_twin(lanes.linear_attacker, strategies.linear_attacker, [(p,) for p in column])
+        assert_twin(lanes.linear_attacker, linear_attacker, [(p,) for p in column])
 
     @given(st.lists(spiral_points, min_size=1, max_size=8))
     @example([Vec2(1.0 + 2.0**-52, 0.0), Vec2(-30.0, -0.0), Vec2(0.0, -45.5)])
     def test_spiral_attacker(self, column):
         assert_twin(lambda xa: lane_spiral_attacker(xa, lanes.hypot(*xa)),
-                    strategies.spiral_attacker, [(p,) for p in column])
+                    spiral_attacker, [(p,) for p in column])
 
     @given(st.lists(st.tuples(homing_points, points, normals, normals), min_size=1, max_size=6),
            noise)
@@ -396,7 +402,8 @@ class TestStrategyTwins:
         assert_twin(
             lambda xa, xd, w0, w1: lane_intelligent_attacker(
                 xa, xd, params, np.array((w0, w1)), apart(xa, xd), lanes.hypot(*xa)),
-            lambda xa, xd, w0, w1: strategies.intelligent_attacker(xa, xd, params, Normals(w0, w1)),
+            lambda xa, xd, w0, w1: strategies.attacker_control(
+                INTELLIGENT, xa, xd, params, Normals(w0, w1)),
             rows,
         )
 
@@ -406,13 +413,13 @@ class TestStrategyTwins:
         rows = [(Vec2(30.0, 0.0), Vec2(30.0, 1e-13), 0.0, 0.0),   # away shorter than 1e-12
                 (Vec2(30.0, 0.0), Vec2(29.0, 0.0), 0.0, 0.0)]     # blend exactly zero
         for row in rows:
-            assert strategies.intelligent_attacker(
-                row[0], row[1], NOISELESS, Normals(0.0, 0.0)) == Vec2(-1.0, -0.0)
+            assert strategies.attacker_control(
+                INTELLIGENT, row[0], row[1], NOISELESS, Normals(0.0, 0.0)) == Vec2(-1.0, -0.0)
         assert_twin(
             lambda xa, xd, w0, w1: lane_intelligent_attacker(
                 xa, xd, NOISELESS, np.array((w0, w1)), apart(xa, xd), lanes.hypot(*xa)),
-            lambda xa, xd, w0, w1: strategies.intelligent_attacker(
-                xa, xd, NOISELESS, Normals(w0, w1)),
+            lambda xa, xd, w0, w1: strategies.attacker_control(
+                INTELLIGENT, xa, xd, NOISELESS, Normals(w0, w1)),
             rows,
         )
 
@@ -449,27 +456,6 @@ class TestStrategyTwins:
         piece the matrix kernel composes, returns the scalar function's (or
         formula's) bits at that same norm: ``sep`` is f ||a - b||, ``n`` is
         f ||a||, above 1 as the spiral needs."""
-        calls = {
-            "observe": lambda fn, a, b, w, sep, n: fn(a, b, params, w, sep),
-            "reliability": lambda fn, a, b, w, sep, n: fn(a, b, params, k, sep),
-            "defense_margin": lambda fn, a, b, w, sep, n: fn(a, b, sep),
-            "closest_safe_reachable_point": lambda fn, a, b, w, sep, n: fn(a, b, sep),
-            "pp_control": lambda fn, a, b, w, sep, n: fn(a, b, sep),
-            "dm_control": lambda fn, a, b, w, sep, n: fn(a, b, sep),
-            "linear_attacker": lambda fn, a, b, w, sep, n: fn(a, n),
-            "spiral_attacker": lambda fn, a, b, w, sep, n: fn(a, n),
-            "intelligent_attacker": lambda fn, a, b, w, sep, n: fn(a, b, params, w, sep, n),
-        }
-        homes = {"observe": observation, "reliability": observation,
-                 "defense_margin": geometry, "closest_safe_reachable_point": geometry}
-        composed = {"observe": lambda a, b, *rest: lanes.observe(a, *rest),
-                    "reliability": lambda a, b, *rest: lanes.reliability(*rest),
-                    "pp_control": lambda y, xd, distance: lanes._unit(y - xd, n=distance),
-                    "dm_control": lambda y, xd, distance: lanes._unit(
-                        lanes.dm_heading(y, xd, distance)),
-                    "spiral_attacker": lane_spiral_attacker,
-                    "intelligent_attacker": lane_intelligent_attacker}
-
         def check(twin, scalar):
             assert_twin(
                 lambda a, b, w0, w1, f: twin(
@@ -479,11 +465,6 @@ class TestStrategyTwins:
                     a, b, Normals(w0, w1), f * a.distance_to(b), f * a.norm()),
                 rows,
             )
-
-        for name, call in calls.items():
-            twin = composed.get(name) or getattr(lanes, name)
-            scalar = getattr(homes.get(name, strategies), name)
-            check(lambda *args: call(twin, *args), lambda *args: call(scalar, *args))
 
         def spiral_heading(a, r):
             angle, inner = a.angle() - 1.0 / r, r - 1.0
@@ -495,7 +476,27 @@ class TestStrategyTwins:
             scale = 1.0 / (dist * dist)
             return Vec2(away.x * scale + to_origin.x, away.y * scale + to_origin.y)
 
-        pieces = [
+        twins = [
+            (lambda a, b, w, sep, n: lanes.observe(a, params, w, sep),
+             lambda a, b, w, sep, n: observation.observe(a, b, params, w, sep)),
+            (lambda a, b, w, sep, n: lanes.reliability(params, k, sep),
+             lambda a, b, w, sep, n: observation.reliability(a, b, params, k, sep)),
+            (lambda a, b, w, sep, n: lanes.defense_margin(a, b, sep),
+             lambda a, b, w, sep, n: geometry.defense_margin(a, b, sep)),
+            (lambda a, b, w, sep, n: lanes.closest_safe_reachable_point(a, b, sep),
+             lambda a, b, w, sep, n: geometry.closest_safe_reachable_point(a, b, sep)),
+            (lambda a, b, w, sep, n: lanes._unit(a - b, n=sep),
+             lambda a, b, w, sep, n: strategies.defender_control(PP, a, b, params, k, None, sep)),
+            (lambda a, b, w, sep, n: lanes._unit(lanes.dm_heading(a, b, sep)),
+             lambda a, b, w, sep, n: strategies.defender_control(DM, a, b, params, k, None, sep)),
+            (lambda a, b, w, sep, n: lanes.linear_attacker(a, n),
+             lambda a, b, w, sep, n: strategies.attacker_control(LINEAR, a, b, params, w, sep, n)),
+            (lambda a, b, w, sep, n: lane_spiral_attacker(a, n),
+             lambda a, b, w, sep, n: strategies.attacker_control(SPIRAL, a, b, params, w, sep, n)),
+            (lambda a, b, w, sep, n: lane_intelligent_attacker(a, b, params, w, sep, n),
+             lambda a, b, w, sep, n: strategies.attacker_control(
+                 INTELLIGENT, a, b, params, w, sep, n)),
+            # The pieces the matrix kernel composes.
             (lambda a, b, w, sep, n: lanes._unit(a, n=n),
              lambda a, b, w, sep, n: strategies._unit(a.x, a.y, strategies._EPS_DIRECTION, n)),
             (lambda a, b, w, sep, n: lanes.dm_heading(a, b, sep),
@@ -507,7 +508,7 @@ class TestStrategyTwins:
             (lambda a, b, w, sep, n: lanes.intelligent_heading(a, b, n),
              lambda a, b, w, sep, n: intelligent_heading(a, b, n)),
         ]
-        for twin, scalar in pieces:
+        for twin, scalar in twins:
             check(twin, scalar)
 
 
@@ -612,7 +613,7 @@ class TestRefusals:
         xa = Vec2(30.0, 0.0)
         with pytest.raises(ValueError, match="non-finite"):
             analysis.one_step_margin_change(xa, Vec2(0.0, 0.0), DefenderStrategy.PURE_PURSUIT,
-                                            params, 0.5, Rng(0), strategies.linear_attacker(xa))
+                                            params, 0.5, Rng(0), linear_attacker(xa))
         for strategy in DefenderStrategy:
             with pytest.raises(ValueError, match=r"noise too large: beta=1e\+308"):
                 analysis.estimate_mean_margin_change(strategy, params, 0.5, 100, Rng(0))
@@ -626,9 +627,9 @@ class TestRefusals:
         `test_infinite_world_setting_exits_two_with_the_setting_named`) and the estimator
         (`test_analysis.py::TestEstimateMeanMarginChange::test_refuses_a_bad_half_width_before_drawing`)."""
         with pytest.raises(ValueError, match="origin"):
-            strategies.linear_attacker(Vec2(0.0, 0.0))
+            linear_attacker(Vec2(0.0, 0.0))
         with pytest.raises(ValueError, match="radius > 1"):
-            strategies.spiral_attacker(Vec2(0.6, 0.8))
+            spiral_attacker(Vec2(0.6, 0.8))
         for k in (0.0, math.nan):
             with pytest.raises(ValueError, match="half-width"):
                 observation.reliability(Vec2(3.0, 4.0), Vec2(3.0, 4.0), NOISELESS, k)
