@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import os
+from contextlib import nullcontext
 from itertools import repeat
 from typing import NamedTuple
 
@@ -23,7 +24,7 @@ import numpy as np
 from . import lanes
 from .engine import (
     _MAX_COORDINATE,
-    FailureCriterion,
+    POSITION_BREACH,
     Outcome,
     WorldConfig,
     _validate_init,
@@ -64,6 +65,9 @@ MARGIN_BLOCK = 1024
 # 1.0 MB more as a step gathers them).
 MATRIX_BLOCK = 512
 MATRIX_WINDOW = 32
+# Most trials a matrix runs: it keeps each trial's seed, at a peak RSS of about
+# 46 MB + 0.17 KB a trial, so 2**22 trials fit a 1 GB budget (0.75 GB).
+MAX_TRIALS = 2**22
 
 
 # ---------------------------------------------------------------------------
@@ -297,17 +301,11 @@ def run_matrix_trial(base_seed: int, trial: int, cfg: WorldConfig) -> tuple[int,
 def _block_starts(base_seed: int, first: int, count: int, cfg: WorldConfig):
     """Episode seeds, starts (xa, xd) and the episode seeds' `seed_words`
     of trials `first`, ..., `first + count - 1`, as `run_matrix_trial` gets
-    the seed and the start.
-
-    `derive_seeds` gives the seeds of the trials below 2**32, whose index is
-    one entropy word, at once, and `trial_seeds` those of the rest.  Each
-    trial's start is `sample_initial_positions` on its init stream, built
-    from the init seed's words.
+    the seed and the start: the seeds from one `derive_seeds` call, and each
+    start from `sample_initial_positions` on the init seed's words.
     """
-    arrayed = max(0, min(count, 2**32 - first))
-    keys = np.arange(first, first + arrayed)[:, None], np.array([_INIT_STREAM, _EPISODE_STREAM])
-    seeds = derive_seeds(base_seed, *keys).tolist() + [
-        trial_seeds(base_seed, trial) for trial in range(first + arrayed, first + count)]
+    keys = np.arange(first, first + count)[:, None], np.array([_INIT_STREAM, _EPISODE_STREAM])
+    seeds = derive_seeds(base_seed, *keys).tolist()
     words = seed_words(seeds)
     starts = []
     for init_words in words[:, 0]:
@@ -317,8 +315,7 @@ def _block_starts(base_seed: int, first: int, count: int, cfg: WorldConfig):
     return [episode_seed for _, episode_seed in seeds], starts, words[:, 1]
 
 
-# Outcome codes of the matrix kernel; 0 is a live lane.
-_CODES = (None, Outcome.CAPTURED, Outcome.BREACHED, Outcome.SURVIVED)
+_CAPTURED, _BREACHED, _SURVIVED = 1, 2, 3  # the matrix kernel's outcome codes
 _SPIRAL_PAIR = np.array([a is AttackerBehavior.SPIRAL for _, a in MATRIX_PAIRS])
 _INTELLIGENT_PAIR = np.array([a is AttackerBehavior.INTELLIGENT for _, a in MATRIX_PAIRS])
 # First dm pair and first adm pair: `MATRIX_PAIRS` is defender-major, pp first.
@@ -326,22 +323,25 @@ _DM_ADM_PAIRS = np.array([1, 2]) * len(MATRIX_ATTACKERS)
 
 
 def _end_codes(t: int, xa, xd, separation, attacker_norm, cfg: WorldConfig):
-    """`engine.episode_outcome` lane by lane, as indices into `_CODES`."""
+    """`engine.episode_outcome` lane by lane, as outcome codes; 0 is a live lane."""
     captured = separation <= cfg.tau
-    if cfg.failure_criterion is FailureCriterion.POSITION_BREACH:
+    if cfg.failure_criterion is POSITION_BREACH:
         breached = attacker_norm < cfg.r_safe
     else:
         # A coincident lane is captured and its margin never read.
         breached = lanes.defense_margin(xa, xd, np.where(captured, 1.0, separation)) <= cfg.r_safe
-    return np.where(captured, 1, np.where(breached, 2, 3 if t >= cfg.max_steps else 0))
+    survived = _SURVIVED if t >= cfg.max_steps else 0
+    return np.where(captured, _CAPTURED, np.where(breached, _BREACHED, survived))
 
 
 def run_matrix_block(
     base_seed: int, first: int, count: int, cfg: WorldConfig
-) -> list[tuple[int, list[Outcome]]]:
+) -> tuple[list[int], np.ndarray]:
     """`run_matrix_trial` for trials `first`, ..., `first + count - 1`, from a
     lock-step lane kernel: every pair of every trial is a lane, all lanes
     take step t together, and a lane is dropped when its episode ends.
+    Returns the trials' episode seeds and a (9, count) int8 array of outcome
+    codes (see `_end_codes`), row i being pair i of `MATRIX_PAIRS`.
 
     The block's seeds and starts come from `_block_starts`, which checks
     every start as the scalar engine does.  Each step follows `engine.step`
@@ -439,7 +439,7 @@ def run_matrix_block(
         # moves need no finiteness check.
         xa, xd = xa + ua, xd + ud
         t += 1
-    return [(seed, [_CODES[c] for c in column]) for seed, column in zip(seeds, codes.T.tolist())]
+    return seeds, codes
 
 
 def run_experiment_matrix(
@@ -454,32 +454,31 @@ def run_experiment_matrix(
     Blocks are spread over min(jobs, CPUs, blocks) worker processes, counting
     only the CPUs this process may run on; with one, no pool is started.
     """
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must be 1 to MAX_TRIALS = {MAX_TRIALS}, got {trials}")
     if jobs < 1:
         raise ValueError(f"need at least one worker, got {jobs}")
     cfg.check_sampled_starts()
     firsts = range(0, trials, MATRIX_BLOCK)
-    counts = [min(MATRIX_BLOCK, trials - first) for first in firsts]
+    counts = (min(MATRIX_BLOCK, trials - first) for first in firsts)
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    workers = min(jobs, cpus, len(counts))
-    args = (repeat(base_seed), firsts, counts, repeat(cfg))
-    if workers == 1:
-        blocks = list(map(run_matrix_block, *args))
-    else:
+    workers, pool = min(jobs, cpus, len(firsts)), None
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool starts
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(run_matrix_block, *args))
-    seeds, outcomes = zip(*(per_trial for block in blocks for per_trial in block))
+        pool = ProcessPoolExecutor(max_workers=workers)
+    seeds, tally = [], np.zeros((2, len(MATRIX_PAIRS)), dtype=np.int64)
+    with pool or nullcontext():  # each block is counted as it arrives, and its codes dropped
+        args = (repeat(base_seed), firsts, counts, repeat(cfg))
+        for block_seeds, codes in (pool.map if pool else map)(run_matrix_block, *args):
+            seeds += block_seeds
+            tally += [np.count_nonzero(codes == c, axis=1) for c in (_BREACHED, _SURVIVED)]
     pairs = []
-    for (d, a), column in zip(MATRIX_PAIRS, zip(*outcomes)):
-        survived = column.count(Outcome.SURVIVED)
-        losses = column.count(Outcome.BREACHED)
+    for (d, a), losses, survived in zip(MATRIX_PAIRS, *tally.tolist()):
         wins = trials - losses  # captures, and surviving the step cap
         pairs.append(PairResult(d.value, a.value, wins, losses, survived, trials, wins / trials))
     return ExperimentReport(
-        pairs=pairs, trials=trials, base_seed=base_seed, seeds=list(seeds), config=cfg
+        pairs=pairs, trials=trials, base_seed=base_seed, seeds=seeds, config=cfg
     )
 
 

@@ -51,6 +51,9 @@ class FailureCriterion(enum.Enum):
     MARGIN_BREACH = "margin_breach"      # defense margin fell to the safe radius
 
 
+POSITION_BREACH = FailureCriterion.POSITION_BREACH  # read once, not on every step
+
+
 class Outcome(enum.Enum):
     CAPTURED = "Captured"
     BREACHED = "Breached"
@@ -241,12 +244,11 @@ def episode_outcome(
     separation = xa.distance_to(xd) if separation is None else separation
     if separation <= cfg.tau:
         return Outcome.CAPTURED
-    if cfg.failure_criterion is FailureCriterion.POSITION_BREACH:
+    if cfg.failure_criterion is POSITION_BREACH:
         if (xa.norm() if radius is None else radius) < cfg.r_safe:
             return Outcome.BREACHED
-    else:
-        if defense_margin(xa, xd, separation) <= cfg.r_safe:
-            return Outcome.BREACHED
+    elif defense_margin(xa, xd, separation) <= cfg.r_safe:
+        return Outcome.BREACHED
     if t >= cfg.max_steps:
         return Outcome.SURVIVED
     return None

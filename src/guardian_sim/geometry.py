@@ -53,9 +53,6 @@ class Vec2:
     def __sub__(self, other: Vec2) -> Vec2:
         return Vec2(self.x - other.x, self.y - other.y)
 
-    def __neg__(self) -> Vec2:
-        return Vec2(-self.x, -self.y)
-
     def __mul__(self, s: float) -> Vec2:
         return Vec2(self.x * s, self.y * s)
 

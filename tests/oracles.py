@@ -11,7 +11,8 @@ start sampler and the `check` sweep as they were written before each took
 its uniforms four at a time and the sweep moved onto the lanes, and the
 margin-change estimator as it was written before it stepped two blocks at
 a time.  So are `run`'s two renderers, as they were written before the
-config block was rendered once per world and the CSV rows were streamed.
+config block was rendered once per world and the CSV rows were streamed,
+and the matrix block as the scalar engine plays it, in the kernel's codes.
 """
 from __future__ import annotations
 
@@ -23,9 +24,10 @@ from scipy import integrate, optimize
 from guardian_sim import lanes
 from guardian_sim.analysis import (
     MARGIN_BLOCK, MARGIN_SAMPLE_ATTACKER_RADIUS, MARGIN_SAMPLE_DEFENDER_RADIUS,
-    one_step_margin_change)
+    one_step_margin_change, run_matrix_trial)
 from guardian_sim.engine import (
-    ATTACKER_RADIUS_RANGE, DEFENDER_RADIUS_RANGE, TRAJECTORY_HEADER, InvalidInitializationError)
+    ATTACKER_RADIUS_RANGE, DEFENDER_RADIUS_RANGE, TRAJECTORY_HEADER, InvalidInitializationError,
+    Outcome)
 from guardian_sim.fileio import fmt9, json_text
 from guardian_sim.geometry import Vec2
 from guardian_sim.observation import NoiseParams
@@ -276,6 +278,19 @@ def lane_intelligent_attacker(xa, xd, params, normals, distance, n):
     away = lanes.intelligent_away(xa, xd, params, normals, distance)
     heading = lanes.intelligent_heading(away, to_origin, lanes.hypot(*away))
     return lanes._unit(heading, lanes._EPS_BLEND, to_origin)
+
+
+# The matrix kernel's outcome codes, by index; 0 is a live lane.
+OUTCOME_CODES = (None, Outcome.CAPTURED, Outcome.BREACHED, Outcome.SURVIVED)
+
+
+def matrix_block_reference(base_seed: int, first: int, count: int, cfg):
+    """`analysis.run_matrix_block`'s (seeds, codes) for trials `first`, ...,
+    `first + count - 1`, from `run_matrix_trial` on the scalar engine: the
+    episode seeds, and a (9, count) int8 array of `OUTCOME_CODES` indices."""
+    trials = [run_matrix_trial(base_seed, trial, cfg) for trial in range(first, first + count)]
+    codes = [[OUTCOME_CODES.index(outcome) for outcome in outcomes] for _, outcomes in trials]
+    return [seed for seed, _ in trials], np.array(codes, dtype=np.int8).T
 
 
 def _uniform_point(rng: Rng, low: float, high: float) -> Vec2:

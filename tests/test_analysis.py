@@ -19,6 +19,7 @@ import guardian_sim.analysis as analysis
 from guardian_sim import lanes
 from guardian_sim.analysis import (
     MATRIX_PAIRS,
+    MAX_TRIALS,
     CheckResult,
     check_margin_grid_oracle,
     check_one_step_gains,
@@ -51,9 +52,11 @@ from guardian_sim.rng import Rng, derive_seed
 from guardian_sim.strategies import (
     AttackerBehavior, DefenderStrategy, attacker_control, defender_control)
 from oracles import (
+    OUTCOME_CODES,
     dm_margin_gain_closed_form,
     expected_cos_quadrature,
     margin_config_from_frame,
+    matrix_block_reference,
     one_block_margin_change,
     scalar_noiseless_static_gains,
 )
@@ -523,6 +526,19 @@ class TestExperimentMatrix:
         with pytest.raises(ValueError):
             run_experiment_matrix(WorldConfig(), trials=1, base_seed=0, jobs=0)
 
+    def test_trials_above_max_trials_are_refused_before_any_block(self, monkeypatch):
+        class Ran(Exception):
+            pass
+
+        def first_block(*args):
+            raise Ran
+
+        monkeypatch.setattr(analysis, "run_matrix_block", first_block)
+        with pytest.raises(ValueError, match="trials"):
+            run_experiment_matrix(WorldConfig(), MAX_TRIALS + 1, 0)
+        with pytest.raises(Ran):  # the bound itself is accepted
+            run_experiment_matrix(WorldConfig(), MAX_TRIALS, 0)
+
     def test_csv_table_layout(self):
         report = run_experiment_matrix(WorldConfig(max_steps=200), trials=2, base_seed=3)
         lines = report_csv_text(report).splitlines()
@@ -543,6 +559,19 @@ class TestExperimentMatrix:
         ]
 
 
+def assert_is_reference(block, base_seed: int, first: int, cfg: WorldConfig):
+    """`block`, from `run_matrix_block`, holds the seeds and codes of
+    `matrix_block_reference` for the same trials, bit for bit."""
+    seeds, codes = block
+    reference_seeds, reference_codes = matrix_block_reference(base_seed, first, len(seeds), cfg)
+    assert seeds == reference_seeds
+    np.testing.assert_array_equal(codes, reference_codes, strict=True)
+
+
+def outcomes_of(block) -> set[Outcome]:
+    return {OUTCOME_CODES[c] for c in np.unique(block[1]).tolist()}
+
+
 class TestMatrixKernel:
     """`run_matrix_block` gives, trial by trial, the scalar reference
     `run_matrix_trial`: the same episode seed and the same outcome for
@@ -555,8 +584,8 @@ class TestMatrixKernel:
         seen = set()
         for base_seed in (0, 3, 11):
             block = run_matrix_block(base_seed, 5, 12, cfg)
-            assert block == [run_matrix_trial(base_seed, trial, cfg) for trial in range(5, 17)]
-            seen.update(outcome for _, outcomes in block for outcome in outcomes)
+            assert_is_reference(block, base_seed, 5, cfg)
+            seen |= outcomes_of(block)
         assert Outcome.CAPTURED in seen
         assert (Outcome.SURVIVED if max_steps == 30 else Outcome.BREACHED) in seen
 
@@ -565,7 +594,7 @@ class TestMatrixKernel:
         sqrt 2 < 1: the adm lanes get erf(inf) = 1, as the scalar code does,
         with no warning."""
         cfg = WorldConfig(k=1e308)
-        assert run_matrix_block(0, 0, 12, cfg) == [run_matrix_trial(0, i, cfg) for i in range(12)]
+        assert_is_reference(run_matrix_block(0, 0, 12, cfg), 0, 0, cfg)
 
     @pytest.mark.parametrize("criterion", list(FailureCriterion))
     def test_certified_sliced_and_per_lane_rounds(self, monkeypatch, criterion):
@@ -582,7 +611,7 @@ class TestMatrixKernel:
 
         monkeypatch.setattr(lanes, "hypot", spy)
         cfg = WorldConfig(failure_criterion=criterion)
-        assert run_matrix_block(3, 0, 12, cfg) == [run_matrix_trial(3, i, cfg) for i in range(12)]
+        assert_is_reference(run_matrix_block(3, 0, 12, cfg), 3, 0, cfg)
         assert min(widths) < 16 and max(widths) > 64 and any(16 <= w <= 64 for w in widths)
 
     def test_a_step_takes_its_norms_in_four_rounds(self, monkeypatch):
@@ -634,8 +663,7 @@ class TestMatrixKernel:
             return heading(xa, n)
 
         monkeypatch.setattr(lanes, "spiral_heading", spy)
-        assert run_matrix_block(5, 0, count, cfg) == [
-            run_matrix_trial(5, trial, cfg) for trial in range(count)]
+        assert_is_reference(run_matrix_block(5, 0, count, cfg), 5, 0, cfg)
         ends = []
         for trial in range(count):
             init_seed, episode_seed = trial_seeds(5, trial)
@@ -655,7 +683,7 @@ class TestMatrixKernel:
         overflows to infinity."""
         cfg = WorldConfig(r_safe=4.0, tau=1.5, noise=noise, k=0.2,
                           failure_criterion=FailureCriterion.MARGIN_BREACH)
-        assert run_matrix_block(7, 0, 10, cfg) == [run_matrix_trial(7, i, cfg) for i in range(10)]
+        assert_is_reference(run_matrix_block(7, 0, 10, cfg), 7, 0, cfg)
 
     def test_random_worlds(self):
         """On 60 random worlds: noise, k and tau log-uniform, r_safe in
@@ -684,9 +712,8 @@ class TestMatrixKernel:
             ran += 1
             first = int(gen.integers(0, 1000))
             block = run_matrix_block(ran, first, 3, cfg)
-            trials = range(first, first + 3)
-            assert block == [run_matrix_trial(ran, trial, cfg) for trial in trials]
-            seen.update(outcome for _, outcomes in block for outcome in outcomes)
+            assert_is_reference(block, ran, first, cfg)
+            seen |= outcomes_of(block)
         assert refused > 0
         assert seen == set(Outcome)
 
@@ -703,23 +730,23 @@ class TestMatrixKernel:
         separation = lanes.hypot(xa[0] - xd[0], xa[1] - xd[1])
         for t in (6, 7):
             codes = analysis._end_codes(t, xa, xd, separation, lanes.hypot(*xa), cfg)
-            assert [analysis._CODES[c] for c in codes] == [
+            assert [OUTCOME_CODES[c] for c in codes] == [
                 episode_outcome(t, a, d, cfg) for a, d in rows]
 
     @pytest.mark.parametrize(
         "base_seed, first, count, cfg, redrawn",
-        [(2**128, 0, 6, WorldConfig(), []), (0, 2**32 - 2, 4, WorldConfig(), []),
+        [(2**128, 0, 6, WorldConfig(), []), (0, MAX_TRIALS - 4, 4, WorldConfig(), []),
          (0, 0, 30, WorldConfig(tau=40.0), [6, 8, 20, 24]),
-         (0, 2**32 - 2, 10, WorldConfig(tau=50.0), [2**32 - 2, 2**32 - 1, 2**32 + 6, 2**32 + 7])],
-        ids=["base-2^128", "trials-across-2^32", "tau-40-redraws", "tau-50-across-2^32"],
+         (0, MAX_TRIALS - 10, 10, WorldConfig(tau=50.0),
+          list(range(MAX_TRIALS - 8, MAX_TRIALS - 2)))],
+        ids=["base-2^128", "last-trials", "tau-40-redraws", "tau-50-last-trials"],
     )
     def test_block_seeding_on_both_sides_of_its_fallbacks(
         self, monkeypatch, base_seed, first, count, cfg, redrawn
     ):
-        """A five-word base seed is seeded in the block, and a trial of
-        2**32 or more, whose seeds come from `trial_seeds`, starts as any
-        other: each trial samples its start once, and only the trials whose
-        first pair is too close draw again."""
+        """A five-word base seed is seeded in the block, and the last trials
+        below `MAX_TRIALS` start as any other: each trial samples its start
+        once, and only the trials whose first pair is too close draw again."""
         attempts = []
 
         def sampled(gen, *args, **kwargs):
@@ -738,13 +765,10 @@ class TestMatrixKernel:
         block = run_matrix_block(base_seed, first, count, cfg)
         assert len(attempts) == count
         assert [first + i for i, n in enumerate(attempts) if n > 1] == redrawn
-        trials = range(first, first + count)
-        assert block == [run_matrix_trial(base_seed, trial, cfg) for trial in trials]
+        assert_is_reference(block, base_seed, first, cfg)
 
     def test_default_block_builds_no_seed_sequence_or_rng(self, monkeypatch):
-        """A silent fall back to the scalar path would build both; a trial
-        of 2**32 or more derives its seeds with `SeedSequence` but starts
-        without an `Rng`."""
+        """A silent fall back to the scalar path would build both."""
         calls = []
 
         def counted(cls):
@@ -755,10 +779,8 @@ class TestMatrixKernel:
 
         monkeypatch.setattr(np.random, "SeedSequence", counted(np.random.SeedSequence))
         monkeypatch.setattr(analysis, "Rng", counted(analysis.Rng))
-        assert len(run_matrix_block(0, 0, 100, WorldConfig())) == 100
+        assert len(run_matrix_block(0, 0, 100, WorldConfig())[0]) == 100
         assert calls == []
-        run_matrix_block(0, 2**32, 1, WorldConfig())  # the counters see `trial_seeds`
-        assert calls == ["SeedSequence", "SeedSequence"]
 
     def test_unreachable_separation_refusal_is_that_of_the_scalar_engine(self):
         """No sampled pair is more than 70 apart, so every first pair is
@@ -819,7 +841,7 @@ class TestMatrixKernel:
         assert np.concatenate(radii["linear_attacker"]).min() >= 1e-12
         assert np.concatenate(radii["spiral_heading"]).min() > 1.0
         assert all(np.isfinite(y).all() for y in observed)
-        assert block == [run_matrix_trial(0, trial, cfg) for trial in range(20)]
+        assert_is_reference(block, 0, 0, cfg)
 
 
 class TestChecks:

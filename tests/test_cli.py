@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import guardian_sim
-from guardian_sim import cli, engine, lanes
+from guardian_sim import analysis, cli, engine, lanes
 from guardian_sim.analysis import estimate_mean_margin_change, trial_seeds
 from guardian_sim.cli import (
     _DEFAULTS,
@@ -715,6 +715,25 @@ class TestMatrixCommand:
         assert main(base + ["--out", str(out_b), "--jobs", "2"]) == 0
         assert (out_a / "winrates.csv").read_bytes() == (out_b / "winrates.csv").read_bytes()
         assert (out_a / "report.json").read_bytes() == (out_b / "report.json").read_bytes()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_trials_above_the_bound_exit_two_before_any_block(
+        self, tmp_path, capsys, monkeypatch, source
+    ):
+        """`--trials 10**12`, and a config file's `"trials": 1e308`, which
+        `_integer` takes as a whole number, are refused with `trials` named,
+        before any block runs or the output directory is made."""
+        def no_block(*args):
+            raise AssertionError("a block ran")
+
+        monkeypatch.setattr(analysis, "run_matrix_block", no_block)
+        out = tmp_path / "out"
+        given = (["--trials", "1000000000000"] if source == "flag"
+                 else ["--config", str(write_config(tmp_path, {"trials": 1e308}))])
+        assert main(["matrix", *given, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "trials" in err
+        assert not out.exists()
 
     def test_a_serial_run_loads_no_logger_and_no_pool(self, tmp_path):
         """A fresh interpreter that imports the command line and runs a

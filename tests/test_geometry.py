@@ -32,7 +32,6 @@ class TestVec2:
         a, b = Vec2(3.0, -1.0), Vec2(1.0, 2.0)
         assert a + b == Vec2(4.0, 1.0)
         assert a - b == Vec2(2.0, -3.0)
-        assert -a == Vec2(-3.0, 1.0)
         assert a * 2.0 == Vec2(6.0, -2.0) == 2.0 * a
         assert a / 2.0 == Vec2(1.5, -0.5)
         assert a.dot(b) == 1.0
