@@ -164,8 +164,8 @@ def one_step_margin_change(
     """
     separation = xa.distance_to(xd)
     before = defense_margin(xa, xd, separation)
-    y = observe(xa, xd, params, rng, separation)
-    ud = defender_control(strategy, y, xd, params, k)
+    y = observe(xa, params, rng, separation)
+    ud = defender_control(strategy, y, xd, params, k, y.distance_to(xd))
     return defense_margin(xa + attacker_motion, xd + ud) - before
 
 
@@ -580,9 +580,10 @@ def check_margin_grid_oracle(n: int = 200, seed: int = 1) -> CheckResult:
     rng, spacing, worst_value, worst_point = Rng(seed), 1e-3, 0.0, 0.0
     for _ in range(n):
         xa, xd = _random_separated_pair(rng, 0.1)
-        oracle = closest_point_grid_search(xa, xd, spacing)
-        worst_value = max(worst_value, abs(defense_margin(xa, xd) - oracle.norm()))
-        worst_point = max(worst_point, closest_safe_reachable_point(xa, xd).distance_to(oracle))
+        oracle, separation = closest_point_grid_search(xa, xd, spacing), xa.distance_to(xd)
+        worst_value = max(worst_value, abs(defense_margin(xa, xd, separation) - oracle.norm()))
+        worst_point = max(worst_point, closest_safe_reachable_point(
+            xa, xd, separation).distance_to(oracle))
     passed = worst_value <= 2 * spacing and worst_point <= 2 * spacing
     return CheckResult("margin_grid_oracle", passed,
                        f"max |margin - ||grid point||| = {worst_value:.3g}, "
@@ -599,10 +600,9 @@ def check_reliability_monotonicity() -> CheckResult:
     only when both values equal 1.0 and the noise scale is at the small end
     (sigma <= 0.2 on this grid).
     """
-    y, xd = Vec2(1.0, 0.0), Vec2(0.0, 0.0)
     ks = [round(0.1 * i, 10) for i in range(1, 21)]
     sigmas = [round(0.1 * i, 10) for i in range(1, 51)]
-    table = np.array([[reliability(y, xd, NoiseParams(beta_b=s * s, beta_d=0.0), k)
+    table = np.array([[reliability(NoiseParams(beta_b=s * s, beta_d=0.0), k, 1.0)
                        for s in sigmas] for k in ks])
     sigma = np.broadcast_to(sigmas, table.shape)
     ok = bool(((table >= 0.0) & (table <= 1.0)).all())
@@ -614,7 +614,7 @@ def check_reliability_monotonicity() -> CheckResult:
         tie = (lo == 1.0) & (hi == 1.0)
         saturated += int(np.count_nonzero(tie))
         ok &= bool(np.where(tie, at <= 0.2, hi > lo).all())
-    exact_one = reliability(y, xd, NoiseParams(beta_b=0.0, beta_d=0.0), 0.5) == 1.0
+    exact_one = reliability(NoiseParams(beta_b=0.0, beta_d=0.0), 0.5, 1.0) == 1.0
     return CheckResult("reliability_monotonicity", bool(ok and exact_one),
                        f"{len(ks)}x{len(sigmas)} grid, {saturated} saturated ties at 1.0, "
                        f"zero-noise reliability == 1: {exact_one}")

@@ -208,7 +208,7 @@ def resolve_settings(args: argparse.Namespace) -> dict:
     if args.config is not None:
         settings.update(_load_config_file(args.config))
     for key in _DEFAULTS:
-        flag = getattr(args, key.replace("-", "_"), None)
+        flag = getattr(args, key, None)
         if flag is not None:
             settings[key] = flag
     if settings["seed"] is None:

@@ -229,8 +229,7 @@ class EpisodeResult(NamedTuple):
 
 
 def episode_outcome(
-    t: int, xa: Vec2, xd: Vec2, cfg: WorldConfig, separation: float | None = None,
-    radius: float | None = None,
+    t: int, xa: Vec2, xd: Vec2, cfg: WorldConfig, separation: float, radius: float
 ) -> Outcome | None:
     """Termination state at time t, or None if the episode is still live.
 
@@ -239,13 +238,12 @@ def episode_outcome(
     exactly on the boundary circle has not entered it (a static attacker
     placed there must still be run down and captured).  The margin criterion
     fires as soon as the margin falls *to* the safe radius, inclusively.
-    `separation` and `radius`, if given, are ||xa - xd|| and ||xa||.
+    `separation` and `radius` are ||xa - xd|| and ||xa||.
     """
-    separation = xa.distance_to(xd) if separation is None else separation
     if separation <= cfg.tau:
         return Outcome.CAPTURED
     if cfg.failure_criterion is POSITION_BREACH:
-        if (xa.norm() if radius is None else radius) < cfg.r_safe:
+        if radius < cfg.r_safe:
             return Outcome.BREACHED
     elif defense_margin(xa, xd, separation) <= cfg.r_safe:
         return Outcome.BREACHED
@@ -259,33 +257,32 @@ def step(
     defender: DefenderStrategy,
     attacker: AttackerBehavior,
     cfg: WorldConfig,
-    separation: float | None = None,
-    radius: float | None = None,
-) -> tuple[EpisodeState, StepRecord]:
-    """Advance one simultaneous move of a live episode.
+    separation: float,
+    radius: float,
+) -> StepRecord:
+    """Advance one simultaneous move of a live episode, updating `state` in
+    place, and return the record for the pre-move time.
 
-    `state` is updated in place and returned, with the record for the
-    pre-move time.  `separation` and `radius`, if given, are the state's
-    ||xa - xd|| and ||xa||, as the termination test computed them.  The
-    step computes ||y - xd|| once for the reliability and the defender, and
-    `adm` gets the one reliability the step computes.
+    `separation` and `radius` are the state's ||xa - xd|| and ||xa||, from the
+    termination test, and ||y - xd|| is computed once, so `adm` gets the
+    step's one reliability.  As in `lanes`, each law is handed the norms its
+    caller holds and checks no bound enforced before the first draw.
 
     RNG order is fixed: the defender's observation draws first, then any
     attacker-side noise.  `state.rng` is anything with `normal_pair`; both
     draws come from it.
     """
     xa, xd, rng, noise, k = state.xa, state.xd, state.rng, cfg.noise, cfg.k
-    separation = xa.distance_to(xd) if separation is None else separation
-    y = observe(xa, xd, noise, rng, separation)
+    y = observe(xa, noise, rng, separation)
     distance = y.distance_to(xd)
-    p = reliability(y, xd, noise, k, distance)
-    ud = defender_control(defender, y, xd, noise, k, p, distance)
+    p = reliability(noise, k, distance)
+    ud = defender_control(defender, y, xd, noise, k, distance, p)
     ua = attacker_control(attacker, xa, xd, noise, rng, separation, radius)
     record = StepRecord(state.t, xa, xd, y, defense_margin(xa, xd, separation), p)
     state.t += 1
     state.xa = xa + ua
     state.xd = xd + ud
-    return state, record
+    return record
 
 
 def _validate_init(
@@ -345,14 +342,13 @@ def run_episode(
     state = EpisodeState(t=0, xa=init_xa, xd=init_xd, rng=NormalWindow(Rng(seed)))
     records: list[StepRecord] = []
     emit = records.append if sink is None else sink
-    xa, xd = init_xa, init_xd
-    separation, radius = xa.distance_to(xd), xa.norm()
-    outcome = episode_outcome(state.t, xa, xd, cfg, separation, radius)
-    while outcome is None:
-        emit(step(state, defender, attacker, cfg, separation, radius)[1])
+    while True:
         xa, xd = state.xa, state.xd
         separation, radius = xa.distance_to(xd), xa.norm()
         outcome = episode_outcome(state.t, xa, xd, cfg, separation, radius)
+        if outcome is not None:
+            break
+        emit(step(state, defender, attacker, cfg, separation, radius))
     # A coincident capture leaves the terminal margin undefined.
     margin = defense_margin(xa, xd, separation) if separation != 0.0 else None
     emit(StepRecord(state.t, xa, xd, None, margin, None))

@@ -3,8 +3,8 @@
 Everything lives in R^2. The safe zone and the zone of interest are
 origin-centered disks; the defense margin measures how far from the origin
 the attacker could still be intercepted, assuming both agents move at the
-same unit speed.  A caller that holds the separation of the two agents
-passes it as ``distance``.
+same unit speed.  A caller hands in the separation of the two agents it
+holds, as ``distance``; only `defense_margin` may omit it.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ class Vec2:
     A plain slots class, not a frozen dataclass: the step loop builds about
     seven per step, and the dataclass's ``object.__setattr__`` path plus a
     ``__post_init__`` calling ``math.isfinite`` twice was the largest single
-    cost of an episode.  Equality, hashing and repr are the dataclass's.
+    cost of an episode.  Equality and repr are the dataclass's.
 
     The finiteness check is ``x - x or y - y``: the difference is 0.0
     (falsy) for a finite component and NaN (truthy) for a NaN or infinite
@@ -43,9 +43,6 @@ class Vec2:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (self.x, self.y) == (other.x, other.y)
-
-    def __hash__(self) -> int:
-        return hash((self.x, self.y))
 
     def __add__(self, other: Vec2) -> Vec2:
         return Vec2(self.x + other.x, self.y + other.y)
@@ -103,7 +100,7 @@ def defense_margin(xa: Vec2, xd: Vec2, distance: float | None = None) -> float:
     return _margin(xa, xd, "defense margin", distance)[0]
 
 
-def closest_safe_reachable_point(xa: Vec2, xd: Vec2, distance: float | None = None) -> Vec2:
+def closest_safe_reachable_point(xa: Vec2, xd: Vec2, distance: float) -> Vec2:
     """Closest point to the origin that the attacker can reach no later than
     the defender (both at unit speed).
 

@@ -3,8 +3,9 @@
 The defender never sees the attacker exactly: it receives y = xa + w with
 w ~ N(0, sigma^2 I2), where sigma^2 grows with the squared separation of the
 agents.  `reliability` scores how trustworthy an observation is, from the
-estimated (not true) separation.  A caller that holds the separation of
-the two points passes it as ``distance``.
+estimated (not true) separation.  As in `lanes`, a function takes only what
+it reads and is handed the separation its caller holds, as ``distance``;
+`reliability` assumes k > 0, which `WorldConfig` and the estimator check first.
 """
 from __future__ import annotations
 
@@ -53,34 +54,22 @@ def noise_variance(distance: float, params: NoiseParams) -> float:
     return params.beta_b + params.beta_d * distance * distance + params.beta_v * (1.0 - params.nu)
 
 
-def observe(
-    xa: Vec2, xd: Vec2, params: NoiseParams, rng: NormalStream,
-    distance: float | None = None,
-) -> Vec2:
-    """Noisy attacker position as seen by the defender at xd.
-
-    Symmetric in the separation, so swapping the arguments gives the
-    attacker's noisy view of the defender.  `rng` is anything with
-    `normal_pair`, such as an `Rng` or a `NormalWindow`; one pair is drawn.
-    """
-    distance = xa.distance_to(xd) if distance is None else distance
+def observe(xa: Vec2, params: NoiseParams, rng: NormalStream, distance: float) -> Vec2:
+    """Noisy position of xa, seen from `distance` away (the observer enters
+    only through it).  `rng` is anything with `normal_pair`, such as an
+    `Rng` or a `NormalWindow`; one pair is drawn."""
     sigma = math.sqrt(noise_variance(distance, params))
     wx, wy = rng.normal_pair(sigma)
     return Vec2(xa.x + wx, xa.y + wy)
 
 
-def reliability(
-    y: Vec2, xd: Vec2, params: NoiseParams, k: float, distance: float | None = None
-) -> float:
+def reliability(params: NoiseParams, k: float, distance: float) -> float:
     """Probability-squared that a fresh observation error stays within a box
-    of half-width k per axis, with the error scale estimated from ||y - xd||.
+    of half-width k per axis, with the error scale estimated at `distance`, ||y - xd||.
 
     Equals erf(k / (sigma_hat * sqrt(2)))^2; defined as 1 when sigma_hat = 0.
     Monotone: increasing in k, strictly decreasing in sigma_hat.
     """
-    if not k > 0.0:  # NaN too
-        raise ValueError(f"reliability half-width k must be positive, got {k}")
-    distance = y.distance_to(xd) if distance is None else distance
     variance = noise_variance(distance, params)
     if variance == 0.0:
         return 1.0

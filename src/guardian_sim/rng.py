@@ -42,13 +42,12 @@ class NormalStream(Protocol):
 class Rng:
     """Deterministic random stream identified by a 64-bit unsigned seed."""
 
-    __slots__ = ("seed", "_gen")
+    __slots__ = ("_gen",)
 
     def __init__(self, seed: int) -> None:
         if seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {seed}")
-        self.seed = int(seed)
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
+        self._gen = np.random.Generator(np.random.PCG64(seed))
 
     def standard_normal(self) -> float:
         return float(self._gen.standard_normal())

@@ -4,8 +4,11 @@ All controls are unit-speed direction vectors computed from the current
 state; the engine applies them simultaneously.  Defenders only ever see the
 noisy observation y, never the true attacker position.  `defender_control`
 holds the three defender laws, `attacker_control` the attacker behaviors.
-As in `lanes`, a caller that holds a norm passes it in: ``distance``, the
-separation of the two points a function takes, or ``n``, the attacker's radius.
+As in `lanes`, a law is handed the norms its caller holds (``distance``, the
+separation of its two points; ``n``, the attacker's radius) and checks none of
+the bounds its callers enforce before the first draw: k > 0 (`WorldConfig`, the
+margin estimator) and an attacker radius >= 1e-12, or > 1 for the spiral
+(`engine._validate_init`'s bounds on r_safe, below which no live attacker goes).
 """
 from __future__ import annotations
 
@@ -53,20 +56,19 @@ def _unit(x: float, y: float, eps: float, n: float | None = None) -> Vec2:
 
 def defender_control(
     strategy: DefenderStrategy, y: Vec2, xd: Vec2, params: NoiseParams, k: float,
-    p: float | None = None, distance: float | None = None,
+    distance: float, p: float | None = None,
 ) -> Vec2:
     """The strategy's heading for the defender at xd, given the observation y.
 
     `pp` (pure pursuit) heads straight at y; `dm` (defense margin) for the
     point of the attacker's safe reachable set, computed from y, that is
     closest to the origin; `adm` along p * pp + (1 - p) * dm, renormalized,
-    with p = reliability(y, xd), so trusted observations make it pure pursuit
-    and poor ones fall back to margin keeping.  A caller that already holds p
-    passes it in; every part shares ||y - xd||.
+    with p the reliability of y, so trusted observations make it pure pursuit
+    and poor ones fall back to margin keeping.  Every part shares `distance`,
+    ||y - xd||; a caller that already holds p passes it in.
     """
-    distance = y.distance_to(xd) if distance is None else distance
     if strategy is _ADM and p is None:
-        p = reliability(y, xd, params, k, distance)
+        p = reliability(params, k, distance)
     if strategy is not _DM:
         pp_dir = _unit(y.x - xd.x, y.y - xd.y, _EPS_DIRECTION, distance)
         if strategy is _PP:
@@ -85,7 +87,7 @@ def defender_control(
 
 def attacker_control(
     behavior: AttackerBehavior, xa: Vec2, xd: Vec2, params: NoiseParams, rng: NormalStream,
-    distance: float | None = None, n: float | None = None,
+    distance: float, n: float,
 ) -> Vec2:
     """The behavior's heading for the attacker at xa.
 
@@ -97,18 +99,13 @@ def attacker_control(
     """
     if behavior is _STATIC:
         return ORIGIN
-    r = xa.norm() if n is None else n
     if behavior is _SPIRAL:
-        if r <= 1.0:
-            raise ValueError(f"spiral attacker needs radius > 1, got {r}")
-        angle, inner = xa.angle() - 1.0 / r, r - 1.0
+        angle, inner = xa.angle() - 1.0 / n, n - 1.0
         return _unit(inner * math.cos(angle) - xa.x, inner * math.sin(angle) - xa.y, _EPS_DIRECTION)
-    if r < _EPS_DIRECTION:
-        raise ValueError("linear attacker undefined at the origin")
-    to_origin = Vec2(-xa.x / r, -xa.y / r)
+    to_origin = Vec2(-xa.x / n, -xa.y / n)
     if behavior is _LINEAR:
         return to_origin
-    observed_xd = observe(xd, xa, params, rng, distance)
+    observed_xd = observe(xd, params, rng, distance)
     ax, ay = xa.x - observed_xd.x, xa.y - observed_xd.y
     dist = math.hypot(ax, ay)
     if dist < _EPS_DIRECTION:

@@ -102,14 +102,13 @@ def test_criterion_3_reliability_against_quadrature():
     where float64 saturates at 1.0 (see check_reliability_monotonicity).
     Budget: 10 s.
     """
-    y, xd = Vec2(1.0, 0.0), Vec2(0.0, 0.0)
     ks = [round(0.1 * i, 10) for i in range(1, 21)]       # 0.1 .. 2.0
     sigmas = [round(0.1 * i, 10) for i in range(1, 51)]   # 0.1 .. 5.0
     worst = 0.0
     t0 = time.perf_counter()
     for k in ks:
         for sigma in sigmas:
-            closed = reliability(y, xd, NoiseParams(beta_b=sigma * sigma, beta_d=0.0), k)
+            closed = reliability(NoiseParams(beta_b=sigma * sigma, beta_d=0.0), k, 1.0)
             quad = gaussian_square_mass_quadrature(k, sigma)
             worst = max(worst, abs(closed - quad))
     monotone = check_reliability_monotonicity()
@@ -215,7 +214,7 @@ def test_criterion_6_stability_anchors_and_fleeing_distance():
         e = xa - xd
         ua = e / e.norm()          # attacker flees straight away from the defender
         # Exact observation: y = xa.  Pure pursuit reads neither params nor k.
-        ud = defender_control(DefenderStrategy.PURE_PURSUIT, xa, xd, None, None)
+        ud = defender_control(DefenderStrategy.PURE_PURSUIT, xa, xd, None, None, xa.distance_to(xd))
         xa, xd = xa + ua, xd + ud
         worst_drift = max(worst_drift, abs(xa.distance_to(xd) - sep0))
     ok = anchors_exact and worst_drift <= 1e-9

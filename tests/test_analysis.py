@@ -7,7 +7,6 @@ import math
 import re
 import sys
 import warnings
-from functools import partial
 
 import numpy as np
 import pytest
@@ -63,9 +62,16 @@ from oracles import (
 
 NOISELESS = NoiseParams(beta_b=0.0, beta_d=0.0, beta_v=0.0, nu=1.0)
 STILL = Vec2(0.0, 0.0)
-# Scalar laws that read none of the arguments bound to None.
-dm_control = partial(defender_control, DefenderStrategy.DEFENSE_MARGIN, params=None, k=None)
-linear_attacker = partial(attacker_control, AttackerBehavior.LINEAR, xd=None, params=None, rng=None)
+# Scalar laws, handed the norms a caller holds; they read none of the
+# arguments passed as None.
+
+
+def dm_control(y: Vec2, xd: Vec2) -> Vec2:
+    return defender_control(DefenderStrategy.DEFENSE_MARGIN, y, xd, None, None, y.distance_to(xd))
+
+
+def linear_attacker(xa: Vec2) -> Vec2:
+    return attacker_control(AttackerBehavior.LINEAR, xa, None, None, None, None, xa.norm())
 
 
 class TestStabilityConditionLhs:
@@ -211,7 +217,7 @@ class TestOneStepMarginChange:
         assert delta >= 0.5 - 1e-9
         # Direct geometric recomputation. With exact observation the defender
         # steps one unit toward the safe-reachable point of (xa, xd).
-        target = closest_safe_reachable_point(xa, xd)
+        target = closest_safe_reachable_point(xa, xd, xa.distance_to(xd))
         ud = (target - xd) / (target - xd).norm()
         expected = defense_margin(xa, xd + ud) - defense_margin(xa, xd)
         assert delta == pytest.approx(expected, abs=1e-12)
@@ -425,7 +431,8 @@ class TestClosestPointGridSearch:
             xa = Vec2.from_polar(rng.uniform(3.0, 40.0), rng.uniform(-math.pi, math.pi))
             xd = Vec2.from_polar(rng.uniform(0.0, xa.norm() * 0.9), rng.uniform(-math.pi, math.pi))
             grid = closest_point_grid_search(xa, xd, resolution=1e-3)
-            assert closest_safe_reachable_point(xa, xd).distance_to(grid) <= 2e-3
+            point = closest_safe_reachable_point(xa, xd, xa.distance_to(xd))
+            assert point.distance_to(grid) <= 2e-3
 
     def test_origin_cases(self):
         assert closest_point_grid_search(Vec2(1, 0), Vec2(5, 0)) == Vec2(0, 0)
@@ -731,7 +738,7 @@ class TestMatrixKernel:
         for t in (6, 7):
             codes = analysis._end_codes(t, xa, xd, separation, lanes.hypot(*xa), cfg)
             assert [OUTCOME_CODES[c] for c in codes] == [
-                episode_outcome(t, a, d, cfg) for a, d in rows]
+                episode_outcome(t, a, d, cfg, a.distance_to(d), a.norm()) for a, d in rows]
 
     @pytest.mark.parametrize(
         "base_seed, first, count, cfg, redrawn",
@@ -928,7 +935,8 @@ class TestChecks:
     def test_perturbed_margin_fails_grid_check(self, monkeypatch):
         """Negative control: a deliberately wrong margin must be caught."""
         true_margin = analysis.defense_margin
-        monkeypatch.setattr(analysis, "defense_margin", lambda xa, xd: true_margin(xa, xd) + 0.01)
+        monkeypatch.setattr(analysis, "defense_margin",
+                            lambda xa, xd, distance=None: true_margin(xa, xd, distance) + 0.01)
         res = check_margin_grid_oracle(n=10, seed=1)
         assert not res.passed
 

@@ -51,6 +51,16 @@ def noiseless_config(**kwargs) -> WorldConfig:
     return WorldConfig(noise=NOISELESS, **kwargs)
 
 
+def outcome_of(t: int, xa: Vec2, xd: Vec2, cfg: WorldConfig) -> Outcome | None:
+    """`episode_outcome`, handed the norms its caller holds."""
+    return episode_outcome(t, xa, xd, cfg, xa.distance_to(xd), xa.norm())
+
+
+def step_of(state: EpisodeState, defender, attacker, cfg: WorldConfig) -> StepRecord:
+    """`step`, handed the norms of the state, as `run_episode` holds them."""
+    return step(state, defender, attacker, cfg, state.xa.distance_to(state.xd), state.xa.norm())
+
+
 class TestWorldConfig:
     def test_defaults(self):
         cfg = WorldConfig()
@@ -123,10 +133,10 @@ class TestStep:
     def test_exact_pursuit_step(self):
         cfg = noiseless_config()
         state = EpisodeState(t=0, xa=Vec2(10, 0), xd=Vec2(0, 0), rng=Rng(0))
-        new, record = step(state, DefenderStrategy.PURE_PURSUIT, AttackerBehavior.STATIC, cfg)
-        assert new.xd == Vec2(1, 0)
-        assert new.xa == Vec2(10, 0)
-        assert new.t == 1
+        record = step_of(state, DefenderStrategy.PURE_PURSUIT, AttackerBehavior.STATIC, cfg)
+        assert state.xd == Vec2(1, 0)
+        assert state.xa == Vec2(10, 0)
+        assert state.t == 1
         assert record.t == 0
         assert record.y == Vec2(10, 0)
         assert record.margin == pytest.approx(5.0, abs=1e-12)
@@ -135,21 +145,21 @@ class TestStep:
     def test_separation_shrinks_by_one(self):
         cfg = noiseless_config()
         state = EpisodeState(t=0, xa=Vec2(10, 0), xd=Vec2(0, 0), rng=Rng(0))
-        new, _ = step(state, DefenderStrategy.PURE_PURSUIT, AttackerBehavior.STATIC, cfg)
-        assert new.xa.distance_to(new.xd) == pytest.approx(9.0, abs=1e-12)
+        step_of(state, DefenderStrategy.PURE_PURSUIT, AttackerBehavior.STATIC, cfg)
+        assert state.xa.distance_to(state.xd) == pytest.approx(9.0, abs=1e-12)
 
 
 class TestEpisodeOutcome:
     def test_live(self):
-        assert episode_outcome(0, Vec2(20, 0), Vec2(0, 0), WorldConfig()) is None
+        assert outcome_of(0, Vec2(20, 0), Vec2(0, 0), WorldConfig()) is None
 
     def test_capture_beats_breach(self):
         """If capture and breach both hold, capture wins (tie to defender)."""
         cfg = WorldConfig()
-        assert episode_outcome(3, Vec2(9, 0), Vec2(8, 0), cfg) is Outcome.CAPTURED
+        assert outcome_of(3, Vec2(9, 0), Vec2(8, 0), cfg) is Outcome.CAPTURED
 
     def test_position_breach(self):
-        assert episode_outcome(3, Vec2(9, 0), Vec2(30, 0), WorldConfig()) is Outcome.BREACHED
+        assert outcome_of(3, Vec2(9, 0), Vec2(30, 0), WorldConfig()) is Outcome.BREACHED
 
     def test_margin_breach(self):
         cfg = WorldConfig(failure_criterion=FailureCriterion.MARGIN_BREACH)
@@ -157,12 +167,12 @@ class TestEpisodeOutcome:
         xa, xd = Vec2(12, 0), Vec2(0.5, 0)
         assert xa.norm() > cfg.r_safe
         assert defense_margin(xa, xd) <= cfg.r_safe
-        assert episode_outcome(1, xa, xd, cfg) is Outcome.BREACHED
-        assert episode_outcome(1, xa, xd, WorldConfig()) is None  # position rule says live
+        assert outcome_of(1, xa, xd, cfg) is Outcome.BREACHED
+        assert outcome_of(1, xa, xd, WorldConfig()) is None  # position rule says live
 
     def test_survived_at_cap(self):
         cfg = WorldConfig(max_steps=5)
-        assert episode_outcome(5, Vec2(30, 0), Vec2(0, 0), cfg) is Outcome.SURVIVED
+        assert outcome_of(5, Vec2(30, 0), Vec2(0, 0), cfg) is Outcome.SURVIVED
 
 
 class TestRunEpisode:
@@ -273,10 +283,10 @@ class TestRunEpisode:
             result = run_episode(xa, xd, defender, attacker, cfg, seed)
             state = EpisodeState(t=0, xa=xa, xd=xd, rng=Rng(seed))
             records = []
-            outcome = episode_outcome(0, xa, xd, cfg)
+            outcome = outcome_of(0, xa, xd, cfg)
             while outcome is None:
-                records.append(step(state, defender, attacker, cfg)[1])
-                outcome = episode_outcome(state.t, state.xa, state.xd, cfg)
+                records.append(step_of(state, defender, attacker, cfg))
+                outcome = outcome_of(state.t, state.xa, state.xd, cfg)
             assert (result.outcome, result.end_time) == (outcome, state.t)
             assert result.trajectory[:-1] == records
             assert result.trajectory[-1][1:3] == (state.xa, state.xd)
@@ -303,7 +313,7 @@ class TestRunEpisode:
                 assert result.end_time == cfg.max_steps
             # No earlier termination: every non-terminal state is live.
             for rec in traj[:-1]:
-                assert episode_outcome(rec.t, rec.xa, rec.xd, cfg) is None
+                assert outcome_of(rec.t, rec.xa, rec.xd, cfg) is None
             # Unit speed limit for both agents.
             for before, after in zip(traj, traj[1:]):
                 assert after.xa.distance_to(before.xa) <= 1.0 + 1e-12
@@ -329,7 +339,7 @@ class TestRecords:
         )
         assert result.end_time > 5
         for rec in result.trajectory[:-1]:
-            assert rec.reliability == reliability(rec.y, rec.xd, cfg.noise, cfg.k)
+            assert rec.reliability == reliability(cfg.noise, cfg.k, rec.y.distance_to(rec.xd))
 
     def test_one_reliability_per_adm_step(self, monkeypatch):
         calls = []

@@ -20,6 +20,11 @@ from guardian_sim.geometry import (
 from oracles import closest_point_constrained, rotated
 
 
+def closest_point(xa: Vec2, xd: Vec2) -> Vec2:
+    """`closest_safe_reachable_point`, handed the separation its caller holds."""
+    return closest_safe_reachable_point(xa, xd, xa.distance_to(xd))
+
+
 class TestVec2:
     def test_rejects_non_finite_components(self):
         for bad in (math.nan, math.inf, -math.inf):
@@ -57,7 +62,8 @@ class TestIsCaptured:
 
     @staticmethod
     def captured(xa: Vec2, xd: Vec2) -> bool:
-        return episode_outcome(0, xa, xd, WorldConfig(tau=2.0)) is Outcome.CAPTURED
+        cfg, separation = WorldConfig(tau=2.0), xa.distance_to(xd)
+        return episode_outcome(0, xa, xd, cfg, separation, xa.norm()) is Outcome.CAPTURED
 
     def test_boundary_inclusive(self):
         assert self.captured(Vec2(22, 0), Vec2(20, 0))
@@ -89,7 +95,7 @@ class TestDefenseMargin:
         if xa.distance_to(xd) < 1e-9:
             return
         rho = defense_margin(xa, xd)
-        assert abs(rho - closest_safe_reachable_point(xa, xd).norm()) <= 1e-9 * max(1.0, abs(rho))
+        assert abs(rho - closest_point(xa, xd).norm()) <= 1e-9 * max(1.0, abs(rho))
 
     @given(outer_inner_pairs(), angles)
     def test_rotation_invariance(self, pair, theta):
@@ -103,34 +109,34 @@ class TestDefenseMargin:
 
 class TestClosestSafeReachablePoint:
     def test_bisector_foot_on_axis(self):
-        assert closest_safe_reachable_point(Vec2(4, 0), Vec2(0, 0)) == Vec2(2, 0)
+        assert closest_point(Vec2(4, 0), Vec2(0, 0)) == Vec2(2, 0)
 
     def test_bisector_foot_vertical(self):
-        p = closest_safe_reachable_point(Vec2(0, 6), Vec2(0, 2))
+        p = closest_point(Vec2(0, 6), Vec2(0, 2))
         assert p.x == pytest.approx(0.0, abs=1e-12)
         assert p.y == pytest.approx(4.0, abs=1e-12)
 
     def test_against_grid_and_constrained_oracles(self):
         xa, xd = Vec2(5, 3), Vec2(1, 1)
-        p = closest_safe_reachable_point(xa, xd)
+        p = closest_point(xa, xd)
         assert p.distance_to(closest_point_grid_search(xa, xd, resolution=1e-3)) <= 2e-3
         sx, sy = closest_point_constrained((xa.x, xa.y), (xd.x, xd.y))
         assert math.hypot(p.x - sx, p.y - sy) <= 1e-6
 
     def test_origin_when_defender_not_closer(self):
-        assert closest_safe_reachable_point(Vec2(1, 0), Vec2(3, 0)) == ORIGIN
-        assert closest_safe_reachable_point(Vec2(2, 0), Vec2(-2, 0)) == ORIGIN  # tie
+        assert closest_point(Vec2(1, 0), Vec2(3, 0)) == ORIGIN
+        assert closest_point(Vec2(2, 0), Vec2(-2, 0)) == ORIGIN  # tie
 
     def test_coincident_raises(self):
         with pytest.raises(CoincidentAgentsError):
-            closest_safe_reachable_point(Vec2(2, 2), Vec2(2, 2))
+            closest_point(Vec2(2, 2), Vec2(2, 2))
 
     @given(outer_inner_pairs())
     def test_point_lies_on_bisector(self, pair):
         xa, xd = pair
         if xa.distance_to(xd) < 1e-6:
             return
-        p = closest_safe_reachable_point(xa, xd)
+        p = closest_point(xa, xd)
         if p == ORIGIN:
             assert xa.norm() <= xd.norm()
         else:
@@ -140,7 +146,7 @@ class TestClosestSafeReachablePoint:
     def test_point_beats_random_feasible_points(self, pair, scale):
         """No feasible point (closer to xa than xd) may be nearer the origin."""
         xa, xd = pair
-        p = closest_safe_reachable_point(xa, xd)
+        p = closest_point(xa, xd)
         probe = xa + (xd - xa) * 0.0 + Vec2(scale, -scale)  # arbitrary offset of xa
         if probe.distance_to(xa) <= probe.distance_to(xd):
             assert p.norm() <= probe.norm() + 1e-9

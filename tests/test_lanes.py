@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 import pytest
@@ -34,9 +33,34 @@ from oracles import lane_intelligent_attacker, lane_spiral_attacker
 NOISELESS = NoiseParams(beta_b=0.0, beta_d=0.0, beta_v=0.0, nu=1.0)
 PP, DM, ADM = DefenderStrategy
 LINEAR, SPIRAL, INTELLIGENT = strategies.MATRIX_ATTACKERS
-# The scalar linear and spiral attackers read none of the arguments bound to None.
-linear_attacker = partial(strategies.attacker_control, LINEAR, xd=None, params=None, rng=None)
-spiral_attacker = partial(strategies.attacker_control, SPIRAL, xd=None, params=None, rng=None)
+
+
+# The scalar laws, handed the norms a caller holds.  The linear and spiral
+# attackers read none of the arguments passed as None; the `scalar_*` makers
+# bind the settings and return the law of the row's points.
+def linear_attacker(xa: Vec2) -> Vec2:
+    return strategies.attacker_control(LINEAR, xa, None, None, None, None, xa.norm())
+
+
+def spiral_attacker(xa: Vec2) -> Vec2:
+    return strategies.attacker_control(SPIRAL, xa, None, None, None, None, xa.norm())
+
+
+def scalar_intelligent(params: NoiseParams):
+    return lambda xa, xd, w0, w1: strategies.attacker_control(
+        INTELLIGENT, xa, xd, params, Normals(w0, w1), xa.distance_to(xd), xa.norm())
+
+
+def scalar_defender(strategy: DefenderStrategy, params: NoiseParams, k: float):
+    return lambda y, xd: strategies.defender_control(strategy, y, xd, params, k, y.distance_to(xd))
+
+
+def scalar_reliability(params: NoiseParams, k: float):
+    return lambda y, xd: observation.reliability(params, k, y.distance_to(xd))
+
+
+def closest_point(xa: Vec2, xd: Vec2) -> Vec2:
+    return geometry.closest_safe_reachable_point(xa, xd, xa.distance_to(xd))
 
 
 def bits(values) -> list[int]:
@@ -310,15 +334,15 @@ class TestGeometryTwins:
     @given(lane_pairs)
     def test_closest_safe_reachable_point(self, rows):
         assert_twin(lambda xa, xd: lanes.closest_safe_reachable_point(xa, xd, apart(xa, xd)),
-                    geometry.closest_safe_reachable_point, rows)
+                    closest_point, rows)
 
     def test_target_is_the_origin_when_rho_is_not_positive(self):
         rows = [(Vec2(1.0, 2.0), Vec2(3.0, -4.0)), (Vec2(5.0, 0.0), Vec2(0.0, 5.0))]
         assert all(geometry.defense_margin(y, xd) <= 0.0 for y, xd in rows)
         assert_twin(lambda y, xd: lanes.closest_safe_reachable_point(y, xd, apart(y, xd)),
-                    geometry.closest_safe_reachable_point, rows)
+                    closest_point, rows)
         assert_twin(lambda y, xd: lanes.defender_control(DM, y, xd, NOISELESS, 0.5),
-                    lambda y, xd: strategies.defender_control(DM, y, xd, NOISELESS, 0.5), rows)
+                    scalar_defender(DM, NOISELESS, 0.5), rows)
 
 
 class TestObservationTwins:
@@ -331,14 +355,15 @@ class TestObservationTwins:
     def test_observe(self, rows, params):
         assert_twin(
             lambda xa, xd, w0, w1: lanes.observe(xa, params, np.array((w0, w1)), apart(xa, xd)),
-            lambda xa, xd, w0, w1: observation.observe(xa, xd, params, Normals(w0, w1)),
+            lambda xa, xd, w0, w1: observation.observe(
+                xa, params, Normals(w0, w1), xa.distance_to(xd)),
             rows,
         )
 
     @given(lane_pairs, noise, half_widths)
     def test_reliability(self, rows, params, k):
         assert_twin(lambda y, xd: lanes.reliability(params, k, apart(y, xd)),
-                    lambda y, xd: observation.reliability(y, xd, params, k), rows)
+                    scalar_reliability(params, k), rows)
 
     def test_infinite_variance_is_exactly_zero(self):
         """beta * distance^2 overflows: the scalar code gets erf(0) = 0, and
@@ -346,13 +371,13 @@ class TestObservationTwins:
         rows = [(Vec2(1e160, 0.0), Vec2(0.0, 0.0)), (Vec2(3.0, 4.0), Vec2(0.0, 0.0))]
         params = NoiseParams(beta_d=1.0)
         assert_twin(lambda y, xd: lanes.reliability(params, 0.5, apart(y, xd)),
-                    lambda y, xd: observation.reliability(y, xd, params, 0.5), rows)
-        assert observation.reliability(*rows[0], params, 0.5) == 0.0
+                    scalar_reliability(params, 0.5), rows)
+        assert scalar_reliability(params, 0.5)(*rows[0]) == 0.0
 
     def test_zero_variance_is_exactly_one(self):
         rows = [(Vec2(3.0, 4.0), Vec2(0.0, 0.0)), (Vec2(1.0, 1.0), Vec2(1.0, 1.0))]
         assert_twin(lambda y, xd: lanes.reliability(NOISELESS, 0.5, apart(y, xd)),
-                    lambda y, xd: observation.reliability(y, xd, NOISELESS, 0.5), rows)
+                    scalar_reliability(NOISELESS, 0.5), rows)
         y, xd = as_lanes([r[0] for r in rows]), as_lanes([r[1] for r in rows])
         assert lanes.reliability(NOISELESS, 0.5, apart(y, xd)).tolist() == [1.0, 1.0]
 
@@ -361,13 +386,13 @@ class TestStrategyTwins:
     @given(lane_pairs, strategy_members, noise, half_widths)
     def test_defender_control(self, rows, strategy, params, k):
         assert_twin(lambda y, xd: lanes.defender_control(strategy, y, xd, params, k),
-                    lambda y, xd: strategies.defender_control(strategy, y, xd, params, k), rows)
+                    scalar_defender(strategy, params, k), rows)
 
     def test_direction_below_threshold_is_zero(self):
         rows = [(Vec2(1e-13, 0.0), Vec2(0.0, 0.0)), (Vec2(7.0, 3.0), Vec2(7.0, 3.0 + 5e-13))]
         for strategy in (PP, DM):
             assert_twin(lambda y, xd: lanes.defender_control(strategy, y, xd, NOISELESS, 0.5),
-                        lambda y, xd: strategies.defender_control(strategy, y, xd, NOISELESS, 0.5),
+                        scalar_defender(strategy, NOISELESS, 0.5),
                         rows if strategy is PP else rows[:1])
         y, xd = as_lanes([r[0] for r in rows]), as_lanes([r[1] for r in rows])
         assert bits(lanes.defender_control(PP, y, xd, NOISELESS, 0.5)[0]) == bits([0.0, 0.0])
@@ -378,7 +403,7 @@ class TestStrategyTwins:
         then the (non-zero) margin-keeping direction."""
         rows = [(Vec2(10.0, 0.0), Vec2(10.0, 5e-13))]
         assert_twin(lambda y, xd: lanes.defender_control(ADM, y, xd, NOISELESS, 0.5),
-                    lambda y, xd: strategies.defender_control(ADM, y, xd, NOISELESS, 0.5), rows)
+                    scalar_defender(ADM, NOISELESS, 0.5), rows)
         y, xd = as_lanes([rows[0][0]]), as_lanes([rows[0][1]])
         control, dm = (lanes.defender_control(s, y, xd, NOISELESS, 0.5) for s in (ADM, DM))
         assert control[0][0] == -1.0
@@ -402,8 +427,7 @@ class TestStrategyTwins:
         assert_twin(
             lambda xa, xd, w0, w1: lane_intelligent_attacker(
                 xa, xd, params, np.array((w0, w1)), apart(xa, xd), lanes.hypot(*xa)),
-            lambda xa, xd, w0, w1: strategies.attacker_control(
-                INTELLIGENT, xa, xd, params, Normals(w0, w1)),
+            scalar_intelligent(params),
             rows,
         )
 
@@ -413,13 +437,11 @@ class TestStrategyTwins:
         rows = [(Vec2(30.0, 0.0), Vec2(30.0, 1e-13), 0.0, 0.0),   # away shorter than 1e-12
                 (Vec2(30.0, 0.0), Vec2(29.0, 0.0), 0.0, 0.0)]     # blend exactly zero
         for row in rows:
-            assert strategies.attacker_control(
-                INTELLIGENT, row[0], row[1], NOISELESS, Normals(0.0, 0.0)) == Vec2(-1.0, -0.0)
+            assert scalar_intelligent(NOISELESS)(*row) == Vec2(-1.0, -0.0)
         assert_twin(
             lambda xa, xd, w0, w1: lane_intelligent_attacker(
                 xa, xd, NOISELESS, np.array((w0, w1)), apart(xa, xd), lanes.hypot(*xa)),
-            lambda xa, xd, w0, w1: strategies.attacker_control(
-                INTELLIGENT, xa, xd, NOISELESS, Normals(w0, w1)),
+            scalar_intelligent(NOISELESS),
             rows,
         )
 
@@ -478,17 +500,17 @@ class TestStrategyTwins:
 
         twins = [
             (lambda a, b, w, sep, n: lanes.observe(a, params, w, sep),
-             lambda a, b, w, sep, n: observation.observe(a, b, params, w, sep)),
+             lambda a, b, w, sep, n: observation.observe(a, params, w, sep)),
             (lambda a, b, w, sep, n: lanes.reliability(params, k, sep),
-             lambda a, b, w, sep, n: observation.reliability(a, b, params, k, sep)),
+             lambda a, b, w, sep, n: observation.reliability(params, k, sep)),
             (lambda a, b, w, sep, n: lanes.defense_margin(a, b, sep),
              lambda a, b, w, sep, n: geometry.defense_margin(a, b, sep)),
             (lambda a, b, w, sep, n: lanes.closest_safe_reachable_point(a, b, sep),
              lambda a, b, w, sep, n: geometry.closest_safe_reachable_point(a, b, sep)),
             (lambda a, b, w, sep, n: lanes._unit(a - b, n=sep),
-             lambda a, b, w, sep, n: strategies.defender_control(PP, a, b, params, k, None, sep)),
+             lambda a, b, w, sep, n: strategies.defender_control(PP, a, b, params, k, sep)),
             (lambda a, b, w, sep, n: lanes._unit(lanes.dm_heading(a, b, sep)),
-             lambda a, b, w, sep, n: strategies.defender_control(DM, a, b, params, k, None, sep)),
+             lambda a, b, w, sep, n: strategies.defender_control(DM, a, b, params, k, sep)),
             (lambda a, b, w, sep, n: lanes.linear_attacker(a, n),
              lambda a, b, w, sep, n: strategies.attacker_control(LINEAR, a, b, params, w, sep, n)),
             (lambda a, b, w, sep, n: lane_spiral_attacker(a, n),
@@ -504,7 +526,7 @@ class TestStrategyTwins:
             (lambda a, b, w, sep, n: lanes.spiral_heading(a, n),
              lambda a, b, w, sep, n: spiral_heading(a, n)),
             (lambda a, b, w, sep, n: lanes.intelligent_away(a, b, params, w, sep),
-             lambda a, b, w, sep, n: a - observation.observe(b, a, params, w, sep)),
+             lambda a, b, w, sep, n: a - observation.observe(b, params, w, sep)),
             (lambda a, b, w, sep, n: lanes.intelligent_heading(a, b, n),
              lambda a, b, w, sep, n: intelligent_heading(a, b, n)),
         ]
@@ -579,9 +601,10 @@ def test_strided_views_give_the_bits_of_contiguous_copies(rows, strategy, params
 
 class TestRefusals:
     """A coincident lane makes the whole array call raise, as the scalar
-    code does.  Every other input the scalar code refuses is refused before
-    any twin runs, by the bounds in the `lanes` docstring; each test below
-    keeps the scalar refusal and names the test of the up-front one."""
+    code does.  The scalar code's one other refusal, a non-finite
+    observation (`Vec2`), is refused before any twin runs, by the bounds in
+    the `lanes` docstring; the tests below keep it and name the tests of the
+    up-front checks."""
 
     def test_coincident_lane(self):
         xa = np.array([[30.0, 20.0], [0.0, 5.0]])
@@ -603,7 +626,7 @@ class TestRefusals:
         (`test_margin_table_refuses_noise_that_could_overflow_before_drawing`)."""
         params = NoiseParams(beta_d=1.0)
         with pytest.raises(ValueError, match="non-finite"):
-            observation.observe(Vec2(1e308, 0.0), Vec2(0.0, 0.0), params, Normals(2.0, 0.0))
+            observation.observe(Vec2(1e308, 0.0), params, Normals(2.0, 0.0), 1e308)
 
     def test_huge_noise_refused_by_the_estimator(self):
         """With beta = 1e308 every observation overflows: the scalar step
@@ -617,19 +640,3 @@ class TestRefusals:
         for strategy in DefenderStrategy:
             with pytest.raises(ValueError, match=r"noise too large: beta=1e\+308"):
                 analysis.estimate_mean_margin_change(strategy, params, 0.5, 100, Rng(0))
-
-    def test_origin_attacker_and_bad_half_width(self):
-        """Up front: r_safe >= 1e-12 for the homing attackers
-        (`test_cli.py::TestRunCommand::test_safe_radius_below_the_linear_control_exits_two`),
-        r_safe > 1 for the spiral
-        (`test_analysis.py::TestMatrixKernel::test_spiral_refusal_is_that_of_the_scalar_engine`),
-        and k by `WorldConfig` (`test_cli.py::TestRunCommand::test_non_finite_world_setting_exits_two`,
-        `test_infinite_world_setting_exits_two_with_the_setting_named`) and the estimator
-        (`test_analysis.py::TestEstimateMeanMarginChange::test_refuses_a_bad_half_width_before_drawing`)."""
-        with pytest.raises(ValueError, match="origin"):
-            linear_attacker(Vec2(0.0, 0.0))
-        with pytest.raises(ValueError, match="radius > 1"):
-            spiral_attacker(Vec2(0.6, 0.8))
-        for k in (0.0, math.nan):
-            with pytest.raises(ValueError, match="half-width"):
-                observation.reliability(Vec2(3.0, 4.0), Vec2(3.0, 4.0), NOISELESS, k)

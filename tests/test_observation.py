@@ -70,32 +70,32 @@ class TestNoiseVariance:
 class TestObserve:
     def test_noiseless_is_exact(self):
         xa, xd = Vec2(10.0, -3.0), Vec2(1.0, 1.0)
-        assert observe(xa, xd, NOISELESS, Rng(0)) == xa
+        assert observe(xa, NOISELESS, Rng(0), xa.distance_to(xd)) == xa
 
     def test_deterministic_for_fixed_seed(self):
-        xa, xd = Vec2(10.0, 0.0), Vec2(0.0, 0.0)
-        y1 = observe(xa, xd, NoiseParams(), Rng(42))
-        y2 = observe(xa, xd, NoiseParams(), Rng(42))
+        xa = Vec2(10.0, 0.0)
+        y1 = observe(xa, NoiseParams(), Rng(42), 10.0)
+        y2 = observe(xa, NoiseParams(), Rng(42), 10.0)
         assert y1 == y2
 
     def test_symmetric_in_separation(self):
-        """Swapped arguments perturb the first argument with the same scale."""
+        """Each agent, seen from the other, is perturbed with the same scale."""
         params = NoiseParams()
-        y = observe(Vec2(0.0, 0.0), Vec2(10.0, 0.0), params, Rng(5))
-        w = observe(Vec2(10.0, 0.0), Vec2(0.0, 0.0), params, Rng(5))
+        y = observe(Vec2(0.0, 0.0), params, Rng(5), 10.0)
+        w = observe(Vec2(10.0, 0.0), params, Rng(5), 10.0)
         assert y.x == pytest.approx(w.x - 10.0, abs=1e-12)
         assert y.y == w.y
 
     def test_sample_moments(self):
         """Mean and per-axis variance over many draws match the model."""
-        xa, xd = Vec2(10.0, 0.0), Vec2(0.0, 0.0)
+        xa = Vec2(10.0, 0.0)
         params = NoiseParams()  # sigma^2 = 0.05 * 100 = 5
         rng = Rng(2024)
         n = 100_000
         xs = np.empty(n)
         ys = np.empty(n)
         for i in range(n):
-            y = observe(xa, xd, params, rng)
+            y = observe(xa, params, rng, 10.0)
             xs[i] = y.x
             ys[i] = y.y
         assert abs(xs.mean() - 10.0) < 0.05
@@ -111,37 +111,22 @@ class TestObserve:
 
 class TestReliability:
     def test_zero_noise_is_exactly_one(self):
-        assert reliability(Vec2(1, 0), Vec2(0, 0), NOISELESS, k=0.5) == 1.0
+        assert reliability(NOISELESS, 0.5, 1.0) == 1.0
 
     def test_closed_form_value(self):
         # sigma_hat = 0.5 at unit separation with beta_b = 0.25.
-        p = reliability(Vec2(1, 0), Vec2(0, 0), NoiseParams(beta_b=0.25, beta_d=0.0), k=0.5)
+        p = reliability(NoiseParams(beta_b=0.25, beta_d=0.0), 0.5, 1.0)
         assert p == pytest.approx(math.erf(1.0 / math.sqrt(2.0)) ** 2, abs=1e-12)
         assert p == pytest.approx(0.4660649, abs=1e-4)
 
     def test_matches_quadrature(self):
         for k, sigma in [(0.5, 0.5), (1.0, 2.0), (2.0, 0.3), (0.1, 4.0)]:
-            closed = reliability(
-                Vec2(1, 0), Vec2(0, 0), NoiseParams(beta_b=sigma * sigma, beta_d=0.0), k
-            )
+            closed = reliability(NoiseParams(beta_b=sigma * sigma, beta_d=0.0), k, 1.0)
             assert closed == pytest.approx(gaussian_square_mass_quadrature(k, sigma), abs=1e-10)
 
     def test_vanishing_mass_limit(self):
-        p = reliability(Vec2(1, 0), Vec2(0, 0), NoiseParams(beta_b=1e12, beta_d=0.0), k=0.5)
+        p = reliability(NoiseParams(beta_b=1e12, beta_d=0.0), 0.5, 1.0)
         assert p < 1e-10
-
-    def test_rejects_non_positive_k(self):
-        for k in (0.0, -1.0):
-            with pytest.raises(ValueError):
-                reliability(Vec2(1, 0), Vec2(0, 0), NoiseParams(), k)
-
-    def test_uses_estimated_distance(self):
-        """The score depends on ||y - xd||, nothing else positional."""
-        params = NoiseParams()
-        a = reliability(Vec2(5, 0), Vec2(0, 0), params, k=0.5)
-        b = reliability(Vec2(0, 5), Vec2(0, 0), params, k=0.5)
-        c = reliability(Vec2(8, 4), Vec2(3, 4), params, k=0.5)
-        assert a == b == c
 
     @given(
         st.floats(min_value=0.01, max_value=10.0),
@@ -149,22 +134,15 @@ class TestReliability:
         st.floats(min_value=0.01, max_value=50.0),
     )
     def test_bounds(self, k, sigma, separation):
-        p = reliability(
-            Vec2(separation, 0.0), Vec2(0.0, 0.0), NoiseParams(beta_b=sigma * sigma, beta_d=0.0), k
-        )
+        p = reliability(NoiseParams(beta_b=sigma * sigma, beta_d=0.0), k, separation)
         assert 0.0 <= p <= 1.0
 
     def test_strictly_monotone(self):
-        y, xd = Vec2(1.0, 0.0), Vec2(0.0, 0.0)
         sigmas = [0.1 * i for i in range(1, 51)]
         for k in (0.1, 0.5, 1.5):
-            vals = [
-                reliability(y, xd, NoiseParams(beta_b=s * s, beta_d=0.0), k) for s in sigmas
-            ]
+            vals = [reliability(NoiseParams(beta_b=s * s, beta_d=0.0), k, 1.0) for s in sigmas]
             assert all(a > b for a, b in zip(vals, vals[1:]))
         ks = [0.1 * i for i in range(1, 21)]
         for s in (0.5, 2.0):
-            vals = [
-                reliability(y, xd, NoiseParams(beta_b=s * s, beta_d=0.0), k) for k in ks
-            ]
+            vals = [reliability(NoiseParams(beta_b=s * s, beta_d=0.0), k, 1.0) for k in ks]
             assert all(a < b for a, b in zip(vals, vals[1:]))
