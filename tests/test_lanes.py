@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from conftest import Normals, noise, pairs, points
 from guardian_sim import analysis, geometry, lanes, observation, strategies
 from guardian_sim.cli import main
-from guardian_sim.engine import WorldConfig
+from guardian_sim.engine import InvalidInitializationError, WorldConfig, run_episode
 from guardian_sim.geometry import CoincidentAgentsError, Vec2
 from guardian_sim.observation import NoiseParams
 from guardian_sim.rng import Rng
@@ -627,6 +627,25 @@ class TestRefusals:
         params = NoiseParams(beta_d=1.0)
         with pytest.raises(ValueError, match="non-finite"):
             observation.observe(Vec2(1e308, 0.0), params, Normals(2.0, 0.0), 1e308)
+
+    def test_origin_attacker_and_bad_half_width(self):
+        """Up front: no twin, and no scalar law, sees an attacker within 1e-12
+        of the origin, a spiral attacker at radius <= 1, or a half-width k
+        that is not positive and finite.  A live attacker keeps
+        ||xa|| >= r_safe, so the engine refuses r_safe < 1e-12 for the homing
+        attackers and r_safe <= 1 for the spiral before the first step;
+        `WorldConfig` and the estimator refuse k."""
+        for behavior, r_safe, match in ((LINEAR, 1e-13, "r_safe >="),
+                                        (INTELLIGENT, 1e-13, "r_safe >="),
+                                        (SPIRAL, 1.0, "r_safe > 1")):
+            with pytest.raises(InvalidInitializationError, match=match):
+                run_episode(Vec2(30.0, 0.0), Vec2(0.0, 0.0), PP, behavior,
+                            WorldConfig(r_safe=r_safe), 0)
+        for k in (0.0, math.nan):
+            with pytest.raises(ValueError, match="half-width"):
+                WorldConfig(k=k)
+            with pytest.raises(ValueError, match="half-width"):
+                analysis.estimate_mean_margin_change(ADM, NOISELESS, k, 100, Rng(0))
 
     def test_huge_noise_refused_by_the_estimator(self):
         """With beta = 1e308 every observation overflows: the scalar step

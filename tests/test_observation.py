@@ -8,9 +8,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from guardian_sim.analysis import estimate_mean_margin_change
+from guardian_sim.engine import WorldConfig
 from guardian_sim.geometry import Vec2
 from guardian_sim.observation import NoiseParams, noise_variance, observe, reliability
 from guardian_sim.rng import Rng
+from guardian_sim.strategies import DefenderStrategy
 from oracles import gaussian_square_mass_quadrature
 
 NOISELESS = NoiseParams(beta_b=0.0, beta_d=0.0, beta_v=0.0, nu=1.0)
@@ -127,6 +130,27 @@ class TestReliability:
     def test_vanishing_mass_limit(self):
         p = reliability(NoiseParams(beta_b=1e12, beta_d=0.0), 0.5, 1.0)
         assert p < 1e-10
+
+    def test_rejects_non_positive_k(self):
+        """`reliability` trusts its k: a non-positive one is refused up front,
+        by `WorldConfig` and by the margin estimator, before any score."""
+        for k in (0.0, -1.0):
+            with pytest.raises(ValueError, match="half-width"):
+                WorldConfig(k=k)
+            with pytest.raises(ValueError, match="half-width"):
+                estimate_mean_margin_change(
+                    DefenderStrategy.ADJUSTED_DEFENSE_MARGIN, NoiseParams(), k, 10, Rng(0))
+
+    def test_uses_estimated_distance(self):
+        """The score depends on the distance ||y - xd|| it is handed,
+        nothing else positional."""
+        params = NoiseParams()
+        a, b, c = (reliability(params, 0.5, y.distance_to(xd)) for y, xd in (
+            (Vec2(5, 0), Vec2(0, 0)), (Vec2(0, 5), Vec2(0, 0)), (Vec2(8, 4), Vec2(3, 4))))
+        assert a == b == c
+        sigma = math.sqrt(noise_variance(5.0, params))
+        assert a == pytest.approx(math.erf(0.5 / (sigma * math.sqrt(2.0))) ** 2, abs=1e-15)
+        assert reliability(params, 0.5, 10.0) < a
 
     @given(
         st.floats(min_value=0.01, max_value=10.0),
