@@ -22,6 +22,7 @@ import sys
 from pathlib import Path
 
 from .analysis import (
+    MAX_TRIALS,
     estimate_expected_cos,
     estimate_mean_margin_change,
     report_csv_text,
@@ -168,19 +169,20 @@ def _choice(enum_cls, settings: dict, key: str):
         raise ConfigError(f"unknown {key} {name!r} (valid: {valid})") from None
 
 
-def _integer(value, label: str, minimum: int) -> int:
-    """`value` as a whole number of at least `minimum`.  Config-file values
+def _integer(value, label: str, minimum: int, maximum: float = float("inf")) -> int:
+    """`value` as a whole number from `minimum` to `maximum`.  Config-file values
     skip argparse's type checks, so floats and strings arrive here too."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
+    whole = int(value) if isinstance(value, float) and value.is_integer() else value
     try:
-        if isinstance(value, bool) or not isinstance(value, (int, str)):
+        if isinstance(whole, bool) or not isinstance(whole, (int, str)):
             raise ValueError
-        number = int(value)
+        number = int(whole)
     except ValueError:
         raise ConfigError(f"{label} must be an integer, got {value!r}") from None
     if number < minimum:
         raise ConfigError(f"{label} must be >= {minimum}, got {number}")
+    if number > maximum:  # named as given: 1e308 as a whole number has 309 digits
+        raise ConfigError(f"{label} must be <= {maximum}, got {value!r}")
     return number
 
 
@@ -282,7 +284,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_matrix(args: argparse.Namespace) -> int:
     settings = resolve_settings(args)
-    world, trials = _world(settings), _integer(settings["trials"], "trials", 1)
+    world, trials = _world(settings), _integer(settings["trials"], "trials", 1, MAX_TRIALS)
     seed, jobs = _seed(settings), _integer(settings["jobs"], "jobs", 1)
     out, fmt = _output(settings)
     report = run_experiment_matrix(world, trials, seed, jobs=jobs)

@@ -19,12 +19,12 @@ like the scalar ones: ``+ - * /``; numpy's ``sqrt``, ``cos`` and ``sin``,
 assumed (and tested, on the angles the default outputs reach and a wide sweep)
 to give libm's bits; and `math.atan2` and `math.erf` per lane, since
 ``np.arctan2`` misses `math.atan2` on about 1 % of lanes and numpy has no
-``erf``.  `hypot` gives `math.hypot`'s bits: on a wide call it keeps
-``np.hypot`` only on lanes an exact residual certifies (on simulator-scale
-pairs ``np.hypot`` alone misses by one bit on about 0.6 % of lanes) and calls
-`math.hypot` on the rest.  `noise_variance` needs no twin: over arrays it
-already computes each lane's expression.  A mask is tested with
-`np.count_nonzero`, about 1 us a call cheaper than ``.any()``.
+``erf``.  `hypot` gives `math.hypot`'s bits: on a wide call it rounds
+``sqrt(x*x + y*y)`` (alone one bit off on about 17 % of simulator-scale
+pairs) by the offset an exact residual gives, where that residual certifies
+the result, and calls `math.hypot` on the rest.  `noise_variance` needs no
+twin: over arrays it already computes each lane's expression.  A mask is
+tested with `np.count_nonzero`, about 1 us a call cheaper than ``.any()``.
 
 A twin takes only what it reads, and one that reads a norm is handed it as
 `hypot`'s bits: ``distance`` (the separation of the two points), ``n`` (the
@@ -43,16 +43,16 @@ from .geometry import CoincidentAgentsError
 from .observation import _SQRT2, NoiseParams, noise_variance
 from .strategies import _EPS_BLEND, _EPS_DIRECTION, DefenderStrategy
 
-# `hypot` certifies `np.hypot` from this many lanes on; below it, calling
-# `math.hypot` per lane is faster.
+# `hypot` certifies from this many lanes on: a certified call cost 25 us + 19 ns a lane against
+# `math.hypot`'s 94 ns (varied inputs), even at 340, but 384 left the 100-trial matrix no faster.
 _CERTIFY_FROM = 512
-# and on at most this many at once, cutting wider calls into near-equal slices: a
-# call cost 28-32 ns a lane at 2,048-3,328 lanes, 47-54 ns from 3,584 on (2-vCPU Xeon),
-# because glibc malloc returns temporaries that large to the OS and each call faults
-# them in again (README, "How `matrix` runs", gives the page faults with and without).
+# and on at most this many at once, cutting wider calls into near-equal slices: a call
+# cost 28-34 ns a lane at 2,048-3,328 lanes on varied inputs; a wider one faults its
+# temporaries in again until glibc malloc raises its trim threshold (README, "How
+# `matrix` runs", gives the page faults with and without).
 _CERTIFY_SLICE = 2560
 _DELTA = 0.005  # the margin, in ulp, a certified lane keeps from a rounding midpoint
-_ACCEPT = (1.0 - 2.0 * _DELTA) * 2.0**-52  # times h * 2**floor(log2(h)): the bound on |r|
+_ACCEPT = 0.5 - _DELTA  # the bound on |e - k|, the true value's distance in ulp from the result
 _HIGH_HALF = np.int64(-(1 << 27))  # masks off the low 27 mantissa bits
 _EXPONENT = np.int64(0x7FF << 52)
 _LOW_BITS, _SPAN_BITS = np.int64((1023 - 400) << 52), np.uint64(800 << 52)  # 2**-400 <= h < 2**400
@@ -66,17 +66,17 @@ def _per_lane(fn, *args):
 def hypot(x, y):
     """`math.hypot(x, y)` lane by lane.
 
-    Below `_CERTIFY_FROM` lanes, each lane calls `math.hypot`.  From there
-    on, `np.hypot` gives a candidate h.  A lane keeps it only if the
-    residual r = x^2 + y^2 - h^2, computed from exact splits, puts the true
-    value within 1/2 - delta ulp of h: |r| / (h * ulp(h)) <= 1 - 2 delta.
-    Every other lane calls `math.hypot`: zero, subnormal, huge, NaN and
-    infinite lanes, lanes where h is a power of two (its ulp differs on the
-    two sides), and lanes whose true value lies near a rounding midpoint.
+    Below `_CERTIFY_FROM` lanes, each lane calls `math.hypot`.  From there on,
+    ``sqrt(x*x + y*y)`` gives a candidate h within 2 ulp of the true value T, an
+    exact residual r = x^2 + y^2 - h^2 gives T's offset e = r / (2 h ulp(h)) in
+    ulp, and h moves by k = rint(e) ulp.  A lane keeps the result if |e - k| <=
+    1/2 - delta and it lies strictly inside h's binade.  Every other lane calls
+    `math.hypot`: zero, subnormal, huge, NaN and infinite lanes, results on a
+    power of two or outside h's binade, and true values near a rounding midpoint.
 
     One assumption: `math.hypot` errs by less than 1/2 + delta ulp.  Then
-    h, the only float that close to a certified lane's true value, is also
-    what `math.hypot` returns there.
+    the result, the only float that close to a certified lane's true value,
+    is also what `math.hypot` returns there.
     """
     if len(x) < _CERTIFY_FROM:
         return _per_lane(math.hypot, x, y)
@@ -84,7 +84,8 @@ def hypot(x, y):
         w = math.ceil(len(x) / math.ceil(len(x) / _CERTIFY_SLICE))  # as few as fit the cap
         return np.concatenate([hypot(x[i:i + w], y[i:i + w]) for i in range(0, len(x), w)])
     with np.errstate(all="ignore"):
-        h = np.hypot(x, y)
+        # Four 2**-53 roundings: h = T (1 + t), |t| < 2**-52 (1 + 2**-52): |h - T| < 2.001 ulp(h).
+        h = np.sqrt(x * x + y * y)
         # Split each of x, y and h into a high half of 26 bits and a low
         # half of 27: a^2 = hi^2 + (2 hi + lo) lo, with hi^2 exact; a + hi,
         # formed in place, is the same exact sum as 2 hi + lo.
@@ -96,25 +97,36 @@ def hypot(x, y):
         # big - sh is exact, big being the larger of sx and sy: squares of 26-bit
         # halves have 52-bit significands, and big (1 - 2**-23) < sh < 2 big
         # (1 + 2**-23) makes big - sh a multiple of ulp(big) below 2**53 ulp(big)
-        # or of 2 ulp(big) below 2**54 ulp(big).  Adding small leaves r minus the
-        # c terms (each below 2**-23 h^2), so it and the later sums round away
-        # less than 2**-70 h^2, against a delta margin of at least 2**-60 h^2.
+        # or of 2 ulp(big) below 2**54 ulp(big).  Cutting a root to 26 bits shrinks its square
+        # by less than 2**-24, so those bounds hold for any h within 2**-26 of T.  Adding small
+        # leaves r minus the c terms (each below 2**-23 h^2; |r| < 2**-50 h^2), so it and the
+        # later sums round away less than 2**-70 h^2.
         s = np.maximum(sx, sy)
         s -= sh
         s += np.minimum(sx, sy, out=sx)
         cx += cy
         cx -= ch
         s += cx  # the residual r = ((big - sh) + small) + ((cx + cy) - ch)
-        # Range: both components are at most h, so h < 2**400 keeps every
-        # product finite.  h >= 2**-400 puts h * ulp(h) above 2**-860, and
-        # a product that underflows (the smaller component's square, say)
-        # loses less than 2**-1074: no lane crosses the delta margin that
-        # way, so h alone bounds what either component can do.
+        # Range: both components are at most T < 2**400 (1 + 2**-51), so h < 2**400 keeps every
+        # product finite.  h >= 2**-400 puts h * ulp(h) above 2**-860, and a product that
+        # underflows (the smaller component's square, say) loses less than 2**-1074: no lane
+        # crosses the delta margin that way, so h alone bounds what either component can do.
         bits = h.view(np.int64)
         power = (bits & _EXPONENT).view(np.float64)  # 2**floor(log2(h)), ulp(h) * 2**52
-        fail = h == power
-        fail |= np.abs(s, out=s) > power * h * _ACCEPT  # r is finite where h is in range
-        fail |= (bits - _LOW_BITS).view(np.uint64) >= _SPAN_BITS
+        fail = (bits - _LOW_BITS).view(np.uint64) >= _SPAN_BITS
+        # e = r / (2 h ulp(h)) takes 2 h for T + h in (T - h) / ulp(h) = r / ((T + h) ulp(h)),
+        # off by < 2**-50; r's 2**-70 h^2 moves it by < 2**-18, its roundings by < 2**-51:
+        # e errs by less than 2**-17, far inside the delta margin of 2**-7.6.
+        s /= h * power  # exact product
+        s *= 2.0**51
+        k = np.rint(s)
+        s -= k
+        fail |= np.abs(s, out=s) > _ACCEPT
+        # k more in the bits is k floats on, k ulp(h) within h's binade.  Strictly inside it,
+        # the result's neighbours lie ulp(h) away, so T has ulp(h) too; a result on a power of
+        # two (the grid below it is finer) or past one falls back.
+        bits += k.astype(np.int64)
+        fail |= (h <= power) | (h >= power + power)
     fall = np.flatnonzero(fail)
     if fall.size:
         h[fall] = _per_lane(math.hypot, x[fall], y[fall])

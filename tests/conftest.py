@@ -1,4 +1,4 @@
-"""Shared test configuration: hypothesis profile, common strategies, a stub
+"""Shared test configuration: hypothesis profiles, common strategies, a stub
 noise stream, and a summary line that names the unexpected outcomes."""
 from __future__ import annotations
 
@@ -48,6 +48,9 @@ settings.register_profile(
     max_examples=100,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# `--hypothesis-profile deep` runs each property on 2,000 examples.  CI runs
+# `TestHypot` so: every matrix and margin-table bit rests on `lanes.hypot`.
+settings.register_profile("deep", parent=settings.get_profile("default"), max_examples=2000)
 settings.load_profile("default")
 
 

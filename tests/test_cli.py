@@ -722,7 +722,8 @@ class TestMatrixCommand:
     ):
         """`--trials 10**12`, and a config file's `"trials": 1e308`, which
         `_integer` takes as a whole number, are refused with `trials` named,
-        before any block runs or the output directory is made."""
+        before any block runs or the output directory is made.  The message
+        quotes the value as given, not as a 309-digit integer."""
         def no_block(*args):
             raise AssertionError("a block ran")
 
@@ -733,6 +734,8 @@ class TestMatrixCommand:
         assert main(["matrix", *given, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "trials" in err
+        assert err.rstrip().endswith("1000000000000" if source == "flag" else "1e+308")
+        assert len(err) < 80
         assert not out.exists()
 
     def test_a_serial_run_loads_no_logger_and_no_pool(self, tmp_path):

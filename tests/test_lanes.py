@@ -176,6 +176,31 @@ def midpoint_pairs(gen) -> list[tuple[float, float]]:
     return found
 
 
+def power_pairs(gen) -> tuple[list, list]:
+    """Pairs whose candidate ``sqrt(x*x + y*y)`` and `math.hypot` lie on the
+    two sides of a power of two P, for P from 2**-3 to 2**6.  Down: the
+    candidate is P, and `math.hypot` gives the float below it, where the ulp
+    is half as wide; found by search among (P cos phi, P sin phi), since a
+    search among pairs with y tiny, as `midpoint_pairs` builds them, found
+    none.  Up: the candidate is the float x below P, and
+    `math.hypot` gives P; built as `midpoint_pairs` builds its pairs, with
+    y^2 = c x ulp(x) for 1 < c < 1.5, which puts x^2 + y^2 between
+    (P - ulp(x) / 2)^2 and the midpoint of the squares' grid below P^2."""
+    down, up = [], []
+    for e in range(-3, 7):
+        p = 2.0**e
+        phi = gen.uniform(0.0, math.pi / 2, 20_000)
+        x, y = p * np.cos(phi), p * np.sin(phi)
+        on = np.sqrt(x * x + y * y) == p
+        down += [row for row in zip(x[on].tolist(), y[on].tolist()) if math.hypot(*row) < p]
+        below = math.nextafter(p, 0.0)
+        up += [(below, math.sqrt(below * math.ulp(below) * c)) for c in gen.uniform(1.0, 1.5, 4)]
+    assert all(math.sqrt(x * x + y * y) == x < math.hypot(x, y) == math.nextafter(x, 3.0 * x)
+               for x, y in up)
+    assert len(down) > 100 and len(up) == 40
+    return down, up
+
+
 class TestHypot:
     @given(hypot_rows)
     @example([(5e-324, 0.0), (0.0, -0.0), (-0.0, -0.0), (math.nan, math.inf)])
@@ -207,6 +232,45 @@ class TestHypot:
             missed += int((bits(np.hypot(x, y)) != np.array(expected)).sum())
             assert bits(lanes.hypot(x, y)) == expected
         assert missed > 1_000
+
+    def test_a_million_pairs_the_sqrt_candidate_misses(self):
+        """The certified path's candidate ``sqrt(x*x + y*y)`` misses
+        `math.hypot` on about a sixth of simulator-scale pairs; `hypot`
+        rounds every one of them to `math.hypot`'s bits."""
+        gen, missed = np.random.default_rng(23), 0
+        for _ in range(250):
+            x, y = simulator_lanes(gen, 4_000)
+            expected = math_hypot(x, y)
+            missed += int((bits(np.sqrt(x * x + y * y)) != np.array(expected)).sum())
+            assert bits(lanes.hypot(x, y)) == expected
+        assert 150_000 < missed < 190_000
+
+    def test_results_across_a_power_of_two(self, monkeypatch):
+        """The pairs of `power_pairs`, at random places in blocks of
+        simulator-scale lanes, get `math.hypot`'s bits, and each goes to
+        `math.hypot`: the candidate, moved by k ulp, lands on P, where the
+        ulp differs on the two sides.  Certifying by |e - k| alone gives P
+        on the down pairs."""
+        gen = np.random.default_rng(37)
+        down, up = power_pairs(gen)
+        rows = down + up
+        fell, per_lane = set(), lanes._per_lane
+
+        def spy(fn, *args):
+            if fn is math.hypot:
+                fell.update(zip(*(a.tolist() for a in args)))
+            return per_lane(fn, *args)
+
+        monkeypatch.setattr(lanes, "_per_lane", spy)
+        m = 2 * lanes._CERTIFY_FROM
+        for start in range(0, len(rows), m // 4):
+            chunk = rows[start:start + m // 4]
+            x, y = simulator_lanes(gen, m)
+            at = gen.choice(m, len(chunk), replace=False)
+            x[at], y[at] = np.array(chunk).T
+            fell.clear()
+            assert bits(lanes.hypot(x, y)) == math_hypot(x, y)
+            assert set(chunk) <= fell
 
     @pytest.mark.parametrize("scale", [2.0**-1060, 2.0**-700, 2.0**-450, 2.0**450, 2.0**700])
     def test_far_from_the_simulator_scale(self, scale):
