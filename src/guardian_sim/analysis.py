@@ -34,7 +34,7 @@ from .engine import (
     sample_initial_positions,
 )
 from .fileio import fmt9, json_text, round9
-from .geometry import Vec2, closest_safe_reachable_point, defense_margin
+from .geometry import Pair, Vec2, closest_safe_reachable_point, defense_margin
 from .observation import (
     _SQRT2, NoiseParams, check_positive_finite, noise_variance, observe, reliability)
 from .rng import Rng, derive_seed, derive_seeds, seed_words, word_generator
@@ -149,24 +149,25 @@ class MarginChangeEstimate(NamedTuple):
 
 
 def one_step_margin_change(
-    xa: Vec2,
-    xd: Vec2,
+    xa: Pair,
+    xd: Pair,
     strategy: DefenderStrategy,
     params: NoiseParams,
     k: float,
     rng: Rng,
-    attacker_motion: Vec2,
+    attacker_motion: Pair,
 ) -> float:
     """Margin after one simultaneous move minus margin before.
 
     The defender steers from a fresh noisy observation; the attacker applies
     the given displacement (zero for a static attacker).
     """
-    separation = xa.distance_to(xd)
+    (ax, ay), (dx, dy), (mx, my) = xa, xd, attacker_motion
+    separation = math.hypot(ax - dx, ay - dy)
     before = defense_margin(xa, xd, separation)
     y = observe(xa, params, rng, separation)
-    ud = defender_control(strategy, y, xd, params, k, y.distance_to(xd))
-    return defense_margin(xa + attacker_motion, xd + ud) - before
+    udx, udy = defender_control(strategy, y, xd, params, k, math.hypot(y[0] - dx, y[1] - dy))
+    return defense_margin((ax + mx, ay + my), (dx + udx, dy + udy)) - before
 
 
 def estimate_mean_margin_change(
@@ -581,9 +582,10 @@ def check_margin_grid_oracle(n: int = 200, seed: int = 1) -> CheckResult:
     for _ in range(n):
         xa, xd = _random_separated_pair(rng, 0.1)
         oracle, separation = closest_point_grid_search(xa, xd, spacing), xa.distance_to(xd)
-        worst_value = max(worst_value, abs(defense_margin(xa, xd, separation) - oracle.norm()))
-        worst_point = max(worst_point, closest_safe_reachable_point(
-            xa, xd, separation).distance_to(oracle))
+        pa, pd = (xa.x, xa.y), (xd.x, xd.y)
+        worst_value = max(worst_value, abs(defense_margin(pa, pd, separation) - oracle.norm()))
+        px, py = closest_safe_reachable_point(pa, pd, separation)
+        worst_point = max(worst_point, math.hypot(px - oracle.x, py - oracle.y))
     passed = worst_value <= 2 * spacing and worst_point <= 2 * spacing
     return CheckResult("margin_grid_oracle", passed,
                        f"max |margin - ||grid point||| = {worst_value:.3g}, "

@@ -153,9 +153,10 @@ def _parse_point(value, label: str) -> Vec2 | None:
         return None
     if not (isinstance(value, (list, tuple)) and len(value) == 2):
         raise ConfigError(f"{label} must be a pair of numbers")
+    x, y = (_number(component, label) for component in value)
     try:
-        return Vec2(float(value[0]), float(value[1]))
-    except (TypeError, ValueError) as exc:
+        return Vec2(x, y)
+    except ValueError as exc:
         raise ConfigError(f"{label} must be a pair of finite numbers: {exc}") from exc
 
 

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .fileio import fmt9, json_text, round9
-from .geometry import Vec2, defense_margin
+from .geometry import Pair, Vec2, defense_margin
 from .observation import NoiseParams, check_positive_finite, noise_variance, observe, reliability
 from .rng import NormalStream, NormalWindow, Rng
 from .strategies import (
@@ -35,7 +35,7 @@ _MAX_SAMPLED_TAU = 64.0
 # magnitude: its tail draw is bounded by the smallest nonzero uniform.
 _MAX_NORMAL_DRAW = 14.0
 # Largest observed coordinate a world may produce: the sum of two squares
-# (`Vec2.norm_sq`) then stays finite with a factor of 2 to spare.
+# (a squared norm) then stays finite with a factor of 2 to spare.
 _MAX_COORDINATE = math.sqrt(sys.float_info.max / 4.0)
 # No episode runs this many steps (at a microsecond a step, 30 years), so a
 # larger step cap moves no agent further; capping it keeps the reach finite.
@@ -196,30 +196,25 @@ class WorldConfig:
 
 @dataclass(slots=True)
 class EpisodeState:
-    """The state at time t and the episode's noise stream: anything with
-    `normal_pair`, such as an `Rng`, or the `NormalWindow` through which
-    `run_episode` reads one."""
+    """The state at time t, the agents as `Pair`s, and the episode's noise
+    stream: anything with `normal_pair`, such as an `Rng`, or the
+    `NormalWindow` through which `run_episode` reads one."""
 
     t: int
-    xa: Vec2
-    xd: Vec2
+    xa: Pair
+    xd: Pair
     rng: NormalStream
 
 
-class StepRecord(NamedTuple):
-    """State at time t plus the observation drawn at time t.
-
-    The terminal row of a trajectory has no observation (none is drawn after
-    termination), and no margin in the corner case where capture lands the
-    agents exactly on top of each other.  A named tuple: one is built per step.
-    """
-
-    t: int
-    xa: Vec2
-    xd: Vec2
-    y: Vec2 | None
-    margin: float | None
-    reliability: float | None
+# A step's record: the state at time t plus the observation drawn at time t,
+# flat, in `TRAJECTORY_HEADER`'s column order (t, xa_x, xa_y, xd_x, xd_y, y_x,
+# y_y, margin, reliability), so that a live row renders with one `%`.  The
+# terminal record has no observation and no reliability (none is drawn after
+# termination), and no margin in the corner case where capture lands the
+# agents exactly on top of each other.  A plain tuple: one is built per step,
+# and a named tuple's constructor call cost about 5 % of the `trajectories` pass.
+StepRecord = tuple[int, float, float, float, float, float | None, float | None, float | None,
+                   float | None]
 
 
 class EpisodeResult(NamedTuple):
@@ -229,7 +224,7 @@ class EpisodeResult(NamedTuple):
 
 
 def episode_outcome(
-    t: int, xa: Vec2, xd: Vec2, cfg: WorldConfig, separation: float, radius: float
+    t: int, xa: Pair, xd: Pair, cfg: WorldConfig, separation: float, radius: float
 ) -> Outcome | None:
     """Termination state at time t, or None if the episode is still live.
 
@@ -261,7 +256,8 @@ def step(
     radius: float,
 ) -> StepRecord:
     """Advance one simultaneous move of a live episode, updating `state` in
-    place, and return the record for the pre-move time.
+    place, and return the flat record for the pre-move time.  The laws take
+    and return `Pair`s, and no `Vec2` is built.
 
     `separation` and `radius` are the state's ||xa - xd|| and ||xa||, from the
     termination test, and ||y - xd|| is computed once, so `adm` gets the
@@ -274,14 +270,15 @@ def step(
     """
     xa, xd, rng, noise, k = state.xa, state.xd, state.rng, cfg.noise, cfg.k
     y = observe(xa, noise, rng, separation)
-    distance = y.distance_to(xd)
+    (ax, ay), (dx, dy), (yx, yy) = xa, xd, y
+    distance = math.hypot(yx - dx, yy - dy)
     p = reliability(noise, k, distance)
-    ud = defender_control(defender, y, xd, noise, k, distance, p)
-    ua = attacker_control(attacker, xa, xd, noise, rng, separation, radius)
-    record = StepRecord(state.t, xa, xd, y, defense_margin(xa, xd, separation), p)
+    udx, udy = defender_control(defender, y, xd, noise, k, distance, p)
+    uax, uay = attacker_control(attacker, xa, xd, noise, rng, separation, radius)
+    record = (state.t, ax, ay, dx, dy, yx, yy, defense_margin(xa, xd, separation), p)
     state.t += 1
-    state.xa = xa + ua
-    state.xd = xd + ud
+    state.xa = ax + uax, ay + uay
+    state.xd = dx + udx, dy + udy
     return record
 
 
@@ -325,7 +322,8 @@ def run_episode(
     *,
     sink: Callable[[StepRecord], object] | None = None,
 ) -> EpisodeResult:
-    """Play one episode to termination from fixed initial positions.
+    """Play one episode to termination from fixed initial positions, given
+    as `Vec2`s and played as `Pair`s.
 
     Fully deterministic in (arguments, seed): the trajectory, outcome and end
     time come out bitwise identical on every run.  The separation and the
@@ -339,19 +337,21 @@ def run_episode(
     trajectory is empty, so memory does not grow with the episode's length.
     """
     _validate_init(init_xa, init_xd, attacker, cfg)
-    state = EpisodeState(t=0, xa=init_xa, xd=init_xd, rng=NormalWindow(Rng(seed)))
+    xa, xd = (init_xa.x, init_xa.y), (init_xd.x, init_xd.y)
+    state = EpisodeState(t=0, xa=xa, xd=xd, rng=NormalWindow(Rng(seed)))
     records: list[StepRecord] = []
     emit = records.append if sink is None else sink
     while True:
         xa, xd = state.xa, state.xd
-        separation, radius = xa.distance_to(xd), xa.norm()
+        (ax, ay), (dx, dy) = xa, xd
+        separation, radius = math.hypot(ax - dx, ay - dy), math.hypot(ax, ay)
         outcome = episode_outcome(state.t, xa, xd, cfg, separation, radius)
         if outcome is not None:
             break
         emit(step(state, defender, attacker, cfg, separation, radius))
     # A coincident capture leaves the terminal margin undefined.
     margin = defense_margin(xa, xd, separation) if separation != 0.0 else None
-    emit(StepRecord(state.t, xa, xd, None, margin, None))
+    emit((state.t, ax, ay, dx, dy, None, None, margin, None))
     return EpisodeResult(outcome=outcome, end_time=state.t, trajectory=records)
 
 
@@ -393,11 +393,11 @@ def trajectory_row(record: StepRecord) -> str:
     """One line of `trajectory_csv_text`, its newline included.  The
     terminal record leaves the observation and reliability cells empty, and
     the margin cell too after a coincident capture."""
-    t, xa, xd, y, margin, rel = record
-    if y is not None:
-        return _LIVE_ROW % (t, xa.x, xa.y, xd.x, xd.y, y.x, y.y, margin, rel)
+    if record[5] is not None:  # y_x, None only on the terminal record
+        return _LIVE_ROW % record
+    t, xa_x, xa_y, xd_x, xd_y, _, _, margin, _ = record
     margin_cell = fmt9(margin) if margin is not None else ""
-    return f"{t},{fmt9(xa.x)},{fmt9(xa.y)},{fmt9(xd.x)},{fmt9(xd.y)},,,{margin_cell},\n"
+    return f"{t},{fmt9(xa_x)},{fmt9(xa_y)},{fmt9(xd_x)},{fmt9(xd_y)},,,{margin_cell},\n"
 
 
 def trajectory_csv_text(result: EpisodeResult) -> str:

@@ -5,6 +5,12 @@ origin-centered disks; the defense margin measures how far from the origin
 the attacker could still be intercepted, assuming both agents move at the
 same unit speed.  A caller hands in the separation of the two agents it
 holds, as ``distance``; only `defense_margin` may omit it.
+
+The scalar laws here and in `observation`, `strategies` and `engine` take and
+return a vector as a plain ``(x, y)`` pair of floats (`Pair`), as their `lanes`
+twins take a ``(2, N)`` array.  `Vec2` is the type of the API edges: the
+starts an episode is given or samples, the CLI's points, `stability` and
+`check`'s draws and grid oracle.
 """
 from __future__ import annotations
 
@@ -15,13 +21,16 @@ class CoincidentAgentsError(ValueError):
     """Raised when a computation requires two distinct agent positions."""
 
 
-class Vec2:
-    """2-vector of finite floats; treat it as immutable.
+Pair = tuple[float, float]
 
-    A plain slots class, not a frozen dataclass: the step loop builds about
-    seven per step, and the dataclass's ``object.__setattr__`` path plus a
-    ``__post_init__`` calling ``math.isfinite`` twice was the largest single
-    cost of an episode.  Equality and repr are the dataclass's.
+
+class Vec2:
+    """2-vector of finite floats, the type of the API edges; treat it as immutable.
+
+    A plain slots class, not a frozen dataclass, whose equality and repr are
+    the dataclass's.  The step loop builds none: the laws it calls work on
+    `Pair`s, which need neither a constructor call nor a finiteness test
+    (`engine.WorldConfig`'s bounds keep every coordinate finite).
 
     The finiteness check is ``x - x or y - y``: the difference is 0.0
     (falsy) for a finite component and NaN (truthy) for a NaN or infinite
@@ -78,18 +87,19 @@ class Vec2:
         return Vec2(radius * math.cos(angle), radius * math.sin(angle))
 
 
-ORIGIN = Vec2(0.0, 0.0)
+ORIGIN = (0.0, 0.0)
 
 
-def _margin(xa: Vec2, xd: Vec2, what: str, distance: float | None) -> tuple[float, float]:
+def _margin(xa: Pair, xd: Pair, what: str, distance: float | None) -> tuple[float, float]:
     """The margin formula and the separation it divides by."""
-    separation = xa.distance_to(xd) if distance is None else distance
+    (ax, ay), (dx, dy) = xa, xd
+    separation = math.hypot(ax - dx, ay - dy) if distance is None else distance
     if separation == 0.0:
         raise CoincidentAgentsError(f"{what} undefined for coincident agents")
-    return (xa.norm_sq() - xd.norm_sq()) / (2.0 * separation), separation
+    return (ax * ax + ay * ay - (dx * dx + dy * dy)) / (2.0 * separation), separation
 
 
-def defense_margin(xa: Vec2, xd: Vec2, distance: float | None = None) -> float:
+def defense_margin(xa: Pair, xd: Pair, distance: float | None = None) -> float:
     """Signed distance from the origin to the set of points the attacker can
     reach before the defender.
 
@@ -100,7 +110,7 @@ def defense_margin(xa: Vec2, xd: Vec2, distance: float | None = None) -> float:
     return _margin(xa, xd, "defense margin", distance)[0]
 
 
-def closest_safe_reachable_point(xa: Vec2, xd: Vec2, distance: float) -> Vec2:
+def closest_safe_reachable_point(xa: Pair, xd: Pair, distance: float) -> Pair:
     """Closest point to the origin that the attacker can reach no later than
     the defender (both at unit speed).
 
@@ -112,4 +122,4 @@ def closest_safe_reachable_point(xa: Vec2, xd: Vec2, distance: float) -> Vec2:
     rho, separation = _margin(xa, xd, "safe reachable set", distance)
     if rho <= 0.0:
         return ORIGIN
-    return Vec2((xa.x - xd.x) / separation * rho, (xa.y - xd.y) / separation * rho)
+    return (xa[0] - xd[0]) / separation * rho, (xa[1] - xd[1]) / separation * rho

@@ -47,12 +47,15 @@ from .strategies import _EPS_BLEND, _EPS_DIRECTION, DefenderStrategy
 # `math.hypot`'s 94 ns (varied inputs), even at 340, but 384 left the 100-trial matrix no faster.
 _CERTIFY_FROM = 512
 # and on at most this many at once, cutting wider calls into near-equal slices: a call
-# cost 28-34 ns a lane at 2,048-3,328 lanes on varied inputs; a wider one faults its
-# temporaries in again until glibc malloc raises its trim threshold (README, "How
-# `matrix` runs", gives the page faults with and without).
+# cost 28-34 ns a lane at 2,048-3,328 lanes on varied inputs.  A wider call costs no more
+# a lane in a warm process, but its temporaries page-fault in a fresh process's first
+# passes, until glibc malloc raises its trim threshold (README, "How `matrix` runs",
+# gives the page faults with and without).
 _CERTIFY_SLICE = 2560
 _DELTA = 0.005  # the margin, in ulp, a certified lane keeps from a rounding midpoint
-_ACCEPT = 0.5 - _DELTA  # the bound on |e - k|, the true value's distance in ulp from the result
+# The bound on |e - k|: e errs by less than 2**-17, so the true value lies within 1/2 - delta
+# ulp of the result.
+_ACCEPT = 0.5 - _DELTA - 2**-17
 _HIGH_HALF = np.int64(-(1 << 27))  # masks off the low 27 mantissa bits
 _EXPONENT = np.int64(0x7FF << 52)
 _LOW_BITS, _SPAN_BITS = np.int64((1023 - 400) << 52), np.uint64(800 << 52)  # 2**-400 <= h < 2**400
@@ -69,8 +72,9 @@ def hypot(x, y):
     Below `_CERTIFY_FROM` lanes, each lane calls `math.hypot`.  From there on,
     ``sqrt(x*x + y*y)`` gives a candidate h within 2 ulp of the true value T, an
     exact residual r = x^2 + y^2 - h^2 gives T's offset e = r / (2 h ulp(h)) in
-    ulp, and h moves by k = rint(e) ulp.  A lane keeps the result if |e - k| <=
-    1/2 - delta and it lies strictly inside h's binade.  Every other lane calls
+    ulp within 2**-17, and h moves by k = rint(e) ulp.  A lane keeps the result
+    if |e - k| <= 1/2 - delta - 2**-17, so that T lies within 1/2 - delta ulp of
+    it, and it lies strictly inside h's binade.  Every other lane calls
     `math.hypot`: zero, subnormal, huge, NaN and infinite lanes, results on a
     power of two or outside h's binade, and true values near a rounding midpoint.
 
@@ -116,7 +120,7 @@ def hypot(x, y):
         fail = (bits - _LOW_BITS).view(np.uint64) >= _SPAN_BITS
         # e = r / (2 h ulp(h)) takes 2 h for T + h in (T - h) / ulp(h) = r / ((T + h) ulp(h)),
         # off by < 2**-50; r's 2**-70 h^2 moves it by < 2**-18, its roundings by < 2**-51:
-        # e errs by less than 2**-17, far inside the delta margin of 2**-7.6.
+        # e errs by less than 2**-17, which `_ACCEPT` takes off the delta margin.
         s /= h * power  # exact product
         s *= 2.0**51
         k = np.rint(s)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import Vec2
+from .geometry import Pair
 from .rng import NormalStream
 
 _SQRT2 = math.sqrt(2.0)
@@ -54,13 +54,14 @@ def noise_variance(distance: float, params: NoiseParams) -> float:
     return params.beta_b + params.beta_d * distance * distance + params.beta_v * (1.0 - params.nu)
 
 
-def observe(xa: Vec2, params: NoiseParams, rng: NormalStream, distance: float) -> Vec2:
+def observe(xa: Pair, params: NoiseParams, rng: NormalStream, distance: float) -> Pair:
     """Noisy position of xa, seen from `distance` away (the observer enters
     only through it).  `rng` is anything with `normal_pair`, such as an
     `Rng` or a `NormalWindow`; one pair is drawn."""
     sigma = math.sqrt(noise_variance(distance, params))
     wx, wy = rng.normal_pair(sigma)
-    return Vec2(xa.x + wx, xa.y + wy)
+    x, y = xa
+    return x + wx, y + wy
 
 
 def reliability(params: NoiseParams, k: float, distance: float) -> float:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import math
 
-from .geometry import ORIGIN, Vec2, closest_safe_reachable_point
+from .geometry import ORIGIN, Pair, closest_safe_reachable_point
 from .observation import NoiseParams, observe, reliability
 from .rng import NormalStream
 
@@ -46,18 +46,18 @@ MATRIX_ATTACKERS = (_LINEAR, _SPIRAL, _INTELLIGENT)
 MATRIX_DEFENDERS = (_PP, _DM, _ADM)
 
 
-def _unit(x: float, y: float, eps: float, n: float | None = None) -> Vec2:
+def _unit(x: float, y: float, eps: float, n: float | None = None) -> Pair:
     """(x, y) / ||(x, y)||, or the zero vector when the norm is below eps."""
     n = math.hypot(x, y) if n is None else n
     if n < eps:
         return ORIGIN
-    return Vec2(x / n, y / n)
+    return x / n, y / n
 
 
 def defender_control(
-    strategy: DefenderStrategy, y: Vec2, xd: Vec2, params: NoiseParams, k: float,
+    strategy: DefenderStrategy, y: Pair, xd: Pair, params: NoiseParams, k: float,
     distance: float, p: float | None = None,
-) -> Vec2:
+) -> Pair:
     """The strategy's heading for the defender at xd, given the observation y.
 
     `pp` (pure pursuit) heads straight at y; `dm` (defense margin) for the
@@ -69,26 +69,27 @@ def defender_control(
     """
     if strategy is _ADM and p is None:
         p = reliability(params, k, distance)
+    dx, dy = xd
     if strategy is not _DM:
-        pp_dir = _unit(y.x - xd.x, y.y - xd.y, _EPS_DIRECTION, distance)
+        pp_dir = _unit(y[0] - dx, y[1] - dy, _EPS_DIRECTION, distance)
         if strategy is _PP:
             return pp_dir
-    target = closest_safe_reachable_point(y, xd, distance)
-    dm_dir = _unit(target.x - xd.x, target.y - xd.y, _EPS_DIRECTION)
+    tx, ty = closest_safe_reachable_point(y, xd, distance)
+    dm_dir = _unit(tx - dx, ty - dy, _EPS_DIRECTION)
     if strategy is _DM:
         return dm_dir
     q = 1.0 - p
-    bx, by = pp_dir.x * p + dm_dir.x * q, pp_dir.y * p + dm_dir.y * q
+    bx, by = pp_dir[0] * p + dm_dir[0] * q, pp_dir[1] * p + dm_dir[1] * q
     n = math.hypot(bx, by)
     if n < _EPS_BLEND:
         return dm_dir
-    return Vec2(bx / n, by / n)
+    return bx / n, by / n
 
 
 def attacker_control(
-    behavior: AttackerBehavior, xa: Vec2, xd: Vec2, params: NoiseParams, rng: NormalStream,
+    behavior: AttackerBehavior, xa: Pair, xd: Pair, params: NoiseParams, rng: NormalStream,
     distance: float, n: float,
-) -> Vec2:
+) -> Pair:
     """The behavior's heading for the attacker at xa.
 
     `linear` heads for the origin; `spiral` spirals in clockwise, stepping
@@ -99,20 +100,21 @@ def attacker_control(
     """
     if behavior is _STATIC:
         return ORIGIN
+    ax, ay = xa
     if behavior is _SPIRAL:
-        angle, inner = xa.angle() - 1.0 / n, n - 1.0
-        return _unit(inner * math.cos(angle) - xa.x, inner * math.sin(angle) - xa.y, _EPS_DIRECTION)
-    to_origin = Vec2(-xa.x / n, -xa.y / n)
+        angle, inner = math.atan2(ay, ax) - 1.0 / n, n - 1.0
+        return _unit(inner * math.cos(angle) - ax, inner * math.sin(angle) - ay, _EPS_DIRECTION)
+    to_origin = ox, oy = -ax / n, -ay / n
     if behavior is _LINEAR:
         return to_origin
-    observed_xd = observe(xd, params, rng, distance)
-    ax, ay = xa.x - observed_xd.x, xa.y - observed_xd.y
-    dist = math.hypot(ax, ay)
+    seen_x, seen_y = observe(xd, params, rng, distance)
+    awx, awy = ax - seen_x, ay - seen_y
+    dist = math.hypot(awx, awy)
     if dist < _EPS_DIRECTION:
         return to_origin
     scale = 1.0 / (dist * dist)  # (1/dist) * unit(away) + 1 * unit(to_origin)
-    bx, by = ax * scale + to_origin.x, ay * scale + to_origin.y
+    bx, by = awx * scale + ox, awy * scale + oy
     norm = math.hypot(bx, by)
     if norm < _EPS_BLEND:
         return to_origin
-    return Vec2(bx / norm, by / norm)
+    return bx / norm, by / norm

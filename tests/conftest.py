@@ -3,6 +3,7 @@ noise stream, and a summary line that names the unexpected outcomes."""
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
@@ -49,9 +50,43 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 # `--hypothesis-profile deep` runs each property on 2,000 examples.  CI runs
-# `TestHypot` so: every matrix and margin-table bit rests on `lanes.hypot`.
+# `TestHypot` so, since every matrix and margin-table bit rests on `lanes.hypot`,
+# and the engine pin and `test_render.py`, since every `run` byte rests on them.
 settings.register_profile("deep", parent=settings.get_profile("default"), max_examples=2000)
 settings.load_profile("default")
+
+
+def as_pair(v: Vec2) -> tuple[float, float]:
+    """`v` as the (x, y) pair the scalar laws take."""
+    return v.x, v.y
+
+
+class Record(NamedTuple):
+    """A flat `engine.StepRecord` read by field: its columns by the names of
+    `TRAJECTORY_HEADER`, and its points as `Vec2`s (`y` is None where the
+    record has no observation)."""
+
+    t: int
+    xa_x: float
+    xa_y: float
+    xd_x: float
+    xd_y: float
+    y_x: float | None
+    y_y: float | None
+    margin: float | None
+    reliability: float | None
+
+    @property
+    def xa(self) -> Vec2:
+        return Vec2(self.xa_x, self.xa_y)
+
+    @property
+    def xd(self) -> Vec2:
+        return Vec2(self.xd_x, self.xd_y)
+
+    @property
+    def y(self) -> Vec2 | None:
+        return None if self.y_x is None else Vec2(self.y_x, self.y_y)
 
 
 def finite_coord(bound: float = 100.0) -> st.SearchStrategy[float]:

@@ -12,11 +12,15 @@ its uniforms four at a time and the sweep moved onto the lanes, and the
 margin-change estimator as it was written before it stepped two blocks at
 a time.  So are `run`'s two renderers, as they were written before the
 config block was rendered once per world and the CSV rows were streamed,
-and the matrix block as the scalar engine plays it, in the kernel's codes.
+the matrix block as the scalar engine plays it, in the kernel's codes, and
+the scalar engine itself as it stood on `Vec2`s, before its laws took plain
+pairs and its records went flat.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import integrate, optimize
@@ -26,12 +30,14 @@ from guardian_sim.analysis import (
     MARGIN_BLOCK, MARGIN_SAMPLE_ATTACKER_RADIUS, MARGIN_SAMPLE_DEFENDER_RADIUS,
     one_step_margin_change, run_matrix_trial)
 from guardian_sim.engine import (
-    ATTACKER_RADIUS_RANGE, DEFENDER_RADIUS_RANGE, TRAJECTORY_HEADER, InvalidInitializationError,
-    Outcome)
+    ATTACKER_RADIUS_RANGE, DEFENDER_RADIUS_RANGE, POSITION_BREACH, TRAJECTORY_HEADER,
+    InvalidInitializationError, Outcome, _validate_init)
 from guardian_sim.fileio import fmt9, json_text
-from guardian_sim.geometry import Vec2
-from guardian_sim.observation import NoiseParams
-from guardian_sim.rng import Rng
+from guardian_sim.geometry import CoincidentAgentsError, Vec2
+from guardian_sim.observation import NoiseParams, noise_variance, reliability
+from guardian_sim.rng import NormalWindow, Rng
+from guardian_sim.strategies import (
+    _EPS_BLEND, _EPS_DIRECTION, AttackerBehavior, DefenderStrategy)
 
 TWO_PI = 2.0 * math.pi
 
@@ -329,7 +335,8 @@ def scalar_noiseless_static_gains(strategy, n: int, seed: int) -> list[tuple[Vec
             xd = _uniform_point(rng, 0.0, xa.norm() * 0.999)
             if xa.distance_to(xd) > math.sqrt(2.0):
                 break
-        gain = one_step_margin_change(xa, xd, strategy, params, 0.5, rng, Vec2(0.0, 0.0))
+        gain = one_step_margin_change(
+            (xa.x, xa.y), (xd.x, xd.y), strategy, params, 0.5, rng, (0.0, 0.0))
         states.append((xa, xd, gain))
     return states
 
@@ -365,12 +372,12 @@ _LIVE_ROW = "%d" + ",%.9g" * 8
 def trajectory_csv_text(result) -> str:
     """`engine.trajectory_csv_text`, one appended line per record."""
     lines = [TRAJECTORY_HEADER]
-    for t, xa, xd, y, margin, rel in result.trajectory:
-        if y is not None:
-            lines.append(_LIVE_ROW % (t, xa.x, xa.y, xd.x, xd.y, y.x, y.y, margin, rel))
+    for t, xa_x, xa_y, xd_x, xd_y, y_x, y_y, margin, rel in result.trajectory:
+        if y_x is not None:
+            lines.append(_LIVE_ROW % (t, xa_x, xa_y, xd_x, xd_y, y_x, y_y, margin, rel))
             continue
         margin_cell = fmt9(margin) if margin is not None else ""
-        lines.append(f"{t},{fmt9(xa.x)},{fmt9(xa.y)},{fmt9(xd.x)},{fmt9(xd.y)},,,{margin_cell},")
+        lines.append(f"{t},{fmt9(xa_x)},{fmt9(xa_y)},{fmt9(xd_x)},{fmt9(xd_y)},,,{margin_cell},")
     return "\n".join(lines) + "\n"
 
 
@@ -384,3 +391,145 @@ def summary_json_text(result, cfg, seed: int) -> str:
         "config": cfg.to_flat_dict(),
     }
     return json_text(payload)
+
+
+# The scalar engine as it stood on `Vec2`s: its laws, `step` and `run_episode`,
+# with a record holding the three points as `Vec2`s.  The engine's pin test
+# plays every episode on both and compares them bit for bit.
+_ORIGIN = Vec2(0.0, 0.0)
+
+
+def _vec2_margin(xa: Vec2, xd: Vec2, what: str, distance: float | None):
+    separation = xa.distance_to(xd) if distance is None else distance
+    if separation == 0.0:
+        raise CoincidentAgentsError(f"{what} undefined for coincident agents")
+    return (xa.norm_sq() - xd.norm_sq()) / (2.0 * separation), separation
+
+
+def vec2_defense_margin(xa: Vec2, xd: Vec2, distance: float | None = None) -> float:
+    return _vec2_margin(xa, xd, "defense margin", distance)[0]
+
+
+def vec2_closest_safe_reachable_point(xa: Vec2, xd: Vec2, distance: float) -> Vec2:
+    rho, separation = _vec2_margin(xa, xd, "safe reachable set", distance)
+    if rho <= 0.0:
+        return _ORIGIN
+    return Vec2((xa.x - xd.x) / separation * rho, (xa.y - xd.y) / separation * rho)
+
+
+def vec2_observe(xa: Vec2, params: NoiseParams, rng, distance: float) -> Vec2:
+    sigma = math.sqrt(noise_variance(distance, params))
+    wx, wy = rng.normal_pair(sigma)
+    return Vec2(xa.x + wx, xa.y + wy)
+
+
+def _vec2_unit(x: float, y: float, eps: float, n: float | None = None) -> Vec2:
+    n = math.hypot(x, y) if n is None else n
+    if n < eps:
+        return _ORIGIN
+    return Vec2(x / n, y / n)
+
+
+def vec2_defender_control(strategy, y: Vec2, xd: Vec2, params, k, distance, p=None) -> Vec2:
+    pp, dm, adm = DefenderStrategy
+    if strategy is adm and p is None:
+        p = reliability(params, k, distance)
+    if strategy is not dm:
+        pp_dir = _vec2_unit(y.x - xd.x, y.y - xd.y, _EPS_DIRECTION, distance)
+        if strategy is pp:
+            return pp_dir
+    target = vec2_closest_safe_reachable_point(y, xd, distance)
+    dm_dir = _vec2_unit(target.x - xd.x, target.y - xd.y, _EPS_DIRECTION)
+    if strategy is dm:
+        return dm_dir
+    q = 1.0 - p
+    bx, by = pp_dir.x * p + dm_dir.x * q, pp_dir.y * p + dm_dir.y * q
+    n = math.hypot(bx, by)
+    if n < _EPS_BLEND:
+        return dm_dir
+    return Vec2(bx / n, by / n)
+
+
+def vec2_attacker_control(behavior, xa: Vec2, xd: Vec2, params, rng, distance, n) -> Vec2:
+    linear, spiral, _, static = AttackerBehavior
+    if behavior is static:
+        return _ORIGIN
+    if behavior is spiral:
+        angle, inner = xa.angle() - 1.0 / n, n - 1.0
+        return _vec2_unit(inner * math.cos(angle) - xa.x, inner * math.sin(angle) - xa.y,
+                          _EPS_DIRECTION)
+    to_origin = Vec2(-xa.x / n, -xa.y / n)
+    if behavior is linear:
+        return to_origin
+    observed_xd = vec2_observe(xd, params, rng, distance)
+    ax, ay = xa.x - observed_xd.x, xa.y - observed_xd.y
+    dist = math.hypot(ax, ay)
+    if dist < _EPS_DIRECTION:
+        return to_origin
+    scale = 1.0 / (dist * dist)
+    bx, by = ax * scale + to_origin.x, ay * scale + to_origin.y
+    norm = math.hypot(bx, by)
+    if norm < _EPS_BLEND:
+        return to_origin
+    return Vec2(bx / norm, by / norm)
+
+
+def vec2_episode_outcome(t, xa: Vec2, xd: Vec2, cfg, separation, radius):
+    if separation <= cfg.tau:
+        return Outcome.CAPTURED
+    if cfg.failure_criterion is POSITION_BREACH:
+        if radius < cfg.r_safe:
+            return Outcome.BREACHED
+    elif vec2_defense_margin(xa, xd, separation) <= cfg.r_safe:
+        return Outcome.BREACHED
+    if t >= cfg.max_steps:
+        return Outcome.SURVIVED
+    return None
+
+
+class Vec2Record(NamedTuple):
+    t: int
+    xa: Vec2
+    xd: Vec2
+    y: Vec2 | None
+    margin: float | None
+    reliability: float | None
+
+
+@dataclass(slots=True)
+class Vec2State:
+    t: int
+    xa: Vec2
+    xd: Vec2
+    rng: object
+
+
+def vec2_step(state: Vec2State, defender, attacker, cfg, separation, radius) -> Vec2Record:
+    xa, xd, rng, noise, k = state.xa, state.xd, state.rng, cfg.noise, cfg.k
+    y = vec2_observe(xa, noise, rng, separation)
+    distance = y.distance_to(xd)
+    p = reliability(noise, k, distance)
+    ud = vec2_defender_control(defender, y, xd, noise, k, distance, p)
+    ua = vec2_attacker_control(attacker, xa, xd, noise, rng, separation, radius)
+    record = Vec2Record(state.t, xa, xd, y, vec2_defense_margin(xa, xd, separation), p)
+    state.t += 1
+    state.xa = xa + ua
+    state.xd = xd + ud
+    return record
+
+
+def vec2_run_episode(init_xa: Vec2, init_xd: Vec2, defender, attacker, cfg, seed: int):
+    """(outcome, end time, records) of `engine.run_episode` as it stood on `Vec2`s."""
+    _validate_init(init_xa, init_xd, attacker, cfg)
+    state = Vec2State(t=0, xa=init_xa, xd=init_xd, rng=NormalWindow(Rng(seed)))
+    records = []
+    while True:
+        xa, xd = state.xa, state.xd
+        separation, radius = xa.distance_to(xd), xa.norm()
+        outcome = vec2_episode_outcome(state.t, xa, xd, cfg, separation, radius)
+        if outcome is not None:
+            break
+        records.append(vec2_step(state, defender, attacker, cfg, separation, radius))
+    margin = vec2_defense_margin(xa, xd, separation) if separation != 0.0 else None
+    records.append(Vec2Record(state.t, xa, xd, None, margin, None))
+    return outcome, state.t, records

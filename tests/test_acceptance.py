@@ -11,6 +11,7 @@ import math
 import os
 import time
 
+from conftest import as_pair
 from guardian_sim import analysis
 from guardian_sim.analysis import (
     check_margin_grid_oracle,
@@ -63,10 +64,11 @@ def test_criterion_1_noiseless_margin_gain_exactness():
         if xa.distance_to(xd) <= math.sqrt(2.0):
             continue
         pp = one_step_margin_change(
-            xa, xd, DefenderStrategy.PURE_PURSUIT, NOISELESS, 0.5, rng, Vec2(0.0, 0.0)
+            as_pair(xa), as_pair(xd), DefenderStrategy.PURE_PURSUIT, NOISELESS, 0.5, rng, (0.0, 0.0)
         )
         dm = one_step_margin_change(
-            xa, xd, DefenderStrategy.DEFENSE_MARGIN, NOISELESS, 0.5, rng, Vec2(0.0, 0.0)
+            as_pair(xa), as_pair(xd), DefenderStrategy.DEFENSE_MARGIN, NOISELESS, 0.5, rng,
+            (0.0, 0.0)
         )
         worst_pp = max(worst_pp, abs(pp - 0.5))
         worst_dm = min(worst_dm, dm)
@@ -214,7 +216,8 @@ def test_criterion_6_stability_anchors_and_fleeing_distance():
         e = xa - xd
         ua = e / e.norm()          # attacker flees straight away from the defender
         # Exact observation: y = xa.  Pure pursuit reads neither params nor k.
-        ud = defender_control(DefenderStrategy.PURE_PURSUIT, xa, xd, None, None, xa.distance_to(xd))
+        ud = Vec2(*defender_control(DefenderStrategy.PURE_PURSUIT, as_pair(xa), as_pair(xd), None,
+                                    None, xa.distance_to(xd)))
         xa, xd = xa + ua, xd + ud
         worst_drift = max(worst_drift, abs(xa.distance_to(xd) - sep0))
     ok = anchors_exact and worst_drift <= 1e-9

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import Normals
+from conftest import Normals, as_pair
 import guardian_sim.analysis as analysis
 from guardian_sim import lanes
 from guardian_sim.analysis import (
@@ -62,16 +62,24 @@ from oracles import (
 
 NOISELESS = NoiseParams(beta_b=0.0, beta_d=0.0, beta_v=0.0, nu=1.0)
 STILL = Vec2(0.0, 0.0)
-# Scalar laws, handed the norms a caller holds; they read none of the
-# arguments passed as None.
+# Scalar laws, handed the norms a caller holds and the points as pairs; they
+# read none of the arguments passed as None.
 
 
 def dm_control(y: Vec2, xd: Vec2) -> Vec2:
-    return defender_control(DefenderStrategy.DEFENSE_MARGIN, y, xd, None, None, y.distance_to(xd))
+    return Vec2(*defender_control(
+        DefenderStrategy.DEFENSE_MARGIN, as_pair(y), as_pair(xd), None, None, y.distance_to(xd)))
 
 
 def linear_attacker(xa: Vec2) -> Vec2:
-    return attacker_control(AttackerBehavior.LINEAR, xa, None, None, None, None, xa.norm())
+    return Vec2(*attacker_control(
+        AttackerBehavior.LINEAR, as_pair(xa), None, None, None, None, xa.norm()))
+
+
+def margin_change(xa: Vec2, xd: Vec2, strategy, params, k, rng, motion: Vec2) -> float:
+    """`one_step_margin_change`, handed the points and the motion as pairs."""
+    return one_step_margin_change(
+        as_pair(xa), as_pair(xd), strategy, params, k, rng, as_pair(motion))
 
 
 class TestStabilityConditionLhs:
@@ -196,7 +204,7 @@ class TestStabilityDiagnostic:
 class TestOneStepMarginChange:
     def test_pursuit_gains_exactly_half_noiseless_static(self):
         for xa, xd in [(Vec2(10, 0), Vec2(0, 0)), (Vec2(8, 5), Vec2(2, 1)), (Vec2(-7, 4), Vec2(1, -1))]:
-            delta = one_step_margin_change(
+            delta = margin_change(
                 xa, xd, DefenderStrategy.PURE_PURSUIT, NOISELESS, 0.5, Rng(0), STILL
             )
             assert delta == pytest.approx(0.5, abs=1e-9)
@@ -204,33 +212,35 @@ class TestOneStepMarginChange:
     def test_margin_strategy_collinear_matches_pursuit(self):
         # Origin, defender, attacker collinear with the defender in between:
         # the two strategies coincide.
-        delta = one_step_margin_change(
+        delta = margin_change(
             Vec2(9, 0), Vec2(3, 0), DefenderStrategy.DEFENSE_MARGIN, NOISELESS, 0.5, Rng(0), STILL
         )
         assert delta == pytest.approx(0.5, abs=1e-9)
 
     def test_margin_strategy_beats_pursuit_off_axis(self):
         xa, xd = Vec2(5, 3), Vec2(1, 1)
-        delta = one_step_margin_change(
+        delta = margin_change(
             xa, xd, DefenderStrategy.DEFENSE_MARGIN, NOISELESS, 0.5, Rng(0), STILL
         )
         assert delta >= 0.5 - 1e-9
         # Direct geometric recomputation. With exact observation the defender
         # steps one unit toward the safe-reachable point of (xa, xd).
-        target = closest_safe_reachable_point(xa, xd, xa.distance_to(xd))
+        target = Vec2(*closest_safe_reachable_point(as_pair(xa), as_pair(xd), xa.distance_to(xd)))
         ud = (target - xd) / (target - xd).norm()
-        expected = defense_margin(xa, xd + ud) - defense_margin(xa, xd)
+        expected = defense_margin(as_pair(xa), as_pair(xd + ud)) - defense_margin(
+            as_pair(xa), as_pair(xd))
         assert delta == pytest.approx(expected, abs=1e-12)
 
     def test_moving_attacker_changes_margin(self):
         xa, xd = Vec2(30, 0), Vec2(5, 0)
         toward_origin = Vec2(-1, 0)
-        delta = one_step_margin_change(
+        delta = margin_change(
             xa, xd, DefenderStrategy.PURE_PURSUIT, NOISELESS, 0.5, Rng(0), toward_origin
         )
         # Head-on closing: both move along the axis, margin shifts by
         # ((||xa||-1)^2 - (||xd||+1)^2) / (2(sep-2)) - rho.
-        expected = defense_margin(Vec2(29, 0), Vec2(6, 0)) - defense_margin(xa, xd)
+        expected = defense_margin((29.0, 0.0), (6.0, 0.0)) - defense_margin(
+            as_pair(xa), as_pair(xd))
         assert delta == pytest.approx(expected, abs=1e-12)
 
     @given(
@@ -244,8 +254,8 @@ class TestOneStepMarginChange:
         for every admissible (separation, margin, foot angle)."""
         (ax, ay), (dx, dy) = margin_config_from_frame(r, rho0, psi)
         xa, xd = Vec2(ax, ay), Vec2(dx, dy)
-        assert defense_margin(xa, xd) == pytest.approx(rho0, abs=1e-7, rel=1e-9)
-        delta = one_step_margin_change(
+        assert defense_margin(as_pair(xa), as_pair(xd)) == pytest.approx(rho0, abs=1e-7, rel=1e-9)
+        delta = margin_change(
             xa, xd, DefenderStrategy.DEFENSE_MARGIN, NOISELESS, 0.5, Rng(0), STILL
         )
         assert delta == pytest.approx(dm_margin_gain_closed_form(r, rho0, psi), abs=1e-7)
@@ -257,10 +267,10 @@ class TestOneStepMarginChange:
         as a pinned regression so the behavior is documented, not hidden."""
         (ax, ay), (dx, dy) = margin_config_from_frame(1.4143, 12.0, math.radians(42.0))
         xa, xd = Vec2(ax, ay), Vec2(dx, dy)
-        dm = one_step_margin_change(
+        dm = margin_change(
             xa, xd, DefenderStrategy.DEFENSE_MARGIN, NOISELESS, 0.5, Rng(0), STILL
         )
-        pp = one_step_margin_change(
+        pp = margin_change(
             xa, xd, DefenderStrategy.PURE_PURSUIT, NOISELESS, 0.5, Rng(0), STILL
         )
         assert xa.distance_to(xd) > math.sqrt(2.0)
@@ -302,7 +312,7 @@ class TestEstimateMeanMarginChange:
 
         Replays the block draw order (attacker radii, attacker angles,
         defender radii, defender angles, then an (m, 2) normal block) and
-        steps each sample with the scalar `Vec2` code, handing it its two
+        steps each sample with the scalar code, handing it its two
         normals through a stub stream.  n spans two full blocks and ends
         with a partial one, so this also checks the block merge and that the
         array kernels step like the scalar code."""
@@ -327,7 +337,7 @@ class TestEstimateMeanMarginChange:
                 for i in range(m):
                     xa = Vec2.from_polar(float(ra[i]), float(aa[i]))
                     xd = Vec2.from_polar(float(rd[i]), float(ad[i]))
-                    deltas.append(one_step_margin_change(
+                    deltas.append(margin_change(
                         xa, xd, strategy, NoiseParams(), 0.5, Normals(*w[i]), linear_attacker(xa)
                     ))
             est = estimate_mean_margin_change(strategy, NoiseParams(), 0.5, n, Rng(11))
@@ -366,7 +376,7 @@ class TestEstimateMeanMarginChange:
         for i in range(m):
             a = Vec2.from_polar(float(ra[i]), float(aa[i]))
             d = Vec2.from_polar(float(rd[i]), float(ad[i]))
-            want.append(one_step_margin_change(
+            want.append(margin_change(
                 a, d, strategy, params, 0.5, Normals(*w[i]), linear_attacker(a)))
         assert got.view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
 
@@ -431,7 +441,8 @@ class TestClosestPointGridSearch:
             xa = Vec2.from_polar(rng.uniform(3.0, 40.0), rng.uniform(-math.pi, math.pi))
             xd = Vec2.from_polar(rng.uniform(0.0, xa.norm() * 0.9), rng.uniform(-math.pi, math.pi))
             grid = closest_point_grid_search(xa, xd, resolution=1e-3)
-            point = closest_safe_reachable_point(xa, xd, xa.distance_to(xd))
+            point = Vec2(*closest_safe_reachable_point(
+                as_pair(xa), as_pair(xd), xa.distance_to(xd)))
             assert point.distance_to(grid) <= 2e-3
 
     def test_origin_cases(self):
@@ -738,7 +749,8 @@ class TestMatrixKernel:
         for t in (6, 7):
             codes = analysis._end_codes(t, xa, xd, separation, lanes.hypot(*xa), cfg)
             assert [OUTCOME_CODES[c] for c in codes] == [
-                episode_outcome(t, a, d, cfg, a.distance_to(d), a.norm()) for a, d in rows]
+                episode_outcome(t, as_pair(a), as_pair(d), cfg, a.distance_to(d), a.norm())
+                for a, d in rows]
 
     @pytest.mark.parametrize(
         "base_seed, first, count, cfg, redrawn",
@@ -875,9 +887,9 @@ class TestChecks:
         min_gain, ax, ay, dx, dy = (float(v) for v in nums[3:8])
         assert min_gain < 0.5 - 1e-9
         xa, xd = Vec2(ax, ay), Vec2(dx, dy)
-        before = defense_margin(xa, xd)
+        before = defense_margin(as_pair(xa), as_pair(xd))
         step = dm_control(xa, xd)
-        after = defense_margin(xa, Vec2(xd.x + step.x, xd.y + step.y))
+        after = defense_margin(as_pair(xa), (xd.x + step.x, xd.y + step.y))
         assert after - before == pytest.approx(min_gain, abs=1e-5)
 
     @pytest.mark.parametrize("seed, results", [

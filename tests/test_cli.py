@@ -235,7 +235,8 @@ class TestResolveConfig:
          {"trials": True}, {"jobs": None}, {"seed": [1]}, {"tau": None}, {"beta": [0.1]},
          {"nu": {}}, {"out": 5}, {"tau": True}, {"beta": False}, {"k": "wide"},
          {"r_safe": [10.0]}, {"r_interest": None}, {"beta_b": {}}, {"beta_v": True},
-         {"out": None}, {"out": ["a"]}],
+         {"out": None}, {"out": ["a"]}, {"xa": [30, True]}, {"xd": [False, 0]},
+         {"xa": [None, 1.0]}, {"xd": [[0.0], 0.0]}, {"xa": [30, {}]}],
     )
     def test_invalid_values_rejected(self, tmp_path, capsys, payload, monkeypatch):
         """Each bad value is refused with its key named in the message, by

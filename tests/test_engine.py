@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from conftest import Record, as_pair
 from guardian_sim import engine, strategies
 from guardian_sim.analysis import MATRIX_PAIRS, trial_seeds
 from guardian_sim.engine import (
@@ -52,13 +53,14 @@ def noiseless_config(**kwargs) -> WorldConfig:
 
 
 def outcome_of(t: int, xa: Vec2, xd: Vec2, cfg: WorldConfig) -> Outcome | None:
-    """`episode_outcome`, handed the norms its caller holds."""
-    return episode_outcome(t, xa, xd, cfg, xa.distance_to(xd), xa.norm())
+    """`episode_outcome`, handed the points as pairs and the norms its caller holds."""
+    return episode_outcome(t, as_pair(xa), as_pair(xd), cfg, xa.distance_to(xd), xa.norm())
 
 
 def step_of(state: EpisodeState, defender, attacker, cfg: WorldConfig) -> StepRecord:
     """`step`, handed the norms of the state, as `run_episode` holds them."""
-    return step(state, defender, attacker, cfg, state.xa.distance_to(state.xd), state.xa.norm())
+    xa, xd = Vec2(*state.xa), Vec2(*state.xd)
+    return step(state, defender, attacker, cfg, xa.distance_to(xd), xa.norm())
 
 
 class TestWorldConfig:
@@ -132,10 +134,11 @@ class TestWorldConfig:
 class TestStep:
     def test_exact_pursuit_step(self):
         cfg = noiseless_config()
-        state = EpisodeState(t=0, xa=Vec2(10, 0), xd=Vec2(0, 0), rng=Rng(0))
-        record = step_of(state, DefenderStrategy.PURE_PURSUIT, AttackerBehavior.STATIC, cfg)
-        assert state.xd == Vec2(1, 0)
-        assert state.xa == Vec2(10, 0)
+        state = EpisodeState(t=0, xa=(10.0, 0.0), xd=(0.0, 0.0), rng=Rng(0))
+        record = Record(*step_of(state, DefenderStrategy.PURE_PURSUIT, AttackerBehavior.STATIC,
+                                 cfg))
+        assert Vec2(*state.xd) == Vec2(1, 0)
+        assert Vec2(*state.xa) == Vec2(10, 0)
         assert state.t == 1
         assert record.t == 0
         assert record.y == Vec2(10, 0)
@@ -144,9 +147,9 @@ class TestStep:
 
     def test_separation_shrinks_by_one(self):
         cfg = noiseless_config()
-        state = EpisodeState(t=0, xa=Vec2(10, 0), xd=Vec2(0, 0), rng=Rng(0))
+        state = EpisodeState(t=0, xa=(10.0, 0.0), xd=(0.0, 0.0), rng=Rng(0))
         step_of(state, DefenderStrategy.PURE_PURSUIT, AttackerBehavior.STATIC, cfg)
-        assert state.xa.distance_to(state.xd) == pytest.approx(9.0, abs=1e-12)
+        assert Vec2(*state.xa).distance_to(Vec2(*state.xd)) == pytest.approx(9.0, abs=1e-12)
 
 
 class TestEpisodeOutcome:
@@ -166,7 +169,7 @@ class TestEpisodeOutcome:
         # Attacker outside the safe zone but the margin has already collapsed.
         xa, xd = Vec2(12, 0), Vec2(0.5, 0)
         assert xa.norm() > cfg.r_safe
-        assert defense_margin(xa, xd) <= cfg.r_safe
+        assert defense_margin(as_pair(xa), as_pair(xd)) <= cfg.r_safe
         assert outcome_of(1, xa, xd, cfg) is Outcome.BREACHED
         assert outcome_of(1, xa, xd, WorldConfig()) is None  # position rule says live
 
@@ -190,7 +193,7 @@ class TestRunEpisode:
         result = run_episode(
             Vec2(10, 0), Vec2(0, 0), DefenderStrategy.PURE_PURSUIT, AttackerBehavior.STATIC, cfg, 0
         )
-        seps = [rec.xa.distance_to(rec.xd) for rec in result.trajectory]
+        seps = [rec.xa.distance_to(rec.xd) for rec in map(Record._make, result.trajectory)]
         for before, after in zip(seps, seps[1:]):
             assert before - after == pytest.approx(1.0, abs=1e-12)
 
@@ -217,7 +220,7 @@ class TestRunEpisode:
                 xa, xd, DefenderStrategy.PURE_PURSUIT, AttackerBehavior.SPIRAL, cfg, seed
             )
             # every state but the terminal one was live and moved the attacker
-            assert all(rec.xa.norm() > 1.0 for rec in result.trajectory[:-1])
+            assert all(rec.xa.norm() > 1.0 for rec in map(Record._make, result.trajectory[:-1]))
 
     @pytest.mark.parametrize("attacker", [AttackerBehavior.LINEAR, AttackerBehavior.INTELLIGENT])
     def test_homing_attacker_needs_a_safe_radius_its_control_is_defined_on(self, attacker):
@@ -258,8 +261,8 @@ class TestRunEpisode:
         cfg = WorldConfig()
         xa, xd = sample_initial_positions(Rng(5), min_separation=cfg.tau)
         kept = run_episode(xa, xd, defender, attacker, cfg, 5)
-        assert [rec.t for rec in kept.trajectory] == list(range(kept.end_time + 1))
-        assert kept.trajectory[-1].y is None
+        assert [rec[0] for rec in kept.trajectory] == list(range(kept.end_time + 1))
+        assert Record(*kept.trajectory[-1]).y is None
         streamed = []
         result = run_episode(xa, xd, defender, attacker, cfg, 5, sink=streamed.append)
         assert streamed == kept.trajectory
@@ -281,15 +284,15 @@ class TestRunEpisode:
         for seed in range(4):
             xa, xd = sample_initial_positions(Rng(seed), min_separation=cfg.tau)
             result = run_episode(xa, xd, defender, attacker, cfg, seed)
-            state = EpisodeState(t=0, xa=xa, xd=xd, rng=Rng(seed))
+            state = EpisodeState(t=0, xa=as_pair(xa), xd=as_pair(xd), rng=Rng(seed))
             records = []
             outcome = outcome_of(0, xa, xd, cfg)
             while outcome is None:
                 records.append(step_of(state, defender, attacker, cfg))
-                outcome = outcome_of(state.t, state.xa, state.xd, cfg)
+                outcome = outcome_of(state.t, Vec2(*state.xa), Vec2(*state.xd), cfg)
             assert (result.outcome, result.end_time) == (outcome, state.t)
             assert result.trajectory[:-1] == records
-            assert result.trajectory[-1][1:3] == (state.xa, state.xd)
+            assert result.trajectory[-1][1:5] == (*state.xa, *state.xd)
             longest = max(longest, draws_per_step * state.t)
         assert longest > 7
 
@@ -300,7 +303,7 @@ class TestRunEpisode:
         for trial in range(4):
             xa, xd = sample_initial_positions(Rng(1000 + trial), min_separation=cfg.tau)
             result = run_episode(xa, xd, defender, attacker, cfg, 2000 + trial)
-            traj = result.trajectory
+            traj = [Record(*rec) for rec in result.trajectory]
             assert len(traj) == result.end_time + 1
             assert [rec.t for rec in traj] == list(range(result.end_time + 1))
             final = traj[-1]
@@ -321,7 +324,8 @@ class TestRunEpisode:
             # Margin trace recomputes from recorded positions.
             for rec in traj:
                 if rec.margin is not None:
-                    assert rec.margin == pytest.approx(defense_margin(rec.xa, rec.xd), abs=1e-12)
+                    assert rec.margin == pytest.approx(
+                        defense_margin(as_pair(rec.xa), as_pair(rec.xd)), abs=1e-12)
             # Observation recorded for every live step, absent at the end.
             assert all(rec.y is not None and rec.reliability is not None for rec in traj[:-1])
             assert final.y is None and final.reliability is None
@@ -338,7 +342,7 @@ class TestRecords:
             AttackerBehavior.INTELLIGENT, cfg, 17,
         )
         assert result.end_time > 5
-        for rec in result.trajectory[:-1]:
+        for rec in map(Record._make, result.trajectory[:-1]):
             assert rec.reliability == reliability(cfg.noise, cfg.k, rec.y.distance_to(rec.xd))
 
     def test_one_reliability_per_adm_step(self, monkeypatch):
@@ -526,7 +530,7 @@ class TestExports:
             WorldConfig(), 7,
         )
         cell = trajectory_csv_text(result).splitlines()[2].split(",")[1]
-        assert cell == f"{result.trajectory[1].xa.x:.9g}"
+        assert cell == f"{Record(*result.trajectory[1]).xa_x:.9g}"
 
     def test_rows_render_each_cell_as_fmt9(self):
         """A live row's one format gives the bytes of `fmt9` cell by cell:
@@ -536,12 +540,11 @@ class TestExports:
                   9.99999999951, -99999999.97, 999999999.7, 0.999999999951, 1e-5, 1.5e300,
                   123456789.5, -0.1]
         rows = [(t, values[i:i + 8]) for t, i in zip((0, 9, 10**6, 2**40), (0, 3, 5, 7))]
-        records = [StepRecord(t, Vec2(*v[0:2]), Vec2(*v[2:4]), Vec2(*v[4:6]), v[6], v[7])
-                   for t, v in rows]
-        end = StepRecord(2**40 + 1, Vec2(-0.0, 1e16), Vec2(5e-324, 9.99999999951), None, None, None)
-        result = EpisodeResult(Outcome.CAPTURED, end.t, [*records, end])
+        records = [(t, *v) for t, v in rows]
+        end = (2**40 + 1, -0.0, 1e16, 5e-324, 9.99999999951, None, None, None, None)
+        result = EpisodeResult(Outcome.CAPTURED, end[0], [*records, end])
         expected = [",".join([str(t), *map(fmt9, v)]) for t, v in rows]
-        expected.append(f"{end.t},-0,1e+16,4.94065646e-324,10,,,,")
+        expected.append(f"{end[0]},-0,1e+16,4.94065646e-324,10,,,,")
         assert trajectory_csv_text(result).splitlines()[1:] == expected
 
     def test_summary_json(self, result):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import angles, outer_inner_pairs, separated_pairs, vec2s
+from conftest import angles, as_pair, outer_inner_pairs, separated_pairs, vec2s
 from guardian_sim.analysis import closest_point_grid_search
 from guardian_sim.engine import Outcome, WorldConfig, episode_outcome
 from guardian_sim.geometry import (
@@ -22,7 +22,7 @@ from oracles import closest_point_constrained, rotated
 
 def closest_point(xa: Vec2, xd: Vec2) -> Vec2:
     """`closest_safe_reachable_point`, handed the separation its caller holds."""
-    return closest_safe_reachable_point(xa, xd, xa.distance_to(xd))
+    return Vec2(*closest_safe_reachable_point(as_pair(xa), as_pair(xd), xa.distance_to(xd)))
 
 
 class TestVec2:
@@ -63,7 +63,8 @@ class TestIsCaptured:
     @staticmethod
     def captured(xa: Vec2, xd: Vec2) -> bool:
         cfg, separation = WorldConfig(tau=2.0), xa.distance_to(xd)
-        return episode_outcome(0, xa, xd, cfg, separation, xa.norm()) is Outcome.CAPTURED
+        outcome = episode_outcome(0, as_pair(xa), as_pair(xd), cfg, separation, xa.norm())
+        return outcome is Outcome.CAPTURED
 
     def test_boundary_inclusive(self):
         assert self.captured(Vec2(22, 0), Vec2(20, 0))
@@ -77,24 +78,24 @@ class TestIsCaptured:
 
 class TestDefenseMargin:
     def test_defender_at_origin(self):
-        assert defense_margin(Vec2(4, 0), Vec2(0, 0)) == 2.0
+        assert defense_margin((4.0, 0.0), (0.0, 0.0)) == 2.0
 
     def test_collinear(self):
-        assert defense_margin(Vec2(6, 0), Vec2(2, 0)) == 4.0
+        assert defense_margin((6.0, 0.0), (2.0, 0.0)) == 4.0
 
     def test_coincident_raises(self):
         with pytest.raises(CoincidentAgentsError):
-            defense_margin(Vec2(1, 1), Vec2(1, 1))
+            defense_margin((1.0, 1.0), (1.0, 1.0))
 
     def test_sign_flips_when_defender_outside(self):
-        assert defense_margin(Vec2(1, 0), Vec2(5, 0)) < 0.0
+        assert defense_margin((1.0, 0.0), (5.0, 0.0)) < 0.0
 
     @given(outer_inner_pairs())
     def test_margin_equals_closest_point_norm(self, pair):
         xa, xd = pair
         if xa.distance_to(xd) < 1e-9:
             return
-        rho = defense_margin(xa, xd)
+        rho = defense_margin(as_pair(xa), as_pair(xd))
         assert abs(rho - closest_point(xa, xd).norm()) <= 1e-9 * max(1.0, abs(rho))
 
     @given(outer_inner_pairs(), angles)
@@ -102,8 +103,8 @@ class TestDefenseMargin:
         xa, xd = pair
         if xa.distance_to(xd) < 1e-9:
             return
-        rho = defense_margin(xa, xd)
-        rho_rot = defense_margin(rotated(xa, theta), rotated(xd, theta))
+        rho = defense_margin(as_pair(xa), as_pair(xd))
+        rho_rot = defense_margin(as_pair(rotated(xa, theta)), as_pair(rotated(xd, theta)))
         assert rho_rot == pytest.approx(rho, abs=1e-9 * max(1.0, abs(rho)))
 
 
@@ -124,8 +125,8 @@ class TestClosestSafeReachablePoint:
         assert math.hypot(p.x - sx, p.y - sy) <= 1e-6
 
     def test_origin_when_defender_not_closer(self):
-        assert closest_point(Vec2(1, 0), Vec2(3, 0)) == ORIGIN
-        assert closest_point(Vec2(2, 0), Vec2(-2, 0)) == ORIGIN  # tie
+        assert closest_point(Vec2(1, 0), Vec2(3, 0)) == Vec2(*ORIGIN)
+        assert closest_point(Vec2(2, 0), Vec2(-2, 0)) == Vec2(*ORIGIN)  # tie
 
     def test_coincident_raises(self):
         with pytest.raises(CoincidentAgentsError):
@@ -137,7 +138,7 @@ class TestClosestSafeReachablePoint:
         if xa.distance_to(xd) < 1e-6:
             return
         p = closest_point(xa, xd)
-        if p == ORIGIN:
+        if p == Vec2(*ORIGIN):
             assert xa.norm() <= xd.norm()
         else:
             assert abs(p.distance_to(xa) - p.distance_to(xd)) <= 1e-9 * max(1.0, p.norm())

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import Normals, noise, pairs, points
+from conftest import Normals, as_pair, noise, pairs, points
 from guardian_sim import analysis, geometry, lanes, observation, strategies
 from guardian_sim.cli import main
 from guardian_sim.engine import InvalidInitializationError, WorldConfig, run_episode
@@ -35,32 +35,35 @@ PP, DM, ADM = DefenderStrategy
 LINEAR, SPIRAL, INTELLIGENT = strategies.MATRIX_ATTACKERS
 
 
-# The scalar laws, handed the norms a caller holds.  The linear and spiral
-# attackers read none of the arguments passed as None; the `scalar_*` makers
-# bind the settings and return the law of the row's points.
-def linear_attacker(xa: Vec2) -> Vec2:
-    return strategies.attacker_control(LINEAR, xa, None, None, None, None, xa.norm())
+# The scalar laws, handed the norms a caller holds and the row's points as
+# pairs.  The linear and spiral attackers read none of the arguments passed as
+# None; the `scalar_*` makers bind the settings and return the law of the row's
+# points.
+def linear_attacker(xa: Vec2):
+    return strategies.attacker_control(LINEAR, as_pair(xa), None, None, None, None, xa.norm())
 
 
-def spiral_attacker(xa: Vec2) -> Vec2:
-    return strategies.attacker_control(SPIRAL, xa, None, None, None, None, xa.norm())
+def spiral_attacker(xa: Vec2):
+    return strategies.attacker_control(SPIRAL, as_pair(xa), None, None, None, None, xa.norm())
 
 
 def scalar_intelligent(params: NoiseParams):
     return lambda xa, xd, w0, w1: strategies.attacker_control(
-        INTELLIGENT, xa, xd, params, Normals(w0, w1), xa.distance_to(xd), xa.norm())
+        INTELLIGENT, as_pair(xa), as_pair(xd), params, Normals(w0, w1), xa.distance_to(xd),
+        xa.norm())
 
 
 def scalar_defender(strategy: DefenderStrategy, params: NoiseParams, k: float):
-    return lambda y, xd: strategies.defender_control(strategy, y, xd, params, k, y.distance_to(xd))
+    return lambda y, xd: strategies.defender_control(
+        strategy, as_pair(y), as_pair(xd), params, k, y.distance_to(xd))
 
 
 def scalar_reliability(params: NoiseParams, k: float):
     return lambda y, xd: observation.reliability(params, k, y.distance_to(xd))
 
 
-def closest_point(xa: Vec2, xd: Vec2) -> Vec2:
-    return geometry.closest_safe_reachable_point(xa, xd, xa.distance_to(xd))
+def closest_point(xa: Vec2, xd: Vec2):
+    return geometry.closest_safe_reachable_point(as_pair(xa), as_pair(xd), xa.distance_to(xd))
 
 
 def bits(values) -> list[int]:
@@ -96,7 +99,8 @@ def assert_twin(twin, scalar, rows) -> None:
         except ValueError as exc:
             raised.add(type(exc))
             continue
-        expected.append((out.x, out.y) if isinstance(out, Vec2) else (out,))
+        expected.append(
+            as_pair(out) if isinstance(out, Vec2) else out if isinstance(out, tuple) else (out,))
     columns = [as_lanes(list(column)) for column in zip(*rows)]
     if raised:
         with pytest.raises(ValueError) as info:
@@ -393,7 +397,8 @@ class TestGeometryTwins:
 
     @given(lane_pairs)
     def test_defense_margin(self, rows):
-        assert_twin(lanes.defense_margin, geometry.defense_margin, rows)
+        assert_twin(lanes.defense_margin,
+                    lambda xa, xd: geometry.defense_margin(as_pair(xa), as_pair(xd)), rows)
 
     @given(lane_pairs)
     def test_closest_safe_reachable_point(self, rows):
@@ -402,7 +407,7 @@ class TestGeometryTwins:
 
     def test_target_is_the_origin_when_rho_is_not_positive(self):
         rows = [(Vec2(1.0, 2.0), Vec2(3.0, -4.0)), (Vec2(5.0, 0.0), Vec2(0.0, 5.0))]
-        assert all(geometry.defense_margin(y, xd) <= 0.0 for y, xd in rows)
+        assert all(geometry.defense_margin(as_pair(y), as_pair(xd)) <= 0.0 for y, xd in rows)
         assert_twin(lambda y, xd: lanes.closest_safe_reachable_point(y, xd, apart(y, xd)),
                     closest_point, rows)
         assert_twin(lambda y, xd: lanes.defender_control(DM, y, xd, NOISELESS, 0.5),
@@ -420,7 +425,7 @@ class TestObservationTwins:
         assert_twin(
             lambda xa, xd, w0, w1: lanes.observe(xa, params, np.array((w0, w1)), apart(xa, xd)),
             lambda xa, xd, w0, w1: observation.observe(
-                xa, params, Normals(w0, w1), xa.distance_to(xd)),
+                as_pair(xa), params, Normals(w0, w1), xa.distance_to(xd)),
             rows,
         )
 
@@ -501,7 +506,7 @@ class TestStrategyTwins:
         rows = [(Vec2(30.0, 0.0), Vec2(30.0, 1e-13), 0.0, 0.0),   # away shorter than 1e-12
                 (Vec2(30.0, 0.0), Vec2(29.0, 0.0), 0.0, 0.0)]     # blend exactly zero
         for row in rows:
-            assert scalar_intelligent(NOISELESS)(*row) == Vec2(-1.0, -0.0)
+            assert Vec2(*scalar_intelligent(NOISELESS)(*row)) == Vec2(-1.0, -0.0)
         assert_twin(
             lambda xa, xd, w0, w1: lane_intelligent_attacker(
                 xa, xd, NOISELESS, np.array((w0, w1)), apart(xa, xd), lanes.hypot(*xa)),
@@ -564,33 +569,39 @@ class TestStrategyTwins:
 
         twins = [
             (lambda a, b, w, sep, n: lanes.observe(a, params, w, sep),
-             lambda a, b, w, sep, n: observation.observe(a, params, w, sep)),
+             lambda a, b, w, sep, n: observation.observe(as_pair(a), params, w, sep)),
             (lambda a, b, w, sep, n: lanes.reliability(params, k, sep),
              lambda a, b, w, sep, n: observation.reliability(params, k, sep)),
             (lambda a, b, w, sep, n: lanes.defense_margin(a, b, sep),
-             lambda a, b, w, sep, n: geometry.defense_margin(a, b, sep)),
+             lambda a, b, w, sep, n: geometry.defense_margin(as_pair(a), as_pair(b), sep)),
             (lambda a, b, w, sep, n: lanes.closest_safe_reachable_point(a, b, sep),
-             lambda a, b, w, sep, n: geometry.closest_safe_reachable_point(a, b, sep)),
+             lambda a, b, w, sep, n: geometry.closest_safe_reachable_point(
+                 as_pair(a), as_pair(b), sep)),
             (lambda a, b, w, sep, n: lanes._unit(a - b, n=sep),
-             lambda a, b, w, sep, n: strategies.defender_control(PP, a, b, params, k, sep)),
+             lambda a, b, w, sep, n: strategies.defender_control(
+                 PP, as_pair(a), as_pair(b), params, k, sep)),
             (lambda a, b, w, sep, n: lanes._unit(lanes.dm_heading(a, b, sep)),
-             lambda a, b, w, sep, n: strategies.defender_control(DM, a, b, params, k, sep)),
+             lambda a, b, w, sep, n: strategies.defender_control(
+                 DM, as_pair(a), as_pair(b), params, k, sep)),
             (lambda a, b, w, sep, n: lanes.linear_attacker(a, n),
-             lambda a, b, w, sep, n: strategies.attacker_control(LINEAR, a, b, params, w, sep, n)),
+             lambda a, b, w, sep, n: strategies.attacker_control(
+                 LINEAR, as_pair(a), as_pair(b), params, w, sep, n)),
             (lambda a, b, w, sep, n: lane_spiral_attacker(a, n),
-             lambda a, b, w, sep, n: strategies.attacker_control(SPIRAL, a, b, params, w, sep, n)),
+             lambda a, b, w, sep, n: strategies.attacker_control(
+                 SPIRAL, as_pair(a), as_pair(b), params, w, sep, n)),
             (lambda a, b, w, sep, n: lane_intelligent_attacker(a, b, params, w, sep, n),
              lambda a, b, w, sep, n: strategies.attacker_control(
-                 INTELLIGENT, a, b, params, w, sep, n)),
+                 INTELLIGENT, as_pair(a), as_pair(b), params, w, sep, n)),
             # The pieces the matrix kernel composes.
             (lambda a, b, w, sep, n: lanes._unit(a, n=n),
              lambda a, b, w, sep, n: strategies._unit(a.x, a.y, strategies._EPS_DIRECTION, n)),
             (lambda a, b, w, sep, n: lanes.dm_heading(a, b, sep),
-             lambda a, b, w, sep, n: geometry.closest_safe_reachable_point(a, b, sep) - b),
+             lambda a, b, w, sep, n: Vec2(*geometry.closest_safe_reachable_point(
+                 as_pair(a), as_pair(b), sep)) - b),
             (lambda a, b, w, sep, n: lanes.spiral_heading(a, n),
              lambda a, b, w, sep, n: spiral_heading(a, n)),
             (lambda a, b, w, sep, n: lanes.intelligent_away(a, b, params, w, sep),
-             lambda a, b, w, sep, n: a - observation.observe(b, params, w, sep)),
+             lambda a, b, w, sep, n: a - Vec2(*observation.observe(as_pair(b), params, w, sep))),
             (lambda a, b, w, sep, n: lanes.intelligent_heading(a, b, n),
              lambda a, b, w, sep, n: intelligent_heading(a, b, n)),
         ]
@@ -605,7 +616,7 @@ def test_one_step_margin_change(rows, strategy, params, k):
         lambda xa, xd, w0, w1, motion: lanes.one_step_margin_change(
             xa, xd, strategy, params, k, np.array((w0, w1)), motion),
         lambda xa, xd, w0, w1, motion: analysis.one_step_margin_change(
-            xa, xd, strategy, params, k, Normals(w0, w1), motion),
+            as_pair(xa), as_pair(xd), strategy, params, k, Normals(w0, w1), as_pair(motion)),
         rows,
     )
 
@@ -665,16 +676,19 @@ def test_strided_views_give_the_bits_of_contiguous_copies(rows, strategy, params
 
 class TestRefusals:
     """A coincident lane makes the whole array call raise, as the scalar
-    code does.  The scalar code's one other refusal, a non-finite
-    observation (`Vec2`), is refused before any twin runs, by the bounds in
-    the `lanes` docstring; the tests below keep it and name the tests of the
-    up-front checks."""
+    code does.  Neither the twins nor the scalar laws, which work on plain
+    pairs, test an observation for finiteness: the bounds in the `lanes`
+    docstring refuse, before the first draw, any noise that could overflow
+    one, by `WorldConfig`'s bound
+    (`test_cli.py::TestRunCommand::test_huge_noise_exits_two_before_the_episode`)
+    and the estimator's (`test_huge_noise_refused_by_the_estimator` below and
+    `test_margin_table_refuses_noise_that_could_overflow_before_drawing`)."""
 
     def test_coincident_lane(self):
         xa = np.array([[30.0, 20.0], [0.0, 5.0]])
         xd = np.array([[1.0, 20.0], [2.0, 5.0]])
         with pytest.raises(CoincidentAgentsError):
-            geometry.defense_margin(Vec2(20.0, 5.0), Vec2(20.0, 5.0))
+            geometry.defense_margin((20.0, 5.0), (20.0, 5.0))
         with pytest.raises(CoincidentAgentsError):
             lanes.defense_margin(xa, xd)
         with pytest.raises(CoincidentAgentsError):
@@ -682,15 +696,6 @@ class TestRefusals:
         with pytest.raises(CoincidentAgentsError):
             lanes.one_step_margin_change(xa, xd, DefenderStrategy.PURE_PURSUIT, NOISELESS, 0.5,
                                          np.zeros((2, 2)), lanes.linear_attacker(xa))
-
-    def test_non_finite_observation(self):
-        """Up front: `WorldConfig`'s noise bound
-        (`test_cli.py::TestRunCommand::test_huge_noise_exits_two_before_the_episode`)
-        and the estimator's
-        (`test_margin_table_refuses_noise_that_could_overflow_before_drawing`)."""
-        params = NoiseParams(beta_d=1.0)
-        with pytest.raises(ValueError, match="non-finite"):
-            observation.observe(Vec2(1e308, 0.0), params, Normals(2.0, 0.0), 1e308)
 
     def test_origin_attacker_and_bad_half_width(self):
         """Up front: no twin, and no scalar law, sees an attacker within 1e-12
@@ -712,14 +717,10 @@ class TestRefusals:
                 analysis.estimate_mean_margin_change(ADM, NOISELESS, k, 100, Rng(0))
 
     def test_huge_noise_refused_by_the_estimator(self):
-        """With beta = 1e308 every observation overflows: the scalar step
-        raises, and the block estimator refuses the noise before its first
-        draw, instead of averaging infinities."""
+        """With beta = 1e308 every observation overflows: the block estimator
+        refuses the noise before its first draw, instead of averaging
+        infinities."""
         params = NoiseParams(beta_d=1e308)
-        xa = Vec2(30.0, 0.0)
-        with pytest.raises(ValueError, match="non-finite"):
-            analysis.one_step_margin_change(xa, Vec2(0.0, 0.0), DefenderStrategy.PURE_PURSUIT,
-                                            params, 0.5, Rng(0), linear_attacker(xa))
         for strategy in DefenderStrategy:
             with pytest.raises(ValueError, match=r"noise too large: beta=1e\+308"):
                 analysis.estimate_mean_margin_change(strategy, params, 0.5, 100, Rng(0))

@@ -13,6 +13,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import oracles
+from conftest import Record
 from guardian_sim.analysis import MATRIX_PAIRS, trial_seeds
 from guardian_sim.engine import (
     TRAJECTORY_HEADER,
@@ -43,7 +44,7 @@ step_caps = st.one_of(st.sampled_from([1, 1000, 1000.0, 10**20]), st.integers(1,
 seeds = st.one_of(st.sampled_from([0, 2**64 - 1, 2**70]), st.integers(0, 2**128))
 finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                    st.sampled_from([-0.0, 5e-324, 9.99999999951, 1e16, 0.999999999951]))
-vectors = st.builds(Vec2, finite, finite)
+vectors = st.tuples(finite, finite)
 
 
 @st.composite
@@ -115,8 +116,8 @@ def test_equal_worlds_render_their_own_settings(plain, variant, order):
                 max_size=5),
        st.integers(0, 2**40), vectors, vectors, st.one_of(st.none(), finite))
 def test_rows_match_the_oracle(live, end_t, end_xa, end_xd, end_margin):
-    records = [StepRecord(t, xa, xd, y, margin, rel) for t, xa, xd, y, margin, rel in live]
-    records.append(StepRecord(end_t, end_xa, end_xd, None, end_margin, None))
+    records = [(t, *xa, *xd, *y, margin, rel) for t, xa, xd, y, margin, rel in live]
+    records.append((end_t, *end_xa, *end_xd, None, None, end_margin, None))
     assert_renders_as_oracle(records)
 
 
@@ -149,7 +150,7 @@ def test_edge_episodes_match_the_oracle(xa, xd, criterion, outcome, steps):
     kept = run_episode(Vec2(*xa), Vec2(*xd), DefenderStrategy.PURE_PURSUIT,
                        AttackerBehavior.STATIC, cfg, 0)
     assert (kept.outcome, kept.end_time) == (outcome, steps)
-    end = kept.trajectory[-1]
+    end = Record(*kept.trajectory[-1])
     assert (end.margin is None) == (outcome is Outcome.CAPTURED)
     assert_renders_as_oracle(kept.trajectory)
     assert summary_json_text(kept, cfg, 0) == oracles.summary_json_text(kept, cfg, 0)

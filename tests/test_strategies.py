@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import Normals, angles, noise, pairs, points
+from conftest import Normals, angles, as_pair, noise, pairs, points
 from guardian_sim import engine, lanes, observation, strategies
 from guardian_sim.analysis import closest_point_grid_search
 from guardian_sim.geometry import Vec2, closest_safe_reachable_point, defense_margin
@@ -33,35 +33,44 @@ from oracles import (
 
 NOISELESS = NoiseParams(beta_b=0.0, beta_d=0.0, beta_v=0.0, nu=1.0)
 
-# Each law through its dispatcher, handed the norms a caller holds.  Pursuit,
-# margin keeping and the linear and spiral attackers read none of the
-# arguments passed as None.
+# Each law through its dispatcher, handed the norms a caller holds, and the
+# points as pairs; the heading comes back as a Vec2.  Pursuit, margin keeping
+# and the linear and spiral attackers read none of the arguments passed as None.
 
 
 def pp_control(y: Vec2, xd: Vec2) -> Vec2:
-    return defender_control(DefenderStrategy.PURE_PURSUIT, y, xd, None, None, y.distance_to(xd))
+    return Vec2(*defender_control(
+        DefenderStrategy.PURE_PURSUIT, as_pair(y), as_pair(xd), None, None, y.distance_to(xd)))
 
 
 def dm_control(y: Vec2, xd: Vec2) -> Vec2:
-    return defender_control(DefenderStrategy.DEFENSE_MARGIN, y, xd, None, None, y.distance_to(xd))
+    return Vec2(*defender_control(
+        DefenderStrategy.DEFENSE_MARGIN, as_pair(y), as_pair(xd), None, None, y.distance_to(xd)))
 
 
 def adm_control(y: Vec2, xd: Vec2, params: NoiseParams, k: float) -> Vec2:
-    return defender_control(
-        DefenderStrategy.ADJUSTED_DEFENSE_MARGIN, y, xd, params, k, y.distance_to(xd))
+    return Vec2(*defender_control(DefenderStrategy.ADJUSTED_DEFENSE_MARGIN, as_pair(y),
+                                  as_pair(xd), params, k, y.distance_to(xd)))
 
 
 def linear_attacker(xa: Vec2) -> Vec2:
-    return attacker_control(AttackerBehavior.LINEAR, xa, None, None, None, None, xa.norm())
+    return Vec2(*attacker_control(
+        AttackerBehavior.LINEAR, as_pair(xa), None, None, None, None, xa.norm()))
 
 
 def spiral_attacker(xa: Vec2) -> Vec2:
-    return attacker_control(AttackerBehavior.SPIRAL, xa, None, None, None, None, xa.norm())
+    return Vec2(*attacker_control(
+        AttackerBehavior.SPIRAL, as_pair(xa), None, None, None, None, xa.norm()))
 
 
 def intelligent_attacker(xa: Vec2, xd: Vec2, params: NoiseParams, rng) -> Vec2:
-    return attacker_control(
-        AttackerBehavior.INTELLIGENT, xa, xd, params, rng, xa.distance_to(xd), xa.norm())
+    return Vec2(*attacker_control(AttackerBehavior.INTELLIGENT, as_pair(xa), as_pair(xd), params,
+                                  rng, xa.distance_to(xd), xa.norm()))
+
+
+def as_vec2(out):
+    """A law's result as the tests compare it: a pair as a Vec2, a number as is."""
+    return Vec2(*out) if isinstance(out, tuple) else out
 
 
 def refuse_world(behavior: AttackerBehavior, r_safe: float) -> None:
@@ -265,7 +274,8 @@ class TestDispatchAndNorms:
     def test_defender_controls_admissible(self, strategy, yx, yy, dx, dy):
         y, xd = Vec2(yx, yy), Vec2(dx, dy)
         assume(y.distance_to(xd) > 1e-6)
-        u = defender_control(strategy, y, xd, NoiseParams(), 0.5, y.distance_to(xd))
+        u = Vec2(*defender_control(
+            strategy, as_pair(y), as_pair(xd), NoiseParams(), 0.5, y.distance_to(xd)))
         assert u.norm() <= 1.0 + 1e-12
         assert u.norm() == pytest.approx(1.0, abs=1e-9)  # non-degenerate inputs: full speed
 
@@ -277,14 +287,15 @@ class TestDispatchAndNorms:
     def test_attacker_controls_admissible(self, behavior, r, phi):
         xa = Vec2.from_polar(r, phi)
         xd = Vec2(0.5, -0.5)
-        u = attacker_control(
-            behavior, xa, xd, NoiseParams(), Rng(1), xa.distance_to(xd), xa.norm())
+        u = Vec2(*attacker_control(
+            behavior, as_pair(xa), as_pair(xd), NoiseParams(), Rng(1), xa.distance_to(xd),
+            xa.norm()))
         assert u.norm() <= 1.0 + 1e-12
 
     def test_static_stub_is_motionless(self):
         xa = Vec2(9, 9)
-        u = attacker_control(AttackerBehavior.STATIC, xa, Vec2(0, 0), NoiseParams(), Rng(0),
-                             xa.norm(), xa.norm())
+        u = Vec2(*attacker_control(AttackerBehavior.STATIC, as_pair(xa), (0.0, 0.0),
+                                   NoiseParams(), Rng(0), xa.norm(), xa.norm()))
         assert u == Vec2(0, 0)
 
 
@@ -303,7 +314,7 @@ def _bits_or_error(fn):
         out = fn()
     except ValueError as exc:
         return type(exc)
-    values = [out.x, out.y] if isinstance(out, Vec2) else np.ravel(out).tolist()
+    values = np.ravel(out).tolist()
     return [float(v).hex() for v in values]
 
 
@@ -316,6 +327,7 @@ def assert_held_norms_match_the_twins(xa, xd, y, params, k, w) -> None:
     the engine refuses any world in which a live attacker could stand at xa."""
     separation, distance, n = xa.distance_to(xd), y.distance_to(xd), xa.norm()
     a, d, yl, normals = _lane(xa), _lane(xd), _lane(y), np.array([[w[0]], [w[1]]])
+    xa, xd, y = as_pair(xa), as_pair(xd), as_pair(y)
     s_lane, d_lane, n_lane = (np.array([v]) for v in (separation, distance, n))
     checks = [
         (partial(observe, xa, params, Normals(*w), separation),
@@ -433,22 +445,23 @@ class TestHeldNorms:
         scale = 1.0 / (away.norm() * away.norm())
         intelligent = unit(away.x * scale + to_origin.x, away.y * scale + to_origin.y)
         margin = (xa.norm_sq() - xd.norm_sq()) / (2.0 * s)
+        pa, pd, py = as_pair(xa), as_pair(xd), as_pair(y)
         cases = [
-            (partial(defense_margin, xa, xd), s, true_s, margin),
-            (partial(closest_safe_reachable_point, y, xd), d, true_d, target),
-            (partial(observe, xa, params, Normals(*w)), s, true_s, seen(xa, s)),
+            (partial(defense_margin, pa, pd), s, true_s, margin),
+            (partial(closest_safe_reachable_point, py, pd), d, true_d, target),
+            (partial(observe, pa, params, Normals(*w)), s, true_s, seen(xa, s)),
             (partial(reliability, params, k), d, true_d, p),
         ]
-        cases += [(partial(defender_control, strategy, y, xd, params, k), d, true_d, want)
+        cases += [(partial(defender_control, strategy, py, pd, params, k), d, true_d, want)
                   for strategy, want in zip(DefenderStrategy, (pp, dm, adm))]
-        cases += [(partial(attacker_control, b, xa, xd, params, Normals(*w), s), n, true_n, want)
+        cases += [(partial(attacker_control, b, pa, pd, params, Normals(*w), s), n, true_n, want)
                   for b, want in zip(MATRIX_ATTACKERS, (to_origin, spiral, intelligent))]
         assert rho > 0.0
         for fn, held, true, want in cases:
-            assert fn(held) == want, fn
-            assert fn(true) != want, fn
-        intelligent_at_true_s = attacker_control(
-            AttackerBehavior.INTELLIGENT, xa, xd, params, Normals(*w), true_s, n)
+            assert as_vec2(fn(held)) == want, fn
+            assert as_vec2(fn(true)) != want, fn
+        intelligent_at_true_s = Vec2(*attacker_control(
+            AttackerBehavior.INTELLIGENT, pa, pd, params, Normals(*w), true_s, n))
         assert intelligent_at_true_s != intelligent
 
     def test_the_fallback_cases_reach_their_fallbacks(self):
