@@ -167,7 +167,8 @@ def one_step_margin_change(
     before = defense_margin(xa, xd, separation)
     y = observe(xa, params, rng, separation)
     udx, udy = defender_control(strategy, y, xd, params, k, math.hypot(y[0] - dx, y[1] - dy))
-    return defense_margin((ax + mx, ay + my), (dx + udx, dy + udy)) - before
+    ax, ay, dx, dy = ax + mx, ay + my, dx + udx, dy + udy
+    return defense_margin((ax, ay), (dx, dy), math.hypot(ax - dx, ay - dy)) - before
 
 
 def estimate_mean_margin_change(
@@ -205,8 +206,9 @@ def estimate_mean_margin_change(
                   gen.standard_normal((m, 2)).T) for m in sizes]
         ra, aa, rd, ad, normals = map(np.hstack, zip(*draws))  # the normals as (2, n)
         xa, xd = lanes.from_polar(ra, aa), lanes.from_polar(rd, ad)
+        motion = lanes.linear_attacker(xa, lanes.hypot(*xa))
         changes = lanes.one_step_margin_change(
-            xa, xd, strategy, params, k, normals, lanes.linear_attacker(xa))
+            xa, xd, strategy, params, k, normals, motion, lanes.hypot(*(xa - xd)))
         for delta in np.split(changes, sizes[:-1]):  # each block in turn
             m = len(delta)
             block_mean = float(delta.mean())
@@ -241,11 +243,15 @@ def closest_point_grid_search(xa: Vec2, xd: Vec2, resolution: float = 1e-3) -> V
     tangent = Vec2(-normal.y, normal.x)
     half_span = mid.norm() + 1.0
     steps = np.arange(-half_span, half_span + resolution, resolution)
-    px = mid.x + steps * tangent.x
-    py = mid.y + steps * tangent.y
-    norms = np.hypot(px, py)
-    best = int(np.argmin(norms))
-    return Vec2(float(px[best]), float(py[best]))
+
+    def norms(s):
+        return np.hypot(mid.x + s * tangent.x, mid.y + s * tangent.y)
+
+    # ||mid + s * tangent|| is convex in s, so the lattice's first minimum lies
+    # within 64 points of the first minimum over every 64th point.
+    lo = max(int(np.argmin(norms(steps[::64]))) * 64 - 64, 0)
+    s = float(steps[lo + int(np.argmin(norms(steps[lo:lo + 129])))])
+    return Vec2(mid.x + s * tangent.x, mid.y + s * tangent.y)
 
 
 # ---------------------------------------------------------------------------
@@ -426,16 +432,16 @@ def run_matrix_block(
             lanes.spiral_heading(xa.take(leads, axis=1), radius[leads]) if len(leads) else none,
             lanes.intelligent_heading(away, origin_on, away_norm) if len(on) else none)
         norms = lanes.hypots(*headings)
-        pp_dir, dm_dir = lanes._unit(sight, n=distance), lanes._unit(headings[0], n=norms[0])
+        pp_dir, dm_dir = lanes._unit(sight, distance), lanes._unit(headings[0], norms[0])
         ud = np.concatenate((pp_dir[:, :dm], dm_dir), axis=1)
         # Row by row: a row's scatter is numpy's fast path, a (2, N) one is not.
-        ua[0][spiral], ua[1][spiral] = lanes._unit(headings[1], n=norms[1]).take(gather, axis=1)
-        ua[0][on], ua[1][on] = lanes._unit(headings[2], lanes._EPS_BLEND, origin_on, norms[2])
+        ua[0][spiral], ua[1][spiral] = lanes._unit(headings[1], norms[1]).take(gather, axis=1)
+        ua[0][on], ua[1][on] = lanes._unit(headings[2], norms[2], lanes._EPS_BLEND, origin_on)
         if adm < n:  # round 3, on the last run of lanes
             adm_dm = dm_dir[:, adm - dm:]
             p = lanes.reliability(noise, k, distance[adm:])
             blend = lanes.adm_heading(pp_dir[:, adm:], adm_dm, p)
-            ud[:, adm:] = lanes._unit(blend, lanes._EPS_BLEND, adm_dm, lanes.hypot(*blend))
+            ud[:, adm:] = lanes._unit(blend, lanes.hypot(*blend), lanes._EPS_BLEND, adm_dm)
         # Positions stay within r_interest + max_steps of the origin, so the
         # moves need no finiteness check.
         xa, xd = xa + ua, xd + ud
@@ -558,8 +564,9 @@ def check_one_step_gains(n: int = 10_000, seed: int = 0) -> tuple[CheckResult, C
         rows.append((xa.x, xa.y, xd.x, xd.y, *rng.normal_pair(1.0)))
     xa, xd, normals = np.array(rows).reshape(n, 3, 2).transpose(1, 2, 0)
     exact = NoiseParams(beta_b=0.0, beta_d=0.0, beta_v=0.0, nu=1.0)
+    still, separation = np.zeros((2, n)), lanes.hypot(*(xa - xd))
     pp, dm = (
-        lanes.one_step_margin_change(xa, xd, strategy, exact, 0.5, normals, np.zeros((2, n)))
+        lanes.one_step_margin_change(xa, xd, strategy, exact, 0.5, normals, still, separation)
         for strategy in (DefenderStrategy.PURE_PURSUIT, DefenderStrategy.DEFENSE_MARGIN))
     worst = float(np.abs(pp - 0.5).max(initial=0.0))
     violations = int((dm < 0.5 - 1e-9).sum())

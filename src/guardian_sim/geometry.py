@@ -4,7 +4,7 @@ Everything lives in R^2. The safe zone and the zone of interest are
 origin-centered disks; the defense margin measures how far from the origin
 the attacker could still be intercepted, assuming both agents move at the
 same unit speed.  A caller hands in the separation of the two agents it
-holds, as ``distance``; only `defense_margin` may omit it.
+holds, as ``distance``.
 
 The scalar laws here and in `observation`, `strategies` and `engine` take and
 return a vector as a plain ``(x, y)`` pair of floats (`Pair`), as their `lanes`
@@ -90,16 +90,15 @@ class Vec2:
 ORIGIN = (0.0, 0.0)
 
 
-def _margin(xa: Pair, xd: Pair, what: str, distance: float | None) -> tuple[float, float]:
-    """The margin formula and the separation it divides by."""
-    (ax, ay), (dx, dy) = xa, xd
-    separation = math.hypot(ax - dx, ay - dy) if distance is None else distance
-    if separation == 0.0:
+def _margin(xa: Pair, xd: Pair, what: str, distance: float) -> float:
+    """The margin formula."""
+    if distance == 0.0:
         raise CoincidentAgentsError(f"{what} undefined for coincident agents")
-    return (ax * ax + ay * ay - (dx * dx + dy * dy)) / (2.0 * separation), separation
+    (ax, ay), (dx, dy) = xa, xd
+    return (ax * ax + ay * ay - (dx * dx + dy * dy)) / (2.0 * distance)
 
 
-def defense_margin(xa: Pair, xd: Pair, distance: float | None = None) -> float:
+def defense_margin(xa: Pair, xd: Pair, distance: float) -> float:
     """Signed distance from the origin to the set of points the attacker can
     reach before the defender.
 
@@ -107,7 +106,7 @@ def defense_margin(xa: Pair, xd: Pair, distance: float | None = None) -> float:
     (then it equals the distance to the perpendicular bisector of the
     attacker-defender segment); negative or zero otherwise.
     """
-    return _margin(xa, xd, "defense margin", distance)[0]
+    return _margin(xa, xd, "defense margin", distance)
 
 
 def closest_safe_reachable_point(xa: Pair, xd: Pair, distance: float) -> Pair:
@@ -119,7 +118,7 @@ def closest_safe_reachable_point(xa: Pair, xd: Pair, distance: float) -> Pair:
     in the half-plane (||xa|| <= ||xd||) the answer is the origin; otherwise
     it is the foot of the perpendicular from the origin onto the bisector.
     """
-    rho, separation = _margin(xa, xd, "safe reachable set", distance)
+    rho = _margin(xa, xd, "safe reachable set", distance)
     if rho <= 0.0:
         return ORIGIN
-    return (xa[0] - xd[0]) / separation * rho, (xa[1] - xd[1]) / separation * rho
+    return (xa[0] - xd[0]) / distance * rho, (xa[1] - xd[1]) / distance * rho

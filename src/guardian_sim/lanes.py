@@ -28,9 +28,8 @@ tested with `np.count_nonzero`, about 1 us a call cheaper than ``.any()``.
 
 A twin takes only what it reads, and one that reads a norm is handed it as
 `hypot`'s bits: ``distance`` (the separation of the two points), ``n`` (the
-norm of the one vector) or ``dist`` (that of ``away``).  Only the margin
-estimator's `defense_margin`, `linear_attacker` and `_unit` may omit it.  Each
-control is `_unit` of a heading, a piece `analysis.run_matrix_block` composes too.
+norm of the one vector) or ``dist`` (that of ``away``).  Each control is
+`_unit` of a heading, a piece `analysis.run_matrix_block` composes too.
 """
 from __future__ import annotations
 
@@ -141,23 +140,21 @@ def from_polar(radius, angle):
     return radius * np.array((np.cos(angle), np.sin(angle)))
 
 
-def _margin(xa, xd, what: str, separation=None):
-    """The scalar margin formula and the separation it divides by."""
-    if separation is None:
-        separation = hypot(*(xa - xd))
+def _margin(xa, xd, what: str, separation):
+    """The scalar margin formula."""
     if np.count_nonzero(separation == 0.0):
         raise CoincidentAgentsError(f"{what} undefined for coincident agents")
     sq_a, sq_d = xa * xa, xd * xd
-    return ((sq_a[0] + sq_a[1]) - (sq_d[0] + sq_d[1])) / (2.0 * separation), separation
+    return ((sq_a[0] + sq_a[1]) - (sq_d[0] + sq_d[1])) / (2.0 * separation)
 
 
-def defense_margin(xa, xd, distance=None):
-    return _margin(xa, xd, "defense margin", distance)[0]
+def defense_margin(xa, xd, distance):
+    return _margin(xa, xd, "defense margin", distance)
 
 
 def closest_safe_reachable_point(xa, xd, distance):
-    rho, separation = _margin(xa, xd, "safe reachable set", distance)
-    return np.where(rho <= 0.0, 0.0, (xa - xd) / separation * rho)
+    rho = _margin(xa, xd, "safe reachable set", distance)
+    return np.where(rho <= 0.0, 0.0, (xa - xd) / distance * rho)
 
 
 def observe(xa, params: NoiseParams, normals, distance):
@@ -184,9 +181,8 @@ def hypots(*vectors):
     return [norms[i:j] for i, j in zip(ends, ends[1:])]
 
 
-def _unit(v, eps: float = _EPS_DIRECTION, fallback=0.0, n=None):
-    """v / ||v||, or `fallback` on lanes where ||v|| < eps."""
-    n = hypot(*v) if n is None else n
+def _unit(v, n, eps: float = _EPS_DIRECTION, fallback=0.0):
+    """v / n, n being ||v||, or `fallback` on lanes where n < eps."""
     small = n < eps
     if not np.count_nonzero(small):
         return v / n
@@ -206,16 +202,17 @@ def defender_control(strategy: DefenderStrategy, y, xd, params: NoiseParams, k: 
     sight = y - xd
     distance = hypot(*sight)
     if strategy is DefenderStrategy.PURE_PURSUIT:
-        return _unit(sight, n=distance)
-    dm_dir = _unit(dm_heading(y, xd, distance))
+        return _unit(sight, distance)
+    heading = dm_heading(y, xd, distance)
+    dm_dir = _unit(heading, hypot(*heading))
     if strategy is DefenderStrategy.DEFENSE_MARGIN:
         return dm_dir
-    p = reliability(params, k, distance)
-    return _unit(adm_heading(_unit(sight, n=distance), dm_dir, p), _EPS_BLEND, dm_dir)
+    blend = adm_heading(_unit(sight, distance), dm_dir, reliability(params, k, distance))
+    return _unit(blend, hypot(*blend), _EPS_BLEND, dm_dir)
 
 
-def linear_attacker(xa, n=None):
-    return -xa / (hypot(*xa) if n is None else n)
+def linear_attacker(xa, n):
+    return -xa / n
 
 
 def spiral_heading(xa, n):
@@ -235,10 +232,10 @@ def intelligent_heading(away, to_origin, dist):
 
 
 def one_step_margin_change(
-    xa, xd, strategy: DefenderStrategy, params: NoiseParams, k: float, normals, motion
+    xa, xd, strategy: DefenderStrategy, params: NoiseParams, k: float, normals, motion, separation
 ):
     """`analysis.one_step_margin_change`, with the noise given as in `observe`."""
-    before, separation = _margin(xa, xd, "defense margin")
+    before = defense_margin(xa, xd, separation)
     y = observe(xa, params, normals, separation)
-    ud = defender_control(strategy, y, xd, params, k)
-    return defense_margin(xa + motion, xd + ud) - before
+    xa, xd = xa + motion, xd + defender_control(strategy, y, xd, params, k)
+    return defense_margin(xa, xd, hypot(*(xa - xd))) - before

@@ -46,10 +46,9 @@ MATRIX_ATTACKERS = (_LINEAR, _SPIRAL, _INTELLIGENT)
 MATRIX_DEFENDERS = (_PP, _DM, _ADM)
 
 
-def _unit(x: float, y: float, eps: float, n: float | None = None) -> Pair:
-    """(x, y) / ||(x, y)||, or the zero vector when the norm is below eps."""
-    n = math.hypot(x, y) if n is None else n
-    if n < eps:
+def _unit(x: float, y: float, n: float) -> Pair:
+    """(x, y) / n, n being ||(x, y)||, or the zero vector when n is below 1e-12."""
+    if n < _EPS_DIRECTION:
         return ORIGIN
     return x / n, y / n
 
@@ -71,11 +70,12 @@ def defender_control(
         p = reliability(params, k, distance)
     dx, dy = xd
     if strategy is not _DM:
-        pp_dir = _unit(y[0] - dx, y[1] - dy, _EPS_DIRECTION, distance)
+        pp_dir = _unit(y[0] - dx, y[1] - dy, distance)
         if strategy is _PP:
             return pp_dir
     tx, ty = closest_safe_reachable_point(y, xd, distance)
-    dm_dir = _unit(tx - dx, ty - dy, _EPS_DIRECTION)
+    hx, hy = tx - dx, ty - dy
+    dm_dir = _unit(hx, hy, math.hypot(hx, hy))
     if strategy is _DM:
         return dm_dir
     q = 1.0 - p
@@ -103,7 +103,8 @@ def attacker_control(
     ax, ay = xa
     if behavior is _SPIRAL:
         angle, inner = math.atan2(ay, ax) - 1.0 / n, n - 1.0
-        return _unit(inner * math.cos(angle) - ax, inner * math.sin(angle) - ay, _EPS_DIRECTION)
+        hx, hy = inner * math.cos(angle) - ax, inner * math.sin(angle) - ay
+        return _unit(hx, hy, math.hypot(hx, hy))
     to_origin = ox, oy = -ax / n, -ay / n
     if behavior is _LINEAR:
         return to_origin

@@ -8,7 +8,7 @@ from typing import NamedTuple
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from guardian_sim.geometry import Vec2
+from guardian_sim.geometry import Vec2, defense_margin
 from guardian_sim.observation import NoiseParams
 
 
@@ -59,6 +59,11 @@ settings.load_profile("default")
 def as_pair(v: Vec2) -> tuple[float, float]:
     """`v` as the (x, y) pair the scalar laws take."""
     return v.x, v.y
+
+
+def margin_of(xa: Vec2, xd: Vec2) -> float:
+    """`geometry.defense_margin` of two `Vec2`s, handed their separation."""
+    return defense_margin(as_pair(xa), as_pair(xd), xa.distance_to(xd))
 
 
 class Record(NamedTuple):

@@ -272,7 +272,8 @@ def lane_spiral_attacker(xa, n):
     """The scalar spiral attacker (`strategies.attacker_control`) over lanes at
     the radius `n`, composed of the `lanes` pieces as `analysis.run_matrix_block`
     composes them."""
-    return lanes._unit(lanes.spiral_heading(xa, n))
+    heading = lanes.spiral_heading(xa, n)
+    return lanes._unit(heading, lanes.hypot(*heading))
 
 
 def lane_intelligent_attacker(xa, xd, params, normals, distance, n):
@@ -283,7 +284,7 @@ def lane_intelligent_attacker(xa, xd, params, normals, distance, n):
     to_origin = lanes.linear_attacker(xa, n)
     away = lanes.intelligent_away(xa, xd, params, normals, distance)
     heading = lanes.intelligent_heading(away, to_origin, lanes.hypot(*away))
-    return lanes._unit(heading, lanes._EPS_BLEND, to_origin)
+    return lanes._unit(heading, lanes.hypot(*heading), lanes._EPS_BLEND, to_origin)
 
 
 # The matrix kernel's outcome codes, by index; 0 is a live lane.
@@ -356,7 +357,8 @@ def one_block_margin_change(strategy, params: NoiseParams, k: float, n: int, rng
         )
         normals = gen.standard_normal((m, 2)).T
         delta = lanes.one_step_margin_change(
-            xa, xd, strategy, params, k, normals, lanes.linear_attacker(xa)
+            xa, xd, strategy, params, k, normals, lanes.linear_attacker(xa, lanes.hypot(*xa)),
+            lanes.hypot(*(xa - xd))
         )
         block_mean = float(delta.mean())
         gap, total = block_mean - mean, count + m

@@ -10,10 +10,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import Normals, as_pair
+from conftest import Normals, angles, as_pair, margin_of
 import guardian_sim.analysis as analysis
 from guardian_sim import lanes
 from guardian_sim.analysis import (
@@ -45,7 +45,7 @@ from guardian_sim.engine import (
     run_episode,
     sample_initial_positions,
 )
-from guardian_sim.geometry import Vec2, closest_safe_reachable_point, defense_margin
+from guardian_sim.geometry import Vec2, closest_safe_reachable_point
 from guardian_sim.observation import NoiseParams
 from guardian_sim.rng import Rng, derive_seed
 from guardian_sim.strategies import (
@@ -227,8 +227,7 @@ class TestOneStepMarginChange:
         # steps one unit toward the safe-reachable point of (xa, xd).
         target = Vec2(*closest_safe_reachable_point(as_pair(xa), as_pair(xd), xa.distance_to(xd)))
         ud = (target - xd) / (target - xd).norm()
-        expected = defense_margin(as_pair(xa), as_pair(xd + ud)) - defense_margin(
-            as_pair(xa), as_pair(xd))
+        expected = margin_of(xa, xd + ud) - margin_of(xa, xd)
         assert delta == pytest.approx(expected, abs=1e-12)
 
     def test_moving_attacker_changes_margin(self):
@@ -239,8 +238,7 @@ class TestOneStepMarginChange:
         )
         # Head-on closing: both move along the axis, margin shifts by
         # ((||xa||-1)^2 - (||xd||+1)^2) / (2(sep-2)) - rho.
-        expected = defense_margin((29.0, 0.0), (6.0, 0.0)) - defense_margin(
-            as_pair(xa), as_pair(xd))
+        expected = margin_of(Vec2(29.0, 0.0), Vec2(6.0, 0.0)) - margin_of(xa, xd)
         assert delta == pytest.approx(expected, abs=1e-12)
 
     @given(
@@ -254,7 +252,7 @@ class TestOneStepMarginChange:
         for every admissible (separation, margin, foot angle)."""
         (ax, ay), (dx, dy) = margin_config_from_frame(r, rho0, psi)
         xa, xd = Vec2(ax, ay), Vec2(dx, dy)
-        assert defense_margin(as_pair(xa), as_pair(xd)) == pytest.approx(rho0, abs=1e-7, rel=1e-9)
+        assert margin_of(xa, xd) == pytest.approx(rho0, abs=1e-7, rel=1e-9)
         delta = margin_change(
             xa, xd, DefenderStrategy.DEFENSE_MARGIN, NOISELESS, 0.5, Rng(0), STILL
         )
@@ -369,9 +367,10 @@ class TestEstimateMeanMarginChange:
         rd = gen.uniform(*MARGIN_SAMPLE_DEFENDER_RADIUS, m)
         ad = gen.uniform(-math.pi, math.pi, m)
         w = gen.standard_normal((m, 2))
-        xa = lanes.from_polar(ra, aa)
-        got = lanes.one_step_margin_change(
-            xa, lanes.from_polar(rd, ad), strategy, params, 0.5, w.T, lanes.linear_attacker(xa))
+        xa, xd = lanes.from_polar(ra, aa), lanes.from_polar(rd, ad)
+        got = lanes.one_step_margin_change(xa, xd, strategy, params, 0.5, w.T,
+                                           lanes.linear_attacker(xa, lanes.hypot(*xa)),
+                                           lanes.hypot(*(xa - xd)))
         want = []
         for i in range(m):
             a = Vec2.from_polar(float(ra[i]), float(aa[i]))
@@ -452,6 +451,39 @@ class TestClosestPointGridSearch:
     def test_coincident_raises(self):
         with pytest.raises(ValueError):
             closest_point_grid_search(Vec2(1, 1), Vec2(1, 1))
+
+    @staticmethod
+    def whole_lattice_search(xa: Vec2, xd: Vec2, resolution: float) -> tuple[int, int, Vec2]:
+        """The search in one stage over the oracle's lattice: the lattice's
+        length, the index of its first point of least norm, and that point."""
+        mid, normal = (xa + xd) * 0.5, (xa - xd) / xa.distance_to(xd)
+        tangent = Vec2(-normal.y, normal.x)
+        half_span = mid.norm() + 1.0
+        steps = np.arange(-half_span, half_span + resolution, resolution)
+        px, py = mid.x + steps * tangent.x, mid.y + steps * tangent.y
+        best = int(np.argmin(np.hypot(px, py)))
+        return len(steps), best, Vec2(float(px[best]), float(py[best]))
+
+    @given(st.floats(0.5, 60.0), st.floats(0.0, 1.0), angles, angles,
+           st.one_of(st.just(1e-3), st.floats(1e-3, 5.0)))
+    def test_two_stages_pick_the_whole_lattice_point(self, ra, fraction, aa, ad, resolution):
+        """Attacker radii 0.5-60, the defender nearer the origin, and
+        lattices from the default spacing to a few points, whose least
+        point may lie at either end."""
+        xa, xd = Vec2.from_polar(ra, aa), Vec2.from_polar(fraction * ra, ad)
+        assume(xa.norm() > xd.norm())  # otherwise the origin, with no lattice searched
+        got = closest_point_grid_search(xa, xd, resolution)
+        want = self.whole_lattice_search(xa, xd, resolution)[2]
+        assert (got.x.hex(), got.y.hex()) == (want.x.hex(), want.y.hex())
+
+    @pytest.mark.parametrize("ax, resolution, end", [(300.0, 2.23, -1), (-300.0, 2.01, 0)],
+                             ids=["last", "first"])
+    def test_a_least_point_at_either_end_of_a_long_lattice(self, ax, resolution, end):
+        xa, xd = Vec2(ax, 1.0), Vec2(ax, -0.999)
+        length, best, want = self.whole_lattice_search(xa, xd, resolution)
+        assert length > 4 * 64 and best == range(length)[end]
+        got = closest_point_grid_search(xa, xd, resolution)
+        assert (got.x.hex(), got.y.hex()) == (want.x.hex(), want.y.hex())
 
 
 class TestExperimentMatrix:
@@ -887,9 +919,8 @@ class TestChecks:
         min_gain, ax, ay, dx, dy = (float(v) for v in nums[3:8])
         assert min_gain < 0.5 - 1e-9
         xa, xd = Vec2(ax, ay), Vec2(dx, dy)
-        before = defense_margin(as_pair(xa), as_pair(xd))
-        step = dm_control(xa, xd)
-        after = defense_margin(as_pair(xa), (xd.x + step.x, xd.y + step.y))
+        before = margin_of(xa, xd)
+        after = margin_of(xa, xd + dm_control(xa, xd))
         assert after - before == pytest.approx(min_gain, abs=1e-5)
 
     @pytest.mark.parametrize("seed, results", [

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import Record, as_pair
+from conftest import Record, as_pair, margin_of
 from guardian_sim import engine, strategies
 from guardian_sim.analysis import MATRIX_PAIRS, trial_seeds
 from guardian_sim.engine import (
@@ -33,7 +33,7 @@ from guardian_sim.engine import (
     trajectory_csv_text,
 )
 from guardian_sim.fileio import fmt9, open_atomic, write_text_atomic
-from guardian_sim.geometry import Vec2, defense_margin
+from guardian_sim.geometry import Vec2
 from guardian_sim.observation import NoiseParams, reliability
 from guardian_sim.rng import NORMAL_WINDOW, Rng, seed_words, word_generator
 from guardian_sim.strategies import (
@@ -169,7 +169,7 @@ class TestEpisodeOutcome:
         # Attacker outside the safe zone but the margin has already collapsed.
         xa, xd = Vec2(12, 0), Vec2(0.5, 0)
         assert xa.norm() > cfg.r_safe
-        assert defense_margin(as_pair(xa), as_pair(xd)) <= cfg.r_safe
+        assert margin_of(xa, xd) <= cfg.r_safe
         assert outcome_of(1, xa, xd, cfg) is Outcome.BREACHED
         assert outcome_of(1, xa, xd, WorldConfig()) is None  # position rule says live
 
@@ -325,7 +325,7 @@ class TestRunEpisode:
             for rec in traj:
                 if rec.margin is not None:
                     assert rec.margin == pytest.approx(
-                        defense_margin(as_pair(rec.xa), as_pair(rec.xd)), abs=1e-12)
+                        margin_of(rec.xa, rec.xd), abs=1e-12)
             # Observation recorded for every live step, absent at the end.
             assert all(rec.y is not None and rec.reliability is not None for rec in traj[:-1])
             assert final.y is None and final.reliability is None

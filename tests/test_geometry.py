@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import angles, as_pair, outer_inner_pairs, separated_pairs, vec2s
+from conftest import angles, as_pair, margin_of, outer_inner_pairs, separated_pairs, vec2s
 from guardian_sim.analysis import closest_point_grid_search
 from guardian_sim.engine import Outcome, WorldConfig, episode_outcome
 from guardian_sim.geometry import (
@@ -78,24 +78,24 @@ class TestIsCaptured:
 
 class TestDefenseMargin:
     def test_defender_at_origin(self):
-        assert defense_margin((4.0, 0.0), (0.0, 0.0)) == 2.0
+        assert defense_margin((4.0, 0.0), (0.0, 0.0), 4.0) == 2.0
 
     def test_collinear(self):
-        assert defense_margin((6.0, 0.0), (2.0, 0.0)) == 4.0
+        assert defense_margin((6.0, 0.0), (2.0, 0.0), 4.0) == 4.0
 
     def test_coincident_raises(self):
         with pytest.raises(CoincidentAgentsError):
-            defense_margin((1.0, 1.0), (1.0, 1.0))
+            defense_margin((1.0, 1.0), (1.0, 1.0), 0.0)
 
     def test_sign_flips_when_defender_outside(self):
-        assert defense_margin((1.0, 0.0), (5.0, 0.0)) < 0.0
+        assert defense_margin((1.0, 0.0), (5.0, 0.0), 4.0) < 0.0
 
     @given(outer_inner_pairs())
     def test_margin_equals_closest_point_norm(self, pair):
         xa, xd = pair
         if xa.distance_to(xd) < 1e-9:
             return
-        rho = defense_margin(as_pair(xa), as_pair(xd))
+        rho = margin_of(xa, xd)
         assert abs(rho - closest_point(xa, xd).norm()) <= 1e-9 * max(1.0, abs(rho))
 
     @given(outer_inner_pairs(), angles)
@@ -103,8 +103,8 @@ class TestDefenseMargin:
         xa, xd = pair
         if xa.distance_to(xd) < 1e-9:
             return
-        rho = defense_margin(as_pair(xa), as_pair(xd))
-        rho_rot = defense_margin(as_pair(rotated(xa, theta)), as_pair(rotated(xd, theta)))
+        rho = margin_of(xa, xd)
+        rho_rot = margin_of(rotated(xa, theta), rotated(xd, theta))
         assert rho_rot == pytest.approx(rho, abs=1e-9 * max(1.0, abs(rho)))
 
 

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import Normals, as_pair, noise, pairs, points
+from conftest import Normals, as_pair, margin_of, noise, pairs, points
 from guardian_sim import analysis, geometry, lanes, observation, strategies
 from guardian_sim.cli import main
 from guardian_sim.engine import InvalidInitializationError, WorldConfig, run_episode
@@ -82,6 +82,11 @@ def as_lanes(column):
 def apart(a, b):
     """||a - b|| over (2, N) lanes: the norm a twin's callers hand it."""
     return lanes.hypot(*(a - b))
+
+
+def unit(v, *rest):
+    """`lanes._unit` of the (2, N) vector v, handed ||v|| as its callers hand it."""
+    return lanes._unit(v, lanes.hypot(*v), *rest)
 
 
 def rows_of(out):
@@ -397,8 +402,7 @@ class TestGeometryTwins:
 
     @given(lane_pairs)
     def test_defense_margin(self, rows):
-        assert_twin(lanes.defense_margin,
-                    lambda xa, xd: geometry.defense_margin(as_pair(xa), as_pair(xd)), rows)
+        assert_twin(lambda xa, xd: lanes.defense_margin(xa, xd, apart(xa, xd)), margin_of, rows)
 
     @given(lane_pairs)
     def test_closest_safe_reachable_point(self, rows):
@@ -407,7 +411,7 @@ class TestGeometryTwins:
 
     def test_target_is_the_origin_when_rho_is_not_positive(self):
         rows = [(Vec2(1.0, 2.0), Vec2(3.0, -4.0)), (Vec2(5.0, 0.0), Vec2(0.0, 5.0))]
-        assert all(geometry.defense_margin(as_pair(y), as_pair(xd)) <= 0.0 for y, xd in rows)
+        assert all(margin_of(y, xd) <= 0.0 for y, xd in rows)
         assert_twin(lambda y, xd: lanes.closest_safe_reachable_point(y, xd, apart(y, xd)),
                     closest_point, rows)
         assert_twin(lambda y, xd: lanes.defender_control(DM, y, xd, NOISELESS, 0.5),
@@ -481,7 +485,8 @@ class TestStrategyTwins:
     @given(st.lists(homing_points, min_size=1, max_size=8))
     @example([Vec2(1e-12, 0.0), Vec2(-0.0, -1e-12), Vec2(5e-324, 1e-12)])
     def test_linear_attacker(self, column):
-        assert_twin(lanes.linear_attacker, linear_attacker, [(p,) for p in column])
+        assert_twin(lambda xa: lanes.linear_attacker(xa, lanes.hypot(*xa)), linear_attacker,
+                    [(p,) for p in column])
 
     @given(st.lists(spiral_points, min_size=1, max_size=8))
     @example([Vec2(1.0 + 2.0**-52, 0.0), Vec2(-30.0, -0.0), Vec2(0.0, -45.5)])
@@ -513,31 +518,6 @@ class TestStrategyTwins:
             scalar_intelligent(NOISELESS),
             rows,
         )
-
-    @given(st.lists(st.tuples(homing_points, points), min_size=1, max_size=6))
-    def test_carried_norms_give_the_same_bits(self, rows):
-        """A caller that passes in the separation or the attacker radius,
-        as the matrix kernel does, gets the bits of the twin computing it:
-        the twins whose norm is optional, for the margin estimator."""
-        xa, xd = as_lanes([r[0] for r in rows]), as_lanes([r[1] for r in rows])
-        separation = lanes.hypot(xa[0] - xd[0], xa[1] - xd[1])
-        radius = lanes.hypot(*xa)
-        calls = [
-            (lanes.defense_margin, (xa, xd), {"distance": separation}),
-            (lanes.linear_attacker, (xa,), {"n": radius}),
-            (lanes._unit, (xa,), {"n": radius}),
-        ]
-        for fn, args, carried in calls:
-            outcomes = []
-            for kwargs in ({}, carried):
-                try:
-                    out = fn(*args, **kwargs)
-                except ValueError as exc:
-                    outcomes.append(type(exc))
-                else:
-                    outcomes.append([bits(c) for c in rows_of(out)])
-            assert outcomes[0] == outcomes[1], fn.__name__
-
 
     @given(st.lists(st.tuples(points, points, normals, normals, st.floats(0.5, 2.0)).filter(
         lambda row: row[4] * row[0].norm() > 1.0), min_size=1, max_size=6), noise, half_widths)
@@ -577,10 +557,10 @@ class TestStrategyTwins:
             (lambda a, b, w, sep, n: lanes.closest_safe_reachable_point(a, b, sep),
              lambda a, b, w, sep, n: geometry.closest_safe_reachable_point(
                  as_pair(a), as_pair(b), sep)),
-            (lambda a, b, w, sep, n: lanes._unit(a - b, n=sep),
+            (lambda a, b, w, sep, n: lanes._unit(a - b, sep),
              lambda a, b, w, sep, n: strategies.defender_control(
                  PP, as_pair(a), as_pair(b), params, k, sep)),
-            (lambda a, b, w, sep, n: lanes._unit(lanes.dm_heading(a, b, sep)),
+            (lambda a, b, w, sep, n: unit(lanes.dm_heading(a, b, sep)),
              lambda a, b, w, sep, n: strategies.defender_control(
                  DM, as_pair(a), as_pair(b), params, k, sep)),
             (lambda a, b, w, sep, n: lanes.linear_attacker(a, n),
@@ -593,8 +573,8 @@ class TestStrategyTwins:
              lambda a, b, w, sep, n: strategies.attacker_control(
                  INTELLIGENT, as_pair(a), as_pair(b), params, w, sep, n)),
             # The pieces the matrix kernel composes.
-            (lambda a, b, w, sep, n: lanes._unit(a, n=n),
-             lambda a, b, w, sep, n: strategies._unit(a.x, a.y, strategies._EPS_DIRECTION, n)),
+            (lambda a, b, w, sep, n: lanes._unit(a, n),
+             lambda a, b, w, sep, n: strategies._unit(a.x, a.y, n)),
             (lambda a, b, w, sep, n: lanes.dm_heading(a, b, sep),
              lambda a, b, w, sep, n: Vec2(*geometry.closest_safe_reachable_point(
                  as_pair(a), as_pair(b), sep)) - b),
@@ -614,7 +594,7 @@ class TestStrategyTwins:
 def test_one_step_margin_change(rows, strategy, params, k):
     assert_twin(
         lambda xa, xd, w0, w1, motion: lanes.one_step_margin_change(
-            xa, xd, strategy, params, k, np.array((w0, w1)), motion),
+            xa, xd, strategy, params, k, np.array((w0, w1)), motion, apart(xa, xd)),
         lambda xa, xd, w0, w1, motion: analysis.one_step_margin_change(
             as_pair(xa), as_pair(xd), strategy, params, k, Normals(w0, w1), as_pair(motion)),
         rows,
@@ -646,20 +626,20 @@ def test_strided_views_give_the_bits_of_contiguous_copies(rows, strategy, params
     f = np.array([1.0 + 0.25 * (i % 3) for i in range(len(rows))])
     calls = [
         (lambda a, b: lanes.hypots(a, b, a - b), (xa, xd)),
-        (lanes.defense_margin, (xa, xd)),
+        (lambda a, b: lanes.defense_margin(a, b, apart(a, b)), (xa, xd)),
         (lambda a, b: lanes.closest_safe_reachable_point(a, b, apart(a, b)), (xa, xd)),
         (lambda a, b, w: lanes.observe(a, params, w, apart(a, b)), (xa, xd, w)),
         (lambda a, b: lanes.reliability(params, k, apart(a, b)), (xa, xd)),
         (lambda a, b: lanes.defender_control(strategy, a, b, params, k), (xa, xd)),
         (lambda a, b: lanes.dm_heading(a, b, apart(a, b)), (xa, xd)),
         (lambda a, b: lanes.adm_heading(a, b, f / 2.0), (xa, xd)),
-        (lambda a, b: lanes._unit(a, lanes._EPS_BLEND, b), (xa - xa, xd)),
-        (lanes.linear_attacker, (xa,)),
+        (lambda a, b: unit(a, lanes._EPS_BLEND, b), (xa - xa, xd)),
+        (lambda a: lanes.linear_attacker(a, lanes.hypot(*a)), (xa,)),
         (lambda a: lanes.spiral_heading(a, lanes.hypot(*a)), (xa,)),
         (lambda a, b, w: lanes.intelligent_away(a, b, params, w, apart(a, b)), (xa, xd, w)),
         (lambda a, b: lanes.intelligent_heading(a, b, f), (xa, xd)),
-        (lambda a, b, w, m: lanes.one_step_margin_change(a, b, strategy, params, k, w, m),
-         (xa, xd, w, motion)),
+        (lambda a, b, w, m: lanes.one_step_margin_change(
+            a, b, strategy, params, k, w, m, apart(a, b)), (xa, xd, w, motion)),
     ]
     for fn, args in calls:
         outcomes = []
@@ -688,14 +668,15 @@ class TestRefusals:
         xa = np.array([[30.0, 20.0], [0.0, 5.0]])
         xd = np.array([[1.0, 20.0], [2.0, 5.0]])
         with pytest.raises(CoincidentAgentsError):
-            geometry.defense_margin((20.0, 5.0), (20.0, 5.0))
+            geometry.defense_margin((20.0, 5.0), (20.0, 5.0), 0.0)
         with pytest.raises(CoincidentAgentsError):
-            lanes.defense_margin(xa, xd)
+            lanes.defense_margin(xa, xd, apart(xa, xd))
         with pytest.raises(CoincidentAgentsError):
             lanes.defender_control(DM, xa, xd, NOISELESS, 0.5)
         with pytest.raises(CoincidentAgentsError):
-            lanes.one_step_margin_change(xa, xd, DefenderStrategy.PURE_PURSUIT, NOISELESS, 0.5,
-                                         np.zeros((2, 2)), lanes.linear_attacker(xa))
+            lanes.one_step_margin_change(
+                xa, xd, DefenderStrategy.PURE_PURSUIT, NOISELESS, 0.5, np.zeros((2, 2)),
+                lanes.linear_attacker(xa, lanes.hypot(*xa)), apart(xa, xd))
 
     def test_origin_attacker_and_bad_half_width(self):
         """Up front: no twin, and no scalar law, sees an attacker within 1e-12

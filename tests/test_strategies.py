@@ -11,7 +11,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import Normals, angles, as_pair, noise, pairs, points
-from guardian_sim import engine, lanes, observation, strategies
+from guardian_sim import engine, geometry, lanes, observation, strategies
 from guardian_sim.analysis import closest_point_grid_search
 from guardian_sim.geometry import Vec2, closest_safe_reachable_point, defense_margin
 from guardian_sim.observation import NoiseParams, noise_variance, observe, reliability
@@ -69,7 +69,10 @@ def intelligent_attacker(xa: Vec2, xd: Vec2, params: NoiseParams, rng) -> Vec2:
 
 
 def as_vec2(out):
-    """A law's result as the tests compare it: a pair as a Vec2, a number as is."""
+    """A law's result, or a one-lane twin's, as the tests compare it: a vector
+    as a Vec2, a number as a float."""
+    if isinstance(out, np.ndarray):
+        out = tuple(out[:, 0].tolist()) if out.ndim == 2 else float(out[0])
     return Vec2(*out) if isinstance(out, tuple) else out
 
 
@@ -299,8 +302,8 @@ class TestDispatchAndNorms:
         assert u == Vec2(0, 0)
 
 
-# The norms a scalar law is handed by its caller, as its `lanes` twin is.
-NORM_PARAMETERS = {"distance", "separation", "radius", "n"}
+# The norms a scalar law or a `lanes` twin is handed by its caller.
+NORM_PARAMETERS = {"distance", "separation", "radius", "n", "dist"}
 
 
 def _lane(v: Vec2) -> np.ndarray:
@@ -395,9 +398,10 @@ class TestHeldNorms:
 
     def test_scalar_laws_take_their_twins_signatures(self):
         """`observe` and `reliability` take their `lanes` twins' parameters
-        (the noise source is ``rng`` here, ``normals`` there), and no public
-        function in `observation`, `strategies` or `engine` lets a norm
-        default to None: each caller hands in the norm it holds."""
+        (the noise source is ``rng`` here, ``normals`` there), and no
+        function in `geometry`, `lanes`, `observation`, `strategies` or
+        `engine`, private helpers included, lets a norm default: each caller
+        hands in the norm it holds."""
         def names(fn) -> list[str]:
             return list(inspect.signature(fn).parameters)
 
@@ -405,16 +409,20 @@ class TestHeldNorms:
             "rng" if name == "normals" else name for name in names(lanes.observe)]
         assert names(reliability) == names(lanes.reliability)
         checked = set()
-        for module in (observation, strategies, engine):
+        for module in (geometry, lanes, observation, strategies, engine):
             for name, fn in inspect.getmembers(module, inspect.isfunction):
-                if name.startswith("_") or fn.__module__ != module.__name__:
+                if fn.__module__ != module.__name__:
                     continue
+                name = f"{module.__name__.rpartition('.')[2]}.{name}"
                 for param in inspect.signature(fn).parameters.values():
                     if param.name in NORM_PARAMETERS:
                         checked.add(name)
                         assert param.default is inspect.Parameter.empty, (name, param.name)
-        assert {"observe", "reliability", "defender_control", "attacker_control",
-                "episode_outcome", "step"} <= checked
+        assert {"observation.observe", "observation.reliability", "strategies.defender_control",
+                "strategies.attacker_control", "strategies._unit", "engine.episode_outcome",
+                "engine.step", "geometry._margin", "geometry.defense_margin", "lanes._margin",
+                "lanes.defense_margin", "lanes._unit", "lanes.linear_attacker",
+                "lanes.intelligent_heading", "lanes.one_step_margin_change"} <= checked
 
     def test_each_function_uses_the_norm_it_is_given(self):
         """Handed a deliberately wrong norm, each function returns its
@@ -456,6 +464,18 @@ class TestHeldNorms:
                   for strategy, want in zip(DefenderStrategy, (pp, dm, adm))]
         cases += [(partial(attacker_control, b, pa, pd, params, Normals(*w), s), n, true_n, want)
                   for b, want in zip(MATRIX_ATTACKERS, (to_origin, spiral, intelligent))]
+        # The margin helpers and the unit maps, the twins on one lane.
+        a, ld, lane_s, lane_n, true_lane_s, true_lane_n = (
+            _lane(xa), _lane(xd), *(np.array([v]) for v in (s, n, true_s, true_n)))
+        direction = Vec2(xa.x / n, xa.y / n)
+        cases += [
+            (partial(geometry._margin, pa, pd, "defense margin"), s, true_s, margin),
+            (partial(lanes._margin, a, ld, "defense margin"), lane_s, true_lane_s, margin),
+            (partial(lanes.defense_margin, a, ld), lane_s, true_lane_s, margin),
+            (partial(lanes.linear_attacker, a), lane_n, true_lane_n, to_origin),
+            (partial(lanes._unit, a), lane_n, true_lane_n, direction),
+            (partial(strategies._unit, *pa), n, true_n, direction),
+        ]
         assert rho > 0.0
         for fn, held, true, want in cases:
             assert as_vec2(fn(held)) == want, fn
