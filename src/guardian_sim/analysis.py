@@ -28,6 +28,7 @@ from .engine import (
     Outcome,
     WorldConfig,
     _validate_init,
+    check_attacker_domain,
     check_noise_bound,
     polar_point,
     run_episode,
@@ -65,8 +66,9 @@ MARGIN_BLOCK = 1024
 # 1.0 MB more as a step gathers them).
 MATRIX_BLOCK = 512
 MATRIX_WINDOW = 32
-# Most trials a matrix runs: it keeps each trial's seed, at a peak RSS of about
-# 46 MB + 0.17 KB a trial, so 2**22 trials fit a 1 GB budget (0.75 GB).
+# Most trials a matrix runs.  A run keeps only its counts, but `report_json_text`
+# renders the report, every trial's seed included, in memory: at 2**22 trials
+# it peaks at about 705 MB RSS (0.17 KB a trial), within a 1 GB budget.
 MAX_TRIALS = 2**22
 
 
@@ -272,7 +274,6 @@ class ExperimentReport(NamedTuple):
     pairs: list[PairResult]
     trials: int
     base_seed: int
-    seeds: list[int]
     config: WorldConfig
 
 
@@ -291,9 +292,9 @@ def trial_seeds(base_seed: int, trial: int) -> tuple[int, int]:
     )
 
 
-def run_matrix_trial(base_seed: int, trial: int, cfg: WorldConfig) -> tuple[int, list[Outcome]]:
-    """The episode seed of one trial and its outcomes for every pair of
-    `MATRIX_PAIRS`, in that order, from the scalar engine.
+def run_matrix_trial(base_seed: int, trial: int, cfg: WorldConfig) -> list[Outcome]:
+    """The outcomes of one trial for every pair of `MATRIX_PAIRS`, in that
+    order, from the scalar engine.
 
     Every pair starts from the same initial positions and replays the same
     episode seed (common random numbers).  The matrix runs `run_matrix_block`
@@ -301,25 +302,24 @@ def run_matrix_trial(base_seed: int, trial: int, cfg: WorldConfig) -> tuple[int,
     """
     init_seed, episode_seed = trial_seeds(base_seed, trial)
     xa, xd = sample_initial_positions(Rng(init_seed), min_separation=cfg.tau)
-    outcomes = [run_episode(xa, xd, d, a, cfg, episode_seed).outcome for d, a in MATRIX_PAIRS]
-    return episode_seed, outcomes
+    return [run_episode(xa, xd, d, a, cfg, episode_seed).outcome for d, a in MATRIX_PAIRS]
 
 
 def _block_starts(base_seed: int, first: int, count: int, cfg: WorldConfig):
-    """Episode seeds, starts (xa, xd) and the episode seeds' `seed_words`
-    of trials `first`, ..., `first + count - 1`, as `run_matrix_trial` gets
-    the seed and the start: the seeds from one `derive_seeds` call, and each
-    start from `sample_initial_positions` on the init seed's words.
+    """Starts (xa, xd) and episode seeds' `seed_words` of trials `first`,
+    ..., `first + count - 1`, as `run_matrix_trial` gets them: the seeds from
+    one `derive_seeds` call, and each start from `sample_initial_positions`
+    on the init seed's words.  Each start is checked as the scalar engine
+    checks it: one can round across a boundary setting such as r_safe = 45.
     """
     keys = np.arange(first, first + count)[:, None], np.array([_INIT_STREAM, _EPISODE_STREAM])
-    seeds = derive_seeds(base_seed, *keys).tolist()
-    words = seed_words(seeds)
+    words = seed_words(derive_seeds(base_seed, *keys))
     starts = []
     for init_words in words[:, 0]:
         xa, xd = sample_initial_positions(word_generator(init_words), min_separation=cfg.tau)
         _validate_init(xa, xd, AttackerBehavior.SPIRAL, cfg)  # its checks include every pair's
         starts.append((xa.x, xa.y, xd.x, xd.y))
-    return [episode_seed for _, episode_seed in seeds], starts, words[:, 1]
+    return starts, words[:, 1]
 
 
 _CAPTURED, _BREACHED, _SURVIVED = 1, 2, 3  # the matrix kernel's outcome codes
@@ -341,16 +341,14 @@ def _end_codes(t: int, xa, xd, separation, attacker_norm, cfg: WorldConfig):
     return np.where(captured, _CAPTURED, np.where(breached, _BREACHED, survived))
 
 
-def run_matrix_block(
-    base_seed: int, first: int, count: int, cfg: WorldConfig
-) -> tuple[list[int], np.ndarray]:
+def run_matrix_block(base_seed: int, first: int, count: int, cfg: WorldConfig) -> np.ndarray:
     """`run_matrix_trial` for trials `first`, ..., `first + count - 1`, from a
     lock-step lane kernel: every pair of every trial is a lane, all lanes
     take step t together, and a lane is dropped when its episode ends.
-    Returns the trials' episode seeds and a (9, count) int8 array of outcome
-    codes (see `_end_codes`), row i being pair i of `MATRIX_PAIRS`.
+    Returns only a (9, count) int8 array of outcome codes (see
+    `_end_codes`), row i being pair i of `MATRIX_PAIRS`: no seed leaves it.
 
-    The block's seeds and starts come from `_block_starts`, which checks
+    The block's starts and words come from `_block_starts`, which checks
     every start as the scalar engine does.  Each step follows `engine.step`
     on the pieces of the `lanes` twins, with one `lanes.hypot` call per
     round: ||y - xd|| and the intelligent attacker's ||away||; the dm and adm
@@ -370,7 +368,7 @@ def run_matrix_block(
     is set by the block and window sizes, not by the step cap.
     """
     window = min(MATRIX_WINDOW, cfg.max_steps)  # no lane steps at t >= max_steps
-    seeds, starts, words = _block_starts(base_seed, first, count, cfg)
+    starts, words = _block_starts(base_seed, first, count, cfg)
     generators = {c: [word_generator(w) for w in words] for c in (2, 4)}
     windows = {c: np.zeros((count, window, c)) for c in (2, 4)}
     # The windows again, so that a step gathers each lane's normals as one
@@ -446,7 +444,7 @@ def run_matrix_block(
         # moves need no finiteness check.
         xa, xd = xa + ua, xd + ud
         t += 1
-    return seeds, codes
+    return codes
 
 
 def run_experiment_matrix(
@@ -460,12 +458,15 @@ def run_experiment_matrix(
     is seeded independently of scheduling, and aggregation is order-free.
     Blocks are spread over min(jobs, CPUs, blocks) worker processes, counting
     only the CPUs this process may run on; with one, no pool is started.
+    Only the per-pair counts are kept.  The spiral attacker's r_safe bound,
+    which covers the homing attackers', is checked before any draw.
     """
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must be 1 to MAX_TRIALS = {MAX_TRIALS}, got {trials}")
     if jobs < 1:
         raise ValueError(f"need at least one worker, got {jobs}")
     cfg.check_sampled_starts()
+    check_attacker_domain(AttackerBehavior.SPIRAL, cfg)
     firsts = range(0, trials, MATRIX_BLOCK)
     counts = (min(MATRIX_BLOCK, trials - first) for first in firsts)
     affinity = getattr(os, "sched_getaffinity", None)
@@ -474,27 +475,30 @@ def run_experiment_matrix(
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool starts
         pool = ProcessPoolExecutor(max_workers=workers)
-    seeds, tally = [], np.zeros((2, len(MATRIX_PAIRS)), dtype=np.int64)
+    tally = np.zeros((2, len(MATRIX_PAIRS)), dtype=np.int64)
     with pool or nullcontext():  # each block is counted as it arrives, and its codes dropped
         args = (repeat(base_seed), firsts, counts, repeat(cfg))
-        for block_seeds, codes in (pool.map if pool else map)(run_matrix_block, *args):
-            seeds += block_seeds
+        for codes in (pool.map if pool else map)(run_matrix_block, *args):
             tally += [np.count_nonzero(codes == c, axis=1) for c in (_BREACHED, _SURVIVED)]
     pairs = []
     for (d, a), losses, survived in zip(MATRIX_PAIRS, *tally.tolist()):
         wins = trials - losses  # captures, and surviving the step cap
         pairs.append(PairResult(d.value, a.value, wins, losses, survived, trials, wins / trials))
-    return ExperimentReport(
-        pairs=pairs, trials=trials, base_seed=base_seed, seeds=seeds, config=cfg
-    )
+    return ExperimentReport(pairs=pairs, trials=trials, base_seed=base_seed, config=cfg)
 
 
 def report_json_text(report: ExperimentReport) -> str:
+    """The JSON report, its `seeds` each trial's episode seed, derived again
+    one `MATRIX_BLOCK` at a time (one call over 2**22 trials peaks 15 MB higher)."""
+    trials, seeds = report.trials, []
+    for first in range(0, trials, MATRIX_BLOCK):
+        block = np.arange(first, min(first + MATRIX_BLOCK, trials))
+        seeds += derive_seeds(report.base_seed, block, _EPISODE_STREAM).tolist()
     payload = {
         "pairs": [{**p._asdict(), "win_rate": round9(p.win_rate)} for p in report.pairs],
         "trials": report.trials,
         "base_seed": report.base_seed,
-        "seeds": report.seeds,
+        "seeds": seeds,
         "config": report.config.to_flat_dict(),
     }
     return json_text(payload)

@@ -194,18 +194,6 @@ class WorldConfig:
         }
 
 
-@dataclass(slots=True)
-class EpisodeState:
-    """The state at time t, the agents as `Pair`s, and the episode's noise
-    stream: anything with `normal_pair`, such as an `Rng`, or the
-    `NormalWindow` through which `run_episode` reads one."""
-
-    t: int
-    xa: Pair
-    xd: Pair
-    rng: NormalStream
-
-
 # A step's record: the state at time t plus the observation drawn at time t,
 # flat, in `TRAJECTORY_HEADER`'s column order (t, xa_x, xa_y, xd_x, xd_y, y_x,
 # y_y, margin, reliability), so that a live row renders with one `%`.  The
@@ -248,38 +236,32 @@ def episode_outcome(
 
 
 def step(
-    state: EpisodeState,
-    defender: DefenderStrategy,
-    attacker: AttackerBehavior,
-    cfg: WorldConfig,
-    separation: float,
-    radius: float,
-) -> StepRecord:
-    """Advance one simultaneous move of a live episode, updating `state` in
-    place, and return the flat record for the pre-move time.  The laws take
-    and return `Pair`s, and no `Vec2` is built.
+    t: int, defender: DefenderStrategy, attacker: AttackerBehavior, cfg: WorldConfig, xa: Pair,
+    xd: Pair, rng: NormalStream, separation: float, radius: float,
+) -> tuple[StepRecord, Pair, Pair]:
+    """Advance one simultaneous move of a live episode from its state at time
+    `t`, and return the flat record for time t with the next `xa` and `xd`.
+    The laws take and return `Pair`s, and no `Vec2` is built.
 
-    `separation` and `radius` are the state's ||xa - xd|| and ||xa||, from the
+    `separation` and `radius` are ||xa - xd|| and ||xa||, from the
     termination test, and ||y - xd|| is computed once, so `adm` gets the
     step's one reliability.  As in `lanes`, each law is handed the norms its
     caller holds and checks no bound enforced before the first draw.
 
     RNG order is fixed: the defender's observation draws first, then any
-    attacker-side noise.  `state.rng` is anything with `normal_pair`; both
+    attacker-side noise.  `rng` is anything with `normal_pair`, such as an
+    `Rng`, or the `NormalWindow` through which `run_episode` reads one; both
     draws come from it.
     """
-    xa, xd, rng, noise, k = state.xa, state.xd, state.rng, cfg.noise, cfg.k
+    noise, k = cfg.noise, cfg.k
     y = observe(xa, noise, rng, separation)
     (ax, ay), (dx, dy), (yx, yy) = xa, xd, y
     distance = math.hypot(yx - dx, yy - dy)
     p = reliability(noise, k, distance)
     udx, udy = defender_control(defender, y, xd, noise, k, distance, p)
     uax, uay = attacker_control(attacker, xa, xd, noise, rng, separation, radius)
-    record = (state.t, ax, ay, dx, dy, yx, yy, defense_margin(xa, xd, separation), p)
-    state.t += 1
-    state.xa = ax + uax, ay + uay
-    state.xd = dx + udx, dy + udy
-    return record
+    record = (t, ax, ay, dx, dy, yx, yy, defense_margin(xa, xd, separation), p)
+    return record, (ax + uax, ay + uay), (dx + udx, dy + udy)
 
 
 def _validate_init(
@@ -296,6 +278,10 @@ def _validate_init(
         raise InvalidInitializationError(
             f"initial separation must exceed the capture radius tau={cfg.tau}"
         )
+    check_attacker_domain(attacker, cfg)
+
+
+def check_attacker_domain(attacker: AttackerBehavior, cfg: WorldConfig) -> None:
     # A live attacker keeps ||xa|| >= r_safe under either failure criterion
     # (the margin never exceeds ||xa||), so r_safe > 1 keeps the spiral
     # attacker inside its domain (radius > 1) for the whole episode, and
@@ -326,10 +312,11 @@ def run_episode(
     as `Vec2`s and played as `Pair`s.
 
     Fully deterministic in (arguments, seed): the trajectory, outcome and end
-    time come out bitwise identical on every run.  The separation and the
-    attacker's radius are computed once per state, for its termination test
-    and for the step from it.  The normals come from `Rng(seed)` a window at
-    a time, in the order per-draw calls would give them.
+    time come out bitwise identical on every run.  The time, the positions
+    and the noise stream are locals, and `step` returns the next positions.
+    The separation and the attacker's radius are computed once per state,
+    for its termination test and for the step from it.  The normals come
+    from `Rng(seed)` a window at a time, in the order per-draw calls give.
 
     Without a `sink`, the result holds the trajectory: one record per step,
     then the terminal record.  With one, each record goes to `sink` as it is
@@ -337,22 +324,23 @@ def run_episode(
     trajectory is empty, so memory does not grow with the episode's length.
     """
     _validate_init(init_xa, init_xd, attacker, cfg)
-    xa, xd = (init_xa.x, init_xa.y), (init_xd.x, init_xd.y)
-    state = EpisodeState(t=0, xa=xa, xd=xd, rng=NormalWindow(Rng(seed)))
+    xa, xd, rng = (init_xa.x, init_xa.y), (init_xd.x, init_xd.y), NormalWindow(Rng(seed))
     records: list[StepRecord] = []
     emit = records.append if sink is None else sink
+    t = 0
     while True:
-        xa, xd = state.xa, state.xd
         (ax, ay), (dx, dy) = xa, xd
         separation, radius = math.hypot(ax - dx, ay - dy), math.hypot(ax, ay)
-        outcome = episode_outcome(state.t, xa, xd, cfg, separation, radius)
+        outcome = episode_outcome(t, xa, xd, cfg, separation, radius)
         if outcome is not None:
             break
-        emit(step(state, defender, attacker, cfg, separation, radius))
+        record, xa, xd = step(t, defender, attacker, cfg, xa, xd, rng, separation, radius)
+        emit(record)
+        t += 1
     # A coincident capture leaves the terminal margin undefined.
     margin = defense_margin(xa, xd, separation) if separation != 0.0 else None
-    emit((state.t, ax, ay, dx, dy, None, None, margin, None))
-    return EpisodeResult(outcome=outcome, end_time=state.t, trajectory=records)
+    emit((t, ax, ay, dx, dy, None, None, margin, None))
+    return EpisodeResult(outcome=outcome, end_time=t, trajectory=records)
 
 
 def polar_point(u: float, v: float, low: float, high: float) -> Vec2:

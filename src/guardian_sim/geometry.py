@@ -62,8 +62,6 @@ class Vec2:
     def __mul__(self, s: float) -> Vec2:
         return Vec2(self.x * s, self.y * s)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, s: float) -> Vec2:
         return Vec2(self.x / s, self.y / s)
 
@@ -73,14 +71,8 @@ class Vec2:
     def norm(self) -> float:
         return math.hypot(self.x, self.y)
 
-    def norm_sq(self) -> float:
-        return self.x * self.x + self.y * self.y
-
     def distance_to(self, other: Vec2) -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
-
-    def angle(self) -> float:
-        return math.atan2(self.y, self.x)
 
     @staticmethod
     def from_polar(radius: float, angle: float) -> Vec2:

@@ -51,7 +51,8 @@ settings.register_profile(
 )
 # `--hypothesis-profile deep` runs each property on 2,000 examples.  CI runs
 # `TestHypot` so, since every matrix and margin-table bit rests on `lanes.hypot`,
-# and the engine pin and `test_render.py`, since every `run` byte rests on them.
+# and the engine pin and `test_render.py`, since every `run` byte rests on them;
+# the steps in .github/workflows/tier1.yml list the rest.
 settings.register_profile("deep", parent=settings.get_profile("default"), max_examples=2000)
 settings.load_profile("default")
 

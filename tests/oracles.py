@@ -292,12 +292,12 @@ OUTCOME_CODES = (None, Outcome.CAPTURED, Outcome.BREACHED, Outcome.SURVIVED)
 
 
 def matrix_block_reference(base_seed: int, first: int, count: int, cfg):
-    """`analysis.run_matrix_block`'s (seeds, codes) for trials `first`, ...,
-    `first + count - 1`, from `run_matrix_trial` on the scalar engine: the
-    episode seeds, and a (9, count) int8 array of `OUTCOME_CODES` indices."""
+    """`analysis.run_matrix_block`'s codes for trials `first`, ...,
+    `first + count - 1`, from `run_matrix_trial` on the scalar engine: a
+    (9, count) int8 array of `OUTCOME_CODES` indices."""
     trials = [run_matrix_trial(base_seed, trial, cfg) for trial in range(first, first + count)]
-    codes = [[OUTCOME_CODES.index(outcome) for outcome in outcomes] for _, outcomes in trials]
-    return [seed for seed, _ in trials], np.array(codes, dtype=np.int8).T
+    codes = [[OUTCOME_CODES.index(outcome) for outcome in outcomes] for outcomes in trials]
+    return np.array(codes, dtype=np.int8).T
 
 
 def _uniform_point(rng: Rng, low: float, high: float) -> Vec2:
@@ -405,7 +405,8 @@ def _vec2_margin(xa: Vec2, xd: Vec2, what: str, distance: float | None):
     separation = xa.distance_to(xd) if distance is None else distance
     if separation == 0.0:
         raise CoincidentAgentsError(f"{what} undefined for coincident agents")
-    return (xa.norm_sq() - xd.norm_sq()) / (2.0 * separation), separation
+    squares = xa.x * xa.x + xa.y * xa.y, xd.x * xd.x + xd.y * xd.y
+    return (squares[0] - squares[1]) / (2.0 * separation), separation
 
 
 def vec2_defense_margin(xa: Vec2, xd: Vec2, distance: float | None = None) -> float:
@@ -457,7 +458,7 @@ def vec2_attacker_control(behavior, xa: Vec2, xd: Vec2, params, rng, distance, n
     if behavior is static:
         return _ORIGIN
     if behavior is spiral:
-        angle, inner = xa.angle() - 1.0 / n, n - 1.0
+        angle, inner = math.atan2(xa.y, xa.x) - 1.0 / n, n - 1.0
         return _vec2_unit(inner * math.cos(angle) - xa.x, inner * math.sin(angle) - xa.y,
                           _EPS_DIRECTION)
     to_origin = Vec2(-xa.x / n, -xa.y / n)

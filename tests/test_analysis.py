@@ -47,7 +47,7 @@ from guardian_sim.engine import (
 )
 from guardian_sim.geometry import Vec2, closest_safe_reachable_point
 from guardian_sim.observation import NoiseParams
-from guardian_sim.rng import Rng, derive_seed
+from guardian_sim.rng import Rng, derive_seed, seed_words
 from guardian_sim.strategies import (
     AttackerBehavior, DefenderStrategy, attacker_control, defender_control)
 from oracles import (
@@ -498,11 +498,10 @@ class TestExperimentMatrix:
 
     def test_run_matrix_trial_deterministic(self):
         cfg = WorldConfig(max_steps=300)
-        seed, outcomes = run_matrix_trial(5, 0, cfg)
-        assert (seed, outcomes) == run_matrix_trial(5, 0, cfg)
+        outcomes = run_matrix_trial(5, 0, cfg)
+        assert outcomes == run_matrix_trial(5, 0, cfg)
         assert len(outcomes) == len(MATRIX_PAIRS) == 9
         init_seed, episode_seed = trial_seeds(5, 0)
-        assert seed == episode_seed
         xa, xd = sample_initial_positions(Rng(init_seed), min_separation=cfg.tau)
         for (defender, attacker), outcome in zip(MATRIX_PAIRS, outcomes):
             assert run_episode(xa, xd, defender, attacker, cfg, episode_seed).outcome is outcome
@@ -512,7 +511,8 @@ class TestExperimentMatrix:
         report = run_experiment_matrix(cfg, trials=6, base_seed=1)
         assert len(report.pairs) == 9
         assert report.trials == 6
-        assert report.seeds == [trial_seeds(1, i)[1] for i in range(6)]
+        seeds = json.loads(report_json_text(report))["seeds"]
+        assert seeds == [trial_seeds(1, i)[1] for i in range(6)]
         for pair in report.pairs:
             assert pair.wins + pair.losses == pair.trials == 6
             assert pair.survived <= pair.wins
@@ -609,23 +609,21 @@ class TestExperimentMatrix:
         ]
 
 
-def assert_is_reference(block, base_seed: int, first: int, cfg: WorldConfig):
-    """`block`, from `run_matrix_block`, holds the seeds and codes of
+def assert_is_reference(codes, base_seed: int, first: int, cfg: WorldConfig):
+    """`codes`, from `run_matrix_block`, are those of
     `matrix_block_reference` for the same trials, bit for bit."""
-    seeds, codes = block
-    reference_seeds, reference_codes = matrix_block_reference(base_seed, first, len(seeds), cfg)
-    assert seeds == reference_seeds
-    np.testing.assert_array_equal(codes, reference_codes, strict=True)
+    reference = matrix_block_reference(base_seed, first, codes.shape[1], cfg)
+    np.testing.assert_array_equal(codes, reference, strict=True)
 
 
-def outcomes_of(block) -> set[Outcome]:
-    return {OUTCOME_CODES[c] for c in np.unique(block[1]).tolist()}
+def outcomes_of(codes) -> set[Outcome]:
+    return {OUTCOME_CODES[c] for c in np.unique(codes).tolist()}
 
 
 class TestMatrixKernel:
     """`run_matrix_block` gives, trial by trial, the scalar reference
-    `run_matrix_trial`: the same episode seed and the same outcome for
-    every pair."""
+    `run_matrix_trial`: the same outcome for every pair. The episode
+    seeding is checked in `test_block_seeding_on_both_sides_of_its_fallbacks`."""
 
     @pytest.mark.parametrize("max_steps", [10_000, 30], ids=["uncapped", "capped"])
     @pytest.mark.parametrize("criterion", list(FailureCriterion))
@@ -786,19 +784,27 @@ class TestMatrixKernel:
 
     @pytest.mark.parametrize(
         "base_seed, first, count, cfg, redrawn",
-        [(2**128, 0, 6, WorldConfig(), []), (0, MAX_TRIALS - 4, 4, WorldConfig(), []),
+        [(2**128, 0, 6, WorldConfig(), []), (2**32 - 1, 0, 6, WorldConfig(), []),
+         (2**32, 0, 6, WorldConfig(), []), (11, 5, 12, WorldConfig(), []),
+         (0, MAX_TRIALS - 4, 4, WorldConfig(), []),
          (0, 0, 30, WorldConfig(tau=40.0), [6, 8, 20, 24]),
          (0, MAX_TRIALS - 10, 10, WorldConfig(tau=50.0),
           list(range(MAX_TRIALS - 8, MAX_TRIALS - 2)))],
-        ids=["base-2^128", "last-trials", "tau-40-redraws", "tau-50-last-trials"],
+        ids=["base-2^128", "base-2^32-1", "base-2^32", "base-11", "last-trials",
+             "tau-40-redraws", "tau-50-last-trials"],
     )
     def test_block_seeding_on_both_sides_of_its_fallbacks(
         self, monkeypatch, base_seed, first, count, cfg, redrawn
     ):
         """A five-word base seed is seeded in the block, and the last trials
         below `MAX_TRIALS` start as any other: each trial samples its start
-        once, and only the trials whose first pair is too close draw again."""
+        once, and only the trials whose first pair is too close draw again.
+        The words that seed the block's episode generators are the
+        `seed_words` of each trial's episode seed, as `trial_seeds` gives it
+        to `run_matrix_trial`: no block returns its seeds, so they are
+        checked here."""
         attempts = []
+        block_words = []
 
         def sampled(gen, *args, **kwargs):
             calls = []
@@ -812,11 +818,22 @@ class TestMatrixKernel:
             attempts.append(len(calls))
             return start
 
+        block_starts_of = analysis._block_starts
+
+        def block_starts(*args):
+            starts, words = block_starts_of(*args)
+            block_words.append(words)
+            return starts, words
+
         monkeypatch.setattr(analysis, "sample_initial_positions", sampled)
+        monkeypatch.setattr(analysis, "_block_starts", block_starts)
         block = run_matrix_block(base_seed, first, count, cfg)
         assert len(attempts) == count
         assert [first + i for i, n in enumerate(attempts) if n > 1] == redrawn
         assert_is_reference(block, base_seed, first, cfg)
+        episode_seeds = [trial_seeds(base_seed, trial)[1] for trial in range(first, first + count)]
+        [words] = block_words
+        np.testing.assert_array_equal(words, seed_words(episode_seeds), strict=True)
 
     def test_default_block_builds_no_seed_sequence_or_rng(self, monkeypatch):
         """A silent fall back to the scalar path would build both."""
@@ -830,7 +847,7 @@ class TestMatrixKernel:
 
         monkeypatch.setattr(np.random, "SeedSequence", counted(np.random.SeedSequence))
         monkeypatch.setattr(analysis, "Rng", counted(analysis.Rng))
-        assert len(run_matrix_block(0, 0, 100, WorldConfig())[0]) == 100
+        assert run_matrix_block(0, 0, 100, WorldConfig()).shape == (9, 100)
         assert calls == []
 
     def test_unreachable_separation_refusal_is_that_of_the_scalar_engine(self):

@@ -2,17 +2,23 @@
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import guardian_sim
 from guardian_sim import analysis, cli, engine, lanes
@@ -414,11 +420,18 @@ class TestRunCommand:
         [["run", "--attacker", "spiral", "--seed", "3"], ["matrix", "--trials", "5"]],
         ids=["run", "matrix"],
     )
-    def test_spiral_with_unit_safe_radius_exits_two(self, tmp_path, capsys, command):
+    def test_spiral_with_unit_safe_radius_exits_two(self, tmp_path, capsys, monkeypatch,
+                                                     command):
+        """Refused before any step or block: `matrix` checks the spiral's
+        bound before it draws a block's starts."""
+        ran = []
+        monkeypatch.setattr(engine, "step", lambda *args: ran.append("step"))
+        monkeypatch.setattr(analysis, "run_matrix_block", lambda *args: ran.append("block"))
         code = main(command + ["--r-safe", "0.5", "--tau", "0.1", "--out", str(tmp_path)])
         assert code == 2
         assert "r_safe" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+        assert ran == []
 
     @pytest.mark.parametrize("attacker", ["linear", "intelligent"])
     @pytest.mark.parametrize("defender", ["pp", "adm"])
@@ -901,6 +914,68 @@ class TestCheckCommand:
         else:
             err = refused_by_argparse(["margin-table"] + flags, capsys)
             assert f"unrecognized arguments: {flags[0]}" in err
+
+
+# The world flags of `run` and `matrix` that take a float, and their defaults.
+_WORLD_FLAGS = {f"--{key.replace('_', '-')}": _DEFAULTS[key]
+                for key in ("beta", "k", "tau", "r_safe", "r_interest")}
+_EDGE_MAGNITUDES = (0.0, 5e-324, 1e-300, 1e300, sys.float_info.max)
+_POINTS = st.none() | st.tuples(st.floats(-60.0, 60.0), st.floats(-60.0, 60.0))
+
+
+@st.composite
+def _argvs(draw) -> list[str]:
+    """`run` or `matrix --trials 2`, with each world flag drawn as
+    `--flag=value`, a step cap of 1 to 300, either failure criterion, and
+    for `run` the laws and given or sampled starts."""
+    command = draw(st.sampled_from([["run"], ["matrix", "--trials", "2"]]))
+    argv = [*command, f"--max-steps={draw(st.integers(1, 300))}",
+            f"--failure-criterion={draw(st.sampled_from([c.value for c in FailureCriterion]))}",
+            f"--seed={draw(st.integers(0, 2**32))}"]
+    for flag, default in _WORLD_FLAGS.items():
+        # Absent half the time, else an edge magnitude of either sign, or
+        # log-uniform over 1e-3 to 1e3 times the default.
+        value = draw(st.none() | st.one_of(
+            st.sampled_from(_EDGE_MAGNITUDES).flatmap(lambda m: st.sampled_from((m, -m))),
+            st.floats(-3.0, 3.0).map(lambda e, d=default: d * 10.0 ** e)))
+        if value is not None:
+            argv.append(f"{flag}={value!r}")
+    if command == ["run"]:
+        argv += [f"--defender={draw(st.sampled_from([s.value for s in DefenderStrategy]))}",
+                 f"--attacker={draw(st.sampled_from([b.value for b in AttackerBehavior]))}"]
+        for flag in ("--xa", "--xd"):
+            point = draw(_POINTS)
+            if point is not None:  # positional notation: argparse takes -1e-5 for a flag
+                argv += [flag, *(f"{x:.9f}" for x in point)]
+    return argv
+
+
+@given(_argvs())
+@example(["matrix", "--trials", "2", "--r-safe=0.5", "--tau=0.1"])
+def test_an_accepted_world_runs_and_a_refused_one_draws_nothing(argv):
+    """Every world the command line accepts runs to its end (exit 0 or 1);
+    every one it refuses exits 2 with an `error:` line before any
+    `engine.step` or `analysis.run_matrix_block` call, and writes no file."""
+    ran, step, block = [], engine.step, analysis.run_matrix_block
+
+    def counted(name, fn):
+        def call(*args):
+            ran.append(name)
+            return fn(*args)
+        return call
+
+    err = io.StringIO()
+    with (tempfile.TemporaryDirectory() as out,
+          mock.patch.object(engine, "step", counted("step", step)),
+          mock.patch.object(analysis, "run_matrix_block", counted("block", block)),
+          redirect_stdout(io.StringIO()), redirect_stderr(err)):
+        code = main([*argv, "--out", out])
+        written = os.listdir(out)
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
+        assert ran == [] and written == []
+    else:
+        assert code in (0, 1) and err.getvalue() == ""
 
 
 def test_python_dash_m_runs_the_command_line():

@@ -18,7 +18,6 @@ from guardian_sim.engine import (
     DEFENDER_RADIUS_RANGE,
     TRAJECTORY_HEADER,
     EpisodeResult,
-    EpisodeState,
     FailureCriterion,
     InvalidInitializationError,
     Outcome,
@@ -57,10 +56,13 @@ def outcome_of(t: int, xa: Vec2, xd: Vec2, cfg: WorldConfig) -> Outcome | None:
     return episode_outcome(t, as_pair(xa), as_pair(xd), cfg, xa.distance_to(xd), xa.norm())
 
 
-def step_of(state: EpisodeState, defender, attacker, cfg: WorldConfig) -> StepRecord:
-    """`step`, handed the norms of the state, as `run_episode` holds them."""
-    xa, xd = Vec2(*state.xa), Vec2(*state.xd)
-    return step(state, defender, attacker, cfg, xa.distance_to(xd), xa.norm())
+def step_of(t: int, xa: Vec2, xd: Vec2, rng, defender, attacker,
+            cfg: WorldConfig) -> tuple[StepRecord, Vec2, Vec2]:
+    """`step` from `Vec2`s, handed the norms of the state as `run_episode`
+    holds them; the next positions come back as `Vec2`s."""
+    record, next_xa, next_xd = step(t, defender, attacker, cfg, as_pair(xa), as_pair(xd), rng,
+                                    xa.distance_to(xd), xa.norm())
+    return record, Vec2(*next_xa), Vec2(*next_xd)
 
 
 class TestWorldConfig:
@@ -134,12 +136,11 @@ class TestWorldConfig:
 class TestStep:
     def test_exact_pursuit_step(self):
         cfg = noiseless_config()
-        state = EpisodeState(t=0, xa=(10.0, 0.0), xd=(0.0, 0.0), rng=Rng(0))
-        record = Record(*step_of(state, DefenderStrategy.PURE_PURSUIT, AttackerBehavior.STATIC,
-                                 cfg))
-        assert Vec2(*state.xd) == Vec2(1, 0)
-        assert Vec2(*state.xa) == Vec2(10, 0)
-        assert state.t == 1
+        record, xa, xd = step_of(0, Vec2(10, 0), Vec2(0, 0), Rng(0), DefenderStrategy.PURE_PURSUIT,
+                                 AttackerBehavior.STATIC, cfg)
+        record = Record(*record)
+        assert xd == Vec2(1, 0)
+        assert xa == Vec2(10, 0)
         assert record.t == 0
         assert record.y == Vec2(10, 0)
         assert record.margin == pytest.approx(5.0, abs=1e-12)
@@ -147,9 +148,9 @@ class TestStep:
 
     def test_separation_shrinks_by_one(self):
         cfg = noiseless_config()
-        state = EpisodeState(t=0, xa=(10.0, 0.0), xd=(0.0, 0.0), rng=Rng(0))
-        step_of(state, DefenderStrategy.PURE_PURSUIT, AttackerBehavior.STATIC, cfg)
-        assert Vec2(*state.xa).distance_to(Vec2(*state.xd)) == pytest.approx(9.0, abs=1e-12)
+        _, xa, xd = step_of(0, Vec2(10, 0), Vec2(0, 0), Rng(0), DefenderStrategy.PURE_PURSUIT,
+                            AttackerBehavior.STATIC, cfg)
+        assert xa.distance_to(xd) == pytest.approx(9.0, abs=1e-12)
 
 
 class TestEpisodeOutcome:
@@ -284,16 +285,17 @@ class TestRunEpisode:
         for seed in range(4):
             xa, xd = sample_initial_positions(Rng(seed), min_separation=cfg.tau)
             result = run_episode(xa, xd, defender, attacker, cfg, seed)
-            state = EpisodeState(t=0, xa=as_pair(xa), xd=as_pair(xd), rng=Rng(seed))
-            records = []
+            rng, records, t = Rng(seed), [], 0
             outcome = outcome_of(0, xa, xd, cfg)
             while outcome is None:
-                records.append(step_of(state, defender, attacker, cfg))
-                outcome = outcome_of(state.t, Vec2(*state.xa), Vec2(*state.xd), cfg)
-            assert (result.outcome, result.end_time) == (outcome, state.t)
+                record, xa, xd = step_of(t, xa, xd, rng, defender, attacker, cfg)
+                records.append(record)
+                t += 1
+                outcome = outcome_of(t, xa, xd, cfg)
+            assert (result.outcome, result.end_time) == (outcome, t)
             assert result.trajectory[:-1] == records
-            assert result.trajectory[-1][1:5] == (*state.xa, *state.xd)
-            longest = max(longest, draws_per_step * state.t)
+            assert result.trajectory[-1][1:5] == (*as_pair(xa), *as_pair(xd))
+            longest = max(longest, draws_per_step * t)
         assert longest > 7
 
     @pytest.mark.parametrize("defender", list(DefenderStrategy))
@@ -389,7 +391,7 @@ class TestSampleInitialPositions:
         for i in range(n):
             xa, xd = sample_initial_positions(rng)
             attacker_radii[i] = xa.norm()
-            attacker_angles[i] = xa.angle()
+            attacker_angles[i] = math.atan2(xa.y, xa.x)
             defender_radii[i] = xd.norm()
         lo_a, hi_a = ATTACKER_RADIUS_RANGE
         lo_d, hi_d = DEFENDER_RADIUS_RANGE

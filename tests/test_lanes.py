@@ -538,7 +538,7 @@ class TestStrategyTwins:
             )
 
         def spiral_heading(a, r):
-            angle, inner = a.angle() - 1.0 / r, r - 1.0
+            angle, inner = math.atan2(a.y, a.x) - 1.0 / r, r - 1.0
             return Vec2(inner * math.cos(angle) - a.x, inner * math.sin(angle) - a.y)
 
         def intelligent_heading(away, to_origin, dist):

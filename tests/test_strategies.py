@@ -193,11 +193,11 @@ class TestSpiralAttacker:
     def test_rollout_spirals_clockwise_inward(self):
         xa = Vec2.from_polar(47.0, 1.2)
         radii = [xa.norm()]
-        unwrapped = [xa.angle()]
+        unwrapped = [math.atan2(xa.y, xa.x)]
         for _ in range(60):
             xa = xa + spiral_attacker(xa)
             radii.append(xa.norm())
-            a = xa.angle()
+            a = math.atan2(xa.y, xa.x)
             # Standard unwrap: shift by whole turns only across the +/- pi seam.
             while a - unwrapped[-1] > math.pi:
                 a -= 2.0 * math.pi
@@ -259,7 +259,7 @@ class TestIntelligentAttacker:
         # A near-cancelling blend is ill-conditioned: rounding the rotated
         # inputs (about 1e-16) turns its direction by about 1e-16 / |blend|.
         away = xa - xd
-        assume((away / away.norm_sq() - xa / xa.norm()).norm() > 1e-6)
+        assume((away / (away.x * away.x + away.y * away.y) - xa / xa.norm()).norm() > 1e-6)
         theta = -1.1
         u = intelligent_attacker(xa, xd, NOISELESS, Rng(0))
         u_rot = intelligent_attacker(rotated(xa, theta), rotated(xd, theta), NOISELESS, Rng(0))
@@ -443,16 +443,16 @@ class TestHeldNorms:
 
         one_axis = math.erf(k / (math.sqrt(noise_variance(d, params)) * math.sqrt(2.0)))
         p = one_axis * one_axis
-        rho = (y.norm_sq() - xd.norm_sq()) / (2.0 * d)
+        rho = (y.x * y.x + y.y * y.y - (xd.x * xd.x + xd.y * xd.y)) / (2.0 * d)
         target = Vec2((y.x - xd.x) / d * rho, (y.y - xd.y) / d * rho)
         pp, dm = Vec2((y.x - xd.x) / d, (y.y - xd.y) / d), unit(target.x - xd.x, target.y - xd.y)
         adm = unit(pp.x * p + dm.x * (1.0 - p), pp.y * p + dm.y * (1.0 - p))
-        to_origin, angle = Vec2(-xa.x / n, -xa.y / n), xa.angle() - 1.0 / n
+        to_origin, angle = Vec2(-xa.x / n, -xa.y / n), math.atan2(xa.y, xa.x) - 1.0 / n
         spiral = unit((n - 1.0) * math.cos(angle) - xa.x, (n - 1.0) * math.sin(angle) - xa.y)
         away = xa - seen(xd, s)
         scale = 1.0 / (away.norm() * away.norm())
         intelligent = unit(away.x * scale + to_origin.x, away.y * scale + to_origin.y)
-        margin = (xa.norm_sq() - xd.norm_sq()) / (2.0 * s)
+        margin = (xa.x * xa.x + xa.y * xa.y - (xd.x * xd.x + xd.y * xd.y)) / (2.0 * s)
         pa, pd, py = as_pair(xa), as_pair(xd), as_pair(y)
         cases = [
             (partial(defense_margin, pa, pd), s, true_s, margin),
