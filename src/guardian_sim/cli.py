@@ -18,6 +18,7 @@ import argparse
 import enum
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -50,6 +51,11 @@ from .rng import Rng, derive_seed
 from .strategies import AttackerBehavior, DefenderStrategy
 
 SEED_ENV_VAR = "GUARDIAN_SIM_SEED"
+
+# Every command reads an argument that matches this as a value, not a flag.
+# argparse's own pattern before Python 3.13 misses e-notation, and takes the
+# `-3e-5` of `--xd 0 -3e-5` for a flag.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 _DEFAULTS: dict = {
     "defender": "pp",
@@ -112,6 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name, func, parents, summary):
         cmd = sub.add_parser(name, parents=parents, help=summary)
         cmd.set_defaults(func=func)
+        cmd._negative_number_matcher = _NEGATIVE_NUMBER
         return cmd
 
     run_p = command("run", cmd_run, [world], "run a single episode")

@@ -2,8 +2,9 @@
 
 Everything here is deliberately written against the raw math, not the
 package's closed forms: Gauss-Legendre quadrature for Gaussian masses and
-expectations, constrained optimization and dense line grids for the
-safe-reachable-point geometry.  Tests compare package output against these.
+expectations.  Tests compare package output against these.  The closest
+safe-reachable point has its one oracle in the package, the dense line grid
+`analysis.closest_point_grid_search` that `check` runs.
 The lane attackers are the exception: they compose the `lanes` pieces into
 whole controls, as the matrix kernel does, for the twin tests to check
 against the scalar attackers.  So are the three loops at the end: the
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import integrate
 
 from guardian_sim import lanes
 from guardian_sim.analysis import (
@@ -105,79 +106,6 @@ def expected_cos_quadrature(
     mean = float((cos_a * weight).sum()) / mass
     second = float((cos_a * cos_a * weight).sum()) / mass
     return mean, math.sqrt(max(second - mean * mean, 0.0))
-
-
-KKT_TOL = 1e-9
-
-
-def closest_point_constrained(
-    xa: tuple[float, float], xd: tuple[float, float]
-) -> tuple[float, float]:
-    """argmin ||p|| over the half-plane of points at least as close to xa as
-    to xd, via SLSQP from several starts.  Independent of the closed form.
-
-    The constraint ||p - xa|| <= ||p - xd|| is exactly linear, because the
-    quadratic terms ||p||^2 cancel on both sides:
-
-        g(p) = 2 p . n - c >= 0,  n = xa - xd,  c = ||xa||^2 - ||xd||^2,
-
-    oriented so that xa itself is feasible.
-
-    Each start's final iterate is accepted on its own checks, never on
-    ``res.success``: on scipy >= 1.16 SLSQP at ftol=1e-14 ends with status 8
-    ("Positive directional derivative for linesearch") on iterates that are
-    already exact, and a reported success is no proof of optimality either.
-    With tol = KKT_TOL and s = tol * max(1, |c|), an iterate p is kept when
-
-    - it is feasible: g(p) >= -s, and
-    - it is a KKT point of min ||p||^2 s.t. g(p) >= 0: either p = 0, or the
-      constraint is active (|g(p)| <= s) with multiplier p . n >= 0 and
-      stationarity |p x n| <= tol * ||p|| ||n|| (p parallel to n).
-
-    Only the objective and constraint gradients enter the check, so the
-    oracle stays independent of the closed form.  The lowest-objective
-    verified iterate is returned; RuntimeError if no start verifies.
-    """
-    ax, ay = xa
-    dx, dy = xd
-    nx, ny = ax - dx, ay - dy
-    c = (ax * ax + ay * ay) - (dx * dx + dy * dy)
-    # Feasible set: 2 p.(xa - xd) >= c  (check: p = xa gives
-    # 2||xa||^2 - 2 xa.xd >= ||xa||^2 - ||xd||^2  <=>  ||xa - xd||^2 >= 0).
-    cons = {"type": "ineq", "fun": lambda p: 2.0 * (p[0] * nx + p[1] * ny) - c}
-    slack = KKT_TOL * max(1.0, abs(c))
-    n_norm = math.hypot(nx, ny)
-
-    def verified(px: float, py: float) -> bool:
-        g = 2.0 * (px * nx + py * ny) - c
-        if not g >= -slack:  # also refuses a NaN iterate
-            return False
-        if px == 0.0 and py == 0.0:
-            return True
-        return (
-            abs(g) <= slack
-            and px * nx + py * ny >= 0.0
-            and abs(px * ny - py * nx) <= KKT_TOL * math.hypot(px, py) * n_norm
-        )
-
-    best = None
-    best_f = math.inf
-    for start in ((ax, ay), ((ax + dx) / 2.0, (ay + dy) / 2.0), (ax + 1.0, ay - 1.0)):
-        res = optimize.minimize(
-            lambda p: p[0] * p[0] + p[1] * p[1],
-            np.asarray(start, dtype=float),
-            jac=lambda p: 2.0 * p,
-            constraints=[cons],
-            method="SLSQP",
-            options={"maxiter": 200, "ftol": 1e-14},
-        )
-        px, py = float(res.x[0]), float(res.x[1])
-        f = px * px + py * py
-        if verified(px, py) and f < best_f:
-            best, best_f = (px, py), f
-    if best is None:
-        raise RuntimeError(f"SLSQP found no feasible KKT point for xa={xa}, xd={xd}")
-    return best
 
 
 def capture_countdown_steps(initial_separation: float, tau: float) -> int:

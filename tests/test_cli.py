@@ -921,6 +921,16 @@ _WORLD_FLAGS = {f"--{key.replace('_', '-')}": _DEFAULTS[key]
                 for key in ("beta", "k", "tau", "r_safe", "r_interest")}
 _EDGE_MAGNITUDES = (0.0, 5e-324, 1e-300, 1e300, sys.float_info.max)
 _POINTS = st.none() | st.tuples(st.floats(-60.0, 60.0), st.floats(-60.0, 60.0))
+# Config-file values that are not numbers, or not finite ones.
+_NON_NUMBERS = (None, True, "abc", [0.05], {}, "nan", "-inf")
+
+
+def _values(scale: float) -> st.SearchStrategy[float]:
+    """An edge magnitude of either sign, or log-uniform over 1e-3 to 1e3
+    times `scale`."""
+    return st.one_of(
+        st.sampled_from(_EDGE_MAGNITUDES).flatmap(lambda m: st.sampled_from((m, -m))),
+        st.floats(-3.0, 3.0).map(lambda e: scale * 10.0 ** e))
 
 
 @st.composite
@@ -933,11 +943,7 @@ def _argvs(draw) -> list[str]:
             f"--failure-criterion={draw(st.sampled_from([c.value for c in FailureCriterion]))}",
             f"--seed={draw(st.integers(0, 2**32))}"]
     for flag, default in _WORLD_FLAGS.items():
-        # Absent half the time, else an edge magnitude of either sign, or
-        # log-uniform over 1e-3 to 1e3 times the default.
-        value = draw(st.none() | st.one_of(
-            st.sampled_from(_EDGE_MAGNITUDES).flatmap(lambda m: st.sampled_from((m, -m))),
-            st.floats(-3.0, 3.0).map(lambda e, d=default: d * 10.0 ** e)))
+        value = draw(st.none() | _values(default))  # absent half the time
         if value is not None:
             argv.append(f"{flag}={value!r}")
     if command == ["run"]:
@@ -945,8 +951,8 @@ def _argvs(draw) -> list[str]:
                  f"--attacker={draw(st.sampled_from([b.value for b in AttackerBehavior]))}"]
         for flag in ("--xa", "--xd"):
             point = draw(_POINTS)
-            if point is not None:  # positional notation: argparse takes -1e-5 for a flag
-                argv += [flag, *(f"{x:.9f}" for x in point)]
+            if point is not None:
+                argv += [flag, *map(repr, point)]
     return argv
 
 
@@ -976,6 +982,99 @@ def test_an_accepted_world_runs_and_a_refused_one_draws_nothing(argv):
         assert ran == [] and written == []
     else:
         assert code in (0, 1) and err.getvalue() == ""
+
+
+@st.composite
+def _estimator_argvs(draw) -> tuple[list[str], dict]:
+    """`margin-table` or `stability` with 2 to 200 samples, and the config
+    file to give it.  Each number setting it reads (`beta`, and `k` for the
+    table) is absent, given as a flag, or given through the config file,
+    which may also hold a non-number.  `stability`'s `--e` and `--ua` are
+    written with `repr`, so a negative component may be in e-notation.  Half
+    the time both components are plain, within 10 and 0.7 (where the
+    diagnostic runs); otherwise each may also be an edge magnitude, a value
+    log-uniform about 3 and 0.5 of either sign, or not finite."""
+    command = draw(st.sampled_from(["margin-table", "stability"]))
+    argv, config = [command, "--samples", str(draw(st.integers(2, 200))),
+                    "--seed", str(draw(st.integers(0, 2**32)))], {}
+    for key in ("beta", "k") if command == "margin-table" else ("beta",):
+        where = draw(st.sampled_from(["absent", "flag", "config"]))
+        if where == "flag":
+            argv += [f"--{key}", repr(draw(_values(_DEFAULTS[key])))]
+        elif where == "config":
+            config[key] = draw(_values(_DEFAULTS[key]) | st.sampled_from(_NON_NUMBERS))
+    if command == "stability":
+        for flag, bound, scale in (("--e", 10.0, 3.0), ("--ua", 0.7, 0.5)):
+            plain = st.floats(-bound, bound)
+            edge = plain | _values(scale) | _values(-scale) | st.sampled_from((math.nan, math.inf))
+            argv += [flag, *map(repr, draw(st.tuples(plain, plain) | st.tuples(edge, edge)))]
+    return argv, config
+
+
+def counting_rng(draws: list):
+    """A stand-in for `cli.Rng` whose generator adds the name of each method
+    looked up on it, that is of each draw, to `draws`."""
+
+    class CountingRng:
+        def __init__(self, seed: int) -> None:
+            self._gen = Rng(seed).generator
+
+        @property
+        def generator(self):
+            return self
+
+        def __getattr__(self, name):
+            draws.append(name)
+            return getattr(self._gen, name)
+
+    return CountingRng
+
+
+@given(_estimator_argvs())
+@example((["margin-table", "--samples", "200", "--beta", "1.5e304"], {}))  # drew, then warned, before the bound
+@example((["stability", "--samples", "2", "--e", "3", "-1e-1", "--ua", "0", "1"], {"beta": "abc"}))
+def test_an_accepted_estimate_prints_and_a_refused_one_draws_nothing(case):
+    """Every `margin-table` and `stability` input the command line accepts
+    prints finite numbers and exits 0 with nothing on stderr; every one it
+    refuses exits 2 with an `error:` line before the estimator's first draw.
+    pytest turns any warning into an error, so neither may warn."""
+    argv, config = case
+    draws, out, err = [], io.StringIO(), io.StringIO()
+    with (tempfile.TemporaryDirectory() as tmp,
+          mock.patch.object(cli, "Rng", counting_rng(draws)),
+          redirect_stdout(out), redirect_stderr(err)):
+        if config:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(config))
+            argv = [*argv, "--config", str(path)]
+        code = main(argv)
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
+        assert draws == []
+    else:
+        assert code == 0 and err.getvalue() == "" and draws
+        assert "nan" not in out.getvalue() and "inf" not in out.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv, key, value",
+    [(["run", "--xd", "0", "-3e-5"], "xd", [0.0, -3e-5]),
+     (["run", "--xa", "-1e1", "45"], "xa", [-10.0, 45.0]),
+     (["stability", "--e", "3", "-1e-1", "--ua", "0", "1"], "e", [3.0, -0.1]),
+     (["margin-table", "--beta", "-1e-300"], "beta", -1e-300)],
+    ids=["run-xd", "run-xa", "stability-e", "margin-table-beta"],
+)
+def test_a_negative_value_in_e_notation_reaches_its_command(tmp_path, capsys, argv, key, value):
+    """argparse before Python 3.13 took each of these values for a flag and
+    exited 2 with "expected 2 arguments" or "expected one argument"."""
+    assert getattr(parse(argv), key) == value
+    code = main(argv + (["--out", str(tmp_path)] if argv[0] == "run" else ["--samples", "10"]))
+    captured = capsys.readouterr()
+    if key == "beta":  # a negative noise coefficient, refused by name
+        assert code == 2 and "got beta=-1e-300" in captured.err
+    else:
+        assert code in (0, 1) and captured.err == ""
+        assert captured.out.startswith("outcome=" if argv[0] == "run" else "lhs=")
 
 
 def test_python_dash_m_runs_the_command_line():
