@@ -52,10 +52,12 @@ from .strategies import AttackerBehavior, DefenderStrategy
 
 SEED_ENV_VAR = "GUARDIAN_SIM_SEED"
 
-# Every command reads an argument that matches this as a value, not a flag.
-# argparse's own pattern before Python 3.13 misses e-notation, and takes the
-# `-3e-5` of `--xd 0 -3e-5` for a flag.
-_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+# Every command reads an argument that matches this as a value, not a flag:
+# a negative number, in e-notation too, or `-inf`, `-infinity` or `-nan` in
+# any case, as `float` reads them.  argparse's own pattern before Python 3.13
+# misses these, and takes the `-3e-5` of `--xd 0 -3e-5` for a flag.
+_NEGATIVE_NUMBER = re.compile(
+    r"^-((\d+\.?\d*|\.\d+)(e[+-]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
 
 _DEFAULTS: dict = {
     "defender": "pp",

@@ -916,13 +916,18 @@ class TestCheckCommand:
             assert f"unrecognized arguments: {flags[0]}" in err
 
 
-# The world flags of `run` and `matrix` that take a float, and their defaults.
-_WORLD_FLAGS = {f"--{key.replace('_', '-')}": _DEFAULTS[key]
-                for key in ("beta", "k", "tau", "r_safe", "r_interest")}
+# The world settings of `run` and `matrix` that take a float.
+_WORLD_KEYS = ("beta", "k", "tau", "r_safe", "r_interest")
 _EDGE_MAGNITUDES = (0.0, 5e-324, 1e-300, 1e300, sys.float_info.max)
 _POINTS = st.none() | st.tuples(st.floats(-60.0, 60.0), st.floats(-60.0, 60.0))
 # Config-file values that are not numbers, or not finite ones.
 _NON_NUMBERS = (None, True, "abc", [0.05], {}, "nan", "-inf")
+# `margin-table` accepts a `beta` up to about 7.6e301, and an observation
+# overflows from about 1e304: these, log-uniform over 1e301 to 1e305 (on a
+# grid of 4,001 exponents), reach both sides of both bounds, and shrink
+# toward 1e305, where an estimate without the bound overflows even at two
+# samples.
+_HUGE_BETAS = st.integers(0, 4000).map(lambda i: 10.0 ** (305.0 - i / 1000.0))
 
 
 def _values(scale: float) -> st.SearchStrategy[float]:
@@ -933,19 +938,39 @@ def _values(scale: float) -> st.SearchStrategy[float]:
         st.floats(-3.0, 3.0).map(lambda e: scale * 10.0 ** e))
 
 
+def _setting(draw, key: str, argv: list, config: dict, values) -> None:
+    """Leave `key` absent, give it as a flag (its value written with `repr`,
+    so a negative one may be in e-notation or not finite), or give it
+    through the config file, where it may also be a non-number."""
+    where = draw(st.sampled_from(["absent", "flag", "config"]))
+    if where == "flag":
+        argv += [f"--{key.replace('_', '-')}", repr(draw(values))]
+    elif where == "config":
+        config[key] = draw(values | st.sampled_from(_NON_NUMBERS))
+
+
+def _with_config(argv: list[str], config: dict, tmp: str) -> list[str]:
+    """`argv`, with the config file written under `tmp` if there is one."""
+    if not config:
+        return argv
+    path = Path(tmp) / "config.json"
+    path.write_text(json.dumps(config))
+    return [*argv, "--config", str(path)]
+
+
 @st.composite
-def _argvs(draw) -> list[str]:
-    """`run` or `matrix --trials 2`, with each world flag drawn as
-    `--flag=value`, a step cap of 1 to 300, either failure criterion, and
-    for `run` the laws and given or sampled starts."""
+def _argvs(draw) -> tuple[list[str], dict]:
+    """`run` or `matrix --trials 2`, with each world setting drawn as
+    `_setting` draws it (about its default), a step cap of 1 to 300, either failure criterion,
+    and for `run` the laws and given or sampled starts; and the config file
+    to give it."""
     command = draw(st.sampled_from([["run"], ["matrix", "--trials", "2"]]))
     argv = [*command, f"--max-steps={draw(st.integers(1, 300))}",
             f"--failure-criterion={draw(st.sampled_from([c.value for c in FailureCriterion]))}",
             f"--seed={draw(st.integers(0, 2**32))}"]
-    for flag, default in _WORLD_FLAGS.items():
-        value = draw(st.none() | _values(default))  # absent half the time
-        if value is not None:
-            argv.append(f"{flag}={value!r}")
+    config: dict = {}
+    for key in _WORLD_KEYS:
+        _setting(draw, key, argv, config, _values(_DEFAULTS[key]))
     if command == ["run"]:
         argv += [f"--defender={draw(st.sampled_from([s.value for s in DefenderStrategy]))}",
                  f"--attacker={draw(st.sampled_from([b.value for b in AttackerBehavior]))}"]
@@ -953,15 +978,16 @@ def _argvs(draw) -> list[str]:
             point = draw(_POINTS)
             if point is not None:
                 argv += [flag, *map(repr, point)]
-    return argv
+    return argv, config
 
 
 @given(_argvs())
-@example(["matrix", "--trials", "2", "--r-safe=0.5", "--tau=0.1"])
-def test_an_accepted_world_runs_and_a_refused_one_draws_nothing(argv):
+@example((["matrix", "--trials", "2", "--r-safe=0.5", "--tau=0.1"], {}))
+def test_an_accepted_world_runs_and_a_refused_one_draws_nothing(case):
     """Every world the command line accepts runs to its end (exit 0 or 1);
     every one it refuses exits 2 with an `error:` line before any
     `engine.step` or `analysis.run_matrix_block` call, and writes no file."""
+    argv, config = case
     ran, step, block = [], engine.step, analysis.run_matrix_block
 
     def counted(name, fn):
@@ -971,11 +997,11 @@ def test_an_accepted_world_runs_and_a_refused_one_draws_nothing(argv):
         return call
 
     err = io.StringIO()
-    with (tempfile.TemporaryDirectory() as out,
+    with (tempfile.TemporaryDirectory() as out, tempfile.TemporaryDirectory() as tmp,
           mock.patch.object(engine, "step", counted("step", step)),
           mock.patch.object(analysis, "run_matrix_block", counted("block", block)),
           redirect_stdout(io.StringIO()), redirect_stderr(err)):
-        code = main([*argv, "--out", out])
+        code = main([*_with_config(argv, config, tmp), "--out", out])
         written = os.listdir(out)
     if code == 2:
         assert err.getvalue().startswith("error: ")
@@ -987,26 +1013,26 @@ def test_an_accepted_world_runs_and_a_refused_one_draws_nothing(argv):
 @st.composite
 def _estimator_argvs(draw) -> tuple[list[str], dict]:
     """`margin-table` or `stability` with 2 to 200 samples, and the config
-    file to give it.  Each number setting it reads (`beta`, and `k` for the
-    table) is absent, given as a flag, or given through the config file,
-    which may also hold a non-number.  `stability`'s `--e` and `--ua` are
-    written with `repr`, so a negative component may be in e-notation.  Half
-    the time both components are plain, within 10 and 0.7 (where the
-    diagnostic runs); otherwise each may also be an edge magnitude, a value
-    log-uniform about 3 and 0.5 of either sign, or not finite."""
+    file to give it.  Half the tables take only a `--beta` from
+    `_HUGE_BETAS`; otherwise each number setting it reads (`beta`, and `k`
+    for the table) is drawn as `_setting` draws it.  `stability`'s `--e`
+    and `--ua` are written with `repr`, so a negative component may be in
+    e-notation.  Half the time both components are plain, within 10 and 0.7
+    (where the diagnostic runs); otherwise each may also be an edge
+    magnitude, a value log-uniform about 3 and 0.5 of either sign, or not
+    finite."""
     command = draw(st.sampled_from(["margin-table", "stability"]))
     argv, config = [command, "--samples", str(draw(st.integers(2, 200))),
                     "--seed", str(draw(st.integers(0, 2**32)))], {}
+    if command == "margin-table" and draw(st.booleans()):
+        return [*argv, "--beta", repr(draw(_HUGE_BETAS))], config
     for key in ("beta", "k") if command == "margin-table" else ("beta",):
-        where = draw(st.sampled_from(["absent", "flag", "config"]))
-        if where == "flag":
-            argv += [f"--{key}", repr(draw(_values(_DEFAULTS[key])))]
-        elif where == "config":
-            config[key] = draw(_values(_DEFAULTS[key]) | st.sampled_from(_NON_NUMBERS))
+        _setting(draw, key, argv, config, _values(_DEFAULTS[key]))
     if command == "stability":
         for flag, bound, scale in (("--e", 10.0, 3.0), ("--ua", 0.7, 0.5)):
             plain = st.floats(-bound, bound)
-            edge = plain | _values(scale) | _values(-scale) | st.sampled_from((math.nan, math.inf))
+            edge = (plain | _values(scale) | _values(-scale)
+                    | st.sampled_from((math.nan, math.inf, -math.inf)))
             argv += [flag, *map(repr, draw(st.tuples(plain, plain) | st.tuples(edge, edge)))]
     return argv, config
 
@@ -1043,11 +1069,7 @@ def test_an_accepted_estimate_prints_and_a_refused_one_draws_nothing(case):
     with (tempfile.TemporaryDirectory() as tmp,
           mock.patch.object(cli, "Rng", counting_rng(draws)),
           redirect_stdout(out), redirect_stderr(err)):
-        if config:
-            path = Path(tmp) / "config.json"
-            path.write_text(json.dumps(config))
-            argv = [*argv, "--config", str(path)]
-        code = main(argv)
+        code = main(_with_config(argv, config, tmp))
     if code == 2:
         assert err.getvalue().startswith("error: ")
         assert draws == []
@@ -1057,21 +1079,30 @@ def test_an_accepted_estimate_prints_and_a_refused_one_draws_nothing(case):
 
 
 @pytest.mark.parametrize(
-    "argv, key, value",
-    [(["run", "--xd", "0", "-3e-5"], "xd", [0.0, -3e-5]),
-     (["run", "--xa", "-1e1", "45"], "xa", [-10.0, 45.0]),
-     (["stability", "--e", "3", "-1e-1", "--ua", "0", "1"], "e", [3.0, -0.1]),
-     (["margin-table", "--beta", "-1e-300"], "beta", -1e-300)],
-    ids=["run-xd", "run-xa", "stability-e", "margin-table-beta"],
+    "argv, key, value, refusal",
+    [(["run", "--xd", "0", "-3e-5"], "xd", [0.0, -3e-5], None),
+     (["run", "--xa", "-1e1", "45"], "xa", [-10.0, 45.0], None),
+     (["stability", "--e", "3", "-1e-1", "--ua", "0", "1"], "e", [3.0, -0.1], None),
+     (["margin-table", "--beta", "-1e-300"], "beta", -1e-300, "got beta=-1e-300"),
+     (["run", "--xd", "0", "-inf"], "xd", [0.0, -math.inf], "xd must be a pair of finite numbers"),
+     (["stability", "--e", "-inf", "0", "--ua", "0", "1"], "e", [-math.inf, 0.0],
+      "non-finite component in Vec2(-inf, 0.0)"),
+     (["margin-table", "--beta", "-nan"], "beta", math.nan, "got beta=nan"),
+     (["margin-table", "--k", "-Infinity"], "k", -math.inf, "must be positive, got -inf")],
+    ids=["run-xd", "run-xa", "stability-e", "margin-table-beta", "run-xd-inf", "stability-e-inf",
+         "margin-table-beta-nan", "margin-table-k-infinity"],
 )
-def test_a_negative_value_in_e_notation_reaches_its_command(tmp_path, capsys, argv, key, value):
+def test_a_negative_value_in_e_notation_reaches_its_command(
+        tmp_path, capsys, argv, key, value, refusal):
     """argparse before Python 3.13 took each of these values for a flag and
-    exited 2 with "expected 2 arguments" or "expected one argument"."""
-    assert getattr(parse(argv), key) == value
+    exited 2 with "expected 2 arguments" or "expected one argument"; so did
+    the negative infinities and NaN, in any case, on every Python.  Each now
+    reaches its command, which runs or refuses it by name."""
+    assert repr(getattr(parse(argv), key)) == repr(value)
     code = main(argv + (["--out", str(tmp_path)] if argv[0] == "run" else ["--samples", "10"]))
     captured = capsys.readouterr()
-    if key == "beta":  # a negative noise coefficient, refused by name
-        assert code == 2 and "got beta=-1e-300" in captured.err
+    if refusal:
+        assert code == 2 and captured.err.startswith("error: ") and refusal in captured.err
     else:
         assert code in (0, 1) and captured.err == ""
         assert captured.out.startswith("outcome=" if argv[0] == "run" else "lhs=")

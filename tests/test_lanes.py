@@ -3,24 +3,36 @@ namesakes (the dispatchers' laws, for the controls) on inputs within the
 bounds their callers enforce, and refuse coincident agents as the scalar
 code does.
 
+One table, `TWINS`, pins every twin and every piece the matrix kernel
+composes to its scalar law or formula, and one property,
+`test_each_twin_gives_its_scalar_bits`, checks every entry on each example:
+at true and held norms (a norm a caller holds is drawn as f times the true
+one, f exactly 1 or from U[0.5, 2]) and on a contiguous, transposed or
+spaced layout of the (2, N) vectors, since the kernel and the estimators pass
+views such as ``normals.T``.  The hand-picked edge cases, `PICKED`, run
+through every entry in every layout in `test_each_twin_at_the_picked_lanes`,
+one case per entry, and `test_the_picked_lanes_reach_their_cases` checks that
+each still reaches its case.
+
 Bit equality is asserted on IEEE bit patterns, so 0.0 and -0.0 differ; all
 NaNs count as one value.  `lanes.reliability` calls `math.erf` per lane, and
 `lanes.hypot` calls `math.hypot` on every lane it does not certify.
 `lanes.from_polar` and `lanes.spiral_heading` take numpy's ``cos`` and
-``sin``, so their tests hold on a numpy build whose ``cos`` and ``sin`` give
+``sin``, so their entries hold on a numpy build whose ``cos`` and ``sin`` give
 libm's bits, which `TestNumpyGivesLibmBits` checks.
 """
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, note
 from hypothesis import strategies as st
 
-from conftest import Normals, as_pair, margin_of, noise, pairs, points
+from conftest import Normals, as_pair, noise, pairs, points
 from guardian_sim import analysis, geometry, lanes, observation, strategies
 from guardian_sim.cli import main
 from guardian_sim.engine import InvalidInitializationError, WorldConfig, run_episode
@@ -35,48 +47,9 @@ PP, DM, ADM = DefenderStrategy
 LINEAR, SPIRAL, INTELLIGENT = strategies.MATRIX_ATTACKERS
 
 
-# The scalar laws, handed the norms a caller holds and the row's points as
-# pairs.  The linear and spiral attackers read none of the arguments passed as
-# None; the `scalar_*` makers bind the settings and return the law of the row's
-# points.
-def linear_attacker(xa: Vec2):
-    return strategies.attacker_control(LINEAR, as_pair(xa), None, None, None, None, xa.norm())
-
-
-def spiral_attacker(xa: Vec2):
-    return strategies.attacker_control(SPIRAL, as_pair(xa), None, None, None, None, xa.norm())
-
-
-def scalar_intelligent(params: NoiseParams):
-    return lambda xa, xd, w0, w1: strategies.attacker_control(
-        INTELLIGENT, as_pair(xa), as_pair(xd), params, Normals(w0, w1), xa.distance_to(xd),
-        xa.norm())
-
-
-def scalar_defender(strategy: DefenderStrategy, params: NoiseParams, k: float):
-    return lambda y, xd: strategies.defender_control(
-        strategy, as_pair(y), as_pair(xd), params, k, y.distance_to(xd))
-
-
-def scalar_reliability(params: NoiseParams, k: float):
-    return lambda y, xd: observation.reliability(params, k, y.distance_to(xd))
-
-
-def closest_point(xa: Vec2, xd: Vec2):
-    return geometry.closest_safe_reachable_point(as_pair(xa), as_pair(xd), xa.distance_to(xd))
-
-
 def bits(values) -> list[int]:
     a = np.asarray(values, dtype=float)
     return np.where(np.isnan(a), np.nan, a).view(np.int64).tolist()
-
-
-def as_lanes(column):
-    """A column of Vec2s as a (2, N) vector of lanes; a column of floats as
-    one (N,) lane."""
-    if isinstance(column[0], Vec2):
-        return np.array([[v.x for v in column], [v.y for v in column]])
-    return np.array(column, dtype=float)
 
 
 def apart(a, b):
@@ -84,46 +57,38 @@ def apart(a, b):
     return lanes.hypot(*(a - b))
 
 
-def unit(v, *rest):
-    """`lanes._unit` of the (2, N) vector v, handed ||v|| as its callers hand it."""
-    return lanes._unit(v, lanes.hypot(*v), *rest)
-
-
 def rows_of(out):
-    """A twin's result as a list of (N,) rows: a vector's x and y, or the one lane."""
+    """A twin's result as a list of (N,) rows: a vector's x and y, several
+    lanes' rows, or the one lane."""
     return list(out) if np.ndim(out) == 2 else [out]
 
 
-def assert_twin(twin, scalar, rows) -> None:
+def assert_twin(twin, scalar, rows, stack=None) -> None:
     """`twin` over the lanes of `rows` returns the bits `scalar` returns on
-    each row, or raises an error some row raises."""
-    expected, raised = [], set()
+    each row, or raises an error some row raises, and then, over the rows
+    that raise none, their bits.  `stack` turns rows into the twin's
+    arguments, by default each column into one lane."""
+    expected, raised, kept = [], set(), []
     for row in rows:
         try:
             out = scalar(*row)
         except ValueError as exc:
             raised.add(type(exc))
             continue
-        expected.append(
-            as_pair(out) if isinstance(out, Vec2) else out if isinstance(out, tuple) else (out,))
-    columns = [as_lanes(list(column)) for column in zip(*rows)]
+        kept.append(row)
+        expected.append(out if isinstance(out, tuple) else (out,))
+    if stack is None:
+        def stack(rows):
+            return [np.array(column, dtype=float) for column in zip(*rows)]
     if raised:
         with pytest.raises(ValueError) as info:
-            twin(*columns)
+            twin(*stack(rows))
         assert type(info.value) in raised
-        return
-    assert [bits(c) for c in rows_of(twin(*columns))] == [bits(c) for c in zip(*expected)]
+        if not kept:
+            return
+    assert [bits(c) for c in rows_of(twin(*stack(kept)))] == [bits(c) for c in zip(*expected)]
 
 
-lane_pairs = st.lists(pairs(), min_size=1, max_size=6)
-half_widths = st.floats(1e-3, 5.0)
-normals = st.floats(-5.0, 5.0)
-strategy_members = st.sampled_from(list(DefenderStrategy))
-# Attacker points within the twins' domain, as `engine._validate_init`'s bounds
-# on r_safe keep every live attacker: a radius of at least 1e-12 for the linear
-# and intelligent controls, above 1 for the spiral.
-homing_points = points.filter(lambda p: p.norm() >= strategies._EPS_DIRECTION)
-spiral_points = points.filter(lambda p: p.norm() > 1.0)
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 2.0**-1024, 2.0**-1023, 1e-300, 1e307,
            1.7e308, math.inf, -math.inf, math.nan]
 
@@ -394,264 +359,257 @@ def test_only_atan2_erf_and_hypot_go_lane_by_lane(monkeypatch):
     assert called <= {math.atan2, math.erf, math.hypot}
 
 
-class TestGeometryTwins:
-    @given(st.lists(st.tuples(st.floats(0.0, 100.0), st.floats(-math.pi, math.pi)),
-                    min_size=1, max_size=8))
-    def test_from_polar(self, rows):
-        assert_twin(lanes.from_polar, Vec2.from_polar, rows)
-
-    @given(lane_pairs)
-    def test_defense_margin(self, rows):
-        assert_twin(lambda xa, xd: lanes.defense_margin(xa, xd, apart(xa, xd)), margin_of, rows)
-
-    @given(lane_pairs)
-    def test_closest_safe_reachable_point(self, rows):
-        assert_twin(lambda xa, xd: lanes.closest_safe_reachable_point(xa, xd, apart(xa, xd)),
-                    closest_point, rows)
-
-    def test_target_is_the_origin_when_rho_is_not_positive(self):
-        rows = [(Vec2(1.0, 2.0), Vec2(3.0, -4.0)), (Vec2(5.0, 0.0), Vec2(0.0, 5.0))]
-        assert all(margin_of(y, xd) <= 0.0 for y, xd in rows)
-        assert_twin(lambda y, xd: lanes.closest_safe_reachable_point(y, xd, apart(y, xd)),
-                    closest_point, rows)
-        assert_twin(lambda y, xd: lanes.defender_control(DM, y, xd, NOISELESS, 0.5),
-                    scalar_defender(DM, NOISELESS, 0.5), rows)
+# What a table entry reads.  For a scalar law, one lane: points as pairs, the
+# normals as `Normals`, numbers as floats.  For a twin, every lane in its
+# domain: vectors as (2, N) arrays, numbers as (N,) arrays, each in the
+# example's layout.  ``dist`` is ||a - b||; ``sep`` and ``n`` are the norms a
+# caller holds, f ||a - b|| and f ||a||; ``p`` is the reliability at ``dist``.
+Lane = namedtuple("Lane", "a b c w dist sep n p params k")
 
 
-class TestObservationTwins:
-    @given(st.lists(st.floats(0.0, 1e3), min_size=1, max_size=8), noise)
-    def test_noise_variance_over_lanes(self, distances, params):
-        assert_twin(lambda d: observation.noise_variance(d, params),
-                    lambda d: observation.noise_variance(d, params), [(d,) for d in distances])
-
-    @given(st.lists(st.tuples(points, points, normals, normals), min_size=1, max_size=6), noise)
-    def test_observe(self, rows, params):
-        assert_twin(
-            lambda xa, xd, w0, w1: lanes.observe(xa, params, np.array((w0, w1)), apart(xa, xd)),
-            lambda xa, xd, w0, w1: observation.observe(
-                as_pair(xa), params, Normals(w0, w1), xa.distance_to(xd)),
-            rows,
-        )
-
-    @given(lane_pairs, noise, half_widths)
-    def test_reliability(self, rows, params, k):
-        assert_twin(lambda y, xd: lanes.reliability(params, k, apart(y, xd)),
-                    scalar_reliability(params, k), rows)
-
-    def test_infinite_variance_is_exactly_zero(self):
-        """beta * distance^2 overflows: the scalar code gets erf(0) = 0, and
-        so does the twin, without a warning."""
-        rows = [(Vec2(1e160, 0.0), Vec2(0.0, 0.0)), (Vec2(3.0, 4.0), Vec2(0.0, 0.0))]
-        params = NoiseParams(beta_d=1.0)
-        assert_twin(lambda y, xd: lanes.reliability(params, 0.5, apart(y, xd)),
-                    scalar_reliability(params, 0.5), rows)
-        assert scalar_reliability(params, 0.5)(*rows[0]) == 0.0
-
-    def test_zero_variance_is_exactly_one(self):
-        rows = [(Vec2(3.0, 4.0), Vec2(0.0, 0.0)), (Vec2(1.0, 1.0), Vec2(1.0, 1.0))]
-        assert_twin(lambda y, xd: lanes.reliability(NOISELESS, 0.5, apart(y, xd)),
-                    scalar_reliability(NOISELESS, 0.5), rows)
-        y, xd = as_lanes([r[0] for r in rows]), as_lanes([r[1] for r in rows])
-        assert lanes.reliability(NOISELESS, 0.5, apart(y, xd)).tolist() == [1.0, 1.0]
+def scalar_lane(row, params: NoiseParams, k: float) -> Lane:
+    a, b, c, w0, w1, f = row
+    dist = math.hypot(a[0] - b[0], a[1] - b[1])
+    return Lane(a, b, c, Normals(w0, w1), dist, f * dist, f * math.hypot(*a),
+                observation.reliability(params, k, dist), params, k)
 
 
-class TestStrategyTwins:
-    @given(lane_pairs, strategy_members, noise, half_widths)
-    def test_defender_control(self, rows, strategy, params, k):
-        assert_twin(lambda y, xd: lanes.defender_control(strategy, y, xd, params, k),
-                    scalar_defender(strategy, params, k), rows)
+def twin_lanes(scalars: list[Lane], layout) -> Lane:
+    """The scalar lanes as one twin's `Lane`."""
+    def column(name: str):
+        return layout(np.array([getattr(v, name) for v in scalars], dtype=float).T)
 
-    def test_direction_below_threshold_is_zero(self):
-        rows = [(Vec2(1e-13, 0.0), Vec2(0.0, 0.0)), (Vec2(7.0, 3.0), Vec2(7.0, 3.0 + 5e-13))]
-        for strategy in (PP, DM):
-            assert_twin(lambda y, xd: lanes.defender_control(strategy, y, xd, NOISELESS, 0.5),
-                        scalar_defender(strategy, NOISELESS, 0.5),
-                        rows if strategy is PP else rows[:1])
-        y, xd = as_lanes([r[0] for r in rows]), as_lanes([r[1] for r in rows])
-        assert bits(lanes.defender_control(PP, y, xd, NOISELESS, 0.5)[0]) == bits([0.0, 0.0])
-
-    def test_blend_below_threshold_falls_back_to_margin_keeping(self):
-        """Exact observations give reliability 1, so the blend is the pursuit
-        direction, which is zero a hair from the defender; the control is
-        then the (non-zero) margin-keeping direction."""
-        rows = [(Vec2(10.0, 0.0), Vec2(10.0, 5e-13))]
-        assert_twin(lambda y, xd: lanes.defender_control(ADM, y, xd, NOISELESS, 0.5),
-                    scalar_defender(ADM, NOISELESS, 0.5), rows)
-        y, xd = as_lanes([rows[0][0]]), as_lanes([rows[0][1]])
-        control, dm = (lanes.defender_control(s, y, xd, NOISELESS, 0.5) for s in (ADM, DM))
-        assert control[0][0] == -1.0
-        assert [bits(c) for c in control] == [bits(c) for c in dm]
-
-    @given(st.lists(homing_points, min_size=1, max_size=8))
-    @example([Vec2(1e-12, 0.0), Vec2(-0.0, -1e-12), Vec2(5e-324, 1e-12)])
-    def test_linear_attacker(self, column):
-        assert_twin(lambda xa: lanes.linear_attacker(xa, lanes.hypot(*xa)), linear_attacker,
-                    [(p,) for p in column])
-
-    @given(st.lists(spiral_points, min_size=1, max_size=8))
-    @example([Vec2(1.0 + 2.0**-52, 0.0), Vec2(-30.0, -0.0), Vec2(0.0, -45.5)])
-    def test_spiral_attacker(self, column):
-        assert_twin(lambda xa: lane_spiral_attacker(xa, lanes.hypot(*xa)),
-                    spiral_attacker, [(p,) for p in column])
-
-    @given(st.lists(st.tuples(homing_points, points, normals, normals), min_size=1, max_size=6),
-           noise)
-    @example([(Vec2(1e-12, 0.0), Vec2(0.0, 0.0), 0.5, -0.5)], NOISELESS)
-    def test_intelligent_attacker(self, rows, params):
-        assert_twin(
-            lambda xa, xd, w0, w1: lane_intelligent_attacker(
-                xa, xd, params, np.array((w0, w1)), apart(xa, xd), lanes.hypot(*xa)),
-            scalar_intelligent(params),
-            rows,
-        )
-
-    def test_intelligent_fallbacks(self):
-        """An observed defender within 1e-12 of the attacker, and a blend
-        below 1e-9, both leave the straight line to the origin."""
-        rows = [(Vec2(30.0, 0.0), Vec2(30.0, 1e-13), 0.0, 0.0),   # away shorter than 1e-12
-                (Vec2(30.0, 0.0), Vec2(29.0, 0.0), 0.0, 0.0)]     # blend exactly zero
-        for row in rows:
-            assert Vec2(*scalar_intelligent(NOISELESS)(*row)) == Vec2(-1.0, -0.0)
-        assert_twin(
-            lambda xa, xd, w0, w1: lane_intelligent_attacker(
-                xa, xd, NOISELESS, np.array((w0, w1)), apart(xa, xd), lanes.hypot(*xa)),
-            scalar_intelligent(NOISELESS),
-            rows,
-        )
-
-    @given(st.lists(st.tuples(points, points, normals, normals, st.floats(0.5, 2.0)).filter(
-        lambda row: row[4] * row[0].norm() > 1.0), min_size=1, max_size=6), noise, half_widths)
-    @example([(Vec2(2.0 + 2.0**-51, 0.0), Vec2(0.0, 1.0), 0.5, -0.5, 0.5)], NOISELESS, 0.5)
-    def test_a_held_norm_is_used_as_given(self, rows, params, k):
-        """Handed f times the norm it would compute, each twin, and each
-        piece the matrix kernel composes, returns the scalar function's (or
-        formula's) bits at that same norm: ``sep`` is f ||a - b||, ``n`` is
-        f ||a||, above 1 as the spiral needs."""
-        def check(twin, scalar):
-            assert_twin(
-                lambda a, b, w0, w1, f: twin(
-                    a, b, np.array((w0, w1)),
-                    f * lanes.hypot(a[0] - b[0], a[1] - b[1]), f * lanes.hypot(*a)),
-                lambda a, b, w0, w1, f: scalar(
-                    a, b, Normals(w0, w1), f * a.distance_to(b), f * a.norm()),
-                rows,
-            )
-
-        def spiral_heading(a, r):
-            angle, inner = math.atan2(a.y, a.x) - 1.0 / r, r - 1.0
-            return Vec2(inner * math.cos(angle) - a.x, inner * math.sin(angle) - a.y)
-
-        def intelligent_heading(away, to_origin, dist):
-            if dist < strategies._EPS_DIRECTION:
-                return Vec2(0.0, 0.0)
-            scale = 1.0 / (dist * dist)
-            return Vec2(away.x * scale + to_origin.x, away.y * scale + to_origin.y)
-
-        twins = [
-            (lambda a, b, w, sep, n: lanes.observe(a, params, w, sep),
-             lambda a, b, w, sep, n: observation.observe(as_pair(a), params, w, sep)),
-            (lambda a, b, w, sep, n: lanes.reliability(params, k, sep),
-             lambda a, b, w, sep, n: observation.reliability(params, k, sep)),
-            (lambda a, b, w, sep, n: lanes.defense_margin(a, b, sep),
-             lambda a, b, w, sep, n: geometry.defense_margin(as_pair(a), as_pair(b), sep)),
-            (lambda a, b, w, sep, n: lanes.closest_safe_reachable_point(a, b, sep),
-             lambda a, b, w, sep, n: geometry.closest_safe_reachable_point(
-                 as_pair(a), as_pair(b), sep)),
-            (lambda a, b, w, sep, n: lanes._unit(a - b, sep),
-             lambda a, b, w, sep, n: strategies.defender_control(
-                 PP, as_pair(a), as_pair(b), params, k, sep)),
-            (lambda a, b, w, sep, n: unit(lanes.dm_heading(a, b, sep)),
-             lambda a, b, w, sep, n: strategies.defender_control(
-                 DM, as_pair(a), as_pair(b), params, k, sep)),
-            (lambda a, b, w, sep, n: lanes.linear_attacker(a, n),
-             lambda a, b, w, sep, n: strategies.attacker_control(
-                 LINEAR, as_pair(a), as_pair(b), params, w, sep, n)),
-            (lambda a, b, w, sep, n: lane_spiral_attacker(a, n),
-             lambda a, b, w, sep, n: strategies.attacker_control(
-                 SPIRAL, as_pair(a), as_pair(b), params, w, sep, n)),
-            (lambda a, b, w, sep, n: lane_intelligent_attacker(a, b, params, w, sep, n),
-             lambda a, b, w, sep, n: strategies.attacker_control(
-                 INTELLIGENT, as_pair(a), as_pair(b), params, w, sep, n)),
-            # The pieces the matrix kernel composes.
-            (lambda a, b, w, sep, n: lanes._unit(a, n),
-             lambda a, b, w, sep, n: strategies._unit(a.x, a.y, n)),
-            (lambda a, b, w, sep, n: lanes.dm_heading(a, b, sep),
-             lambda a, b, w, sep, n: Vec2(*geometry.closest_safe_reachable_point(
-                 as_pair(a), as_pair(b), sep)) - b),
-            (lambda a, b, w, sep, n: lanes.spiral_heading(a, n),
-             lambda a, b, w, sep, n: spiral_heading(a, n)),
-            (lambda a, b, w, sep, n: lanes.intelligent_away(a, b, params, w, sep),
-             lambda a, b, w, sep, n: a - Vec2(*observation.observe(as_pair(b), params, w, sep))),
-            (lambda a, b, w, sep, n: lanes.intelligent_heading(a, b, n),
-             lambda a, b, w, sep, n: intelligent_heading(a, b, n)),
-        ]
-        for twin, scalar in twins:
-            check(twin, scalar)
-
-
-@given(st.lists(st.tuples(points, points, normals, normals, points), min_size=1, max_size=6),
-       strategy_members, noise, half_widths)
-def test_one_step_margin_change(rows, strategy, params, k):
-    assert_twin(
-        lambda xa, xd, w0, w1, motion: lanes.one_step_margin_change(
-            xa, xd, strategy, params, k, np.array((w0, w1)), motion, apart(xa, xd)),
-        lambda xa, xd, w0, w1, motion: analysis.one_step_margin_change(
-            as_pair(xa), as_pair(xd), strategy, params, k, Normals(w0, w1), as_pair(motion)),
-        rows,
-    )
+    w = layout(np.array([v.w.w for v in scalars]).T)
+    return Lane(*map(column, "abc"), w, *map(column, ("dist", "sep", "n", "p")),
+                scalars[0].params, scalars[0].k)
 
 
 def transposed(v):
-    """The (2, N) vector v as the transpose of a C-ordered (N, 2) array, the
-    layout of a block of normals drawn sample by sample."""
-    return np.array(v.T).T
+    """v as the transpose of a C-ordered array, the layout of a block of
+    normals drawn sample by sample."""
+    return np.ascontiguousarray(v.T).T
 
 
 def spaced(v):
-    """The (2, N) vector v as every other column of a (2, 2N) array."""
-    wide = np.full((v.shape[0], 2 * v.shape[1]), np.nan)
-    wide[:, ::2] = v
-    return wide[:, ::2]
+    """v as every other column of an array twice as wide."""
+    wide = np.full((*v.shape[:-1], 2 * v.shape[-1]), np.nan)
+    wide[..., ::2] = v
+    return wide[..., ::2]
 
 
-@given(st.lists(st.tuples(spiral_points, points, normals, normals, points),
-                min_size=1, max_size=6), strategy_members, noise, half_widths)
-def test_strided_views_give_the_bits_of_contiguous_copies(rows, strategy, params, k):
-    """The kernel and the estimators pass views, such as ``normals.T``: each
-    twin and each piece the kernel composes gives on strided (2, N) views
-    the bits it gives on contiguous copies, or raises the same error."""
-    xa, xd, motion = (as_lanes([r[i] for r in rows]) for i in (0, 1, 4))
-    w = np.array(([r[2] for r in rows], [r[3] for r in rows]))
-    assert not spaced(xa).flags.c_contiguous
-    f = np.array([1.0 + 0.25 * (i % 3) for i in range(len(rows))])
-    calls = [
-        (lambda a, b: lanes.hypots(a, b, a - b), (xa, xd)),
-        (lambda a, b: lanes.defense_margin(a, b, apart(a, b)), (xa, xd)),
-        (lambda a, b: lanes.closest_safe_reachable_point(a, b, apart(a, b)), (xa, xd)),
-        (lambda a, b, w: lanes.observe(a, params, w, apart(a, b)), (xa, xd, w)),
-        (lambda a, b: lanes.reliability(params, k, apart(a, b)), (xa, xd)),
-        (lambda a, b: lanes.defender_control(strategy, a, b, params, k), (xa, xd)),
-        (lambda a, b: lanes.dm_heading(a, b, apart(a, b)), (xa, xd)),
-        (lambda a, b: lanes.adm_heading(a, b, f / 2.0), (xa, xd)),
-        (lambda a, b: unit(a, lanes._EPS_BLEND, b), (xa - xa, xd)),
-        (lambda a: lanes.linear_attacker(a, lanes.hypot(*a)), (xa,)),
-        (lambda a: lanes.spiral_heading(a, lanes.hypot(*a)), (xa,)),
-        (lambda a, b, w: lanes.intelligent_away(a, b, params, w, apart(a, b)), (xa, xd, w)),
-        (lambda a, b: lanes.intelligent_heading(a, b, f), (xa, xd)),
-        (lambda a, b, w, m: lanes.one_step_margin_change(
-            a, b, strategy, params, k, w, m, apart(a, b)), (xa, xd, w, motion)),
-    ]
-    for fn, args in calls:
-        outcomes = []
-        for layout in (np.ascontiguousarray, transposed, spaced):
-            try:
-                out = fn(*map(layout, args))
-            except ValueError as exc:
-                outcomes.append(type(exc))
-            else:
-                out = out if isinstance(out, list) else rows_of(out)
-                outcomes.append([bits(c) for c in out])
-        assert outcomes[0] == outcomes[1] == outcomes[2], fn
+def minus(u, v):
+    return u[0] - v[0], u[1] - v[1]
+
+
+def unit(v):
+    """`lanes._unit` of the (2, N) vector v, handed ||v|| as its callers hand it."""
+    return lanes._unit(v, lanes.hypot(*v))
+
+
+def adm_heading(pp_dir, dm_dir, p):
+    q = 1.0 - p
+    return pp_dir[0] * p + dm_dir[0] * q, pp_dir[1] * p + dm_dir[1] * q
+
+
+def spiral_heading(a, n):
+    angle, inner = math.atan2(a[1], a[0]) - 1.0 / n, n - 1.0
+    return inner * math.cos(angle) - a[0], inner * math.sin(angle) - a[1]
+
+
+def intelligent_heading(away, to_origin, dist):
+    if dist < strategies._EPS_DIRECTION:
+        return 0.0, 0.0
+    scale = 1.0 / (dist * dist)
+    return away[0] * scale + to_origin[0], away[1] * scale + to_origin[1]
+
+
+def blend_unit(v, n, fallback):
+    """`lanes._unit`'s blend fallback, as the `adm` and intelligent laws write it."""
+    return fallback if n < strategies._EPS_BLEND else (v[0] / n, v[1] / n)
+
+
+# Where an entry holds: on every lane, or within the bounds its callers keep.
+# An observation must stay finite (beta 1e308 at a nonzero separation does
+# not); a homing attacker's radius is at least 1e-12, the spiral's above 1.
+def every(v: Lane) -> bool:
+    return True
+
+
+def seen(v: Lane) -> bool:
+    return math.isfinite(observation.noise_variance(max(v.dist, v.sep), v.params))
+
+
+def homing(v: Lane) -> bool:  # the intelligent attacker observes, too
+    return v.n >= strategies._EPS_DIRECTION and seen(v)
+
+
+def spiral(v: Lane) -> bool:
+    return v.n > 1.0
+
+
+# name: (domain, twin, scalar).  An entry that takes ``dist`` or computes its
+# own norms runs at the true norms; one that takes ``sep`` or ``n``, at the
+# held ones.
+TWINS = {
+    # `noise_variance` is its own twin: over arrays it computes each lane's expression.
+    "noise_variance": (seen, *[lambda v: observation.noise_variance(v.sep, v.params)] * 2),
+    "observe": (seen, lambda v: lanes.observe(v.a, v.params, v.w, v.sep),
+                lambda v: observation.observe(v.a, v.params, v.w, v.sep)),
+    "reliability": (every, lambda v: lanes.reliability(v.params, v.k, v.sep),
+                    lambda v: observation.reliability(v.params, v.k, v.sep)),
+    "from_polar": (every, lambda v: lanes.from_polar(v.n, v.b[0]),  # any radius and angle
+                   lambda v: as_pair(Vec2.from_polar(v.n, v.b[0]))),
+    "defense_margin": (every, lambda v: lanes.defense_margin(v.a, v.b, v.sep),
+                       lambda v: geometry.defense_margin(v.a, v.b, v.sep)),
+    "closest_safe_reachable_point": (
+        every, lambda v: lanes.closest_safe_reachable_point(v.a, v.b, v.sep),
+        lambda v: geometry.closest_safe_reachable_point(v.a, v.b, v.sep)),
+    "hypots": (every, lambda v: lanes.hypots(v.a, v.b, v.a - v.b),
+               lambda v: (math.hypot(*v.a), math.hypot(*v.b), v.dist)),
+    **{f"{s.value} control{given}": (
+        every, lambda v, s=s: lanes.defender_control(s, v.a, v.b, v.params, v.k),
+        lambda v, s=s, given=given: strategies.defender_control(
+            s, v.a, v.b, v.params, v.k, v.dist, v.p if given else None))
+       for s in DefenderStrategy for given in ("", ", p given")},
+    "pp law": (every, lambda v: lanes._unit(v.a - v.b, v.sep),
+               lambda v: strategies.defender_control(PP, v.a, v.b, v.params, v.k, v.sep)),
+    "dm law": (every, lambda v: unit(lanes.dm_heading(v.a, v.b, v.sep)),
+               lambda v: strategies.defender_control(DM, v.a, v.b, v.params, v.k, v.sep)),
+    "linear attacker": (homing, lambda v: lanes.linear_attacker(v.a, v.n),
+                        lambda v: strategies.attacker_control(
+                            LINEAR, v.a, v.b, v.params, v.w, v.sep, v.n)),
+    "spiral attacker": (spiral, lambda v: lane_spiral_attacker(v.a, v.n),
+                        lambda v: strategies.attacker_control(
+                            SPIRAL, v.a, v.b, v.params, v.w, v.sep, v.n)),
+    "intelligent attacker": (
+        homing, lambda v: lane_intelligent_attacker(v.a, v.b, v.params, v.w, v.sep, v.n),
+        lambda v: strategies.attacker_control(INTELLIGENT, v.a, v.b, v.params, v.w, v.sep, v.n)),
+    # The pieces the matrix kernel composes.
+    "_unit": (every, lambda v: lanes._unit(v.a, v.n), lambda v: strategies._unit(*v.a, v.n)),
+    "_unit, blend fallback": (every, lambda v: lanes._unit(v.a, v.n, lanes._EPS_BLEND, v.b),
+                              lambda v: blend_unit(v.a, v.n, v.b)),
+    "dm_heading": (every, lambda v: lanes.dm_heading(v.a, v.b, v.sep),
+                   lambda v: minus(geometry.closest_safe_reachable_point(v.a, v.b, v.sep), v.b)),
+    "adm_heading": (every, lambda v: lanes.adm_heading(v.a, v.b, v.p),
+                    lambda v: adm_heading(v.a, v.b, v.p)),
+    "spiral_heading": (spiral, lambda v: lanes.spiral_heading(v.a, v.n),
+                       lambda v: spiral_heading(v.a, v.n)),
+    "intelligent_away": (seen, lambda v: lanes.intelligent_away(v.a, v.b, v.params, v.w, v.sep),
+                         lambda v: minus(v.a, observation.observe(v.b, v.params, v.w, v.sep))),
+    "intelligent_heading": (every, lambda v: lanes.intelligent_heading(v.a, v.b, v.n),
+                            lambda v: intelligent_heading(v.a, v.b, v.n)),
+    **{f"one_step_margin_change, {s.value}": (
+        seen, lambda v, s=s: lanes.one_step_margin_change(
+            v.a, v.b, s, v.params, v.k, v.w, v.c, v.dist),
+        lambda v, s=s: analysis.one_step_margin_change(v.a, v.b, s, v.params, v.k, v.w, v.c))
+       for s in DefenderStrategy},
+}
+
+
+@st.composite
+def lane_rows(draw):
+    """(a, b, c, w0, w1, f): b free, a hair from a or equal to it; c the
+    attacker's motion; two standard normals; the held-norm factor."""
+    a, b = draw(pairs())
+    return (as_pair(a), as_pair(b), as_pair(draw(points)), draw(normals), draw(normals),
+            draw(st.just(1.0) | st.floats(0.5, 2.0)))
+
+
+def lane(a, b, w=(0.0, 0.0), f=1.0):
+    """A hand-picked row with no attacker motion."""
+    return a, b, (0.0, 0.0), *w, f
+
+
+half_widths = st.floats(1e-3, 5.0)
+normals = st.floats(-5.0, 5.0)
+LAYOUTS = [np.ascontiguousarray, transposed, spaced]
+layouts = st.sampled_from(LAYOUTS)
+
+HUGE_NOISE = NoiseParams(beta_d=1e308)  # beta d^2 overflows from d = 1.35
+RHO_NOT_POSITIVE = [lane((1.0, 2.0), (3.0, -4.0)), lane((5.0, 0.0), (0.0, 5.0))]
+VARIANCE = [lane((3.0, 4.0), (0.0, 0.0)), lane((1.0, 1.0), (1.0, 1.0))]
+# The 1e-12 direction fallbacks (on the first lane, of pursuit and margin
+# keeping at once, so `adm`'s blend is zero too) and the 1e-9 blend fallback.
+DIRECTION_BELOW_1E_12 = [lane((1e-13, 0.0), (0.0, 0.0)), lane((7.0, 3.0), (7.0, 3.0 + 5e-13))]
+BLEND_BELOW_1E_9 = [lane((10.0, 0.0), (10.0, 5e-13))]
+# The intelligent attacker's observed defender within 1e-12 of it, its
+# blend exactly zero, the defender on top of it; then attackers outside
+# every homing domain (at the origin) and the spiral's (at radius 1).
+INTELLIGENT_FALLBACKS = [lane((30.0, 0.0), (30.0, 1e-13)), lane((30.0, 0.0), (29.0, 0.0)),
+                         lane((10.0, 0.0), (9.0, 0.0)), lane((10.0, 0.0), (10.0, 0.0)),
+                         lane((0.0, 0.0), (3.0, 4.0)), lane((0.6, -0.8), (3.0, 4.0))]
+RADIUS_EDGES = [lane((1e-12, 0.0), (0.0, 1.0)), lane((-0.0, -1e-12), (0.0, 1.0)),
+                lane((5e-324, 1e-12), (0.0, 1.0)), lane((1.0 + 2.0**-52, 0.0), (0.0, 1.0)),
+                lane((-30.0, -0.0), (0.0, 1.0)), lane((0.0, -45.5), (0.0, 1.0)),
+                lane((2.0 + 2.0**-51, 0.0), (0.0, 1.0), (0.5, -0.5), 0.5)]
+ATAN2_MISS = lane((-24.034573135513824, -31.84831305828657), (0.0, 0.0))  # np.arctan2 errs here
+
+
+# The hand-picked lanes: the scalar cases a random draw rarely or never
+# reaches, each with the noise it needs.
+PICKED = {
+    "rho not positive": (RHO_NOT_POSITIVE, NOISELESS),
+    "infinite variance": (VARIANCE[:1], HUGE_NOISE),
+    "zero variance": (VARIANCE, NOISELESS),
+    "direction and blend fallbacks": (DIRECTION_BELOW_1E_12 + BLEND_BELOW_1E_9, NOISELESS),
+    "intelligent fallbacks": (INTELLIGENT_FALLBACKS, NOISELESS),
+    "radius edges": (RADIUS_EDGES + [ATAN2_MISS], NOISELESS),
+}
+
+
+def check_entry(name: str, rows, params: NoiseParams, k: float, layout) -> None:
+    """The entry `name` of `TWINS`, over the lanes of `rows` in its domain,
+    gives the bits its scalar gives lane by lane, or raises an error one lane
+    raises."""
+    domain, twin, scalar = TWINS[name]
+    inside = [v for v in (scalar_lane(row, params, k) for row in rows) if domain(v)]
+    if inside:
+        assert_twin(twin, scalar, [(v,) for v in inside],
+                    lambda rows: [twin_lanes([v for v, in rows], layout)])
+
+
+@given(st.lists(lane_rows(), min_size=1, max_size=8), noise, half_widths, layouts)
+def test_each_twin_gives_its_scalar_bits(rows, params, k, layout):
+    """Every entry of `TWINS` holds on the example's lanes."""
+    for name in TWINS:
+        note(name)
+        check_entry(name, rows, params, k, layout)
+
+
+@pytest.mark.parametrize("name", TWINS)
+def test_each_twin_at_the_picked_lanes(name):
+    """The entry `name` of `TWINS` holds on every set of `PICKED`, in every
+    layout."""
+    for rows, params in PICKED.values():
+        for layout in LAYOUTS:
+            check_entry(name, rows, params, 0.5, layout)
+
+
+def test_the_picked_lanes_reach_their_cases():
+    """Each set of `PICKED` reaches the case it is picked for in the scalar
+    law, so `test_each_twin_at_the_picked_lanes` pins the twin's value there
+    bit for bit."""
+    def at(row, params=NOISELESS):
+        return scalar_lane(row, params, 0.5)
+
+    def law(strategy, row):
+        v = at(row)
+        return strategies.defender_control(strategy, v.a, v.b, NOISELESS, 0.5, v.dist)
+
+    for v in map(at, RHO_NOT_POSITIVE):
+        assert geometry.defense_margin(v.a, v.b, v.dist) <= 0.0
+        assert geometry.closest_safe_reachable_point(v.a, v.b, v.dist) == (0.0, 0.0)
+    assert at(VARIANCE[0], HUGE_NOISE).p == 0.0  # infinite variance: erf(0)
+    assert [at(row).p for row in VARIANCE] == [1.0, 1.0]  # zero variance
+    assert law(PP, DIRECTION_BELOW_1E_12[0]) == (0.0, 0.0)
+    blend = BLEND_BELOW_1E_9[0]
+    assert law(ADM, blend) == law(DM, blend) and law(DM, blend)[0] == -1.0
+    for v in map(at, INTELLIGENT_FALLBACKS[:4]):
+        control = strategies.attacker_control(INTELLIGENT, v.a, v.b, NOISELESS, v.w, v.sep, v.n)
+        assert bits(control) == bits((-1.0, -0.0))
+    assert [at(row).n for row in RADIUS_EDGES[::3]] == [1e-12, 1.0 + 2.0**-52, 1.0 + 2.0**-52]
+    a = ATAN2_MISS[0]
+    assert np.arctan2(a[1], a[0]) != math.atan2(a[1], a[0])
 
 
 class TestRefusals:

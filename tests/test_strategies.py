@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import Normals, angles, as_pair, noise, pairs, points
+from conftest import Normals, angles, as_pair
 from guardian_sim import engine, geometry, lanes, observation, strategies
 from guardian_sim.analysis import closest_point_grid_search
 from guardian_sim.geometry import Vec2, closest_safe_reachable_point, defense_margin
@@ -24,12 +24,7 @@ from guardian_sim.strategies import (
     attacker_control,
     defender_control,
 )
-from oracles import (
-    gaussian_square_mass_quadrature,
-    lane_intelligent_attacker,
-    lane_spiral_attacker,
-    rotated,
-)
+from oracles import gaussian_square_mass_quadrature, rotated
 
 NOISELESS = NoiseParams(beta_b=0.0, beta_d=0.0, beta_v=0.0, nu=1.0)
 
@@ -310,92 +305,7 @@ def _lane(v: Vec2) -> np.ndarray:
     return np.array([[v.x], [v.y]])
 
 
-def _bits_or_error(fn):
-    """The bits `fn()` returns, a scalar law's or a one-lane twin's, or the
-    type of the ValueError it raises."""
-    try:
-        out = fn()
-    except ValueError as exc:
-        return type(exc)
-    values = np.ravel(out).tolist()
-    return [float(v).hex() for v in values]
-
-
-def assert_held_norms_match_the_twins(xa, xd, y, params, k, w) -> None:
-    """Every scalar function handed the norms the engine holds (||xa - xd||,
-    ||y - xd|| and ||xa||) returns the bits, or raises the error, of its
-    `lanes` twin on the one lane of the same points; `lanes.defender_control`
-    computes ||y - xd|| itself.  An attacker law is compared only inside its
-    domain (a radius of at least 1e-12, above 1 for the spiral); outside it,
-    the engine refuses any world in which a live attacker could stand at xa."""
-    separation, distance, n = xa.distance_to(xd), y.distance_to(xd), xa.norm()
-    a, d, yl, normals = _lane(xa), _lane(xd), _lane(y), np.array([[w[0]], [w[1]]])
-    xa, xd, y = as_pair(xa), as_pair(xd), as_pair(y)
-    s_lane, d_lane, n_lane = (np.array([v]) for v in (separation, distance, n))
-    checks = [
-        (partial(observe, xa, params, Normals(*w), separation),
-         partial(lanes.observe, a, params, normals, s_lane)),
-        (partial(reliability, params, k, distance), partial(lanes.reliability, params, k, d_lane)),
-        (partial(defense_margin, xa, xd, separation),
-         partial(lanes.defense_margin, a, d, s_lane)),
-        (partial(closest_safe_reachable_point, y, xd, distance),
-         partial(lanes.closest_safe_reachable_point, yl, d, d_lane)),
-    ]
-    p = reliability(params, k, distance)
-    for strategy in DefenderStrategy:
-        twin = partial(lanes.defender_control, strategy, yl, d, params, k)
-        checks += [(partial(defender_control, strategy, y, xd, params, k, distance, given_p), twin)
-                   for given_p in (None, p)]
-    linear, spiral, intelligent = MATRIX_ATTACKERS
-    homing = n >= strategies._EPS_DIRECTION
-    if homing:
-        checks += [
-            (partial(attacker_control, linear, xa, None, None, None, None, n),
-             partial(lanes.linear_attacker, a, n_lane)),
-            (partial(attacker_control, intelligent, xa, xd, params, Normals(*w), separation, n),
-             partial(lane_intelligent_attacker, a, d, params, normals, s_lane, n_lane)),
-        ]
-    if n > 1.0:
-        checks.append((partial(attacker_control, spiral, xa, None, None, None, None, n),
-                       partial(lane_spiral_attacker, a, n_lane)))
-    for scalar, twin in checks:
-        assert _bits_or_error(scalar) == _bits_or_error(twin), scalar
-    refused = ([] if homing else [linear, intelligent]) + ([] if n > 1.0 else [spiral])
-    for behavior in refused:
-        with pytest.raises(engine.InvalidInitializationError, match="needs r_safe"):
-            refuse_world(behavior, max(n, 1e-13))
-
-
 class TestHeldNorms:
-    @given(pairs(), st.sampled_from(["same", "near", "free"]), points, noise,
-           st.floats(1e-3, 5.0), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
-    def test_same_bits_and_errors(self, pair, y_kind, free_y, params, k, w0, w1):
-        """y == xd (pursuit's zero fallback, margin keeping's refusal), y a
-        hair from xd (the 1e-12 direction fallback) or y anywhere."""
-        xa, xd = pair
-        y = {"same": xd, "near": Vec2(xd.x + 3e-13, xd.y - 2e-13), "free": free_y}[y_kind]
-        assert_held_norms_match_the_twins(xa, xd, y, params, k, (w0, w1))
-
-    @pytest.mark.parametrize(
-        "xa, xd, y",
-        [
-            # `adm`: both parts fall back to zero, so the blend does too.
-            (Vec2(30.0, 0.0), Vec2(0.0, 0.0), Vec2(1e-13, 0.0)),
-            # The intelligent attacker sees the defender exactly where it is
-            # one unit inward, so its blend cancels ...
-            (Vec2(10.0, 0.0), Vec2(9.0, 0.0), Vec2(9.0, 0.0)),
-            # ... or on top of itself, so it has nothing to flee.
-            (Vec2(10.0, 0.0), Vec2(10.0, 0.0), Vec2(10.0, 0.0)),
-            # Outside the attacker laws' domains, refused up front: every
-            # attacker at the origin, the spiral at r <= 1.
-            (Vec2(0.0, 0.0), Vec2(3.0, 4.0), Vec2(0.0, 0.0)),
-            (Vec2(0.6, -0.8), Vec2(3.0, 4.0), Vec2(1.0, 1.0)),
-        ],
-        ids=["adm-blend", "intelligent-blend", "intelligent-coincident", "origin", "unit-radius"],
-    )
-    def test_fallbacks(self, xa, xd, y):
-        assert_held_norms_match_the_twins(xa, xd, y, NOISELESS, 0.5, (0.0, 0.0))
-
     def test_scalar_laws_take_their_twins_signatures(self):
         """`observe` and `reliability` take their `lanes` twins' parameters
         (the noise source is ``rng`` here, ``normals`` there), and no
