@@ -316,7 +316,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_stability(args: argparse.Namespace) -> int:
     settings = resolve_settings(args)
-    e, ua, noise = Vec2(*args.e), Vec2(*args.ua), _noise(settings)
+    e, ua, noise = _parse_point(args.e, "e"), _parse_point(args.ua, "ua"), _noise(settings)
     rng = Rng(derive_seed(_seed(settings), 3))
     lhs = stability_condition_lhs(e, ua)
     expected_cos = estimate_expected_cos(e, ua, noise, args.samples, rng)

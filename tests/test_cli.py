@@ -10,10 +10,10 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
-import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 from pathlib import Path
+from typing import NamedTuple
 from unittest import mock
 
 import pytest
@@ -21,7 +21,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import guardian_sim
-from guardian_sim import analysis, cli, engine, lanes
+from guardian_sim import analysis, cli, engine
 from guardian_sim.analysis import estimate_mean_margin_change, trial_seeds
 from guardian_sim.cli import (
     _DEFAULTS,
@@ -40,19 +40,8 @@ def parse(argv):
     return build_parser().parse_args(argv)
 
 
-def refused_by_argparse(argv, capsys) -> str:
-    """Run `main(argv)`, check that argparse exits 2 before any output, and
-    return what it printed to stderr."""
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    return captured.err
-
-
-def write_config(tmp_path, payload, name="cfg.json"):
-    path = tmp_path / name
+def write_config(tmp_path, payload):
+    path = tmp_path / "cfg.json"
     path.write_text(json.dumps(payload))
     return path
 
@@ -206,57 +195,6 @@ class TestResolveConfig:
         monkeypatch.setenv(SEED_ENV_VAR, "99")
         assert check_seed(monkeypatch, "--seed", "7") == 7
 
-    @pytest.mark.parametrize("command", list(READS))
-    def test_bad_env_seed_rejected(self, tmp_path, capsys, monkeypatch, command):
-        monkeypatch.setenv(SEED_ENV_VAR, "not-a-number")
-        monkeypatch.chdir(tmp_path)
-        assert main([command, *REQUIRED[command]]) == 2
-        assert capsys.readouterr() == (
-            "", f"error: ${SEED_ENV_VAR} must be an integer, got 'not-a-number'\n")
-
-    @pytest.mark.parametrize("command", list(READS))
-    def test_unknown_config_key_rejected(self, tmp_path, capsys, command):
-        path = write_config(tmp_path, {"defnder": "dm"})
-        assert main([command, *REQUIRED[command], "--config", str(path)]) == 2
-        assert capsys.readouterr() == ("", "error: unknown config key(s): defnder\n")
-
-    @pytest.mark.parametrize("command", list(READS))
-    def test_malformed_json_rejected(self, tmp_path, capsys, command):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        assert main([command, *REQUIRED[command], "--config", str(path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(f"error: malformed JSON in config file {path}: ")
-
-    def test_bad_strategy_name_in_file(self, tmp_path, capsys):
-        path = write_config(tmp_path, {"defender": "ppx"})
-        assert main(["run", "--config", str(path)]) == 2
-        assert "pp, dm, adm" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "payload",
-        [{"trials": 0}, {"jobs": 0}, {"seed": -1}, {"xa": [1.0]}, {"tau": -2.0},
-         {"trials": 2.7}, {"jobs": 1.5}, {"seed": 0.5}, {"max_steps": 99.9}, {"trials": "2.7"},
-         {"trials": True}, {"jobs": None}, {"seed": [1]}, {"tau": None}, {"beta": [0.1]},
-         {"nu": {}}, {"out": 5}, {"tau": True}, {"beta": False}, {"k": "wide"},
-         {"r_safe": [10.0]}, {"r_interest": None}, {"beta_b": {}}, {"beta_v": True},
-         {"out": None}, {"out": ["a"]}, {"xa": [30, True]}, {"xd": [False, 0]},
-         {"xa": [None, 1.0]}, {"xd": [[0.0], 0.0]}, {"xa": [30, {}]}],
-    )
-    def test_invalid_values_rejected(self, tmp_path, capsys, payload, monkeypatch):
-        """Each bad value is refused with its key named in the message, by
-        `matrix`, or by `run` for the start that only `run` reads."""
-        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
-        monkeypatch.chdir(tmp_path)
-        (key,) = payload
-        command = "matrix" if key in READS["matrix"] else "run"
-        assert main([command, "--config", str(write_config(tmp_path, payload))]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ")
-        assert key in captured.err
-
     def test_whole_number_counts_accepted(self, tmp_path, monkeypatch):
         monkeypatch.delenv(SEED_ENV_VAR, raising=False)
         path = write_config(tmp_path, {"trials": 3.0, "jobs": "2", "seed": 7, "max_steps": 50.0})
@@ -264,17 +202,16 @@ class TestResolveConfig:
         assert (trials, jobs, seed, world.max_steps) == (3, 2, 7, 50)
 
     @pytest.mark.parametrize(
-        "key, name, member, valid",
+        "key, name, member",
         [
-            ("defender", "dm", DefenderStrategy.DEFENSE_MARGIN, "pp, dm, adm"),
-            ("attacker", "spiral", AttackerBehavior.SPIRAL, "linear, spiral, intelligent, static"),
-            ("failure_criterion", "margin_breach", FailureCriterion.MARGIN_BREACH,
-             "position_breach, margin_breach"),
-            ("format", "json", OutputFormat.JSON, "csv, json, both"),
+            ("defender", "dm", DefenderStrategy.DEFENSE_MARGIN),
+            ("attacker", "spiral", AttackerBehavior.SPIRAL),
+            ("failure_criterion", "margin_breach", FailureCriterion.MARGIN_BREACH),
+            ("format", "json", OutputFormat.JSON),
         ],
         ids=["defender", "attacker", "failure_criterion", "format"],
     )
-    def test_enum_names_in_file(self, tmp_path, capsys, monkeypatch, key, name, member, valid):
+    def test_enum_names_in_file(self, tmp_path, monkeypatch, key, name, member):
         monkeypatch.chdir(tmp_path)
         config = ["--config", str(write_config(tmp_path, {key: name}))]
         if key == "format":  # seen in the files a short run writes
@@ -286,37 +223,17 @@ class TestResolveConfig:
             resolved = {"defender": defender, "attacker": attacker,
                         "failure_criterion": world.failure_criterion}
             assert resolved[key] is member
-        capsys.readouterr()
-        path = write_config(tmp_path, {key: "zigzag"}, name="bad.json")
-        assert main(["run", "--config", str(path)]) == 2
-        assert capsys.readouterr() == ("", f"error: unknown {key} 'zigzag' (valid: {valid})\n")
 
 
 class TestEachCommandChecksWhatItReads:
     """The one rule for config files: every command refuses a bad value for
-    a key it reads, with the key named, and ignores the keys it never reads."""
+    a key it reads, with the key named (the `-bad-` rows of `REFUSALS`), and
+    ignores the keys it never reads."""
 
     def test_every_key_has_a_bad_value_that_names_it(self):
         assert set(BAD) == set(_DEFAULTS) == set().union(*READS.values())
         for key, (_, message) in BAD.items():
             assert key in message
-
-    @pytest.mark.parametrize(
-        "command, key",
-        [pytest.param(command, key, id=f"{command}-{key}")
-         for command, keys in READS.items() for key in sorted(keys)],
-    )
-    def test_a_bad_value_for_a_key_the_command_reads_exits_two(
-        self, tmp_path, capsys, monkeypatch, command, key
-    ):
-        """Refused before any work: nothing printed, no file written."""
-        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
-        monkeypatch.chdir(tmp_path)
-        value, message = BAD[key]
-        path = write_config(tmp_path, {key: value})
-        assert main([command, *REQUIRED[command], "--config", str(path)]) == 2
-        assert capsys.readouterr() == ("", f"error: {message}\n")
-        assert list(tmp_path.iterdir()) == [path]
 
     @pytest.mark.parametrize("command", list(READS))
     def test_bad_values_for_keys_the_command_never_reads_change_nothing(
@@ -394,84 +311,6 @@ class TestRunCommand:
         assert (out_a / "trajectory.csv").read_bytes() == (out_b / "trajectory.csv").read_bytes()
         assert (out_a / "summary.json").read_bytes() == (out_b / "summary.json").read_bytes()
 
-    def test_unknown_strategy_flag_exits_two(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "--defender", "ppx"])
-        assert exc.value.code == 2
-
-    def test_config_error_exits_two(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
-        path = write_config(tmp_path, {"defender": "ppx"})
-        assert main(["run", "--config", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "pp, dm, adm" in err
-
-    def test_invalid_initialization_exits_two(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
-        code = main(
-            ["run", "--xa", "5", "0", "--xd", "20", "0", "--out", str(tmp_path)]
-        )
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "command",
-        [["run", "--attacker", "spiral", "--seed", "3"], ["matrix", "--trials", "5"]],
-        ids=["run", "matrix"],
-    )
-    def test_spiral_with_unit_safe_radius_exits_two(self, tmp_path, capsys, monkeypatch,
-                                                     command):
-        """Refused before any step or block: `matrix` checks the spiral's
-        bound before it draws a block's starts."""
-        ran = []
-        monkeypatch.setattr(engine, "step", lambda *args: ran.append("step"))
-        monkeypatch.setattr(analysis, "run_matrix_block", lambda *args: ran.append("block"))
-        code = main(command + ["--r-safe", "0.5", "--tau", "0.1", "--out", str(tmp_path)])
-        assert code == 2
-        assert "r_safe" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
-        assert ran == []
-
-    @pytest.mark.parametrize("attacker", ["linear", "intelligent"])
-    @pytest.mark.parametrize("defender", ["pp", "adm"])
-    def test_safe_radius_below_the_linear_control_exits_two(self, tmp_path, capsys,
-                                                            monkeypatch, attacker, defender):
-        """The attacker would reach radius 5e-13, where the linear control is
-        undefined, without entering r_safe: refused before the first step."""
-        steps = []
-        monkeypatch.setattr(engine, "step", lambda *args: steps.append(args))
-        code = main(["run", "--xa", "45.0000000000005", "0", "--xd", "49", "0",
-                     "--r-safe", "1e-14", "--attacker", attacker, "--defender", defender,
-                     "--beta", "0", "--out", str(tmp_path)])
-        assert code == 2
-        assert f"error: the {attacker} attacker needs r_safe" in capsys.readouterr().err
-        assert steps == [] and list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize(
-        "command, message",
-        [(["matrix", "--trials", "3", "--r-safe", "45.5"], "r_safe=45.5 exceeds 45.0"),
-         (["matrix", "--trials", "3", "--r-interest", "49.5"], "r_interest=49.5 is below 50.0"),
-         (["run", "--r-safe", "45.5"], "r_safe=45.5 exceeds 45.0"),
-         (["run", "--xd", "0", "0", "--r-interest", "49.5"], "r_interest=49.5"),
-         (["run", "--xd", "0", "0", "--r-interest", "49", "--r-safe", "5"],
-          "r_interest=49.0 is below 50.0, the top of the sampled attacker radii"),
-         (["run", "--xa", "15", "0", "--r-interest", "19.5", "--r-safe", "5"],
-          "r_interest=19.5 is below 20.0, the top of the sampled defender radii"),
-         (["matrix", "--trials", "3", "--tau", "64.5"], "tau=64.5 exceeds 64: sampled starts"),
-         (["run", "--tau", "69"], "tau=69.0 exceeds 64: sampled starts")],
-        ids=["matrix-r_safe", "matrix-r_interest", "run-r_safe", "run-r_interest",
-             "run-given-defender", "run-given-attacker", "matrix-tau", "run-tau"],
-    )
-    @pytest.mark.parametrize("seed", ["0", "1"])
-    def test_world_the_sampled_starts_can_violate_exits_two(self, tmp_path, capsys, command,
-                                                             message, seed):
-        """Refused on every seed, before any trial, with the setting named."""
-        code = main(command + ["--seed", seed, "--out", str(tmp_path)])
-        assert code == 2
-        assert f"error: {message}" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
-
     @pytest.mark.parametrize(
         "flags",
         [["--xa", "47", "0", "--r-safe", "45.5"], ["--xa", "30", "0", "--r-interest", "49.5"]],
@@ -483,47 +322,6 @@ class TestRunCommand:
         assert main(["run", *flags, "--seed", "0", "--out", str(tmp_path)]) in (0, 1)
         assert (tmp_path / "trajectory.csv").exists()
 
-    @pytest.mark.parametrize(
-        "flags, message",
-        [(["--tau", "nan"], "tau must be positive"),
-         (["--k", "nan", "--defender", "adm"], "k must be positive"),
-         (["--beta", "inf"], "noise coefficients must be finite")],
-        ids=["tau-nan", "k-nan", "beta-inf"],
-    )
-    def test_non_finite_world_setting_exits_two(self, tmp_path, capsys, flags, message):
-        """Rejected before the episode starts, not mid-episode."""
-        code = main(["run", "--xa", "30", "0", "--xd", "0", "0", "--out", str(tmp_path)] + flags)
-        assert code == 2
-        assert message in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize(
-        "command, flags, message",
-        [(["run"], ["--k", "inf"], "reliability half-width k must be finite, got inf"),
-         (["matrix", "--trials", "3"], ["--k", "inf"],
-          "reliability half-width k must be finite, got inf"),
-         (["margin-table", "--samples", "100"], ["--k", "inf"],
-          "reliability half-width k must be finite, got inf"),
-         (["run"], ["--tau", "inf"], "capture radius tau must be finite, got inf"),
-         (["matrix"], ["--tau", "inf"], "capture radius tau must be finite, got inf"),
-         (["run"], ["--r-interest", "inf", "--beta", "0"], "r_interest=inf too large: "),
-         (["run"], ["--r-interest", "1e200", "--beta", "0"], "r_interest=1e+200 too large: "),
-         (["matrix"], ["--r-interest", "inf"], "r_interest=inf too large: ")],
-        ids=["run-k", "matrix-k", "margin-table-k", "run-tau", "matrix-tau",
-             "run-r_interest-noiseless", "run-r_interest-1e200", "matrix-r_interest"],
-    )
-    def test_infinite_world_setting_exits_two_with_the_setting_named(
-        self, tmp_path, capsys, monkeypatch, command, flags, message
-    ):
-        """These ran and wrote `Infinity` into their JSON (k), redrew the
-        starts a thousand times (tau), or blamed the noise (r_interest)."""
-        monkeypatch.chdir(tmp_path)
-        assert main([*command, *flags]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(f"error: {message}")
-        assert list(tmp_path.iterdir()) == []
-
     @pytest.mark.parametrize("seed", ["193", "215"])
     def test_one_given_start_is_never_refused_for_the_sampled_one(self, tmp_path, seed):
         """On these seeds the first sampled defender start lies within tau of
@@ -534,32 +332,6 @@ class TestRunCommand:
         xa_x, xa_y, xd_x, xd_y = map(float, first[1:5])
         assert (xa_x, xa_y) == (15.0, 0.0)
         assert math.hypot(xd_x - xa_x, xd_y - xa_y) > WorldConfig().tau
-
-    @pytest.mark.parametrize(
-        "command",
-        [["run", "--xa", "30", "0", "--xd", "0", "0"], ["matrix", "--trials", "2"]],
-        ids=["run", "matrix"],
-    )
-    def test_unwritable_out_exits_two(self, tmp_path, capsys, command):
-        """Exit 2 with the path named, not a traceback with exit 1 (which
-        `run` uses for a breach)."""
-        blocker = tmp_path / "file"
-        blocker.write_text("")
-        out = blocker / "out"
-        assert main(command + ["--seed", "0", "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert str(out) in err
-
-    def test_huge_noise_exits_two_before_the_episode(self, tmp_path, capsys):
-        """Passes the per-coefficient checks, but its observations would
-        overflow when squared: refused before any step or file write."""
-        code = main(["run", "--beta", "1.5e304", "--seed", "0", "--defender", "dm",
-                     "--attacker", "linear", "--out", str(tmp_path)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: noise too large: beta=")
-        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("seed", ["0", "1", "2", "3"])
     def test_sampled_starts_at_the_largest_capture_radius_play(self, tmp_path, seed):
@@ -586,23 +358,6 @@ class TestRunCommand:
                           "start clears it with chance 0.00101, too rarely to start at every "
                           "seed\n"}
         assert not (tmp_path / "refused").exists()
-
-    def test_margin_table_refuses_noise_that_could_overflow_before_drawing(
-        self, monkeypatch, capsys
-    ):
-        """It printed numpy's overflow `RuntimeWarning` and exited 2 with
-        "non-finite component in Vec2(inf, inf)"; now the estimator refuses
-        the noise by `WorldConfig`'s bound over the table's radii, with beta
-        named, before any sample is drawn.  Any warning would raise here."""
-        monkeypatch.setattr(lanes, "from_polar", lambda *args: pytest.fail("drew a sample"))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(["margin-table", "--beta", "1.5e304", "--samples", "100"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "error: noise too large: beta=1.5e+304 gives sigma=6.74e+153 at separation "
-            "40 + 15 = 55, so an observed coordinate could overflow when squared\n")
 
     def test_largest_accepted_noise_runs_every_pair(self, tmp_path, capsys):
         """The largest beta the world accepts plays out: all nine matrix pairs
@@ -675,18 +430,6 @@ class TestRunStreaming:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("fmt", [f.value for f in OutputFormat])
-    @pytest.mark.parametrize("flags", [["--xa", "5", "0", "--xd", "20", "0"],
-                                       ["--xa", "10", "0", "--xd", "10.25", "0", "--tau", "0.5"]],
-                             ids=["inside-safe-zone", "within-capture-radius"])
-    def test_a_refused_start_leaves_no_output_directory(self, tmp_path, capsys, fmt, flags):
-        """The starts are checked before the CSV is opened, so a refused one
-        does not make a missing `--out` directory."""
-        out = tmp_path / "out"
-        assert main(["run", *flags, "--format", fmt, "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
-        assert not out.exists()
-
-    @pytest.mark.parametrize("fmt", [f.value for f in OutputFormat])
     def test_no_format_keeps_the_rows(self, tmp_path, monkeypatch, fmt):
         """Every format hands the episode a sink and gets back no rows; only
         the formats that write the CSV write it."""
@@ -721,37 +464,6 @@ class TestMatrixCommand:
         assert len(report["pairs"]) == 9
         assert report["trials"] == 3
 
-    def test_jobs_do_not_change_bytes(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
-        base = ["matrix", "--trials", "3", "--seed", "4", "--max-steps", "300"]
-        out_a, out_b = tmp_path / "serial", tmp_path / "parallel"
-        assert main(base + ["--out", str(out_a), "--jobs", "1"]) == 0
-        assert main(base + ["--out", str(out_b), "--jobs", "2"]) == 0
-        assert (out_a / "winrates.csv").read_bytes() == (out_b / "winrates.csv").read_bytes()
-        assert (out_a / "report.json").read_bytes() == (out_b / "report.json").read_bytes()
-
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_trials_above_the_bound_exit_two_before_any_block(
-        self, tmp_path, capsys, monkeypatch, source
-    ):
-        """`--trials 10**12`, and a config file's `"trials": 1e308`, which
-        `_integer` takes as a whole number, are refused with `trials` named,
-        before any block runs or the output directory is made.  The message
-        quotes the value as given, not as a 309-digit integer."""
-        def no_block(*args):
-            raise AssertionError("a block ran")
-
-        monkeypatch.setattr(analysis, "run_matrix_block", no_block)
-        out = tmp_path / "out"
-        given = (["--trials", "1000000000000"] if source == "flag"
-                 else ["--config", str(write_config(tmp_path, {"trials": 1e308}))])
-        assert main(["matrix", *given, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "trials" in err
-        assert err.rstrip().endswith("1000000000000" if source == "flag" else "1e+308")
-        assert len(err) < 80
-        assert not out.exists()
-
     def test_a_serial_run_loads_no_logger_and_no_pool(self, tmp_path):
         """A fresh interpreter that imports the command line and runs a
         serial matrix never loads `logging`, nor the modules a pool needs."""
@@ -765,15 +477,6 @@ class TestMatrixCommand:
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "0 []"
 
-
-# Flags each report command never reads, after the flags it requires.
-NEVER_READ = {
-    "check": ["--beta 5", "--k 3", "--tau 7", "--out x", "--samples 10", "--e 3 0"],
-    "stability --e 3 0 --ua -1 0": ["--k 3", "--tau 7", "--max-steps 5", "--out x",
-                                    "--format csv"],
-    "margin-table": ["--tau 7", "--r-safe 5", "--max-steps 5",
-                     "--failure-criterion margin_breach", "--out x", "--format csv", "--e 3 0"],
-}
 
 class TestCheckCommand:
     def test_default_suite_reports_known_dominance_failure(self, capsys, monkeypatch):
@@ -807,46 +510,6 @@ class TestCheckCommand:
         assert out.endswith(f"condition_holds={holds}")
 
     @pytest.mark.parametrize(
-        "flags, setting",
-        [(["--e", "3", "0", "--ua", "0", "0", "--beta", "1e10"], "beta=10000000000.0"),
-         (["--e", "1e200", "0", "--ua", "0", "0"], "e=(1e+200, 0.0)")],
-        ids=["beta-1e10", "sigma-overflows"],
-    )
-    def test_stability_with_almost_no_accepted_draw_exits_two(self, capsys, flags, setting):
-        assert main(["stability"] + flags) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert setting in captured.err
-
-    @pytest.mark.parametrize(
-        "flags",
-        [["--e", "2e154", "0", "--ua", "0", "1", "--samples", "5"],
-         ["--e", "1e160", "0", "--ua", "0", "1", "--beta", "0"]],
-        ids=["default-noise", "noiseless"],
-    )
-    def test_stability_refuses_an_error_vector_too_long_for_the_estimator(self, capsys, flags):
-        """Both printed numpy overflow warnings and expected_cos=nan, and
-        exited 0; now they exit 2 before drawing, with e named."""
-        assert main(["stability"] + flags) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"error vector e=({float(flags[1])!r}, 0.0) is too long" in captured.err
-
-    @pytest.mark.parametrize(
-        "flags",
-        [["--ua", "1e308", "1e308", "--samples", "3"],
-         ["--ua", "5", "0", "--beta", "0", "--samples", "100"]],
-        ids=["overflowing", "five-units"],
-    )
-    def test_stability_refuses_a_control_longer_than_one_unit(self, capsys, flags):
-        """The condition is stated for ||ua|| <= 1; these printed lhs=inf
-        with numpy warnings, and lhs=2, outside [-1, 1], and exited 0."""
-        assert main(["stability", "--e", "3", "0"] + flags) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "attacker control ua=" in captured.err
-
-    @pytest.mark.parametrize(
         "ua", [(0.0, 1.0), (0.6, 0.8), (-0.5821869711867674, 0.8130549370001872)],
         ids=["unit", "three-four-five", "norm-one-ulp-over"],
     )
@@ -856,30 +519,6 @@ class TestCheckCommand:
         argv = ["stability", "--e", "3", "0", "--ua", *map(repr, ua), "--samples", "10"]
         assert main(argv) == 0
         assert capsys.readouterr().out.startswith("lhs=")
-
-    @pytest.mark.parametrize(
-        "flags", [["--samples", "10"], ["--e", "3", "0"], ["--ua", "-1", "0"]],
-        ids=["samples", "e", "ua"],
-    )
-    def test_default_suite_refuses_flags_it_never_reads(self, capsys, flags):
-        err = refused_by_argparse(["check"] + flags, capsys)
-        assert f"unrecognized arguments: {flags[0]}" in err
-
-    def test_stability_requires_vectors(self, capsys, monkeypatch):
-        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
-        err = refused_by_argparse(["stability"], capsys)
-        assert "the following arguments are required: --e, --ua" in err
-
-    @pytest.mark.parametrize(
-        "command, flag",
-        [pytest.param(command, flag, id=f"{command.split()[0]}-{flag.split()[0][2:]}")
-         for command, flags in NEVER_READ.items() for flag in flags],
-    )
-    def test_flags_the_command_never_reads_exit_two(self, capsys, command, flag):
-        """Each of these flags was once accepted by `check` and ignored by
-        the report it printed; now the command that prints it refuses it."""
-        err = refused_by_argparse(f"{command} {flag}".split(), capsys)
-        assert f"unrecognized arguments: {flag}" in err
 
     def test_margin_table_prints_the_estimates(self, capsys):
         """One header and one row per strategy, each row the estimator's
@@ -897,23 +536,310 @@ class TestCheckCommand:
             )
             assert line.split() == [strategy.value, f"{est.mean_change:.6f}", f"{est.stderr:.6f}"]
 
-    @pytest.mark.parametrize(
-        "flags",
-        [["--samples", "1"], ["--stability", "--e", "3", "0", "--ua", "-1", "0"],
-         ["--e", "3", "0"], ["--ua", "-1", "0"]],
-        ids=["one-sample", "with-stability", "with-e", "with-ua"],
-    )
-    def test_margin_table_refusals_exit_two(self, capsys, flags):
-        """The estimator refuses one sample; argparse refuses the flags that
-        belong to `stability`."""
-        if flags == ["--samples", "1"]:
-            assert main(["margin-table"] + flags) == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err.startswith("error:")
-        else:
-            err = refused_by_argparse(["margin-table"] + flags, capsys)
-            assert f"unrecognized arguments: {flags[0]}" in err
+
+def counting_rng(draws: list):
+    """A stand-in for `cli.Rng` whose generator adds the name of each method
+    looked up on it, that is of each draw, to `draws`."""
+
+    class CountingRng:
+        def __init__(self, seed: int) -> None:
+            self._gen = Rng(seed).generator
+
+        @property
+        def generator(self):
+            return self
+
+        def __getattr__(self, name):
+            draws.append(name)
+            return getattr(self._gen, name)
+
+    return CountingRng
+
+
+class Call(NamedTuple):
+    """What one call of `main` did: its exit code, what it printed (with
+    ``{tmp}`` for its working directory), the steps and blocks it took, the
+    draws from the generators `cli.Rng` hands out, and the files it left."""
+
+    code: int
+    out: str
+    err: str
+    steps: int
+    blocks: int
+    draws: list[str]
+    files: list[str]
+
+
+def _call(argv: list[str], config: dict | str | None = None, env: str | None = None) -> Call:
+    """Run `main(argv)` in process, in a new temporary working directory that
+    ``{tmp}`` stands for in `argv`, with `$GUARDIAN_SIM_SEED` set to `env` or
+    unset, and with `config`, if given, as its `--config` file (a dict as
+    JSON, text as it is).  argparse's exit is caught and its code kept."""
+    ran, draws, out, err, cwd = [], [], io.StringIO(), io.StringIO(), os.getcwd()
+
+    def counted(fn):
+        def call(*args, **kwargs):
+            ran.append(fn)
+            return fn(*args, **kwargs)
+        return call
+
+    step, block = engine.step, analysis.run_matrix_block
+    with (tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ),
+          mock.patch.object(engine, "step", counted(step)),
+          mock.patch.object(analysis, "run_matrix_block", counted(block)),
+          mock.patch.object(cli, "Rng", counting_rng(draws)),
+          redirect_stdout(out), redirect_stderr(err)):
+        os.environ.pop(SEED_ENV_VAR, None)
+        if env is not None:
+            os.environ[SEED_ENV_VAR] = env
+        argv, path = [arg.replace("{tmp}", tmp) for arg in argv], Path(tmp) / "config.json"
+        if config is not None:
+            path.write_text(config if isinstance(config, str) else json.dumps(config))
+            argv += ["--config", str(path)]
+        os.chdir(tmp)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        finally:
+            os.chdir(cwd)
+        files = sorted(str(p.relative_to(tmp)) for p in Path(tmp).rglob("*") if p != path)
+    return Call(code, *(s.getvalue().replace(tmp, "{tmp}") for s in (out, err)),
+                ran.count(step), ran.count(block), draws, files)
+
+
+class Refusal(NamedTuple):
+    """A command line that exits 2: its arguments, split on spaces; its
+    stderr, whole or (for argparse's refusals, which start with the program's
+    name) its last line, after the usage, and a prefix where it ends in
+    "..."; its config file, if any; `$GUARDIAN_SIM_SEED`, if set; and the
+    blocks it runs first, which is none but for one known fault."""
+
+    id: str
+    argv: str
+    err: str
+    config: dict | str | None = None
+    env: str | None = None
+    blocks: int = 0
+
+
+# Flags each report command never reads, after the flags it requires.
+NEVER_READ = {
+    "check": ["--beta 5", "--k 3", "--tau 7", "--out x", "--samples 10", "--e 3 0"],
+    "stability --e 3 0 --ua -1 0": ["--k 3", "--tau 7", "--max-steps 5", "--out x",
+                                    "--format csv"],
+    "margin-table": ["--tau 7", "--r-safe 5", "--max-steps 5",
+                     "--failure-criterion margin_breach", "--out x", "--format csv", "--e 3 0"],
+}
+
+
+def _every_command_refuses() -> list[Refusal]:
+    """A bad `$GUARDIAN_SIM_SEED`, an unknown config key, malformed JSON, a
+    bad value (`BAD`) for each key it reads (`READS`), and each flag a report
+    command never reads."""
+    rows = []
+    for command, keys in READS.items():
+        argv = " ".join([command, *REQUIRED[command]])
+        rows += [
+            Refusal(f"{command}-env-seed", argv,
+                    f"error: ${SEED_ENV_VAR} must be an integer, got 'not-a-number'",
+                    env="not-a-number"),
+            Refusal(f"{command}-unknown-key", argv, "error: unknown config key(s): defnder",
+                    {"defnder": "dm"}),
+            Refusal(f"{command}-malformed-json", argv,
+                    "error: malformed JSON in config file {tmp}/config.json: ...", "{not json"),
+            *(Refusal(f"{command}-bad-{key}", argv, f"error: {BAD[key][1]}", {key: BAD[key][0]})
+              for key in sorted(keys))]
+    return rows + [Refusal(f"{command.split()[0]}-unread-{flag.split()[0][2:]}",
+                           f"{command} {flag}", f"guardian-sim: error: unrecognized arguments: {flag}")
+                   for command, flags in NEVER_READ.items() for flag in flags]
+
+
+# Worlds that a sampled start could violate: each one's name, argv and message.
+_SAMPLED_STARTS = [
+    ("matrix-r_safe", "matrix --trials 3 --r-safe 45.5",
+     "r_safe=45.5 exceeds 45.0, the least sampled attacker radius"),
+    ("matrix-r_interest", "matrix --trials 3 --r-interest 49.5",
+     "r_interest=49.5 is below 50.0, the top of the sampled attacker radii"),
+    ("run-r_safe", "run --r-safe 45.5", "r_safe=45.5 exceeds 45.0, the least sampled attacker radius"),
+    ("run-r_interest", "run --xd 0 0 --r-interest 49.5",
+     "r_interest=49.5 is below 50.0, the top of the sampled attacker radii"),
+    ("run-given-defender", "run --xd 0 0 --r-interest 49 --r-safe 5",
+     "r_interest=49.0 is below 50.0, the top of the sampled attacker radii"),
+    ("run-given-attacker", "run --xa 15 0 --r-interest 19.5 --r-safe 5",
+     "r_interest=19.5 is below 20.0, the top of the sampled defender radii"),
+    *((f"{command}-tau", f"{command} --tau {tau}", f"tau={float(tau)} exceeds 64: sampled starts, "
+       "at most 70 apart, clear a larger tau too rarely to start at every seed")
+      for command, tau in (("matrix --trials 3", "64.5"), ("run", "69"))),
+]
+_HUGE_NOISE = "noise too large: beta=1.5e+304 gives sigma="
+_OVERFLOW = "so an observed coordinate could overflow when squared"
+_R_INTEREST = ("error: r_interest={} too large: a coordinate within r_interest + max_steps = {} "
+               "could overflow when squared")
+_REFUSED_STARTS = [
+    ("inside-safe-zone", "--xa 5 0 --xd 20 0", "attacker may not start inside the safe zone"),
+    ("within-capture-radius", "--xa 10 0 --xd 10.25 0 --tau 0.5",
+     "initial separation must exceed the capture radius tau=0.5")]
+
+REFUSALS = [
+    *_every_command_refuses(),
+    # A config file that cannot be read or holds no object, a seed variable
+    # below zero, and a config-file value of the wrong type or out of range,
+    # for `matrix`, or for `run` where only `run` reads the key.
+    Refusal("run-missing-config", "run --config no.json",
+            "error: cannot read config file no.json: [Errno 2] No such file or directory: 'no.json'"),
+    Refusal("matrix-config-not-an-object", "matrix",
+            "error: config file {tmp}/config.json must hold a JSON object", "[1, 2]"),
+    Refusal("check-negative-env-seed", "check", f"error: ${SEED_ENV_VAR} must be >= 0, got -1", env="-1"),
+    Refusal("file-jobs-0", "matrix", "error: jobs must be >= 1, got 0", {"jobs": 0}),
+    Refusal("file-tau-negative", "matrix", "error: capture radius tau must be positive, got -2.0",
+            {"tau": -2.0}),
+    Refusal("file-trials-fraction", "matrix", "error: trials must be an integer, got 2.7",
+            {"trials": 2.7}),
+    Refusal("file-jobs-fraction", "matrix", "error: jobs must be an integer, got 1.5", {"jobs": 1.5}),
+    Refusal("file-seed-fraction", "matrix", "error: seed must be an integer, got 0.5", {"seed": 0.5}),
+    Refusal("file-max_steps-fraction", "matrix", "error: max_steps must be an integer, got 99.9",
+            {"max_steps": 99.9}),
+    Refusal("file-trials-string", "matrix", "error: trials must be an integer, got '2.7'",
+            {"trials": "2.7"}),
+    Refusal("file-trials-true", "matrix", "error: trials must be an integer, got True",
+            {"trials": True}),
+    Refusal("file-seed-list", "matrix", "error: seed must be an integer, got [1]", {"seed": [1]}),
+    *(Refusal(f"file-{key}-{kind}", "matrix", f"error: {key} must be a number, got {value!r}",
+              {key: value})
+      for key, kind, value in (("tau", "null", None), ("beta", "list", [0.1]), ("nu", "object", {}),
+                               ("tau", "true", True), ("beta", "false", False), ("k", "string", "wide"),
+                               ("r_safe", "list", [10.0]), ("r_interest", "null", None),
+                               ("beta_b", "object", {}), ("beta_v", "true", True))),
+    Refusal("file-out-null", "matrix", "error: out must be a path string, got None", {"out": None}),
+    Refusal("file-out-list", "matrix", "error: out must be a path string, got ['a']",
+            {"out": ["a"]}),
+    Refusal("file-xa-true", "run", "error: xa must be a number, got True", {"xa": [30, True]}),
+    Refusal("file-xd-false", "run", "error: xd must be a number, got False", {"xd": [False, 0]}),
+    Refusal("file-xa-null", "run", "error: xa must be a number, got None", {"xa": [None, 1.0]}),
+    Refusal("file-xd-list", "run", "error: xd must be a number, got [0.0]", {"xd": [[0.0], 0.0]}),
+    Refusal("file-xa-object", "run", "error: xa must be a number, got {}", {"xa": [30, {}]}),
+    Refusal("file-defender", "run", "error: unknown defender 'ppx' (valid: pp, dm, adm)",
+            {"defender": "ppx"}),
+    Refusal("file-attacker", "run",
+            "error: unknown attacker 'zigzag' (valid: linear, spiral, intelligent, static)",
+            {"attacker": "zigzag"}),
+    Refusal("file-format", "run", "error: unknown format 'zigzag' (valid: csv, json, both)",
+            {"format": "zigzag"}),
+    # A world or start that no episode could play, refused before the first
+    # step or block, and before `matrix` draws a block's starts.
+    Refusal("run-defender-flag", "run --defender ppx",
+            "guardian-sim run: error: argument --defender: invalid choice: 'ppx'..."),
+    Refusal("run-start-in-safe-zone", "run --xa 5 0 --xd 20 0",
+            "error: attacker may not start inside the safe zone"),
+    Refusal("run-spiral-r_safe", "run --attacker spiral --seed 3 --r-safe 0.5 --tau 0.1",
+            "error: the spiral attacker needs r_safe > 1, got r_safe=0.5"),
+    Refusal("matrix-spiral-r_safe", "matrix --trials 5 --r-safe 0.5 --tau 0.1",
+            "error: the spiral attacker needs r_safe > 1, got r_safe=0.5"),
+    # The attacker would reach radius 5e-13, where the linear control is
+    # undefined, without entering r_safe.
+    *(Refusal(f"run-{attacker}-{defender}-tiny-r_safe",
+              f"run --xa 45.0000000000005 0 --xd 49 0 --r-safe 1e-14 --attacker {attacker} "
+              f"--defender {defender} --beta 0",
+              f"error: the {attacker} attacker needs r_safe >= 1e-12, got 1e-14")
+      for attacker in ("linear", "intelligent") for defender in ("pp", "adm")),
+    # A world that the sampled starts can violate is refused at every seed.
+    *(Refusal(f"{name}-seed-{seed}", f"{argv} --seed {seed}", f"error: {message}")
+      for name, argv, message in _SAMPLED_STARTS for seed in "01"),
+    Refusal("run-tau-nan", "run --xa 30 0 --xd 0 0 --tau nan",
+            "error: capture radius tau must be positive, got nan"),
+    Refusal("run-k-nan", "run --xa 30 0 --xd 0 0 --k nan --defender adm",
+            "error: reliability half-width k must be positive, got nan"),
+    Refusal("run-beta-inf", "run --xa 30 0 --xd 0 0 --beta inf",
+            "error: noise coefficients must be finite and non-negative, got beta=inf"),
+    *(Refusal(f"{argv.split()[0]}-k-inf", f"{argv} --k inf",
+              "error: reliability half-width k must be finite, got inf")
+      for argv in ("run", "matrix --trials 3", "margin-table --samples 100")),
+    *(Refusal(f"{command}-tau-inf", f"{command} --tau inf",
+              "error: capture radius tau must be finite, got inf") for command in ("run", "matrix")),
+    Refusal("run-r_interest-inf", "run --r-interest inf --beta 0", _R_INTEREST.format("inf", "inf")),
+    Refusal("run-r_interest-1e200", "run --r-interest 1e200 --beta 0",
+            _R_INTEREST.format("1e+200", "1e+200")),
+    Refusal("matrix-r_interest-inf", "matrix --r-interest inf", _R_INTEREST.format("inf", "inf")),
+    # Noise that passes each coefficient's check but could overflow an
+    # observation when squared.
+    Refusal("run-huge-noise", "run --beta 1.5e304 --seed 0 --defender dm --attacker linear",
+            f"error: {_HUGE_NOISE}inf at separation 2 * (r_interest + max_steps) = 20100, "
+            f"{_OVERFLOW}"),
+    Refusal("margin-table-huge-noise", "margin-table --beta 1.5e304 --samples 100",
+            f"error: {_HUGE_NOISE}6.74e+153 at separation 40 + 15 = 55, {_OVERFLOW}"),
+    # An unwritable `--out` (under the config file) exits 2, not with the
+    # traceback and exit 1 that `run` uses for a breach.  `matrix` finds it
+    # only when it writes, after its one block: a fault, not a rule.
+    *(Refusal(f"{argv.split()[0]}-unwritable-out", f"{argv} --seed 0 --out {{tmp}}/config.json/out",
+              "error: [Errno 20] Not a directory: '{tmp}/config.json/out'", {}, blocks=blocks)
+      for argv, blocks in (("run --xa 30 0 --xd 0 0", 0), ("matrix --trials 2", 1))),
+    # A refused start leaves no `--out` directory, whichever files it would
+    # write; a trial count above the bound is refused as it was given.
+    *(Refusal(f"run-{name}-{fmt.value}", f"run {flags} --format {fmt.value} --out out",
+              f"error: {message}")
+      for name, flags, message in _REFUSED_STARTS for fmt in OutputFormat),
+    Refusal("matrix-trials-flag", "matrix --trials 1000000000000 --out out",
+            "error: trials must be <= 4194304, got 1000000000000"),
+    Refusal("matrix-trials-file", "matrix --out out", "error: trials must be <= 4194304, got 1e+308",
+            {"trials": 1e308}),
+    # `stability` refuses an error vector, control or sample count it cannot estimate at.
+    Refusal("stability-e-within-sqrt2", "stability --e 1 0 --ua 0 1",
+            "error: estimator requires ||e|| > sqrt(2), got 1.0"),
+    Refusal("stability-no-sample", "stability --e 3 0 --ua 0 1 --samples 0",
+            "error: need at least one sample, got 0"),
+    Refusal("stability-beta-1e10", "stability --e 3 0 --ua 0 0 --beta 1e10",
+            "error: noise too large for the error vector: beta=10000000000.0 and e=(3.0, 0.0) "
+            "give sigma=3e+05, so a noise draw is accepted with probability 5e-11 < 0.001"),
+    Refusal("stability-sigma-overflows", "stability --e 1e200 0 --ua 0 0",
+            "error: noise too large for the error vector: beta=0.05 and e=(1e+200, 0.0) "
+            "give sigma=inf, so a noise draw is accepted with probability 0 < 0.001"),
+    *(Refusal(f"stability-e-{e}", f"stability --e {e} 0 --ua 0 1 {flags}",
+              f"error: error vector e=({float(e)!r}, 0.0) is too long: the estimator requires "
+              f"||e|| < 6.7e+153, got {float(e)!r}")
+      for e, flags in (("2e154", "--samples 5"), ("1e160", "--beta 0"))),
+    Refusal("stability-ua-overflowing", "stability --e 3 0 --ua 1e308 1e308 --samples 3",
+            "error: attacker control ua=(1e+308, 1e+308) is longer than one unit"),
+    Refusal("stability-ua-five-units", "stability --e 3 0 --ua 5 0 --beta 0 --samples 100",
+            "error: attacker control ua=(5.0, 0.0) is longer than one unit"),
+    *(Refusal(f"stability-{flag}-nan", argv, f"error: {flag} must be a pair of finite numbers: "
+              "non-finite component in Vec2(nan, 0.0)")
+      for flag, argv in (("e", "stability --e nan 0 --ua 0 1"), ("ua", "stability --e 3 0 --ua nan 0"))),
+    # argparse refuses a missing or unknown command, a value of the wrong
+    # type, a flag that belongs to another command, and a missing one; the
+    # estimator refuses one sample.
+    Refusal("no-command", "", "guardian-sim: error: the following arguments are required: command"),
+    Refusal("unknown-command", "frobnicate",
+            "guardian-sim: error: argument command: invalid choice: 'frobnicate'..."),
+    Refusal("matrix-trials-not-an-int", "matrix --trials 2.5",
+            "guardian-sim matrix: error: argument --trials: invalid int value: '2.5'"),
+    Refusal("check-unread-ua", "check --ua -1 0",
+            "guardian-sim: error: unrecognized arguments: --ua -1 0"),
+    Refusal("stability-without-vectors", "stability",
+            "guardian-sim stability: error: the following arguments are required: --e, --ua"),
+    Refusal("margin-table-one-sample", "margin-table --samples 1",
+            "error: need at least two samples for a standard error, got 1"),
+    Refusal("margin-table-unread-stability", "margin-table --stability --e 3 0 --ua -1 0",
+            "guardian-sim: error: unrecognized arguments: --stability --e 3 0 --ua -1 0"),
+    Refusal("margin-table-unread-ua", "margin-table --ua -1 0",
+            "guardian-sim: error: unrecognized arguments: --ua -1 0"),
+]
+
+
+@pytest.mark.parametrize("row", REFUSALS, ids=[row.id for row in REFUSALS])
+def test_each_refusal_is_made_before_any_work(row):
+    """Exit 2 with nothing on stdout and the row's message on stderr; no step,
+    no block, no draw from the estimator's generator, and no file or `--out`
+    directory left behind."""
+    call = _call(row.argv.split(), row.config, row.env)
+    message = (call.err.splitlines()[-1] if row.err.startswith("guardian-sim")
+               else call.err.removesuffix("\n"))
+    if row.err.endswith("..."):  # compare the prefix
+        message = message[:len(row.err) - 3]
+    assert (call.code, call.out, message) == (2, "", row.err.removesuffix("..."))
+    assert (call.steps, call.blocks, call.files) == (0, row.blocks, [])
+    if row.argv.startswith(("stability", "margin-table")):
+        assert call.draws == []
 
 
 # The world settings of `run` and `matrix` that take a float.
@@ -949,15 +875,6 @@ def _setting(draw, key: str, argv: list, config: dict, values) -> None:
         config[key] = draw(values | st.sampled_from(_NON_NUMBERS))
 
 
-def _with_config(argv: list[str], config: dict, tmp: str) -> list[str]:
-    """`argv`, with the config file written under `tmp` if there is one."""
-    if not config:
-        return argv
-    path = Path(tmp) / "config.json"
-    path.write_text(json.dumps(config))
-    return [*argv, "--config", str(path)]
-
-
 @st.composite
 def _argvs(draw) -> tuple[list[str], dict]:
     """`run` or `matrix --trials 2`, with each world setting drawn as
@@ -988,26 +905,12 @@ def test_an_accepted_world_runs_and_a_refused_one_draws_nothing(case):
     every one it refuses exits 2 with an `error:` line before any
     `engine.step` or `analysis.run_matrix_block` call, and writes no file."""
     argv, config = case
-    ran, step, block = [], engine.step, analysis.run_matrix_block
-
-    def counted(name, fn):
-        def call(*args):
-            ran.append(name)
-            return fn(*args)
-        return call
-
-    err = io.StringIO()
-    with (tempfile.TemporaryDirectory() as out, tempfile.TemporaryDirectory() as tmp,
-          mock.patch.object(engine, "step", counted("step", step)),
-          mock.patch.object(analysis, "run_matrix_block", counted("block", block)),
-          redirect_stdout(io.StringIO()), redirect_stderr(err)):
-        code = main([*_with_config(argv, config, tmp), "--out", out])
-        written = os.listdir(out)
-    if code == 2:
-        assert err.getvalue().startswith("error: ")
-        assert ran == [] and written == []
+    call = _call(argv, config or None)
+    if call.code == 2:
+        assert call.err.startswith("error: ")
+        assert call.steps == call.blocks == 0 and call.files == []
     else:
-        assert code in (0, 1) and err.getvalue() == ""
+        assert call.code in (0, 1) and call.err == ""
 
 
 @st.composite
@@ -1037,25 +940,6 @@ def _estimator_argvs(draw) -> tuple[list[str], dict]:
     return argv, config
 
 
-def counting_rng(draws: list):
-    """A stand-in for `cli.Rng` whose generator adds the name of each method
-    looked up on it, that is of each draw, to `draws`."""
-
-    class CountingRng:
-        def __init__(self, seed: int) -> None:
-            self._gen = Rng(seed).generator
-
-        @property
-        def generator(self):
-            return self
-
-        def __getattr__(self, name):
-            draws.append(name)
-            return getattr(self._gen, name)
-
-    return CountingRng
-
-
 @given(_estimator_argvs())
 @example((["margin-table", "--samples", "200", "--beta", "1.5e304"], {}))  # drew, then warned, before the bound
 @example((["stability", "--samples", "2", "--e", "3", "-1e-1", "--ua", "0", "1"], {"beta": "abc"}))
@@ -1065,17 +949,13 @@ def test_an_accepted_estimate_prints_and_a_refused_one_draws_nothing(case):
     refuses exits 2 with an `error:` line before the estimator's first draw.
     pytest turns any warning into an error, so neither may warn."""
     argv, config = case
-    draws, out, err = [], io.StringIO(), io.StringIO()
-    with (tempfile.TemporaryDirectory() as tmp,
-          mock.patch.object(cli, "Rng", counting_rng(draws)),
-          redirect_stdout(out), redirect_stderr(err)):
-        code = main(_with_config(argv, config, tmp))
-    if code == 2:
-        assert err.getvalue().startswith("error: ")
-        assert draws == []
+    call = _call(argv, config or None)
+    if call.code == 2:
+        assert call.err.startswith("error: ")
+        assert call.draws == []
     else:
-        assert code == 0 and err.getvalue() == "" and draws
-        assert "nan" not in out.getvalue() and "inf" not in out.getvalue()
+        assert call.code == 0 and call.err == "" and call.draws
+        assert "nan" not in call.out and "inf" not in call.out
 
 
 @pytest.mark.parametrize(

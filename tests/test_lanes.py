@@ -506,12 +506,22 @@ TWINS = {
 }
 
 
+# Points near-uniform over the integer grid of [-60, 60]², where Hypothesis
+# draws integers near-uniformly (it draws floats, and a finer grid, nearer
+# zero): `np.arctan2` misses `math.atan2` on 7.4 % of 2,000 drawn points,
+# against 0.47 % of `points` and 7.7 % of points uniform over the square.
+grid_points = st.tuples(*[st.integers(-60, 60).map(float)] * 2)
+
+
 @st.composite
 def lane_rows(draw):
-    """(a, b, c, w0, w1, f): b free, a hair from a or equal to it; c the
-    attacker's motion; two standard normals; the held-norm factor."""
-    a, b = draw(pairs())
-    return (as_pair(a), as_pair(b), as_pair(draw(points)), draw(normals), draw(normals),
+    """(a, b, c, w0, w1, f): b free, a hair from a or equal to it, or (half
+    the rows) a from `grid_points` and b free; c the attacker's motion; two
+    standard normals; the held-norm factor."""
+    a, b = map(as_pair, draw(pairs()))
+    if draw(st.booleans()):
+        a = draw(grid_points)
+    return (a, b, as_pair(draw(points)), draw(normals), draw(normals),
             draw(st.just(1.0) | st.floats(0.5, 2.0)))
 
 
@@ -618,9 +628,9 @@ class TestRefusals:
     pairs, test an observation for finiteness: the bounds in the `lanes`
     docstring refuse, before the first draw, any noise that could overflow
     one, by `WorldConfig`'s bound
-    (`test_cli.py::TestRunCommand::test_huge_noise_exits_two_before_the_episode`)
+    (`test_cli.py::test_each_refusal_is_made_before_any_work[run-huge-noise]`)
     and the estimator's (`test_huge_noise_refused_by_the_estimator` below and
-    `test_margin_table_refuses_noise_that_could_overflow_before_drawing`)."""
+    `test_cli.py::test_each_refusal_is_made_before_any_work[margin-table-huge-noise]`)."""
 
     def test_coincident_lane(self):
         xa = np.array([[30.0, 20.0], [0.0, 5.0]])
