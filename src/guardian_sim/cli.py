@@ -20,6 +20,7 @@ import json
 import os
 import re
 import sys
+from contextlib import ExitStack
 from pathlib import Path
 
 from .analysis import (
@@ -39,6 +40,7 @@ from .engine import (
     Outcome,
     WorldConfig,
     _validate_init,
+    check_attacker_domain,
     run_episode,
     sample_initial_positions,
     summary_json_text,
@@ -297,12 +299,22 @@ def cmd_matrix(args: argparse.Namespace) -> int:
     world, trials = _world(settings), _integer(settings["trials"], "trials", 1, MAX_TRIALS)
     seed, jobs = _seed(settings), _integer(settings["jobs"], "jobs", 1)
     out, fmt = _output(settings)
-    report = run_experiment_matrix(world, trials, seed, jobs=jobs)
-    csv_text = report_csv_text(report)
-    if fmt is not OutputFormat.JSON:
-        write_text_atomic(out / "winrates.csv", csv_text)
-    if fmt is not OutputFormat.CSV:
-        write_text_atomic(out / "report.json", report_json_text(report))
+    # A refused world leaves no trace, not even the output directory that
+    # `open_atomic` would make; then an unwritable `--out` is refused before
+    # the first block runs.
+    world.check_sampled_starts()
+    check_attacker_domain(AttackerBehavior.SPIRAL, world)
+    with ExitStack() as stack:
+        csv_file, json_file = (
+            stack.enter_context(open_atomic(out / name)) if fmt is not skipped else None
+            for name, skipped in (("winrates.csv", OutputFormat.JSON),
+                                  ("report.json", OutputFormat.CSV)))
+        report = run_experiment_matrix(world, trials, seed, jobs=jobs)
+        csv_text = report_csv_text(report)
+        if csv_file:
+            csv_file.write(csv_text)
+        if json_file:
+            json_file.write(report_json_text(report))
     print(csv_text, end="")
     return 0
 

@@ -8,6 +8,7 @@ from typing import NamedTuple
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
+from guardian_sim.engine import FailureCriterion, WorldConfig
 from guardian_sim.geometry import Vec2, defense_margin
 from guardian_sim.observation import NoiseParams
 
@@ -163,3 +164,29 @@ noise = st.one_of(
         nu=st.floats(0.0, 1.0),
     ),
 )
+
+
+def log_uniform(low: float, high: float) -> st.SearchStrategy[float]:
+    return st.floats(math.log10(low), math.log10(high)).map(lambda e: 10.0**e)
+
+
+noise_terms = st.one_of(st.sampled_from([0.0, -0.0]), log_uniform(1e-6, 1e2))
+visibility = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def worlds(draw) -> WorldConfig:
+    """Worlds that sampled starts can play, for the pins of the scalar engine
+    and of the matrix kernel: noise terms of 0, -0.0 or log-uniform, `k` and
+    `tau` log-uniform, `r_safe` in (1, 25], `r_interest` up to 10**4, step caps
+    of 1-300 and either failure criterion."""
+    return WorldConfig(
+        r_interest=draw(st.one_of(st.just(50.0), log_uniform(50.0, 1e4))),
+        r_safe=draw(st.floats(1.0, 25.0, exclude_min=True)),
+        tau=draw(log_uniform(1e-3, 50.0)),
+        noise=NoiseParams(beta_b=draw(noise_terms), beta_d=draw(noise_terms),
+                          beta_v=draw(noise_terms), nu=draw(visibility)),
+        k=draw(log_uniform(1e-4, 1e2)),
+        max_steps=draw(st.integers(1, 300)),
+        failure_criterion=draw(st.sampled_from(FailureCriterion)),
+    )

@@ -7,13 +7,15 @@ import math
 import re
 import sys
 import warnings
+from contextlib import ExitStack
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import Normals, angles, as_pair, margin_of
+from conftest import Normals, angles, as_pair, margin_of, worlds
 import guardian_sim.analysis as analysis
 from guardian_sim import lanes
 from guardian_sim.analysis import (
@@ -522,7 +524,8 @@ class TestExperimentMatrix:
         """The pool gets min(jobs, CPUs, blocks) workers, counting the CPUs
         of the process's affinity set where the platform has one, and one
         worker means no pool; a fake executor records the request and maps
-        in-process, so no process is started."""
+        in-process, so no process is started.  A report run and rendered in
+        blocks of one trial has the bytes of one run in a single block."""
         requested = []
 
         class FakeExecutor:
@@ -603,58 +606,170 @@ class TestExperimentMatrix:
         ]
 
 
-def assert_is_reference(codes, base_seed: int, first: int, cfg: WorldConfig):
-    """`codes`, from `run_matrix_block`, are those of
-    `matrix_block_reference` for the same trials, bit for bit."""
-    reference = matrix_block_reference(base_seed, first, codes.shape[1], cfg)
-    np.testing.assert_array_equal(codes, reference, strict=True)
-
-
 def outcomes_of(codes) -> set[Outcome]:
     return {OUTCOME_CODES[c] for c in np.unique(codes).tolist()}
 
 
+def counted_starts(run):
+    """`run()`, and how many `random(4)` draws each start that
+    `analysis.sample_initial_positions` sampled during it took, in order."""
+    attempts, sample = [], analysis.sample_initial_positions
+
+    def counted(gen, *args, **kwargs):
+        calls = []
+
+        class Counted:
+            def random(self, n):
+                calls.append(n)
+                return gen.random(n)
+
+        start = sample(Counted(), *args, **kwargs)
+        attempts.append(len(calls))
+        return start
+
+    with mock.patch.object(analysis, "sample_initial_positions", counted):
+        return run(), attempts
+
+
+def spy(stack: ExitStack, owner, name: str) -> list:
+    """Patch `owner.name`, for as long as `stack` lasts, with a wrapper that
+    keeps the arguments and result of each call; returns that list."""
+    calls, fn = [], getattr(owner, name)
+
+    def call(*args):
+        calls.append((args, fn(*args)))
+        return calls[-1][1]
+
+    stack.enter_context(mock.patch.object(owner, name, call))
+    return calls
+
+
+# Base seeds of one to five 32-bit words, the edges of one and two among them.
+base_seeds = st.one_of(st.sampled_from([2**32 - 1, 2**32, 2**128]), st.integers(0, 2**128))
+
+
+@st.composite
+def trial_ranges(draw) -> tuple[int, int]:
+    """(first, count): 1-12 trials, from trial 0 up to the last ones below
+    `MAX_TRIALS`."""
+    count = draw(st.integers(1, 12))
+    last = MAX_TRIALS - count
+    return draw(st.one_of(st.integers(0, 1000), st.integers(0, last), st.just(last))), count
+
+
+# (MATRIX_WINDOW, small): with `small`, `lanes.hypot` certifies from 4 lanes
+# a trial on, in slices of at most 8 a trial, so a block's first step takes
+# per-lane (adm's blend, 3 lanes a trial), certified and sliced calls.
+layouts = st.tuples(st.integers(1, 40), st.booleans())
+
+_EVERY_TERM = NoiseParams(beta_b=0.3, beta_d=0.2, beta_v=1.0, nu=0.5)
+# The largest beta `WorldConfig` accepts with its other settings at their defaults.
+_LARGEST_BETA = 5.675542529453185e+296
+_MARGIN_RULE = FailureCriterion.MARGIN_BREACH
+# The hand-picked edges of the kernel property, by name, as (world, base
+# seed, (first, count), layout): k / (sigma sqrt 2) overflowing to inf
+# (erf(inf) = 1, with no warning); every noise term on; a variance that
+# overflows to inf; the largest beta and the smallest spiral r_safe that the
+# checks accept, under either loss rule; tau 40, which redraws trials 6 and
+# 8; tau 50 on the last three trials below `MAX_TRIALS`, two of which it
+# redraws; base seeds on both sides of one and two 32-bit words, and the last
+# trials, on the default world; the default world under either rule, with
+# and without a step cap; the low `hypot` thresholds under either rule; and
+# a block of one trial.
+EDGES = {
+    "k-1e308": (WorldConfig(k=1e308, max_steps=30), 2**32 - 1, (0, 6), (32, False)),
+    "every-term": (WorldConfig(r_safe=4.0, tau=1.5, noise=_EVERY_TERM, k=0.2, max_steps=30,
+                               failure_criterion=_MARGIN_RULE), 7, (0, 6), (1, True)),
+    "variance-overflows": (WorldConfig(r_safe=4.0, tau=1.5, noise=NoiseParams(beta_d=1e150),
+                                       k=0.2, failure_criterion=_MARGIN_RULE), 7, (0, 6), (32, False)),
+    **{f"largest-beta-{rule.value}": (
+        WorldConfig(noise=NoiseParams(beta_d=_LARGEST_BETA), failure_criterion=rule), 0, (0, 4),
+        (32, True)) for rule in FailureCriterion},
+    **{f"smallest-spiral-r_safe-{rule.value}": (
+        WorldConfig(r_safe=math.nextafter(1.0, 2.0), failure_criterion=rule), 2**32, (0, 4),
+        (3, False)) for rule in FailureCriterion},
+    "tau-40-redraws": (WorldConfig(tau=40.0, max_steps=30), 0, (0, 9), (7, False)),
+    "tau-50-last-trials": (WorldConfig(tau=50.0, max_steps=30), 2**128, (MAX_TRIALS - 3, 3),
+                           (40, True)),
+    **{f"base-{name}": (WorldConfig(max_steps=30), base_seed, (0, 6), (32, False))
+       for name, base_seed in [("2^32-1", 2**32 - 1), ("2^32", 2**32), ("2^128", 2**128),
+                               ("11", 11)]},
+    "last-trials": (WorldConfig(max_steps=30), 0, (MAX_TRIALS - 4, 4), (32, False)),
+    **{f"{rule.value}-{cap}": (WorldConfig(failure_criterion=rule, max_steps=steps), 3, (5, 12),
+                               (32, False))
+       for rule in FailureCriterion for cap, steps in [("capped", 30), ("uncapped", 10_000)]},
+    **{f"certified-sliced-per-lane-{rule.value}": (WorldConfig(failure_criterion=rule), 3, (0, 12),
+                                                   (32, True)) for rule in FailureCriterion},
+    "one-trial": (WorldConfig(), 0, (0, 1), (1, True)),
+}
+
+
+def assert_block_is_its_reference(cfg, base_seed, trials, layout):
+    """On `cfg`, `base_seed` and `trials` = (first, count), and with the
+    kernel's window and `hypot` thresholds patched to `layout`, the block's
+    codes are `matrix_block_reference`'s, and it seeds and starts its trials
+    as the scalar path does: the words seeding its episode generators are the
+    `seed_words` of `trial_seeds`, no block returning its seeds, and a trial
+    redraws its start exactly when the scalar sampler does.  The `lanes`
+    twins get only inputs within their bounds, as the checked starts and
+    `WorldConfig`'s bounds promise: every linear radius is at least 1e-12,
+    every spiral radius above 1 and every observation finite."""
+    (first, count), (window, small) = trials, layout
+    with ExitStack() as stack:
+        stack.enter_context(mock.patch.object(analysis, "MATRIX_WINDOW", window))
+        if small:
+            stack.enter_context(mock.patch.object(lanes, "_CERTIFY_FROM", 4 * count))
+            stack.enter_context(mock.patch.object(lanes, "_CERTIFY_SLICE", 8 * count))
+        hypots, linear, spiral, observed, seeded = (spy(stack, *target) for target in (
+            (lanes, "hypot"), (lanes, "linear_attacker"), (lanes, "spiral_heading"),
+            (lanes, "observe"), (analysis, "_block_starts")))
+        codes, attempts = counted_starts(lambda: run_matrix_block(base_seed, first, count, cfg))
+    reference, scalar_attempts = counted_starts(
+        lambda: matrix_block_reference(base_seed, first, count, cfg))
+    np.testing.assert_array_equal(codes, reference, strict=True)
+    assert attempts == scalar_attempts
+    [(_, (_, words))] = seeded
+    episode_seeds = [trial_seeds(base_seed, trial)[1] for trial in range(first, first + count)]
+    np.testing.assert_array_equal(words, seed_words(episode_seeds), strict=True)
+    assert all((n >= 1e-12).all() for (_, n), _ in linear)
+    assert all((n > 1.0).all() for (_, n), _ in spiral)
+    assert all(np.isfinite(y).all() for _, y in observed)
+    if small and linear:  # the block took a step
+        widths = [len(x) for (x, _), _ in hypots]
+        assert min(widths) < 4 * count and max(widths) > 8 * count
+        assert any(4 * count <= w <= 8 * count for w in widths)
+
+
 class TestMatrixKernel:
     """`run_matrix_block` gives, trial by trial, the scalar reference
-    `run_matrix_trial`: the same outcome for every pair. The episode
-    seeding is checked in `test_block_seeding_on_both_sides_of_its_fallbacks`."""
+    `run_matrix_trial`: the same outcome for every pair.  One property and
+    its table of edges pin that; the other tests pin how the kernel gets
+    there."""
 
-    @pytest.mark.parametrize("max_steps", [10_000, 30], ids=["uncapped", "capped"])
-    @pytest.mark.parametrize("criterion", list(FailureCriterion))
-    def test_outcomes_equal_run_episode(self, criterion, max_steps):
-        cfg = WorldConfig(failure_criterion=criterion, max_steps=max_steps)
-        seen = set()
-        for base_seed in (0, 3, 11):
-            block = run_matrix_block(base_seed, 5, 12, cfg)
-            assert_is_reference(block, base_seed, 5, cfg)
-            seen |= outcomes_of(block)
-        assert Outcome.CAPTURED in seen
-        assert (Outcome.SURVIVED if max_steps == 30 else Outcome.BREACHED) in seen
+    @given(worlds(), base_seeds, trial_ranges(), layouts)
+    def test_a_block_is_its_scalar_reference(self, cfg, base_seed, trials, layout):
+        """`assert_block_is_its_reference` on any world, base seed, trial
+        range and kernel layout."""
+        assert_block_is_its_reference(cfg, base_seed, trials, layout)
 
-    def test_a_half_width_that_overflows_the_reliability_argument(self):
-        """At k = 1e308, k / (sigma sqrt 2) overflows to inf wherever sigma
-        sqrt 2 < 1: the adm lanes get erf(inf) = 1, as the scalar code does,
-        with no warning."""
-        cfg = WorldConfig(k=1e308)
-        assert_is_reference(run_matrix_block(0, 0, 12, cfg), 0, 0, cfg)
+    @pytest.mark.parametrize("cfg, base_seed, trials, layout", EDGES.values(), ids=EDGES)
+    def test_an_edge_block_is_its_scalar_reference(self, cfg, base_seed, trials, layout):
+        """`assert_block_is_its_reference` at each of the `EDGES`."""
+        assert_block_is_its_reference(cfg, base_seed, trials, layout)
 
-    @pytest.mark.parametrize("criterion", list(FailureCriterion))
-    def test_certified_sliced_and_per_lane_rounds(self, monkeypatch, criterion):
-        """With `lanes.hypot` certifying from 16 lanes on, in slices of at
-        most 64, a 12-trial block's rounds take calls of every kind, and
-        each trial's outcomes are still those of the scalar reference."""
-        monkeypatch.setattr(lanes, "_CERTIFY_FROM", 16)
-        monkeypatch.setattr(lanes, "_CERTIFY_SLICE", 64)
-        widths, whole = [], lanes.hypot
-
-        def spy(x, y):
-            widths.append(len(x))
-            return whole(x, y)
-
-        monkeypatch.setattr(lanes, "hypot", spy)
-        cfg = WorldConfig(failure_criterion=criterion)
-        assert_is_reference(run_matrix_block(3, 0, 12, cfg), 3, 0, cfg)
-        assert min(widths) < 16 and max(widths) > 64 and any(16 <= w <= 64 for w in widths)
+    def test_the_edges_reach_every_outcome_under_both_rules(self):
+        """The `EDGES` rows, on the kernel, end in every outcome under each
+        loss rule, and only the tau 40 and 50 rows redraw a start; the
+        largest beta is still the largest `WorldConfig` accepts."""
+        seen, redrawn = {rule: set() for rule in FailureCriterion}, []
+        for cfg, base_seed, (first, count), _ in EDGES.values():
+            codes, attempts = counted_starts(lambda: run_matrix_block(base_seed, first, count, cfg))
+            seen[cfg.failure_criterion] |= outcomes_of(codes)
+            redrawn += [cfg.tau] if max(attempts) > 1 else []
+        assert seen == {rule: set(Outcome) for rule in FailureCriterion}
+        assert redrawn == [40.0, 50.0]
+        with pytest.raises(ValueError, match="noise too large"):
+            WorldConfig(noise=NoiseParams(beta_d=math.nextafter(_LARGEST_BETA, math.inf)))
 
     def test_a_step_takes_its_norms_in_four_rounds(self, monkeypatch):
         """The default 100-trial matrix makes at most four `hypot` calls per
@@ -692,20 +807,16 @@ class TestMatrixKernel:
         assert counts["per_lane"] <= 0.25 * counts["lanes"]
 
     @pytest.mark.parametrize("criterion", list(FailureCriterion))
-    def test_the_spiral_steps_once_per_trial(self, monkeypatch, criterion):
+    def test_the_spiral_steps_once_per_trial(self, criterion):
         """At each step `lanes.spiral_heading` takes one lane for each trial
         with a live spiral lane, however many of its three pairs live: the
         spiral moves alike against every defender.  A trial's spiral lane
         lives on the steps before its scalar episode's end time."""
         cfg, count = WorldConfig(failure_criterion=criterion), 40
-        widths, heading = [], lanes.spiral_heading
-
-        def spy(xa, n=None):
-            widths.append(xa.shape[1])
-            return heading(xa, n)
-
-        monkeypatch.setattr(lanes, "spiral_heading", spy)
-        assert_is_reference(run_matrix_block(5, 0, count, cfg), 5, 0, cfg)
+        with ExitStack() as stack:
+            headings = spy(stack, lanes, "spiral_heading")
+            run_matrix_block(5, 0, count, cfg)
+        widths = [xa.shape[1] for (xa, _), _ in headings]
         ends = []
         for trial in range(count):
             init_seed, episode_seed = trial_seeds(5, trial)
@@ -714,50 +825,6 @@ class TestMatrixKernel:
                             for d, a in MATRIX_PAIRS if a is AttackerBehavior.SPIRAL))
         assert widths == [sum(end > t for end in ends) for t in range(max(ends))]
         assert widths[0] == count
-
-    @pytest.mark.parametrize(
-        "noise",
-        [NoiseParams(beta_b=0.3, beta_d=0.2, beta_v=1.0, nu=0.5), NoiseParams(beta_d=1e150)],
-        ids=["every-term", "variance-overflows"],
-    )
-    def test_noise_and_world_settings_off_their_defaults(self, noise):
-        """Includes noise so large that the reliability's variance estimate
-        overflows to infinity."""
-        cfg = WorldConfig(r_safe=4.0, tau=1.5, noise=noise, k=0.2,
-                          failure_criterion=FailureCriterion.MARGIN_BREACH)
-        assert_is_reference(run_matrix_block(7, 0, 10, cfg), 7, 0, cfg)
-
-    def test_random_worlds(self):
-        """On 60 random worlds: noise, k and tau log-uniform, r_safe in
-        (1, 25], r_interest up to 10**4, either failure criterion and step
-        caps of 1-300.  Worlds the settings checks refuse up front are
-        skipped and counted."""
-        gen = np.random.default_rng(2024)
-
-        def log_uniform(low, high):
-            return float(np.exp(gen.uniform(np.log(low), np.log(high))))
-
-        ran, refused, seen = 0, 0, set()
-        while ran < 60:
-            try:
-                noise = NoiseParams(beta_b=log_uniform(1e-6, 1e2), beta_d=log_uniform(1e-6, 10.0),
-                                    beta_v=log_uniform(1e-6, 1e2), nu=float(gen.uniform()))
-                cfg = WorldConfig(
-                    r_interest=log_uniform(10.0, 1e4), r_safe=25.0 - float(gen.uniform(0.0, 24.0)),
-                    tau=log_uniform(1e-2, 50.0), noise=noise, k=log_uniform(1e-3, 1e2),
-                    max_steps=int(gen.integers(1, 301)),
-                    failure_criterion=list(FailureCriterion)[int(gen.integers(2))])
-                cfg.check_sampled_starts()
-            except ValueError:
-                refused += 1
-                continue
-            ran += 1
-            first = int(gen.integers(0, 1000))
-            block = run_matrix_block(ran, first, 3, cfg)
-            assert_is_reference(block, ran, first, cfg)
-            seen |= outcomes_of(block)
-        assert refused > 0
-        assert seen == set(Outcome)
 
     @pytest.mark.parametrize("criterion", list(FailureCriterion))
     def test_end_tests_are_episode_outcome_on_the_boundaries(self, criterion):
@@ -775,59 +842,6 @@ class TestMatrixKernel:
             assert [OUTCOME_CODES[c] for c in codes] == [
                 episode_outcome(t, as_pair(a), as_pair(d), cfg, a.distance_to(d), a.norm())
                 for a, d in rows]
-
-    @pytest.mark.parametrize(
-        "base_seed, first, count, cfg, redrawn",
-        [(2**128, 0, 6, WorldConfig(), []), (2**32 - 1, 0, 6, WorldConfig(), []),
-         (2**32, 0, 6, WorldConfig(), []), (11, 5, 12, WorldConfig(), []),
-         (0, MAX_TRIALS - 4, 4, WorldConfig(), []),
-         (0, 0, 30, WorldConfig(tau=40.0), [6, 8, 20, 24]),
-         (0, MAX_TRIALS - 10, 10, WorldConfig(tau=50.0),
-          list(range(MAX_TRIALS - 8, MAX_TRIALS - 2)))],
-        ids=["base-2^128", "base-2^32-1", "base-2^32", "base-11", "last-trials",
-             "tau-40-redraws", "tau-50-last-trials"],
-    )
-    def test_block_seeding_on_both_sides_of_its_fallbacks(
-        self, monkeypatch, base_seed, first, count, cfg, redrawn
-    ):
-        """A five-word base seed is seeded in the block, and the last trials
-        below `MAX_TRIALS` start as any other: each trial samples its start
-        once, and only the trials whose first pair is too close draw again.
-        The words that seed the block's episode generators are the
-        `seed_words` of each trial's episode seed, as `trial_seeds` gives it
-        to `run_matrix_trial`: no block returns its seeds, so they are
-        checked here."""
-        attempts = []
-        block_words = []
-
-        def sampled(gen, *args, **kwargs):
-            calls = []
-
-            class Counted:
-                def random(self, n):
-                    calls.append(n)
-                    return gen.random(n)
-
-            start = sample_initial_positions(Counted(), *args, **kwargs)
-            attempts.append(len(calls))
-            return start
-
-        block_starts_of = analysis._block_starts
-
-        def block_starts(*args):
-            starts, words = block_starts_of(*args)
-            block_words.append(words)
-            return starts, words
-
-        monkeypatch.setattr(analysis, "sample_initial_positions", sampled)
-        monkeypatch.setattr(analysis, "_block_starts", block_starts)
-        block = run_matrix_block(base_seed, first, count, cfg)
-        assert len(attempts) == count
-        assert [first + i for i, n in enumerate(attempts) if n > 1] == redrawn
-        assert_is_reference(block, base_seed, first, cfg)
-        episode_seeds = [trial_seeds(base_seed, trial)[1] for trial in range(first, first + count)]
-        [words] = block_words
-        np.testing.assert_array_equal(words, seed_words(episode_seeds), strict=True)
 
     def test_default_block_builds_no_seed_sequence_or_rng(self, monkeypatch):
         """A silent fall back to the scalar path would build both."""
@@ -861,50 +875,6 @@ class TestMatrixKernel:
         with pytest.raises(InvalidInitializationError) as kernel:
             run_matrix_block(0, 0, 3, cfg)
         assert str(kernel.value) == str(scalar.value)
-
-    @pytest.mark.parametrize("edge", ["smallest-spiral-r_safe", "largest-beta"])
-    @pytest.mark.parametrize("criterion", list(FailureCriterion))
-    def test_the_twins_get_only_inputs_within_their_bounds(self, monkeypatch, criterion, edge):
-        """The `lanes` twins refuse only coincident agents: the kernel hands
-        them live attackers at radius >= 1e-12 (linear) and > 1 (spiral),
-        and finite observations, as the checked starts and `WorldConfig`'s
-        bounds promise.  At the smallest r_safe the spiral accepts and at the
-        largest beta the world accepts, under either failure criterion."""
-        if edge == "largest-beta":
-            lo, hi = 0.0, 1e308  # accepted, refused
-            while math.nextafter(lo, math.inf) < hi:
-                mid = max(lo + (hi - lo) / 2, math.nextafter(lo, math.inf))
-                try:
-                    WorldConfig(noise=NoiseParams(beta_d=mid))
-                    lo = mid
-                except ValueError:
-                    hi = mid
-            cfg = WorldConfig(noise=NoiseParams(beta_d=lo), failure_criterion=criterion)
-        else:
-            cfg = WorldConfig(r_safe=math.nextafter(1.0, 2.0), failure_criterion=criterion)
-        radii, observed, observe = {"linear_attacker": [], "spiral_heading": []}, [], lanes.observe
-
-        def radius_spy(name):
-            twin = getattr(lanes, name)
-
-            def spy(xa, n=None):
-                radii[name].append(lanes.hypot(*xa) if n is None else n)
-                return twin(xa, n)
-            return spy
-
-        def observe_spy(*args):
-            observed.append(observe(*args))
-            return observed[-1]
-
-        for name in radii:
-            monkeypatch.setattr(lanes, name, radius_spy(name))
-        monkeypatch.setattr(lanes, "observe", observe_spy)
-        block = run_matrix_block(0, 0, 20, cfg)
-        assert np.concatenate(radii["linear_attacker"]).min() >= 1e-12
-        assert np.concatenate(radii["spiral_heading"]).min() > 1.0
-        assert all(np.isfinite(y).all() for y in observed)
-        assert_is_reference(block, 0, 0, cfg)
-
 
 class TestChecks:
     def test_pursuit_margin_gain_passes(self):

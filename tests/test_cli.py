@@ -612,15 +612,13 @@ class Refusal(NamedTuple):
     """A command line that exits 2: its arguments, split on spaces; its
     stderr, whole or (for argparse's refusals, which start with the program's
     name) its last line, after the usage, and a prefix where it ends in
-    "..."; its config file, if any; `$GUARDIAN_SIM_SEED`, if set; and the
-    blocks it runs first, which is none but for one known fault."""
+    "..."; its config file, if any; and `$GUARDIAN_SIM_SEED`, if set."""
 
     id: str
     argv: str
     err: str
     config: dict | str | None = None
     env: str | None = None
-    blocks: int = 0
 
 
 # Flags each report command never reads, after the flags it requires.
@@ -657,9 +655,9 @@ def _every_command_refuses() -> list[Refusal]:
 
 # Worlds that a sampled start could violate: each one's name, argv and message.
 _SAMPLED_STARTS = [
-    ("matrix-r_safe", "matrix --trials 3 --r-safe 45.5",
+    ("matrix-r_safe", "matrix --trials 3 --r-safe 45.5 --out out",
      "r_safe=45.5 exceeds 45.0, the least sampled attacker radius"),
-    ("matrix-r_interest", "matrix --trials 3 --r-interest 49.5",
+    ("matrix-r_interest", "matrix --trials 3 --r-interest 49.5 --out out",
      "r_interest=49.5 is below 50.0, the top of the sampled attacker radii"),
     ("run-r_safe", "run --r-safe 45.5", "r_safe=45.5 exceeds 45.0, the least sampled attacker radius"),
     ("run-r_interest", "run --xd 0 0 --r-interest 49.5",
@@ -734,7 +732,7 @@ REFUSALS = [
             "error: attacker may not start inside the safe zone"),
     Refusal("run-spiral-r_safe", "run --attacker spiral --seed 3 --r-safe 0.5 --tau 0.1",
             "error: the spiral attacker needs r_safe > 1, got r_safe=0.5"),
-    Refusal("matrix-spiral-r_safe", "matrix --trials 5 --r-safe 0.5 --tau 0.1",
+    Refusal("matrix-spiral-r_safe", "matrix --trials 5 --r-safe 0.5 --tau 0.1 --out out",
             "error: the spiral attacker needs r_safe > 1, got r_safe=0.5"),
     # The attacker would reach radius 5e-13, where the linear control is
     # undefined, without entering r_safe.
@@ -769,11 +767,10 @@ REFUSALS = [
     Refusal("margin-table-huge-noise", "margin-table --beta 1.5e304 --samples 100",
             f"error: {_HUGE_NOISE}6.74e+153 at separation 40 + 15 = 55, {_OVERFLOW}"),
     # An unwritable `--out` (under the config file) exits 2, not with the
-    # traceback and exit 1 that `run` uses for a breach.  `matrix` finds it
-    # only when it writes, after its one block: a fault, not a rule.
+    # traceback and exit 1 that `run` uses for a breach.
     *(Refusal(f"{argv.split()[0]}-unwritable-out", f"{argv} --seed 0 --out {{tmp}}/config.json/out",
-              "error: [Errno 20] Not a directory: '{tmp}/config.json/out'", {}, blocks=blocks)
-      for argv, blocks in (("run --xa 30 0 --xd 0 0", 0), ("matrix --trials 2", 1))),
+              "error: [Errno 20] Not a directory: '{tmp}/config.json/out'", {})
+      for argv in ("run --xa 30 0 --xd 0 0", "matrix --trials 2")),
     # A refused start leaves no `--out` directory, whichever files it would
     # write; a trial count above the bound is refused as it was given.
     *(Refusal(f"run-{name}-{fmt.value}", f"run {flags} --format {fmt.value} --out out",
@@ -837,7 +834,7 @@ def test_each_refusal_is_made_before_any_work(row):
     if row.err.endswith("..."):  # compare the prefix
         message = message[:len(row.err) - 3]
     assert (call.code, call.out, message) == (2, "", row.err.removesuffix("..."))
-    assert (call.steps, call.blocks, call.files) == (0, row.blocks, [])
+    assert (call.steps, call.blocks, call.files) == (0, 0, [])
     if row.argv.startswith(("stability", "margin-table")):
         assert call.draws == []
 

@@ -1,9 +1,10 @@
 """The scalar engine on plain pairs plays every episode as it did on `Vec2`s.
 
-`run_episode` is compared with the engine frozen in `oracles` on random
-worlds: every defender against every attacker, either failure criterion,
-noise terms of 0 and -0.0 among others, log-uniform k and tau, step caps from
-1 to 300, and starts sampled or given.  The outcome, the end time and every
+`run_episode` is compared with the engine frozen in `oracles` on the random
+worlds of `conftest.worlds`, which the matrix kernel's pin draws too: every
+defender against every attacker, either failure criterion, noise terms of 0,
+-0.0 and log-uniform values, log-uniform k and tau, r_interest up to 10**4,
+step caps from 1 to 300, and starts sampled or given.  The outcome, the end time and every
 field of every record must be the same bits, in the kept trajectory and in
 the records streamed through a `sink`.  Every `run` byte rests on this.
 """
@@ -14,34 +15,14 @@ import math
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from conftest import worlds
 from guardian_sim.engine import (
-    DEFENDER_RADIUS_RANGE, FailureCriterion, InvalidInitializationError, WorldConfig, run_episode,
+    DEFENDER_RADIUS_RANGE, InvalidInitializationError, WorldConfig, run_episode,
     sample_initial_positions)
 from guardian_sim.geometry import Vec2
-from guardian_sim.observation import NoiseParams
 from guardian_sim.rng import Rng
 from guardian_sim.strategies import AttackerBehavior, DefenderStrategy
 from oracles import vec2_run_episode
-
-noise_terms = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 1.0))
-visibility = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 1.0))
-
-
-def log_uniform(low: float, high: float) -> st.SearchStrategy[float]:
-    return st.floats(math.log10(low), math.log10(high)).map(lambda e: 10.0**e)
-
-
-@st.composite
-def worlds(draw) -> WorldConfig:
-    return WorldConfig(
-        r_safe=draw(st.floats(1.5, 15.0)),
-        tau=draw(log_uniform(1e-3, 30.0)),
-        noise=NoiseParams(beta_b=draw(noise_terms), beta_d=draw(noise_terms),
-                          beta_v=draw(noise_terms), nu=draw(visibility)),
-        k=draw(log_uniform(1e-4, 1e2)),
-        max_steps=draw(st.integers(1, 300)),
-        failure_criterion=draw(st.sampled_from(FailureCriterion)),
-    )
 
 
 @st.composite

@@ -181,8 +181,7 @@ def test_matrix_digests(tmp_path, criterion):
 
 
 @pytest.mark.parametrize(
-    "window, block, criterion", [(1, 1, "position_breach"), (3, 7, "margin_breach")],
-    ids=["window-1-block-1", "window-3-block-7"],
+    "window, block, criterion", [(3, 7, "margin_breach")], ids=["window-3-block-7"],
 )
 def test_matrix_digests_at_other_kernel_sizes(tmp_path, monkeypatch, window, block, criterion):
     """The bytes depend on neither the steps of normals drawn at once nor
